@@ -13,6 +13,7 @@ from .clusters import (
     Cluster,
     Configuration,
     PairedConfiguration,
+    Skeleton,
     cluster_data,
     configuration,
     pair_up,

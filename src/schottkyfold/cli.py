@@ -30,7 +30,7 @@ from .errors import (
 )
 from .hull import reduced_convex_hull, to_dot
 from .projline import INFINITY, Mobius, PPoint, point_str
-from .valfield import FieldContext, Val, field_context, format_fraction
+from .valfield import Val, field_context, format_fraction
 
 EXIT_GOOD = 0
 EXIT_NOT_GOOD = 1
@@ -110,6 +110,15 @@ def parse_problem(text: str) -> ProblemSpec:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ParseError("field 'options' must be an object")
+    depth = options.get("verify_depth")
+    if depth is not None and (
+        isinstance(depth, bool) or not isinstance(depth, int) or depth < 0
+    ):
+        raise ValidationError(
+            "option 'verify_depth' must be null or an integer >= 0"
+        )
+    if not isinstance(options.get("dot"), (str, type(None))):
+        raise ValidationError("option 'dot' must be null or a string")
     return ProblemSpec(
         p=p,
         ell=ell,
@@ -126,12 +135,9 @@ def parse_problem(text: str) -> ProblemSpec:
 # --------------------------------------------------------------------------
 
 
-def _fmt_point(ctx: FieldContext, pt: PPoint) -> str:
-    return point_str(ctx, pt)
-
-
 def _fmt_points(ctx, cfg: Configuration) -> list[str]:
-    return [_fmt_point(ctx, pt) for pt in cfg.points]
+    return [point_str(ctx, pt) for pt in cfg.points]
+
 
 def _fmt_val(v: Val) -> str:
     return "inf" if v.is_infinite else format_fraction(v.fraction)
@@ -142,7 +148,7 @@ def _fmt_matrix(ctx, m: Mobius) -> list[str]:
 
 
 def _fmt_pairs(ctx, pcfg: PairedConfiguration) -> list[list[str]]:
-    return [[_fmt_point(ctx, a), _fmt_point(ctx, b)] for a, b in pcfg.pairs]
+    return [[point_str(ctx, a), point_str(ctx, b)] for a, b in pcfg.pairs]
 
 
 def _fold_record(ctx, step: folding.FoldingStep) -> dict:
@@ -361,7 +367,12 @@ def main(argv=None) -> int:
     report, code = run(spec)
     print(render_report(report))
     if spec.dot is not None:
-        written = write_dot_files(report, spec.dot)
+        try:
+            written = write_dot_files(report, spec.dot)
+        except OSError as exc:
+            if not args.quiet:
+                print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID
         if written and not args.quiet:
             print("wrote " + ", ".join(written), file=sys.stderr)
     if code == EXIT_INVALID and not args.quiet and "error" in report:

@@ -15,8 +15,9 @@ geometric condition that the axes spanned by the pairs stay more than
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 from .errors import NotClusteredInPairsError, NotSeparatedError
 from .projline import INFINITY, PPoint, point_str
@@ -39,11 +40,9 @@ class Configuration:
 
     def finite_values(self) -> tuple:
         """Distinct finite point values, in first-occurrence order."""
-        seen: list = []
-        for pt in self.points:
-            if not pt.is_infinity and pt.value not in seen:
-                seen.append(pt.value)
-        return tuple(seen)
+        return tuple(
+            dict.fromkeys(pt.value for pt in self.points if not pt.is_infinity)
+        )
 
     def multiset_key(self):
         return sorted(
@@ -79,21 +78,29 @@ class Cluster:
     depth: Val
 
 
-def cluster_data(cfg: Configuration) -> tuple[Cluster, ...]:
+def valuation_matrix(ctx: FieldContext, values) -> tuple[tuple[Val, ...], ...]:
+    """v(x_a - x_b) for every two of the values; +infinity on the diagonal."""
+    n = len(values)
+    rows = [[INF] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = ctx.valuation(ctx.sub(values[i], values[j]))
+    return tuple(tuple(row) for row in rows)
+
+
+def cluster_data(cfg: Configuration, vmat=None) -> tuple[Cluster, ...]:
     """Every cluster of the finite points, with depths.
 
     The full finite set is always a cluster and every point is a singleton
     cluster of depth +infinity.  Members index into ``finite_values()``
-    (multiplicities collapse).
+    (multiplicities collapse).  Clusters come in pre-order: each one is
+    followed at once by the clusters strictly inside it.  ``vmat``, when
+    given, is the ``valuation_matrix`` of ``finite_values()``.
     """
     values = cfg.finite_values()
-    ctx = cfg.ctx
+    if vmat is None:
+        vmat = valuation_matrix(cfg.ctx, values)
     n = len(values)
-    vmat = [[INF] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = ctx.valuation(ctx.sub(values[i], values[j]))
-            vmat[i][j] = vmat[j][i] = v
 
     out: list[Cluster] = []
 
@@ -122,16 +129,153 @@ def cluster_data(cfg: Configuration) -> tuple[Cluster, ...]:
     return tuple(out)
 
 
+class Skeleton(NamedTuple):
+    """The cluster skeleton of a configuration: built once, then only read.
+
+    ``values`` are the distinct finite values and ``index_of`` maps each
+    back to its position; ``vmat`` is their valuation matrix.  ``clusters`` is
+    the laminar cluster tree in pre-order, ``parent[k]`` the position of
+    the smallest cluster strictly containing cluster k (None for the root)
+    and ``leaf[x]`` the position of the singleton cluster {x}.  A skeleton
+    of a paired configuration also holds each pair's finite member indices
+    and its minimal disc as (center index, radius); the disc of the pair at
+    infinity is that of all finite values.
+    """
+
+    values: tuple
+    index_of: dict
+    vmat: tuple[tuple[Val, ...], ...]
+    clusters: tuple[Cluster, ...]
+    parent: tuple[Optional[int], ...]
+    leaf: tuple[int, ...]
+    pair_members: tuple[frozenset[int], ...] = ()
+    pair_discs: tuple[tuple[int, Fraction], ...] = ()
+
+    @staticmethod
+    def build(cfg: Configuration) -> "Skeleton":
+        """One valuation matrix and one ``cluster_data`` call."""
+        values = cfg.finite_values()
+        vmat = valuation_matrix(cfg.ctx, values)
+        return Skeleton._assemble(values, vmat, cluster_data(cfg, vmat))
+
+    @staticmethod
+    def _assemble(values, vmat, clusters, pair_members=(), pair_discs=()):
+        parent: list[Optional[int]] = []
+        leaf = [0] * len(values)
+        stack: list[int] = []
+        for k, c in enumerate(clusters):
+            while stack and not c.members < clusters[stack[-1]].members:
+                stack.pop()
+            parent.append(stack[-1] if stack else None)
+            stack.append(k)
+            if len(c.members) == 1:
+                (x,) = c.members
+                leaf[x] = k
+        return Skeleton(
+            values,
+            {v: k for k, v in enumerate(values)},
+            vmat,
+            clusters,
+            tuple(parent),
+            tuple(leaf),
+            pair_members,
+            pair_discs,
+        )
+
+    def for_pairs(self, pairs) -> "Skeleton":
+        """This skeleton relabelled into the order of the pairs' finite
+        points, with each pair's member indices and minimal disc.  No
+        valuation is computed."""
+        points = [pt for pair in pairs for pt in pair if not pt.is_infinity]
+        order = tuple(dict.fromkeys(pt.value for pt in points))
+        old = [self.index_of[v] for v in order]
+        new_of = {o: k for k, o in enumerate(old)}
+        vmat = tuple(tuple(self.vmat[a][b] for b in old) for a in old)
+        # Each member set is built from an ascending list, as cluster_data
+        # builds it: the hull centres a cluster's disc at the set's first
+        # member in iteration order, and that order depends on insertion.
+        clusters = tuple(
+            Cluster(frozenset(sorted(new_of[k] for k in c.members)), c.depth)
+            for c in self.clusters
+        )
+        index = {v: k for k, v in enumerate(order)}
+        members, discs = [], []
+        for pair in pairs:
+            idx = [index[pt.value] for pt in pair if not pt.is_infinity]
+            members.append(frozenset(idx))
+            if len(idx) < len(pair):
+                idx = list(range(len(order)))
+            discs.append(_min_disc(vmat, idx))
+        return Skeleton._assemble(order, vmat, clusters, tuple(members), tuple(discs))
+
+    def chain(self, members: frozenset[int]):
+        """The clusters containing the given indices, smallest first."""
+        k = self.leaf[next(iter(members))]
+        while k is not None:
+            c = self.clusters[k]
+            if members <= c.members:
+                yield c
+            k = self.parent[k]
+
+    def minimal_odd(self, members: frozenset[int]) -> Optional[frozenset[int]]:
+        """The smallest odd cluster containing the given indices, if any."""
+        for c in self.chain(members):
+            if len(c.members) % 2 == 1:
+                return c.members
+        return None
+
+    def join(self, c1: int, r1: Fraction, c2: int, r2: Fraction) -> Fraction:
+        """Radius of the smallest disc containing the discs (c1, r1), (c2, r2)."""
+        sep = self.vmat[c1][c2]
+        return min(r1, r2) if sep.is_infinite else min(r1, r2, sep.fraction)
+
+    def axis_distance(self, i: int, j: int) -> Fraction:
+        """Tree distance between the axes spanned by pairs i and j.
+
+        With u the maximal valuation of a cross difference and d_k the depth
+        of pair k, the distance is max(0, d_i - u) + max(0, d_j - u); the
+        depth term of a pair containing infinity is dropped (its axis runs
+        upward without bound).
+        """
+        vmat = self.vmat
+        fin_i, fin_j = self.pair_members[i], self.pair_members[j]
+        u = max(vmat[x][y] for x in fin_i for y in fin_j)
+        if u.is_infinite:
+            raise ValueError("axes share a point")
+        total = Fraction(0)
+        for fin in (fin_i, fin_j):
+            if len(fin) == 2:
+                a, b = fin
+                total += max(Fraction(0), vmat[a][b].fraction - u.fraction)
+        return total
+
+
+def _min_disc(vmat, idx) -> tuple[int, Fraction]:
+    """(center, radius) of the smallest disc around the indexed values: the
+    first is the center; a single value gets radius 0."""
+    center = idx[0]
+    radius = None
+    for x in idx[1:]:
+        v = vmat[x][center]
+        if not v.is_infinite and (radius is None or v.fraction < radius):
+            radius = v.fraction
+    return center, Fraction(0) if radius is None else radius
+
+
 @dataclass(frozen=True)
 class PairedConfiguration:
     """2g+2 distinct points partitioned into g+1 indexed pairs.
 
     The pair containing infinity (when present) always has the last index,
-    with infinity as its second member.
+    with infinity as its second member.  The cluster skeleton is built on
+    first use and kept; ``pair_up`` hands over the one it built.
     """
 
     ctx: FieldContext
     pairs: tuple[tuple[PPoint, PPoint], ...]
+    _skeleton: Optional[Skeleton] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def g(self) -> int:
@@ -143,15 +287,27 @@ class PairedConfiguration:
     def configuration(self) -> Configuration:
         return Configuration(self.ctx, self.points())
 
+    def skeleton(self) -> Skeleton:
+        """The skeleton, indexed like ``configuration().finite_values()``.
+
+        Deterministic, so two threads building it at once store equal views.
+        """
+        if self._skeleton is None:
+            self._attach(Skeleton.build(self.configuration()))
+        return self._skeleton
+
+    def _attach(self, sk: Skeleton) -> None:
+        """Keep a skeleton of these points, relabelled into pair order."""
+        object.__setattr__(self, "_skeleton", sk.for_pairs(self.pairs))
+
+    def pairing(self) -> set[frozenset[PPoint]]:
+        """The pairs as unordered point sets, compared by exact value."""
+        return {frozenset(pair) for pair in self.pairs}
+
     def pair_sets(self) -> list[frozenset]:
         keys = []
         for a, b in self.pairs:
-            keys.append(
-                frozenset(
-                    "inf" if pt.is_infinity else self.ctx.to_str(pt.value)
-                    for pt in (a, b)
-                )
-            )
+            keys.append(frozenset(point_str(self.ctx, pt) for pt in (a, b)))
         return keys
 
     def __repr__(self):
@@ -160,33 +316,6 @@ class PairedConfiguration:
             for a, b in self.pairs
         )
         return f"PairedConfiguration({inner})"
-
-
-def pair_depth(ctx: FieldContext, a: PPoint, b: PPoint) -> Val:
-    if a.is_infinity or b.is_infinity:
-        return INF
-    return ctx.valuation(ctx.sub(a.value, b.value))
-
-
-def axis_distance(ctx: FieldContext, pair1, pair2) -> Fraction:
-    """Tree distance between the axes spanned by two disjoint pairs.
-
-    With u the maximal valuation of a cross difference and d_i the depth of
-    pair i, the distance is max(0, d_1 - u) + max(0, d_2 - u); the depth
-    term of a pair containing infinity is dropped (its axis runs upward
-    without bound).
-    """
-    fin1 = [pt.value for pt in pair1 if not pt.is_infinity]
-    fin2 = [pt.value for pt in pair2 if not pt.is_infinity]
-    u = max(ctx.valuation(ctx.sub(x, y)) for x in fin1 for y in fin2)
-    if u.is_infinite:
-        raise ValueError("axes share a point")
-    total = Fraction(0)
-    for pair, fin in ((pair1, fin1), (pair2, fin2)):
-        if len(fin) == 2:
-            depth = ctx.valuation(ctx.sub(fin[0], fin[1])).fraction
-            total += max(Fraction(0), depth - u.fraction)
-    return total
 
 
 def pair_up(cfg: Configuration) -> PairedConfiguration:
@@ -205,8 +334,8 @@ def pair_up(cfg: Configuration) -> PairedConfiguration:
     if len(values) + n_inf != cfg.size:
         raise ValueError("pair_up requires distinct points")
 
-    clusters = cluster_data(cfg)
-    even = [c for c in clusters if len(c.members) % 2 == 0]
+    sk = Skeleton.build(cfg)
+    even = [c for c in sk.clusters if len(c.members) % 2 == 0]
     profiles: dict[int, frozenset[int]] = {
         i: frozenset(k for k, c in enumerate(even) if i in c.members)
         for i in range(len(values))
@@ -223,32 +352,28 @@ def pair_up(cfg: Configuration) -> PairedConfiguration:
             "even-cluster equivalence classes do not all have size 2"
         )
 
-    finite_pairs: list[tuple[PPoint, PPoint]] = []
+    finite_pairs: list[tuple[int, int]] = []
     inf_pair: tuple[PPoint, PPoint] | None = None
     for members in tokens.values():
         if "inf" in members:
             i = next(m for m in members if m != "inf")
             inf_pair = (PPoint(values[i]), INFINITY)
         else:
-            i, j = sorted(members)
-            finite_pairs.append((PPoint(values[i]), PPoint(values[j])))
+            finite_pairs.append(tuple(sorted(members)))
 
-    def sort_key(pair):
-        depth = pair_depth(ctx, *pair).fraction
-        first = min(
-            next(k for k, v in enumerate(values) if v == pt.value)
-            for pt in pair
-        )
-        return (-depth, first)
-
-    finite_pairs.sort(key=sort_key)
-    pairs = tuple(finite_pairs) + ((inf_pair,) if inf_pair else ())
+    # depth descending, then first occurrence in the input
+    finite_pairs.sort(key=lambda ij: (-sk.vmat[ij[0]][ij[1]].fraction, ij[0]))
+    pairs = tuple(
+        (PPoint(values[i]), PPoint(values[j])) for i, j in finite_pairs
+    ) + ((inf_pair,) if inf_pair else ())
     pcfg = PairedConfiguration(ctx, pairs)
+    pcfg._attach(sk)
 
+    view = pcfg.skeleton()
     margin = None
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
-            d = axis_distance(ctx, pairs[i], pairs[j])
+            d = view.axis_distance(i, j)
             margin = d if margin is None else min(margin, d)
     if margin is not None and margin <= 2 * ctx.rho:
         raise NotSeparatedError(margin)

@@ -24,18 +24,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Optional, Union
 
 from .clusters import (
     Configuration,
     PairedConfiguration,
-    cluster_data,
     pair_up,
     repetition_report,
 )
 from .errors import InvalidInputError, NotSeparatedError, PairingError
-from .hull import Disc, join, pair_disc
-from .projline import Mobius, apply, order_p_fixing
+from .hull import Disc
+from .projline import Mobius, PPoint, apply, order_p_fixing
 from .valfield import FieldContext, Val
 
 
@@ -105,17 +105,52 @@ Verdict = Union[Good, NotGood, Redundant]
 FOLD_CAP = 100  # generous; the discrete termination measure keeps runs tiny
 
 
-def _clusters_by_members(pcfg: PairedConfiguration):
-    cfg = pcfg.configuration()
-    return cfg.finite_values(), cluster_data(cfg)
+def _target(pcfg: PairedConfiguration, i: int, j: int):
+    """d_j(i) as (center index, radius) in the skeleton, or None."""
+    if i == j:
+        raise ValueError("indices must be distinct")
+    sk = pcfg.skeleton()
+    if any(pt.is_infinity for pt in pcfg.pairs[i]):
+        return None
+    mem_i, mem_j = sk.pair_members[i], sk.pair_members[j]
+    if len(mem_j) == 2:
+        odd_i = sk.minimal_odd(mem_i)
+        if odd_i is not None and odd_i == sk.minimal_odd(mem_j):
+            return sk.pair_discs[j]
+    if not any(
+        len(c.members) % 2 == 1 and len(c.members & mem_j) == 1
+        for c in sk.chain(mem_i)
+    ):
+        return None
+    center, r_i = sk.pair_discs[i]
+    best = None
+    for k in sorted(mem_j):
+        radius = sk.join(center, r_i, k, r_i)
+        if all(sk.vmat[o][center] < radius for o in mem_j - {k}):
+            if best is None or radius > best:
+                best = radius
+    return None if best is None else (center, best)
 
 
-def _pair_member_indices(values, pair) -> frozenset[int]:
-    out = set()
-    for pt in pair:
-        if not pt.is_infinity:
-            out.add(next(k for k, v in enumerate(values) if v == pt.value))
-    return frozenset(out)
+def _pushed_target(pcfg: PairedConfiguration, i: int, j: int):
+    """d~_j(i) as (center index, radius) in the skeleton, or None."""
+    base = _target(pcfg, i, j)
+    if base is None:
+        return None
+    sk = pcfg.skeleton()
+    rho = pcfg.ctx.rho
+    (center, radius), (c_i, r_i) = base, sk.pair_discs[i]
+    jn = sk.join(c_i, r_i, center, radius)
+    if radius - jn > rho:
+        return center, radius - rho
+    return c_i, 2 * jn - radius + rho
+
+
+def _disc(pcfg: PairedConfiguration, target) -> Optional[Disc]:
+    if target is None:
+        return None
+    center, radius = target
+    return Disc(pcfg.ctx, pcfg.skeleton().values[center], radius)
 
 
 def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int) -> Optional[Disc]:
@@ -127,49 +162,7 @@ def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int) -> Optional[Disc]:
     the minimal disc realising that containment).  When pair j contains
     infinity its finite point is the one included.
     """
-    if i == j:
-        raise ValueError("indices must be distinct")
-    ctx = pcfg.ctx
-    values, clusters = _clusters_by_members(pcfg)
-    pair_i, pair_j = pcfg.pairs[i], pcfg.pairs[j]
-    if any(pt.is_infinity for pt in pair_i):
-        return None
-    mem_i = _pair_member_indices(values, pair_i)
-    mem_j = _pair_member_indices(values, pair_j)
-    j_finite_count = len(mem_j)
-
-    def minimal_odd_through(mem) -> Optional[frozenset[int]]:
-        best = None
-        for c in clusters:
-            if len(c.members) % 2 == 1 and mem <= c.members:
-                if best is None or c.members < best:
-                    best = c.members
-        return best
-
-    if j_finite_count == 2:
-        odd_i = minimal_odd_through(mem_i)
-        odd_j = minimal_odd_through(mem_j)
-        if odd_i is not None and odd_i == odd_j:
-            return pair_disc(pcfg, j)
-
-    witness = any(
-        len(c.members) % 2 == 1
-        and mem_i <= c.members
-        and len(c.members & mem_j) == 1
-        for c in clusters
-    )
-    if not witness:
-        return None
-    d_i = pair_disc(pcfg, i)
-    candidates = []
-    for k in sorted(mem_j):
-        other = mem_j - {k}
-        e = join(d_i, Disc(ctx, values[k], d_i.radius))
-        if all(not e.contains_value(values[o]) for o in other):
-            candidates.append(e)
-    if not candidates:
-        return None
-    return max(candidates, key=lambda e: e.radius)
+    return _disc(pcfg, _target(pcfg, i, j))
 
 
 def tilde_d_j_of_i(pcfg: PairedConfiguration, i: int, j: int) -> Optional[Disc]:
@@ -181,16 +174,7 @@ def tilde_d_j_of_i(pcfg: PairedConfiguration, i: int, j: int) -> Optional[Disc]:
     2 d(join) - d(target) + rho around pair i).  With rho = 0 this is the
     target disc itself.
     """
-    base = d_j_of_i(pcfg, i, j)
-    if base is None:
-        return None
-    ctx = pcfg.ctx
-    rho = ctx.rho
-    d_i = pair_disc(pcfg, i)
-    jn = join(d_i, base)
-    if base.radius - jn.radius > rho:
-        return Disc(ctx, base.center, base.radius - rho)
-    return Disc(ctx, d_i.center, 2 * jn.radius - base.radius + rho)
+    return _disc(pcfg, _pushed_target(pcfg, i, j))
 
 
 def select_target(pcfg: PairedConfiguration, i: int) -> int:
@@ -200,17 +184,22 @@ def select_target(pcfg: PairedConfiguration, i: int) -> int:
     The pair at infinity always qualifies, so a target exists for every
     i < g.
     """
-    d_i = pair_disc(pcfg, i)
+    sk = pcfg.skeleton()
+    c_i, r_i = sk.pair_discs[i]
     best_j = None
-    best_disc = None
+    best_radius = None
     for j in range(pcfg.g + 1):
         if j == i:
             continue
-        dt = tilde_d_j_of_i(pcfg, i, j)
-        if dt is None or not dt.properly_contains(d_i):
+        dt = _pushed_target(pcfg, i, j)
+        if dt is None:
             continue
-        if best_disc is None or dt.radius > best_disc.radius:
-            best_j, best_disc = j, dt
+        center, radius = dt
+        # proper containment of the pair-i disc
+        if not (r_i > radius and sk.vmat[c_i][center] >= radius):
+            continue
+        if best_radius is None or radius > best_radius:
+            best_j, best_radius = j, radius
     if best_j is None:
         raise InvalidInputError(f"no folding target exists for index {i}")
     return best_j
@@ -220,19 +209,19 @@ def compute_I(pcfg: PairedConfiguration, i: int, j: int) -> frozenset[int]:
     """Indices of the pairs hanging in the branch of the pushed-back target
     around pair i: both points must be finite and strictly inside the
     residue branch through pair i."""
-    ctx = pcfg.ctx
-    dt = tilde_d_j_of_i(pcfg, i, j)
+    sk = pcfg.skeleton()
+    dt = _pushed_target(pcfg, i, j)
     if dt is None:
         raise InvalidInputError(f"target disc undefined for ({i}, {j})")
-    anchor = next(pt.value for pt in pcfg.pairs[i] if not pt.is_infinity)
-    level = dt.radius
+    anchor = next(
+        sk.index_of[pt.value] for pt in pcfg.pairs[i] if not pt.is_infinity
+    )
+    level = Val.of(dt[1])
     out = set()
     for l, pair in enumerate(pcfg.pairs):
         if any(pt.is_infinity for pt in pair):
             continue
-        if all(
-            ctx.valuation(ctx.sub(pt.value, anchor)) > Val.of(level) for pt in pair
-        ):
+        if all(sk.vmat[m][anchor] > level for m in sk.pair_members[l]):
             out.add(l)
     assert i in out, "pair i must lie in its own branch"
     return frozenset(out)
@@ -253,15 +242,22 @@ def find_fold_exponent(
     first hit is returned with the first representatives' two sides.
     """
     ctx = pcfg.ctx
+    sk = pcfg.skeleton()
     I = compute_I(pcfg, i, j)
     a_j, b_j = pcfg.pairs[j]
     rho = ctx.rho
 
+    @cache
     def ratio(c):
         num = ctx.sub(c, a_j.value)
         if b_j.is_infinity:
             return num
         return ctx.div(num, ctx.sub(c, b_j.value))
+
+    def ratio_valuation(c) -> Val:
+        row = sk.vmat[sk.index_of[c]]
+        v = row[sk.index_of[a_j.value]]
+        return v if b_j.is_infinity else v - row[sk.index_of[b_j.value]]
 
     reps_i = [pt.value for pt in pcfg.pairs[i] if not pt.is_infinity]
     for n in range(1, ctx.p):
@@ -277,7 +273,7 @@ def find_fold_exponent(
                 for c_l in reps_l:
                     r_l = ratio(c_l)
                     lhs = ctx.valuation(ctx.sub(r_l, ctx.mul(zn, r_i)))
-                    rhs = ctx.valuation(r_l) + rho
+                    rhs = ratio_valuation(c_l) + rho
                     if not lhs > rhs:
                         all_hold = False
                         break
@@ -319,19 +315,13 @@ class FoldClass(Enum):
     NEITHER = "neither"
 
 
-def image_pair_key(step: FoldingStep) -> set[frozenset]:
-    """The folded configuration's inherited pairing, as comparison keys."""
-    ctx = step.before.ctx
+def image_pair_key(step: FoldingStep) -> set[frozenset[PPoint]]:
+    """The folded configuration's inherited pairing, as unordered point sets."""
     keys = set()
     for l, (a, b) in enumerate(step.before.pairs):
         if l in step.indices:
             a, b = apply(step.map, a), apply(step.map, b)
-        keys.add(
-            frozenset(
-                "inf" if pt.is_infinity else ctx.to_str(pt.value)
-                for pt in (a, b)
-            )
-        )
+        keys.add(frozenset((a, b)))
     return keys
 
 
@@ -349,7 +339,7 @@ def classify_folding(ctx: FieldContext, step: FoldingStep) -> FoldClass:
         folded = pair_up(step.after)
     except PairingError:
         return FoldClass.BAD
-    if set(folded.pair_sets()) != image_pair_key(step):
+    if folded.pairing() != image_pair_key(step):
         return FoldClass.BAD
     return FoldClass.GOOD if step.witness is not None else FoldClass.NEITHER
 
@@ -395,7 +385,7 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
         # pairs.  Clusterings are unique, so a different canonical pairing
         # means the inherited labels lost separation (their tubes touch):
         # a bad folding, even though the bare point set pairs up again.
-        if trace and set(pcfg.pair_sets()) != image_pair_key(trace[-1]):
+        if trace and pcfg.pairing() != image_pair_key(trace[-1]):
             return NotGood(
                 BadFoldingProduced(trace[-1], PairingFailure.NOT_SEPARATED),
                 tuple(trace),

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clusters import Cluster, PairedConfiguration, cluster_data, pair_up
+from .clusters import PairedConfiguration, pair_up
 from .errors import NotPairedError, PairingError
 from .projline import Mobius, PPoint, apply
 from .valfield import FieldContext, format_fraction
@@ -87,29 +87,15 @@ def min_disc(ctx: FieldContext, values) -> Disc:
             radius = v.fraction
     if radius is None:
         # singleton (possibly repeated); radius is unconstrained upward, use 0
-        radius = Fraction(0) if len(values) == 1 else Fraction(0)
+        radius = Fraction(0)
     return Disc(ctx, center, radius)
 
 
 def pair_disc(pcfg: PairedConfiguration, i: int) -> Disc:
     """Minimal disc of pair i; for the pair at infinity, of all finite points."""
-    ctx = pcfg.ctx
-    a, b = pcfg.pairs[i]
-    if a.is_infinity or b.is_infinity:
-        return min_disc(ctx, [pt.value for pt in pcfg.points() if not pt.is_infinity])
-    return min_disc(ctx, [a.value, b.value])
-
-
-def on_axis(d: Disc, pair: tuple[PPoint, PPoint], pair_d: Disc) -> bool:
-    """Whether the disc point lies on the axis between the two pair points."""
-    a, b = pair
-    if a.is_infinity or b.is_infinity:
-        fin = b if a.is_infinity else a
-        return d.contains_point(fin)
-    ina, inb = d.contains_point(a), d.contains_point(b)
-    if ina != inb:
-        return pair_d.contains(d)
-    return ina and d.same(pair_d)
+    sk = pcfg.skeleton()
+    center, radius = sk.pair_discs[i]
+    return Disc(pcfg.ctx, sk.values[center], radius)
 
 
 def point_to_axis(d: Disc, pair: tuple[PPoint, PPoint], ctx: FieldContext) -> Fraction:
@@ -174,49 +160,39 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     removed (together with its incident segments), splitting the top level.
     """
     ctx = pcfg.ctx
-    cfg = pcfg.configuration()
     try:
-        expected = pair_up(cfg)
+        expected = pair_up(pcfg.configuration())
     except (PairingError, ValueError) as exc:
         raise NotPairedError(str(exc)) from exc
-    if set(expected.pair_sets()) != set(pcfg.pair_sets()):
+    if expected.pairing() != pcfg.pairing():
         raise NotPairedError("pairs are not the canonical pairing of the points")
 
-    values = cfg.finite_values()
-    clusters = [c for c in cluster_data(cfg) if len(c.members) >= 2]
-    clusters.sort(key=lambda c: (-len(c.members), sorted(c.members)))
-    has_inf = cfg.has_infinity()
-
-    drop_root: frozenset[int] | None = None
-    if not has_inf:
-        drop_root = frozenset(range(len(values)))
-        clusters = [c for c in clusters if c.members != drop_root]
-
+    sk = pcfg.skeleton()
+    vmat, clusters = sk.vmat, sk.clusters
+    has_inf = any(pt.is_infinity for pt in pcfg.points())
+    # tree positions of the vertex clusters; without infinity the root goes
+    kept = sorted(
+        (
+            k
+            for k, c in enumerate(clusters)
+            if len(c.members) >= 2 and (has_inf or sk.parent[k] is not None)
+        ),
+        key=lambda k: (-len(clusters[k].members), sorted(clusters[k].members)),
+    )
+    ids = {k: vid for vid, k in enumerate(kept)}
+    # minimal discs: the first member as center, the cluster depth as radius
     discs = {
-        c.members: min_disc(ctx, [values[k] for k in c.members]) for c in clusters
+        k: (next(iter(clusters[k].members)), clusters[k].depth.fraction) for k in kept
     }
 
-    def parent(c: Cluster) -> frozenset[int] | None:
-        best = None
-        for other in clusters:
-            if other.members > c.members:
-                if best is None or other.members < best:
-                    best = other.members
-        return best
-
-    edges_raw = []
-    for c in clusters:
-        if len(c.members) % 2 == 0:
-            p = parent(c)
-            if p is not None:
-                length = discs[c.members].radius - discs[p].radius
-                edges_raw.append((c.members, p, length))
-
-    pair_discs = [pair_disc(pcfg, i) for i in range(pcfg.g + 1)]
+    edges = []
+    for k in kept:
+        par = sk.parent[k]
+        if len(clusters[k].members) % 2 == 0 and par in ids:
+            edges.append((ids[k], ids[par], discs[k][1] - discs[par][1]))
 
     # union-find over kept edges
-    ids = {c.members: k for k, c in enumerate(clusters)}
-    parent_uf = list(range(len(clusters)))
+    parent_uf = list(range(len(kept)))
 
     def find(x):
         while parent_uf[x] != x:
@@ -224,36 +200,40 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
             x = parent_uf[x]
         return x
 
-    for a, b, _ in edges_raw:
-        ra, rb = find(ids[a]), find(ids[b])
+    for a, b, _ in edges:
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent_uf[ra] = rb
 
+    def on_axis(center, radius, i) -> bool:
+        """Whether the disc point lies on the axis of pair i."""
+        inside = [vmat[m][center] >= radius for m in sk.pair_members[i]]
+        if any(pt.is_infinity for pt in pcfg.pairs[i]):
+            return any(inside)
+        pc, pr = sk.pair_discs[i]
+        if inside[0] != inside[1]:
+            return radius >= pr and vmat[center][pc] >= pr
+        return inside[0] and radius == pr and vmat[pc][center] >= radius
+
     comp_label: dict[int, int] = {}
     vertices = []
-    for k, c in enumerate(clusters):
-        root = find(k)
-        comp = comp_label.setdefault(root, len(comp_label))
-        d = discs[c.members]
-        pidx = None
-        for i, pair in enumerate(pcfg.pairs):
-            if on_axis(d, pair, pair_discs[i]):
-                pidx = i
-                break
+    for vid, k in enumerate(kept):
+        comp = comp_label.setdefault(find(vid), len(comp_label))
+        center, radius = discs[k]
+        pidx = next(
+            (i for i in range(len(pcfg.pairs)) if on_axis(center, radius, i)), None
+        )
         vertices.append(
             SkeletonVertex(
-                id=k,
-                disc=d,
+                id=vid,
+                disc=Disc(ctx, sk.values[center], radius),
                 distinguished=pidx is not None,
                 pair_index=pidx,
                 component=comp,
-                cluster=c.members,
+                cluster=clusters[k].members,
             )
         )
-    edges = tuple(
-        (ids[a], ids[b], length) for a, b, length in edges_raw
-    )
-    return SkeletonTree(tuple(vertices), edges)
+    return SkeletonTree(tuple(vertices), tuple(edges))
 
 
 def is_trivially_optimal(tree: SkeletonTree) -> bool:

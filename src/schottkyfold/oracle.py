@@ -53,7 +53,6 @@ def enumerate_gamma_words(g: int, p: int, max_len: int) -> Iterator[GroupWord]:
     identically, so the redundancy is harmless at this scale.
     """
     for length in range(1, max_len + 1):
-        stack: list[tuple[list[tuple[int, int]], int]] = [([], 0)]
         # depth-first in lexicographic syllable order, fixed length
         def rec(prefix: list[tuple[int, int]], total: int):
             if len(prefix) == length:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -30,12 +31,22 @@ def problem_7adic(**options):
     return json.dumps(doc)
 
 
+def module_env():
+    """The environment for ``python -m schottkyfold`` to import the package
+    under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_parse_problem_examples():
     spec = cli.parse_problem(problem_5adic())
     assert (spec.p, spec.ell) == (2, 5)
     assert [str(x) for x in spec.points[:2]] == ["7", "12"]
     spec7 = cli.parse_problem(problem_7adic())
     assert str(spec7.points[0]) == "1336/3"
+    assert cli.parse_problem(problem_5adic(verify_depth=0)).verify_depth == 0
 
 
 def test_parse_problem_rejects_bad_documents():
@@ -152,6 +163,7 @@ def test_main_with_files_and_stdin(tmp_path):
         input=problem_7adic(),
         capture_output=True,
         text=True,
+        env=module_env(),
     )
     assert proc.returncode == cli.EXIT_GOOD
     payload = json.loads(proc.stdout)
@@ -171,6 +183,33 @@ def test_main_reports_identically_across_runs(tmp_path):
             [sys.executable, "-m", "schottkyfold", "--input", str(path)],
             capture_output=True,
             text=True,
+            env=module_env(),
         )
+        assert proc.returncode == cli.EXIT_GOOD
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"verify_depth": "x"}, {"verify_depth": -2}, {"verify_depth": True}, {"dot": 7}],
+)
+def test_parse_problem_rejects_bad_options(options):
+    with pytest.raises(cli.ValidationError):
+        cli.parse_problem(problem_5adic(**options))
+
+
+def test_main_rejects_bad_verify_depth(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(problem_5adic(verify_depth="x"), encoding="utf-8")
+    assert cli.main(["--input", str(path), "--quiet"]) == cli.EXIT_INVALID
+
+
+def test_main_unwritable_dot_prefix_exits_invalid(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(problem_7adic(), encoding="utf-8")
+    prefix = str(tmp_path / "missing" / "x")
+    assert cli.main(["--input", str(path), "--dot", prefix]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"]["kind"] == "good"
+    assert captured.err.startswith("error:")

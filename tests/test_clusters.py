@@ -203,3 +203,44 @@ def test_repetition_report():
     count, underlying = sf.repetition_report(one)
     assert count == 1
     assert underlying.size == 5
+
+
+def _view_readings(pcfg):
+    g = pcfg.g
+    out = [sf.to_dot(sf.reduced_convex_hull(pcfg))]
+    for i in range(g + 1):
+        out.append(sf.pair_disc(pcfg, i))
+        for j in range(g + 1):
+            if j != i:
+                out.append((sf.d_j_of_i(pcfg, i, j), sf.tilde_d_j_of_i(pcfg, i, j)))
+    for i in range(g):
+        j = sf.select_target(pcfg, i)
+        out.append((j, sf.compute_I(pcfg, i, j)))
+    return out
+
+
+def _inputs_of_7adic_showcase():
+    ctx = ctx7()
+    cfg = sf.configuration(ctx, EIGHT_POINT_7ADIC)
+    verdict = sf.run_algorithm(ctx, cfg)
+    backwards = sf.Configuration(ctx, cfg.points[::-1])
+    return [cfg, backwards] + [step.after for step in verdict.trace]
+
+
+def _sampled_p3_ell7():
+    rng = random.Random(23)
+    ctx = sf.field_context(3, 7)
+    return [sample_paired(rng, ctx, g)[0] for g in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("inputs", [_inputs_of_7adic_showcase, _sampled_p3_ell7])
+def test_handed_over_skeleton_matches_a_fresh_one(inputs):
+    reordered = 0
+    for cfg in inputs():
+        pcfg = sf.pair_up(cfg)
+        fresh = sf.PairedConfiguration(pcfg.ctx, pcfg.pairs)
+        assert _view_readings(pcfg) == _view_readings(fresh)
+        order = pcfg.configuration().finite_values()
+        assert pcfg.skeleton().values == fresh.skeleton().values == order
+        reordered += cfg.finite_values() != order
+    assert reordered  # the handed-over view was relabelled at least once

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -300,3 +301,56 @@ def test_all_tails_does_not_certify_optimality_in_residue_characteristic_p():
     witness = sf.schottky_audit(pcfg, 4).witness
     assert witness is not None
     assert witness[1].kind is sf.MapKind.PARABOLIC
+
+
+def _count_calls(monkeypatch, module, name, everywhere):
+    """Count calls of a public function through its module bindings."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    modules = [module]
+    if everywhere:
+        modules = [
+            m
+            for key, m in sys.modules.items()
+            if key == "schottkyfold" or key.startswith("schottkyfold.")
+        ]
+    for m in modules:
+        for key, value in list(vars(m).items()):
+            if value is original:
+                monkeypatch.setattr(m, key, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "ctx_of, points", [(ctx7, EIGHT_POINT_7ADIC), (ctx5, SIX_POINT_5ADIC)]
+)
+def test_one_cluster_build_per_pass(monkeypatch, ctx_of, points):
+    ctx = ctx_of()
+    cfg = sf.configuration(ctx, points)
+    builds = _count_calls(monkeypatch, sf.clusters, "cluster_data", True)
+    passes = _count_calls(monkeypatch, sf.folding, "pair_up", False)
+    sf.run_algorithm(ctx, cfg)
+    assert passes
+    assert len(builds) <= len(passes)
+
+
+def test_translation_beyond_the_decimal_digit_limit():
+    ctx = ctx7()
+    shift = 7**6000 + 3
+    moved_points = [x if x == "inf" else x + shift for x in EIGHT_POINT_7ADIC]
+    verdict = sf.run_algorithm(ctx, sf.configuration(ctx, moved_points))
+    plain = sf.run_algorithm(ctx, sf.configuration(ctx, EIGHT_POINT_7ADIC))
+    assert isinstance(verdict, sf.Good)
+    assert len(verdict.trace) == 2
+    moved = tuple(
+        tuple(
+            pt if pt.is_infinity else sf.finite(ctx, pt.value + shift) for pt in pair
+        )
+        for pair in plain.s_min.pairs
+    )
+    assert verdict.s_min.pairs == moved
