@@ -7,7 +7,9 @@ A problem document looks like::
 with points given as exact decimal-integer or "num/den" strings ("inf" for
 the point at infinity).  The report is a stable JSON object whose rational
 entries are always exact normalised strings, never floats.  Exit codes:
-0 the configuration is good, 1 not good, 2 redundant, 3 invalid input.
+0 the configuration is good, 1 not good, 2 redundant, 3 invalid input,
+4 internal error (an unexpected exception; a one-line message goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ from .errors import (
 )
 from .hull import reduced_convex_hull, to_dot
 from .projline import INFINITY, Mobius, PPoint, point_str
-from .valfield import Val, field_context, format_fraction
+from .valfield import Val, decimal_to_int, field_context, format_fraction
 
 EXIT_GOOD = 0
 EXIT_NOT_GOOD = 1
 EXIT_REDUNDANT = 2
 EXIT_INVALID = 3
+EXIT_INTERNAL = 4
 
 
 class ProblemError(SchottkyFoldError):
@@ -69,7 +72,8 @@ def _parse_rational(text: str, where: str) -> Fraction:
         raise ParseError(
             f"{where}: expected a decimal integer or num/den string, got {text!r}"
         )
-    return Fraction(text)
+    num, _, den = text.partition("/")
+    return Fraction(decimal_to_int(num), decimal_to_int(den or "1"))
 
 
 def parse_problem(text: str) -> ProblemSpec:
@@ -342,6 +346,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
+    try:
+        return _main(args)
+    except Exception as exc:  # a fault of the program, not of the input
+        if not args.quiet:
+            detail = " ".join(str(exc).split())
+            print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _main(args: argparse.Namespace) -> int:
     try:
         if args.stdin:
             text = sys.stdin.read()

@@ -8,9 +8,20 @@ and classifying their matrices falsifies goodness whenever a short
 non-loxodromic element exists.  The audit is a falsifier, not a decider:
 no a-priori bound on the length of a witness is known.
 
-Words are streamed in length-lexicographic order and the first witness in
+Words are visited in length-lexicographic order and the first witness in
 that order is returned, which keeps recorded results stable.  Identity
 evaluations are collected separately as relation witnesses.
+
+:func:`schottky_audit` walks the words one length at a time.  A prefix's
+matrix is composed once from its parent's and shared by every longer word
+that starts with it; only one length of prefixes is held in memory.  The
+last syllable of a word is forced by the exponent sum, so prefixes and
+lengths that cannot end a word of the subgroup are never built, and each
+word is classified from the trace and determinant of its product, without
+forming the product.  Cyclic rotations of a word are not merged; they
+classify alike and are all counted.  :func:`enumerate_gamma_words`,
+:func:`word_matrix` and :func:`~.projline.classify` give the same
+verdicts word by word and serve as its reference.
 """
 
 from __future__ import annotations
@@ -25,11 +36,12 @@ from .projline import (
     MapKind,
     Mobius,
     apply,
-    classify,
+    classify_trace_det,
     compose,
     inverse,
     order_p_fixing,
     proj_eq,
+    trace_of_product,
 )
 
 
@@ -103,40 +115,74 @@ class AuditResult:
 def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     """First non-loxodromic, non-identity word up to the length bound, if any.
 
-    Prefix products are shared along the enumeration, so the audit runs in
-    time proportional to the number of scanned prefixes.
+    The words of :func:`enumerate_gamma_words` are visited in the same
+    order and counted in ``words_checked`` up to and including the witness;
+    identity words go to ``relations``.  The enumeration runs one length at
+    a time over a list of prefixes, each with its matrix and exponent sum:
+
+    * every prefix is composed once, from its parent, and only one level of
+      prefixes is held at a time;
+    * a word's last exponent is forced to close the exponent sum, so a
+      prefix whose sum is already 0 mod p ends no word of the next length,
+      and the last level of prefixes keeps only prefixes that can close;
+    * the walk stops at the longest length that holds a word (for p = 2,
+      the largest even length <= ``max_len``);
+    * a word is classified from tr(M G) and det M * det G, where M is its
+      prefix and G its last syllable; the product is formed only when
+      tr^2 = 4 det, to tell the identity from a parabolic map.
     """
     ctx = pcfg.ctx
     gens = pair_generators(pcfg)
     g, p = pcfg.g, ctx.p
+    last = max_len - max_len % 2 if p == 2 else max_len
+    gen_dets = [[m.det() for m in row] for row in gens]
     relations: list[GroupWord] = []
     checked = 0
 
-    for length in range(1, max_len + 1):
-
-        def rec(prefix, matrix, total):
-            if len(prefix) == length:
-                if total % p == 0:
-                    yield GroupWord(tuple(prefix)), matrix
-                return
-            for idx in range(g + 1):
-                if prefix and prefix[-1][0] == idx:
-                    continue
-                for exp in range(1, p):
-                    factor = gens[idx][exp - 1]
-                    nxt = factor if matrix is None else compose(matrix, factor)
-                    prefix.append((idx, exp))
-                    yield from rec(prefix, nxt, total + exp)
-                    prefix.pop()
-
-        for word, m in rec([], None, 0):
-            checked += 1
-            cls = classify(ctx, m)
-            if cls.kind is MapKind.IDENTITY:
-                relations.append(word)
+    # prefixes of the current length: (syllables, matrix, exponent sum mod p)
+    level = [
+        (((idx, exp),), gens[idx][exp - 1], exp)
+        for idx in range(g + 1)
+        for exp in range(1, p)
+    ]
+    for length in range(2, last + 1):
+        for prefix, m, total in level:
+            exp = -total % p
+            if exp == 0:
                 continue
-            if cls.kind is not MapKind.LOXODROMIC:
+            det_m = m.det()
+            for idx in range(g + 1):
+                if idx == prefix[-1][0]:
+                    continue
+                factor = gens[idx][exp - 1]
+                checked += 1
+                cls = classify_trace_det(
+                    ctx,
+                    trace_of_product(m, factor),
+                    ctx.mul(det_m, gen_dets[idx][exp - 1]),
+                )
+                if cls.kind is MapKind.LOXODROMIC:
+                    continue
+                word = GroupWord(prefix + ((idx, exp),))
+                if cls.kind is MapKind.PARABOLIC and compose(m, factor).is_scalar():
+                    relations.append(word)
+                    continue
                 return AuditResult((word, cls), tuple(relations), checked)
+        if length < last:
+            # the next level; on the last one a prefix must be able to close
+            closing = length + 1 == last
+            level = [
+                (
+                    prefix + ((idx, exp),),
+                    compose(m, gens[idx][exp - 1]),
+                    (total + exp) % p,
+                )
+                for prefix, m, total in level
+                for idx in range(g + 1)
+                if idx != prefix[-1][0]
+                for exp in range(1, p)
+                if not (closing and (total + exp) % p == 0)
+            ]
     return AuditResult(None, tuple(relations), checked)
 
 

@@ -184,22 +184,41 @@ def proj_eq(m1: Mobius, m2: Mobius) -> bool:
     return True
 
 
-def classify(ctx: FieldContext, m: Mobius) -> ElementClass:
-    """Identity / parabolic / elliptic / loxodromic, by eigenvalue valuations.
+def trace_of_product(m1: Mobius, m2: Mobius):
+    """tr(m1 * m2) from the entries, without forming or normalising the product."""
+    f = m1.ctx
+    return f.add(
+        f.add(f.mul(m1.a, m2.a), f.mul(m1.b, m2.c)),
+        f.add(f.mul(m1.c, m2.b), f.mul(m1.d, m2.d)),
+    )
 
-    Loxodromic maps have eigenvalues of distinct valuations, detected by
-    2 v(tr) < v(det); their translation length is v(det) - 2 v(tr).
+
+def classify_trace_det(ctx: FieldContext, tr, det) -> ElementClass:
+    """Parabolic / elliptic / loxodromic for a non-scalar matrix, read from
+    its trace and determinant alone.
+
+    The characteristic polynomial has a double root exactly when
+    tr^2 = 4 det (parabolic; a scalar matrix passes this test too, so a
+    caller that can meet one tells it apart first).  Otherwise the map is
+    loxodromic, its eigenvalues having distinct valuations, exactly when
+    2 v(tr) < v(det); the translation length is then v(det) - 2 v(tr).
+    Each test is unchanged when the matrix is scaled, so any representative
+    serves.
     """
-    if m.is_scalar():
-        return ElementClass(MapKind.IDENTITY)
-    tr, det = m.trace(), m.det()
-    four_det = ctx.mul(ctx.from_fraction(4), det)
-    if ctx.eq(ctx.mul(tr, tr), four_det):
+    if ctx.eq(ctx.mul(tr, tr), ctx.mul(ctx.from_fraction(4), det)):
         return ElementClass(MapKind.PARABOLIC)
     v_tr, v_det = ctx.valuation(tr), ctx.valuation(det)
     if 2 * v_tr < v_det:
         return ElementClass(MapKind.LOXODROMIC, (v_det - 2 * v_tr).fraction)
     return ElementClass(MapKind.ELLIPTIC)
+
+
+def classify(ctx: FieldContext, m: Mobius) -> ElementClass:
+    """Identity / parabolic / elliptic / loxodromic, by eigenvalue valuations
+    (see :func:`classify_trace_det`)."""
+    if m.is_scalar():
+        return ElementClass(MapKind.IDENTITY)
+    return classify_trace_det(ctx, m.trace(), m.det())
 
 
 def order_p_fixing(ctx: FieldContext, a: PPoint, b: PPoint, n: int) -> Mobius:

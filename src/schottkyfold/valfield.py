@@ -94,20 +94,31 @@ class Val:
 
     __rmul__ = __mul__
 
-    def _cmp_key(self):
-        return (1, Fraction(0)) if self.q is None else (0, self.q)
+    # Comparisons read q directly (None is +infinity) and build nothing.
 
     def __lt__(self, other):
-        return self._cmp_key() < _as_val(other)._cmp_key()
+        a, b = self.q, _operand(other)
+        if a is None:
+            return False
+        return b is None or a < b
 
     def __le__(self, other):
-        return self._cmp_key() <= _as_val(other)._cmp_key()
+        a, b = self.q, _operand(other)
+        if b is None:
+            return True
+        return a is not None and a <= b
 
     def __gt__(self, other):
-        return self._cmp_key() > _as_val(other)._cmp_key()
+        a, b = self.q, _operand(other)
+        if b is None:
+            return False
+        return a is None or a > b
 
     def __ge__(self, other):
-        return self._cmp_key() >= _as_val(other)._cmp_key()
+        a, b = self.q, _operand(other)
+        if a is None:
+            return True
+        return b is not None and a >= b
 
     def __repr__(self):
         return "Val(inf)" if self.q is None else f"Val({self.q})"
@@ -120,6 +131,15 @@ def _as_val(x) -> Val:
     if isinstance(x, Val):
         return x
     return Val(Fraction(x))
+
+
+def _operand(x):
+    """The rational a valuation is compared with; None for +infinity."""
+    if type(x) is Val:
+        return x.q
+    if type(x) is int or type(x) is Fraction:
+        return x
+    return _as_val(x).q
 
 
 def int_valuation(n: int, ell: int) -> int:
@@ -449,5 +469,39 @@ def separation_radius(ctx: FieldContext) -> Fraction:
 def format_fraction(q: Fraction) -> str:
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return int_to_decimal(q.numerator)
+    return f"{int_to_decimal(q.numerator)}/{int_to_decimal(q.denominator)}"
+
+
+def int_to_decimal(n: int) -> str:
+    """str(n), exact for any size.
+
+    Above the interpreter's limit on int-to-string conversion (4300 digits
+    by default) the digits are produced by splitting n into halves by a
+    power of ten, so the limit is never lifted for the process.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + int_to_decimal(-n)
+    half = n.bit_length() * 3 // 20  # about half of the decimal digits
+    high, low = divmod(n, 10**half)
+    return int_to_decimal(high) + int_to_decimal(low).zfill(half)
+
+
+def decimal_to_int(text: str) -> int:
+    """int(text) for a string of decimal digits with an optional leading
+    minus, exact for any length (the inverse of :func:`int_to_decimal`)."""
+    try:
+        return int(text)
+    except ValueError:
+        negative = text.startswith("-")
+        digits = text[1:] if negative else text
+        if not digits.isdecimal():
+            raise
+    if negative:
+        return -decimal_to_int(digits)
+    half = len(digits) // 2
+    return decimal_to_int(digits[:-half]) * 10**half + decimal_to_int(digits[-half:])

@@ -213,3 +213,40 @@ def test_main_unwritable_dot_prefix_exits_invalid(tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["verdict"]["kind"] == "good"
     assert captured.err.startswith("error:")
+
+
+def test_main_reports_an_internal_error_with_its_own_exit_code(
+    tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "problem.json"
+    path.write_text(problem_5adic(), encoding="utf-8")
+
+    def broken_run(spec):
+        raise RuntimeError("unexpected\nstate")
+
+    monkeypatch.setattr(cli, "run", broken_run)
+    assert cli.main(["--input", str(path)]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: unexpected state\n"
+
+
+def test_points_past_the_int_string_limit_round_trip():
+    # 12 + 10**4400 lies in the disc of 12 that the other points see, so the
+    # verdict is the showcase's; its 4401 digits exceed the interpreter's
+    # default limit on int <-> str conversion
+    big = "1" + "0" * 4398 + "12"
+    doc = json.loads(problem_5adic(trace=True, verify_depth=4))
+    doc["points"][1] = big
+    proc = subprocess.run(
+        [sys.executable, "-m", "schottkyfold", "--stdin"],
+        input=json.dumps(doc),
+        capture_output=True,
+        text=True,
+        env=module_env(),
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == cli.EXIT_NOT_GOOD
+    report = json.loads(proc.stdout)
+    assert report["points"][1] == big
+    assert report["verdict"]["stage"] == "after_fold"
+    assert report["audit"]["witness"]["class"] == "elliptic"

@@ -151,3 +151,94 @@ def test_word_count_matches_formula():
             w for w in sf.enumerate_gamma_words(g, 2, L) if len(w.syllables) == L
         ]
         assert len(words) == (g + 1) * g ** (L - 1)
+
+
+def _reference_audit(pcfg, max_len):
+    """The audit rebuilt from the enumeration: every word multiplied out in
+    full and classified from its normalised matrix."""
+    relations = []
+    checked = 0
+    for word in sf.enumerate_gamma_words(pcfg.g, pcfg.ctx.p, max_len):
+        checked += 1
+        cls = sf.classify(pcfg.ctx, sf.word_matrix(pcfg, word))
+        if cls.kind is sf.MapKind.IDENTITY:
+            relations.append(word)
+        elif cls.kind is not sf.MapKind.LOXODROMIC:
+            return sf.AuditResult((word, cls), tuple(relations), checked)
+    return sf.AuditResult(None, tuple(relations), checked)
+
+
+def _gamma_word_count(g, p, max_len):
+    """(g+1) g^(k-1) E_k words of length k, where E_k = ((p-1)^k +
+    (-1)^k (p-1)) / p exponent tuples in 1..p-1 sum to 0 mod p."""
+    return sum(
+        (g + 1) * g ** (k - 1) * ((p - 1) ** k + (-1) ** k * (p - 1)) // p
+        for k in range(1, max_len + 1)
+    )
+
+
+def _audit_cases():
+    """(paired configuration, depths): the 5-adic showcase (a witness), the
+    7-adic S^min, sampled sets in six fields, sets of odd p with a witness,
+    and a degenerate set with relations."""
+    rng = random.Random(2024)
+    cases = [
+        (sf.pair_up(sf.configuration(ctx5(), SIX_POINT_5ADIC)), range(0, 8)),
+        (sf.pair_up(sf.configuration(ctx7(), EIGHT_POINT_7ADIC_MIN)), (1, 2, 5)),
+    ]
+    for p, ell, g, depth in (
+        (2, 2, 2, 7),
+        (2, 5, 2, 7),
+        (2, 7, 3, 5),
+        (3, 3, 2, 4),
+        (3, 7, 2, 4),
+        (5, 11, 1, 3),
+    ):
+        _, pcfg = sample_paired(rng, sf.field_context(p, ell), g)
+        cases.append((pcfg, range(1, depth + 1)))
+    for p, ell, points, depths in (
+        (3, 7, [279, 181, 198, 184, 3, "inf"], (3, 4)),
+        (5, 11, [428, 43, 221, 23, 2, "inf"], (3, 4)),
+    ):
+        ctx = sf.field_context(p, ell)
+        cases.append((sf.pair_up(sf.configuration(ctx, points)), depths))
+    ctx = ctx5()
+    a, b, c = sf.finite(ctx, 0), sf.finite(ctx, 5), sf.finite(ctx, 1)
+    twin = sf.PairedConfiguration(ctx, ((a, b), (a, b), (c, sf.INFINITY)))
+    cases.append((twin, (2, 4)))
+    return cases
+
+
+def test_audit_matches_the_word_by_word_reference():
+    witnesses = relations = 0
+    for pcfg, depths in _audit_cases():
+        p = pcfg.ctx.p
+        for depth in depths:
+            result = sf.schottky_audit(pcfg, depth)
+            assert result == _reference_audit(pcfg, depth), (pcfg.ctx, depth)
+            if depth <= 1:
+                assert result.words_checked == 0
+            if result.witness is None:
+                assert result.words_checked == _gamma_word_count(pcfg.g, p, depth)
+            witnesses += result.witness is not None
+            relations += bool(result.relations)
+    assert witnesses >= 3 and relations >= 1
+
+
+def test_audit_composes_each_prefix_once(monkeypatch):
+    # 7-adic S^min: g = 3, p = 2, no witness and no relations at depth 7.
+    # Words close at even lengths up to 6, so prefixes of length 2..5 are
+    # composed once each: 12 + 36 + 108 + 324 = 480.
+    pmin = sf.pair_up(sf.configuration(ctx7(), EIGHT_POINT_7ADIC_MIN))
+    calls = []
+    original = sf.oracle.compose
+
+    def counted(m1, m2):
+        calls.append(None)
+        return original(m1, m2)
+
+    monkeypatch.setattr(sf.oracle, "compose", counted)
+    result = sf.schottky_audit(pmin, 7)
+    assert result.witness is None and result.relations == ()
+    assert result.words_checked == _gamma_word_count(3, 2, 7) == 1092
+    assert len(calls) <= 480

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 import schottkyfold as sf
-from schottkyfold.valfield import INF, Val
+from schottkyfold.valfield import INF, Val, decimal_to_int, int_to_decimal
 
 
 def test_rational_valuation_examples():
@@ -126,3 +128,31 @@ def test_val_ordering_and_arithmetic():
     assert 2 * Val.of(Fraction(3, 2)) == Val.of(3)
     with pytest.raises(ValueError):
         _ = INF.fraction
+
+
+def test_val_comparisons_order_infinity_last():
+    # every comparison agrees with the order of (is infinite, value) keys,
+    # with Val, int and Fraction operands on either side
+    def key(x):
+        q = x.q if isinstance(x, Val) else Fraction(x)
+        return (1, Fraction(0)) if q is None else (0, q)
+
+    values = [INF, Val.of(0), Val.of(Fraction(1, 2)), Val.of(-3)]
+    values += [0, -3, Fraction(1, 2), Fraction(7, 3)]
+    ops = (operator.lt, operator.le, operator.gt, operator.ge)
+    for x, y in itertools.product(values, repeat=2):
+        if isinstance(x, Val) or isinstance(y, Val):
+            for op in ops:
+                assert op(x, y) == op(key(x), key(y)), (x, op.__name__, y)
+
+
+def test_decimal_conversion_past_the_int_string_limit():
+    for k in (10, 4299, 4300, 4301, 9000):
+        n = 10**k + 12
+        text = "1" + "0" * (k - 2) + "12"
+        assert int_to_decimal(n) == text and int_to_decimal(-n) == "-" + text
+        assert decimal_to_int(text) == n and decimal_to_int("-" + text) == -n
+    assert sf.format_fraction(Fraction(10**5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"
+    for bad in ("", "-", "12a", "9" * 5000 + "x"):
+        with pytest.raises(ValueError):
+            decimal_to_int(bad)
