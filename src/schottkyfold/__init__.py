@@ -32,7 +32,6 @@ from .errors import (
 )
 from .folding import (
     BadFoldingProduced,
-    FoldClass,
     FoldingStep,
     FoldWitness,
     Good,
@@ -42,7 +41,6 @@ from .folding import (
     Redundant,
     Verdict,
     apply_folding,
-    classify_folding,
     compute_I,
     d_j_of_i,
     find_fold_exponent,
@@ -97,7 +95,6 @@ from .valfield import (
     Val,
     field_context,
     format_fraction,
-    separation_radius,
 )
 
 __version__ = "0.1.0"

@@ -23,13 +23,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import folding, oracle
-from .clusters import Configuration, PairedConfiguration, pair_up
-from .errors import (
-    InvalidInputError,
-    PairingError,
-    SchottkyFoldError,
-    UnsupportedFieldError,
-)
+from .clusters import Configuration, PairedConfiguration
+from .errors import InvalidInputError, SchottkyFoldError, UnsupportedFieldError
 from .hull import reduced_convex_hull, to_dot
 from .projline import INFINITY, Mobius, PPoint, point_str
 from .valfield import Val, decimal_to_int, field_context, format_fraction
@@ -274,11 +269,6 @@ def run(spec: ProblemSpec) -> tuple[dict, int]:
     stages: list[PairedConfiguration] = [s.before for s in verdict.trace]
     if isinstance(verdict, folding.Good):
         stages.append(verdict.s_min)
-    elif not verdict.trace:
-        try:
-            stages.append(pair_up(cfg))
-        except (PairingError, ValueError):
-            pass
 
     if spec.dot is not None:
         trees = {}

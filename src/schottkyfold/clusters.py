@@ -5,12 +5,13 @@ points with an ultrametric disc; its *depth* is the minimal pairwise
 valuation of differences (+infinity for singletons).  Clusters form a
 laminar family, computed here as a recursive partition.
 
-``pair_up`` decides whether a configuration is *clustered in rho-separated
-pairs*: two points are equivalent when they lie in exactly the same
-even-cardinality clusters (the point at infinity lies in none); the
-configuration pairs up when every class has size two.  Separatedness is the
-geometric condition that the axes spanned by the pairs stay more than
-2 rho apart, where rho = v(p)/(p-1) is the separation radius of the field.
+A configuration is *clustered in rho-separated pairs* when two rules hold.
+``canonical_pairs``: two points are equivalent when they lie in exactly the
+same even-cardinality clusters (the point at infinity lies in none), and
+every class has size two.  ``check_separated``: the axes spanned by the
+pairs stay more than 2 rho apart, where rho = v(p)/(p-1) is the separation
+radius of the field.  Both read a ``Skeleton``: ``pair_up`` applies them to
+the one it builds, and the hull to the one a paired configuration holds.
 """
 
 from __future__ import annotations
@@ -42,12 +43,6 @@ class Configuration:
         """Distinct finite point values, in first-occurrence order."""
         return tuple(
             dict.fromkeys(pt.value for pt in self.points if not pt.is_infinity)
-        )
-
-    def multiset_key(self):
-        return sorted(
-            ("inf",) if pt.is_infinity else (self.ctx.to_str(pt.value),)
-            for pt in self.points
         )
 
     def __repr__(self):
@@ -304,12 +299,6 @@ class PairedConfiguration:
         """The pairs as unordered point sets, compared by exact value."""
         return {frozenset(pair) for pair in self.pairs}
 
-    def pair_sets(self) -> list[frozenset]:
-        keys = []
-        for a, b in self.pairs:
-            keys.append(frozenset(point_str(self.ctx, pt) for pt in (a, b)))
-        return keys
-
     def __repr__(self):
         inner = ", ".join(
             "{%s, %s}" % (point_str(self.ctx, a), point_str(self.ctx, b))
@@ -318,65 +307,65 @@ class PairedConfiguration:
         return f"PairedConfiguration({inner})"
 
 
-def pair_up(cfg: Configuration) -> PairedConfiguration:
-    """Partition into pairs, or raise NotClusteredInPairsError / NotSeparatedError.
+def canonical_pairs(
+    sk: Skeleton, has_infinity: bool
+) -> tuple[tuple[PPoint, PPoint], ...]:
+    """The canonical pairing of the skeleton's values (and infinity, when
+    present), or NotClusteredInPairsError.
 
     Points are equivalent when they lie in exactly the same even-cardinality
-    clusters; all classes must have size two.  Pairs are indexed by depth of
-    the minimal pair disc, descending, ties broken by first occurrence in
-    the input; the pair containing infinity always gets the last index.
-    Separation then requires every two pair axes to stay more than
-    2 rho apart.
+    clusters (infinity lies in none); every class must have size two.
+    Finite pairs come first, by depth of the minimal pair disc descending,
+    ties broken by value index (first occurrence in the input, for a
+    skeleton built from it); the pair containing infinity comes last, with
+    infinity as its second member.
     """
-    ctx = cfg.ctx
-    values = cfg.finite_values()
-    n_inf = sum(1 for pt in cfg.points if pt.is_infinity)
-    if len(values) + n_inf != cfg.size:
-        raise ValueError("pair_up requires distinct points")
-
-    sk = Skeleton.build(cfg)
-    even = [c for c in sk.clusters if len(c.members) % 2 == 0]
-    profiles: dict[int, frozenset[int]] = {
-        i: frozenset(k for k, c in enumerate(even) if i in c.members)
-        for i in range(len(values))
-    }
-    groups: dict[frozenset[int], list[int]] = {}
-    for i, prof in profiles.items():
-        groups.setdefault(prof, []).append(i)
-    tokens: dict[frozenset[int], list] = {k: list(v) for k, v in groups.items()}
-    if n_inf:
-        tokens.setdefault(frozenset(), []).append("inf")
-
-    if any(len(members) != 2 for members in tokens.values()):
+    even = [c.members for c in sk.clusters if len(c.members) % 2 == 0]
+    classes: dict[frozenset[int], list] = {}
+    for x in range(len(sk.values)):
+        profile = frozenset(k for k, members in enumerate(even) if x in members)
+        classes.setdefault(profile, []).append(x)
+    if has_infinity:
+        classes.setdefault(frozenset(), []).append(None)
+    if any(len(members) != 2 for members in classes.values()):
         raise NotClusteredInPairsError(
             "even-cluster equivalence classes do not all have size 2"
         )
+    finite = sorted(
+        (ab for ab in classes.values() if None not in ab),
+        key=lambda ab: (-sk.vmat[ab[0]][ab[1]].fraction, ab[0]),
+    )
+    return tuple(
+        tuple(INFINITY if x is None else PPoint(sk.values[x]) for x in ab)
+        for ab in finite + [ab for ab in classes.values() if None in ab]
+    )
 
-    finite_pairs: list[tuple[int, int]] = []
-    inf_pair: tuple[PPoint, PPoint] | None = None
-    for members in tokens.values():
-        if "inf" in members:
-            i = next(m for m in members if m != "inf")
-            inf_pair = (PPoint(values[i]), INFINITY)
-        else:
-            finite_pairs.append(tuple(sorted(members)))
 
-    # depth descending, then first occurrence in the input
-    finite_pairs.sort(key=lambda ij: (-sk.vmat[ij[0]][ij[1]].fraction, ij[0]))
-    pairs = tuple(
-        (PPoint(values[i]), PPoint(values[j])) for i, j in finite_pairs
-    ) + ((inf_pair,) if inf_pair else ())
-    pcfg = PairedConfiguration(ctx, pairs)
-    pcfg._attach(sk)
-
-    view = pcfg.skeleton()
-    margin = None
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            d = view.axis_distance(i, j)
-            margin = d if margin is None else min(margin, d)
-    if margin is not None and margin <= 2 * ctx.rho:
+def check_separated(pcfg: PairedConfiguration) -> None:
+    """NotSeparatedError unless every two pair axes stay more than 2 rho
+    apart; read off the configuration's skeleton."""
+    view, n = pcfg.skeleton(), len(pcfg.pairs)
+    margin = min(
+        (view.axis_distance(i, j) for i in range(n) for j in range(i + 1, n)),
+        default=None,
+    )
+    if margin is not None and margin <= 2 * pcfg.ctx.rho:
         raise NotSeparatedError(margin)
+
+
+def pair_up(cfg: Configuration) -> PairedConfiguration:
+    """Partition into the canonical pairs (``canonical_pairs``), or raise
+    NotClusteredInPairsError / NotSeparatedError (``check_separated``).
+
+    Repeated points raise ValueError.  The returned configuration keeps the
+    one skeleton built here.
+    """
+    if len(set(cfg.points)) != cfg.size:
+        raise ValueError("pair_up requires distinct points")
+    sk = Skeleton.build(cfg)
+    pcfg = PairedConfiguration(cfg.ctx, canonical_pairs(sk, cfg.has_infinity()))
+    pcfg._attach(sk)
+    check_separated(pcfg)
     return pcfg
 
 

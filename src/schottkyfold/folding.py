@@ -309,12 +309,6 @@ def apply_folding(
     return Configuration(pcfg.ctx, tuple(points))
 
 
-class FoldClass(Enum):
-    GOOD = "good"
-    BAD = "bad"
-    NEITHER = "neither"
-
-
 def image_pair_key(step: FoldingStep) -> set[frozenset[PPoint]]:
     """The folded configuration's inherited pairing, as unordered point sets."""
     keys = set()
@@ -323,25 +317,6 @@ def image_pair_key(step: FoldingStep) -> set[frozenset[PPoint]]:
             a, b = apply(step.map, a), apply(step.map, b)
         keys.add(frozenset((a, b)))
     return keys
-
-
-def classify_folding(ctx: FieldContext, step: FoldingStep) -> FoldClass:
-    """Good: the result is still clustered in the inherited pairs and the
-    step carried a witness.  Bad: the inherited pairing is no longer a
-    separated clustering (including the degenerate case where the points
-    re-pair differently: the clustering of a set is unique, so a changed
-    pairing means the inherited one failed).  Neither: a forced fold whose
-    result pairs up but that no witness certified."""
-    repeated, _ = repetition_report(step.after)
-    if repeated:
-        return FoldClass.BAD
-    try:
-        folded = pair_up(step.after)
-    except PairingError:
-        return FoldClass.BAD
-    if folded.pairing() != image_pair_key(step):
-        return FoldClass.BAD
-    return FoldClass.GOOD if step.witness is not None else FoldClass.NEITHER
 
 
 def validate_input(cfg: Configuration) -> None:

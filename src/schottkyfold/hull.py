@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clusters import PairedConfiguration, pair_up
+from .clusters import PairedConfiguration, canonical_pairs, check_separated
 from .errors import NotPairedError, PairingError
 from .projline import Mobius, PPoint, apply
 from .valfield import FieldContext, format_fraction
@@ -34,15 +34,6 @@ class Disc:
 
     def contains_value(self, x) -> bool:
         return self.ctx.valuation(self.ctx.sub(x, self.center)) >= self.radius
-
-    def contains_point(self, pt: PPoint) -> bool:
-        return (not pt.is_infinity) and self.contains_value(pt.value)
-
-    def contains(self, other: "Disc") -> bool:
-        return other.radius >= self.radius and self.contains_value(other.center)
-
-    def properly_contains(self, other: "Disc") -> bool:
-        return self.contains(other) and not self.same(other)
 
     def same(self, other: "Disc") -> bool:
         return self.radius == other.radius and self.contains_value(other.center)
@@ -158,18 +149,28 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     points; an edge joins each even cluster to its parent cluster.  When
     infinity is absent the vertex of the minimal disc of the whole set is
     removed (together with its incident segments), splitting the top level.
+
+    The pairs must be the canonical pairing of distinct points, and
+    separated: the rules of ``clusters.canonical_pairs`` and
+    ``clusters.check_separated``, applied to the skeleton the configuration
+    already holds (a ``pair_up`` result always passes).  Otherwise
+    NotPairedError is raised.
     """
     ctx = pcfg.ctx
-    try:
-        expected = pair_up(pcfg.configuration())
-    except (PairingError, ValueError) as exc:
-        raise NotPairedError(str(exc)) from exc
-    if expected.pairing() != pcfg.pairing():
-        raise NotPairedError("pairs are not the canonical pairing of the points")
-
+    points = pcfg.points()
+    if len(set(points)) != len(points):
+        raise NotPairedError("the points are not distinct")
     sk = pcfg.skeleton()
+    has_inf = any(pt.is_infinity for pt in points)
+    try:
+        canonical = {frozenset(pair) for pair in canonical_pairs(sk, has_inf)}
+        if canonical != pcfg.pairing():
+            raise NotPairedError("pairs are not the canonical pairing of the points")
+        check_separated(pcfg)
+    except PairingError as exc:
+        raise NotPairedError(str(exc)) from exc
+
     vmat, clusters = sk.vmat, sk.clusters
-    has_inf = any(pt.is_infinity for pt in pcfg.points())
     # tree positions of the vertex clusters; without infinity the root goes
     kept = sorted(
         (

@@ -50,14 +50,6 @@ def point_str(ctx: FieldContext, pt: PPoint) -> str:
     return "inf" if pt.is_infinity else ctx.to_str(pt.value)
 
 
-def point_sort_key(pt: PPoint):
-    """A deterministic total order on points; infinity sorts last."""
-    if pt.is_infinity:
-        return (1, ())
-    v = pt.value
-    return (0, tuple(v) if isinstance(v, tuple) else (v,))
-
-
 class MapKind(Enum):
     IDENTITY = "identity"
     PARABOLIC = "parabolic"
@@ -93,7 +85,7 @@ class Mobius:
 
     def is_scalar(self) -> bool:
         f = self.ctx
-        return f.is_zero(self.b) and f.is_zero(self.c) and f.eq(self.a, self.d)
+        return f.is_zero(self.b) and f.is_zero(self.c) and self.a == self.d
 
     def __repr__(self):
         f = self.ctx
@@ -179,7 +171,7 @@ def proj_eq(m1: Mobius, m2: Mobius) -> bool:
     e1, e2 = m1.entries(), m2.entries()
     for i in range(4):
         for j in range(i + 1, 4):
-            if not f.eq(f.mul(e1[i], e2[j]), f.mul(e1[j], e2[i])):
+            if f.mul(e1[i], e2[j]) != f.mul(e1[j], e2[i]):
                 return False
     return True
 
@@ -205,7 +197,7 @@ def classify_trace_det(ctx: FieldContext, tr, det) -> ElementClass:
     Each test is unchanged when the matrix is scaled, so any representative
     serves.
     """
-    if ctx.eq(ctx.mul(tr, tr), ctx.mul(ctx.from_fraction(4), det)):
+    if ctx.mul(tr, tr) == ctx.mul(ctx.from_fraction(4), det):
         return ElementClass(MapKind.PARABOLIC)
     v_tr, v_det = ctx.valuation(tr), ctx.valuation(det)
     if 2 * v_tr < v_det:

@@ -254,7 +254,8 @@ class FieldContext:
                 f"no supported valued field contains a primitive {p}-th root "
                 f"of unity for residue characteristic {ell}"
             )
-        # v(p)/(p-1): zero unless the residue characteristic is p.
+        # The separation radius v(p)/(p-1), the radius of the fixed tube of
+        # an order-p map: zero unless the residue characteristic is p.
         self.rho: Fraction = Fraction(1, p - 1) if ell == p else Fraction(0)
         # cyclotomic polynomial 1 + x + ... + x^(p-1)
         self._phi = [Fraction(1)] * p if p > 2 else None
@@ -299,9 +300,6 @@ class FieldContext:
         if self.kind is FieldKind.RATIONAL:
             return x == 0
         return all(c == 0 for c in x)
-
-    def eq(self, x, y) -> bool:
-        return x == y
 
     def is_rational(self, x) -> bool:
         if self.kind is FieldKind.RATIONAL:
@@ -459,11 +457,6 @@ class FieldContext:
 def field_context(p: int, ell: int) -> FieldContext:
     """The valued field for superelliptic degree p and residue characteristic ell."""
     return FieldContext(p, ell)
-
-
-def separation_radius(ctx: FieldContext) -> Fraction:
-    """v(p)/(p-1): the radius of the fixed tube of an order-p map."""
-    return ctx.rho
 
 
 def format_fraction(q: Fraction) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import schottkyfold as sf
@@ -34,20 +35,23 @@ def config(ctx, values):
     return sf.configuration(ctx, values)
 
 
-def pair_set(ctx, pcfg):
-    return set(pcfg.pair_sets())
+def pair_list(pcfg):
+    """The pairs in index order, each as an unordered set of exact points."""
+    return [frozenset(pair) for pair in pcfg.pairs]
 
 
-def pairs_as_sets(values_pairs):
-    return {frozenset(str(Fraction(x)) if x != "inf" else "inf" for x in pr) for pr in values_pairs}
+def pairs_as_sets(ctx, values_pairs):
+    """Pairs of values ("inf" for infinity) as unordered sets of exact points."""
+    return [frozenset(sf.configuration(ctx, pr).points) for pr in values_pairs]
 
 
-def multiset(ctx, cfg):
-    return sorted(cfg.multiset_key())
+def multiset(cfg):
+    """The points of a configuration, counted by exact value."""
+    return Counter(cfg.points)
 
 
-def values_multiset(values):
-    return sorted(("inf",) if v == "inf" else (str(Fraction(v)),) for v in values)
+def values_multiset(ctx, values):
+    return multiset(sf.configuration(ctx, values))
 
 
 # --------------------------------------------------------------------------
@@ -63,7 +67,7 @@ def random_paired_points(rng, ctx, g):
     inside a branch (creating an odd cluster), and occasionally one pair is
     split into two strays hosted next to two other cherries (creating two
     odd clusters).  Depth gaps stay above twice the separation radius.
-    Returns (points, expected pairing as a set of frozensets of strings).
+    Returns (points, expected pairing as a set of frozensets of points).
     """
     ell = ctx.ell
     gap = int(2 * ctx.rho) + 1
@@ -121,9 +125,9 @@ def random_paired_points(rng, ctx, g):
     for i in range(g):
         a, b = out_pairs[i]
         points.extend([a, b])
-        expected.add(frozenset({str(a), str(b)}))
+        expected.add(frozenset(sf.configuration(ctx, [a, b]).points))
     points.extend([anchor, "inf"])
-    expected.add(frozenset({str(anchor), "inf"}))
+    expected.add(frozenset(sf.configuration(ctx, [anchor, "inf"]).points))
     rng.shuffle(points)
     return points, expected
 
@@ -137,7 +141,7 @@ def sample_paired(rng, ctx, g):
             pcfg = sf.pair_up(cfg)
         except sf.PairingError:
             continue
-        if set(pcfg.pair_sets()) == expected:
+        if pcfg.pairing() == expected:
             return cfg, pcfg
     raise AssertionError("random generator failed to produce a paired set")
 

@@ -24,6 +24,9 @@ from helpers import (
     SIX_POINT_5ADIC,
     check_fold_step,
     kadziela_points,
+    multiset,
+    pair_list,
+    pairs_as_sets,
     sample_paired,
     values_multiset,
 )
@@ -139,14 +142,13 @@ def test_criterion_1_not_good_showcase(corpus):
         assert isinstance(verdict, sf.NotGood)
         assert len(verdict.trace) == 1
         step = verdict.trace[0]
-        assert step.after.multiset_key() == values_multiset(
-            [-5, -10, 0, 5, 1, "inf"]
+        ctx = step.before.ctx
+        assert multiset(step.after) == values_multiset(
+            ctx, [-5, -10, 0, 5, 1, "inf"]
         )
-        assert step.before.pair_sets() == [
-            frozenset({"7", "12"}),
-            frozenset({"0", "5"}),
-            frozenset({"1", "inf"}),
-        ]
+        assert pair_list(step.before) == pairs_as_sets(
+            ctx, [[7, 12], [0, 5], [1, "inf"]]
+        )
 
 
 def test_criterion_2_good_showcase(corpus):
@@ -154,11 +156,12 @@ def test_criterion_2_good_showcase(corpus):
         verdict = corpus["showcase_good"]
         assert isinstance(verdict, sf.Good)
         assert len(verdict.trace) == 2
-        assert verdict.trace[0].after.multiset_key() == values_multiset(
-            [9, -40, -110, 86, 0, 7, 1, "inf"]
+        ctx = verdict.s_min.ctx
+        assert multiset(verdict.trace[0].after) == values_multiset(
+            ctx, [9, -40, -110, 86, 0, 7, 1, "inf"]
         )
-        assert verdict.s_min.configuration().multiset_key() == values_multiset(
-            EIGHT_POINT_7ADIC_MIN
+        assert multiset(verdict.s_min.configuration()) == values_multiset(
+            ctx, EIGHT_POINT_7ADIC_MIN
         )
         assert [s.j for s in verdict.trace] == [1, 3]
         assert [sorted(s.indices) for s in verdict.trace] == [[0], [0, 1]]
@@ -297,8 +300,8 @@ def test_criterion_10_oracle_consistency(corpus):
         assert len(corpus["smoke_six"].trace) == 1
         rerun = corpus["smoke_six_rerun"]
         assert isinstance(rerun, sf.Good) and rerun.trace == ()
-        assert rerun.s_min.configuration().multiset_key() == (
-            corpus["smoke_six"].s_min.configuration().multiset_key()
+        assert multiset(rerun.s_min.configuration()) == multiset(
+            corpus["smoke_six"].s_min.configuration()
         )
 
 

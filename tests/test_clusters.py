@@ -15,7 +15,11 @@ from helpers import (
     ctx2,
     ctx5,
     ctx7,
+    multiset,
+    pair_list,
+    pairs_as_sets,
     sample_paired,
+    values_multiset,
 )
 
 
@@ -72,34 +76,25 @@ def test_clusters_are_laminar_and_depth_monotone():
 def test_pair_up_examples():
     ctx = ctx5()
     pcfg = sf.pair_up(sf.configuration(ctx, SIX_POINT_5ADIC))
-    assert pcfg.pair_sets() == [
-        frozenset({"7", "12"}),
-        frozenset({"0", "5"}),
-        frozenset({"1", "inf"}),
-    ]
+    assert pair_list(pcfg) == pairs_as_sets(ctx, [[7, 12], [0, 5], [1, "inf"]])
 
     with pytest.raises(sf.NotClusteredInPairsError):
         sf.pair_up(sf.configuration(ctx, [-5, -10, 0, 5, 1, "inf"]))
 
     derived = sf.pair_up(sf.configuration(ctx, [0, 125, 5, 1, 6, "inf"]))
-    assert set(derived.pair_sets()) == {
-        frozenset({"0", "125"}),
-        frozenset({"1", "6"}),
-        frozenset({"5", "inf"}),
-    }
+    assert derived.pairing() == set(
+        pairs_as_sets(ctx, [[0, 125], [1, 6], [5, "inf"]])
+    )
     # deterministic index order: deeper pair discs first, infinity pair last
-    assert derived.pair_sets()[0] == frozenset({"0", "125"})
-    assert derived.pair_sets()[2] == frozenset({"5", "inf"})
+    assert pair_list(derived)[0] == pairs_as_sets(ctx, [[0, 125]])[0]
+    assert pair_list(derived)[2] == pairs_as_sets(ctx, [[5, "inf"]])[0]
 
 
 def test_pair_up_7adic_showcase_labels():
     pcfg = sf.pair_up(sf.configuration(ctx7(), EIGHT_POINT_7ADIC))
-    assert pcfg.pair_sets() == [
-        frozenset({"1336/3", "-355"}),
-        frozenset({"-110", "86"}),
-        frozenset({"0", "7"}),
-        frozenset({"1", "inf"}),
-    ]
+    assert pair_list(pcfg) == pairs_as_sets(
+        ctx7(), [[Fraction(1336, 3), -355], [-110, 86], [0, 7], [1, "inf"]]
+    )
 
 
 def test_pair_up_rejects_repeated_points():
@@ -125,11 +120,9 @@ def test_pair_up_separation_is_a_tube_condition():
     # pairs {0,8} and {2,10} split at depth 1 but sit at depth 3
     ctx = ctx2()
     pcfg = sf.pair_up(sf.configuration(ctx, [0, 8, 2, 10, 5, "inf"]))
-    assert set(pcfg.pair_sets()) == {
-        frozenset({"0", "8"}),
-        frozenset({"2", "10"}),
-        frozenset({"5", "inf"}),
-    }
+    assert pcfg.pairing() == set(
+        pairs_as_sets(ctx, [[0, 8], [2, 10], [5, "inf"]])
+    )
 
 
 def test_pair_up_affine_invariance():
@@ -145,42 +138,36 @@ def test_pair_up_affine_invariance():
         mapped_pairs = sf.pair_up(sf.configuration(ctx, mapped))
         expect = {
             frozenset(
-                "inf"
+                pt
                 if pt.is_infinity
-                else sf.format_fraction(u * ctx.as_fraction(pt.value) + c)
+                else sf.finite(ctx, u * ctx.as_fraction(pt.value) + c)
                 for pt in pair
             )
             for pair in pcfg.pairs
         }
-        assert set(mapped_pairs.pair_sets()) == expect
+        assert mapped_pairs.pairing() == expect
 
 
 def test_pair_up_is_permutation_stable():
     rng = random.Random(12)
     ctx = ctx7()
     cfg, pcfg = sample_paired(rng, ctx, 3)
-    reference = set(pcfg.pair_sets())
+    reference = pcfg.pairing()
     points = list(cfg.points)
     for _ in range(5):
         rng.shuffle(points)
         again = sf.pair_up(sf.Configuration(ctx, tuple(points)))
-        assert set(again.pair_sets()) == reference
+        assert again.pairing() == reference
 
 
 def test_pair_up_without_infinity():
     # pairing is defined for finite-only configurations as well
     ctx = ctx5()
     pcfg = sf.pair_up(sf.configuration(ctx, [7, 12, 0, 5]))
-    assert set(pcfg.pair_sets()) == {
-        frozenset({"7", "12"}),
-        frozenset({"0", "5"}),
-    }
+    assert pcfg.pairing() == set(pairs_as_sets(ctx, [[7, 12], [0, 5]]))
     # two nested cherries pair up even without infinity
     nested = sf.pair_up(sf.configuration(ctx, [0, 25, 5, 30]))
-    assert set(nested.pair_sets()) == {
-        frozenset({"0", "25"}),
-        frozenset({"5", "30"}),
-    }
+    assert nested.pairing() == set(pairs_as_sets(ctx, [[0, 25], [5, 30]]))
     # four points in mutually distinct residues form a single class
     with pytest.raises(sf.NotClusteredInPairsError):
         sf.pair_up(sf.configuration(ctx, [0, 1, 2, 3]))
@@ -195,9 +182,7 @@ def test_repetition_report():
     two = sf.configuration(ctx, [0, 0, 5, 5, 1, "inf"])
     count, underlying = sf.repetition_report(two)
     assert count == 2
-    assert underlying.multiset_key() == sf.configuration(
-        ctx, [0, 5, 1, "inf"]
-    ).multiset_key()
+    assert multiset(underlying) == values_multiset(ctx, [0, 5, 1, "inf"])
 
     one = sf.configuration(ctx, [0, 0, 5, 7, 1, "inf"])
     count, underlying = sf.repetition_report(one)

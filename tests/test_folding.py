@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 
 import pytest
 
 import schottkyfold as sf
+from schottkyfold import cli
 from schottkyfold.valfield import Val
 from helpers import (
     DYADIC_FOUR,
@@ -21,6 +23,7 @@ from helpers import (
     ctx5,
     ctx7,
     kadziela_points,
+    multiset,
     sample_paired,
     values_multiset,
 )
@@ -84,16 +87,16 @@ def test_find_fold_exponent_examples():
 
 def test_apply_folding_examples():
     got = sf.apply_folding(paired(ctx5(), SIX_POINT_5ADIC), 0, 2, 1)
-    assert got.multiset_key() == values_multiset([-5, -10, 0, 5, 1, "inf"])
+    assert multiset(got) == values_multiset(ctx5(), [-5, -10, 0, 5, 1, "inf"])
 
     got = sf.apply_folding(paired(ctx7(), EIGHT_POINT_7ADIC), 0, 1, 1)
-    assert got.multiset_key() == values_multiset(
-        [9, -40, -110, 86, 0, 7, 1, "inf"]
+    assert multiset(got) == values_multiset(
+        ctx7(), [9, -40, -110, 86, 0, 7, 1, "inf"]
     )
 
     p7b = paired(ctx7(), [9, -40, -110, 86, 0, 7, 1, "inf"])
     got = sf.apply_folding(p7b, 0, 3, 1)
-    assert got.multiset_key() == values_multiset(EIGHT_POINT_7ADIC_MIN)
+    assert multiset(got) == values_multiset(ctx7(), EIGHT_POINT_7ADIC_MIN)
 
 
 def test_run_not_good_showcase():
@@ -103,7 +106,7 @@ def test_run_not_good_showcase():
     step = verdict.trace[0]
     assert (step.i, step.j, step.n) == (0, 2, 1)
     assert step.indices == {0}
-    assert step.after.multiset_key() == values_multiset([-5, -10, 0, 5, 1, "inf"])
+    assert multiset(step.after) == values_multiset(ctx5(), [-5, -10, 0, 5, 1, "inf"])
     assert isinstance(verdict.reason, sf.BadFoldingProduced)
     assert verdict.reason.failure is sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS
     check_verdict_folds(verdict)
@@ -114,11 +117,11 @@ def test_run_good_showcase():
     assert isinstance(verdict, sf.Good)
     assert [s.j for s in verdict.trace] == [1, 3]
     assert [sorted(s.indices) for s in verdict.trace] == [[0], [0, 1]]
-    assert verdict.trace[0].after.multiset_key() == values_multiset(
-        [9, -40, -110, 86, 0, 7, 1, "inf"]
+    assert multiset(verdict.trace[0].after) == values_multiset(
+        ctx7(), [9, -40, -110, 86, 0, 7, 1, "inf"]
     )
-    assert verdict.s_min.configuration().multiset_key() == values_multiset(
-        EIGHT_POINT_7ADIC_MIN
+    assert multiset(verdict.s_min.configuration()) == values_multiset(
+        ctx7(), EIGHT_POINT_7ADIC_MIN
     )
     check_verdict_folds(verdict)
 
@@ -143,7 +146,7 @@ def test_run_redundant_on_even_repetitions():
     ctx = ctx5()
     verdict = sf.run_algorithm(ctx, sf.configuration(ctx, [0, 0, 5, 5, 1, "inf"]))
     assert isinstance(verdict, sf.Redundant)
-    assert verdict.reduced.multiset_key() == values_multiset([0, 5, 1, "inf"])
+    assert multiset(verdict.reduced) == values_multiset(ctx, [0, 5, 1, "inf"])
 
 
 def test_run_not_good_on_odd_repetitions():
@@ -192,8 +195,8 @@ def test_optimal_output_is_a_fixed_point():
             rerun = sf.run_algorithm(ctx, verdict.s_min.configuration())
             assert isinstance(rerun, sf.Good)
             assert rerun.trace == ()
-            assert rerun.s_min.configuration().multiset_key() == (
-                verdict.s_min.configuration().multiset_key()
+            assert multiset(rerun.s_min.configuration()) == multiset(
+                verdict.s_min.configuration()
             )
 
 
@@ -210,34 +213,6 @@ def test_verdict_variant_is_permutation_stable():
             assert len(again.trace) == len(base.trace)
 
 
-def test_classify_folding():
-    ctx5_ = ctx5()
-    bad = sf.run_algorithm(ctx5_, sf.configuration(ctx5_, SIX_POINT_5ADIC)).trace[0]
-    assert sf.classify_folding(ctx5_, bad) is sf.FoldClass.BAD
-
-    good_run = sf.run_algorithm(ctx7(), sf.configuration(ctx7(), EIGHT_POINT_7ADIC))
-    for step in good_run.trace:
-        assert sf.classify_folding(ctx7(), step) is sf.FoldClass.GOOD
-
-    # a forced fold (no witness) that happens to preserve the pairing
-    pmin = paired(ctx7(), EIGHT_POINT_7ADIC_MIN)
-    after = sf.apply_folding(pmin, 0, sf.select_target(pmin, 0), 1)
-    forced = sf.FoldingStep(
-        i=0,
-        j=sf.select_target(pmin, 0),
-        n=1,
-        indices=sf.compute_I(pmin, 0, sf.select_target(pmin, 0)),
-        map=sf.order_p_fixing(ctx7(), pmin.pairs[2][0], pmin.pairs[2][1], 1),
-        before=pmin,
-        after=after,
-        witness=None,
-    )
-    assert sf.classify_folding(ctx7(), forced) in (
-        sf.FoldClass.NEITHER,
-        sf.FoldClass.BAD,
-    )
-
-
 def test_fold_that_repairs_differently_is_bad():
     # The fold across {-28, inf} lands the vertex of {-18, -39} exactly on
     # the vertex of {-32, 10}: the folded points still pair up, but under
@@ -250,7 +225,6 @@ def test_fold_that_repairs_differently_is_bad():
     assert isinstance(verdict, sf.NotGood)
     assert len(verdict.trace) == 1
     assert isinstance(verdict.reason, sf.BadFoldingProduced)
-    assert sf.classify_folding(ctx, verdict.trace[0]) is sf.FoldClass.BAD
     witness = sf.schottky_audit(sf.pair_up(cfg), 4).witness
     assert witness is not None
     assert witness[1].kind is not sf.MapKind.LOXODROMIC
@@ -337,6 +311,30 @@ def test_one_cluster_build_per_pass(monkeypatch, ctx_of, points):
     sf.run_algorithm(ctx, cfg)
     assert passes
     assert len(builds) <= len(passes)
+
+
+def test_hull_builds_no_skeleton_of_its_own(monkeypatch):
+    pcfg = paired(ctx7(), EIGHT_POINT_7ADIC)
+    builds = _count_calls(monkeypatch, sf.clusters, "cluster_data", True)
+    sf.reduced_convex_hull(pcfg)
+    assert builds == []
+
+
+def test_cli_dot_trees_build_one_skeleton_per_pass(monkeypatch):
+    doc = json.dumps(
+        {
+            "p": 2,
+            "ell": 7,
+            "points": [str(x) for x in EIGHT_POINT_7ADIC],
+            "options": {"dot": "showcase"},
+        }
+    )
+    spec = cli.parse_problem(doc)
+    builds = _count_calls(monkeypatch, sf.clusters, "cluster_data", True)
+    passes = _count_calls(monkeypatch, sf.folding, "pair_up", False)
+    report, _ = cli.run(spec)
+    assert len(report["trees"]) == 3
+    assert len(builds) == len(passes) == 3
 
 
 def test_translation_beyond_the_decimal_digit_limit():

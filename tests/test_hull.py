@@ -99,9 +99,9 @@ def test_reduced_convex_hull_two_components():
     assert len(tree.distinguished()) == 4
     assert sf.is_trivially_optimal(tree)
     subs = sf.split_by_components(pcfg, tree)
-    got = {tuple(sorted(sub.configuration().multiset_key())) for sub in subs}
+    got = {frozenset(sub.points()) for sub in subs}
     want = {
-        tuple(sorted(sf.configuration(ctx, vals).multiset_key()))
+        frozenset(sf.configuration(ctx, vals).points)
         for vals in ([0, 125, 5, "inf"], [1, 6, 5, "inf"])
     }
     assert got == want
@@ -112,7 +112,7 @@ def test_split_of_connected_tree_is_identity():
     tree = sf.reduced_convex_hull(pcfg)
     subs = sf.split_by_components(pcfg, tree)
     assert len(subs) == 1
-    assert set(subs[0].pair_sets()) == set(pcfg.pair_sets())
+    assert subs[0].pairing() == pcfg.pairing()
 
 
 def test_any_paired_four_point_set_is_trivially_optimal():
@@ -137,6 +137,18 @@ def test_hull_requires_canonical_pairing():
     )
     with pytest.raises(sf.NotPairedError):
         sf.reduced_convex_hull(scrambled)
+
+    dyadic = ctx2()
+    for pairs in (
+        ((0, 4), (1, "inf")),  # canonical classes, but margin 2 <= 2 rho
+        ((1, 1), (2, "inf")),  # a repeated point
+    ):
+        pcfg = sf.PairedConfiguration(
+            dyadic,
+            tuple(tuple(sf.configuration(dyadic, pair).points) for pair in pairs),
+        )
+        with pytest.raises(sf.NotPairedError):
+            sf.reduced_convex_hull(pcfg)
 
 
 def test_hull_statistics_on_random_configurations():

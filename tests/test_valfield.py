@@ -36,10 +36,10 @@ def test_zeta_powers():
 
 
 def test_separation_radius():
-    assert sf.separation_radius(sf.field_context(2, 5)) == 0
-    assert sf.separation_radius(sf.field_context(2, 2)) == 1
-    assert sf.separation_radius(sf.field_context(3, 3)) == Fraction(1, 2)
-    assert sf.separation_radius(sf.field_context(3, 7)) == 0
+    assert sf.field_context(2, 5).rho == 0
+    assert sf.field_context(2, 2).rho == 1
+    assert sf.field_context(3, 3).rho == Fraction(1, 2)
+    assert sf.field_context(3, 7).rho == 0
 
 
 def test_unsupported_field():
