@@ -200,7 +200,7 @@ class Skeleton(NamedTuple):
             members.append(frozenset(idx))
             if len(idx) < len(pair):
                 idx = list(range(len(order)))
-            discs.append(_min_disc(vmat, idx))
+            discs.append(_smallest_disc(vmat, idx))
         return Skeleton._assemble(order, vmat, clusters, tuple(members), tuple(discs))
 
     def chain(self, members: frozenset[int]):
@@ -245,7 +245,7 @@ class Skeleton(NamedTuple):
         return total
 
 
-def _min_disc(vmat, idx) -> tuple[int, Fraction]:
+def _smallest_disc(vmat, idx) -> tuple[int, Fraction]:
     """(center, radius) of the smallest disc around the indexed values: the
     first is the center; a single value gets radius 0."""
     center = idx[0]

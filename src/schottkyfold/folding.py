@@ -34,7 +34,6 @@ from .clusters import (
     repetition_report,
 )
 from .errors import InvalidInputError, NotSeparatedError, PairingError
-from .hull import Disc
 from .projline import Mobius, PPoint, apply, order_p_fixing
 from .valfield import FieldContext, Val
 
@@ -105,8 +104,16 @@ Verdict = Union[Good, NotGood, Redundant]
 FOLD_CAP = 100  # generous; the discrete termination measure keeps runs tiny
 
 
-def _target(pcfg: PairedConfiguration, i: int, j: int):
-    """d_j(i) as (center index, radius) in the skeleton, or None."""
+def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
+    """The target disc on the axis of pair j seen from pair i, as
+    (center index, radius) in the skeleton, or None where undefined.
+
+    Either the minimal odd clusters through both pairs coincide (then the
+    target is the minimal disc of pair j), or some odd cluster contains
+    pair i together with exactly one point of pair j (then the target is
+    the minimal disc realising that containment).  When pair j contains
+    infinity its finite point is the one included.
+    """
     if i == j:
         raise ValueError("indices must be distinct")
     sk = pcfg.skeleton()
@@ -132,9 +139,17 @@ def _target(pcfg: PairedConfiguration, i: int, j: int):
     return None if best is None else (center, best)
 
 
-def _pushed_target(pcfg: PairedConfiguration, i: int, j: int):
-    """d~_j(i) as (center index, radius) in the skeleton, or None."""
-    base = _target(pcfg, i, j)
+def tilde_d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
+    """The target disc pushed back by the separation radius rho, as
+    (center index, radius) in the skeleton, or None where undefined.
+
+    Walking a distance rho from the target disc point toward the vertex of
+    pair i: either the walk stays below the join (shrink the radius by
+    rho), or it crosses the join and descends toward pair i (radius
+    2 d(join) - d(target) + rho around pair i).  With rho = 0 this is the
+    target disc itself.
+    """
+    base = d_j_of_i(pcfg, i, j)
     if base is None:
         return None
     sk = pcfg.skeleton()
@@ -144,37 +159,6 @@ def _pushed_target(pcfg: PairedConfiguration, i: int, j: int):
     if radius - jn > rho:
         return center, radius - rho
     return c_i, 2 * jn - radius + rho
-
-
-def _disc(pcfg: PairedConfiguration, target) -> Optional[Disc]:
-    if target is None:
-        return None
-    center, radius = target
-    return Disc(pcfg.ctx, pcfg.skeleton().values[center], radius)
-
-
-def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int) -> Optional[Disc]:
-    """The target disc on the axis of pair j seen from pair i, if defined.
-
-    Either the minimal odd clusters through both pairs coincide (then the
-    target is the minimal disc of pair j), or some odd cluster contains
-    pair i together with exactly one point of pair j (then the target is
-    the minimal disc realising that containment).  When pair j contains
-    infinity its finite point is the one included.
-    """
-    return _disc(pcfg, _target(pcfg, i, j))
-
-
-def tilde_d_j_of_i(pcfg: PairedConfiguration, i: int, j: int) -> Optional[Disc]:
-    """The target disc pushed back by the separation radius rho.
-
-    Walking a distance rho from the target disc point toward the vertex of
-    pair i: either the walk stays below the join (shrink the radius by
-    rho), or it crosses the join and descends toward pair i (radius
-    2 d(join) - d(target) + rho around pair i).  With rho = 0 this is the
-    target disc itself.
-    """
-    return _disc(pcfg, _pushed_target(pcfg, i, j))
 
 
 def select_target(pcfg: PairedConfiguration, i: int) -> int:
@@ -191,7 +175,7 @@ def select_target(pcfg: PairedConfiguration, i: int) -> int:
     for j in range(pcfg.g + 1):
         if j == i:
             continue
-        dt = _pushed_target(pcfg, i, j)
+        dt = tilde_d_j_of_i(pcfg, i, j)
         if dt is None:
             continue
         center, radius = dt
@@ -210,7 +194,7 @@ def compute_I(pcfg: PairedConfiguration, i: int, j: int) -> frozenset[int]:
     around pair i: both points must be finite and strictly inside the
     residue branch through pair i."""
     sk = pcfg.skeleton()
-    dt = _pushed_target(pcfg, i, j)
+    dt = tilde_d_j_of_i(pcfg, i, j)
     if dt is None:
         raise InvalidInputError(f"target disc undefined for ({i}, {j})")
     anchor = next(
@@ -228,9 +212,10 @@ def compute_I(pcfg: PairedConfiguration, i: int, j: int) -> frozenset[int]:
 
 
 def find_fold_exponent(
-    pcfg: PairedConfiguration, i: int, j: int
+    pcfg: PairedConfiguration, i: int, j: int, I: frozenset[int]
 ) -> Optional[tuple[int, FoldWitness]]:
-    """Scan for an exponent n and outside index l verifying the fold test.
+    """Scan for an exponent n and an index l outside j and the fold set
+    ``I = compute_I(pcfg, i, j)`` verifying the fold test.
 
     The test compares v(r_l - zeta^n r_i) against v(r_l) + rho, where r_x
     is the cross ratio (c_x - a_j)/(c_x - b_j) of a finite representative
@@ -243,7 +228,6 @@ def find_fold_exponent(
     """
     ctx = pcfg.ctx
     sk = pcfg.skeleton()
-    I = compute_I(pcfg, i, j)
     a_j, b_j = pcfg.pairs[j]
     rho = ctx.rho
 
@@ -292,14 +276,13 @@ def fold_map(pcfg: PairedConfiguration, j: int, n: int) -> Mobius:
 
 
 def apply_folding(
-    pcfg: PairedConfiguration, i: int, j: int, n: int
+    pcfg: PairedConfiguration, I: frozenset[int], m: Mobius
 ) -> Configuration:
-    """Replace the pairs in the fold set by their images; others unchanged.
+    """Replace the pairs in the fold set I by their images under the fold
+    map m; others unchanged.
 
     The result is flattened in pair-index order and may be a multiset.
     """
-    I = compute_I(pcfg, i, j)
-    m = fold_map(pcfg, j, n)
     points = []
     for l, (a, b) in enumerate(pcfg.pairs):
         if l in I:
@@ -310,13 +293,13 @@ def apply_folding(
 
 
 def image_pair_key(step: FoldingStep) -> set[frozenset[PPoint]]:
-    """The folded configuration's inherited pairing, as unordered point sets."""
-    keys = set()
-    for l, (a, b) in enumerate(step.before.pairs):
-        if l in step.indices:
-            a, b = apply(step.map, a), apply(step.map, b)
-        keys.add(frozenset((a, b)))
-    return keys
+    """The folded configuration's inherited pairing, as unordered point sets.
+
+    ``apply_folding`` lists the points pair by pair, so consecutive points
+    of ``step.after`` are the images of one pair.
+    """
+    pts = step.after.points
+    return {frozenset(pts[k : k + 2]) for k in range(0, len(pts), 2)}
 
 
 def validate_input(cfg: Configuration) -> None:
@@ -369,13 +352,13 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
         performed = False
         for i in range(pcfg.g):
             j = select_target(pcfg, i)
-            found = find_fold_exponent(pcfg, i, j)
+            indices = compute_I(pcfg, i, j)
+            found = find_fold_exponent(pcfg, i, j, indices)
             if found is None:
                 continue
             n, witness = found
-            indices = compute_I(pcfg, i, j)
             m = fold_map(pcfg, j, n)
-            after = apply_folding(pcfg, i, j, n)
+            after = apply_folding(pcfg, indices, m)
             trace.append(
                 FoldingStep(
                     i=i,

@@ -30,17 +30,13 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .clusters import PairedConfiguration
-from .folding import FoldingStep
 from .projline import (
     ElementClass,
     MapKind,
     Mobius,
-    apply,
     classify_trace_det,
     compose,
-    inverse,
     order_p_fixing,
-    proj_eq,
     trace_of_product,
 )
 
@@ -184,38 +180,3 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
                 if not (closing and (total + exp) % p == 0)
             ]
     return AuditResult(None, tuple(relations), checked)
-
-
-def verify_fold_conjugation(step: FoldingStep) -> bool:
-    """Each folded pair's order-p map must be the conjugate of the original
-    by the fold map (true vacuously for an empty fold set).
-
-    Folded pairs are finite, and for finite image pairs the orientation of
-    the fixed points is preserved, so the conjugate equals the image pair's
-    map at the same exponent.  Should an image point land at infinity, the
-    representation loses the orientation and any generator power is
-    accepted.
-    """
-    ctx = step.before.ctx
-    m = step.map
-    m_inv = inverse(m)
-    for l in sorted(step.indices):
-        a, b = step.before.pairs[l]
-        if a.is_infinity:
-            a, b = b, a
-        s_l = order_p_fixing(ctx, a, b, 1)
-        conjugate = compose(compose(m, s_l), m_inv)
-        a2, b2 = apply(m, a), apply(m, b)
-        swapped = a2.is_infinity
-        if swapped:
-            a2, b2 = b2, a2
-        if not (swapped or b2.is_infinity):
-            if not proj_eq(order_p_fixing(ctx, a2, b2, 1), conjugate):
-                return False
-            continue
-        if not any(
-            proj_eq(order_p_fixing(ctx, a2, b2, k), conjugate)
-            for k in range(1, ctx.p)
-        ):
-            return False
-    return True

@@ -6,7 +6,9 @@ from collections import Counter
 from fractions import Fraction
 
 import schottkyfold as sf
-from schottkyfold.hull import transported_vertex_disc
+from schottkyfold.folding import tilde_d_j_of_i
+
+from reference import delta, skeleton_disc, transported_vertex_disc, verify_fold_conjugation
 
 # Showcase configurations used across the suite (5-adic and 7-adic, p = 2).
 SIX_POINT_5ADIC = [7, 12, 0, 5, 1, "inf"]
@@ -178,11 +180,11 @@ def kadziela_points(rng, ctx, g):
 
 def check_fold_step(step):
     """Conjugation and distance-monotonicity invariants of one fold."""
-    assert sf.verify_fold_conjugation(step)
+    assert verify_fold_conjugation(step)
 
     ctx = step.before.ctx
     tree = sf.reduced_convex_hull(step.before)
-    dt = sf.tilde_d_j_of_i(step.before, step.i, step.j)
+    dt = skeleton_disc(step.before, tilde_d_j_of_i(step.before, step.i, step.j))
     anchor = next(
         pt.value for pt in step.before.pairs[step.i] if not pt.is_infinity
     )
@@ -205,8 +207,8 @@ def check_fold_step(step):
     strict = 0
     for i in range(len(before_discs)):
         for j in range(i + 1, len(before_discs)):
-            d0 = sf.delta(before_discs[i], before_discs[j])
-            d1 = sf.delta(after_discs[i], after_discs[j])
+            d0 = delta(before_discs[i], before_discs[j])
+            d1 = delta(after_discs[i], after_discs[j])
             assert d1 <= d0, "a fold increased a distinguished distance"
             if d1 < d0:
                 strict += 1

@@ -16,6 +16,13 @@ import pytest
 
 import schottkyfold as sf
 from schottkyfold import cli
+from schottkyfold.folding import (
+    apply_folding,
+    compute_I,
+    fold_map,
+    select_target,
+    tilde_d_j_of_i,
+)
 from helpers import (
     DYADIC_FOUR,
     DYADIC_SIX_FOLDING,
@@ -30,6 +37,7 @@ from helpers import (
     sample_paired,
     values_multiset,
 )
+from reference import delta, disc, pair_disc, point_to_axis, same, skeleton_disc
 
 
 @contextmanager
@@ -118,8 +126,8 @@ def corpus():
         for k in range(7):
             cfg, pcfg = sample_paired(rng, ctx, 2 + (k % 2))
             i = rng.randrange(pcfg.g)
-            j = sf.select_target(pcfg, i)
-            after = sf.apply_folding(pcfg, i, j, 1)
+            j = select_target(pcfg, i)
+            after = apply_folding(pcfg, compute_I(pcfg, i, j), fold_map(pcfg, j, 1))
             try:
                 v = sf.run_algorithm(ctx, after)
             except sf.InvalidInputError:
@@ -212,13 +220,13 @@ def test_criterion_5_pair_discs_of_the_7adic_showcase():
         ctx = sf.field_context(2, 7)
         pcfg = sf.pair_up(sf.configuration(ctx, EIGHT_POINT_7ADIC))
         expected = [
-            sf.disc(ctx, -355, 4),
-            sf.disc(ctx, -12, 2),
-            sf.disc(ctx, 0, 1),
-            sf.disc(ctx, 0, 0),
+            disc(ctx, -355, 4),
+            disc(ctx, -12, 2),
+            disc(ctx, 0, 1),
+            disc(ctx, 0, 0),
         ]
         for i, want in enumerate(expected):
-            assert sf.pair_disc(pcfg, i).same(want)
+            assert same(pair_disc(pcfg, i), want)
 
 
 def test_criterion_6_hull_statistics(corpus):
@@ -239,7 +247,7 @@ def test_criterion_6_hull_statistics(corpus):
             for va in tree.distinguished():
                 for vb in tree.distinguished():
                     if va.id < vb.id and va.component == vb.component:
-                        d = sf.delta(va.disc, vb.disc)
+                        d = delta(va.disc, vb.disc)
                         assert d > 2 * ctx.rho
                         assert d.denominator == 1  # lies in the value group
             seen += 1
@@ -287,15 +295,15 @@ def test_criterion_10_oracle_consistency(corpus):
         # the target axis, and the verdicts are self-consistent
         ctx2 = sf.field_context(2, 2)
         four = sf.pair_up(sf.configuration(ctx2, DYADIC_FOUR))
-        dt = sf.tilde_d_j_of_i(four, 0, 1)
-        assert sf.point_to_axis(dt, four.pairs[1], ctx2) == 1
+        dt = skeleton_disc(four, tilde_d_j_of_i(four, 0, 1))
+        assert point_to_axis(dt, four.pairs[1], ctx2) == 1
         assert isinstance(corpus["smoke_four"], sf.Good)
         assert corpus["smoke_four"].trace == ()
 
         six = sf.pair_up(sf.configuration(ctx2, DYADIC_SIX_FOLDING))
-        j = sf.select_target(six, 0)
-        dt6 = sf.tilde_d_j_of_i(six, 0, j)
-        assert sf.point_to_axis(dt6, six.pairs[j], ctx2) == 1
+        j = select_target(six, 0)
+        dt6 = skeleton_disc(six, tilde_d_j_of_i(six, 0, j))
+        assert point_to_axis(dt6, six.pairs[j], ctx2) == 1
         assert isinstance(corpus["smoke_six"], sf.Good)
         assert len(corpus["smoke_six"].trace) == 1
         rerun = corpus["smoke_six_rerun"]

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import schottkyfold as sf
+from schottkyfold.folding import compute_I, d_j_of_i, select_target, tilde_d_j_of_i
 from schottkyfold.valfield import INF, Val
 from helpers import (
     EIGHT_POINT_7ADIC,
@@ -21,6 +22,7 @@ from helpers import (
     sample_paired,
     values_multiset,
 )
+from reference import pair_disc
 
 
 def _cluster_value_sets(cfg, clusters):
@@ -194,13 +196,13 @@ def _view_readings(pcfg):
     g = pcfg.g
     out = [sf.to_dot(sf.reduced_convex_hull(pcfg))]
     for i in range(g + 1):
-        out.append(sf.pair_disc(pcfg, i))
+        out.append(pair_disc(pcfg, i))
         for j in range(g + 1):
             if j != i:
-                out.append((sf.d_j_of_i(pcfg, i, j), sf.tilde_d_j_of_i(pcfg, i, j)))
+                out.append((d_j_of_i(pcfg, i, j), tilde_d_j_of_i(pcfg, i, j)))
     for i in range(g):
-        j = sf.select_target(pcfg, i)
-        out.append((j, sf.compute_I(pcfg, i, j)))
+        j = select_target(pcfg, i)
+        out.append((j, compute_I(pcfg, i, j)))
     return out
 
 

@@ -10,6 +10,15 @@ import pytest
 
 import schottkyfold as sf
 from schottkyfold import cli
+from schottkyfold.folding import (
+    apply_folding,
+    compute_I,
+    d_j_of_i,
+    find_fold_exponent,
+    fold_map,
+    select_target,
+    tilde_d_j_of_i,
+)
 from schottkyfold.valfield import Val
 from helpers import (
     DYADIC_FOUR,
@@ -27,75 +36,84 @@ from helpers import (
     sample_paired,
     values_multiset,
 )
+from reference import disc, point_to_axis, same, skeleton_disc
 
 
 def paired(ctx, values):
     return sf.pair_up(sf.configuration(ctx, values))
 
 
+def scan(pcfg, i, j):
+    return find_fold_exponent(pcfg, i, j, compute_I(pcfg, i, j))
+
+
+def fold(pcfg, i, j, n):
+    return apply_folding(pcfg, compute_I(pcfg, i, j), fold_map(pcfg, j, n))
+
+
 def test_d_j_of_i_examples():
     p7 = paired(ctx7(), EIGHT_POINT_7ADIC)
-    got = sf.d_j_of_i(p7, 0, 1)
-    assert got.same(sf.disc(ctx7(), -12, 2))
-    got = sf.d_j_of_i(p7, 0, 3)
-    assert got.same(sf.disc(ctx7(), 0, 0))
+    got = skeleton_disc(p7, d_j_of_i(p7, 0, 1))
+    assert same(got, disc(ctx7(), -12, 2))
+    got = skeleton_disc(p7, d_j_of_i(p7, 0, 3))
+    assert same(got, disc(ctx7(), 0, 0))
 
     p5 = paired(ctx5(), [0, 125, 5, 1, 6, "inf"])
-    assert sf.d_j_of_i(p5, 0, 1) is None
+    assert d_j_of_i(p5, 0, 1) is None
 
 
 def test_tilde_disc_examples():
     # zero separation radius: the pushed-back disc is the target itself
     p7 = paired(ctx7(), EIGHT_POINT_7ADIC)
-    assert sf.tilde_d_j_of_i(p7, 0, 1).same(sf.disc(ctx7(), -12, 2))
+    assert same(skeleton_disc(p7, tilde_d_j_of_i(p7, 0, 1)), disc(ctx7(), -12, 2))
     # dyadic second-case formula: radius 2*0 - 0 + 1 around the pair
     p2 = paired(ctx2(), DYADIC_FOUR)
-    dt = sf.tilde_d_j_of_i(p2, 0, 1)
-    assert dt.same(sf.disc(ctx2(), 0, 1))
-    assert sf.point_to_axis(dt, p2.pairs[1], ctx2()) == 1
+    dt = skeleton_disc(p2, tilde_d_j_of_i(p2, 0, 1))
+    assert same(dt, disc(ctx2(), 0, 1))
+    assert point_to_axis(dt, p2.pairs[1], ctx2()) == 1
 
 
 def test_select_target_examples():
-    assert sf.select_target(paired(ctx5(), SIX_POINT_5ADIC), 0) == 2
+    assert select_target(paired(ctx5(), SIX_POINT_5ADIC), 0) == 2
     p7 = paired(ctx7(), EIGHT_POINT_7ADIC)
-    assert sf.select_target(p7, 0) == 1
+    assert select_target(p7, 0) == 1
     p7b = paired(ctx7(), [9, -40, -110, 86, 0, 7, 1, "inf"])
-    assert sf.select_target(p7b, 0) == 3
+    assert select_target(p7b, 0) == 3
 
 
 def test_compute_I_examples():
-    assert sf.compute_I(paired(ctx5(), SIX_POINT_5ADIC), 0, 2) == {0}
+    assert compute_I(paired(ctx5(), SIX_POINT_5ADIC), 0, 2) == {0}
     p7 = paired(ctx7(), EIGHT_POINT_7ADIC)
-    assert sf.compute_I(p7, 0, 1) == {0}
+    assert compute_I(p7, 0, 1) == {0}
     p7b = paired(ctx7(), [9, -40, -110, 86, 0, 7, 1, "inf"])
-    assert sf.compute_I(p7b, 0, 3) == {0, 1}
+    assert compute_I(p7b, 0, 3) == {0, 1}
 
 
 def test_find_fold_exponent_examples():
-    n, w = sf.find_fold_exponent(paired(ctx5(), SIX_POINT_5ADIC), 0, 2)
+    n, w = scan(paired(ctx5(), SIX_POINT_5ADIC), 0, 2)
     assert n == 1 and w.lhs == Val.of(1) and w.rhs == Val.of(0)
 
-    n, w = sf.find_fold_exponent(paired(ctx7(), EIGHT_POINT_7ADIC), 0, 1)
+    n, w = scan(paired(ctx7(), EIGHT_POINT_7ADIC), 0, 1)
     assert n == 1 and w.lhs == Val.of(1) and w.rhs == Val.of(0)
 
     # the optimal set admits no fold anywhere
     pmin = paired(ctx7(), EIGHT_POINT_7ADIC_MIN)
     for i in range(pmin.g):
-        j = sf.select_target(pmin, i)
-        assert sf.find_fold_exponent(pmin, i, j) is None
+        j = select_target(pmin, i)
+        assert scan(pmin, i, j) is None
 
 
 def test_apply_folding_examples():
-    got = sf.apply_folding(paired(ctx5(), SIX_POINT_5ADIC), 0, 2, 1)
+    got = fold(paired(ctx5(), SIX_POINT_5ADIC), 0, 2, 1)
     assert multiset(got) == values_multiset(ctx5(), [-5, -10, 0, 5, 1, "inf"])
 
-    got = sf.apply_folding(paired(ctx7(), EIGHT_POINT_7ADIC), 0, 1, 1)
+    got = fold(paired(ctx7(), EIGHT_POINT_7ADIC), 0, 1, 1)
     assert multiset(got) == values_multiset(
         ctx7(), [9, -40, -110, 86, 0, 7, 1, "inf"]
     )
 
     p7b = paired(ctx7(), [9, -40, -110, 86, 0, 7, 1, "inf"])
-    got = sf.apply_folding(p7b, 0, 3, 1)
+    got = fold(p7b, 0, 3, 1)
     assert multiset(got) == values_multiset(ctx7(), EIGHT_POINT_7ADIC_MIN)
 
 
@@ -269,7 +287,8 @@ def test_all_tails_does_not_certify_optimality_in_residue_characteristic_p():
     ctx = ctx2()
     cfg = sf.configuration(ctx, [0, 32, 4, 36, 2, 34, 1, "inf"])
     pcfg = sf.pair_up(cfg)
-    assert sf.is_trivially_optimal(sf.reduced_convex_hull(pcfg))
+    tree = sf.reduced_convex_hull(pcfg)
+    assert all(tree.valency(v.id) <= 1 for v in tree.distinguished())
     verdict = sf.run_algorithm(ctx, cfg)
     assert isinstance(verdict, sf.NotGood)
     witness = sf.schottky_audit(pcfg, 4).witness

@@ -1,4 +1,4 @@
-"""Disc arithmetic and the reduced convex hull."""
+"""The reduced convex hull, and the reference disc arithmetic it is checked with."""
 
 from __future__ import annotations
 
@@ -8,66 +8,76 @@ from fractions import Fraction
 import pytest
 
 import schottkyfold as sf
+from schottkyfold.folding import select_target, tilde_d_j_of_i
 from helpers import (
     EIGHT_POINT_7ADIC,
     SIX_POINT_5ADIC,
     ctx2,
     ctx5,
     ctx7,
+    pairs_as_sets,
     sample_paired,
+)
+from reference import (
+    delta,
+    disc,
+    join,
+    min_disc,
+    pair_disc,
+    point_to_axis,
+    same,
+    skeleton_disc,
 )
 
 
 def discs_7adic():
     ctx = ctx7()
-    d0 = sf.disc(ctx, -355, 4)
-    d1 = sf.disc(ctx, -12, 2)
-    d2 = sf.disc(ctx, 0, 1)
-    d3 = sf.disc(ctx, 0, 0)
+    d0 = disc(ctx, -355, 4)
+    d1 = disc(ctx, -12, 2)
+    d2 = disc(ctx, 0, 1)
+    d3 = disc(ctx, 0, 0)
     return ctx, d0, d1, d2, d3
 
 
 def test_join_examples():
     ctx, d0, d1, d2, d3 = discs_7adic()
-    assert sf.join(d0, d0).same(d0)
-    assert sf.join(d0, d2).same(d3)  # v7(-355 - 0) = 0
-    assert sf.join(d0, d1).same(d1)  # d0 sits inside d1
+    assert same(join(d0, d0), d0)
+    assert same(join(d0, d2), d3)  # v7(-355 - 0) = 0
+    assert same(join(d0, d1), d1)  # d0 sits inside d1
 
 
 def test_delta_examples():
     ctx, d0, d1, d2, d3 = discs_7adic()
-    assert sf.delta(d0, d0) == 0
-    assert sf.delta(d0, d1) == 2  # 4 + 2 - 2*2
+    assert delta(d0, d0) == 0
+    assert delta(d0, d1) == 2  # 4 + 2 - 2*2
     c5 = ctx5()
-    assert sf.delta(sf.disc(c5, 0, 1), sf.disc(c5, 0, 0)) == 1
+    assert delta(disc(c5, 0, 1), disc(c5, 0, 0)) == 1
 
 
 def test_delta_is_a_tree_metric():
     ctx = ctx5()
     rng = random.Random(3)
     for _ in range(80):
-        d1 = sf.disc(ctx, rng.randint(-200, 200), rng.randint(-3, 5))
-        d2 = sf.disc(ctx, rng.randint(-200, 200), rng.randint(-3, 5))
-        d3 = sf.disc(ctx, rng.randint(-200, 200), rng.randint(-3, 5))
-        assert sf.delta(d1, d2) == sf.delta(d2, d1) >= 0
-        assert (sf.delta(d1, d2) == 0) == d1.same(d2)
-        j = sf.join(d1, d2)
+        d1 = disc(ctx, rng.randint(-200, 200), rng.randint(-3, 5))
+        d2 = disc(ctx, rng.randint(-200, 200), rng.randint(-3, 5))
+        d3 = disc(ctx, rng.randint(-200, 200), rng.randint(-3, 5))
+        assert delta(d1, d2) == delta(d2, d1) >= 0
+        assert (delta(d1, d2) == 0) == same(d1, d2)
+        j = join(d1, d2)
         # the join lies between its arguments
-        assert sf.delta(d1, j) + sf.delta(j, d2) == sf.delta(d1, d2)
-        assert sf.delta(d1, d3) <= sf.delta(d1, d2) + sf.delta(d2, d3)
+        assert delta(d1, j) + delta(j, d2) == delta(d1, d2)
+        assert delta(d1, d3) <= delta(d1, d2) + delta(d2, d3)
 
 
 def test_pair_disc_examples():
     pcfg5 = sf.pair_up(sf.configuration(ctx5(), SIX_POINT_5ADIC))
-    d0 = sf.pair_disc(pcfg5, 0)
-    assert d0.same(sf.disc(ctx5(), 2, 1))  # {z : v(z - 2) >= 1}
-    d2 = sf.pair_disc(pcfg5, 2)
-    assert d2.same(sf.disc(ctx5(), 0, 0))  # all finite points
+    assert same(pair_disc(pcfg5, 0), disc(ctx5(), 2, 1))  # {z : v(z - 2) >= 1}
+    assert same(pair_disc(pcfg5, 2), disc(ctx5(), 0, 0))  # all finite points
 
     pcfg7 = sf.pair_up(sf.configuration(ctx7(), EIGHT_POINT_7ADIC))
     ctx, e0, e1, e2, e3 = discs_7adic()
     for i, expected in enumerate((e0, e1, e2, e3)):
-        assert sf.pair_disc(pcfg7, i).same(expected)
+        assert same(pair_disc(pcfg7, i), expected)
 
 
 def test_reduced_convex_hull_5adic_showcase():
@@ -75,9 +85,8 @@ def test_reduced_convex_hull_5adic_showcase():
     tree = sf.reduced_convex_hull(pcfg)
     assert tree.component_count() == 1
     assert len(tree.distinguished()) == 3
-    v2 = tree.vertex_for_pair(2)
-    assert tree.valency(v2.id) == 2
-    assert not sf.is_trivially_optimal(tree)
+    (v2,) = (v for v in tree.distinguished() if v.pair_index == 2)
+    assert tree.valency(v2.id) == 2  # not every distinguished vertex is a tail
 
 
 def test_reduced_convex_hull_7adic_showcase():
@@ -85,7 +94,7 @@ def test_reduced_convex_hull_7adic_showcase():
     tree = sf.reduced_convex_hull(pcfg)
     assert tree.component_count() == 1
     assert len(tree.distinguished()) == 4
-    assert not sf.is_trivially_optimal(tree)
+    assert max(tree.valency(v.id) for v in tree.distinguished()) == 2
     # edge lengths: chain v0 -(2)- v1 -(2)- v3 and v2 -(1)- v3
     lengths = sorted(length for _, _, length in tree.edges)
     assert lengths == [1, 2, 2]
@@ -97,22 +106,18 @@ def test_reduced_convex_hull_two_components():
     tree = sf.reduced_convex_hull(pcfg)
     assert tree.component_count() == 2
     assert len(tree.distinguished()) == 4
-    assert sf.is_trivially_optimal(tree)
-    subs = sf.split_by_components(pcfg, tree)
-    got = {frozenset(sub.points()) for sub in subs}
+    # every distinguished vertex is a tail of its component
+    assert all(tree.valency(v.id) <= 1 for v in tree.distinguished())
+    # the axis of the pair at infinity meets both components
+    met = {}
+    for v in tree.distinguished():
+        met.setdefault(v.component, set()).add(frozenset(pcfg.pairs[v.pair_index]))
+    got = {frozenset(pairs) for pairs in met.values()}
     want = {
-        frozenset(sf.configuration(ctx, vals).points)
-        for vals in ([0, 125, 5, "inf"], [1, 6, 5, "inf"])
+        frozenset(pairs_as_sets(ctx, prs))
+        for prs in (([0, 125], [5, "inf"]), ([1, 6], [5, "inf"]))
     }
     assert got == want
-
-
-def test_split_of_connected_tree_is_identity():
-    pcfg = sf.pair_up(sf.configuration(ctx5(), SIX_POINT_5ADIC))
-    tree = sf.reduced_convex_hull(pcfg)
-    subs = sf.split_by_components(pcfg, tree)
-    assert len(subs) == 1
-    assert subs[0].pairing() == pcfg.pairing()
 
 
 def test_any_paired_four_point_set_is_trivially_optimal():
@@ -121,7 +126,8 @@ def test_any_paired_four_point_set_is_trivially_optimal():
         ctx = sf.field_context(2, ell)
         for _ in range(10):
             cfg, pcfg = sample_paired(rng, ctx, 1)
-            assert sf.is_trivially_optimal(sf.reduced_convex_hull(pcfg))
+            tree = sf.reduced_convex_hull(pcfg)
+            assert all(tree.valency(v.id) <= 1 for v in tree.distinguished())
 
 
 def test_hull_requires_canonical_pairing():
@@ -171,8 +177,36 @@ def test_hull_statistics_on_random_configurations():
                 for va in tree.distinguished():
                     for vb in tree.distinguished():
                         if va.id < vb.id and va.component == vb.component:
-                            d = sf.delta(va.disc, vb.disc)
+                            d = delta(va.disc, vb.disc)
                             assert d > 2 * ctx.rho
+
+
+def test_skeleton_discs_match_the_reference_route():
+    # The skeleton reads pair discs, hull vertices and the pushed-back
+    # targets off its valuation matrix; the reference route recomputes
+    # each one from the field values, in all three field flavours.
+    rng = random.Random(5)
+    cases = 0
+    for p, ell in ((2, 2), (2, 5), (2, 7), (3, 3), (3, 7), (5, 5), (5, 11)):
+        ctx = sf.field_context(p, ell)
+        for g in (2, 3, 4, 5) * 6:
+            cfg, pcfg = sample_paired(rng, ctx, g)
+            values = pcfg.skeleton().values
+            for i, pair in enumerate(pcfg.pairs):
+                if any(pt.is_infinity for pt in pair):
+                    members = values
+                else:
+                    members = [pt.value for pt in pair]
+                assert same(pair_disc(pcfg, i), min_disc(ctx, members))
+            for v in sf.reduced_convex_hull(pcfg).vertices:
+                cluster = [values[k] for k in sorted(v.cluster)]
+                assert same(v.disc, min_disc(ctx, cluster))
+            for i in range(g):
+                j = select_target(pcfg, i)
+                dt = skeleton_disc(pcfg, tilde_d_j_of_i(pcfg, i, j))
+                assert point_to_axis(dt, pcfg.pairs[j], ctx) == ctx.rho
+                cases += 1
+    assert cases == 588  # 7 fields, 6 sets for each g, g (i, j) cases per set
 
 
 def test_hull_affine_invariance():
@@ -196,14 +230,14 @@ def test_hull_affine_invariance():
 def test_point_to_axis_distances():
     ctx = ctx2()
     pcfg = sf.pair_up(sf.configuration(ctx, [0, 32, 1, "inf"]))
-    dt = sf.tilde_d_j_of_i(pcfg, 0, 1)
-    assert dt.same(sf.disc(ctx, 0, 1))
-    assert sf.point_to_axis(dt, pcfg.pairs[1], ctx) == 1
+    dt = skeleton_disc(pcfg, tilde_d_j_of_i(pcfg, 0, 1))
+    assert same(dt, disc(ctx, 0, 1))
+    assert point_to_axis(dt, pcfg.pairs[1], ctx) == 1
     # a disc away from a finite axis enters over the top
     c5 = ctx5()
-    far = sf.disc(c5, 7, 2)
+    far = disc(c5, 7, 2)
     pair = (sf.finite(c5, 0), sf.finite(c5, 5))
-    assert sf.point_to_axis(far, pair, c5) == 3  # up to Z_5, down to 5Z_5... 2+1
+    assert point_to_axis(far, pair, c5) == 3  # up to Z_5, down to 5Z_5... 2+1
 
 
 def test_to_dot_golden():

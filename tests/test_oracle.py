@@ -13,6 +13,7 @@ from helpers import (
     ctx7,
     sample_paired,
 )
+from reference import verify_fold_conjugation
 
 
 def test_enumeration_counts():
@@ -86,7 +87,7 @@ def test_verify_fold_conjugation_on_showcase_traces():
     for ctx, values in ((ctx5(), SIX_POINT_5ADIC), (ctx7(), EIGHT_POINT_7ADIC)):
         verdict = sf.run_algorithm(ctx, sf.configuration(ctx, values))
         for step in verdict.trace:
-            assert sf.verify_fold_conjugation(step)
+            assert verify_fold_conjugation(step)
 
 
 def test_verify_fold_conjugation_vacuous_on_empty_fold_set():
@@ -102,7 +103,7 @@ def test_verify_fold_conjugation_vacuous_on_empty_fold_set():
         after=pcfg.configuration(),
         witness=None,
     )
-    assert sf.verify_fold_conjugation(step)
+    assert verify_fold_conjugation(step)
 
 
 def test_witness_discovery_rate_on_bad_foldings():

@@ -152,25 +152,6 @@ def test_classify_is_projective_and_conjugation_invariant():
         assert sf.classify(ctx, m) == sf.classify(ctx, conj)
 
 
-def test_moebius_action_preserves_disc_metric():
-    ctx = ctx5()
-    rng = random.Random(23)
-    done = 0
-    while done < 60:
-        entries = [rng.randint(-12, 12) for _ in range(4)]
-        if entries[0] * entries[3] == entries[1] * entries[2]:
-            continue
-        m = sf.mobius(ctx, *entries)
-        d1 = sf.disc(ctx, rng.randint(-50, 50), rng.randint(-3, 4))
-        d2 = sf.disc(ctx, rng.randint(-50, 50), rng.randint(-3, 4))
-        try:
-            img1, img2 = sf.disc_image(m, d1), sf.disc_image(m, d2)
-        except ValueError:
-            continue  # pole inside a disc: image is a disc complement
-        assert sf.delta(img1, img2) == sf.delta(d1, d2)
-        done += 1
-
-
 def test_projective_equality_is_cross_multiplicative():
     ctx = ctx5()
     m = sf.mobius(ctx, 2, 4, -6, 8)
