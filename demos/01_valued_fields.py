@@ -28,9 +28,11 @@ for p, ell in ((2, 5), (2, 2), (3, 3), (3, 7)):
     print(f"separation radius for (p={p}, ell={ell}):", c.rho)
 
 # Odd p needs the cyclotomic field Q(zeta_p).  When ell = 1 (mod p) the
-# cyclotomic polynomial splits ell-adically and valuations are computed
-# through a Hensel-lifted embedding; when ell = p the extension is
-# totally ramified and the valuation comes from the field norm.
+# cyclotomic polynomial splits ell-adically and a valuation is read off by
+# evaluating at a Hensel-lifted root modulo ell^4, ell^8, ... until the
+# value is nonzero; when ell = p the extension is totally ramified, pi =
+# 1 - zeta generates the prime, and the valuation counts exact divisions
+# by pi, each worth 1/(p - 1).
 split = field_context(p=3, ell=7)
 zeta = split.zeta
 print("zeta_3 lives as the coefficient tuple", zeta)

@@ -161,16 +161,17 @@ def tilde_d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
     return c_i, 2 * jn - radius + rho
 
 
-def select_target(pcfg: PairedConfiguration, i: int) -> int:
+def select_target(pcfg: PairedConfiguration, i: int) -> tuple[int, tuple]:
     """The index j whose pushed-back target strictly contains the pair-i disc
-    and is minimal under inclusion; ties go to the smallest index.
+    and is minimal under inclusion (ties go to the smallest index), with
+    that target ``tilde_d_j_of_i(pcfg, i, j)``.
 
     The pair at infinity always qualifies, so a target exists for every
     i < g.
     """
     sk = pcfg.skeleton()
     c_i, r_i = sk.pair_discs[i]
-    best_j = None
+    best = None
     best_radius = None
     for j in range(pcfg.g + 1):
         if j == i:
@@ -183,24 +184,21 @@ def select_target(pcfg: PairedConfiguration, i: int) -> int:
         if not (r_i > radius and sk.vmat[c_i][center] >= radius):
             continue
         if best_radius is None or radius > best_radius:
-            best_j, best_radius = j, radius
-    if best_j is None:
+            best, best_radius = (j, dt), radius
+    if best is None:
         raise InvalidInputError(f"no folding target exists for index {i}")
-    return best_j
+    return best
 
 
-def compute_I(pcfg: PairedConfiguration, i: int, j: int) -> frozenset[int]:
+def compute_I(pcfg: PairedConfiguration, i: int, target: tuple) -> frozenset[int]:
     """Indices of the pairs hanging in the branch of the pushed-back target
-    around pair i: both points must be finite and strictly inside the
-    residue branch through pair i."""
+    (center index, radius) around pair i: both points must be finite and
+    strictly inside the residue branch through pair i."""
     sk = pcfg.skeleton()
-    dt = tilde_d_j_of_i(pcfg, i, j)
-    if dt is None:
-        raise InvalidInputError(f"target disc undefined for ({i}, {j})")
     anchor = next(
         sk.index_of[pt.value] for pt in pcfg.pairs[i] if not pt.is_infinity
     )
-    level = Val.of(dt[1])
+    level = Val.of(target[1])
     out = set()
     for l, pair in enumerate(pcfg.pairs):
         if any(pt.is_infinity for pt in pair):
@@ -215,7 +213,7 @@ def find_fold_exponent(
     pcfg: PairedConfiguration, i: int, j: int, I: frozenset[int]
 ) -> Optional[tuple[int, FoldWitness]]:
     """Scan for an exponent n and an index l outside j and the fold set
-    ``I = compute_I(pcfg, i, j)`` verifying the fold test.
+    ``I = compute_I(pcfg, i, target)`` verifying the fold test.
 
     The test compares v(r_l - zeta^n r_i) against v(r_l) + rho, where r_x
     is the cross ratio (c_x - a_j)/(c_x - b_j) of a finite representative
@@ -351,8 +349,8 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
 
         performed = False
         for i in range(pcfg.g):
-            j = select_target(pcfg, i)
-            indices = compute_I(pcfg, i, j)
+            j, target = select_target(pcfg, i)
+            indices = compute_I(pcfg, i, target)
             found = find_fold_exponent(pcfg, i, j, indices)
             if found is None:
                 continue

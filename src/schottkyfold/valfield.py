@@ -7,31 +7,36 @@ Three field flavours cover every supported (p, ell) pair:
   (ell = 2 included).
 * ``CYCLOTOMIC_SPLIT`` -- K = Q(zeta_p) for odd p with ell = 1 (mod p).  The
   p-th cyclotomic polynomial splits over Z_ell, so the valuation of an
-  element is read off by evaluating it at a Hensel-lifted root modulo a
-  sufficiently high power of ell.
-* ``CYCLOTOMIC_RAMIFIED`` -- K = Q(zeta_p) for odd p with ell = p.  Here
-  v(x) = v_p(Norm(x)) / (p - 1), with the norm computed as a resultant, and
-  the normalisation fixes v(p) = 1 so the value group is (1/(p-1)) Z.
+  integral element A(zeta) is v_ell(A(r)) for a Hensel-lifted root r.  A(r)
+  is taken modulo ell^k with k = 4, 8, 16, ...: the first nonzero residue
+  gives the valuation exactly.
+* ``CYCLOTOMIC_RAMIFIED`` -- K = Q(zeta_p) for odd p with ell = p.  The
+  prime above p is generated by pi = 1 - zeta with v(pi) = 1/(p - 1), so
+  v(p) = 1 and the value group is (1/(p-1)) Z.  pi divides an integral
+  A(zeta) exactly when p divides A(1); the valuation counts these exact
+  divisions after taking out the p-adic valuation of A's content.
 
 Field elements are ``Fraction`` values in the rational flavour, and tuples
 of ``Fraction`` coefficients (degree < p - 1, reduced modulo the p-th
-cyclotomic polynomial, hence canonical) in the cyclotomic flavours.
-Valuations are ``Val`` objects: exact rationals plus a +infinity sentinel
-reserved for the valuation of zero.
+cyclotomic polynomial, hence canonical) in the cyclotomic flavours.  The
+cyclotomic operations clear denominators once and work on integers:
+products are cyclic convolutions modulo x^p - 1 reduced with
+x^(p-1) = -(1 + ... + x^(p-2)), and inverses are the product of the Galois
+conjugates over the norm.  Valuations are ``Val`` objects: exact rationals
+plus a +infinity sentinel reserved for the valuation of zero.
 
 Everything here is immutable and every operation is a pure function, so
 contexts and elements can be shared between threads.  The only internal
-mutable state, the Hensel-lift cache of the split flavour, is guarded by a
-lock.
+mutable state, the split flavour's table of lifted-root powers, is filled
+with ``dict.setdefault`` and holds values every thread computes alike.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import FieldDivisionError, UnsupportedFieldError
 
@@ -166,59 +171,33 @@ def _is_prime(n: int) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Polynomial helpers for the cyclotomic flavours (coefficient lists, low
-# degree first)
+# Integer kernels for the cyclotomic flavours.  An element x is A(zeta) / L
+# with A a list of integer coefficients (low degree first) and L > 0.
 # --------------------------------------------------------------------------
 
 
-def _poly_trim(c: list) -> list:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _integral(x) -> tuple[list[int], int]:
+    """(A, L) with x = A(zeta) / L and L the least common denominator of
+    x's coefficients."""
+    den = lcm(*[c.denominator for c in x])
+    return [c.numerator * (den // c.denominator) for c in x], den
 
 
-def _poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _cyclic_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    """a * b in Z[x]/(x^p - 1) for at most p coefficients each; p out."""
+    full = [0] * (2 * p - 1)
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
+        if ai:
+            for k, bk in enumerate(b, i):
+                full[k] += ai * bk
+    return [full[k] + full[k + p] for k in range(p - 1)] + [full[p - 1]]
 
 
-def _poly_divmod(a: list, b: list) -> tuple[list, list]:
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = Fraction(1) / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        coeff = a[k + len(b) - 1] * inv_lead
-        q[k] = coeff
-        if coeff != 0:
-            for j, bj in enumerate(b):
-                a[k + j] -= coeff * bj
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _resultant(a: list, b: list) -> Fraction:
-    """Resultant of two polynomials over Q via the Euclidean algorithm."""
-    a = _poly_trim([Fraction(x) for x in a])
-    b = _poly_trim([Fraction(x) for x in b])
-    if not a or not b:
-        return Fraction(0)
-    res = Fraction(1)
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        if db == 0:
-            return res * b[0] ** da
-        _, r = _poly_divmod(a, b)
-        if not r:
-            return Fraction(0)
-        dr = len(r) - 1
-        res *= Fraction(-1) ** (da * db) * b[-1] ** (da - dr)
-        a, b = b, r
+def _canonical(z: list[int], den: int) -> tuple:
+    """The element z(zeta) / den for z in Z[x]/(x^p - 1) (p coefficients),
+    in canonical form: x^(p-1) = -(1 + ... + x^(p-2)) removes the top one."""
+    top = z[-1]
+    return tuple(Fraction(c - top, den) for c in z[:-1])
 
 
 # --------------------------------------------------------------------------
@@ -257,11 +236,9 @@ class FieldContext:
         # The separation radius v(p)/(p-1), the radius of the fixed tube of
         # an order-p map: zero unless the residue characteristic is p.
         self.rho: Fraction = Fraction(1, p - 1) if ell == p else Fraction(0)
-        # cyclotomic polynomial 1 + x + ... + x^(p-1)
-        self._phi = [Fraction(1)] * p if p > 2 else None
-        self._root_lock = threading.Lock()
-        self._root: int | None = None
-        self._root_prec = 0
+        # precision k -> (ell^k, the powers 1, r, ..., r^(p-2) mod ell^k of
+        # the split flavour's lifted root r)
+        self._root_powers: dict[int, tuple[int, tuple[int, ...]]] = {}
         self.zeta = self.zeta_power(1)
 
     # -- constructors ------------------------------------------------------
@@ -333,46 +310,32 @@ class FieldContext:
     def mul(self, x, y):
         if self.kind is FieldKind.RATIONAL:
             return x * y
-        prod = _poly_mul(list(x), list(y))
-        return self._reduce(prod)
+        a, den_a = _integral(x)
+        b, den_b = _integral(y)
+        return _canonical(_cyclic_mul(a, b, self.p), den_a * den_b)
 
     def inv(self, x):
         if self.is_zero(x):
             raise FieldDivisionError("inversion of zero")
         if self.kind is FieldKind.RATIONAL:
             return Fraction(1) / x
-        # extended Euclid against the cyclotomic polynomial
-        g, s = self._half_xgcd(list(x))
-        if len(g) != 1:
-            raise ArithmeticError("cyclotomic polynomial is not irreducible?")
-        inv_scale = Fraction(1) / g[0]
-        return self._reduce([c * inv_scale for c in s])
+        # 1/A = (product of the conjugates A(zeta^s), s = 2..p-1) / Norm(A)
+        p = self.p
+        a, den = _integral(x)
+        conjugates = [1]
+        for s in range(2, p):
+            conj = [0] * p
+            for i, c in enumerate(a):
+                conj[i * s % p] = c
+            conjugates = _cyclic_mul(conjugates, conj, p)
+        # A times its conjugates is the rational norm, so the coefficients
+        # of x, ..., x^(p-1) agree and the canonical value is the difference
+        full = _cyclic_mul(a, conjugates, p)
+        norm = full[0] - full[p - 1]
+        return _canonical([den * c for c in conjugates], norm)
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
-
-    def _reduce(self, poly: list) -> tuple:
-        _, r = _poly_divmod(poly, self._phi)
-        r = list(r) + [Fraction(0)] * (self.degree - len(r))
-        return tuple(r[: self.degree])
-
-    def _half_xgcd(self, a: list) -> tuple[list, list]:
-        # returns (g, s) with g = gcd(a, phi) and s*a = g (mod phi)
-        r0, r1 = self._phi[:], _poly_trim([Fraction(c) for c in a])
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            qs = _poly_mul(q, s1)
-            news = _poly_trim(
-                [
-                    (s0[i] if i < len(s0) else Fraction(0))
-                    - (qs[i] if i < len(qs) else Fraction(0))
-                    for i in range(max(len(s0), len(qs), 1))
-                ]
-            )
-            s0, s1 = s1, news
-        return r0, s0
 
     # -- the valuation -----------------------------------------------------
 
@@ -385,51 +348,67 @@ class FieldContext:
                 int_valuation(x.numerator, self.ell)
                 - int_valuation(x.denominator, self.ell)
             )
-        # clear denominators: x = A(zeta) / L with A integral
-        dens = [c.denominator for c in x]
-        lcm = 1
-        for d in dens:
-            lcm = lcm * d // gcd(lcm, d)
-        coeffs = [int(c * lcm) for c in x]
-        shift = int_valuation(lcm, self.ell)
+        a, den = _integral(x)
+        shift = int_valuation(den, self.ell)
         if self.kind is FieldKind.CYCLOTOMIC_RAMIFIED:
-            res = _resultant(self._phi, [Fraction(c) for c in coeffs])
-            num = int_valuation(res.numerator, self.p)
-            return Val(Fraction(num, self.p - 1) - shift)
-        return Val(Fraction(self._split_valuation(coeffs) - shift))
+            return Val(self._ramified_valuation(a) - shift)
+        return Val(Fraction(self._split_valuation(a) - shift))
 
-    def _split_valuation(self, coeffs: list[int]) -> int:
-        res = _resultant(self._phi, [Fraction(c) for c in coeffs])
-        assert res != 0, "nonzero reduced element has zero norm"
-        bound = int_valuation(res.numerator, self.ell)
-        prec = bound + 1
-        root = self._lifted_root(prec)
-        modulus = self.ell**prec
-        value = 0
-        for c in reversed(coeffs):
-            value = (value * root + c) % modulus
-        assert value != 0
-        return int_valuation(value, self.ell)
+    def _ramified_valuation(self, a: list[int]) -> Fraction:
+        """v(A(zeta)) for nonzero integer coefficients A, with v(p) = 1.
 
-    def _lifted_root(self, prec: int) -> int:
-        """A root of the cyclotomic polynomial in Z/ell^prec, Hensel-lifted."""
-        with self._root_lock:
-            if self._root is None:
-                r = next(
-                    r
-                    for r in range(2, self.ell)
-                    if self._phi_int(r, self.ell) == 0
-                )
-                self._root, self._root_prec = r, 1
-            while self._root_prec < prec:
-                k = min(2 * self._root_prec, prec)
-                mod = self.ell**k
-                r = self._root
-                fr = self._phi_int(r, mod)
-                dfr = self._dphi_int(r, mod)
-                r = (r - fr * pow(dfr, -1, mod)) % mod
-                self._root, self._root_prec = r, k
-            return self._root % (self.ell**prec)
+        pi = 1 - zeta generates the prime above p, and A(zeta) = A(1) mod
+        pi.  So while p divides A(1), A(x) - (A(1)/p) Phi_p(x) vanishes at
+        1 and is divided exactly by 1 - x; each division adds v(pi) =
+        1/(p - 1).  The p-adic valuation of A's content is taken out first.
+        """
+        p = self.p
+        e = int_valuation(gcd(*a), p)
+        if e:
+            q = p**e
+            a = [c // q for c in a]
+        k = 0
+        while True:
+            t, r = divmod(sum(a), p)
+            if r:
+                return Fraction(k, p - 1) + e
+            # the quotient's coefficients are the prefix sums of a_i - t
+            acc = 0
+            b = []
+            for c in a:
+                acc += c - t
+                b.append(acc)
+            a = b
+            k += 1
+
+    def _split_valuation(self, a: list[int]) -> int:
+        """v_ell(A(zeta)) for nonzero integer coefficients A: A evaluated at
+        the root lifted mod ell^k is exact once it is nonzero mod ell^k, so
+        k starts at 4 and doubles until then."""
+        k = 4
+        while True:
+            modulus, powers = self._root_powers.get(k) or self._power_table(k)
+            value = sum(c * r for c, r in zip(a, powers)) % modulus
+            if value:
+                return int_valuation(value, self.ell)
+            k *= 2
+
+    def _power_table(self, prec: int) -> tuple[int, tuple[int, ...]]:
+        """ell^prec and the powers of the root of the cyclotomic polynomial
+        modulo it: the least root modulo ell, lifted by Newton steps that
+        double the precision."""
+        ell = self.ell
+        root = next(r for r in range(2, ell) if self._phi_int(r, ell) == 0)
+        k = 1
+        while k < prec:
+            k = min(2 * k, prec)
+            mod = ell**k
+            step = self._phi_int(root, mod) * pow(self._dphi_int(root, mod), -1, mod)
+            root = (root - step) % mod
+        modulus = ell**prec
+        powers = tuple(pow(root, i, modulus) for i in range(self.degree))
+        # setdefault is atomic and every thread computes the same table
+        return self._root_powers.setdefault(prec, (modulus, powers))
 
     def _phi_int(self, r: int, mod: int) -> int:
         value = 0

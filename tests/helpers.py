@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from fractions import Fraction
 
@@ -19,6 +20,15 @@ EIGHT_POINT_7ADIC_MIN = [-7, 42, 112, -84, 0, 7, 1, "inf"]
 DYADIC_FOUR = [0, 32, 1, "inf"]
 DYADIC_SIX_FOLDING = [5, 133, 29, 157, 1, "inf"]
 DYADIC_SIX_PLAIN = [0, 32, 1, 17, 3, "inf"]
+
+
+def module_env():
+    """The environment for a subprocess (``python -m schottkyfold``, a demo)
+    to import the package under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sf.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def ctx5():

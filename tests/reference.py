@@ -7,14 +7,21 @@ hull vertices are minimal discs, d~_j(i) sits at distance rho from axis j,
 a fold shrinks distinguished distances, and a folded generator is a
 conjugate.  ``skeleton_disc`` and ``pair_disc`` turn the skeleton's index
 pairs into ``Disc`` values for the comparison.
+
+The second half is cyclotomic field arithmetic by polynomial division over
+Q, an independent check of the field layer's integer kernels: products and
+inverses reduce modulo the cyclotomic polynomial by long division and
+extended Euclid, and valuations come from the norm, a resultant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from schottkyfold.hull import Disc
 from schottkyfold.projline import PPoint, apply, compose, inverse, order_p_fixing, proj_eq
+from schottkyfold.valfield import Val, int_valuation
 
 
 def disc(ctx, center, radius) -> Disc:
@@ -130,3 +137,121 @@ def verify_fold_conjugation(step) -> bool:
         ):
             return False
     return True
+
+
+# --------------------------------------------------------------------------
+# Cyclotomic arithmetic by division over Q (coefficient lists, low degree
+# first; elements are the field's canonical tuples of p - 1 Fractions)
+# --------------------------------------------------------------------------
+
+
+def _trim(c: list) -> list:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _trim(out)
+
+
+def _poly_sub(a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    a, b = a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+    return _trim([x - y for x, y in zip(a, b)])
+
+
+def _poly_divmod(a: list, b: list) -> tuple[list, list]:
+    a = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for k in range(len(a) - len(b), -1, -1):
+        coeff = a[k + len(b) - 1] / b[-1]
+        q[k] = coeff
+        for j, bj in enumerate(b):
+            a[k + j] -= coeff * bj
+    return _trim(q), _trim(a)
+
+
+def _phi(p: int) -> list:
+    """The p-th cyclotomic polynomial 1 + x + ... + x^(p-1)."""
+    return [Fraction(1)] * p
+
+
+def resultant(a: list, b: list) -> Fraction:
+    """Resultant of two polynomials over Q by the Euclidean algorithm."""
+    a, b = _trim([Fraction(x) for x in a]), _trim([Fraction(x) for x in b])
+    if not a or not b:
+        return Fraction(0)
+    res = Fraction(1)
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        if db == 0:
+            return res * b[0] ** da
+        _, r = _poly_divmod(a, b)
+        if not r:
+            return Fraction(0)
+        res *= (-1) ** (da * db) * b[-1] ** (da - len(r) + 1)
+        a, b = b, r
+
+
+def _canonical(ctx, poly: list) -> tuple:
+    _, r = _poly_divmod(poly, _phi(ctx.p))
+    return tuple(r + [Fraction(0)] * (ctx.degree - len(r)))
+
+
+def cyclo_mul(ctx, x, y) -> tuple:
+    return _canonical(ctx, _poly_mul(list(x), list(y)))
+
+
+def cyclo_inv(ctx, x) -> tuple:
+    """1/x by extended Euclid against the cyclotomic polynomial."""
+    r0, r1 = _phi(ctx.p), _trim(list(x))
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+    assert len(r0) == 1, "the cyclotomic polynomial is irreducible"
+    return _canonical(ctx, [c / r0[0] for c in s0])
+
+
+def split_root(ctx, prec: int) -> int:
+    """The least root of the cyclotomic polynomial modulo ell, lifted to
+    ell^prec one power of ell at a time."""
+    p, ell = ctx.p, ctx.ell
+    r = next(r for r in range(2, ell) if sum(r**k for k in range(p)) % ell == 0)
+    for k in range(2, prec + 1):
+        mod = ell**k
+        phi = sum(pow(r, i, mod) for i in range(p))
+        dphi = sum(i * pow(r, i - 1, mod) for i in range(1, p))
+        r = (r - phi * pow(dphi, -1, mod)) % mod
+    return r
+
+
+def cyclo_valuation(ctx, x) -> Val:
+    """v(x) from the norm Res(Phi_p, A) of the integral numerator A.
+
+    Ramified: v = v_p(norm) / (p - 1).  Split: the norm's ell-adic valuation
+    bounds the valuation at the chosen prime, so A evaluated at the root
+    lifted one power past that bound is exact.
+    """
+    if all(c == 0 for c in x):
+        return Val(None)
+    den = 1
+    for c in x:
+        den = den * c.denominator // gcd(den, c.denominator)
+    coeffs = [int(c * den) for c in x]
+    norm = resultant(_phi(ctx.p), coeffs)
+    shift = int_valuation(den, ctx.ell)
+    if ctx.ell == ctx.p:
+        return Val(Fraction(int_valuation(norm.numerator, ctx.p), ctx.p - 1) - shift)
+    prec = int_valuation(norm.numerator, ctx.ell) + 1
+    root, mod = split_root(ctx, prec), ctx.ell**prec
+    value = sum(c * pow(root, k, mod) for k, c in enumerate(coeffs)) % mod
+    return Val(Fraction(int_valuation(value, ctx.ell) - shift))

@@ -126,8 +126,8 @@ def corpus():
         for k in range(7):
             cfg, pcfg = sample_paired(rng, ctx, 2 + (k % 2))
             i = rng.randrange(pcfg.g)
-            j = select_target(pcfg, i)
-            after = apply_folding(pcfg, compute_I(pcfg, i, j), fold_map(pcfg, j, 1))
+            j, target = select_target(pcfg, i)
+            after = apply_folding(pcfg, compute_I(pcfg, i, target), fold_map(pcfg, j, 1))
             try:
                 v = sf.run_algorithm(ctx, after)
             except sf.InvalidInputError:
@@ -301,7 +301,7 @@ def test_criterion_10_oracle_consistency(corpus):
         assert corpus["smoke_four"].trace == ()
 
         six = sf.pair_up(sf.configuration(ctx2, DYADIC_SIX_FOLDING))
-        j = select_target(six, 0)
+        j, _ = select_target(six, 0)
         dt6 = skeleton_disc(six, tilde_d_j_of_i(six, 0, j))
         assert point_to_axis(dt6, six.pairs[j], ctx2) == 1
         assert isinstance(corpus["smoke_six"], sf.Good)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from schottkyfold import cli
-from helpers import EIGHT_POINT_7ADIC_MIN, ctx7, values_multiset
+from helpers import EIGHT_POINT_7ADIC_MIN, ctx7, module_env, values_multiset
 
 
 def problem_5adic(**options):
@@ -30,15 +29,6 @@ def problem_7adic(**options):
     if options:
         doc["options"] = options
     return json.dumps(doc)
-
-
-def module_env():
-    """The environment for ``python -m schottkyfold`` to import the package
-    under test."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def test_parse_problem_examples():

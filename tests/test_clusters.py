@@ -201,8 +201,8 @@ def _view_readings(pcfg):
             if j != i:
                 out.append((d_j_of_i(pcfg, i, j), tilde_d_j_of_i(pcfg, i, j)))
     for i in range(g):
-        j = select_target(pcfg, i)
-        out.append((j, compute_I(pcfg, i, j)))
+        j, target = select_target(pcfg, i)
+        out.append((j, target, compute_I(pcfg, i, target)))
     return out
 
 

@@ -43,12 +43,16 @@ def paired(ctx, values):
     return sf.pair_up(sf.configuration(ctx, values))
 
 
+def fold_set(pcfg, i, j):
+    return compute_I(pcfg, i, tilde_d_j_of_i(pcfg, i, j))
+
+
 def scan(pcfg, i, j):
-    return find_fold_exponent(pcfg, i, j, compute_I(pcfg, i, j))
+    return find_fold_exponent(pcfg, i, j, fold_set(pcfg, i, j))
 
 
 def fold(pcfg, i, j, n):
-    return apply_folding(pcfg, compute_I(pcfg, i, j), fold_map(pcfg, j, n))
+    return apply_folding(pcfg, fold_set(pcfg, i, j), fold_map(pcfg, j, n))
 
 
 def test_d_j_of_i_examples():
@@ -74,19 +78,20 @@ def test_tilde_disc_examples():
 
 
 def test_select_target_examples():
-    assert select_target(paired(ctx5(), SIX_POINT_5ADIC), 0) == 2
+    p5 = paired(ctx5(), SIX_POINT_5ADIC)
+    assert select_target(p5, 0) == (2, tilde_d_j_of_i(p5, 0, 2))
     p7 = paired(ctx7(), EIGHT_POINT_7ADIC)
-    assert select_target(p7, 0) == 1
+    assert select_target(p7, 0) == (1, tilde_d_j_of_i(p7, 0, 1))
     p7b = paired(ctx7(), [9, -40, -110, 86, 0, 7, 1, "inf"])
-    assert select_target(p7b, 0) == 3
+    assert select_target(p7b, 0) == (3, tilde_d_j_of_i(p7b, 0, 3))
 
 
 def test_compute_I_examples():
-    assert compute_I(paired(ctx5(), SIX_POINT_5ADIC), 0, 2) == {0}
+    assert fold_set(paired(ctx5(), SIX_POINT_5ADIC), 0, 2) == {0}
     p7 = paired(ctx7(), EIGHT_POINT_7ADIC)
-    assert compute_I(p7, 0, 1) == {0}
+    assert fold_set(p7, 0, 1) == {0}
     p7b = paired(ctx7(), [9, -40, -110, 86, 0, 7, 1, "inf"])
-    assert compute_I(p7b, 0, 3) == {0, 1}
+    assert fold_set(p7b, 0, 3) == {0, 1}
 
 
 def test_find_fold_exponent_examples():
@@ -99,7 +104,7 @@ def test_find_fold_exponent_examples():
     # the optimal set admits no fold anywhere
     pmin = paired(ctx7(), EIGHT_POINT_7ADIC_MIN)
     for i in range(pmin.g):
-        j = select_target(pmin, i)
+        j, _ = select_target(pmin, i)
         assert scan(pmin, i, j) is None
 
 
@@ -297,12 +302,13 @@ def test_all_tails_does_not_certify_optimality_in_residue_characteristic_p():
 
 
 def _count_calls(monkeypatch, module, name, everywhere):
-    """Count calls of a public function through its module bindings."""
+    """Record the arguments of each call of a public function through its
+    module bindings."""
     original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     modules = [module]
@@ -330,6 +336,16 @@ def test_one_cluster_build_per_pass(monkeypatch, ctx_of, points):
     sf.run_algorithm(ctx, cfg)
     assert passes
     assert len(builds) <= len(passes)
+
+
+def test_run_computes_each_pushed_back_target_once(monkeypatch):
+    # select_target hands its target to compute_I, so no (pass, i, j)
+    # target is computed twice
+    calls = _count_calls(monkeypatch, sf.folding, "tilde_d_j_of_i", False)
+    verdict = sf.run_algorithm(ctx7(), sf.configuration(ctx7(), EIGHT_POINT_7ADIC))
+    assert isinstance(verdict, sf.Good) and len(verdict.trace) == 2
+    keys = [(id(pcfg), i, j) for pcfg, i, j in calls]
+    assert keys and len(keys) == len(set(keys))
 
 
 def test_hull_builds_no_skeleton_of_its_own(monkeypatch):

@@ -202,7 +202,7 @@ def test_skeleton_discs_match_the_reference_route():
                 cluster = [values[k] for k in sorted(v.cluster)]
                 assert same(v.disc, min_disc(ctx, cluster))
             for i in range(g):
-                j = select_target(pcfg, i)
+                j, _ = select_target(pcfg, i)
                 dt = skeleton_disc(pcfg, tilde_d_j_of_i(pcfg, i, j))
                 assert point_to_axis(dt, pcfg.pairs[j], ctx) == ctx.rho
                 cases += 1

@@ -11,6 +11,7 @@ import pytest
 
 import schottkyfold as sf
 from schottkyfold.valfield import INF, Val, decimal_to_int, int_to_decimal
+from reference import cyclo_inv, cyclo_mul, cyclo_valuation, split_root
 
 
 def test_rational_valuation_examples():
@@ -119,6 +120,45 @@ def test_cyclotomic_inverse_roundtrip():
             if ctx.is_zero(x):
                 continue
             assert ctx.mul(x, ctx.inv(x)) == ctx.one()
+
+
+CYCLOTOMIC_FIELDS = [(3, 3), (5, 5), (7, 7), (3, 7), (5, 11), (7, 29), (3, 13)]
+
+
+def _scaled_elements(rng, ctx, count):
+    """Random elements with denominators, times ell^k and (1 - zeta)^m
+    (multiplied by the reference route)."""
+    pi = ctx.sub(ctx.one(), ctx.zeta)
+    out = []
+    while len(out) < count:
+        x = tuple(
+            Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, ctx.ell, 6 * ctx.ell**2]))
+            for _ in range(ctx.degree)
+        )
+        scale = Fraction(ctx.ell) ** rng.randint(-3, 6)
+        x = tuple(c * scale for c in x)
+        for _ in range(rng.randint(0, 2 * ctx.p)):
+            x = cyclo_mul(ctx, x, pi)
+        if not ctx.is_zero(x):
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("p,ell", CYCLOTOMIC_FIELDS)
+def test_cyclotomic_kernels_match_division_over_q(p, ell):
+    ctx = sf.field_context(p, ell)
+    rng = random.Random(31 * p + ell)
+    xs = _scaled_elements(rng, ctx, 60)
+    if ctx.kind is sf.FieldKind.CYCLOTOMIC_SPLIT:
+        # zeta - r for the root r lifted to ell^12 has valuation >= 12, past
+        # the first precisions ell^4 and ell^8 of the evaluation
+        near = ctx.sub(ctx.zeta, ctx.from_fraction(split_root(ctx, 12)))
+        assert ctx.valuation(near) >= 12
+        xs += [near, cyclo_mul(ctx, near, xs[0]), cyclo_mul(ctx, near, near)]
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        assert ctx.valuation(x) == cyclo_valuation(ctx, x)
+        assert ctx.mul(x, y) == cyclo_mul(ctx, x, y)
+        assert ctx.inv(x) == cyclo_inv(ctx, x)
 
 
 def test_val_ordering_and_arithmetic():
