@@ -242,19 +242,24 @@ def find_fold_exponent(
         return v if b_j.is_infinity else v - row[sk.index_of[b_j.value]]
 
     reps_i = [pt.value for pt in pcfg.pairs[i] if not pt.is_infinity]
+
+    @cache
+    def turned(n, k):
+        """zeta^n r_i for the k-th representative c_i: it does not depend
+        on l, so it is formed once, when first needed."""
+        return ctx.mul(ctx.zeta_power(n), ratio(reps_i[k]))
+
     for n in range(1, ctx.p):
-        zn = ctx.zeta_power(n)
         for l in range(pcfg.g + 1):
             if l == j or l in I:
                 continue
             reps_l = [pt.value for pt in pcfg.pairs[l] if not pt.is_infinity]
             witness = None
             all_hold = True
-            for c_i in reps_i:
-                r_i = ratio(c_i)
+            for k in range(len(reps_i)):
+                r_i = turned(n, k)
                 for c_l in reps_l:
-                    r_l = ratio(c_l)
-                    lhs = ctx.valuation(ctx.sub(r_l, ctx.mul(zn, r_i)))
+                    lhs = ctx.valuation(ctx.sub(ratio(c_l), r_i))
                     rhs = ratio_valuation(c_l) + rho
                     if not lhs > rhs:
                         all_hold = False

@@ -12,21 +12,23 @@ Words are visited in length-lexicographic order and the first witness in
 that order is returned, which keeps recorded results stable.  Identity
 evaluations are collected separately as relation witnesses.
 
-:func:`schottky_audit` walks the words one length at a time.  A prefix's
-matrix is composed once from its parent's and shared by every longer word
-that starts with it; only one length of prefixes is held in memory.  The
-last syllable of a word is forced by the exponent sum, so prefixes and
-lengths that cannot end a word of the subgroup are never built, and each
-word is classified from the trace and determinant of its product, without
-forming the product.  Cyclic rotations of a word are not merged; they
-classify alike and are all counted.  :func:`enumerate_gamma_words`,
-:func:`word_matrix` and :func:`~.projline.classify` give the same
-verdicts word by word and serve as its reference.
+:func:`schottky_audit` walks the words one length at a time on integer
+matrices: the generators are lowered once to integral entries, each prefix
+is composed once from its parent and divided by its integer content, and a
+word is classified from its integer trace and the cached valuations of the
+determinants, with the Newton polygon rule of
+:func:`~.projline.is_loxodromic`.  Cyclic rotations of a word are not
+merged; they classify alike and are all counted.
+:func:`enumerate_gamma_words`, :func:`word_matrix` and
+:func:`~.projline.classify` give the same verdicts word by word and serve
+as its reference.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Iterator, Optional
 
 from .clusters import PairedConfiguration
@@ -34,11 +36,11 @@ from .projline import (
     ElementClass,
     MapKind,
     Mobius,
-    classify_trace_det,
     compose,
+    is_loxodromic,
     order_p_fixing,
-    trace_of_product,
 )
+from .valfield import FieldKind, _cyclic_mul, _integral, int_valuation
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,90 @@ def word_matrix(pcfg: PairedConfiguration, word: GroupWord) -> Mobius:
     return m
 
 
+class _Integers:
+    """Integral elements of Q: ``int``."""
+
+    zero = 0
+    mul = staticmethod(operator.mul)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    times = staticmethod(operator.mul)
+
+    @staticmethod
+    def lower(x) -> tuple[int, int]:
+        return x.numerator, x.denominator
+
+    @staticmethod
+    def content(entries) -> int:
+        return gcd(*entries)
+
+    @staticmethod
+    def divide(entries, k: int) -> tuple:
+        return tuple([x // k for x in entries])
+
+
+class _CyclotomicIntegers:
+    """Integral elements A(zeta) of Q(zeta_p): the p - 1 integer
+    coefficients of A in the canonical basis 1, zeta, ..., zeta^(p-2), so
+    equal elements are equal lists."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.zero = [0] * (p - 1)
+
+    def mul(self, x: list[int], y: list[int]) -> list[int]:
+        z = _cyclic_mul(x, y, self.p)
+        top = z[-1]  # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
+        return [c - top for c in z[:-1]]
+
+    @staticmethod
+    def add(x: list[int], y: list[int]) -> list[int]:
+        return [a + b for a, b in zip(x, y)]
+
+    @staticmethod
+    def sub(x: list[int], y: list[int]) -> list[int]:
+        return [a - b for a, b in zip(x, y)]
+
+    @staticmethod
+    def times(x: list[int], k: int) -> list[int]:
+        return [c * k for c in x]
+
+    lower = staticmethod(_integral)
+
+    @staticmethod
+    def content(entries) -> int:
+        return gcd(*[c for x in entries for c in x])
+
+    @staticmethod
+    def divide(entries, k: int) -> tuple:
+        return tuple([c // k for c in x] for x in entries)
+
+
+def _lowered(ring, m: Mobius) -> tuple:
+    """m's entries over their common denominator, as integral elements."""
+    parts = [ring.lower(x) for x in m.entries()]
+    den = lcm(*[d for _, d in parts])
+    return tuple(ring.times(a, den // d) for a, d in parts)
+
+
+def _det(ring, m: tuple):
+    a, b, c, d = m
+    return ring.sub(ring.mul(a, d), ring.mul(b, c))
+
+
+def _product(ring, m: tuple, n: tuple) -> tuple:
+    """The integer matrix product m n."""
+    mul, add = ring.mul, ring.add
+    a, b, c, d = m
+    w, x, y, z = n
+    return (
+        add(mul(a, w), mul(b, y)),
+        add(mul(a, x), mul(b, z)),
+        add(mul(c, w), mul(d, y)),
+        add(mul(c, x), mul(d, z)),
+    )
+
+
 @dataclass(frozen=True)
 class AuditResult:
     witness: Optional[tuple[GroupWord, ElementClass]]
@@ -113,70 +199,109 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
 
     The words of :func:`enumerate_gamma_words` are visited in the same
     order and counted in ``words_checked`` up to and including the witness;
-    identity words go to ``relations``.  The enumeration runs one length at
-    a time over a list of prefixes, each with its matrix and exponent sum:
+    identity words go to ``relations``.  The walk runs on integers from
+    start to end:
 
-    * every prefix is composed once, from its parent, and only one level of
-      prefixes is held at a time;
-    * a word's last exponent is forced to close the exponent sum, so a
-      prefix whose sum is already 0 mod p ends no word of the next length,
-      and the last level of prefixes keeps only prefixes that can close;
-    * the walk stops at the longest length that holds a word (for p = 2,
+    * **lowering** -- each generator matrix is brought once to integral
+      entries over one common denominator (``int`` over Q, the p - 1
+      integer coefficients of A(zeta) over Q(zeta_p)); the denominator is
+      a scalar and is dropped.  Each generator's det and v(det) are
+      computed then;
+    * **prefixes** -- the walk goes one length at a time over a list of
+      prefixes, each with its integer matrix, exponent sum mod p and
+      v(det).  A prefix is composed once, from its parent, and divided by
+      the integer content of its entries: a scalar, which would otherwise
+      grow with the length.  Its v(det) is the parent's plus the last
+      generator's, less twice v(content).  Only one level is held at a
+      time;
+    * **closing** -- a word's last exponent is forced to close the exponent
+      sum, so a prefix whose sum is already 0 mod p ends no word of the
+      next length, the last level keeps only prefixes that can close, and
+      the walk stops at the longest length that holds a word (for p = 2,
       the largest even length <= ``max_len``);
-    * a word is classified from tr(M G) and det M * det G, where M is its
-      prefix and G its last syllable; the product is formed only when
-      tr^2 = 4 det, to tell the identity from a parabolic map.
+    * **classifying** -- a word M G (prefix M, last syllable G) has trace
+      tr(M G), four products, and v(det) = v(det M) + v(det G) from the
+      cached values; :func:`~.projline.is_loxodromic` applies the Newton
+      polygon rule to them.  A word it does not call loxodromic is tested
+      for tr^2 = 4 det exactly on integers, and a parabolic one is a
+      relation when the integer product M G is scalar (b = c = 0, a = d).
+
+    Every test is unchanged when a matrix is scaled, so the verdicts are
+    those of :func:`~.projline.classify` on the normalised products.
     """
     ctx = pcfg.ctx
-    gens = pair_generators(pcfg)
     g, p = pcfg.g, ctx.p
     last = max_len - max_len % 2 if p == 2 else max_len
-    gen_dets = [[m.det() for m in row] for row in gens]
+    ring = _Integers if ctx.kind is FieldKind.RATIONAL else _CyclotomicIntegers(p)
+    mul, add, zero = ring.mul, ring.add, ring.zero
+    # valuations are counted in steps of the value group (1/e) Z; a content
+    # k is an integer and v(ell) = 1, so k is worth e v_ell(k) steps
+    valuation = ctx.integral_valuation
+    step = ctx.ramification
+
+    # gens[idx][exp - 1] = (integer matrix, det, v(det)) of the exp-th power
+    # of generator idx
+    gens = []
+    for row in pair_generators(pcfg):
+        lowered = [_lowered(ring, m) for m in row]
+        dets = [_det(ring, m) for m in lowered]
+        gens.append([(m, d, valuation(d)) for m, d in zip(lowered, dets)])
     relations: list[GroupWord] = []
     checked = 0
 
-    # prefixes of the current length: (syllables, matrix, exponent sum mod p)
+    # prefixes of the current length: (syllables, integer matrix, exponent
+    # sum mod p, v(det))
     level = [
-        (((idx, exp),), gens[idx][exp - 1], exp)
+        (((idx, exp),), gens[idx][exp - 1][0], exp, gens[idx][exp - 1][2])
         for idx in range(g + 1)
         for exp in range(1, p)
     ]
     for length in range(2, last + 1):
-        for prefix, m, total in level:
+        for prefix, m, total, v_det in level:
             exp = -total % p
             if exp == 0:
                 continue
-            det_m = m.det()
+            a, b, c, d = m
+            end = prefix[-1][0]
             for idx in range(g + 1):
-                if idx == prefix[-1][0]:
+                if idx == end:
                     continue
-                factor = gens[idx][exp - 1]
                 checked += 1
-                cls = classify_trace_det(
-                    ctx,
-                    trace_of_product(m, factor),
-                    ctx.mul(det_m, gen_dets[idx][exp - 1]),
-                )
-                if cls.kind is MapKind.LOXODROMIC:
+                gen, det_gen, v_det_gen = gens[idx][exp - 1]
+                w, x, y, z = gen
+                tr = add(add(mul(a, w), mul(b, y)), add(mul(c, x), mul(d, z)))
+                if tr != zero and is_loxodromic(valuation(tr), v_det + v_det_gen):
                     continue
                 word = GroupWord(prefix + ((idx, exp),))
-                if cls.kind is MapKind.PARABOLIC and compose(m, factor).is_scalar():
-                    relations.append(word)
-                    continue
+                if mul(tr, tr) != ring.times(mul(_det(ring, m), det_gen), 4):
+                    cls = ElementClass(MapKind.ELLIPTIC)
+                else:
+                    cls = ElementClass(MapKind.PARABOLIC)
+                    a_, b_, c_, d_ = _product(ring, m, gen)
+                    if b_ == zero and c_ == zero and a_ == d_:
+                        relations.append(word)
+                        continue
                 return AuditResult((word, cls), tuple(relations), checked)
         if length < last:
             # the next level; on the last one a prefix must be able to close
             closing = length + 1 == last
-            level = [
-                (
-                    prefix + ((idx, exp),),
-                    compose(m, gens[idx][exp - 1]),
-                    (total + exp) % p,
-                )
-                for prefix, m, total in level
-                for idx in range(g + 1)
-                if idx != prefix[-1][0]
-                for exp in range(1, p)
-                if not (closing and (total + exp) % p == 0)
-            ]
+            nxt = []
+            for prefix, m, total, v_det in level:
+                end = prefix[-1][0]
+                for idx in range(g + 1):
+                    if idx == end:
+                        continue
+                    for exp in range(1, p):
+                        if closing and (total + exp) % p == 0:
+                            continue
+                        gen, _, v_det_gen = gens[idx][exp - 1]
+                        product = _product(ring, m, gen)
+                        k = ring.content(product)
+                        nxt.append((
+                            prefix + ((idx, exp),),
+                            ring.divide(product, k),
+                            (total + exp) % p,
+                            v_det + v_det_gen - 2 * step * int_valuation(k, ctx.ell),
+                        ))
+            level = nxt
     return AuditResult(None, tuple(relations), checked)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DegeneratePairError
 from .valfield import FieldContext, FieldKind
@@ -108,25 +108,17 @@ def mobius(ctx: FieldContext, a, b, c, d) -> Mobius:
     if ctx.is_zero(det):
         raise ValueError("matrix is singular")
     if ctx.kind is FieldKind.RATIONAL:
-        lcm = 1
-        for x in ent:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        nums = [int(x * lcm) for x in ent]
-        content = 0
-        for n in nums:
-            content = gcd(content, n)
+        den = lcm(*[x.denominator for x in ent])
+        nums = [x.numerator * (den // x.denominator) for x in ent]
+        content = gcd(*nums)
         nums = [n // content for n in nums]
         lead = next(n for n in nums if n != 0)
         if lead < 0:
             nums = [-n for n in nums]
         ent = [Fraction(n) for n in nums]
     else:
-        lcm = 1
-        for x in ent:
-            for c_ in x:
-                lcm = lcm * c_.denominator // gcd(lcm, c_.denominator)
-        scale = ctx.from_fraction(lcm)
-        ent = [ctx.mul(x, scale) for x in ent]
+        den = lcm(*[c.denominator for x in ent for c in x])
+        ent = [tuple(c * den for c in x) for x in ent]
     return Mobius(ctx, *ent)
 
 
@@ -176,41 +168,37 @@ def proj_eq(m1: Mobius, m2: Mobius) -> bool:
     return True
 
 
-def trace_of_product(m1: Mobius, m2: Mobius):
-    """tr(m1 * m2) from the entries, without forming or normalising the product."""
-    f = m1.ctx
-    return f.add(
-        f.add(f.mul(m1.a, m2.a), f.mul(m1.b, m2.c)),
-        f.add(f.mul(m1.c, m2.b), f.mul(m1.d, m2.d)),
-    )
+def is_loxodromic(v_tr, v_det) -> bool:
+    """The Newton polygon rule for a matrix that is neither scalar nor
+    parabolic: its eigenvalues have distinct valuations, so the map is
+    loxodromic, exactly when 2 v(tr) < v(det).
 
-
-def classify_trace_det(ctx: FieldContext, tr, det) -> ElementClass:
-    """Parabolic / elliptic / loxodromic for a non-scalar matrix, read from
-    its trace and determinant alone.
-
-    The characteristic polynomial has a double root exactly when
-    tr^2 = 4 det (parabolic; a scalar matrix passes this test too, so a
-    caller that can meet one tells it apart first).  Otherwise the map is
-    loxodromic, its eigenvalues having distinct valuations, exactly when
-    2 v(tr) < v(det); the translation length is then v(det) - 2 v(tr).
-    Each test is unchanged when the matrix is scaled, so any representative
-    serves.
+    The valuations may be ``Val`` objects, or both counted in steps of
+    the value group (see :meth:`~.valfield.FieldContext.integral_valuation`).
+    A parabolic matrix (tr^2 = 4 det) has 2 v(tr) = 2 v(2) + v(det) >=
+    v(det), so the rule never calls one loxodromic.
     """
-    if ctx.mul(tr, tr) == ctx.mul(ctx.from_fraction(4), det):
-        return ElementClass(MapKind.PARABOLIC)
-    v_tr, v_det = ctx.valuation(tr), ctx.valuation(det)
-    if 2 * v_tr < v_det:
-        return ElementClass(MapKind.LOXODROMIC, (v_det - 2 * v_tr).fraction)
-    return ElementClass(MapKind.ELLIPTIC)
+    return 2 * v_tr < v_det
 
 
 def classify(ctx: FieldContext, m: Mobius) -> ElementClass:
-    """Identity / parabolic / elliptic / loxodromic, by eigenvalue valuations
-    (see :func:`classify_trace_det`)."""
+    """Identity / parabolic / elliptic / loxodromic, by eigenvalue valuations.
+
+    A scalar matrix is the identity.  Otherwise the characteristic
+    polynomial has a double root exactly when tr^2 = 4 det (parabolic),
+    and :func:`is_loxodromic` tells loxodromic from elliptic; the
+    translation length is then v(det) - 2 v(tr).  Each test is unchanged
+    when the matrix is scaled, so any representative serves.
+    """
     if m.is_scalar():
         return ElementClass(MapKind.IDENTITY)
-    return classify_trace_det(ctx, m.trace(), m.det())
+    tr, det = m.trace(), m.det()
+    if ctx.mul(tr, tr) == ctx.mul(ctx.from_fraction(4), det):
+        return ElementClass(MapKind.PARABOLIC)
+    v_tr, v_det = ctx.valuation(tr), ctx.valuation(det)
+    if is_loxodromic(v_tr, v_det):
+        return ElementClass(MapKind.LOXODROMIC, (v_det - 2 * v_tr).fraction)
+    return ElementClass(MapKind.ELLIPTIC)
 
 
 def order_p_fixing(ctx: FieldContext, a: PPoint, b: PPoint, n: int) -> Mobius:

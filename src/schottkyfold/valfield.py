@@ -23,7 +23,10 @@ cyclotomic operations clear denominators once and work on integers:
 products are cyclic convolutions modulo x^p - 1 reduced with
 x^(p-1) = -(1 + ... + x^(p-2)), and inverses are the product of the Galois
 conjugates over the norm.  Valuations are ``Val`` objects: exact rationals
-plus a +infinity sentinel reserved for the valuation of zero.
+plus a +infinity sentinel reserved for the valuation of zero.  The kernels
+are reached through one entry point, ``integral_valuation``, which takes
+integer coefficients and counts the valuation in steps of the value group;
+``valuation`` clears denominators and calls it.
 
 Everything here is immutable and every operation is a pure function, so
 contexts and elements can be shared between threads.  The only internal
@@ -236,6 +239,8 @@ class FieldContext:
         # The separation radius v(p)/(p-1), the radius of the fixed tube of
         # an order-p map: zero unless the residue characteristic is p.
         self.rho: Fraction = Fraction(1, p - 1) if ell == p else Fraction(0)
+        # The ramification index e: the value group is (1/e) Z, v(ell) = 1.
+        self.ramification = p - 1 if ell == p else 1
         # precision k -> (ell^k, the powers 1, r, ..., r^(p-2) mod ell^k of
         # the split flavour's lifted root r)
         self._root_powers: dict[int, tuple[int, tuple[int, ...]]] = {}
@@ -341,26 +346,47 @@ class FieldContext:
 
     def valuation(self, x) -> Val:
         """v(x): multiplicative, ultrametric, v(0) = +infinity."""
-        if self.is_zero(x):
-            return INF
         if self.kind is FieldKind.RATIONAL:
+            if x == 0:
+                return INF
             return Val.of(
-                int_valuation(x.numerator, self.ell)
+                self.integral_valuation(x.numerator)
                 - int_valuation(x.denominator, self.ell)
             )
         a, den = _integral(x)
-        shift = int_valuation(den, self.ell)
-        if self.kind is FieldKind.CYCLOTOMIC_RAMIFIED:
-            return Val(self._ramified_valuation(a) - shift)
-        return Val(Fraction(self._split_valuation(a) - shift))
+        if not any(a):
+            return INF
+        e = self.ramification
+        steps = self.integral_valuation(a) - e * int_valuation(den, self.ell)
+        return Val(Fraction(steps, e))
 
-    def _ramified_valuation(self, a: list[int]) -> Fraction:
-        """v(A(zeta)) for nonzero integer coefficients A, with v(p) = 1.
+    def integral_valuation(self, a) -> int:
+        """e v(A) for a nonzero integral A: its valuation counted in steps
+        of the value group (1/e) Z, e = :attr:`ramification`.
+
+        A is an ``int`` in the rational flavour and the p - 1 integer
+        coefficients of A(zeta) (low degree first, the canonical basis of
+        the cyclotomic elements) otherwise.  This is the one route to the
+        valuation kernels: :meth:`valuation` clears denominators and calls
+        it, and integer callers call it directly.
+        """
+        if self.kind is FieldKind.RATIONAL:
+            return int_valuation(a, self.ell)
+        if not any(a):
+            raise ValueError("valuation of zero is infinite")
+        if self.kind is FieldKind.CYCLOTOMIC_RAMIFIED:
+            return self._ramified_valuation(a)
+        return self._split_valuation(a)
+
+    def _ramified_valuation(self, a: list[int]) -> int:
+        """(p - 1) v(A(zeta)) for nonzero integer coefficients A, with
+        v(p) = 1.
 
         pi = 1 - zeta generates the prime above p, and A(zeta) = A(1) mod
         pi.  So while p divides A(1), A(x) - (A(1)/p) Phi_p(x) vanishes at
-        1 and is divided exactly by 1 - x; each division adds v(pi) =
-        1/(p - 1).  The p-adic valuation of A's content is taken out first.
+        1 and is divided exactly by 1 - x; each division is one step,
+        v(pi) = 1/(p - 1).  The p-adic valuation of A's content, p - 1
+        steps each, is taken out first.
         """
         p = self.p
         e = int_valuation(gcd(*a), p)
@@ -371,7 +397,7 @@ class FieldContext:
         while True:
             t, r = divmod(sum(a), p)
             if r:
-                return Fraction(k, p - 1) + e
+                return k + e * (p - 1)
             # the quotient's coefficients are the prefix sums of a_i - t
             acc = 0
             b = []

@@ -387,3 +387,37 @@ def test_translation_beyond_the_decimal_digit_limit():
         for pair in plain.s_min.pairs
     )
     assert verdict.s_min.pairs == moved
+
+
+def test_scan_forms_each_rotated_ratio_once(monkeypatch):
+    # zeta^n r_i depends on n and the representative c_i only, so the
+    # scan forms it once per (n, c_i), not once for every index l
+    rng = random.Random(8)
+    active = []
+    products = []
+    original_mul = sf.FieldContext.mul
+    original_scan = sf.folding.find_fold_exponent
+
+    def mul(ctx, x, y):
+        if active and x in active[-1][0]:
+            active[-1][1].append((x, y))
+        return original_mul(ctx, x, y)
+
+    def scan(pcfg, *args):
+        zetas = {pcfg.ctx.zeta_power(n) for n in range(1, pcfg.ctx.p)}
+        active.append((zetas, []))
+        try:
+            return original_scan(pcfg, *args)
+        finally:
+            products.append(active.pop()[1])
+
+    monkeypatch.setattr(sf.FieldContext, "mul", mul)
+    monkeypatch.setattr(sf.folding, "find_fold_exponent", scan)
+    for p, ell in ((3, 7), (5, 11), (3, 3), (5, 5)):
+        ctx = sf.field_context(p, ell)
+        for _ in range(3):
+            cfg, _ = sample_paired(rng, ctx, 3)
+            sf.run_algorithm(ctx, cfg)
+    assert sum(map(len, products)) >= 20
+    for formed in products:
+        assert len(formed) == len(set(formed))

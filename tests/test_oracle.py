@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import schottkyfold as sf
 from helpers import (
@@ -178,10 +179,22 @@ def _gamma_word_count(g, p, max_len):
     )
 
 
+def _shrunk(pcfg):
+    """The paired set moved by z -> z / ell."""
+    ctx = pcfg.ctx
+    q = ctx.from_fraction(Fraction(1, ctx.ell))
+    pairs = tuple(
+        tuple(pt if pt.is_infinity else sf.PPoint(ctx.mul(q, pt.value)) for pt in pair)
+        for pair in pcfg.pairs
+    )
+    return sf.PairedConfiguration(ctx, pairs)
+
+
 def _audit_cases():
     """(paired configuration, depths): the 5-adic showcase (a witness), the
-    7-adic S^min, sampled sets in six fields, sets of odd p with a witness,
-    and a degenerate set with relations."""
+    7-adic S^min, sampled sets in seven fields, three of them also moved so
+    that their points have denominators, sets of odd p with a witness, and
+    a degenerate set with relations."""
     rng = random.Random(2024)
     cases = [
         (sf.pair_up(sf.configuration(ctx5(), SIX_POINT_5ADIC)), range(0, 8)),
@@ -194,9 +207,14 @@ def _audit_cases():
         (3, 3, 2, 4),
         (3, 7, 2, 4),
         (5, 11, 1, 3),
+        (5, 5, 1, 4),
     ):
         _, pcfg = sample_paired(rng, sf.field_context(p, ell), g)
         cases.append((pcfg, range(1, depth + 1)))
+    # points with denominators: the showcase and the sampled (3, 7) and
+    # (5, 5) sets moved by z -> z / ell
+    for pcfg, depths in (cases[0], cases[6], cases[8]):
+        cases.append((_shrunk(pcfg), depths))
     for p, ell, points, depths in (
         (3, 7, [279, 181, 198, 184, 3, "inf"], (3, 4)),
         (5, 11, [428, 43, 221, 23, 2, "inf"], (3, 4)),
@@ -243,3 +261,21 @@ def test_audit_composes_each_prefix_once(monkeypatch):
     assert result.witness is None and result.relations == ()
     assert result.words_checked == _gamma_word_count(3, 2, 7) == 1092
     assert len(calls) <= 480
+
+
+def test_audit_multiplies_and_values_only_while_lowering(monkeypatch):
+    # the walk runs on integers: FieldContext.mul and valuation are met
+    # only while the four generators are built and lowered
+    pmin = sf.pair_up(sf.configuration(ctx7(), EIGHT_POINT_7ADIC_MIN))
+    calls = []
+    for name in ("mul", "valuation"):
+        original = getattr(sf.FieldContext, name)
+
+        def counted(*args, original=original):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(sf.FieldContext, name, counted)
+    result = sf.schottky_audit(pmin, 7)
+    assert result.witness is None and result.words_checked == 1092
+    assert len(calls) <= 64

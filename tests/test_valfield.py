@@ -6,6 +6,7 @@ import itertools
 import operator
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -23,6 +24,9 @@ def test_rational_valuation_examples():
     ctx7 = sf.field_context(2, 7)
     # 224 = 2^5 * 7 and 935 = 5 * 11 * 17
     assert ctx7.valuation(Fraction(224, 935)) == Val.of(1)
+    assert ctx7.integral_valuation(-224 * 49) == 3
+    with pytest.raises(ValueError):
+        ctx7.integral_valuation(0)
 
 
 def test_zeta_powers():
@@ -157,8 +161,15 @@ def test_cyclotomic_kernels_match_division_over_q(p, ell):
         xs += [near, cyclo_mul(ctx, near, xs[0]), cyclo_mul(ctx, near, near)]
     for x, y in zip(xs, xs[1:] + xs[:1]):
         assert ctx.valuation(x) == cyclo_valuation(ctx, x)
+        # the integer entry point counts steps of the value group (1/e) Z
+        den = lcm(*[c.denominator for c in x])
+        a = [c.numerator * (den // c.denominator) for c in x]
+        steps = ctx.ramification * cyclo_valuation(ctx, tuple(map(Fraction, a))).fraction
+        assert ctx.integral_valuation(a) == steps
         assert ctx.mul(x, y) == cyclo_mul(ctx, x, y)
         assert ctx.inv(x) == cyclo_inv(ctx, x)
+    with pytest.raises(ValueError):
+        ctx.integral_valuation([0] * ctx.degree)
 
 
 def test_val_ordering_and_arithmetic():
