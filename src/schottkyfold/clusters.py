@@ -5,6 +5,15 @@ points with an ultrametric disc; its *depth* is the minimal pairwise
 valuation of differences (+infinity for singletons).  Clusters form a
 laminar family, computed here as a recursive partition.
 
+Inside a ``Skeleton`` every valuation is an ``int`` counting steps of the
+value group (1/e) Z, e = ``FieldContext.ramification``: the step matrix,
+cluster depths, disc radii and distances.  +infinity, found only on the
+matrix diagonal and as a singleton's depth, is ``valfield.INF_STEPS``,
+which compares above every int.  The values are lowered once per build to
+integral numerators over one common denominator, so no entry needs field
+arithmetic.  ``Val`` and ``Fraction`` appear only at the edges: the depths
+``cluster_data`` returns and the margin of ``NotSeparatedError``.
+
 A configuration is *clustered in rho-separated pairs* when two rules hold.
 ``canonical_pairs``: two points are equivalent when they lie in exactly the
 same even-cardinality clusters (the point at infinity lies in none), and
@@ -22,7 +31,7 @@ from typing import NamedTuple, Optional
 
 from .errors import NotClusteredInPairsError, NotSeparatedError
 from .projline import INFINITY, PPoint, point_str
-from .valfield import INF, FieldContext, Val
+from .valfield import INF_STEPS, FieldContext, Val
 
 
 @dataclass(frozen=True)
@@ -67,43 +76,54 @@ def configuration(ctx: FieldContext, values) -> Configuration:
 
 @dataclass(frozen=True)
 class Cluster:
-    """A cluster given by member indices into ``Configuration.finite_values``."""
+    """A cluster given by member indices into ``Configuration.finite_values``.
+
+    ``depth`` is a ``Val``; in a ``Skeleton`` it counts steps of the value
+    group."""
 
     members: frozenset[int]
-    depth: Val
+    depth: Val | int
 
 
-def valuation_matrix(ctx: FieldContext, values) -> tuple[tuple[Val, ...], ...]:
-    """v(x_a - x_b) for every two of the values; +infinity on the diagonal."""
-    n = len(values)
-    rows = [[INF] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = ctx.valuation(ctx.sub(values[i], values[j]))
-    return tuple(tuple(row) for row in rows)
+def _lowered_steps(ctx: FieldContext, values) -> tuple[tuple, int, tuple]:
+    """(numerators A_x over a common denominator L, e v(L), step matrix).
+
+    The step matrix holds e v(x_a - x_b) = e v(A_a - A_b) - e v(L) for
+    every two of the values, and INF_STEPS on the diagonal.
+    """
+    ints, den_steps = ctx.lower(values)
+    n = len(ints)
+    sub, valuation = ctx.integers.sub, ctx.integral_valuation
+    rows = [[INF_STEPS] * n for _ in range(n)]
+    for a in range(n):
+        row, x = rows[a], ints[a]
+        for b in range(a + 1, n):
+            row[b] = rows[b][a] = valuation(sub(x, ints[b])) - den_steps
+    return tuple(ints), den_steps, tuple(tuple(row) for row in rows)
 
 
-def cluster_data(cfg: Configuration, vmat=None) -> tuple[Cluster, ...]:
-    """Every cluster of the finite points, with depths.
+def cluster_data(cfg: Configuration, smat=None) -> tuple[Cluster, ...]:
+    """Every cluster of the finite points, with depths as ``Val``s.
 
     The full finite set is always a cluster and every point is a singleton
     cluster of depth +infinity.  Members index into ``finite_values()``
     (multiplicities collapse).  Clusters come in pre-order: each one is
-    followed at once by the clusters strictly inside it.  ``vmat``, when
-    given, is the ``valuation_matrix`` of ``finite_values()``.
+    followed at once by the clusters strictly inside it.  ``smat``, when
+    given, is the step matrix of ``finite_values()``, and the depths are
+    then left in its steps, as a ``Skeleton`` keeps them.
     """
-    values = cfg.finite_values()
-    if vmat is None:
-        vmat = valuation_matrix(cfg.ctx, values)
-    n = len(values)
+    in_steps = smat is not None
+    if not in_steps:
+        smat = _lowered_steps(cfg.ctx, cfg.finite_values())[2]
+    n = len(smat)
 
     out: list[Cluster] = []
 
     def recurse(idx: list[int]):
         if len(idx) == 1:
-            out.append(Cluster(frozenset(idx), INF))
+            out.append(Cluster(frozenset(idx), INF_STEPS))
             return
-        depth = min(vmat[i][j] for i in idx for j in idx if i < j)
+        depth = min(smat[i][j] for i in idx for j in idx if i < j)
         out.append(Cluster(frozenset(idx), depth))
         # children: equivalence classes of "valuation strictly above depth"
         remaining = list(idx)
@@ -112,7 +132,7 @@ def cluster_data(cfg: Configuration, vmat=None) -> tuple[Cluster, ...]:
             block = [seed]
             rest = []
             for k in remaining:
-                if vmat[seed][k] > depth:
+                if smat[seed][k] > depth:
                     block.append(k)
                 else:
                     rest.append(k)
@@ -121,40 +141,52 @@ def cluster_data(cfg: Configuration, vmat=None) -> tuple[Cluster, ...]:
 
     if n:
         recurse(list(range(n)))
-    return tuple(out)
+    if in_steps:
+        return tuple(out)
+    to_val = cfg.ctx.val_of_steps
+    return tuple(Cluster(c.members, to_val(c.depth)) for c in out)
 
 
 class Skeleton(NamedTuple):
     """The cluster skeleton of a configuration: built once, then only read.
 
     ``values`` are the distinct finite values and ``index_of`` maps each
-    back to its position; ``vmat`` is their valuation matrix.  ``clusters`` is
-    the laminar cluster tree in pre-order, ``parent[k]`` the position of
-    the smallest cluster strictly containing cluster k (None for the root)
-    and ``leaf[x]`` the position of the singleton cluster {x}.  A skeleton
-    of a paired configuration also holds each pair's finite member indices
-    and its minimal disc as (center index, radius); the disc of the pair at
-    infinity is that of all finite values.
+    back to its position.  ``ints`` are the values' integral numerators over
+    one common denominator L, and ``den_steps`` is e v(L).  ``smat`` is the
+    step matrix: e v(x_a - x_b), an ``int`` counting steps of the value
+    group (1/e) Z, with ``INF_STEPS`` on the diagonal.  ``clusters`` is the
+    laminar cluster tree in pre-order, with depths in steps (a singleton's
+    is ``INF_STEPS``), ``parent[k]`` the position of the smallest cluster
+    strictly containing cluster k (None for the root) and ``leaf[x]`` the
+    position of the singleton cluster {x}.  A skeleton of a paired
+    configuration also holds each pair's finite member indices and its
+    minimal disc as (center index, radius in steps); the disc of the pair
+    at infinity is that of all finite values.
     """
 
     values: tuple
     index_of: dict
-    vmat: tuple[tuple[Val, ...], ...]
+    ints: tuple
+    den_steps: int
+    smat: tuple[tuple[int, ...], ...]
     clusters: tuple[Cluster, ...]
     parent: tuple[Optional[int], ...]
     leaf: tuple[int, ...]
     pair_members: tuple[frozenset[int], ...] = ()
-    pair_discs: tuple[tuple[int, Fraction], ...] = ()
+    pair_discs: tuple[tuple[int, int], ...] = ()
 
     @staticmethod
     def build(cfg: Configuration) -> "Skeleton":
-        """One valuation matrix and one ``cluster_data`` call."""
+        """One step matrix and one ``cluster_data`` call."""
         values = cfg.finite_values()
-        vmat = valuation_matrix(cfg.ctx, values)
-        return Skeleton._assemble(values, vmat, cluster_data(cfg, vmat))
+        ints, den_steps, smat = _lowered_steps(cfg.ctx, values)
+        clusters = cluster_data(cfg, smat)
+        return Skeleton._assemble(values, ints, den_steps, smat, clusters)
 
     @staticmethod
-    def _assemble(values, vmat, clusters, pair_members=(), pair_discs=()):
+    def _assemble(
+        values, ints, den_steps, smat, clusters, pair_members=(), pair_discs=()
+    ):
         parent: list[Optional[int]] = []
         leaf = [0] * len(values)
         stack: list[int] = []
@@ -169,7 +201,9 @@ class Skeleton(NamedTuple):
         return Skeleton(
             values,
             {v: k for k, v in enumerate(values)},
-            vmat,
+            ints,
+            den_steps,
+            smat,
             clusters,
             tuple(parent),
             tuple(leaf),
@@ -185,7 +219,7 @@ class Skeleton(NamedTuple):
         order = tuple(dict.fromkeys(pt.value for pt in points))
         old = [self.index_of[v] for v in order]
         new_of = {o: k for k, o in enumerate(old)}
-        vmat = tuple(tuple(self.vmat[a][b] for b in old) for a in old)
+        smat = tuple(tuple(self.smat[a][b] for b in old) for a in old)
         # Each member set is built from an ascending list, as cluster_data
         # builds it: the hull centres a cluster's disc at the set's first
         # member in iteration order, and that order depends on insertion.
@@ -200,8 +234,11 @@ class Skeleton(NamedTuple):
             members.append(frozenset(idx))
             if len(idx) < len(pair):
                 idx = list(range(len(order)))
-            discs.append(_smallest_disc(vmat, idx))
-        return Skeleton._assemble(order, vmat, clusters, tuple(members), tuple(discs))
+            discs.append(_smallest_disc(smat, idx))
+        ints = tuple(self.ints[o] for o in old)
+        return Skeleton._assemble(
+            order, ints, self.den_steps, smat, clusters, tuple(members), tuple(discs)
+        )
 
     def chain(self, members: frozenset[int]):
         """The clusters containing the given indices, smallest first."""
@@ -219,42 +256,36 @@ class Skeleton(NamedTuple):
                 return c.members
         return None
 
-    def join(self, c1: int, r1: Fraction, c2: int, r2: Fraction) -> Fraction:
+    def join(self, c1: int, r1: int, c2: int, r2: int) -> int:
         """Radius of the smallest disc containing the discs (c1, r1), (c2, r2)."""
-        sep = self.vmat[c1][c2]
-        return min(r1, r2) if sep.is_infinite else min(r1, r2, sep.fraction)
+        return min(r1, r2, self.smat[c1][c2])
 
-    def axis_distance(self, i: int, j: int) -> Fraction:
-        """Tree distance between the axes spanned by pairs i and j.
+    def axis_distance(self, i: int, j: int) -> int:
+        """Tree distance between the axes spanned by pairs i and j, in steps.
 
         With u the maximal valuation of a cross difference and d_k the depth
         of pair k, the distance is max(0, d_i - u) + max(0, d_j - u); the
         depth term of a pair containing infinity is dropped (its axis runs
         upward without bound).
         """
-        vmat = self.vmat
+        smat = self.smat
         fin_i, fin_j = self.pair_members[i], self.pair_members[j]
-        u = max(vmat[x][y] for x in fin_i for y in fin_j)
-        if u.is_infinite:
+        u = max(smat[x][y] for x in fin_i for y in fin_j)
+        if u is INF_STEPS:
             raise ValueError("axes share a point")
-        total = Fraction(0)
+        total = 0
         for fin in (fin_i, fin_j):
             if len(fin) == 2:
                 a, b = fin
-                total += max(Fraction(0), vmat[a][b].fraction - u.fraction)
+                total += max(0, smat[a][b] - u)
         return total
 
 
-def _smallest_disc(vmat, idx) -> tuple[int, Fraction]:
+def _smallest_disc(smat, idx) -> tuple[int, int]:
     """(center, radius) of the smallest disc around the indexed values: the
     first is the center; a single value gets radius 0."""
     center = idx[0]
-    radius = None
-    for x in idx[1:]:
-        v = vmat[x][center]
-        if not v.is_infinite and (radius is None or v.fraction < radius):
-            radius = v.fraction
-    return center, Fraction(0) if radius is None else radius
+    return center, min((smat[x][center] for x in idx if x != center), default=0)
 
 
 @dataclass(frozen=True)
@@ -333,7 +364,7 @@ def canonical_pairs(
         )
     finite = sorted(
         (ab for ab in classes.values() if None not in ab),
-        key=lambda ab: (-sk.vmat[ab[0]][ab[1]].fraction, ab[0]),
+        key=lambda ab: (-sk.smat[ab[0]][ab[1]], ab[0]),
     )
     return tuple(
         tuple(INFINITY if x is None else PPoint(sk.values[x]) for x in ab)
@@ -349,8 +380,8 @@ def check_separated(pcfg: PairedConfiguration) -> None:
         (view.axis_distance(i, j) for i in range(n) for j in range(i + 1, n)),
         default=None,
     )
-    if margin is not None and margin <= 2 * pcfg.ctx.rho:
-        raise NotSeparatedError(margin)
+    if margin is not None and margin <= 2 * pcfg.ctx.rho_steps:
+        raise NotSeparatedError(Fraction(margin, pcfg.ctx.ramification))
 
 
 def pair_up(cfg: Configuration) -> PairedConfiguration:
@@ -371,14 +402,8 @@ def pair_up(cfg: Configuration) -> PairedConfiguration:
 
 def repetition_report(cfg: Configuration) -> tuple[int, Configuration]:
     """(number of distinct values repeated with multiplicity >= 2, underlying set)."""
-    counts: list[tuple[PPoint, int]] = []
+    counts: dict[PPoint, int] = {}
     for pt in cfg.points:
-        for k, (q, c) in enumerate(counts):
-            if q == pt:
-                counts[k] = (q, c + 1)
-                break
-        else:
-            counts.append((pt, 1))
-    repeated = sum(1 for _, c in counts if c >= 2)
-    underlying = Configuration(cfg.ctx, tuple(q for q, _ in counts))
-    return repeated, underlying
+        counts[pt] = counts.get(pt, 0) + 1
+    repeated = sum(1 for c in counts.values() if c >= 2)
+    return repeated, Configuration(cfg.ctx, tuple(counts))

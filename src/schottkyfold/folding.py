@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from itertools import product
 from typing import Optional, Union
 
 from .clusters import (
@@ -35,7 +35,7 @@ from .clusters import (
 )
 from .errors import InvalidInputError, NotSeparatedError, PairingError
 from .projline import Mobius, PPoint, apply, order_p_fixing
-from .valfield import FieldContext, Val
+from .valfield import INF_STEPS, FieldContext, Val
 
 
 class PairingFailure(Enum):
@@ -106,7 +106,8 @@ FOLD_CAP = 100  # generous; the discrete termination measure keeps runs tiny
 
 def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
     """The target disc on the axis of pair j seen from pair i, as
-    (center index, radius) in the skeleton, or None where undefined.
+    (center index, radius in steps) in the skeleton, or None where
+    undefined.
 
     Either the minimal odd clusters through both pairs coincide (then the
     target is the minimal disc of pair j), or some odd cluster contains
@@ -133,7 +134,7 @@ def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
     best = None
     for k in sorted(mem_j):
         radius = sk.join(center, r_i, k, r_i)
-        if all(sk.vmat[o][center] < radius for o in mem_j - {k}):
+        if all(sk.smat[o][center] < radius for o in mem_j - {k}):
             if best is None or radius > best:
                 best = radius
     return None if best is None else (center, best)
@@ -141,7 +142,8 @@ def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
 
 def tilde_d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
     """The target disc pushed back by the separation radius rho, as
-    (center index, radius) in the skeleton, or None where undefined.
+    (center index, radius in steps) in the skeleton, or None where
+    undefined.
 
     Walking a distance rho from the target disc point toward the vertex of
     pair i: either the walk stays below the join (shrink the radius by
@@ -153,7 +155,7 @@ def tilde_d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
     if base is None:
         return None
     sk = pcfg.skeleton()
-    rho = pcfg.ctx.rho
+    rho = pcfg.ctx.rho_steps
     (center, radius), (c_i, r_i) = base, sk.pair_discs[i]
     jn = sk.join(c_i, r_i, center, radius)
     if radius - jn > rho:
@@ -181,7 +183,7 @@ def select_target(pcfg: PairedConfiguration, i: int) -> tuple[int, tuple]:
             continue
         center, radius = dt
         # proper containment of the pair-i disc
-        if not (r_i > radius and sk.vmat[c_i][center] >= radius):
+        if not (r_i > radius and sk.smat[c_i][center] >= radius):
             continue
         if best_radius is None or radius > best_radius:
             best, best_radius = (j, dt), radius
@@ -192,18 +194,18 @@ def select_target(pcfg: PairedConfiguration, i: int) -> tuple[int, tuple]:
 
 def compute_I(pcfg: PairedConfiguration, i: int, target: tuple) -> frozenset[int]:
     """Indices of the pairs hanging in the branch of the pushed-back target
-    (center index, radius) around pair i: both points must be finite and
-    strictly inside the residue branch through pair i."""
+    (center index, radius in steps) around pair i: both points must be
+    finite and strictly inside the residue branch through pair i."""
     sk = pcfg.skeleton()
     anchor = next(
         sk.index_of[pt.value] for pt in pcfg.pairs[i] if not pt.is_infinity
     )
-    level = Val.of(target[1])
+    level = target[1]
     out = set()
     for l, pair in enumerate(pcfg.pairs):
         if any(pt.is_infinity for pt in pair):
             continue
-        if all(sk.vmat[m][anchor] > level for m in sk.pair_members[l]):
+        if all(sk.smat[m][anchor] > level for m in sk.pair_members[l]):
             out.add(l)
     assert i in out, "pair i must lie in its own branch"
     return frozenset(out)
@@ -223,53 +225,55 @@ def find_fold_exponent(
     single representative can fire by accident when p > 2; for p = 2 the
     choices always agree.)  The scan runs in ascending n then l, and the
     first hit is returned with the first representatives' two sides.
+
+    Both sides are counted in steps of the value group, and no field
+    element is divided.  With the skeleton's numerators A over the common
+    denominator L, r_x = N_x / M_x for the integral N_x = A_c - A_a and
+    M_x = A_c - A_b (M_x = L when b_j is infinity), so
+
+        e v(r_l - zeta^n r_i) = e v(N_l M_i - zeta^n N_i M_l) - e v(M_l M_i),
+
+    where zeta^n turns coefficients and e v(M_x) = smat[c][b] + e v(L).
+    When M_x = L the numerator is L (N_l - zeta^n N_i) and one L cancels.
+    The right side, e v(r_l) + e rho, is read off the step matrix.
     """
     ctx = pcfg.ctx
     sk = pcfg.skeleton()
+    ring, valuation, rho = ctx.integers, ctx.integral_valuation, ctx.rho_steps
+    sub, ints, den = ring.sub, sk.ints, sk.den_steps
     a_j, b_j = pcfg.pairs[j]
-    rho = ctx.rho
+    a = sk.index_of[a_j.value]
+    b = None if b_j.is_infinity else sk.index_of[b_j.value]
 
-    @cache
-    def ratio(c):
-        num = ctx.sub(c, a_j.value)
-        if b_j.is_infinity:
-            return num
-        return ctx.div(num, ctx.sub(c, b_j.value))
+    def ratios(pair):
+        """(N_x, M_x, e v(M_x), e v(r_x)) for each finite representative of
+        the pair; M_x is None when b_j is infinity."""
+        out = []
+        for x in (sk.index_of[pt.value] for pt in pair if not pt.is_infinity):
+            row = sk.smat[x]
+            m, vm = (None, den) if b is None else (sub(ints[x], ints[b]), row[b] + den)
+            out.append((sub(ints[x], ints[a]), m, vm, row[a] + den - vm))
+        return out
 
-    def ratio_valuation(c) -> Val:
-        row = sk.vmat[sk.index_of[c]]
-        v = row[sk.index_of[a_j.value]]
-        return v if b_j.is_infinity else v - row[sk.index_of[b_j.value]]
-
-    reps_i = [pt.value for pt in pcfg.pairs[i] if not pt.is_infinity]
-
-    @cache
-    def turned(n, k):
-        """zeta^n r_i for the k-th representative c_i: it does not depend
-        on l, so it is formed once, when first needed."""
-        return ctx.mul(ctx.zeta_power(n), ratio(reps_i[k]))
-
+    reps_i = ratios(pcfg.pairs[i])
+    reps = {l: ratios(pr) for l, pr in enumerate(pcfg.pairs) if l != j and l not in I}
     for n in range(1, ctx.p):
-        for l in range(pcfg.g + 1):
-            if l == j or l in I:
-                continue
-            reps_l = [pt.value for pt in pcfg.pairs[l] if not pt.is_infinity]
-            witness = None
-            all_hold = True
-            for k in range(len(reps_i)):
-                r_i = turned(n, k)
-                for c_l in reps_l:
-                    lhs = ctx.valuation(ctx.sub(ratio(c_l), r_i))
-                    rhs = ratio_valuation(c_l) + rho
-                    if not lhs > rhs:
-                        all_hold = False
-                        break
-                    if witness is None:
-                        witness = FoldWitness(l, lhs, rhs)
-                if not all_hold:
+        turned = [(ring.rotate(n_i, n), m_i, vm_i) for n_i, m_i, vm_i, _ in reps_i]
+        for l, reps_l in reps.items():
+            sides = None
+            for (zn_i, m_i, vm_i), (n_l, m_l, vm_l, v_l) in product(turned, reps_l):
+                if b is None:
+                    top, below = sub(n_l, zn_i), den
+                else:
+                    top = sub(ring.mul(n_l, m_i), ring.mul(zn_i, m_l))
+                    below = vm_l + vm_i
+                lhs = INF_STEPS if top == ring.zero else valuation(top) - below
+                if not lhs > v_l + rho:
                     break
-            if all_hold and witness is not None:
-                return n, witness
+                sides = sides or (lhs, v_l + rho)
+            else:
+                if sides:
+                    return n, FoldWitness(l, *map(ctx.val_of_steps, sides))
     return None
 
 

@@ -1,14 +1,16 @@
 """The reduced convex hull of a paired configuration, as a metric forest.
 
 The hull reads the skeleton the configuration already holds
-(``clusters.Skeleton``): cluster depths from the valuation matrix, the
-cluster tree and the pair discs.  It owns no disc metric of its own; an
-edge's length is the difference of the logarithmic radii of its two
-cluster discs.  The forest is what is left after removing the segment
-interiors that split the points into two odd halves; its vertices are the
-minimal discs of clusters of size >= 2, its edges connect even clusters to
-their parents, and the *distinguished* vertices are those lying on a pair
-axis.  ``to_dot`` renders it as Graphviz text.
+(``clusters.Skeleton``): cluster depths from the step matrix, the cluster
+tree and the pair discs, all in steps of the value group (1/e) Z.  It owns
+no disc metric of its own; an edge's length is the difference of the
+logarithmic radii of its two cluster discs.  Radii and lengths become
+``Fraction``s (steps / e) only in the ``Disc`` labels and the edges.  The
+forest is what is left after removing the segment interiors that split the
+points into two odd halves; its vertices are the minimal discs of clusters
+of size >= 2, its edges connect even clusters to their parents, and the
+*distinguished* vertices are those lying on a pair axis.  ``to_dot``
+renders it as Graphviz text.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     except PairingError as exc:
         raise NotPairedError(str(exc)) from exc
 
-    vmat, clusters = sk.vmat, sk.clusters
+    smat, clusters, e = sk.smat, sk.clusters, ctx.ramification
     # tree positions of the vertex clusters; without infinity the root goes
     kept = sorted(
         (
@@ -101,15 +103,14 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     )
     ids = {k: vid for vid, k in enumerate(kept)}
     # minimal discs: the first member as center, the cluster depth as radius
-    discs = {
-        k: (next(iter(clusters[k].members)), clusters[k].depth.fraction) for k in kept
-    }
+    discs = {k: (next(iter(clusters[k].members)), clusters[k].depth) for k in kept}
 
     edges = []
     for k in kept:
         par = sk.parent[k]
         if len(clusters[k].members) % 2 == 0 and par in ids:
-            edges.append((ids[k], ids[par], discs[k][1] - discs[par][1]))
+            length = Fraction(discs[k][1] - discs[par][1], e)
+            edges.append((ids[k], ids[par], length))
 
     # union-find over kept edges
     parent_uf = list(range(len(kept)))
@@ -127,13 +128,13 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
 
     def on_axis(center, radius, i) -> bool:
         """Whether the disc point lies on the axis of pair i."""
-        inside = [vmat[m][center] >= radius for m in sk.pair_members[i]]
+        inside = [smat[m][center] >= radius for m in sk.pair_members[i]]
         if any(pt.is_infinity for pt in pcfg.pairs[i]):
             return any(inside)
         pc, pr = sk.pair_discs[i]
         if inside[0] != inside[1]:
-            return radius >= pr and vmat[center][pc] >= pr
-        return inside[0] and radius == pr and vmat[pc][center] >= radius
+            return radius >= pr and smat[center][pc] >= pr
+        return inside[0] and radius == pr and smat[pc][center] >= radius
 
     comp_label: dict[int, int] = {}
     vertices = []
@@ -146,7 +147,7 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
         vertices.append(
             SkeletonVertex(
                 id=vid,
-                disc=Disc(ctx, sk.values[center], radius),
+                disc=Disc(ctx, sk.values[center], Fraction(radius, e)),
                 distinguished=pidx is not None,
                 pair_index=pidx,
                 component=comp,

@@ -26,9 +26,7 @@ as its reference.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from math import gcd, lcm
 from typing import Iterator, Optional
 
 from .clusters import PairedConfiguration
@@ -40,7 +38,7 @@ from .projline import (
     is_loxodromic,
     order_p_fixing,
 )
-from .valfield import FieldKind, _cyclic_mul, _integral, int_valuation
+from .valfield import int_valuation
 
 
 @dataclass(frozen=True)
@@ -101,72 +99,6 @@ def word_matrix(pcfg: PairedConfiguration, word: GroupWord) -> Mobius:
     if m is None:
         raise ValueError("empty word")
     return m
-
-
-class _Integers:
-    """Integral elements of Q: ``int``."""
-
-    zero = 0
-    mul = staticmethod(operator.mul)
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    times = staticmethod(operator.mul)
-
-    @staticmethod
-    def lower(x) -> tuple[int, int]:
-        return x.numerator, x.denominator
-
-    @staticmethod
-    def content(entries) -> int:
-        return gcd(*entries)
-
-    @staticmethod
-    def divide(entries, k: int) -> tuple:
-        return tuple([x // k for x in entries])
-
-
-class _CyclotomicIntegers:
-    """Integral elements A(zeta) of Q(zeta_p): the p - 1 integer
-    coefficients of A in the canonical basis 1, zeta, ..., zeta^(p-2), so
-    equal elements are equal lists."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = [0] * (p - 1)
-
-    def mul(self, x: list[int], y: list[int]) -> list[int]:
-        z = _cyclic_mul(x, y, self.p)
-        top = z[-1]  # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-        return [c - top for c in z[:-1]]
-
-    @staticmethod
-    def add(x: list[int], y: list[int]) -> list[int]:
-        return [a + b for a, b in zip(x, y)]
-
-    @staticmethod
-    def sub(x: list[int], y: list[int]) -> list[int]:
-        return [a - b for a, b in zip(x, y)]
-
-    @staticmethod
-    def times(x: list[int], k: int) -> list[int]:
-        return [c * k for c in x]
-
-    lower = staticmethod(_integral)
-
-    @staticmethod
-    def content(entries) -> int:
-        return gcd(*[c for x in entries for c in x])
-
-    @staticmethod
-    def divide(entries, k: int) -> tuple:
-        return tuple([c // k for c in x] for x in entries)
-
-
-def _lowered(ring, m: Mobius) -> tuple:
-    """m's entries over their common denominator, as integral elements."""
-    parts = [ring.lower(x) for x in m.entries()]
-    den = lcm(*[d for _, d in parts])
-    return tuple(ring.times(a, den // d) for a, d in parts)
 
 
 def _det(ring, m: tuple):
@@ -232,7 +164,7 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     ctx = pcfg.ctx
     g, p = pcfg.g, ctx.p
     last = max_len - max_len % 2 if p == 2 else max_len
-    ring = _Integers if ctx.kind is FieldKind.RATIONAL else _CyclotomicIntegers(p)
+    ring = ctx.integers
     mul, add, zero = ring.mul, ring.add, ring.zero
     # valuations are counted in steps of the value group (1/e) Z; a content
     # k is an integer and v(ell) = 1, so k is worth e v_ell(k) steps
@@ -243,7 +175,7 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     # of generator idx
     gens = []
     for row in pair_generators(pcfg):
-        lowered = [_lowered(ring, m) for m in row]
+        lowered = [tuple(ctx.lower(m.entries())[0]) for m in row]
         dets = [_det(ring, m) for m in lowered]
         gens.append([(m, d, valuation(d)) for m, d in zip(lowered, dets)])
     relations: list[GroupWord] = []

@@ -25,8 +25,17 @@ x^(p-1) = -(1 + ... + x^(p-2)), and inverses are the product of the Galois
 conjugates over the norm.  Valuations are ``Val`` objects: exact rationals
 plus a +infinity sentinel reserved for the valuation of zero.  The kernels
 are reached through one entry point, ``integral_valuation``, which takes
-integer coefficients and counts the valuation in steps of the value group;
-``valuation`` clears denominators and calls it.
+integer coefficients and counts the valuation in steps of the value group.
+
+The entry point from field elements to the integers is ``lower``: it puts
+a list of elements over one common denominator L and returns their
+integral numerators, in the ring ``FieldContext.integers`` (``int``, or
+lists of p - 1 integer coefficients), with e v(L).  Then e v(x - y) is
+``integral_valuation`` of a numerator difference minus e v(L), and
+``valuation`` is the one-element case.  Callers that compare many
+valuations lower their elements once and stay on integers; counts of steps
+are plain ``int``s, with ``INF_STEPS`` for +infinity, and ``val_of_steps``
+turns one back into a ``Val``.
 
 Everything here is immutable and every operation is a pure function, so
 contexts and elements can be shared between threads.  The only internal
@@ -36,9 +45,11 @@ with ``dict.setdefault`` and holds values every thread computes alike.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd, lcm
 
 from .errors import FieldDivisionError, UnsupportedFieldError
@@ -135,6 +146,22 @@ class Val:
 INF = Val(None)
 
 
+@total_ordering
+class _InfSteps:
+    """+infinity among counts of steps: above every ``int``."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return False
+
+    def __repr__(self):
+        return "INF_STEPS"
+
+
+INF_STEPS = _InfSteps()
+
+
 def _as_val(x) -> Val:
     if isinstance(x, Val):
         return x
@@ -203,6 +230,79 @@ def _canonical(z: list[int], den: int) -> tuple:
     return tuple(Fraction(c - top, den) for c in z[:-1])
 
 
+class _Integers:
+    """Integral elements of Q: ``int``."""
+
+    zero = 0
+    mul = staticmethod(operator.mul)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    times = staticmethod(operator.mul)
+
+    @staticmethod
+    def lower(x) -> tuple[int, int]:
+        return x.numerator, x.denominator
+
+    @staticmethod
+    def rotate(x: int, n: int) -> int:
+        """zeta^n x, with zeta = -1."""
+        return -x if n % 2 else x
+
+    @staticmethod
+    def content(entries) -> int:
+        return gcd(*entries)
+
+    @staticmethod
+    def divide(entries, k: int) -> tuple:
+        return tuple([x // k for x in entries])
+
+
+class _CyclotomicIntegers:
+    """Integral elements A(zeta) of Q(zeta_p): the p - 1 integer
+    coefficients of A in the canonical basis 1, zeta, ..., zeta^(p-2), so
+    equal elements are equal lists."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.zero = [0] * (p - 1)
+
+    def mul(self, x: list[int], y: list[int]) -> list[int]:
+        z = _cyclic_mul(x, y, self.p)
+        top = z[-1]  # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
+        return [c - top for c in z[:-1]]
+
+    def rotate(self, x: list[int], n: int) -> list[int]:
+        """zeta^n x: in Z[x]/(x^p - 1) the p coefficients turn by n places,
+        then the top one is reduced away."""
+        n %= self.p
+        z = x + [0]
+        z = z[-n:] + z[:-n]
+        top = z[-1]
+        return [c - top for c in z[:-1]]
+
+    @staticmethod
+    def add(x: list[int], y: list[int]) -> list[int]:
+        return [a + b for a, b in zip(x, y)]
+
+    @staticmethod
+    def sub(x: list[int], y: list[int]) -> list[int]:
+        return [a - b for a, b in zip(x, y)]
+
+    @staticmethod
+    def times(x: list[int], k: int) -> list[int]:
+        return [c * k for c in x]
+
+    lower = staticmethod(_integral)
+
+    @staticmethod
+    def content(entries) -> int:
+        return gcd(*[c for x in entries for c in x])
+
+    @staticmethod
+    def divide(entries, k: int) -> tuple:
+        return tuple([c // k for c in x] for x in entries)
+
+
 # --------------------------------------------------------------------------
 # Field context
 # --------------------------------------------------------------------------
@@ -241,6 +341,12 @@ class FieldContext:
         self.rho: Fraction = Fraction(1, p - 1) if ell == p else Fraction(0)
         # The ramification index e: the value group is (1/e) Z, v(ell) = 1.
         self.ramification = p - 1 if ell == p else 1
+        # e rho, the separation radius counted in steps of (1/e) Z
+        self.rho_steps = 1 if ell == p else 0
+        # the integral elements, in the ring the integer callers work in
+        self.integers = (
+            _Integers if self.kind is FieldKind.RATIONAL else _CyclotomicIntegers(p)
+        )
         # precision k -> (ell^k, the powers 1, r, ..., r^(p-2) mod ell^k of
         # the split flavour's lifted root r)
         self._root_powers: dict[int, tuple[int, tuple[int, ...]]] = {}
@@ -344,21 +450,28 @@ class FieldContext:
 
     # -- the valuation -----------------------------------------------------
 
+    def lower(self, values) -> tuple[list, int]:
+        """The elements over one common denominator L > 0: their integral
+        numerators in :attr:`integers`, each x being A_x / L, and e v(L)."""
+        ring = self.integers
+        parts = [ring.lower(x) for x in values]
+        den = lcm(*[d for _, d in parts])
+        ints = [ring.times(a, den // d) for a, d in parts]
+        return ints, self.ramification * int_valuation(den, self.ell)
+
+    def val_of_steps(self, steps) -> Val:
+        """A count of steps of (1/e) Z as a ``Val``; ``INF_STEPS`` is
+        +infinity."""
+        if steps is INF_STEPS:
+            return INF
+        return Val(Fraction(steps, self.ramification))
+
     def valuation(self, x) -> Val:
         """v(x): multiplicative, ultrametric, v(0) = +infinity."""
-        if self.kind is FieldKind.RATIONAL:
-            if x == 0:
-                return INF
-            return Val.of(
-                self.integral_valuation(x.numerator)
-                - int_valuation(x.denominator, self.ell)
-            )
-        a, den = _integral(x)
-        if not any(a):
+        (a,), den_steps = self.lower([x])
+        if a == self.integers.zero:
             return INF
-        e = self.ramification
-        steps = self.integral_valuation(a) - e * int_valuation(den, self.ell)
-        return Val(Fraction(steps, e))
+        return self.val_of_steps(self.integral_valuation(a) - den_steps)
 
     def integral_valuation(self, a) -> int:
         """e v(A) for a nonzero integral A: its valuation counted in steps

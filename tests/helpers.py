@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -156,6 +157,51 @@ def sample_paired(rng, ctx, g):
         if pcfg.pairing() == expected:
             return cfg, pcfg
     raise AssertionError("random generator failed to produce a paired set")
+
+
+# The seven test fields: p = 2 over ell = 2, 5, 7; split and ramified
+# Q(zeta_3) and Q(zeta_5).
+TEST_FIELDS = ((2, 2), (2, 5), (2, 7), (3, 3), (3, 7), (5, 5), (5, 11))
+
+
+def affine_image(cfg, u, c):
+    """The configuration moved by z -> u z + c (infinity stays)."""
+    ctx = cfg.ctx
+    return sf.Configuration(
+        ctx,
+        tuple(
+            pt if pt.is_infinity else sf.finite(ctx, ctx.add(ctx.mul(u, pt.value), c))
+            for pt in cfg.points
+        ),
+    )
+
+
+def lowering_sets(seed, genera=(2, 3, 4)):
+    """(ctx, configuration) in each test field: sampled paired sets with
+    integer points, and their images under z -> (zeta / ell) z + zeta + 2/3,
+    whose points have denominators and, for odd p, are not rational."""
+    rng = random.Random(seed)
+    for p, ell in TEST_FIELDS:
+        ctx = sf.field_context(p, ell)
+        u = ctx.mul(ctx.zeta, ctx.from_fraction(Fraction(1, ell)))
+        c = ctx.add(ctx.zeta, ctx.from_fraction(Fraction(2, 3)))
+        for g in genera:
+            cfg, _ = sample_paired(rng, ctx, g)
+            yield ctx, cfg
+            yield ctx, affine_image(cfg, u, c)
+
+
+def nielsen_move(pcfg, i, j, n=1):
+    """The points with pair i replaced by its image under the n-th power of
+    the order-p map fixing pair j, listed pair by pair: the generators
+    change, the group does not, and folding undoes the move around j."""
+    m = sf.order_p_fixing(pcfg.ctx, *pcfg.pairs[j], n)
+    points = [
+        sf.apply(m, pt) if k == i else pt
+        for k, pair in enumerate(pcfg.pairs)
+        for pt in pair
+    ]
+    return sf.Configuration(pcfg.ctx, tuple(points))
 
 
 def kadziela_points(rng, ctx, g):

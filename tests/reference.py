@@ -8,6 +8,10 @@ a fold shrinks distinguished distances, and a folded generator is a
 conjugate.  ``skeleton_disc`` and ``pair_disc`` turn the skeleton's index
 pairs into ``Disc`` values for the comparison.
 
+``fold_exponent`` is the fold test on field cross ratios, by division and
+``FieldContext.valuation``: the reference for the integer scan of
+``folding.find_fold_exponent``.
+
 The second half is cyclotomic field arithmetic by polynomial division over
 Q, an independent check of the field layer's integer kernels: products and
 inverses reduce modulo the cyclotomic polynomial by long division and
@@ -19,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from schottkyfold.folding import FoldWitness
 from schottkyfold.hull import Disc
 from schottkyfold.projline import PPoint, apply, compose, inverse, order_p_fixing, proj_eq
 from schottkyfold.valfield import Val, int_valuation
@@ -66,10 +71,12 @@ def min_disc(ctx, values) -> Disc:
 
 
 def skeleton_disc(pcfg, target):
-    """A skeleton disc (center index, radius) as a Disc; None stays None."""
+    """A skeleton disc (center index, radius in steps of (1/e) Z) as a
+    Disc; None stays None."""
     if target is None:
         return None
     center, radius = target
+    radius = Fraction(radius, pcfg.ctx.ramification)
     return Disc(pcfg.ctx, pcfg.skeleton().values[center], radius)
 
 
@@ -94,6 +101,44 @@ def point_to_axis(d: Disc, pair, ctx) -> Fraction:
             # the path enters above the top of the axis and must come down
             dist += top.radius - entry
     return dist
+
+
+def fold_exponent(pcfg, i: int, j: int, I):
+    """The fold test on field cross ratios: the (n, witness) that
+    ``folding.find_fold_exponent`` gives, or None, computed with field
+    division and ``FieldContext.valuation``.
+
+    r_x = (c_x - a_j) / (c_x - b_j) (just c_x - a_j when b_j is infinity);
+    the test v(r_l - zeta^n r_i) > v(r_l) + rho must hold for every choice
+    of finite representatives, scanned in ascending n, then l.
+    """
+    ctx = pcfg.ctx
+    a_j, b_j = pcfg.pairs[j]
+
+    def ratio(c):
+        num = ctx.sub(c, a_j.value)
+        if b_j.is_infinity:
+            return num
+        return ctx.div(num, ctx.sub(c, b_j.value))
+
+    reps_i = [pt.value for pt in pcfg.pairs[i] if not pt.is_infinity]
+    for n in range(1, ctx.p):
+        zeta_n = ctx.zeta_power(n)
+        for l in range(pcfg.g + 1):
+            if l == j or l in I:
+                continue
+            reps_l = [pt.value for pt in pcfg.pairs[l] if not pt.is_infinity]
+            sides = [
+                (
+                    ctx.valuation(ctx.sub(ratio(c_l), ctx.mul(zeta_n, ratio(c_i)))),
+                    ctx.valuation(ratio(c_l)) + ctx.rho,
+                )
+                for c_i in reps_i
+                for c_l in reps_l
+            ]
+            if sides and all(lhs > rhs for lhs, rhs in sides):
+                return n, FoldWitness(l, *sides[0])
+    return None
 
 
 def transported_vertex_disc(ctx, values, members, m) -> Disc:

@@ -8,14 +8,16 @@ from fractions import Fraction
 import pytest
 
 import schottkyfold as sf
+from schottkyfold.clusters import Skeleton
 from schottkyfold.folding import compute_I, d_j_of_i, select_target, tilde_d_j_of_i
-from schottkyfold.valfield import INF, Val
+from schottkyfold.valfield import INF, INF_STEPS, Val
 from helpers import (
     EIGHT_POINT_7ADIC,
     SIX_POINT_5ADIC,
     ctx2,
     ctx5,
     ctx7,
+    lowering_sets,
     multiset,
     pair_list,
     pairs_as_sets,
@@ -190,6 +192,43 @@ def test_repetition_report():
     count, underlying = sf.repetition_report(one)
     assert count == 1
     assert underlying.size == 5
+
+
+def test_repetition_report_keeps_first_occurrence_order():
+    # (repeated, underlying) with repeats at the start, in the middle, at
+    # the end and at infinity; the underlying points keep the order in
+    # which each value first occurs
+    ctx = ctx5()
+    cases = [
+        ([0, 0, 5, 1, 7, "inf"], 1, [0, 5, 1, 7, "inf"]),
+        ([0, 5, 1, 5, 7, "inf"], 1, [0, 5, 1, 7, "inf"]),
+        ([0, 5, 1, 7, "inf", 7], 1, [0, 5, 1, 7, "inf"]),
+        (["inf", 0, 5, "inf", 1, 7], 1, ["inf", 0, 5, 1, 7]),
+        ([3, 0, 3, "inf", 3, "inf"], 2, [3, 0, "inf"]),
+        ([Fraction(1, 5), 2, Fraction(2, 10), 2, 2, 9], 2, [Fraction(1, 5), 2, 9]),
+    ]
+    for values, repeated, underlying in cases:
+        count, got = sf.repetition_report(sf.configuration(ctx, values))
+        assert (count, got) == (repeated, sf.configuration(ctx, underlying))
+
+
+def test_step_matrix_matches_the_field_valuation():
+    # The skeleton lowers its values once and counts every valuation in
+    # steps of (1/e) Z on integers; each entry must equal e v(x_a - x_b)
+    # from FieldContext.valuation, with denominators and non-rational
+    # cyclotomic points among the values.
+    entries = 0
+    for ctx, cfg in lowering_sets(17):
+        sk = Skeleton.build(cfg)
+        values, e = sk.values, ctx.ramification
+        assert sk.values == cfg.finite_values()
+        for a in range(len(values)):
+            assert sk.smat[a][a] is INF_STEPS
+            for b in range(a + 1, len(values)):
+                v = ctx.valuation(ctx.sub(values[a], values[b]))
+                assert sk.smat[a][b] == sk.smat[b][a] == e * v.fraction
+                entries += 1
+    assert entries == 7 * 2 * (10 + 21 + 36)
 
 
 def _view_readings(pcfg):

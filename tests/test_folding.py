@@ -32,11 +32,13 @@ from helpers import (
     ctx5,
     ctx7,
     kadziela_points,
+    lowering_sets,
     multiset,
+    nielsen_move,
     sample_paired,
     values_multiset,
 )
-from reference import disc, point_to_axis, same, skeleton_disc
+from reference import disc, fold_exponent, point_to_axis, same, skeleton_disc
 
 
 def paired(ctx, values):
@@ -389,35 +391,72 @@ def test_translation_beyond_the_decimal_digit_limit():
     assert verdict.s_min.pairs == moved
 
 
-def test_scan_forms_each_rotated_ratio_once(monkeypatch):
-    # zeta^n r_i depends on n and the representative c_i only, so the
-    # scan forms it once per (n, c_i), not once for every index l
+def test_scan_does_no_field_arithmetic(monkeypatch):
+    # the fold test runs on the skeleton's integers: no product, quotient,
+    # inverse or valuation of field elements is formed during the scan
     rng = random.Random(8)
-    active = []
-    products = []
-    original_mul = sf.FieldContext.mul
+    scanning = []
+    calls = []
+
+    def watch(name):
+        original = getattr(sf.FieldContext, name)
+
+        def watched(ctx, *args):
+            if scanning:
+                calls.append(name)
+            return original(ctx, *args)
+
+        monkeypatch.setattr(sf.FieldContext, name, watched)
+
+    for name in ("mul", "div", "inv", "valuation"):
+        watch(name)
     original_scan = sf.folding.find_fold_exponent
+    scans = []
 
-    def mul(ctx, x, y):
-        if active and x in active[-1][0]:
-            active[-1][1].append((x, y))
-        return original_mul(ctx, x, y)
-
-    def scan(pcfg, *args):
-        zetas = {pcfg.ctx.zeta_power(n) for n in range(1, pcfg.ctx.p)}
-        active.append((zetas, []))
+    def scan(*args):
+        scanning.append(True)
         try:
-            return original_scan(pcfg, *args)
+            scans.append(original_scan(*args))
         finally:
-            products.append(active.pop()[1])
+            scanning.pop()
+        return scans[-1]
 
-    monkeypatch.setattr(sf.FieldContext, "mul", mul)
     monkeypatch.setattr(sf.folding, "find_fold_exponent", scan)
     for p, ell in ((3, 7), (5, 11), (3, 3), (5, 5)):
         ctx = sf.field_context(p, ell)
         for _ in range(3):
             cfg, _ = sample_paired(rng, ctx, 3)
             sf.run_algorithm(ctx, cfg)
-    assert sum(map(len, products)) >= 20
-    for formed in products:
-        assert len(formed) == len(set(formed))
+    assert len(scans) >= 20 and any(scans)
+    assert calls == []
+
+
+def test_integer_scan_matches_the_field_route():
+    # every (pass, i) the driver visits, with its chosen j and with every
+    # other j, so b_j is finite as well as infinite; the integer scan must
+    # give the same (n, witness) as the scan on field cross ratios.  Each
+    # set is also run after a Nielsen move around the finite pair 1, which
+    # a fold around that pair undoes.
+    seen = {"finite": [0, 0], "infinite": [0, 0]}
+    for ctx, cfg in lowering_sets(29, genera=(2, 3)):
+        for start in (cfg, nielsen_move(sf.pair_up(cfg), 0, 1)):
+            verdict = sf.run_algorithm(ctx, start)
+            passes = [step.before for step in verdict.trace]
+            if isinstance(verdict, sf.Good):
+                passes.append(verdict.s_min)
+            _compare_scans(passes, seen)
+    assert min(seen["finite"] + seen["infinite"]) >= 20, seen
+
+
+def _compare_scans(passes, seen):
+    for pcfg in passes:
+        for i in range(pcfg.g):
+            _, target = select_target(pcfg, i)
+            indices = compute_I(pcfg, i, target)
+            for j in range(pcfg.g + 1):
+                if j == i:
+                    continue
+                found = find_fold_exponent(pcfg, i, j, indices)
+                assert found == fold_exponent(pcfg, i, j, indices)
+                kind = "infinite" if pcfg.pairs[j][1].is_infinity else "finite"
+                seen[kind][found is not None] += 1
