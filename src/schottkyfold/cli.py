@@ -71,8 +71,9 @@ def _parse_rational(text: str, where: str) -> Fraction:
     return Fraction(decimal_to_int(num), decimal_to_int(den or "1"))
 
 
-def parse_problem(text: str) -> ProblemSpec:
-    """Parse and validate a JSON problem document."""
+def parse_problem(text: str, verify_depth: Optional[int] = None) -> ProblemSpec:
+    """Parse and validate a JSON problem document; ``verify_depth``, when
+    given, passes the option's check and then replaces the option."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -109,13 +110,15 @@ def parse_problem(text: str) -> ProblemSpec:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ParseError("field 'options' must be an object")
-    depth = options.get("verify_depth")
-    if depth is not None and (
-        isinstance(depth, bool) or not isinstance(depth, int) or depth < 0
-    ):
-        raise ValidationError(
-            "option 'verify_depth' must be null or an integer >= 0"
-        )
+    for depth in (options.get("verify_depth"), verify_depth):
+        if depth is not None and (
+            isinstance(depth, bool) or not isinstance(depth, int) or depth < 0
+        ):
+            raise ValidationError(
+                "option 'verify_depth' must be null or an integer >= 0"
+            )
+    if verify_depth is None:
+        verify_depth = options.get("verify_depth")
     if not isinstance(options.get("dot"), (str, type(None))):
         raise ValidationError("option 'dot' must be null or a string")
     return ProblemSpec(
@@ -124,7 +127,7 @@ def parse_problem(text: str) -> ProblemSpec:
         points=points,
         trace=bool(options.get("trace", False)),
         dot=options.get("dot"),
-        verify_depth=options.get("verify_depth"),
+        verify_depth=verify_depth,
         normalize_infinity=bool(options.get("normalize_infinity", False)),
     )
 
@@ -357,15 +360,13 @@ def _main(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        spec = parse_problem(text)
+        spec = parse_problem(text, args.verify_depth)
     except ProblemError as exc:
         if not args.quiet:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     spec.trace = spec.trace or args.trace
     spec.dot = spec.dot if args.dot is None else args.dot
-    if args.verify_depth is not None:
-        spec.verify_depth = args.verify_depth
     spec.normalize_infinity = spec.normalize_infinity or args.normalize_infinity
 
     report, code = run(spec)

@@ -12,24 +12,29 @@ matrix diagonal and as a singleton's depth, is ``valfield.INF_STEPS``,
 which compares above every int.  The values are lowered once per build to
 integral numerators over one common denominator, so no entry needs field
 arithmetic.  ``Val`` and ``Fraction`` appear only at the edges: the depths
-``cluster_data`` returns and the margin of ``NotSeparatedError``.
+``cluster_data`` returns and the margin of ``NotSeparatedError``.  Points
+are named by position, never hashed: a repeated value has a repeated
+numerator, so it reads INF_STEPS off the matrix diagonal.
 
 A configuration is *clustered in rho-separated pairs* when two rules hold.
 ``canonical_pairs``: two points are equivalent when they lie in exactly the
 same even-cardinality clusters (the point at infinity lies in none), and
 every class has size two.  ``check_separated``: the axes spanned by the
 pairs stay more than 2 rho apart, where rho = v(p)/(p-1) is the separation
-radius of the field.  Both read a ``Skeleton``: ``pair_up`` applies them to
-the one it builds, and the hull to the one a paired configuration holds.
+radius of the field.  Both read positions in a ``Skeleton``: ``pair_up``
+decides the pairs on the tree it builds in input order, and the hull
+compares them with the pairs a paired configuration holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import count
 from typing import NamedTuple, Optional
 
-from .errors import NotClusteredInPairsError, NotSeparatedError
+from .errors import NotClusteredInPairsError, NotSeparatedError, RepeatedPointsError
 from .projline import INFINITY, PPoint, point_str
 from .valfield import INF_STEPS, FieldContext, Val
 
@@ -76,7 +81,8 @@ def configuration(ctx: FieldContext, values) -> Configuration:
 
 @dataclass(frozen=True)
 class Cluster:
-    """A cluster given by member indices into ``Configuration.finite_values``.
+    """A cluster given by member indices into ``Configuration.finite_values``
+    (in a ``Skeleton``, positions of its values).
 
     ``depth`` is a ``Val``; in a ``Skeleton`` it counts steps of the value
     group."""
@@ -89,16 +95,20 @@ def _lowered_steps(ctx: FieldContext, values) -> tuple[tuple, int, tuple]:
     """(numerators A_x over a common denominator L, e v(L), step matrix).
 
     The step matrix holds e v(x_a - x_b) = e v(A_a - A_b) - e v(L) for
-    every two of the values, and INF_STEPS on the diagonal.
+    every two of the values, and INF_STEPS on the diagonal.  Equal values
+    have equal numerators, so a repeated value also reads INF_STEPS.
     """
     ints, den_steps = ctx.lower(values)
     n = len(ints)
-    sub, valuation = ctx.integers.sub, ctx.integral_valuation
+    ring, valuation = ctx.integers, ctx.integral_valuation
+    sub, zero = ring.sub, ring.zero
     rows = [[INF_STEPS] * n for _ in range(n)]
     for a in range(n):
         row, x = rows[a], ints[a]
         for b in range(a + 1, n):
-            row[b] = rows[b][a] = valuation(sub(x, ints[b])) - den_steps
+            d = sub(x, ints[b])
+            if d != zero:
+                row[b] = rows[b][a] = valuation(d) - den_steps
     return tuple(ints), den_steps, tuple(tuple(row) for row in rows)
 
 
@@ -150,45 +160,68 @@ def cluster_data(cfg: Configuration, smat=None) -> tuple[Cluster, ...]:
 class Skeleton(NamedTuple):
     """The cluster skeleton of a configuration: built once, then only read.
 
-    ``values`` are the distinct finite values and ``index_of`` maps each
-    back to its position.  ``ints`` are the values' integral numerators over
-    one common denominator L, and ``den_steps`` is e v(L).  ``smat`` is the
+    Points are named by position, never looked up by value.  ``order[x]``
+    is the input position (among the finite points) of the point at
+    position x, and ``pair_points[l]`` the positions of pair l's finite
+    points, in the pair's order (one for a pair with infinity).  ``values``
+    are the finite values and ``ints`` their integral numerators over one
+    common denominator L, and ``den_steps`` is e v(L).  ``smat`` is the
     step matrix: e v(x_a - x_b), an ``int`` counting steps of the value
     group (1/e) Z, with ``INF_STEPS`` on the diagonal.  ``clusters`` is the
     laminar cluster tree in pre-order, with depths in steps (a singleton's
     is ``INF_STEPS``), ``parent[k]`` the position of the smallest cluster
     strictly containing cluster k (None for the root) and ``leaf[x]`` the
-    position of the singleton cluster {x}.  A skeleton of a paired
-    configuration also holds each pair's finite member indices and its
-    minimal disc as (center index, radius in steps); the disc of the pair
-    at infinity is that of all finite values.
+    position of the singleton cluster {x}.  ``pair_discs[l]`` is pair l's
+    minimal disc as (center position, radius in steps); the disc of the
+    pair at infinity is that of all finite values.
     """
 
     values: tuple
-    index_of: dict
+    order: tuple[int, ...]
     ints: tuple
     den_steps: int
     smat: tuple[tuple[int, ...], ...]
     clusters: tuple[Cluster, ...]
     parent: tuple[Optional[int], ...]
     leaf: tuple[int, ...]
-    pair_members: tuple[frozenset[int], ...] = ()
+    pair_points: tuple[tuple[int, ...], ...] = ()
     pair_discs: tuple[tuple[int, int], ...] = ()
 
     @staticmethod
-    def build(cfg: Configuration) -> "Skeleton":
-        """One step matrix and one ``cluster_data`` call."""
-        values = cfg.finite_values()
-        ints, den_steps, smat = _lowered_steps(cfg.ctx, values)
-        clusters = cluster_data(cfg, smat)
-        return Skeleton._assemble(values, ints, den_steps, smat, clusters)
+    def build(cfg: Configuration, pairing=None) -> "Skeleton":
+        """The skeleton of the configuration's finite points, in four steps.
 
-    @staticmethod
-    def _assemble(
-        values, ints, den_steps, smat, clusters, pair_members=(), pair_discs=()
-    ):
+        1. Lower the points once in input order and build the step matrix;
+           a second infinity or INF_STEPS off its diagonal is a repeated
+           point (RepeatedPointsError).  Then build the cluster tree.
+        2. ``pairing(smat, clusters)`` names the pairs as tuples of input
+           positions; without it the input order stays and no pair is kept.
+        3. Permute the matrix, the values and the member sets into pair order.
+        4. Link each cluster to its parent and each point to its leaf.
+        """
+        values = [pt.value for pt in cfg.points if not pt.is_infinity]
+        ints, den_steps, smat = _lowered_steps(cfg.ctx, values)
+        if len(values) + 1 < cfg.size or any(row.count(INF_STEPS) > 1 for row in smat):
+            raise RepeatedPointsError("the points are not distinct")
+        clusters = cluster_data(cfg, smat)
+
+        pairs = () if pairing is None else pairing(smat, clusters)
+        order = [x for pr in pairs for x in pr] if pairs else range(len(values))
+
+        new = [0] * len(order)
+        for k, old in enumerate(order):
+            new[old] = k
+        smat = tuple(tuple(smat[a][b] for b in order) for a in order)
+        # Each member set is built from an ascending list, as cluster_data
+        # builds it: the hull centres a cluster's disc at the set's first
+        # member in iteration order, and that order depends on insertion.
+        clusters = tuple(
+            Cluster(frozenset(sorted(new[x] for x in c.members)), c.depth)
+            for c in clusters
+        )
+
         parent: list[Optional[int]] = []
-        leaf = [0] * len(values)
+        leaf = [0] * len(order)
         stack: list[int] = []
         for k, c in enumerate(clusters):
             while stack and not c.members < clusters[stack[-1]].members:
@@ -198,59 +231,39 @@ class Skeleton(NamedTuple):
             if len(c.members) == 1:
                 (x,) = c.members
                 leaf[x] = k
+        points, discs, k = [], [], 0
+        for pr in pairs:
+            points.append(tuple(range(k, k + len(pr))))
+            k += len(pr)
+            if len(pr) == 2:
+                discs.append((k - 2, smat[k - 2][k - 1]))
+            else:  # the pair at infinity: the disc of all finite values
+                discs.append((0, min((row[0] for row in smat[1:]), default=0)))
         return Skeleton(
-            values,
-            {v: k for k, v in enumerate(values)},
-            ints,
+            tuple(values[x] for x in order),
+            tuple(order),
+            tuple(ints[x] for x in order),
             den_steps,
             smat,
             clusters,
             tuple(parent),
             tuple(leaf),
-            pair_members,
-            pair_discs,
+            tuple(points),
+            tuple(discs),
         )
 
-    def for_pairs(self, pairs) -> "Skeleton":
-        """This skeleton relabelled into the order of the pairs' finite
-        points, with each pair's member indices and minimal disc.  No
-        valuation is computed."""
-        points = [pt for pair in pairs for pt in pair if not pt.is_infinity]
-        order = tuple(dict.fromkeys(pt.value for pt in points))
-        old = [self.index_of[v] for v in order]
-        new_of = {o: k for k, o in enumerate(old)}
-        smat = tuple(tuple(self.smat[a][b] for b in old) for a in old)
-        # Each member set is built from an ascending list, as cluster_data
-        # builds it: the hull centres a cluster's disc at the set's first
-        # member in iteration order, and that order depends on insertion.
-        clusters = tuple(
-            Cluster(frozenset(sorted(new_of[k] for k in c.members)), c.depth)
-            for c in self.clusters
-        )
-        index = {v: k for k, v in enumerate(order)}
-        members, discs = [], []
-        for pair in pairs:
-            idx = [index[pt.value] for pt in pair if not pt.is_infinity]
-            members.append(frozenset(idx))
-            if len(idx) < len(pair):
-                idx = list(range(len(order)))
-            discs.append(_smallest_disc(smat, idx))
-        ints = tuple(self.ints[o] for o in old)
-        return Skeleton._assemble(
-            order, ints, self.den_steps, smat, clusters, tuple(members), tuple(discs)
-        )
-
-    def chain(self, members: frozenset[int]):
-        """The clusters containing the given indices, smallest first."""
-        k = self.leaf[next(iter(members))]
+    def chain(self, members: tuple[int, ...]):
+        """The clusters containing the given positions, smallest first."""
+        # walking up from the first member's leaf, only the last can be missing
+        k, last = self.leaf[members[0]], members[-1]
         while k is not None:
             c = self.clusters[k]
-            if members <= c.members:
+            if last in c.members:
                 yield c
             k = self.parent[k]
 
-    def minimal_odd(self, members: frozenset[int]) -> Optional[frozenset[int]]:
-        """The smallest odd cluster containing the given indices, if any."""
+    def minimal_odd(self, members: tuple[int, ...]) -> Optional[frozenset[int]]:
+        """The smallest odd cluster containing the given positions, if any."""
         for c in self.chain(members):
             if len(c.members) % 2 == 1:
                 return c.members
@@ -269,7 +282,7 @@ class Skeleton(NamedTuple):
         upward without bound).
         """
         smat = self.smat
-        fin_i, fin_j = self.pair_members[i], self.pair_members[j]
+        fin_i, fin_j = self.pair_points[i], self.pair_points[j]
         u = max(smat[x][y] for x in fin_i for y in fin_j)
         if u is INF_STEPS:
             raise ValueError("axes share a point")
@@ -281,20 +294,14 @@ class Skeleton(NamedTuple):
         return total
 
 
-def _smallest_disc(smat, idx) -> tuple[int, int]:
-    """(center, radius) of the smallest disc around the indexed values: the
-    first is the center; a single value gets radius 0."""
-    center = idx[0]
-    return center, min((smat[x][center] for x in idx if x != center), default=0)
-
-
 @dataclass(frozen=True)
 class PairedConfiguration:
     """2g+2 distinct points partitioned into g+1 indexed pairs.
 
     The pair containing infinity (when present) always has the last index,
-    with infinity as its second member.  The cluster skeleton is built on
-    first use and kept; ``pair_up`` hands over the one it built.
+    with infinity as its second member.  The skeleton, in pair order, is
+    kept: ``pair_up`` hands over the one it built; one made by hand is built
+    on first use, and its permutation is the identity.
     """
 
     ctx: FieldContext
@@ -314,17 +321,18 @@ class PairedConfiguration:
         return Configuration(self.ctx, self.points())
 
     def skeleton(self) -> Skeleton:
-        """The skeleton, indexed like ``configuration().finite_values()``.
+        """The skeleton, indexed like ``configuration().finite_values()``;
+        RepeatedPointsError if the points are not distinct.
 
         Deterministic, so two threads building it at once store equal views.
         """
         if self._skeleton is None:
-            self._attach(Skeleton.build(self.configuration()))
+            # listed pair by pair, the finite points are already in pair order
+            k = count()
+            pairs = [[next(k) for pt in p if not pt.is_infinity] for p in self.pairs]
+            sk = Skeleton.build(self.configuration(), lambda *_: pairs)
+            object.__setattr__(self, "_skeleton", sk)
         return self._skeleton
-
-    def _attach(self, sk: Skeleton) -> None:
-        """Keep a skeleton of these points, relabelled into pair order."""
-        object.__setattr__(self, "_skeleton", sk.for_pairs(self.pairs))
 
     def pairing(self) -> set[frozenset[PPoint]]:
         """The pairs as unordered point sets, compared by exact value."""
@@ -338,38 +346,33 @@ class PairedConfiguration:
         return f"PairedConfiguration({inner})"
 
 
-def canonical_pairs(
-    sk: Skeleton, has_infinity: bool
-) -> tuple[tuple[PPoint, PPoint], ...]:
-    """The canonical pairing of the skeleton's values (and infinity, when
-    present), or NotClusteredInPairsError.
+def canonical_pairs(smat, clusters, has_infinity: bool) -> tuple[tuple[int, ...], ...]:
+    """The canonical pairing of the positions of a step matrix and its
+    cluster tree (and infinity, when present), or NotClusteredInPairsError.
 
     Points are equivalent when they lie in exactly the same even-cardinality
-    clusters (infinity lies in none); every class must have size two.
-    Finite pairs come first, by depth of the minimal pair disc descending,
-    ties broken by value index (first occurrence in the input, for a
-    skeleton built from it); the pair containing infinity comes last, with
-    infinity as its second member.
+    clusters (infinity lies in none); every class must have size two.  Each
+    pair lists its positions in ascending order.  Finite pairs come first,
+    by depth of the minimal pair disc descending, ties broken by position
+    (first occurrence in the input, for a tree built in input order); the
+    pair containing infinity comes last and lists its finite point only.
     """
-    even = [c.members for c in sk.clusters if len(c.members) % 2 == 0]
-    classes: dict[frozenset[int], list] = {}
-    for x in range(len(sk.values)):
-        profile = frozenset(k for k, members in enumerate(even) if x in members)
+    even = [c.members for c in clusters if len(c.members) % 2 == 0]
+    classes: dict[tuple[int, ...], list] = {}
+    for x in range(len(smat)):
+        profile = tuple(k for k, members in enumerate(even) if x in members)
         classes.setdefault(profile, []).append(x)
     if has_infinity:
-        classes.setdefault(frozenset(), []).append(None)
+        classes.setdefault((), []).append(None)
     if any(len(members) != 2 for members in classes.values()):
         raise NotClusteredInPairsError(
             "even-cluster equivalence classes do not all have size 2"
         )
     finite = sorted(
-        (ab for ab in classes.values() if None not in ab),
-        key=lambda ab: (-sk.smat[ab[0]][ab[1]], ab[0]),
+        (tuple(ab) for ab in classes.values() if None not in ab),
+        key=lambda ab: (-smat[ab[0]][ab[1]], ab[0]),
     )
-    return tuple(
-        tuple(INFINITY if x is None else PPoint(sk.values[x]) for x in ab)
-        for ab in finite + [ab for ab in classes.values() if None in ab]
-    )
+    return tuple(finite) + tuple((ab[0],) for ab in classes.values() if None in ab)
 
 
 def check_separated(pcfg: PairedConfiguration) -> None:
@@ -388,14 +391,16 @@ def pair_up(cfg: Configuration) -> PairedConfiguration:
     """Partition into the canonical pairs (``canonical_pairs``), or raise
     NotClusteredInPairsError / NotSeparatedError (``check_separated``).
 
-    Repeated points raise ValueError.  The returned configuration keeps the
-    one skeleton built here.
+    Repeated points raise RepeatedPointsError, a ValueError, before either
+    rule runs.  The returned configuration keeps the one skeleton built
+    here, in the order of the pairs.
     """
-    if len(set(cfg.points)) != cfg.size:
-        raise ValueError("pair_up requires distinct points")
-    sk = Skeleton.build(cfg)
-    pcfg = PairedConfiguration(cfg.ctx, canonical_pairs(sk, cfg.has_infinity()))
-    pcfg._attach(sk)
+    has_inf = cfg.has_infinity()
+    sk = Skeleton.build(cfg, partial(canonical_pairs, has_infinity=has_inf))
+    finite = [pt for pt in cfg.points if not pt.is_infinity]
+    points = [finite[x] for x in sk.order] + ([INFINITY] if has_inf else [])
+    pcfg = PairedConfiguration(cfg.ctx, tuple(zip(points[::2], points[1::2])))
+    object.__setattr__(pcfg, "_skeleton", sk)
     check_separated(pcfg)
     return pcfg
 

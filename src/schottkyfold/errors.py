@@ -39,3 +39,7 @@ class NotSeparatedError(PairingError):
     def __init__(self, margin):
         super().__init__(f"separation margin {margin} is not > twice the radius")
         self.margin = margin
+
+
+class RepeatedPointsError(SchottkyFoldError, ValueError):
+    """A configuration that must hold distinct points repeats one."""

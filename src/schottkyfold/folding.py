@@ -33,8 +33,9 @@ from .clusters import (
     pair_up,
     repetition_report,
 )
-from .errors import InvalidInputError, NotSeparatedError, PairingError
-from .projline import Mobius, PPoint, apply, order_p_fixing
+from .errors import (InvalidInputError, NotSeparatedError, PairingError,
+                     RepeatedPointsError)
+from .projline import Mobius, apply, order_p_fixing
 from .valfield import INF_STEPS, FieldContext, Val
 
 
@@ -118,23 +119,23 @@ def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
     if i == j:
         raise ValueError("indices must be distinct")
     sk = pcfg.skeleton()
-    if any(pt.is_infinity for pt in pcfg.pairs[i]):
+    mem_i, mem_j = sk.pair_points[i], sk.pair_points[j]
+    if len(mem_i) < 2:
         return None
-    mem_i, mem_j = sk.pair_members[i], sk.pair_members[j]
     if len(mem_j) == 2:
         odd_i = sk.minimal_odd(mem_i)
         if odd_i is not None and odd_i == sk.minimal_odd(mem_j):
             return sk.pair_discs[j]
     if not any(
-        len(c.members) % 2 == 1 and len(c.members & mem_j) == 1
+        len(c.members) % 2 == 1 and sum(x in c.members for x in mem_j) == 1
         for c in sk.chain(mem_i)
     ):
         return None
     center, r_i = sk.pair_discs[i]
     best = None
-    for k in sorted(mem_j):
+    for k in mem_j:
         radius = sk.join(center, r_i, k, r_i)
-        if all(sk.smat[o][center] < radius for o in mem_j - {k}):
+        if all(sk.smat[o][center] < radius for o in mem_j if o != k):
             if best is None or radius > best:
                 best = radius
     return None if best is None else (center, best)
@@ -197,15 +198,11 @@ def compute_I(pcfg: PairedConfiguration, i: int, target: tuple) -> frozenset[int
     (center index, radius in steps) around pair i: both points must be
     finite and strictly inside the residue branch through pair i."""
     sk = pcfg.skeleton()
-    anchor = next(
-        sk.index_of[pt.value] for pt in pcfg.pairs[i] if not pt.is_infinity
-    )
+    anchor = sk.pair_points[i][0]
     level = target[1]
     out = set()
-    for l, pair in enumerate(pcfg.pairs):
-        if any(pt.is_infinity for pt in pair):
-            continue
-        if all(sk.smat[m][anchor] > level for m in sk.pair_members[l]):
+    for l, members in enumerate(sk.pair_points):
+        if len(members) == 2 and all(sk.smat[m][anchor] > level for m in members):
             out.add(l)
     assert i in out, "pair i must lie in its own branch"
     return frozenset(out)
@@ -240,23 +237,21 @@ def find_fold_exponent(
     ctx = pcfg.ctx
     sk = pcfg.skeleton()
     ring, valuation, rho = ctx.integers, ctx.integral_valuation, ctx.rho_steps
-    sub, ints, den = ring.sub, sk.ints, sk.den_steps
-    a_j, b_j = pcfg.pairs[j]
-    a = sk.index_of[a_j.value]
-    b = None if b_j.is_infinity else sk.index_of[b_j.value]
+    sub, ints, den, points = ring.sub, sk.ints, sk.den_steps, sk.pair_points
+    a, b = points[j] if len(points[j]) == 2 else (points[j][0], None)
 
-    def ratios(pair):
+    def ratios(members):
         """(N_x, M_x, e v(M_x), e v(r_x)) for each finite representative of
-        the pair; M_x is None when b_j is infinity."""
+        the pair at these positions; M_x is None when b_j is infinity."""
         out = []
-        for x in (sk.index_of[pt.value] for pt in pair if not pt.is_infinity):
+        for x in members:
             row = sk.smat[x]
             m, vm = (None, den) if b is None else (sub(ints[x], ints[b]), row[b] + den)
             out.append((sub(ints[x], ints[a]), m, vm, row[a] + den - vm))
         return out
 
-    reps_i = ratios(pcfg.pairs[i])
-    reps = {l: ratios(pr) for l, pr in enumerate(pcfg.pairs) if l != j and l not in I}
+    reps_i = ratios(points[i])
+    reps = {l: ratios(pts) for l, pts in enumerate(points) if l != j and l not in I}
     for n in range(1, ctx.p):
         turned = [(ring.rotate(n_i, n), m_i, vm_i) for n_i, m_i, vm_i, _ in reps_i]
         for l, reps_l in reps.items():
@@ -299,16 +294,6 @@ def apply_folding(
     return Configuration(pcfg.ctx, tuple(points))
 
 
-def image_pair_key(step: FoldingStep) -> set[frozenset[PPoint]]:
-    """The folded configuration's inherited pairing, as unordered point sets.
-
-    ``apply_folding`` lists the points pair by pair, so consecutive points
-    of ``step.after`` are the images of one pair.
-    """
-    pts = step.after.points
-    return {frozenset(pts[k : k + 2]) for k in range(0, len(pts), 2)}
-
-
 def validate_input(cfg: Configuration) -> None:
     if cfg.size < 4 or cfg.size % 2 != 0:
         raise InvalidInputError("configuration must have even size >= 4")
@@ -321,40 +306,44 @@ def validate_input(cfg: Configuration) -> None:
 def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
     """Run the folding loop to a verdict, recording every fold.
 
-    Each pass checks repetitions (an even number of repeated values stops
-    with Redundant, an odd number means the pairing is broken), re-pairs
-    from scratch, and then scans i = 0..g-1 for a fold; a performed fold
-    restarts the pass.  When no fold exists the configuration is optimal.
+    Each pass re-pairs from scratch.  ``pair_up`` finds repeated points in
+    its step matrix; only then are they counted (an even number of repeated
+    values stops with Redundant, an odd number means the pairing is
+    broken).  After a fold the pairs must sit at the positions handed down,
+    compared by position.  Then i = 0..g-1 is scanned for a fold; a
+    performed fold restarts the pass.  When no fold exists the
+    configuration is optimal.
     """
     validate_input(cfg)
     trace: list[FoldingStep] = []
     current = cfg
     for _ in range(FOLD_CAP + 1):
-        repeated, underlying = repetition_report(current)
-        if repeated:
+        failure = None
+        try:
+            pcfg = pair_up(current)
+        except RepeatedPointsError:
+            repeated, underlying = repetition_report(current)
             if repeated % 2 == 0:
                 return Redundant(underlying, tuple(trace))
             failure = PairingFailure.NOT_CLUSTERED_IN_PAIRS
-            if trace:
-                return NotGood(BadFoldingProduced(trace[-1], failure), tuple(trace))
-            return NotGood(InitialNotPaired(failure), tuple(trace))
-        try:
-            pcfg = pair_up(current)
         except PairingError as exc:
             failure = _failure_of(exc)
+        else:
+            # A fold is only good if the set stays clustered in the inherited
+            # pairs.  Clusterings are unique, so a different canonical pairing
+            # means the inherited labels lost separation (their tubes touch):
+            # a bad folding, even though the bare point set pairs up again.
+            # apply_folding lists inherited pair k at input positions (2k,
+            # 2k + 1), infinity last; order maps canonical pair l back there.
+            order = pcfg.skeleton().order
+            if trace and any(
+                order[2 * l] // 2 != order[2 * l + 1] // 2 for l in range(pcfg.g)
+            ):
+                failure = PairingFailure.NOT_SEPARATED
+        if failure is not None:
             if trace:
                 return NotGood(BadFoldingProduced(trace[-1], failure), tuple(trace))
             return NotGood(InitialNotPaired(failure), tuple(trace))
-
-        # A fold is only good if the set stays clustered in the inherited
-        # pairs.  Clusterings are unique, so a different canonical pairing
-        # means the inherited labels lost separation (their tubes touch):
-        # a bad folding, even though the bare point set pairs up again.
-        if trace and pcfg.pairing() != image_pair_key(trace[-1]):
-            return NotGood(
-                BadFoldingProduced(trace[-1], PairingFailure.NOT_SEPARATED),
-                tuple(trace),
-            )
 
         performed = False
         for i in range(pcfg.g):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .clusters import PairedConfiguration, canonical_pairs, check_separated
-from .errors import NotPairedError, PairingError
+from .errors import NotPairedError, PairingError, RepeatedPointsError
 from .valfield import FieldContext, format_fraction
 
 
@@ -78,14 +78,15 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     NotPairedError is raised.
     """
     ctx = pcfg.ctx
-    points = pcfg.points()
-    if len(set(points)) != len(points):
-        raise NotPairedError("the points are not distinct")
-    sk = pcfg.skeleton()
-    has_inf = any(pt.is_infinity for pt in points)
     try:
-        canonical = {frozenset(pair) for pair in canonical_pairs(sk, has_inf)}
-        if canonical != pcfg.pairing():
+        sk = pcfg.skeleton()
+    except RepeatedPointsError:
+        raise NotPairedError("the points are not distinct") from None
+    has_inf = any(len(members) < 2 for members in sk.pair_points)
+    try:
+        # both list each pair's positions in ascending order
+        canonical = canonical_pairs(sk.smat, sk.clusters, has_inf)
+        if sorted(canonical) != sorted(sk.pair_points):
             raise NotPairedError("pairs are not the canonical pairing of the points")
         check_separated(pcfg)
     except PairingError as exc:
@@ -128,9 +129,9 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
 
     def on_axis(center, radius, i) -> bool:
         """Whether the disc point lies on the axis of pair i."""
-        inside = [smat[m][center] >= radius for m in sk.pair_members[i]]
-        if any(pt.is_infinity for pt in pcfg.pairs[i]):
-            return any(inside)
+        inside = [smat[m][center] >= radius for m in sk.pair_points[i]]
+        if len(inside) < 2:
+            return inside[0]
         pc, pr = sk.pair_discs[i]
         if inside[0] != inside[1]:
             return radius >= pr and smat[center][pc] >= pr

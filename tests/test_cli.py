@@ -198,6 +198,27 @@ def test_main_rejects_bad_verify_depth(tmp_path):
     assert cli.main(["--input", str(path), "--quiet"]) == cli.EXIT_INVALID
 
 
+def test_main_checks_the_verify_depth_flag_like_the_option(tmp_path, capsys):
+    # the flag overrides the document's option, so it passes the same check
+    path = tmp_path / "problem.json"
+    path.write_text(problem_5adic(), encoding="utf-8")
+    message = "error: option 'verify_depth' must be null or an integer >= 0\n"
+    for depth in ("-1", "-7"):
+        code = cli.main(["--input", str(path), f"--verify-depth={depth}"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INVALID
+        assert (captured.out, captured.err) == ("", message)
+    # the document's option is still checked when the flag replaces it
+    for options in ({"verify_depth": -1}, {"verify_depth": "x"}):
+        path.write_text(problem_5adic(**options), encoding="utf-8")
+        assert cli.main(["--input", str(path), "--verify-depth=2"]) == cli.EXIT_INVALID
+        assert capsys.readouterr().err == message
+    # a valid flag still overrides the option
+    path.write_text(problem_5adic(verify_depth=3), encoding="utf-8")
+    assert cli.main(["--input", str(path), "--verify-depth", "0"]) == cli.EXIT_NOT_GOOD
+    assert json.loads(capsys.readouterr().out)["audit"]["depth"] == 0
+
+
 def test_main_unwritable_dot_prefix_exits_invalid(tmp_path, capsys):
     path = tmp_path / "problem.json"
     path.write_text(problem_7adic(), encoding="utf-8")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import random
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -250,6 +252,12 @@ def test_fold_that_repairs_differently_is_bad():
     assert isinstance(verdict, sf.NotGood)
     assert len(verdict.trace) == 1
     assert isinstance(verdict.reason, sf.BadFoldingProduced)
+    # the folded set pairs up, so the failure comes from the check of the
+    # inherited pairing
+    assert verdict.reason.failure is sf.PairingFailure.NOT_SEPARATED
+    after = verdict.trace[-1].after.points
+    inherited = {frozenset(after[k : k + 2]) for k in range(0, len(after), 2)}
+    assert sf.pair_up(verdict.trace[-1].after).pairing() != inherited
     witness = sf.schottky_audit(sf.pair_up(cfg), 4).witness
     assert witness is not None
     assert witness[1].kind is not sf.MapKind.LOXODROMIC
@@ -460,3 +468,117 @@ def _compare_scans(passes, seen):
                 assert found == fold_exponent(pcfg, i, j, indices)
                 kind = "infinite" if pcfg.pairs[j][1].is_infinity else "finite"
                 seen[kind][found is not None] += 1
+
+
+def _count_hashes(monkeypatch):
+    """Calls of ``Fraction.__hash__`` and ``PPoint.__hash__``, by class."""
+    counts: Counter = Counter()
+    for cls in (Fraction, sf.PPoint):
+
+        def counted(self, original=cls.__hash__, name=cls.__name__):
+            counts[name] += 1
+            return original(self)
+
+        monkeypatch.setattr(cls, "__hash__", counted)
+    return counts
+
+
+def test_a_fold_pass_hashes_no_values(monkeypatch):
+    # each pass names points by their skeleton positions: the repeat test
+    # reads the step matrix and the inherited pairing is checked by
+    # position, so a pass on distinct points hashes no field value; only a
+    # pass that finds a repeat hashes, in repetition_report
+    starts = []
+    for ctx, cfg in lowering_sets(41):
+        pcfg = sf.pair_up(cfg)
+        starts.append((ctx, cfg))
+        for j in (1, pcfg.g):
+            moved = nielsen_move(pcfg, 0, j)
+            if len(set(moved.points)) == moved.size:
+                starts.append((ctx, moved))
+    counts = _count_hashes(monkeypatch)
+    runs = []
+    for ctx, cfg in starts:
+        before = sum(counts.values())
+        verdict = sf.run_algorithm(ctx, cfg)
+        runs.append((verdict, sum(counts.values()) - before))
+    monkeypatch.undo()
+
+    def ends_on_a_repeat(verdict):
+        last = verdict.trace[-1].after if verdict.trace else None
+        return last is not None and len(set(last.points)) < last.size
+
+    distinct = [(v, hashed) for v, hashed in runs if not ends_on_a_repeat(v)]
+    assert [hashed for _, hashed in distinct] == [0] * len(distinct)
+    assert all(hashed for v, hashed in runs if ends_on_a_repeat(v))
+    assert len({(ctx.p, ctx.ell) for ctx, _ in starts}) == 7
+    assert sum(len(v.trace) for v, _ in distinct) >= 20
+    assert len(distinct) < len(runs)
+
+
+def _cyclotomic_multiset():
+    ctx = sf.field_context(3, 7)
+    w = ctx.add(ctx.zeta, ctx.from_fraction(Fraction(2, 3)))
+    return ctx, [w, 1, w, 1, 0, "inf"], [w, 1, 0, "inf"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (ctx5(), [1, 1, 7, 12, 7, "inf"], [1, 7, 12, "inf"]),  # at the start
+        lambda: (ctx5(), [7, 0, 12, 0, 12, "inf"], [7, 0, 12, "inf"]),  # in the middle
+        lambda: (ctx5(), ["inf", 1, 2, 1, 2, 3], ["inf", 1, 2, 3]),  # infinity first
+        _cyclotomic_multiset,  # non-rational values of Q(zeta_3), 7-adic
+    ],
+)
+def test_even_repetitions_reduce_in_first_occurrence_order(make):
+    ctx, points, reduced = make()
+    verdict = sf.run_algorithm(ctx, sf.configuration(ctx, points))
+    assert isinstance(verdict, sf.Redundant) and verdict.trace == ()
+    assert verdict.reduced == sf.configuration(ctx, reduced)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [12, 12, 0, 5, 1, "inf"],  # at the start
+        [0, 0, 0, 5, 1, "inf"],  # three copies are one repeated value
+        [7, 12, 1, "inf", 5, 5],  # at the end
+        [3, 7, 12, 0, 5, 1, "inf", 3],  # first and last
+    ],
+)
+def test_odd_repetitions_are_not_paired(points):
+    ctx = ctx5()
+    verdict = sf.run_algorithm(ctx, sf.configuration(ctx, points))
+    assert isinstance(verdict, sf.NotGood) and verdict.trace == ()
+    assert verdict.reason == sf.InitialNotPaired(
+        sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS
+    )
+
+
+def test_repetition_after_a_fold_is_redundant():
+    # the folded points repeat two values: pair_up reports it on the next
+    # pass, and the reduced set keeps the first occurrences in order.  The
+    # verdict depends on the input order (ROADMAP, open item 2).
+    ctx = ctx2()
+    points = [2, 258, 5, 69, -1, 127, 4, 132, 1, 257, 0, 128, 6, 134, 3, "inf"]
+    verdict = sf.run_algorithm(ctx, sf.configuration(ctx, points))
+    assert isinstance(verdict, sf.Redundant) and len(verdict.trace) == 1
+    reduced = [4, -252, 1, 257, -1, 127, 132, 0, 128, -128, 5, 69, 3, "inf"]
+    assert verdict.reduced == sf.configuration(ctx, reduced)
+
+
+def test_pair_up_rejects_repeats_before_any_pairing_rule():
+    ctx = ctx5()
+    cyc, points, _ = _cyclotomic_multiset()
+    for cfg in (
+        sf.configuration(ctx, [-5, -10, 0, 5, 1, "inf", 1, 1]),  # not paired either
+        sf.configuration(ctx, [0, 5, 1, "inf", 7, "inf"]),  # a second infinity
+        sf.configuration(cyc, points),
+    ):
+        with pytest.raises(ValueError) as info:
+            sf.pair_up(cfg)
+        assert not isinstance(info.value, sf.PairingError)
+    with pytest.raises(sf.InvalidInputError):
+        sf.run_algorithm(ctx, sf.configuration(ctx, [0, 5, 1, "inf", 7, "inf"]))
+

@@ -265,3 +265,16 @@ def test_to_dot_7adic_has_four_distinguished_nodes():
     dot = sf.to_dot(sf.reduced_convex_hull(pcfg))
     assert dot.count("fillcolor=lightblue") == 4
     assert dot.count(" -- ") == 3
+
+
+def test_hull_accepts_infinity_first_in_its_pair():
+    # the pairing is compared as unordered pairs, so a hand-built
+    # configuration listing infinity first in its pair is canonical too,
+    # and its forest is the one pair_up's order gives
+    for ctx, points in ((ctx5(), SIX_POINT_5ADIC), (ctx7(), EIGHT_POINT_7ADIC)):
+        pcfg = sf.pair_up(sf.configuration(ctx, points))
+        *finite, (last, inf) = pcfg.pairs
+        flipped = sf.PairedConfiguration(ctx, (*finite, (inf, last)))
+        assert inf.is_infinity
+        want = sf.to_dot(sf.reduced_convex_hull(pcfg))
+        assert sf.to_dot(sf.reduced_convex_hull(flipped)) == want
