@@ -301,7 +301,9 @@ class PairedConfiguration:
     The pair containing infinity (when present) always has the last index,
     with infinity as its second member.  The skeleton, in pair order, is
     kept: ``pair_up`` hands over the one it built; one made by hand is built
-    on first use, and its permutation is the identity.
+    on first use, and its permutation is the identity.  ``_checked`` is
+    set by ``pair_up`` alone: its pairs passed ``canonical_pairs`` and
+    ``check_separated`` on that skeleton.
     """
 
     ctx: FieldContext
@@ -309,6 +311,7 @@ class PairedConfiguration:
     _skeleton: Optional[Skeleton] = field(
         default=None, init=False, compare=False, repr=False
     )
+    _checked: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def g(self) -> int:
@@ -402,6 +405,7 @@ def pair_up(cfg: Configuration) -> PairedConfiguration:
     pcfg = PairedConfiguration(cfg.ctx, tuple(zip(points[::2], points[1::2])))
     object.__setattr__(pcfg, "_skeleton", sk)
     check_separated(pcfg)
+    object.__setattr__(pcfg, "_checked", True)
     return pcfg
 
 

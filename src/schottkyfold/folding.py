@@ -105,7 +105,7 @@ Verdict = Union[Good, NotGood, Redundant]
 FOLD_CAP = 100  # generous; the discrete termination measure keeps runs tiny
 
 
-def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
+def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int, odd_i=None):
     """The target disc on the axis of pair j seen from pair i, as
     (center index, radius in steps) in the skeleton, or None where
     undefined.
@@ -114,7 +114,9 @@ def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
     target is the minimal disc of pair j), or some odd cluster contains
     pair i together with exactly one point of pair j (then the target is
     the minimal disc realising that containment).  When pair j contains
-    infinity its finite point is the one included.
+    infinity its finite point is the one included.  ``odd_i``, the
+    minimal odd cluster through pair i, is found here unless a caller that
+    tries many j passes it.
     """
     if i == j:
         raise ValueError("indices must be distinct")
@@ -123,7 +125,8 @@ def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
     if len(mem_i) < 2:
         return None
     if len(mem_j) == 2:
-        odd_i = sk.minimal_odd(mem_i)
+        if odd_i is None:
+            odd_i = sk.minimal_odd(mem_i)
         if odd_i is not None and odd_i == sk.minimal_odd(mem_j):
             return sk.pair_discs[j]
     if not any(
@@ -141,10 +144,10 @@ def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
     return None if best is None else (center, best)
 
 
-def tilde_d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
+def tilde_d_j_of_i(pcfg: PairedConfiguration, i: int, j: int, odd_i=None):
     """The target disc pushed back by the separation radius rho, as
     (center index, radius in steps) in the skeleton, or None where
-    undefined.
+    undefined; ``odd_i`` goes to :func:`d_j_of_i`.
 
     Walking a distance rho from the target disc point toward the vertex of
     pair i: either the walk stays below the join (shrink the radius by
@@ -152,7 +155,7 @@ def tilde_d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
     2 d(join) - d(target) + rho around pair i).  With rho = 0 this is the
     target disc itself.
     """
-    base = d_j_of_i(pcfg, i, j)
+    base = d_j_of_i(pcfg, i, j, odd_i)
     if base is None:
         return None
     sk = pcfg.skeleton()
@@ -174,12 +177,13 @@ def select_target(pcfg: PairedConfiguration, i: int) -> tuple[int, tuple]:
     """
     sk = pcfg.skeleton()
     c_i, r_i = sk.pair_discs[i]
+    odd_i = sk.minimal_odd(sk.pair_points[i])
     best = None
     best_radius = None
     for j in range(pcfg.g + 1):
         if j == i:
             continue
-        dt = tilde_d_j_of_i(pcfg, i, j)
+        dt = tilde_d_j_of_i(pcfg, i, j, odd_i=odd_i)
         if dt is None:
             continue
         center, radius = dt

@@ -74,8 +74,8 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     The pairs must be the canonical pairing of distinct points, and
     separated: the rules of ``clusters.canonical_pairs`` and
     ``clusters.check_separated``, applied to the skeleton the configuration
-    already holds (a ``pair_up`` result always passes).  Otherwise
-    NotPairedError is raised.
+    already holds.  A ``pair_up`` result has passed both on that skeleton
+    and is not checked again; otherwise NotPairedError is raised.
     """
     ctx = pcfg.ctx
     try:
@@ -83,14 +83,17 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     except RepeatedPointsError:
         raise NotPairedError("the points are not distinct") from None
     has_inf = any(len(members) < 2 for members in sk.pair_points)
-    try:
-        # both list each pair's positions in ascending order
-        canonical = canonical_pairs(sk.smat, sk.clusters, has_inf)
-        if sorted(canonical) != sorted(sk.pair_points):
-            raise NotPairedError("pairs are not the canonical pairing of the points")
-        check_separated(pcfg)
-    except PairingError as exc:
-        raise NotPairedError(str(exc)) from exc
+    if not pcfg._checked:
+        try:
+            # both list each pair's positions in ascending order
+            canonical = canonical_pairs(sk.smat, sk.clusters, has_inf)
+            if sorted(canonical) != sorted(sk.pair_points):
+                raise NotPairedError(
+                    "pairs are not the canonical pairing of the points"
+                )
+            check_separated(pcfg)
+        except PairingError as exc:
+            raise NotPairedError(str(exc)) from exc
 
     smat, clusters, e = sk.smat, sk.clusters, ctx.ramification
     # tree positions of the vertex clusters; without infinity the root goes

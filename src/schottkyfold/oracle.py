@@ -12,16 +12,19 @@ Words are visited in length-lexicographic order and the first witness in
 that order is returned, which keeps recorded results stable.  Identity
 evaluations are collected separately as relation witnesses.
 
-:func:`schottky_audit` walks the words one length at a time on integer
-matrices: the generators are lowered once to integral entries, each prefix
-is composed once from its parent and divided by its integer content, and a
-word is classified from its integer trace and the cached valuations of the
-determinants, with the Newton polygon rule of
-:func:`~.projline.is_loxodromic`.  Cyclic rotations of a word are not
-merged; they classify alike and are all counted.
-:func:`enumerate_gamma_words`, :func:`word_matrix` and
-:func:`~.projline.classify` give the same verdicts word by word and serve
-as its reference.
+:func:`schottky_audit` classifies one word per conjugacy class.  Trace
+and determinant valuations do not change under conjugation, and every
+word that is not cyclically reduced, or is not the least of its cyclic
+rotations, is conjugate to a word met earlier in the order; while all the
+words met so far are loxodromic it is loxodromic too, so only the least
+rotations of cyclically reduced words are classified.  ``words_checked``
+still counts every word up to the witness, in closed form.  The walk runs
+on integer matrices built straight from the lowered points, composes each
+prefix once from its parent, and classifies a word from its integer trace
+and the cached valuations of the determinants, with the Newton polygon
+rule of :func:`~.projline.is_loxodromic`.  :func:`enumerate_gamma_words`,
+:func:`word_matrix` and :func:`~.projline.classify` give the same
+verdicts word by word and serve as its reference.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .clusters import PairedConfiguration
+from .errors import DegeneratePairError
 from .projline import (
     ElementClass,
     MapKind,
@@ -57,8 +61,8 @@ def enumerate_gamma_words(g: int, p: int, max_len: int) -> Iterator[GroupWord]:
     """All reduced words of syllable length <= max_len whose exponent sum is
     divisible by p, in length-lexicographic order, each exactly once.
 
-    Cyclic rotations and conjugates are not deduplicated; they classify
-    identically, so the redundancy is harmless at this scale.
+    Every word is listed, conjugates and cyclic rotations included; this
+    is the order, and the count, that :func:`schottky_audit` reports in.
     """
     for length in range(1, max_len + 1):
         # depth-first in lexicographic syllable order, fixed length
@@ -76,6 +80,40 @@ def enumerate_gamma_words(g: int, p: int, max_len: int) -> Iterator[GroupWord]:
                     prefix.pop()
 
         yield from rec([], 0)
+
+
+def _exponent_tuples(p: int, r: int, s: int) -> int:
+    """The number of r-tuples of exponents in 1..p-1 with sum s mod p.
+
+    This solves E(0, s) = [s = 0], E(r + 1, s) = (p - 1)^r - E(r, s)."""
+    return ((p - 1) ** r + (-1) ** r * (p - 1 if s % p == 0 else -1)) // p
+
+
+def _word_count(g: int, p: int, max_len: int) -> int:
+    """The number of words :func:`enumerate_gamma_words` lists: g + 1 first
+    indices, then g per syllable, times the exponent tuples summing to 0."""
+    return sum(
+        (g + 1) * g ** (k - 1) * _exponent_tuples(p, k, 0)
+        for k in range(1, max_len + 1)
+    )
+
+
+def _word_position(g: int, p: int, word: GroupWord) -> int:
+    """The position, from 1, of a word in :func:`enumerate_gamma_words`:
+    every shorter word, then each word of its length that leaves the
+    word's prefix at a smaller syllable, counted by its completions."""
+    syllables = word.syllables
+    position = _word_count(g, p, len(syllables) - 1) + 1
+    total, prev = 0, None
+    for k, (idx, exp) in enumerate(syllables):
+        left = len(syllables) - k - 1
+        for i in range(idx + 1):
+            if i == prev:
+                continue
+            for e in range(1, p if i < idx else exp):
+                position += g**left * _exponent_tuples(p, left, -(total + e))
+        total, prev = total + exp, idx
+    return position
 
 
 def pair_generators(pcfg: PairedConfiguration) -> list[list[Mobius]]:
@@ -119,6 +157,49 @@ def _product(ring, m: tuple, n: tuple) -> tuple:
     )
 
 
+def _integer_generators(pcfg: PairedConfiguration) -> list[list[tuple]]:
+    """gens[idx][n - 1] = (integer matrix, det, e v(det)) of the n-th power
+    of generator idx, in ``ctx.integers``.
+
+    With ``ctx.lower([a, b, 1]) = (A, B, L)`` the matrix of
+    :func:`~.projline.order_p_fixing` times L^2 is
+    [[L(A - z^n B), z^n AB - AB], [L(L - z^n L), L(z^n A - B)]], and for
+    b = infinity it is [[z^n L, A - z^n A], [0, L]] times L; z^n X is
+    ``rotate(X, n)``.  These are scalar multiples of the maps of
+    :func:`pair_generators`.
+    """
+    ctx = pcfg.ctx
+    ring, valuation = ctx.integers, ctx.integral_valuation
+    mul, sub, rotate = ring.mul, ring.sub, ring.rotate
+    gens = []
+    for a, b in pcfg.pairs:
+        if a.is_infinity:
+            a, b = b, a
+        if a == b:
+            raise DegeneratePairError("order-p map needs two distinct fixed points")
+        if b.is_infinity:
+            (A, L), _ = ctx.lower([a.value, ctx.one()])
+            mats = [
+                (rotate(L, n), sub(A, rotate(A, n)), ring.zero, L)
+                for n in range(1, ctx.p)
+            ]
+        else:
+            (A, B, L), _ = ctx.lower([a.value, b.value, ctx.one()])
+            AB = mul(A, B)
+            mats = [
+                (
+                    mul(L, sub(A, rotate(B, n))),
+                    sub(rotate(AB, n), AB),
+                    mul(L, sub(L, rotate(L, n))),
+                    mul(L, sub(rotate(A, n), B)),
+                )
+                for n in range(1, ctx.p)
+            ]
+        dets = [_det(ring, m) for m in mats]
+        gens.append([(m, d, valuation(d)) for m, d in zip(mats, dets)])
+    return gens
+
+
 @dataclass(frozen=True)
 class AuditResult:
     witness: Optional[tuple[GroupWord, ElementClass]]
@@ -129,16 +210,38 @@ class AuditResult:
 def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     """First non-loxodromic, non-identity word up to the length bound, if any.
 
-    The words of :func:`enumerate_gamma_words` are visited in the same
-    order and counted in ``words_checked`` up to and including the witness;
-    identity words go to ``relations``.  The walk runs on integers from
-    start to end:
+    The result is that of classifying the words of
+    :func:`enumerate_gamma_words` in order: ``words_checked`` counts them
+    up to and including the witness, and identity words go to
+    ``relations``.  Only one word per conjugacy class is classified:
 
-    * **lowering** -- each generator matrix is brought once to integral
-      entries over one common denominator (``int`` over Q, the p - 1
-      integer coefficients of A(zeta) over Q(zeta_p)); the denominator is
-      a scalar and is dropped.  Each generator's det and v(det) are
-      computed then;
+    * **skip rule** -- while no relation has been found, a word is
+      classified only when it is cyclically reduced (first and last
+      generator differ) and no cyclic rotation of it is lexicographically
+      smaller.  Any other word w is conjugate to an earlier one: if w =
+      s^a u s^b, to u (a + b = 0 mod p) or u s^(a+b), which are shorter;
+      otherwise to its least rotation, of the same length and earlier in
+      lexicographic order.  Inductively every earlier word is loxodromic,
+      so w is, and the first non-loxodromic word is always classified.
+      ``words_checked`` is then computed in closed form, as the position
+      of the witness in the order (or the count of all the words);
+    * **necklaces** -- a least rotation is a necklace, so every prefix of
+      it is a prenecklace: a word whose syllable after its longest Lyndon
+      prefix of length q repeats the syllable q places back or exceeds
+      it.  Only prenecklaces are built, each with its q; a word closing
+      one is a necklace when its last syllable exceeds that syllable, or
+      equals it and q divides the length;
+    * **relations** -- an identity word breaks the induction, so the walk
+      then starts again with skipping off, classifies every word and
+      lists every identity word in order.  This takes degenerate input,
+      such as a duplicated pair.
+
+    The walk runs on integers from start to end:
+
+    * **generators** -- each generator matrix is built once in
+      ``ctx.integers`` from the points lowered over one common
+      denominator, with its det and v(det)
+      (:func:`_integer_generators`);
     * **prefixes** -- the walk goes one length at a time over a list of
       prefixes, each with its integer matrix, exponent sum mod p and
       v(det).  A prefix is composed once, from its parent, and divided by
@@ -161,79 +264,97 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     Every test is unchanged when a matrix is scaled, so the verdicts are
     those of :func:`~.projline.classify` on the normalised products.
     """
-    ctx = pcfg.ctx
-    g, p = pcfg.g, ctx.p
+    g, p = pcfg.g, pcfg.ctx.p
     last = max_len - max_len % 2 if p == 2 else max_len
+    gens = _integer_generators(pcfg)
+    witness, relations = (
+        _walk(pcfg.ctx, gens, last, True) or _walk(pcfg.ctx, gens, last, False)
+    )
+    if witness is None:
+        checked = _word_count(g, p, last)
+    else:
+        checked = _word_position(g, p, witness[0])
+    return AuditResult(witness, tuple(relations), checked)
+
+
+def _walk(ctx, gens: list, last: int, necklaces: bool):
+    """(witness, relations) over the words of length 2..last, in order.
+
+    With ``necklaces`` only the least rotations of cyclically reduced
+    words are classified, and meeting an identity word returns None.
+    Syllables are coded as idx p + exp, which orders them as (idx, exp).
+    """
+    p = ctx.p
     ring = ctx.integers
     mul, add, zero = ring.mul, ring.add, ring.zero
     # valuations are counted in steps of the value group (1/e) Z; a content
     # k is an integer and v(ell) = 1, so k is worth e v_ell(k) steps
-    valuation = ctx.integral_valuation
-    step = ctx.ramification
-
-    # gens[idx][exp - 1] = (integer matrix, det, v(det)) of the exp-th power
-    # of generator idx
-    gens = []
-    for row in pair_generators(pcfg):
-        lowered = [tuple(ctx.lower(m.entries())[0]) for m in row]
-        dets = [_det(ring, m) for m in lowered]
-        gens.append([(m, d, valuation(d)) for m, d in zip(lowered, dets)])
+    valuation, step = ctx.integral_valuation, ctx.ramification
     relations: list[GroupWord] = []
-    checked = 0
 
-    # prefixes of the current length: (syllables, integer matrix, exponent
-    # sum mod p, v(det))
+    # prefixes of the current length: (syllable codes, integer matrix,
+    # exponent sum mod p, e v(det), length of the longest Lyndon prefix)
     level = [
-        (((idx, exp),), gens[idx][exp - 1][0], exp, gens[idx][exp - 1][2])
-        for idx in range(g + 1)
-        for exp in range(1, p)
+        ((idx * p + exp,), gen, exp, v_det, 1)
+        for idx, row in enumerate(gens)
+        for exp, (gen, _, v_det) in enumerate(row, 1)
     ]
     for length in range(2, last + 1):
-        for prefix, m, total, v_det in level:
+        n = length - 1
+        for prefix, m, total, v_det, lyndon in level:
             exp = -total % p
             if exp == 0:
                 continue
             a, b, c, d = m
-            end = prefix[-1][0]
-            for idx in range(g + 1):
-                if idx == end:
+            end = prefix[-1] // p
+            # a syllable code is >= 1: with ref 0 and first -1 nothing is skipped
+            ref, first = (prefix[n - lyndon], prefix[0] // p) if necklaces else (0, -1)
+            for idx, row in enumerate(gens):
+                code = idx * p + exp
+                if idx == end or idx == first or code < ref:
                     continue
-                checked += 1
-                gen, det_gen, v_det_gen = gens[idx][exp - 1]
+                if code == ref and length % lyndon:
+                    continue
+                gen, det_gen, v_det_gen = row[exp - 1]
                 w, x, y, z = gen
                 tr = add(add(mul(a, w), mul(b, y)), add(mul(c, x), mul(d, z)))
                 if tr != zero and is_loxodromic(valuation(tr), v_det + v_det_gen):
                     continue
-                word = GroupWord(prefix + ((idx, exp),))
+                word = GroupWord(tuple(divmod(s, p) for s in prefix + (code,)))
                 if mul(tr, tr) != ring.times(mul(_det(ring, m), det_gen), 4):
                     cls = ElementClass(MapKind.ELLIPTIC)
                 else:
                     cls = ElementClass(MapKind.PARABOLIC)
                     a_, b_, c_, d_ = _product(ring, m, gen)
                     if b_ == zero and c_ == zero and a_ == d_:
+                        if necklaces:
+                            return None
                         relations.append(word)
                         continue
-                return AuditResult((word, cls), tuple(relations), checked)
+                return (word, cls), relations
         if length < last:
             # the next level; on the last one a prefix must be able to close
             closing = length + 1 == last
             nxt = []
-            for prefix, m, total, v_det in level:
-                end = prefix[-1][0]
-                for idx in range(g + 1):
+            for prefix, m, total, v_det, lyndon in level:
+                end = prefix[-1] // p
+                ref = prefix[n - lyndon] if necklaces else 0
+                for idx in range(ref // p, len(gens)):
                     if idx == end:
                         continue
                     for exp in range(1, p):
-                        if closing and (total + exp) % p == 0:
+                        code = idx * p + exp
+                        if code < ref or closing and (total + exp) % p == 0:
                             continue
                         gen, _, v_det_gen = gens[idx][exp - 1]
                         product = _product(ring, m, gen)
                         k = ring.content(product)
                         nxt.append((
-                            prefix + ((idx, exp),),
+                            prefix + (code,),
                             ring.divide(product, k),
                             (total + exp) % p,
                             v_det + v_det_gen - 2 * step * int_valuation(k, ctx.ell),
+                            lyndon if code == ref else length,
                         ))
             level = nxt
-    return AuditResult(None, tuple(relations), checked)
+    return None, relations

@@ -358,6 +358,25 @@ def test_run_computes_each_pushed_back_target_once(monkeypatch):
     assert keys and len(keys) == len(set(keys))
 
 
+def test_select_target_finds_the_odd_cluster_of_pair_i_once(monkeypatch):
+    # every j compares against the minimal odd cluster through pair i,
+    # found once per select_target call
+    pcfg = paired(ctx7(), EIGHT_POINT_7ADIC)
+    sk = pcfg.skeleton()
+    calls = []
+    original = sf.clusters.Skeleton.minimal_odd
+
+    def counted(self, members):
+        calls.append(members)
+        return original(self, members)
+
+    monkeypatch.setattr(sf.clusters.Skeleton, "minimal_odd", counted)
+    for i in range(pcfg.g):
+        calls.clear()
+        select_target(pcfg, i)
+        assert calls.count(sk.pair_points[i]) == 1
+
+
 def test_hull_builds_no_skeleton_of_its_own(monkeypatch):
     pcfg = paired(ctx7(), EIGHT_POINT_7ADIC)
     builds = _count_calls(monkeypatch, sf.clusters, "cluster_data", True)

@@ -157,6 +157,27 @@ def test_hull_requires_canonical_pairing():
             sf.reduced_convex_hull(pcfg)
 
 
+def test_hull_checks_only_pairings_made_by_hand(monkeypatch):
+    # a pair_up result passed both pairing rules on the skeleton it holds;
+    # the same pairs made by hand are checked, and give the same forest
+    calls = []
+    for name in ("canonical_pairs", "check_separated"):
+        original = getattr(sf.hull, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(sf.hull, name, counted)
+    ctx = ctx7()
+    pcfg = sf.pair_up(sf.configuration(ctx, EIGHT_POINT_7ADIC))
+    tree = sf.reduced_convex_hull(pcfg)
+    assert calls == []
+    by_hand = sf.PairedConfiguration(ctx, pcfg.pairs)
+    assert sf.to_dot(sf.reduced_convex_hull(by_hand)) == sf.to_dot(tree)
+    assert calls == ["canonical_pairs", "check_separated"]
+
+
 def test_hull_statistics_on_random_configurations():
     rng = random.Random(8)
     for ell in (2, 3, 5, 7):
