@@ -173,7 +173,9 @@ class Skeleton(NamedTuple):
     strictly containing cluster k (None for the root) and ``leaf[x]`` the
     position of the singleton cluster {x}.  ``pair_discs[l]`` is pair l's
     minimal disc as (center position, radius in steps); the disc of the
-    pair at infinity is that of all finite values.
+    pair at infinity is that of all finite values.  ``pair_odd[l]`` is the
+    smallest odd cluster containing a finite pair l (None for the pair at
+    infinity, or where there is none).
     """
 
     values: tuple
@@ -186,6 +188,7 @@ class Skeleton(NamedTuple):
     leaf: tuple[int, ...]
     pair_points: tuple[tuple[int, ...], ...] = ()
     pair_discs: tuple[tuple[int, int], ...] = ()
+    pair_odd: tuple[Optional[frozenset[int]], ...] = ()
 
     @staticmethod
     def build(cfg: Configuration, pairing=None) -> "Skeleton":
@@ -197,7 +200,8 @@ class Skeleton(NamedTuple):
         2. ``pairing(smat, clusters)`` names the pairs as tuples of input
            positions; without it the input order stays and no pair is kept.
         3. Permute the matrix, the values and the member sets into pair order.
-        4. Link each cluster to its parent and each point to its leaf.
+        4. Link each cluster to its parent and each point to its leaf, and
+           find each finite pair's minimal odd cluster.
         """
         values = [pt.value for pt in cfg.points if not pt.is_infinity]
         ints, den_steps, smat = _lowered_steps(cfg.ctx, values)
@@ -239,7 +243,7 @@ class Skeleton(NamedTuple):
                 discs.append((k - 2, smat[k - 2][k - 1]))
             else:  # the pair at infinity: the disc of all finite values
                 discs.append((0, min((row[0] for row in smat[1:]), default=0)))
-        return Skeleton(
+        sk = Skeleton(
             tuple(values[x] for x in order),
             tuple(order),
             tuple(ints[x] for x in order),
@@ -250,6 +254,9 @@ class Skeleton(NamedTuple):
             tuple(leaf),
             tuple(points),
             tuple(discs),
+        )
+        return sk._replace(
+            pair_odd=tuple(sk.minimal_odd(pts) if len(pts) == 2 else None for pts in points)
         )
 
     def chain(self, members: tuple[int, ...]):

@@ -105,7 +105,7 @@ Verdict = Union[Good, NotGood, Redundant]
 FOLD_CAP = 100  # generous; the discrete termination measure keeps runs tiny
 
 
-def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int, odd_i=None):
+def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
     """The target disc on the axis of pair j seen from pair i, as
     (center index, radius in steps) in the skeleton, or None where
     undefined.
@@ -114,9 +114,8 @@ def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int, odd_i=None):
     target is the minimal disc of pair j), or some odd cluster contains
     pair i together with exactly one point of pair j (then the target is
     the minimal disc realising that containment).  When pair j contains
-    infinity its finite point is the one included.  ``odd_i``, the
-    minimal odd cluster through pair i, is found here unless a caller that
-    tries many j passes it.
+    infinity its finite point is the one included.  The minimal odd
+    clusters are read off the skeleton, which finds them once per pair.
     """
     if i == j:
         raise ValueError("indices must be distinct")
@@ -124,11 +123,9 @@ def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int, odd_i=None):
     mem_i, mem_j = sk.pair_points[i], sk.pair_points[j]
     if len(mem_i) < 2:
         return None
-    if len(mem_j) == 2:
-        if odd_i is None:
-            odd_i = sk.minimal_odd(mem_i)
-        if odd_i is not None and odd_i == sk.minimal_odd(mem_j):
-            return sk.pair_discs[j]
+    # pair_odd is None for the pair at infinity
+    if sk.pair_odd[i] is not None and sk.pair_odd[i] == sk.pair_odd[j]:
+        return sk.pair_discs[j]
     if not any(
         len(c.members) % 2 == 1 and sum(x in c.members for x in mem_j) == 1
         for c in sk.chain(mem_i)
@@ -144,10 +141,10 @@ def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int, odd_i=None):
     return None if best is None else (center, best)
 
 
-def tilde_d_j_of_i(pcfg: PairedConfiguration, i: int, j: int, odd_i=None):
+def tilde_d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
     """The target disc pushed back by the separation radius rho, as
     (center index, radius in steps) in the skeleton, or None where
-    undefined; ``odd_i`` goes to :func:`d_j_of_i`.
+    undefined.
 
     Walking a distance rho from the target disc point toward the vertex of
     pair i: either the walk stays below the join (shrink the radius by
@@ -155,7 +152,7 @@ def tilde_d_j_of_i(pcfg: PairedConfiguration, i: int, j: int, odd_i=None):
     2 d(join) - d(target) + rho around pair i).  With rho = 0 this is the
     target disc itself.
     """
-    base = d_j_of_i(pcfg, i, j, odd_i)
+    base = d_j_of_i(pcfg, i, j)
     if base is None:
         return None
     sk = pcfg.skeleton()
@@ -177,13 +174,12 @@ def select_target(pcfg: PairedConfiguration, i: int) -> tuple[int, tuple]:
     """
     sk = pcfg.skeleton()
     c_i, r_i = sk.pair_discs[i]
-    odd_i = sk.minimal_odd(sk.pair_points[i])
     best = None
     best_radius = None
     for j in range(pcfg.g + 1):
         if j == i:
             continue
-        dt = tilde_d_j_of_i(pcfg, i, j, odd_i=odd_i)
+        dt = tilde_d_j_of_i(pcfg, i, j)
         if dt is None:
             continue
         center, radius = dt
@@ -264,7 +260,7 @@ def find_fold_exponent(
                 if b is None:
                     top, below = sub(n_l, zn_i), den
                 else:
-                    top = sub(ring.mul(n_l, m_i), ring.mul(zn_i, m_l))
+                    top = ring.cross(n_l, m_i, zn_i, m_l)
                     below = vm_l + vm_i
                 lhs = INF_STEPS if top == ring.zero else valuation(top) - below
                 if not lhs > v_l + rho:

@@ -20,9 +20,12 @@ words met so far are loxodromic it is loxodromic too, so only the least
 rotations of cyclically reduced words are classified.  ``words_checked``
 still counts every word up to the witness, in closed form.  The walk runs
 on integer matrices built straight from the lowered points, composes each
-prefix once from its parent, and classifies a word from its integer trace
-and the cached valuations of the determinants, with the Newton polygon
-rule of :func:`~.projline.is_loxodromic`.  :func:`enumerate_gamma_words`,
+prefix once from its parent (except the prefixes one syllable short of
+the longest words, which close on a cached product of two generators),
+and classifies a word from its integer trace and the cached valuations of
+the determinants, with the Newton polygon rule of
+:func:`~.projline.is_loxodromic`.  Every product, trace and determinant is
+one fused kernel of the integer ring.  :func:`enumerate_gamma_words`,
 :func:`word_matrix` and :func:`~.projline.classify` give the same
 verdicts word by word and serve as its reference.
 """
@@ -141,20 +144,7 @@ def word_matrix(pcfg: PairedConfiguration, word: GroupWord) -> Mobius:
 
 def _det(ring, m: tuple):
     a, b, c, d = m
-    return ring.sub(ring.mul(a, d), ring.mul(b, c))
-
-
-def _product(ring, m: tuple, n: tuple) -> tuple:
-    """The integer matrix product m n."""
-    mul, add = ring.mul, ring.add
-    a, b, c, d = m
-    w, x, y, z = n
-    return (
-        add(mul(a, w), mul(b, y)),
-        add(mul(a, x), mul(b, z)),
-        add(mul(c, w), mul(d, y)),
-        add(mul(c, x), mul(d, z)),
-    )
+    return ring.cross(a, d, b, c)
 
 
 def _integer_generators(pcfg: PairedConfiguration) -> list[list[tuple]]:
@@ -244,22 +234,29 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
       (:func:`_integer_generators`);
     * **prefixes** -- the walk goes one length at a time over a list of
       prefixes, each with its integer matrix, exponent sum mod p and
-      v(det).  A prefix is composed once, from its parent, and divided by
-      the integer content of its entries: a scalar, which would otherwise
-      grow with the length.  Its v(det) is the parent's plus the last
-      generator's, less twice v(content).  Only one level is held at a
-      time;
+      v(det).  A prefix is composed once, from its parent, with the ring's
+      ``matmul``, and divided by the integer content of its entries: a
+      scalar, which would otherwise grow with the length.  Its v(det) is
+      the parent's plus the last generator's, less twice v(content).  Only
+      one level is held at a time;
     * **closing** -- a word's last exponent is forced to close the exponent
       sum, so a prefix whose sum is already 0 mod p ends no word of the
-      next length, the last level keeps only prefixes that can close, and
-      the walk stops at the longest length that holds a word (for p = 2,
-      the largest even length <= ``max_len``);
-    * **classifying** -- a word M G (prefix M, last syllable G) has trace
-      tr(M G), four products, and v(det) = v(det M) + v(det G) from the
-      cached values; :func:`~.projline.is_loxodromic` applies the Newton
-      polygon rule to them.  A word it does not call loxodromic is tested
-      for tr^2 = 4 det exactly on integers, and a parabolic one is a
-      relation when the integer product M G is scalar (b = c = 0, a = d).
+      next length, and the walk stops at the longest length that holds a
+      word, ``last`` (for p = 2, the largest even length <= ``max_len``).
+      The level of length ``last`` - 1 keeps only prefixes that can close,
+      and multiplies nothing: each entry keeps its parent's matrix P and
+      v(det P), and its own last syllable s.  Its words close on the
+      products G_s G_t of two generators, each built once per audit call
+      with its det and v(det), so there are at most ((g+1)(p-1))^2 of them;
+    * **classifying** -- a word M C (M the prefix's matrix, or P on the
+      closing level; C the last generator G, or G_s G_t) has trace
+      tr(M C), one ``trace_mul``, and v(det) = v(det M) + v(det C) from
+      the cached values.  M and C are not normalised together, so the
+      trace and the det share one scale; :func:`~.projline.is_loxodromic`
+      applies the Newton polygon rule to them.  Only a word it does not
+      call loxodromic is tested for tr^2 = 4 det(M) det(C) exactly on
+      integers, and a parabolic one is a relation when the product M C,
+      built for it alone, is scalar (b = c = 0, a = d).
 
     Every test is unchanged when a matrix is scaled, so the verdicts are
     those of :func:`~.projline.classify` on the normalised products.
@@ -267,8 +264,10 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     g, p = pcfg.g, pcfg.ctx.p
     last = max_len - max_len % 2 if p == 2 else max_len
     gens = _integer_generators(pcfg)
+    pairs: dict = {}
     witness, relations = (
-        _walk(pcfg.ctx, gens, last, True) or _walk(pcfg.ctx, gens, last, False)
+        _walk(pcfg.ctx, gens, last, True, pairs)
+        or _walk(pcfg.ctx, gens, last, False, pairs)
     )
     if witness is None:
         checked = _word_count(g, p, last)
@@ -277,35 +276,46 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     return AuditResult(witness, tuple(relations), checked)
 
 
-def _walk(ctx, gens: list, last: int, necklaces: bool):
+def _walk(ctx, gens: list, last: int, necklaces: bool, pairs: dict):
     """(witness, relations) over the words of length 2..last, in order.
 
     With ``necklaces`` only the least rotations of cyclically reduced
     words are classified, and meeting an identity word returns None.
     Syllables are coded as idx p + exp, which orders them as (idx, exp).
+    ``pairs`` memoises the two-generator products of the closing level.
     """
     p = ctx.p
     ring = ctx.integers
-    mul, add, zero = ring.mul, ring.add, ring.zero
+    matmul, trace_mul, mul, zero = ring.matmul, ring.trace_mul, ring.mul, ring.zero
     # valuations are counted in steps of the value group (1/e) Z; a content
     # k is an integer and v(ell) = 1, so k is worth e v_ell(k) steps
     valuation, step = ctx.integral_valuation, ctx.ramification
     relations: list[GroupWord] = []
 
+    def pair(s: int, t: int) -> tuple:
+        """(G_s G_t, its det, e v(det)) for syllable codes s and t."""
+        hit = pairs.get((s, t))
+        if hit is None:
+            g_s, det_s, v_s = gens[s // p][s % p - 1]
+            g_t, det_t, v_t = gens[t // p][t % p - 1]
+            hit = pairs[s, t] = (matmul(g_s, g_t), mul(det_s, det_t), v_s + v_t)
+        return hit
+
     # prefixes of the current length: (syllable codes, integer matrix,
-    # exponent sum mod p, e v(det), length of the longest Lyndon prefix)
+    # exponent sum mod p, e v(det), length of the longest Lyndon prefix);
+    # on the closing level the matrix and e v(det) are the parent's
     level = [
         ((idx * p + exp,), gen, exp, v_det, 1)
         for idx, row in enumerate(gens)
         for exp, (gen, _, v_det) in enumerate(row, 1)
     ]
+    closing = False
     for length in range(2, last + 1):
         n = length - 1
         for prefix, m, total, v_det, lyndon in level:
             exp = -total % p
             if exp == 0:
                 continue
-            a, b, c, d = m
             end = prefix[-1] // p
             # a syllable code is >= 1: with ref 0 and first -1 nothing is skipped
             ref, first = (prefix[n - lyndon], prefix[0] // p) if necklaces else (0, -1)
@@ -315,25 +325,29 @@ def _walk(ctx, gens: list, last: int, necklaces: bool):
                     continue
                 if code == ref and length % lyndon:
                     continue
-                gen, det_gen, v_det_gen = row[exp - 1]
-                w, x, y, z = gen
-                tr = add(add(mul(a, w), mul(b, y)), add(mul(c, x), mul(d, z)))
-                if tr != zero and is_loxodromic(valuation(tr), v_det + v_det_gen):
+                # the word is m times its closer: the last generator, or on
+                # the closing level the last two
+                closer, det_closer, v_det_closer = (
+                    pair(prefix[-1], code) if closing else row[exp - 1]
+                )
+                tr = trace_mul(m, closer)
+                if tr != zero and is_loxodromic(valuation(tr), v_det + v_det_closer):
                     continue
                 word = GroupWord(tuple(divmod(s, p) for s in prefix + (code,)))
-                if mul(tr, tr) != ring.times(mul(_det(ring, m), det_gen), 4):
+                if mul(tr, tr) != ring.times(mul(_det(ring, m), det_closer), 4):
                     cls = ElementClass(MapKind.ELLIPTIC)
                 else:
                     cls = ElementClass(MapKind.PARABOLIC)
-                    a_, b_, c_, d_ = _product(ring, m, gen)
-                    if b_ == zero and c_ == zero and a_ == d_:
+                    a, b, c, d = matmul(m, closer)
+                    if b == zero and c == zero and a == d:
                         if necklaces:
                             return None
                         relations.append(word)
                         continue
                 return (word, cls), relations
         if length < last:
-            # the next level; on the last one a prefix must be able to close
+            # the next level; on the last one a prefix must be able to close,
+            # and it keeps its parent's matrix rather than a product
             closing = length + 1 == last
             nxt = []
             for prefix, m, total, v_det, lyndon in level:
@@ -346,15 +360,20 @@ def _walk(ctx, gens: list, last: int, necklaces: bool):
                         code = idx * p + exp
                         if code < ref or closing and (total + exp) % p == 0:
                             continue
+                        extended, total_next = prefix + (code,), (total + exp) % p
+                        lyndon_next = lyndon if code == ref else length
+                        if closing:
+                            nxt.append((extended, m, total_next, v_det, lyndon_next))
+                            continue
                         gen, _, v_det_gen = gens[idx][exp - 1]
-                        product = _product(ring, m, gen)
+                        product = matmul(m, gen)
                         k = ring.content(product)
                         nxt.append((
-                            prefix + (code,),
+                            extended,
                             ring.divide(product, k),
-                            (total + exp) % p,
+                            total_next,
                             v_det + v_det_gen - 2 * step * int_valuation(k, ctx.ell),
-                            lyndon if code == ref else length,
+                            lyndon_next,
                         ))
             level = nxt
     return None, relations

@@ -37,6 +37,15 @@ valuations lower their elements once and stay on integers; counts of steps
 are plain ``int``s, with ``INF_STEPS`` for +infinity, and ``val_of_steps``
 turns one back into a ``Val``.
 
+Each integer ring has three fused kernels for the 2x2 matrices (a, b, c, d)
+that the group-word audit and the fold test multiply: ``matmul(m, n)``,
+the product m n; ``trace_mul(m, n)``, tr(m n), four products; and
+``cross(x, y, u, v)``, x y - u v (a determinant, or a cross-multiplied
+difference).  Over Q they are inline ``int`` arithmetic.  Over Q(zeta_p)
+each sum of products is accumulated in one convolution buffer of 2p - 3
+coefficients, folded mod x^p - 1 once, and the top coefficient subtracted
+once, rather than reducing every product and adding afterwards.
+
 Everything here is immutable and every operation is a pure function, so
 contexts and elements can be shared between threads.  The only internal
 mutable state, the split flavour's table of lifted-root powers, is filled
@@ -230,14 +239,41 @@ def _canonical(z: list[int], den: int) -> tuple:
     return tuple(Fraction(c - top, den) for c in z[:-1])
 
 
+def _add_product(buf: list[int], x: list[int], y: list[int], sign: int = 1) -> None:
+    """buf += sign x y, the plain convolution of two coefficient lists."""
+    for i, xi in enumerate(x):
+        if xi:
+            xi *= sign
+            for k, yk in enumerate(y, i):
+                buf[k] += xi * yk
+
+
 class _Integers:
     """Integral elements of Q: ``int``."""
 
     zero = 0
     mul = staticmethod(operator.mul)
-    add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     times = staticmethod(operator.mul)
+
+    @staticmethod
+    def matmul(m: tuple, n: tuple) -> tuple:
+        """The 2x2 product m n of matrices (a, b, c, d)."""
+        a, b, c, d = m
+        w, x, y, z = n
+        return (a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z)
+
+    @staticmethod
+    def trace_mul(m: tuple, n: tuple) -> int:
+        """tr(m n)."""
+        a, b, c, d = m
+        w, x, y, z = n
+        return a * w + b * y + c * x + d * z
+
+    @staticmethod
+    def cross(x: int, y: int, u: int, v: int) -> int:
+        """x y - u v."""
+        return x * y - u * v
 
     @staticmethod
     def lower(x) -> tuple[int, int]:
@@ -266,10 +302,53 @@ class _CyclotomicIntegers:
         self.p = p
         self.zero = [0] * (p - 1)
 
+    def _reduce(self, buf: list[int]) -> list[int]:
+        """A sum of products in Z[x] (2p - 3 coefficients) as an element:
+        folded mod x^p - 1, then zeta^(p-1) = -(1 + zeta + ... +
+        zeta^(p-2)) subtracts the top coefficient from the others."""
+        p = self.p
+        top = buf[p - 1]
+        out = [c - top for c in buf[: p - 1]]
+        for k, c in enumerate(buf[p:]):
+            out[k] += c
+        return out
+
     def mul(self, x: list[int], y: list[int]) -> list[int]:
-        z = _cyclic_mul(x, y, self.p)
-        top = z[-1]  # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-        return [c - top for c in z[:-1]]
+        buf = [0] * (2 * self.p - 3)
+        _add_product(buf, x, y)
+        return self._reduce(buf)
+
+    def matmul(self, m: tuple, n: tuple) -> tuple:
+        """The 2x2 product m n of matrices (a, b, c, d): each entry is one
+        buffer of two products, reduced once."""
+        a, b, c, d = m
+        w, x, y, z = n
+        size, reduce = 2 * self.p - 3, self._reduce
+        out = []
+        for r, s, t, u in ((a, w, b, y), (a, x, b, z), (c, w, d, y), (c, x, d, z)):
+            buf = [0] * size
+            _add_product(buf, r, s)
+            _add_product(buf, t, u)
+            out.append(reduce(buf))
+        return tuple(out)
+
+    def trace_mul(self, m: tuple, n: tuple) -> list[int]:
+        """tr(m n): four products in one buffer, reduced once."""
+        a, b, c, d = m
+        w, x, y, z = n
+        buf = [0] * (2 * self.p - 3)
+        _add_product(buf, a, w)
+        _add_product(buf, b, y)
+        _add_product(buf, c, x)
+        _add_product(buf, d, z)
+        return self._reduce(buf)
+
+    def cross(self, x: list[int], y: list[int], u: list[int], v: list[int]) -> list[int]:
+        """x y - u v, in one buffer reduced once."""
+        buf = [0] * (2 * self.p - 3)
+        _add_product(buf, x, y)
+        _add_product(buf, u, v, -1)
+        return self._reduce(buf)
 
     def rotate(self, x: list[int], n: int) -> list[int]:
         """zeta^n x: in Z[x]/(x^p - 1) the p coefficients turn by n places,
@@ -279,10 +358,6 @@ class _CyclotomicIntegers:
         z = z[-n:] + z[:-n]
         top = z[-1]
         return [c - top for c in z[:-1]]
-
-    @staticmethod
-    def add(x: list[int], y: list[int]) -> list[int]:
-        return [a + b for a, b in zip(x, y)]
 
     @staticmethod
     def sub(x: list[int], y: list[int]) -> list[int]:
@@ -578,7 +653,8 @@ def field_context(p: int, ell: int) -> FieldContext:
 
 
 def format_fraction(q: Fraction) -> str:
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return int_to_decimal(q.numerator)
     return f"{int_to_decimal(q.numerator)}/{int_to_decimal(q.denominator)}"

@@ -358,11 +358,7 @@ def test_run_computes_each_pushed_back_target_once(monkeypatch):
     assert keys and len(keys) == len(set(keys))
 
 
-def test_select_target_finds_the_odd_cluster_of_pair_i_once(monkeypatch):
-    # every j compares against the minimal odd cluster through pair i,
-    # found once per select_target call
-    pcfg = paired(ctx7(), EIGHT_POINT_7ADIC)
-    sk = pcfg.skeleton()
+def _count_minimal_odd(monkeypatch):
     calls = []
     original = sf.clusters.Skeleton.minimal_odd
 
@@ -371,10 +367,36 @@ def test_select_target_finds_the_odd_cluster_of_pair_i_once(monkeypatch):
         return original(self, members)
 
     monkeypatch.setattr(sf.clusters.Skeleton, "minimal_odd", counted)
+    return calls
+
+
+def test_select_target_finds_the_odd_cluster_of_pair_i_once(monkeypatch):
+    # the skeleton finds the minimal odd cluster through each finite pair
+    # once, when it is built; select_target only reads them
+    pcfg = paired(ctx7(), EIGHT_POINT_7ADIC)
+    sk = pcfg.skeleton()
+    assert sk.pair_odd == tuple(
+        sk.minimal_odd(pts) if len(pts) == 2 else None for pts in sk.pair_points
+    )
+    calls = _count_minimal_odd(monkeypatch)
     for i in range(pcfg.g):
-        calls.clear()
         select_target(pcfg, i)
-        assert calls.count(sk.pair_points[i]) == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "ctx_of, points", [(ctx7, EIGHT_POINT_7ADIC), (ctx5, SIX_POINT_5ADIC)]
+)
+def test_one_minimal_odd_cluster_per_pair_per_pass(monkeypatch, ctx_of, points):
+    # each pass finds the minimal odd cluster of each of its g + 1 pairs
+    # at most once, however many (i, j) select_target tries
+    ctx = ctx_of()
+    cfg = sf.configuration(ctx, points)
+    passes = _count_calls(monkeypatch, sf.folding, "pair_up", False)
+    calls = _count_minimal_odd(monkeypatch)
+    sf.run_algorithm(ctx, cfg)
+    assert passes and calls
+    assert len(calls) <= len(passes) * len(points) // 2
 
 
 def test_hull_builds_no_skeleton_of_its_own(monkeypatch):

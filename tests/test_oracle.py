@@ -233,6 +233,9 @@ def _audit_cases():
 def test_audit_matches_the_word_by_word_reference():
     witnesses = 0
     relation_kinds = set()
+    # words of the longest length close from a cached two-generator product:
+    # the field kinds with a witness, or a relation, of that length
+    closing_witnesses, closing_relations = set(), set()
     for pcfg, depths in _audit_cases():
         p = pcfg.ctx.p
         for depth in depths:
@@ -245,8 +248,16 @@ def test_audit_matches_the_word_by_word_reference():
             witnesses += result.witness is not None
             if result.relations:
                 relation_kinds.add(pcfg.ctx.kind)
+            last = depth - depth % 2 if p == 2 else depth
+            if last < 3:
+                continue
+            if result.witness and len(result.witness[0].syllables) == last:
+                closing_witnesses.add(pcfg.ctx.kind)
+            if any(len(word.syllables) == last for word in result.relations):
+                closing_relations.add(pcfg.ctx.kind)
     assert witnesses >= 3
     assert relation_kinds == {sf.FieldKind.RATIONAL, sf.FieldKind.CYCLOTOMIC_SPLIT}
+    assert closing_witnesses == closing_relations == relation_kinds
 
 
 def test_closed_form_word_positions_match_the_enumeration():
@@ -292,25 +303,29 @@ def test_audit_classifies_one_word_per_conjugacy_class(monkeypatch):
 
 
 def test_audit_composes_each_prefix_once(monkeypatch):
-    # 7-adic S^min: g = 3, p = 2, no witness and no relations at depth 7.
-    # Words close at even lengths up to 6, so prefixes of length 2..5 are
-    # composed at most once each: 12 + 36 + 108 + 324 = 480, fewer once
-    # only the prefixes of least rotations are built.  The walk multiplies
-    # integer matrices; it composes no Moebius map.
+    # 7-adic S^min: g = 3, p = 2, no witness and no relations at depths 7
+    # and 10.  Words close at even lengths up to 6 (10), and only the
+    # prefixes of least rotations are built, each once, from its parent.
+    # The last level, of length 5 (9), multiplies nothing: its words close
+    # on one of the 12 two-generator products.  That gives 61 products at
+    # depth 7 and 2,163 at depth 10, against 132 and 5,656 when the last
+    # level was multiplied out too.  The walk composes no Moebius map.
     pmin = sf.pair_up(sf.configuration(ctx7(), EIGHT_POINT_7ADIC_MIN))
     calls = []
-    original = sf.oracle._product
+    original = sf.valfield._Integers.matmul
 
-    def counted(ring, m, n):
+    def counted(m, n):
         calls.append(None)
-        return original(ring, m, n)
+        return original(m, n)
 
-    monkeypatch.setattr(sf.oracle, "_product", counted)
+    monkeypatch.setattr(sf.valfield._Integers, "matmul", staticmethod(counted))
     monkeypatch.setattr(sf.oracle, "compose", None)
-    result = sf.schottky_audit(pmin, 7)
-    assert result.witness is None and result.relations == ()
-    assert result.words_checked == _gamma_word_count(3, 2, 7) == 1092
-    assert len(calls) <= 480
+    for depth, words, bound in ((7, 1092, 66), (10, 88572, 2400)):
+        calls.clear()
+        result = sf.schottky_audit(pmin, depth)
+        assert result.witness is None and result.relations == ()
+        assert result.words_checked == _gamma_word_count(3, 2, depth) == words
+        assert len(calls) <= bound
 
 
 def test_audit_multiplies_and_values_only_while_lowering(monkeypatch):

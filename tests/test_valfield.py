@@ -172,6 +172,43 @@ def test_cyclotomic_kernels_match_division_over_q(p, ell):
         ctx.integral_valuation([0] * ctx.degree)
 
 
+@pytest.mark.parametrize("p,ell", [(2, 3), (3, 7), (5, 11), (7, 29)])
+def test_fused_kernels_match_their_compositions(p, ell):
+    # matmul, trace_mul and cross of the integer ring against mul, add and
+    # sub, and the ring's mul against the reference product, on zero,
+    # small and negative coefficients and on entries above 2^64
+    ctx = sf.field_context(p, ell)
+    ring = ctx.integers
+    mul, sub = ring.mul, ring.sub
+    add = operator.add if p == 2 else lambda x, y: [a + b for a, b in zip(x, y)]
+    rng = random.Random(p)
+
+    def coefficient():
+        return rng.choice([0, 1, -1, rng.randint(-9, 9), rng.getrandbits(80) - 2**79])
+
+    def element():
+        if p == 2:
+            return coefficient()
+        return [coefficient() for _ in range(p - 1)] if rng.random() < 0.9 else ring.zero
+
+    for _ in range(60):
+        m = a, b, c, d = tuple(element() for _ in range(4))
+        n = w, x, y, z = tuple(element() for _ in range(4))
+        assert ring.matmul(m, n) == (
+            add(mul(a, w), mul(b, y)),
+            add(mul(a, x), mul(b, z)),
+            add(mul(c, w), mul(d, y)),
+            add(mul(c, x), mul(d, z)),
+        )
+        trace = add(add(mul(a, w), mul(b, y)), add(mul(c, x), mul(d, z)))
+        assert ring.trace_mul(m, n) == trace
+        assert ring.cross(a, w, b, y) == sub(mul(a, w), mul(b, y))
+        assert ring.cross(a, w, a, w) == ring.zero
+        if p > 2:
+            as_field = lambda v: tuple(map(Fraction, v))
+            assert as_field(mul(a, w)) == cyclo_mul(ctx, as_field(a), as_field(w))
+
+
 def test_val_ordering_and_arithmetic():
     assert INF > Val.of(10**9)
     assert Val.of(Fraction(1, 2)) + Fraction(1, 2) == Val.of(1)
