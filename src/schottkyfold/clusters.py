@@ -13,8 +13,9 @@ which compares above every int.  The values are lowered once per build to
 integral numerators over one common denominator, so no entry needs field
 arithmetic.  ``Val`` and ``Fraction`` appear only at the edges: the depths
 ``cluster_data`` returns and the margin of ``NotSeparatedError``.  Points
-are named by position, never hashed: a repeated value has a repeated
-numerator, so it reads INF_STEPS off the matrix diagonal.
+are named by their input position among the finite points, never hashed
+and never permuted: a repeated value has a repeated numerator, found as a
+zero difference while the step matrix is filled.
 
 A configuration is *clustered in rho-separated pairs* when two rules hold.
 ``canonical_pairs``: two points are equivalent when they lie in exactly the
@@ -22,8 +23,9 @@ same even-cardinality clusters (the point at infinity lies in none), and
 every class has size two.  ``check_separated``: the axes spanned by the
 pairs stay more than 2 rho apart, where rho = v(p)/(p-1) is the separation
 radius of the field.  Both read positions in a ``Skeleton``: ``pair_up``
-decides the pairs on the tree it builds in input order, and the hull
-compares them with the pairs a paired configuration holds.
+decides the pairs on the tree it builds in input order and keeps them as
+pairs of input positions, and the hull compares them with the pairs a
+paired configuration holds.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ def _lowered_steps(ctx: FieldContext, values) -> tuple[tuple, int, tuple]:
 
     The step matrix holds e v(x_a - x_b) = e v(A_a - A_b) - e v(L) for
     every two of the values, and INF_STEPS on the diagonal.  Equal values
-    have equal numerators, so a repeated value also reads INF_STEPS.
+    have equal numerators: their difference is zero, and that is a
+    repeated point (RepeatedPointsError).
     """
     ints, den_steps = ctx.lower(values)
     n = len(ints)
@@ -107,63 +110,70 @@ def _lowered_steps(ctx: FieldContext, values) -> tuple[tuple, int, tuple]:
         row, x = rows[a], ints[a]
         for b in range(a + 1, n):
             d = sub(x, ints[b])
-            if d != zero:
-                row[b] = rows[b][a] = valuation(d) - den_steps
+            if d == zero:
+                raise RepeatedPointsError("the points are not distinct")
+            row[b] = rows[b][a] = valuation(d) - den_steps
     return tuple(ints), den_steps, tuple(tuple(row) for row in rows)
 
 
-def cluster_data(cfg: Configuration, smat=None) -> tuple[Cluster, ...]:
+def cluster_data(cfg: Configuration, smat=None):
     """Every cluster of the finite points, with depths as ``Val``s.
 
     The full finite set is always a cluster and every point is a singleton
     cluster of depth +infinity.  Members index into ``finite_values()``
     (multiplicities collapse).  Clusters come in pre-order: each one is
-    followed at once by the clusters strictly inside it.  ``smat``, when
-    given, is the step matrix of ``finite_values()``, and the depths are
-    then left in its steps, as a ``Skeleton`` keeps them.
+    followed at once by the clusters strictly inside it.  A cluster's depth
+    is read off one member's row: the valuation is ultrametric, so every
+    point of a disc is a centre.
+
+    ``smat``, when given, is the step matrix of the distinct finite points
+    in input order, and the members are its positions.  The result is
+    then the tree a ``Skeleton`` keeps: (clusters with depths in steps,
+    the position of each cluster's parent, None for the root, and the
+    position of each point's singleton).
     """
     in_steps = smat is not None
     if not in_steps:
         smat = _lowered_steps(cfg.ctx, cfg.finite_values())[2]
-    n = len(smat)
 
-    out: list[Cluster] = []
+    clusters: list[Cluster] = []
+    parent: list[Optional[int]] = []
+    leaf = [0] * len(smat)
 
-    def recurse(idx: list[int]):
+    def recurse(idx: list[int], up: Optional[int]):
+        k = len(clusters)
+        parent.append(up)
         if len(idx) == 1:
-            out.append(Cluster(frozenset(idx), INF_STEPS))
+            leaf[idx[0]] = k
+            clusters.append(Cluster(frozenset(idx), INF_STEPS))
             return
-        depth = min(smat[i][j] for i in idx for j in idx if i < j)
-        out.append(Cluster(frozenset(idx), depth))
+        row = smat[idx[0]]
+        depth = min([row[b] for b in idx[1:]])
+        clusters.append(Cluster(frozenset(idx), depth))
         # children: equivalence classes of "valuation strictly above depth"
-        remaining = list(idx)
-        while remaining:
-            seed = remaining.pop(0)
-            block = [seed]
-            rest = []
-            for k in remaining:
-                if smat[seed][k] > depth:
-                    block.append(k)
-                else:
-                    rest.append(k)
-            remaining = rest
-            recurse(block)
+        while idx:
+            row = smat[idx[0]]
+            block, rest = [idx[0]], []
+            for b in idx[1:]:
+                (block if row[b] > depth else rest).append(b)
+            idx = rest
+            recurse(block, k)
 
-    if n:
-        recurse(list(range(n)))
+    if smat:
+        recurse(list(range(len(smat))), None)
     if in_steps:
-        return tuple(out)
+        return tuple(clusters), tuple(parent), tuple(leaf)
     to_val = cfg.ctx.val_of_steps
-    return tuple(Cluster(c.members, to_val(c.depth)) for c in out)
+    return tuple(Cluster(c.members, to_val(c.depth)) for c in clusters)
 
 
 class Skeleton(NamedTuple):
     """The cluster skeleton of a configuration: built once, then only read.
 
-    Points are named by position, never looked up by value.  ``order[x]``
-    is the input position (among the finite points) of the point at
-    position x, and ``pair_points[l]`` the positions of pair l's finite
-    points, in the pair's order (one for a pair with infinity).  ``values``
+    Points are named by position, never looked up by value: a position is
+    the place of a finite point among the configuration's finite points,
+    in input order.  ``pair_points[l]`` holds the positions of pair l's
+    finite points, ascending (one for a pair with infinity).  ``values``
     are the finite values and ``ints`` their integral numerators over one
     common denominator L, and ``den_steps`` is e v(L).  ``smat`` is the
     step matrix: e v(x_a - x_b), an ``int`` counting steps of the value
@@ -173,13 +183,13 @@ class Skeleton(NamedTuple):
     strictly containing cluster k (None for the root) and ``leaf[x]`` the
     position of the singleton cluster {x}.  ``pair_discs[l]`` is pair l's
     minimal disc as (center position, radius in steps); the disc of the
-    pair at infinity is that of all finite values.  ``pair_odd[l]`` is the
-    smallest odd cluster containing a finite pair l (None for the pair at
-    infinity, or where there is none).
+    pair at infinity is that of all finite values, centred at the first
+    point of pair 0.  ``pair_odd[l]`` is the smallest odd cluster
+    containing a finite pair l (None for the pair at infinity, or where
+    there is none).
     """
 
     values: tuple
-    order: tuple[int, ...]
     ints: tuple
     den_steps: int
     smat: tuple[tuple[int, ...], ...]
@@ -192,71 +202,31 @@ class Skeleton(NamedTuple):
 
     @staticmethod
     def build(cfg: Configuration, pairing=None) -> "Skeleton":
-        """The skeleton of the configuration's finite points, in four steps.
+        """The skeleton of the configuration's finite points, in three steps.
 
         1. Lower the points once in input order and build the step matrix;
-           a second infinity or INF_STEPS off its diagonal is a repeated
-           point (RepeatedPointsError).  Then build the cluster tree.
-        2. ``pairing(smat, clusters)`` names the pairs as tuples of input
-           positions; without it the input order stays and no pair is kept.
-        3. Permute the matrix, the values and the member sets into pair order.
-        4. Link each cluster to its parent and each point to its leaf, and
-           find each finite pair's minimal odd cluster.
+           a second infinity or two equal values is a repeated point
+           (RepeatedPointsError).  Then build the cluster tree.
+        2. ``pairing(smat, clusters)`` names the pairs as tuples of
+           positions; without it no pair is kept.
+        3. Read each pair's minimal disc and each finite pair's minimal
+           odd cluster.
         """
-        values = [pt.value for pt in cfg.points if not pt.is_infinity]
-        ints, den_steps, smat = _lowered_steps(cfg.ctx, values)
-        if len(values) + 1 < cfg.size or any(row.count(INF_STEPS) > 1 for row in smat):
+        values = tuple(pt.value for pt in cfg.points if not pt.is_infinity)
+        if len(values) + 1 < cfg.size:
             raise RepeatedPointsError("the points are not distinct")
-        clusters = cluster_data(cfg, smat)
-
+        ints, den_steps, smat = _lowered_steps(cfg.ctx, values)
+        clusters, parent, leaf = cluster_data(cfg, smat)
         pairs = () if pairing is None else pairing(smat, clusters)
-        order = [x for pr in pairs for x in pr] if pairs else range(len(values))
-
-        new = [0] * len(order)
-        for k, old in enumerate(order):
-            new[old] = k
-        smat = tuple(tuple(smat[a][b] for b in order) for a in order)
-        # Each member set is built from an ascending list, as cluster_data
-        # builds it: the hull centres a cluster's disc at the set's first
-        # member in iteration order, and that order depends on insertion.
-        clusters = tuple(
-            Cluster(frozenset(sorted(new[x] for x in c.members)), c.depth)
-            for c in clusters
+        # the disc of the pair at infinity is that of all finite values
+        top = clusters[0].depth if len(values) > 1 else 0
+        discs = tuple(
+            (pr[0], smat[pr[0]][pr[1]]) if len(pr) == 2 else (pairs[0][0], top)
+            for pr in pairs
         )
-
-        parent: list[Optional[int]] = []
-        leaf = [0] * len(order)
-        stack: list[int] = []
-        for k, c in enumerate(clusters):
-            while stack and not c.members < clusters[stack[-1]].members:
-                stack.pop()
-            parent.append(stack[-1] if stack else None)
-            stack.append(k)
-            if len(c.members) == 1:
-                (x,) = c.members
-                leaf[x] = k
-        points, discs, k = [], [], 0
-        for pr in pairs:
-            points.append(tuple(range(k, k + len(pr))))
-            k += len(pr)
-            if len(pr) == 2:
-                discs.append((k - 2, smat[k - 2][k - 1]))
-            else:  # the pair at infinity: the disc of all finite values
-                discs.append((0, min((row[0] for row in smat[1:]), default=0)))
-        sk = Skeleton(
-            tuple(values[x] for x in order),
-            tuple(order),
-            tuple(ints[x] for x in order),
-            den_steps,
-            smat,
-            clusters,
-            tuple(parent),
-            tuple(leaf),
-            tuple(points),
-            tuple(discs),
-        )
+        sk = Skeleton(values, ints, den_steps, smat, clusters, parent, leaf, pairs, discs)
         return sk._replace(
-            pair_odd=tuple(sk.minimal_odd(pts) if len(pts) == 2 else None for pts in points)
+            pair_odd=tuple(sk.minimal_odd(pts) if len(pts) == 2 else None for pts in pairs)
         )
 
     def chain(self, members: tuple[int, ...]):
@@ -306,10 +276,10 @@ class PairedConfiguration:
     """2g+2 distinct points partitioned into g+1 indexed pairs.
 
     The pair containing infinity (when present) always has the last index,
-    with infinity as its second member.  The skeleton, in pair order, is
-    kept: ``pair_up`` hands over the one it built; one made by hand is built
-    on first use, and its permutation is the identity.  ``_checked`` is
-    set by ``pair_up`` alone: its pairs passed ``canonical_pairs`` and
+    with infinity as its second member.  The skeleton is kept: ``pair_up``
+    hands over the one it built on its input; one made by hand is built on
+    first use, on the points listed pair by pair.  ``_checked`` is set by
+    ``pair_up`` alone: its pairs passed ``canonical_pairs`` and
     ``check_separated`` on that skeleton.
     """
 
@@ -331,15 +301,16 @@ class PairedConfiguration:
         return Configuration(self.ctx, self.points())
 
     def skeleton(self) -> Skeleton:
-        """The skeleton, indexed like ``configuration().finite_values()``;
-        RepeatedPointsError if the points are not distinct.
+        """The skeleton, whose positions name the finite points of the
+        configuration it was built on: ``pair_up``'s input, or else
+        ``configuration()``.  RepeatedPointsError if the points are not
+        distinct.
 
         Deterministic, so two threads building it at once store equal views.
         """
         if self._skeleton is None:
-            # listed pair by pair, the finite points are already in pair order
             k = count()
-            pairs = [[next(k) for pt in p if not pt.is_infinity] for p in self.pairs]
+            pairs = tuple(tuple(next(k) for pt in p if not pt.is_infinity) for p in self.pairs)
             sk = Skeleton.build(self.configuration(), lambda *_: pairs)
             object.__setattr__(self, "_skeleton", sk)
         return self._skeleton
@@ -403,12 +374,13 @@ def pair_up(cfg: Configuration) -> PairedConfiguration:
 
     Repeated points raise RepeatedPointsError, a ValueError, before either
     rule runs.  The returned configuration keeps the one skeleton built
-    here, in the order of the pairs.
+    here, on ``cfg`` in input order.
     """
     has_inf = cfg.has_infinity()
     sk = Skeleton.build(cfg, partial(canonical_pairs, has_infinity=has_inf))
     finite = [pt for pt in cfg.points if not pt.is_infinity]
-    points = [finite[x] for x in sk.order] + ([INFINITY] if has_inf else [])
+    points = [finite[x] for pts in sk.pair_points for x in pts]
+    points += [INFINITY] if has_inf else []
     pcfg = PairedConfiguration(cfg.ctx, tuple(zip(points[::2], points[1::2])))
     object.__setattr__(pcfg, "_skeleton", sk)
     check_separated(pcfg)

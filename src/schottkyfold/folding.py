@@ -295,24 +295,25 @@ def apply_folding(
 
 
 def validate_input(cfg: Configuration) -> None:
+    """InvalidInputError unless the size is even and >= 4 and infinity is
+    among the points; a repeated infinity, like any repeated value, is
+    left to the repeat count of ``run_algorithm``."""
     if cfg.size < 4 or cfg.size % 2 != 0:
         raise InvalidInputError("configuration must have even size >= 4")
     if not cfg.has_infinity():
         raise InvalidInputError("configuration must contain the point at infinity")
-    if sum(1 for pt in cfg.points if pt.is_infinity) > 1:
-        raise InvalidInputError("configuration may contain infinity only once")
 
 
 def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
     """Run the folding loop to a verdict, recording every fold.
 
-    Each pass re-pairs from scratch.  ``pair_up`` finds repeated points in
-    its step matrix; only then are they counted (an even number of repeated
-    values stops with Redundant, an odd number means the pairing is
-    broken).  After a fold the pairs must sit at the positions handed down,
-    compared by position.  Then i = 0..g-1 is scanned for a fold; a
-    performed fold restarts the pass.  When no fold exists the
-    configuration is optimal.
+    Each pass re-pairs from scratch.  ``pair_up`` finds repeated points,
+    infinity among them, while it builds its step matrix; only then are
+    they counted (an even number of repeated values stops with Redundant,
+    an odd number means the pairing is broken).  After a fold the pairs
+    must sit at the positions handed down, compared by position.  Then
+    i = 0..g-1 is scanned for a fold; a performed fold restarts the pass.
+    When no fold exists the configuration is optimal.
     """
     validate_input(cfg)
     trace: list[FoldingStep] = []
@@ -334,11 +335,10 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
             # means the inherited labels lost separation (their tubes touch):
             # a bad folding, even though the bare point set pairs up again.
             # apply_folding lists inherited pair k at input positions (2k,
-            # 2k + 1), infinity last; order maps canonical pair l back there.
-            order = pcfg.skeleton().order
-            if trace and any(
-                order[2 * l] // 2 != order[2 * l + 1] // 2 for l in range(pcfg.g)
-            ):
+            # 2k + 1), infinity last, and each finite pair holds the input
+            # positions of its points.
+            finite = pcfg.skeleton().pair_points[: pcfg.g]
+            if trace and any(x // 2 != y // 2 for x, y in finite):
                 failure = PairingFailure.NOT_SEPARATED
         if failure is not None:
             if trace:

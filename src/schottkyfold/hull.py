@@ -5,7 +5,10 @@ The hull reads the skeleton the configuration already holds
 tree and the pair discs, all in steps of the value group (1/e) Z.  It owns
 no disc metric of its own; an edge's length is the difference of the
 logarithmic radii of its two cluster discs.  Radii and lengths become
-``Fraction``s (steps / e) only in the ``Disc`` labels and the edges.  The
+``Fraction``s (steps / e) only in the ``Disc`` labels and the edges.
+Positions are those of the skeleton, so ``SkeletonVertex.cluster`` indexes
+``pcfg.skeleton().values``.  Vertices are listed, and each disc centred, in
+pair order: a position's rank among the points listed pair by pair.  The
 forest is what is left after removing the segment interiors that split the
 points into two odd halves; its vertices are the minimal discs of clusters
 of size >= 2, its edges connect even clusters to their parents, and the
@@ -45,7 +48,7 @@ class SkeletonVertex:
     distinguished: bool
     pair_index: int | None
     component: int
-    cluster: frozenset[int]  # member indices into the finite values
+    cluster: frozenset[int]  # member positions into the skeleton's values
 
 
 @dataclass(frozen=True)
@@ -96,18 +99,21 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
             raise NotPairedError(str(exc)) from exc
 
     smat, clusters, e = sk.smat, sk.clusters, ctx.ramification
-    # tree positions of the vertex clusters; without infinity the root goes
-    kept = sorted(
-        (
-            k
-            for k, c in enumerate(clusters)
-            if len(c.members) >= 2 and (has_inf or sk.parent[k] is not None)
-        ),
-        key=lambda k: (-len(clusters[k].members), sorted(clusters[k].members)),
-    )
+    order = [x for pts in sk.pair_points for x in pts]
+    rank = [0] * len(order)
+    for r, x in enumerate(order):
+        rank[x] = r
+    # pair-order ranks of the vertex clusters; without infinity the root goes
+    ranks = {
+        k: sorted(rank[x] for x in c.members)
+        for k, c in enumerate(clusters)
+        if len(c.members) >= 2 and (has_inf or sk.parent[k] is not None)
+    }
+    kept = sorted(ranks, key=lambda k: (-len(ranks[k]), ranks[k]))
     ids = {k: vid for vid, k in enumerate(kept)}
-    # minimal discs: the first member as center, the cluster depth as radius
-    discs = {k: (next(iter(clusters[k].members)), clusters[k].depth) for k in kept}
+    # minimal discs: the cluster depth as radius, and as center the first
+    # member, in iteration order, of the set built from the ascending ranks
+    discs = {k: (order[next(iter(frozenset(ranks[k])))], clusters[k].depth) for k in kept}
 
     edges = []
     for k in kept:

@@ -10,7 +10,10 @@ pairs into ``Disc`` values for the comparison.
 
 ``fold_exponent`` is the fold test on field cross ratios, by division and
 ``FieldContext.valuation``: the reference for the integer scan of
-``folding.find_fold_exponent``.
+``folding.find_fold_exponent``.  ``pairwise_depth`` and
+``smallest_superset`` are the cluster tree's definitions: the least
+valuation over every two members, and the parent as the smallest strict
+superset.
 
 The second half is cyclotomic field arithmetic by polynomial division over
 Q, an independent check of the field layer's integer kernels: products and
@@ -139,6 +142,29 @@ def fold_exponent(pcfg, i: int, j: int, I):
             if sides and all(lhs > rhs for lhs, rhs in sides):
                 return n, FoldWitness(l, *sides[0])
     return None
+
+
+def pairwise_depth(ctx, values, members):
+    """A cluster's depth in steps of (1/e) Z: the least e v(x_a - x_b) over
+    every two members, by ``FieldContext.valuation`` (None for a
+    singleton)."""
+    members = sorted(members)
+    return min(
+        (
+            ctx.ramification * ctx.valuation(ctx.sub(values[a], values[b])).fraction
+            for k, a in enumerate(members)
+            for b in members[k + 1:]
+        ),
+        default=None,
+    )
+
+
+def smallest_superset(clusters, k):
+    """The position of the smallest cluster strictly containing cluster k,
+    found by member-set inclusion; None for the root."""
+    members = clusters[k].members
+    supersets = [q for q, c in enumerate(clusters) if members < c.members]
+    return min(supersets, key=lambda q: len(clusters[q].members), default=None)
 
 
 def transported_vertex_disc(ctx, values, members, m) -> Disc:

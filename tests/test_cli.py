@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +112,25 @@ def test_run_requires_infinity_unless_normalized():
     report, code = cli.run(cli.parse_problem(doc2))
     assert code in (cli.EXIT_GOOD, cli.EXIT_NOT_GOOD)
     assert report["normalization"] is not None
+
+
+def test_normalize_infinity_counts_a_doubled_first_point_as_a_repeat():
+    # z -> 1/(z - c) sends both copies of the first point c to infinity;
+    # the doubled infinity is a repeated value like any other, not an
+    # invalid input, whichever copy comes first
+    def run(points):
+        doc = {"p": 2, "ell": 3, "points": points, "options": {"normalize_infinity": True}}
+        return cli.run(cli.parse_problem(json.dumps(doc)))
+
+    for points in (["0", "0", "1", "10", "2", "11"], ["1", "10", "0", "0", "2", "11"]):
+        report, code = run(points)
+        assert code == cli.EXIT_NOT_GOOD
+        assert report["verdict"] == {
+            "kind": "not_good", "stage": "initial", "failure": "not_clustered_in_pairs",
+        }
+    report, code = run(["0", "0", "1", "1", "2", "11"])
+    assert code == cli.EXIT_REDUNDANT
+    assert report["verdict"]["reduced"] == ["inf", "1", "1/2", "1/11"]
 
 
 def test_report_round_trips_and_is_deterministic():
@@ -264,3 +284,25 @@ def test_points_past_the_int_string_limit_round_trip():
     assert report["points"][1] == big
     assert report["verdict"]["stage"] == "after_fold"
     assert report["audit"]["witness"]["class"] == "elliptic"
+
+
+PINNED = sorted((Path(__file__).parent / "expected" / "cli").glob("*.json"))
+
+
+@pytest.mark.parametrize("doc", PINNED, ids=lambda path: path.stem)
+def test_pinned_report(doc, tmp_path, capsys):
+    # each document's report and exit code, pinned in tests/expected/cli/
+    code = cli.main(["--input", str(doc), "--dot", str(tmp_path / "tree"), "--quiet"])
+    assert capsys.readouterr().out == doc.with_suffix(".stdout").read_text()
+    assert code == int(doc.with_suffix(".exit").read_text())
+
+
+def test_pinned_reports_cover_every_field_and_verdict():
+    reports = [json.loads(doc.with_suffix(".stdout").read_text()) for doc in PINNED]
+    fields = {(r["p"], r["ell"]) for r in reports}
+    assert fields == {(2, 2), (2, 3), (2, 5), (2, 7), (3, 7), (3, 3), (5, 11), (5, 5)}
+    verdicts = {(r["verdict"]["kind"], r["verdict"].get("stage")) for r in reports}
+    assert verdicts == {
+        ("good", None), ("not_good", "initial"), ("not_good", "after_fold"), ("redundant", None),
+    }
+    assert {"normalization", "folds", "trees", "audit"} <= {k for r in reports for k in r}

@@ -9,22 +9,25 @@ import pytest
 
 import schottkyfold as sf
 from schottkyfold.clusters import Skeleton
+from schottkyfold.errors import RepeatedPointsError
 from schottkyfold.folding import compute_I, d_j_of_i, select_target, tilde_d_j_of_i
 from schottkyfold.valfield import INF, INF_STEPS, Val
 from helpers import (
     EIGHT_POINT_7ADIC,
     SIX_POINT_5ADIC,
+    TEST_FIELDS,
     ctx2,
     ctx5,
     ctx7,
     lowering_sets,
     multiset,
+    nielsen_move,
     pair_list,
     pairs_as_sets,
     sample_paired,
     values_multiset,
 )
-from reference import pair_disc
+from reference import pair_disc, pairwise_depth, smallest_superset
 
 
 def _cluster_value_sets(cfg, clusters):
@@ -231,17 +234,74 @@ def test_step_matrix_matches_the_field_valuation():
     assert entries == 7 * 2 * (10 + 21 + 36)
 
 
+def _planted_repeats(rng, cfg):
+    """Copies of the points with one value twice, with infinity twice, and
+    with two values twice each, in place of other finite points."""
+    points = list(cfg.points)
+    finite = [k for k, pt in enumerate(points) if not pt.is_infinity]
+    out = []
+    for sources in ([rng.choice(finite)], [points.index(sf.INFINITY)], rng.sample(finite, 2)):
+        copy = list(points)
+        targets = rng.sample([k for k in finite if k not in sources], len(sources))
+        for src, dst in zip(sources, targets):
+            copy[dst] = points[src]
+        out.append(sf.Configuration(cfg.ctx, tuple(copy)))
+    return out
+
+
+def test_skeleton_tree_matches_the_pairwise_definitions():
+    # The skeleton reads a cluster's depth off one member's row, records
+    # parents while it recurses and finds repeats while it fills the step
+    # matrix.  Each must agree with its definition: the least valuation
+    # over every two members, the smallest strict superset, and
+    # repetition_report.
+    rng = random.Random(41)
+    trees = repeats = 0
+    for p, ell in TEST_FIELDS:
+        ctx = sf.field_context(p, ell)
+        for g in (2, 3, 4, 5):
+            cfg, pcfg = sample_paired(rng, ctx, g)
+            moved = nielsen_move(pcfg, rng.randrange(g), g)
+            for c in [cfg, moved] + _planted_repeats(rng, cfg):
+                repeated, _ = sf.repetition_report(c)
+                try:
+                    sk = Skeleton.build(c)
+                except RepeatedPointsError:
+                    assert repeated
+                    repeats += 1
+                    continue
+                assert not repeated
+                assert sk.values == c.finite_values()
+                for k, cluster in enumerate(sk.clusters):
+                    depth = pairwise_depth(ctx, sk.values, cluster.members)
+                    assert cluster.depth == (INF_STEPS if depth is None else depth)
+                    assert sk.parent[k] == smallest_superset(sk.clusters, k)
+                    if depth is None:
+                        (x,) = cluster.members
+                        assert sk.leaf[x] == k
+                trees += 1
+    # every planted copy repeats, and so do 4 of the 28 Nielsen copies:
+    # the move lands a point on another
+    assert (trees, repeats) == (7 * 4 * 2 - 4, 7 * 4 * 3 + 4)
+
+
 def _view_readings(pcfg):
-    g = pcfg.g
+    # every (center position, radius) disc is read by value: the two
+    # skeletons list the same points in different orders
+    g, values = pcfg.g, pcfg.skeleton().values
+
+    def by_value(disc):
+        return None if disc is None else (values[disc[0]], disc[1])
+
     out = [sf.to_dot(sf.reduced_convex_hull(pcfg))]
     for i in range(g + 1):
         out.append(pair_disc(pcfg, i))
         for j in range(g + 1):
             if j != i:
-                out.append((d_j_of_i(pcfg, i, j), tilde_d_j_of_i(pcfg, i, j)))
+                out.append((by_value(d_j_of_i(pcfg, i, j)), by_value(tilde_d_j_of_i(pcfg, i, j))))
     for i in range(g):
         j, target = select_target(pcfg, i)
-        out.append((j, target, compute_I(pcfg, i, target)))
+        out.append((j, by_value(target), compute_I(pcfg, i, target)))
     return out
 
 
@@ -266,7 +326,9 @@ def test_handed_over_skeleton_matches_a_fresh_one(inputs):
         pcfg = sf.pair_up(cfg)
         fresh = sf.PairedConfiguration(pcfg.ctx, pcfg.pairs)
         assert _view_readings(pcfg) == _view_readings(fresh)
-        order = pcfg.configuration().finite_values()
-        assert pcfg.skeleton().values == fresh.skeleton().values == order
-        reordered += cfg.finite_values() != order
-    assert reordered  # the handed-over view was relabelled at least once
+        # pair_up's skeleton keeps its input order; a fresh one is built on
+        # the points listed pair by pair
+        assert pcfg.skeleton().values == cfg.finite_values()
+        assert fresh.skeleton().values == pcfg.configuration().finite_values()
+        reordered += pcfg.skeleton().values != fresh.skeleton().values
+    assert reordered  # the two orders differed at least once

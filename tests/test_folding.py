@@ -620,6 +620,9 @@ def test_pair_up_rejects_repeats_before_any_pairing_rule():
         with pytest.raises(ValueError) as info:
             sf.pair_up(cfg)
         assert not isinstance(info.value, sf.PairingError)
-    with pytest.raises(sf.InvalidInputError):
-        sf.run_algorithm(ctx, sf.configuration(ctx, [0, 5, 1, "inf", 7, "inf"]))
+    # a repeated infinity is one repeated value: odd, so the pairing is broken
+    verdict = sf.run_algorithm(ctx, sf.configuration(ctx, [0, 5, 1, "inf", 7, "inf"]))
+    assert verdict == sf.NotGood(
+        sf.InitialNotPaired(sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS), ()
+    )
 
