@@ -78,6 +78,8 @@ def parse_problem(text: str, verify_depth: Optional[int] = None) -> ProblemSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ParseError(str(exc).split(";")[0]) from exc
     if not isinstance(doc, dict):
         raise ParseError("problem document must be a JSON object")
     for field in ("p", "ell", "points"):

@@ -93,15 +93,15 @@ class Cluster:
     depth: Val | int
 
 
-def _lowered_steps(ctx: FieldContext, values) -> tuple[tuple, int, tuple]:
-    """(numerators A_x over a common denominator L, e v(L), step matrix).
+def _lowered_steps(ctx: FieldContext, values) -> tuple[tuple, int, int, tuple]:
+    """(numerators A_x over a common denominator L, L, e v(L), step matrix).
 
     The step matrix holds e v(x_a - x_b) = e v(A_a - A_b) - e v(L) for
     every two of the values, and INF_STEPS on the diagonal.  Equal values
     have equal numerators: their difference is zero, and that is a
     repeated point (RepeatedPointsError).
     """
-    ints, den_steps = ctx.lower(values)
+    ints, den, den_steps = ctx.lower(values)
     n = len(ints)
     ring, valuation = ctx.integers, ctx.integral_valuation
     sub, zero = ring.sub, ring.zero
@@ -113,7 +113,7 @@ def _lowered_steps(ctx: FieldContext, values) -> tuple[tuple, int, tuple]:
             if d == zero:
                 raise RepeatedPointsError("the points are not distinct")
             row[b] = rows[b][a] = valuation(d) - den_steps
-    return tuple(ints), den_steps, tuple(tuple(row) for row in rows)
+    return tuple(ints), den, den_steps, tuple(tuple(row) for row in rows)
 
 
 def cluster_data(cfg: Configuration, smat=None):
@@ -134,7 +134,7 @@ def cluster_data(cfg: Configuration, smat=None):
     """
     in_steps = smat is not None
     if not in_steps:
-        smat = _lowered_steps(cfg.ctx, cfg.finite_values())[2]
+        smat = _lowered_steps(cfg.ctx, cfg.finite_values())[3]
 
     clusters: list[Cluster] = []
     parent: list[Optional[int]] = []
@@ -175,9 +175,10 @@ class Skeleton(NamedTuple):
     in input order.  ``pair_points[l]`` holds the positions of pair l's
     finite points, ascending (one for a pair with infinity).  ``values``
     are the finite values and ``ints`` their integral numerators over one
-    common denominator L, and ``den_steps`` is e v(L).  ``smat`` is the
-    step matrix: e v(x_a - x_b), an ``int`` counting steps of the value
-    group (1/e) Z, with ``INF_STEPS`` on the diagonal.  ``clusters`` is the
+    common denominator L = ``den`` (the fold step reads its points here),
+    and ``den_steps`` is e v(L).  ``smat`` is the step matrix: e v(x_a -
+    x_b), an ``int`` counting steps of the value group (1/e) Z, with
+    ``INF_STEPS`` on the diagonal.  ``clusters`` is the
     laminar cluster tree in pre-order, with depths in steps (a singleton's
     is ``INF_STEPS``), ``parent[k]`` the position of the smallest cluster
     strictly containing cluster k (None for the root) and ``leaf[x]`` the
@@ -191,6 +192,7 @@ class Skeleton(NamedTuple):
 
     values: tuple
     ints: tuple
+    den: int
     den_steps: int
     smat: tuple[tuple[int, ...], ...]
     clusters: tuple[Cluster, ...]
@@ -207,24 +209,24 @@ class Skeleton(NamedTuple):
         1. Lower the points once in input order and build the step matrix;
            a second infinity or two equal values is a repeated point
            (RepeatedPointsError).  Then build the cluster tree.
-        2. ``pairing(smat, clusters)`` names the pairs as tuples of
-           positions; without it no pair is kept.
+        2. ``pairing(smat, clusters, parent, leaf)`` names the pairs as
+           tuples of positions; without it no pair is kept.
         3. Read each pair's minimal disc and each finite pair's minimal
            odd cluster.
         """
         values = tuple(pt.value for pt in cfg.points if not pt.is_infinity)
         if len(values) + 1 < cfg.size:
             raise RepeatedPointsError("the points are not distinct")
-        ints, den_steps, smat = _lowered_steps(cfg.ctx, values)
+        ints, den, den_steps, smat = _lowered_steps(cfg.ctx, values)
         clusters, parent, leaf = cluster_data(cfg, smat)
-        pairs = () if pairing is None else pairing(smat, clusters)
+        pairs = () if pairing is None else pairing(smat, clusters, parent, leaf)
         # the disc of the pair at infinity is that of all finite values
         top = clusters[0].depth if len(values) > 1 else 0
         discs = tuple(
             (pr[0], smat[pr[0]][pr[1]]) if len(pr) == 2 else (pairs[0][0], top)
             for pr in pairs
         )
-        sk = Skeleton(values, ints, den_steps, smat, clusters, parent, leaf, pairs, discs)
+        sk = Skeleton(values, ints, den, den_steps, smat, clusters, parent, leaf, pairs, discs)
         return sk._replace(
             pair_odd=tuple(sk.minimal_odd(pts) if len(pts) == 2 else None for pts in pairs)
         )
@@ -327,21 +329,34 @@ class PairedConfiguration:
         return f"PairedConfiguration({inner})"
 
 
-def canonical_pairs(smat, clusters, has_infinity: bool) -> tuple[tuple[int, ...], ...]:
+def even_profiles(clusters, parent, leaf) -> list[tuple[int, ...]]:
+    """Each point's even-cardinality clusters, as ascending positions in the
+    pre-order tree (clusters, parent, leaf): one pass down the tree, each
+    cluster extending its parent's profile, then each point reads its
+    leaf's."""
+    profile: list[tuple[int, ...]] = []
+    for k, c in enumerate(clusters):
+        up = () if parent[k] is None else profile[parent[k]]
+        profile.append(up + (k,) if len(c.members) % 2 == 0 else up)
+    return [profile[k] for k in leaf]
+
+
+def canonical_pairs(
+    smat, clusters, parent, leaf, has_infinity: bool
+) -> tuple[tuple[int, ...], ...]:
     """The canonical pairing of the positions of a step matrix and its
     cluster tree (and infinity, when present), or NotClusteredInPairsError.
 
     Points are equivalent when they lie in exactly the same even-cardinality
-    clusters (infinity lies in none); every class must have size two.  Each
-    pair lists its positions in ascending order.  Finite pairs come first,
-    by depth of the minimal pair disc descending, ties broken by position
-    (first occurrence in the input, for a tree built in input order); the
-    pair containing infinity comes last and lists its finite point only.
+    clusters (infinity lies in none), read by :func:`even_profiles`; every
+    class must have size two.  Each pair lists its positions in ascending
+    order.  Finite pairs come first, by depth of the minimal pair disc
+    descending, ties broken by position (first occurrence in the input, for
+    a tree built in input order); the pair containing infinity comes last
+    and lists its finite point only.
     """
-    even = [c.members for c in clusters if len(c.members) % 2 == 0]
     classes: dict[tuple[int, ...], list] = {}
-    for x in range(len(smat)):
-        profile = tuple(k for k, members in enumerate(even) if x in members)
+    for x, profile in enumerate(even_profiles(clusters, parent, leaf)):
         classes.setdefault(profile, []).append(x)
     if has_infinity:
         classes.setdefault((), []).append(None)

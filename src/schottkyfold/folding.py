@@ -35,7 +35,7 @@ from .clusters import (
 )
 from .errors import (InvalidInputError, NotSeparatedError, PairingError,
                      RepeatedPointsError)
-from .projline import Mobius, apply, order_p_fixing
+from .projline import Mobius, image, integer_map, order_p_matrix
 from .valfield import INF_STEPS, FieldContext, Val
 
 
@@ -273,8 +273,12 @@ def find_fold_exponent(
 
 
 def fold_map(pcfg: PairedConfiguration, j: int, n: int) -> Mobius:
-    a_j, b_j = pcfg.pairs[j]
-    return order_p_fixing(pcfg.ctx, a_j, b_j, n)
+    """:func:`~.projline.order_p_fixing` on ``pcfg.pairs[j]``, built from
+    the skeleton's numerators of pair j over its denominator L, so nothing
+    is lowered again."""
+    sk = pcfg.skeleton()
+    ints = [sk.ints[x] for x in sk.pair_points[j]]
+    return integer_map(pcfg.ctx, *order_p_matrix(pcfg.ctx, ints, sk.den, n))
 
 
 def apply_folding(
@@ -283,15 +287,21 @@ def apply_folding(
     """Replace the pairs in the fold set I by their images under the fold
     map m; others unchanged.
 
-    The result is flattened in pair-index order and may be a multiset.
+    Each point is mapped by :func:`~.projline.image` on m's integer
+    entries, a finite one read off the skeleton as A / L.  The result is
+    flattened in pair-index order and may be a multiset.
     """
+    ctx, sk = pcfg.ctx, pcfg.skeleton()
+    ent, _, _ = ctx.lower(m.entries())
     points = []
-    for l, (a, b) in enumerate(pcfg.pairs):
-        if l in I:
-            points.extend((apply(m, a), apply(m, b)))
-        else:
-            points.extend((a, b))
-    return Configuration(pcfg.ctx, tuple(points))
+    for l, pair in enumerate(pcfg.pairs):
+        if l not in I:
+            points.extend(pair)
+            continue
+        moved = [image(ctx, ent, sk.ints[x], sk.den) for x in sk.pair_points[l]]
+        # a pair's infinity is its second point, and is 1 / 0
+        points.extend(moved + [image(ctx, ent, ctx.integers.one, 0)] * (2 - len(moved)))
+    return Configuration(ctx, tuple(points))
 
 
 def validate_input(cfg: Configuration) -> None:

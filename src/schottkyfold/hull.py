@@ -89,7 +89,7 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     if not pcfg._checked:
         try:
             # both list each pair's positions in ascending order
-            canonical = canonical_pairs(sk.smat, sk.clusters, has_inf)
+            canonical = canonical_pairs(sk.smat, sk.clusters, sk.parent, sk.leaf, has_inf)
             if sorted(canonical) != sorted(sk.pair_points):
                 raise NotPairedError(
                     "pairs are not the canonical pairing of the points"

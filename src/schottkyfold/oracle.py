@@ -19,7 +19,8 @@ rotations, is conjugate to a word met earlier in the order; while all the
 words met so far are loxodromic it is loxodromic too, so only the least
 rotations of cyclically reduced words are classified.  ``words_checked``
 still counts every word up to the witness, in closed form.  The walk runs
-on integer matrices built straight from the lowered points, composes each
+on integer matrices that :func:`~.projline.order_p_matrix` builds from
+the lowered points, as for the fold step, composes each
 prefix once from its parent (except the prefixes one syllable short of
 the longest words, which close on a cached product of two generators),
 and classifies a word from its integer trace and the cached valuations of
@@ -44,6 +45,7 @@ from .projline import (
     compose,
     is_loxodromic,
     order_p_fixing,
+    order_p_matrix,
 )
 from .valfield import int_valuation
 
@@ -149,42 +151,17 @@ def _det(ring, m: tuple):
 
 def _integer_generators(pcfg: PairedConfiguration) -> list[list[tuple]]:
     """gens[idx][n - 1] = (integer matrix, det, e v(det)) of the n-th power
-    of generator idx, in ``ctx.integers``.
-
-    With ``ctx.lower([a, b, 1]) = (A, B, L)`` the matrix of
-    :func:`~.projline.order_p_fixing` times L^2 is
-    [[L(A - z^n B), z^n AB - AB], [L(L - z^n L), L(z^n A - B)]], and for
-    b = infinity it is [[z^n L, A - z^n A], [0, L]] times L; z^n X is
-    ``rotate(X, n)``.  These are scalar multiples of the maps of
-    :func:`pair_generators`.
-    """
+    of generator idx, in ``ctx.integers``: :func:`~.projline.order_p_matrix`
+    on the pair lowered over its own denominator, a scalar multiple of the
+    map of :func:`pair_generators`."""
     ctx = pcfg.ctx
     ring, valuation = ctx.integers, ctx.integral_valuation
-    mul, sub, rotate = ring.mul, ring.sub, ring.rotate
     gens = []
     for a, b in pcfg.pairs:
-        if a.is_infinity:
-            a, b = b, a
         if a == b:
             raise DegeneratePairError("order-p map needs two distinct fixed points")
-        if b.is_infinity:
-            (A, L), _ = ctx.lower([a.value, ctx.one()])
-            mats = [
-                (rotate(L, n), sub(A, rotate(A, n)), ring.zero, L)
-                for n in range(1, ctx.p)
-            ]
-        else:
-            (A, B, L), _ = ctx.lower([a.value, b.value, ctx.one()])
-            AB = mul(A, B)
-            mats = [
-                (
-                    mul(L, sub(A, rotate(B, n))),
-                    sub(rotate(AB, n), AB),
-                    mul(L, sub(L, rotate(L, n))),
-                    mul(L, sub(rotate(A, n), B)),
-                )
-                for n in range(1, ctx.p)
-            ]
+        ints, den, _ = ctx.lower([pt.value for pt in (a, b) if not pt.is_infinity])
+        mats = [order_p_matrix(ctx, ints, den, n)[0] for n in range(1, ctx.p)]
         dets = [_det(ring, m) for m in mats]
         gens.append([(m, d, valuation(d)) for m, d in zip(mats, dets)])
     return gens

@@ -2,7 +2,10 @@
 
 A :class:`PPoint` is a field element or the point at infinity.  A
 :class:`Mobius` is an invertible 2x2 matrix over the field, compared
-projectively (up to a nonzero scalar).  The classification of a map into
+projectively (up to a nonzero scalar).  Maps are built, composed and
+applied on integer matrices over ``FieldContext.integers``: the order-p
+matrix :func:`order_p_matrix`, the action :func:`image`, and the one
+canonical scale, :func:`integer_map`.  The classification of a map into
 identity / parabolic / elliptic / loxodromic reads the Newton polygon of
 its characteristic polynomial: the two eigenvalue valuations are distinct
 exactly when 2 v(trace) < v(det), and then the translation length on the
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DegeneratePairError
 from .valfield import FieldContext, FieldKind
@@ -96,30 +99,27 @@ class Mobius:
 
 
 def mobius(ctx: FieldContext, a, b, c, d) -> Mobius:
-    """Build a Moebius map, normalising the matrix to a canonical scale.
-
-    Rational matrices are cleared of denominators, divided by the content
-    of the integer entries, and sign-normalised so the first nonzero entry
-    is positive.  Cyclotomic matrices only have rational denominators
-    cleared.
-    """
+    """Build a Moebius map, in canonical scale: the entries, lowered over
+    one common denominator, go through :func:`integer_map`."""
     ent = [x if not isinstance(x, (int, Fraction)) else ctx.from_fraction(x) for x in (a, b, c, d)]
-    det = ctx.sub(ctx.mul(ent[0], ent[3]), ctx.mul(ent[1], ent[2]))
-    if ctx.is_zero(det):
+    m, den, _ = ctx.lower(ent)
+    if ctx.integers.cross(m[0], m[3], m[1], m[2]) == ctx.integers.zero:
         raise ValueError("matrix is singular")
+    return integer_map(ctx, m, den)
+
+
+def integer_map(ctx: FieldContext, m: tuple, s: int) -> Mobius:
+    """The map of M = m / s (m an integer matrix (a, b, c, d) in
+    ``ctx.integers``, s > 0) in M's canonical scale.  Over Q this is m over
+    its content, first nonzero entry positive; over Q(zeta_p) the least
+    integral multiple of M, m / gcd(s, content(m))."""
+    ring = ctx.integers
+    k = ring.content(m)
     if ctx.kind is FieldKind.RATIONAL:
-        den = lcm(*[x.denominator for x in ent])
-        nums = [x.numerator * (den // x.denominator) for x in ent]
-        content = gcd(*nums)
-        nums = [n // content for n in nums]
-        lead = next(n for n in nums if n != 0)
-        if lead < 0:
-            nums = [-n for n in nums]
-        ent = [Fraction(n) for n in nums]
-    else:
-        den = lcm(*[c.denominator for x in ent for c in x])
-        ent = [tuple(c * den for c in x) for x in ent]
-    return Mobius(ctx, *ent)
+        m = ring.divide(m, k if next(x for x in m if x) > 0 else -k)
+        return Mobius(ctx, *map(Fraction, m))
+    m = ring.divide(m, gcd(s, k))
+    return Mobius(ctx, *(tuple(map(Fraction, x)) for x in m))
 
 
 def identity(ctx: FieldContext) -> Mobius:
@@ -127,45 +127,48 @@ def identity(ctx: FieldContext) -> Mobius:
     return Mobius(ctx, one, zero, zero, one)
 
 
+def image(ctx: FieldContext, m: tuple, num, den: int) -> PPoint:
+    """The image of num / den (num in ``ctx.integers``; infinity is 1 / 0)
+    under the integer matrix m: (a num + b den) / (c num + d den), one
+    :meth:`~.valfield.FieldContext.quotient`; a pole maps to infinity."""
+    ring = ctx.integers
+    a, b, c, d = m
+    minus_den = ring.times(ring.one, -den)
+    value = ctx.quotient(ring.cross(a, num, b, minus_den), ring.cross(c, num, d, minus_den))
+    return INFINITY if value is None else PPoint(value)
+
+
 def apply(m: Mobius, pt: PPoint) -> PPoint:
-    """The fractional-linear action; total on P^1 (poles map to infinity)."""
+    """The fractional-linear action; total on P^1 (poles map to infinity),
+    by :func:`image` on the lowered map and point."""
     f = m.ctx
-    if pt.is_infinity:
-        if f.is_zero(m.c):
-            return INFINITY
-        return PPoint(f.div(m.a, m.c))
-    z = pt.value
-    den = f.add(f.mul(m.c, z), m.d)
-    if f.is_zero(den):
-        return INFINITY
-    num = f.add(f.mul(m.a, z), m.b)
-    return PPoint(f.div(num, den))
+    ent, _, _ = f.lower(m.entries())
+    (num,), den, _ = ([f.integers.one], 0, 0) if pt.is_infinity else f.lower([pt.value])
+    return image(f, ent, num, den)
 
 
 def compose(m1: Mobius, m2: Mobius) -> Mobius:
-    """Matrix product m1 * m2 (apply m2 first), renormalised."""
+    """Matrix product m1 * m2 (apply m2 first), renormalised: one ``matmul``
+    of the lowered matrices, then :func:`integer_map`."""
     f = m1.ctx
-    a = f.add(f.mul(m1.a, m2.a), f.mul(m1.b, m2.c))
-    b = f.add(f.mul(m1.a, m2.b), f.mul(m1.b, m2.d))
-    c = f.add(f.mul(m1.c, m2.a), f.mul(m1.d, m2.c))
-    d = f.add(f.mul(m1.c, m2.b), f.mul(m1.d, m2.d))
-    return mobius(f, a, b, c, d)
+    (e1, s1, _), (e2, s2, _) = f.lower(m1.entries()), f.lower(m2.entries())
+    return integer_map(f, f.integers.matmul(e1, e2), s1 * s2)
 
 
 def inverse(m: Mobius) -> Mobius:
-    f = m.ctx
-    return mobius(f, m.d, f.neg(m.b), f.neg(m.c), m.a)
+    """The adjugate of the lowered matrix, renormalised."""
+    f, ring = m.ctx, m.ctx.integers
+    (a, b, c, d), s, _ = f.lower(m.entries())
+    return integer_map(f, (d, ring.sub(ring.zero, b), ring.sub(ring.zero, c), a), s)
 
 
 def proj_eq(m1: Mobius, m2: Mobius) -> bool:
-    """Projective equality, decided by cross-multiplication of entries."""
+    """Projective equality, decided by cross-multiplication of the lowered
+    entries."""
     f = m1.ctx
-    e1, e2 = m1.entries(), m2.entries()
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if f.mul(e1[i], e2[j]) != f.mul(e1[j], e2[i]):
-                return False
-    return True
+    (e1, _, _), (e2, _, _) = f.lower(m1.entries()), f.lower(m2.entries())
+    cross, zero = f.integers.cross, f.integers.zero
+    return all(cross(e1[i], e2[j], e1[j], e2[i]) == zero for i in range(4) for j in range(i + 1, 4))
 
 
 def is_loxodromic(v_tr, v_det) -> bool:
@@ -201,33 +204,44 @@ def classify(ctx: FieldContext, m: Mobius) -> ElementClass:
     return ElementClass(MapKind.ELLIPTIC)
 
 
+def order_p_matrix(ctx: FieldContext, ints: list, den: int, n: int) -> tuple:
+    """(den^k M, den^k) for the matrix M of the n-th power of the order-p map
+    fixing the k = 2 points x = A / den, y = B / den with ints = [A, B], or
+    (k = 1, ints = [A]) x and infinity; A and B are in ``ctx.integers``.
+
+    With z = zeta_p, M is [[x - z^n y, (z^n - 1) x y], [1 - z^n, z^n x - y]]
+    or [[z^n, (1 - z^n) x], [0, 1]]; z^n A is ``rotate(A, n)``.  det M is
+    z^n (x - y)^2 or z^n, never 0 for distinct points.
+    """
+    if n % ctx.p == 0:
+        raise ValueError("exponent must be nonzero modulo p")
+    ring = ctx.integers
+    rotate, sub, times, one, a = ring.rotate, ring.sub, ring.times, ring.one, ints[0]
+    if len(ints) == 1:
+        return (times(rotate(one, n), den), sub(a, rotate(a, n)), ring.zero, times(one, den)), den
+    b = ints[1]
+    ab = ring.mul(a, b)
+    return (
+        times(sub(a, rotate(b, n)), den),
+        sub(rotate(ab, n), ab),
+        times(sub(one, rotate(one, n)), den * den),
+        times(sub(rotate(a, n), b), den),
+    ), den * den
+
+
 def order_p_fixing(ctx: FieldContext, a: PPoint, b: PPoint, n: int) -> Mobius:
-    """The n-th power of an order-p map fixing a and b.
+    """The n-th power of an order-p map fixing a and b: the points lowered
+    over one common denominator, :func:`order_p_matrix` in canonical scale.
 
     The orientation is normalised so the multiplier (the derivative) at a
     is zeta_p^n; in the coordinate sending (a, b) to (0, infinity) the map
     is multiplication by zeta_p^n, which is the orientation the folding
-    test certifies.  For finite a, b the matrix is
-    [[a - z^n b, (z^n - 1) a b], [1 - z^n, z^n a - b]] with z = zeta_p;
-    for b = infinity the map is z -> (1 - zeta^n) a + zeta^n z.  If a
-    point of the pair is infinite it must be passed as b.
+    test certifies.  If a point of the pair is infinite it must be passed
+    as b.
     """
-    if n % ctx.p == 0:
-        raise ValueError("exponent must be nonzero modulo p")
     if a == b:
         raise DegeneratePairError("order-p map needs two distinct fixed points")
     if a.is_infinity:
         raise ValueError("infinity must be passed as the second fixed point")
-    zn = ctx.zeta_power(n)
-    one = ctx.one()
-    av = a.value
-    if b.is_infinity:
-        return mobius(ctx, zn, ctx.mul(ctx.sub(one, zn), av), ctx.zero(), one)
-    bv = b.value
-    return mobius(
-        ctx,
-        ctx.sub(av, ctx.mul(zn, bv)),
-        ctx.mul(ctx.sub(zn, one), ctx.mul(av, bv)),
-        ctx.sub(one, zn),
-        ctx.sub(ctx.mul(zn, av), bv),
-    )
+    ints, den, _ = ctx.lower([pt.value for pt in (a, b) if not pt.is_infinity])
+    return integer_map(ctx, *order_p_matrix(ctx, ints, den, n))

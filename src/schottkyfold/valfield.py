@@ -21,16 +21,18 @@ of ``Fraction`` coefficients (degree < p - 1, reduced modulo the p-th
 cyclotomic polynomial, hence canonical) in the cyclotomic flavours.  The
 cyclotomic operations clear denominators once and work on integers:
 products are cyclic convolutions modulo x^p - 1 reduced with
-x^(p-1) = -(1 + ... + x^(p-2)), and inverses are the product of the Galois
-conjugates over the norm.  Valuations are ``Val`` objects: exact rationals
-plus a +infinity sentinel reserved for the valuation of zero.  The kernels
-are reached through one entry point, ``integral_valuation``, which takes
-integer coefficients and counts the valuation in steps of the value group.
+x^(p-1) = -(1 + ... + x^(p-2)), and quotients multiply by the product of
+the Galois conjugates over the norm.  Valuations are ``Val`` objects:
+exact rationals plus a +infinity sentinel reserved for the valuation of
+zero.  The kernels are reached through one entry point,
+``integral_valuation``, which takes integer coefficients and counts the
+valuation in steps of the value group.
 
 The entry point from field elements to the integers is ``lower``: it puts
 a list of elements over one common denominator L and returns their
 integral numerators, in the ring ``FieldContext.integers`` (``int``, or
-lists of p - 1 integer coefficients), with e v(L).  Then e v(x - y) is
+lists of p - 1 integer coefficients), with L and e v(L); ``quotient`` is
+the way back, one conversion of num / den.  Then e v(x - y) is
 ``integral_valuation`` of a numerator difference minus e v(L), and
 ``valuation`` is the one-element case.  Callers that compare many
 valuations lower their elements once and stay on integers; counts of steps
@@ -198,14 +200,41 @@ def int_valuation(n: int, ell: int) -> int:
     return v
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality: deterministic Miller-Rabin below ``_MR_BOUND``
+    (about 3.3 10^24), trial division above it, where no base set is
+    proven and the test is slow."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_BOUND:
+        d = _MR_BASES[-1] + 2
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
+        return True
+    odd, s = n - 1, 0
+    while odd % 2 == 0:
+        odd, s = odd // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -251,7 +280,7 @@ def _add_product(buf: list[int], x: list[int], y: list[int], sign: int = 1) -> N
 class _Integers:
     """Integral elements of Q: ``int``."""
 
-    zero = 0
+    zero, one = 0, 1
     mul = staticmethod(operator.mul)
     sub = staticmethod(operator.sub)
     times = staticmethod(operator.mul)
@@ -301,6 +330,7 @@ class _CyclotomicIntegers:
     def __init__(self, p: int):
         self.p = p
         self.zero = [0] * (p - 1)
+        self.one = [1] + [0] * (p - 2)
 
     def _reduce(self, buf: list[int]) -> list[int]:
         """A sum of products in Z[x] (2p - 3 coefficients) as an element:
@@ -444,18 +474,10 @@ class FieldContext:
         return (q,) + (Fraction(0),) * (self.degree - 1)
 
     def zeta_power(self, n: int):
-        """zeta_p^n in canonical form; zeta_2 = -1."""
-        n %= self.p
-        if self.kind is FieldKind.RATIONAL:
-            return Fraction(-1) ** n
-        if n == 0:
-            return self.one()
-        if n < self.p - 1:
-            coeffs = [Fraction(0)] * self.degree
-            coeffs[n] = Fraction(1)
-            return tuple(coeffs)
-        # x^(p-1) = -(1 + x + ... + x^(p-2))
-        return (Fraction(-1),) * self.degree
+        """zeta_p^n in canonical form (zeta_2 = -1): the integer ring's
+        rotation of 1, as an element."""
+        one = self.integers.one
+        return self.quotient(self.integers.rotate(one, n), one)
 
     # -- predicates --------------------------------------------------------
 
@@ -488,11 +510,6 @@ class FieldContext:
             return x - y
         return tuple(a - b for a, b in zip(x, y))
 
-    def neg(self, x):
-        if self.kind is FieldKind.RATIONAL:
-            return -x
-        return tuple(-a for a in x)
-
     def mul(self, x, y):
         if self.kind is FieldKind.RATIONAL:
             return x * y
@@ -501,38 +518,44 @@ class FieldContext:
         return _canonical(_cyclic_mul(a, b, self.p), den_a * den_b)
 
     def inv(self, x):
-        if self.is_zero(x):
+        (a,), den, _ = self.lower([x])
+        if a == self.integers.zero:
             raise FieldDivisionError("inversion of zero")
+        return self.quotient(self.integers.times(self.integers.one, den), a)
+
+    def quotient(self, num, den):
+        """num / den for integral num and den in :attr:`integers`, as a
+        canonical element converted once (the field's division); None when
+        den = 0.  Over Q(zeta_p), 1/A is the product of the Galois
+        conjugates A(zeta^s), s = 2..p-1, over the rational norm of A."""
+        if den == self.integers.zero:
+            return None
         if self.kind is FieldKind.RATIONAL:
-            return Fraction(1) / x
-        # 1/A = (product of the conjugates A(zeta^s), s = 2..p-1) / Norm(A)
+            return Fraction(num, den)
         p = self.p
-        a, den = _integral(x)
-        conjugates = [1]
+        conjugates = None
         for s in range(2, p):
             conj = [0] * p
-            for i, c in enumerate(a):
+            for i, c in enumerate(den):
                 conj[i * s % p] = c
-            conjugates = _cyclic_mul(conjugates, conj, p)
+            conjugates = conj if conjugates is None else _cyclic_mul(conjugates, conj, p)
         # A times its conjugates is the rational norm, so the coefficients
-        # of x, ..., x^(p-1) agree and the canonical value is the difference
-        full = _cyclic_mul(a, conjugates, p)
-        norm = full[0] - full[p - 1]
-        return _canonical([den * c for c in conjugates], norm)
-
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
+        # of x, ..., x^(p-1) of that product agree; the norm is the constant
+        # coefficient less the top one, read without forming the product
+        norm = sum(c * (conjugates[-i] - conjugates[-1 - i]) for i, c in enumerate(den))
+        return _canonical(_cyclic_mul(num, conjugates, p), norm)
 
     # -- the valuation -----------------------------------------------------
 
-    def lower(self, values) -> tuple[list, int]:
+    def lower(self, values) -> tuple[list, int, int]:
         """The elements over one common denominator L > 0: their integral
-        numerators in :attr:`integers`, each x being A_x / L, and e v(L)."""
+        numerators in :attr:`integers`, each x being A_x / L, then L and
+        e v(L)."""
         ring = self.integers
         parts = [ring.lower(x) for x in values]
         den = lcm(*[d for _, d in parts])
         ints = [ring.times(a, den // d) for a, d in parts]
-        return ints, self.ramification * int_valuation(den, self.ell)
+        return ints, den, self.ramification * int_valuation(den, self.ell)
 
     def val_of_steps(self, steps) -> Val:
         """A count of steps of (1/e) Z as a ``Val``; ``INF_STEPS`` is
@@ -543,7 +566,7 @@ class FieldContext:
 
     def valuation(self, x) -> Val:
         """v(x): multiplicative, ultrametric, v(0) = +infinity."""
-        (a,), den_steps = self.lower([x])
+        (a,), _, den_steps = self.lower([x])
         if a == self.integers.zero:
             return INF
         return self.val_of_steps(self.integral_valuation(a) - den_steps)

@@ -10,10 +10,16 @@ pairs into ``Disc`` values for the comparison.
 
 ``fold_exponent`` is the fold test on field cross ratios, by division and
 ``FieldContext.valuation``: the reference for the integer scan of
-``folding.find_fold_exponent``.  ``pairwise_depth`` and
-``smallest_superset`` are the cluster tree's definitions: the least
-valuation over every two members, and the parent as the smallest strict
-superset.
+``folding.find_fold_exponent``.  ``pairwise_depth``,
+``smallest_superset`` and ``even_profile`` are the cluster tree's
+definitions: the least valuation over every two members, the parent as
+the smallest strict superset, and a point's even clusters by membership.
+
+``order_p_fixing_by_fractions`` and ``apply_by_fractions`` are the order-p
+map and the Moebius action by field arithmetic on ``Fraction``s, with the
+canonical scale of ``mobius_by_fractions``: the reference for the integer
+constructor ``projline.order_p_matrix`` and the integer action
+``projline.image``.
 
 The second half is cyclotomic field arithmetic by polynomial division over
 Q, an independent check of the field layer's integer kernels: products and
@@ -24,12 +30,13 @@ extended Euclid, and valuations come from the norm, a resultant.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from schottkyfold.folding import FoldWitness
 from schottkyfold.hull import Disc
-from schottkyfold.projline import PPoint, apply, compose, inverse, order_p_fixing, proj_eq
-from schottkyfold.valfield import Val, int_valuation
+from schottkyfold.projline import (INFINITY, Mobius, PPoint, apply, compose, inverse,
+                                   order_p_fixing, proj_eq)
+from schottkyfold.valfield import FieldKind, Val, int_valuation
 
 
 def disc(ctx, center, radius) -> Disc:
@@ -122,7 +129,7 @@ def fold_exponent(pcfg, i: int, j: int, I):
         num = ctx.sub(c, a_j.value)
         if b_j.is_infinity:
             return num
-        return ctx.div(num, ctx.sub(c, b_j.value))
+        return field_div(ctx, num, ctx.sub(c, b_j.value))
 
     reps_i = [pt.value for pt in pcfg.pairs[i] if not pt.is_infinity]
     for n in range(1, ctx.p):
@@ -165,6 +172,97 @@ def smallest_superset(clusters, k):
     members = clusters[k].members
     supersets = [q for q, c in enumerate(clusters) if members < c.members]
     return min(supersets, key=lambda q: len(clusters[q].members), default=None)
+
+
+def even_profile(clusters, x) -> tuple[int, ...]:
+    """The positions of the even-cardinality clusters with x among their
+    members, ascending."""
+    return tuple(
+        k for k, c in enumerate(clusters) if len(c.members) % 2 == 0 and x in c.members
+    )
+
+
+def field_mul(ctx, x, y):
+    """x y, by polynomial division over Q in the cyclotomic flavours."""
+    return x * y if ctx.kind is FieldKind.RATIONAL else cyclo_mul(ctx, x, y)
+
+
+def field_div(ctx, x, y):
+    """x / y, by extended Euclid in the cyclotomic flavours."""
+    return x / y if ctx.kind is FieldKind.RATIONAL else cyclo_mul(ctx, x, cyclo_inv(ctx, y))
+
+
+def zeta_power_by_definition(ctx, n: int):
+    """zeta_p^n: -1 to the n over Q; otherwise the n-th basis vector, with
+    x^(p-1) = -(1 + x + ... + x^(p-2)) and x^0 = 1."""
+    n %= ctx.p
+    if ctx.kind is FieldKind.RATIONAL:
+        return Fraction(-1) ** n
+    if n == ctx.p - 1:
+        return (Fraction(-1),) * ctx.degree
+    return tuple(Fraction(int(k == n)) for k in range(ctx.degree))
+
+
+def mobius_by_fractions(ctx, a, b, c, d) -> Mobius:
+    """The canonical scale on ``Fraction`` entries: over Q denominators
+    cleared, the content divided out and the first nonzero entry made
+    positive; over Q(zeta_p) only the rational denominators cleared."""
+    ent = [ctx.from_fraction(x) if isinstance(x, (int, Fraction)) else x for x in (a, b, c, d)]
+    if ctx.kind is FieldKind.RATIONAL:
+        den = lcm(*[x.denominator for x in ent])
+        nums = [x.numerator * (den // x.denominator) for x in ent]
+        k = gcd(*nums)
+        nums = [n // k for n in nums]
+        if next(n for n in nums if n) < 0:
+            nums = [-n for n in nums]
+        return Mobius(ctx, *map(Fraction, nums))
+    den = lcm(*[q.denominator for x in ent for q in x])
+    return Mobius(ctx, *(tuple(q * den for q in x) for x in ent))
+
+
+def order_p_fixing_by_fractions(ctx, a, b, n: int) -> Mobius:
+    """The n-th power of the order-p map fixing a and b (b may be
+    infinity), by field arithmetic: [[a - z^n b, (z^n - 1) a b], [1 - z^n,
+    z^n a - b]] with z = zeta_p, or z -> (1 - z^n) a + z^n z."""
+    zn, one, av = zeta_power_by_definition(ctx, n), ctx.one(), a.value
+    if b.is_infinity:
+        return mobius_by_fractions(ctx, zn, field_mul(ctx, ctx.sub(one, zn), av), ctx.zero(), one)
+    bv = b.value
+    return mobius_by_fractions(
+        ctx,
+        ctx.sub(av, field_mul(ctx, zn, bv)),
+        field_mul(ctx, ctx.sub(zn, one), field_mul(ctx, av, bv)),
+        ctx.sub(one, zn),
+        ctx.sub(field_mul(ctx, zn, av), bv),
+    )
+
+
+def compose_by_fractions(m1: Mobius, m2: Mobius) -> Mobius:
+    """The matrix product m1 m2 by field arithmetic, in canonical scale."""
+    ctx = m1.ctx
+
+    def dot(x, y, u, v):
+        return ctx.add(field_mul(ctx, x, y), field_mul(ctx, u, v))
+
+    return mobius_by_fractions(
+        ctx,
+        dot(m1.a, m2.a, m1.b, m2.c),
+        dot(m1.a, m2.b, m1.b, m2.d),
+        dot(m1.c, m2.a, m1.d, m2.c),
+        dot(m1.c, m2.b, m1.d, m2.d),
+    )
+
+
+def apply_by_fractions(m: Mobius, pt: PPoint) -> PPoint:
+    """The fractional-linear action by field arithmetic; poles map to
+    infinity."""
+    ctx = m.ctx
+    if pt.is_infinity:
+        return INFINITY if ctx.is_zero(m.c) else PPoint(field_div(ctx, m.a, m.c))
+    den = ctx.add(field_mul(ctx, m.c, pt.value), m.d)
+    if ctx.is_zero(den):
+        return INFINITY
+    return PPoint(field_div(ctx, ctx.add(field_mul(ctx, m.a, pt.value), m.b), den))
 
 
 def transported_vertex_disc(ctx, values, members, m) -> Disc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -284,6 +285,29 @@ def test_points_past_the_int_string_limit_round_trip():
     assert report["points"][1] == big
     assert report["verdict"]["stage"] == "after_fold"
     assert report["audit"]["witness"]["class"] == "elliptic"
+
+
+def test_main_rejects_an_integer_literal_past_the_int_string_limit(tmp_path, capsys):
+    # json.loads raises a plain ValueError for a literal of more than 4300
+    # digits; it is a problem with the document, not an internal error
+    path = tmp_path / "problem.json"
+    path.write_text(problem_5adic().replace('"p": 2', '"p": ' + "1" * 5000), encoding="utf-8")
+    assert cli.main(["--input", str(path)]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Exceeds the limit")
+    assert "\n" not in captured.err.rstrip("\n")
+
+
+@pytest.mark.parametrize("ell", [10**15 + 37, 10**18 + 3])
+def test_main_accepts_a_field_with_a_large_prime(tmp_path, capsys, ell):
+    # primality by Miller-Rabin: trial division took seconds at 10^15 + 37
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"p": 2, "ell": ell, "points": ["0", "1", "2", "inf"]}))
+    start = time.perf_counter()
+    assert cli.main(["--input", str(path)]) == cli.EXIT_NOT_GOOD
+    assert time.perf_counter() - start < 2
+    assert json.loads(capsys.readouterr().out)["ell"] == ell
 
 
 PINNED = sorted((Path(__file__).parent / "expected" / "cli").glob("*.json"))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import schottkyfold as sf
-from schottkyfold.clusters import Skeleton
+from schottkyfold.clusters import Skeleton, even_profiles
 from schottkyfold.errors import RepeatedPointsError
 from schottkyfold.folding import compute_I, d_j_of_i, select_target, tilde_d_j_of_i
 from schottkyfold.valfield import INF, INF_STEPS, Val
@@ -27,7 +27,7 @@ from helpers import (
     sample_paired,
     values_multiset,
 )
-from reference import pair_disc, pairwise_depth, smallest_superset
+from reference import even_profile, pair_disc, pairwise_depth, smallest_superset
 
 
 def _cluster_value_sets(cfg, clusters):
@@ -283,6 +283,27 @@ def test_skeleton_tree_matches_the_pairwise_definitions():
     # every planted copy repeats, and so do 4 of the 28 Nielsen copies:
     # the move lands a point on another
     assert (trees, repeats) == (7 * 4 * 2 - 4, 7 * 4 * 3 + 4)
+
+
+def test_even_profiles_match_the_membership_definition():
+    # canonical_pairs groups points by the even clusters they lie in, read
+    # down the tree from parent links; membership defines the same profiles
+    rng = random.Random(43)
+    checked = 0
+    for p, ell in TEST_FIELDS:
+        ctx = sf.field_context(p, ell)
+        for g in (2, 3, 4, 5):
+            cfg, pcfg = sample_paired(rng, ctx, g)
+            for c in (cfg, nielsen_move(pcfg, rng.randrange(g), g)):
+                try:
+                    sk = Skeleton.build(c)
+                except RepeatedPointsError:
+                    continue
+                profiles = even_profiles(sk.clusters, sk.parent, sk.leaf)
+                assert profiles == [even_profile(sk.clusters, x) for x in range(len(sk.values))]
+                checked += 1
+    # a Nielsen move can land a point on another
+    assert checked > 50
 
 
 def _view_readings(pcfg):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import sys
@@ -40,7 +41,16 @@ from helpers import (
     sample_paired,
     values_multiset,
 )
-from reference import disc, fold_exponent, point_to_axis, same, skeleton_disc
+from reference import (
+    apply_by_fractions,
+    disc,
+    field_div,
+    fold_exponent,
+    order_p_fixing_by_fractions,
+    point_to_axis,
+    same,
+    skeleton_disc,
+)
 
 
 def paired(ctx, values):
@@ -124,6 +134,46 @@ def test_apply_folding_examples():
     p7b = paired(ctx7(), [9, -40, -110, 86, 0, 7, 1, "inf"])
     got = fold(p7b, 0, 3, 1)
     assert multiset(got) == values_multiset(ctx7(), EIGHT_POINT_7ADIC_MIN)
+
+
+def test_fold_map_and_apply_folding_match_the_fraction_route():
+    # fold_map builds the map from the skeleton's numerators, and
+    # apply_folding maps each moved point through one quotient; they must
+    # give order_p_fixing on the pair and the Fraction action on the points,
+    # a pole going to infinity
+    poles = 0
+    for ctx, cfg in lowering_sets(47, genera=(2, 3)):
+        pcfg = sf.pair_up(cfg)
+        for j, n in itertools.product(range(pcfg.g + 1), range(1, ctx.p)):
+            m = fold_map(pcfg, j, n)
+            ref = order_p_fixing_by_fractions(ctx, *pcfg.pairs[j], n)
+            assert m == sf.order_p_fixing(ctx, *pcfg.pairs[j], n) == ref
+            assert repr(m) == repr(ref)
+            # every pair but j moves, the pair at infinity included
+            others = frozenset(range(pcfg.g + 1)) - {j}
+            expected = [
+                apply_by_fractions(m, pt) if l in others else pt
+                for l, pair in enumerate(pcfg.pairs)
+                for pt in pair
+            ]
+            assert apply_folding(pcfg, others, m).points == tuple(expected)
+            # a finite pair l moved onto the pole of m, by hand (the map
+            # fixing infinity has none)
+            if ctx.is_zero(m.c):
+                continue
+            l = (j + 1) % pcfg.g
+            pole = sf.PPoint(field_div(ctx, ctx.sub(ctx.zero(), m.d), m.c))
+            if pole in pcfg.points():
+                continue
+            pairs = list(pcfg.pairs)
+            pairs[l] = (pole, pairs[l][1])
+            moved = sf.PairedConfiguration(ctx, tuple(pairs))
+            assert fold_map(moved, j, n) == m
+            after = apply_folding(moved, frozenset({l}), m)
+            assert after.points[2 * l].is_infinity
+            assert after.points[2 * l + 1] == apply_by_fractions(m, pairs[l][1])
+            poles += 1
+    assert poles > 50
 
 
 def test_run_not_good_showcase():
@@ -457,7 +507,7 @@ def test_scan_does_no_field_arithmetic(monkeypatch):
 
         monkeypatch.setattr(sf.FieldContext, name, watched)
 
-    for name in ("mul", "div", "inv", "valuation"):
+    for name in ("mul", "quotient", "inv", "valuation"):
         watch(name)
     original_scan = sf.folding.find_fold_exponent
     scans = []

@@ -8,7 +8,14 @@ from fractions import Fraction
 import pytest
 
 import schottkyfold as sf
-from helpers import ctx2, ctx5, ctx7
+from helpers import TEST_FIELDS, ctx2, ctx5, ctx7
+from reference import (
+    apply_by_fractions,
+    compose_by_fractions,
+    field_div,
+    mobius_by_fractions,
+    order_p_fixing_by_fractions,
+)
 
 
 def fin(ctx, x):
@@ -92,7 +99,7 @@ def test_order_p_fixing_orientation_is_uniform():
                     num = ctx.sub(pt.value, a.value)
                     if bb.is_infinity:
                         return num
-                    return ctx.div(num, ctx.sub(pt.value, bb.value))
+                    return field_div(ctx, num, ctx.sub(pt.value, bb.value))
 
                 assert chart(img) == ctx.mul(zn, chart(probe))
 
@@ -161,3 +168,64 @@ def test_projective_equality_is_cross_multiplicative():
     assert not sf.proj_eq(
         sf.mobius(ctx, -1, 2, 0, 1), sf.mobius(ctx, -1, 2, 0, -1)
     )
+
+
+def random_value(rng, ctx):
+    """A field element with denominators, not rational when p is odd."""
+    coeffs = [
+        Fraction(rng.randint(-60, 60), rng.choice([1, 1, 2, 3, ctx.ell, ctx.ell**2]))
+        for _ in range(ctx.degree)
+    ]
+    return coeffs[0] if ctx.degree == 1 else tuple(coeffs)
+
+
+def test_integer_route_matches_the_fraction_route():
+    # order_p_fixing builds its matrix on integers (order_p_matrix, then
+    # integer_map) and apply maps through one quotient; the reference does
+    # both with Fraction arithmetic.  Reports print the canonical scale, so
+    # the maps must be equal, not only projectively equal.
+    rng = random.Random(29)
+    poles = 0
+    for p, ell in TEST_FIELDS:
+        ctx = sf.field_context(p, ell)
+        for _ in range(6):
+            a, b = sf.PPoint(random_value(rng, ctx)), sf.PPoint(random_value(rng, ctx))
+            if a == b:
+                continue
+            for bb in (b, sf.INFINITY):
+                for n in range(1, p):
+                    m = sf.order_p_fixing(ctx, a, bb, n)
+                    ref = order_p_fixing_by_fractions(ctx, a, bb, n)
+                    assert m == ref and repr(m) == repr(ref)
+                    probes = [a, bb, sf.INFINITY, sf.PPoint(random_value(rng, ctx))]
+                    if not ctx.is_zero(m.c):
+                        pole = sf.PPoint(field_div(ctx, ctx.sub(ctx.zero(), m.d), m.c))
+                        assert sf.apply(m, pole).is_infinity
+                        probes.append(pole)
+                        poles += 1
+                    for pt in probes:
+                        assert sf.apply(m, pt) == apply_by_fractions(m, pt)
+    assert poles > 50
+
+
+def test_mobius_compose_and_proj_eq_match_the_fraction_route():
+    rng = random.Random(30)
+    for p, ell in TEST_FIELDS:
+        ctx = sf.field_context(p, ell)
+        maps = []
+        while len(maps) < 6:
+            entries = [random_value(rng, ctx) for _ in range(4)]
+            try:
+                m = sf.mobius(ctx, *entries)
+            except ValueError:
+                continue
+            assert m == mobius_by_fractions(ctx, *entries)
+            maps.append(m)
+        for m1, m2 in zip(maps, maps[1:]):
+            assert sf.compose(m1, m2) == compose_by_fractions(m1, m2)
+            # any nonzero scalar, rational or not, keeps the projective class
+            u = random_value(rng, ctx)
+            if not ctx.is_zero(u):
+                scaled = sf.Mobius(ctx, *(ctx.mul(u, x) for x in m1.entries()))
+                assert sf.proj_eq(m1, scaled) and sf.proj_eq(scaled, m1)
+            assert sf.proj_eq(m1, m2) == (m1 == m2)

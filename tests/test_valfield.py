@@ -11,8 +11,16 @@ from math import lcm
 import pytest
 
 import schottkyfold as sf
-from schottkyfold.valfield import INF, Val, decimal_to_int, int_to_decimal
-from reference import cyclo_inv, cyclo_mul, cyclo_valuation, split_root
+from schottkyfold.valfield import INF, Val, _is_prime, decimal_to_int, int_to_decimal
+from helpers import TEST_FIELDS
+from reference import (
+    cyclo_inv,
+    cyclo_mul,
+    cyclo_valuation,
+    field_div,
+    split_root,
+    zeta_power_by_definition,
+)
 
 
 def test_rational_valuation_examples():
@@ -244,3 +252,41 @@ def test_decimal_conversion_past_the_int_string_limit():
     for bad in ("", "-", "12a", "9" * 5000 + "x"):
         with pytest.raises(ValueError):
             decimal_to_int(bad)
+
+
+def test_quotient_is_division_on_lowered_elements():
+    # quotient converts num / den of integral numerators once; it is div on
+    # the elements they lower from, and None for den = 0
+    for p, ell in TEST_FIELDS:
+        ctx = sf.field_context(p, ell)
+        rng = random.Random(p * ell + 1)
+        for _ in range(25):
+            x, y = _random_element(rng, ctx), _random_element(rng, ctx)
+            (num, den), _, _ = ctx.lower([x, y])
+            if ctx.is_zero(y):
+                assert ctx.quotient(num, den) is None
+                continue
+            assert ctx.quotient(num, den) == ctx.mul(x, ctx.inv(y)) == field_div(ctx, x, y)
+        assert ctx.quotient(num, ctx.integers.zero) is None
+        for n in range(-1, p + 2):
+            assert ctx.zeta_power(n) == zeta_power_by_definition(ctx, n)
+
+
+def test_primality_is_exact_for_large_primes_and_strong_pseudoprimes():
+    sieve = [True] * 5000
+    sieve[0] = sieve[1] = False
+    for k in range(2, 5000):
+        if sieve[k]:
+            sieve[k * k :: k] = [False] * len(sieve[k * k :: k])
+    assert [n for n in range(5000) if _is_prime(n)] == [n for n in range(5000) if sieve[n]]
+    # Carmichael, strong pseudoprimes to base 2, to bases 2..7, and to
+    # every base up to 37 (the first 12 primes)
+    for n in (561, 2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    for n in (10**15 + 37, 10**18 + 3, 2**61 - 1, 2**31 - 1):
+        assert _is_prime(n)
+    # above the proven bound of the bases, trial division decides
+    assert not _is_prime(43 * (10**24 + 7))
+    with pytest.raises(sf.UnsupportedFieldError):
+        sf.field_context(2, 3215031751)
+    assert sf.field_context(2, 10**18 + 3).ell == 10**18 + 3
