@@ -9,13 +9,15 @@ the point at infinity).  The report is a stable JSON object whose rational
 entries are always exact normalised strings, never floats.  Exit codes:
 0 the configuration is good, 1 not good, 2 redundant, 3 invalid input,
 4 internal error (an unexpected exception; a one-line message goes to
-stderr).
+stderr), 5 output closed (the reader of the report went away before it was
+written, as in ``| head``; nothing goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ from . import folding, oracle
 from .clusters import Configuration, PairedConfiguration
 from .errors import InvalidInputError, SchottkyFoldError, UnsupportedFieldError
 from .hull import reduced_convex_hull, to_dot
-from .projline import INFINITY, Mobius, PPoint, point_str
+from .projline import INFINITY, Mobius, PPoint, apply, mobius, point_str
 from .valfield import Val, decimal_to_int, field_context, format_fraction
 
 EXIT_GOOD = 0
@@ -34,6 +36,7 @@ EXIT_NOT_GOOD = 1
 EXIT_REDUNDANT = 2
 EXIT_INVALID = 3
 EXIT_INTERNAL = 4
+EXIT_OUTPUT_CLOSED = 5
 
 
 class ProblemError(SchottkyFoldError):
@@ -216,23 +219,11 @@ def run(spec: ProblemSpec) -> tuple[dict, int]:
                 "to change coordinates first"
             )
             return report, EXIT_INVALID
-        c = points[0].value
-        # z -> 1/(z - c) carries the first point to infinity
-        moved = []
-        for pt in points:
-            diff = ctx.sub(pt.value, c)
-            moved.append(
-                INFINITY if ctx.is_zero(diff) else PPoint(ctx.inv(diff))
-            )
-        points = moved
-        report["normalization"] = {
-            "matrix": [
-                "0",
-                "1",
-                "1",
-                format_fraction(-ctx.as_fraction(c)),
-            ]
-        }
+        # z -> 1/(z - c) carries the first point c to infinity; the matrix
+        # is reported as written, not in the canonical scale
+        normalization = mobius(ctx, 0, 1, 1, -raw[0])
+        points = [apply(normalization, pt) for pt in points]
+        report["normalization"] = {"matrix": ["0", "1", "1", format_fraction(-raw[0])]}
     cfg = Configuration(ctx, tuple(points))
 
     try:
@@ -343,6 +334,10 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return _main(args)
+    except BrokenPipeError:
+        # the reader closed the pipe; the flush at exit then writes nowhere
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        return EXIT_OUTPUT_CLOSED
     except Exception as exc:  # a fault of the program, not of the input
         if not args.quiet:
             detail = " ".join(str(exc).split())

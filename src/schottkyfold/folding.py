@@ -291,8 +291,7 @@ def apply_folding(
     entries, a finite one read off the skeleton as A / L.  The result is
     flattened in pair-index order and may be a multiset.
     """
-    ctx, sk = pcfg.ctx, pcfg.skeleton()
-    ent, _, _ = ctx.lower(m.entries())
+    ctx, sk, ent = pcfg.ctx, pcfg.skeleton(), m.entries()
     points = []
     for l, pair in enumerate(pcfg.pairs):
         if l not in I:

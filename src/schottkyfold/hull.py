@@ -111,9 +111,9 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     }
     kept = sorted(ranks, key=lambda k: (-len(ranks[k]), ranks[k]))
     ids = {k: vid for vid, k in enumerate(kept)}
-    # minimal discs: the cluster depth as radius, and as center the first
-    # member, in iteration order, of the set built from the ascending ranks
-    discs = {k: (order[next(iter(frozenset(ranks[k])))], clusters[k].depth) for k in kept}
+    # minimal discs: the cluster depth as radius, and as center the member
+    # of lowest rank
+    discs = {k: (order[ranks[k][0]], clusters[k].depth) for k in kept}
 
     edges = []
     for k in kept:

@@ -1,17 +1,17 @@
 """Points of the projective line and exact Moebius transformations.
 
 A :class:`PPoint` is a field element or the point at infinity.  A
-:class:`Mobius` is an invertible 2x2 matrix over the field, compared
-projectively (up to a nonzero scalar).  Maps are built, composed and
-applied on integer matrices over ``FieldContext.integers``: the order-p
-matrix :func:`order_p_matrix`, the action :func:`image`, and the one
-canonical scale, :func:`integer_map`.  The classification of a map into
-identity / parabolic / elliptic / loxodromic reads the Newton polygon of
-its characteristic polynomial: the two eigenvalue valuations are distinct
-exactly when 2 v(trace) < v(det), and then the translation length on the
-axis between the fixed points is v(det) - 2 v(trace).
+:class:`Mobius` is an invertible 2x2 matrix, compared projectively (up to
+a nonzero scalar), with entries in ``FieldContext.integers`` in the one
+canonical scale, :func:`integer_map`.  Maps are built by the order-p
+matrix :func:`order_p_matrix`, multiplied by the ring's ``matmul`` and
+applied by :func:`image`; only points are lowered.  The classification of
+a map into identity / parabolic / elliptic / loxodromic reads the Newton
+polygon of its characteristic polynomial: the two eigenvalue valuations
+are distinct exactly when 2 v(trace) < v(det), and then the translation
+length on the axis between the fixed points is v(det) - 2 v(trace).
 
-Everything is immutable; operations are pure functions.
+Nothing is mutated; operations are pure functions.
 """
 
 from __future__ import annotations
@@ -68,7 +68,12 @@ class ElementClass:
 
 @dataclass(frozen=True)
 class Mobius:
-    """z -> (az + b)/(cz + d) with ad - bc != 0, entries in canonical scale."""
+    """z -> (az + b)/(cz + d) with ad - bc != 0: four elements of
+    ``ctx.integers`` (``int``, or lists of p - 1 integer coefficients) in
+    the canonical scale of :func:`integer_map`; ``det`` and ``trace`` too.
+
+    Over Q(zeta_p) the entries are lists, so such a map is not hashable.
+    """
 
     ctx: FieldContext
     a: object
@@ -80,22 +85,13 @@ class Mobius:
         return (self.a, self.b, self.c, self.d)
 
     def det(self):
-        f = self.ctx
-        return f.sub(f.mul(self.a, self.d), f.mul(self.b, self.c))
+        return self.ctx.integers.cross(self.a, self.d, self.b, self.c)
 
     def trace(self):
-        return self.ctx.add(self.a, self.d)
-
-    def is_scalar(self) -> bool:
-        f = self.ctx
-        return f.is_zero(self.b) and f.is_zero(self.c) and self.a == self.d
+        return self.ctx.integers.add(self.a, self.d)
 
     def __repr__(self):
-        f = self.ctx
-        return (
-            f"Mobius[[{f.to_str(self.a)}, {f.to_str(self.b)}], "
-            f"[{f.to_str(self.c)}, {f.to_str(self.d)}]]"
-        )
+        return "Mobius[[{}, {}], [{}, {}]]".format(*map(self.ctx.to_str, self.entries()))
 
 
 def mobius(ctx: FieldContext, a, b, c, d) -> Mobius:
@@ -110,20 +106,18 @@ def mobius(ctx: FieldContext, a, b, c, d) -> Mobius:
 
 def integer_map(ctx: FieldContext, m: tuple, s: int) -> Mobius:
     """The map of M = m / s (m an integer matrix (a, b, c, d) in
-    ``ctx.integers``, s > 0) in M's canonical scale.  Over Q this is m over
-    its content, first nonzero entry positive; over Q(zeta_p) the least
-    integral multiple of M, m / gcd(s, content(m))."""
+    ``ctx.integers``, s > 0) in M's canonical scale, which is integral.  Over
+    Q this is m over its content, first nonzero entry positive; over
+    Q(zeta_p) the least integral multiple of M, m / gcd(s, content(m))."""
     ring = ctx.integers
     k = ring.content(m)
     if ctx.kind is FieldKind.RATIONAL:
-        m = ring.divide(m, k if next(x for x in m if x) > 0 else -k)
-        return Mobius(ctx, *map(Fraction, m))
-    m = ring.divide(m, gcd(s, k))
-    return Mobius(ctx, *(tuple(map(Fraction, x)) for x in m))
+        return Mobius(ctx, *ring.divide(m, k if next(x for x in m if x) > 0 else -k))
+    return Mobius(ctx, *ring.divide(m, gcd(s, k)))
 
 
 def identity(ctx: FieldContext) -> Mobius:
-    one, zero = ctx.one(), ctx.zero()
+    one, zero = ctx.integers.one, ctx.integers.zero
     return Mobius(ctx, one, zero, zero, one)
 
 
@@ -140,34 +134,29 @@ def image(ctx: FieldContext, m: tuple, num, den: int) -> PPoint:
 
 def apply(m: Mobius, pt: PPoint) -> PPoint:
     """The fractional-linear action; total on P^1 (poles map to infinity),
-    by :func:`image` on the lowered map and point."""
+    by :func:`image` on the map's entries and the lowered point."""
     f = m.ctx
-    ent, _, _ = f.lower(m.entries())
     (num,), den, _ = ([f.integers.one], 0, 0) if pt.is_infinity else f.lower([pt.value])
-    return image(f, ent, num, den)
+    return image(f, m.entries(), num, den)
 
 
 def compose(m1: Mobius, m2: Mobius) -> Mobius:
-    """Matrix product m1 * m2 (apply m2 first), renormalised: one ``matmul``
-    of the lowered matrices, then :func:`integer_map`."""
+    """Matrix product m1 * m2 (apply m2 first), renormalised: one ``matmul``,
+    then :func:`integer_map`."""
     f = m1.ctx
-    (e1, s1, _), (e2, s2, _) = f.lower(m1.entries()), f.lower(m2.entries())
-    return integer_map(f, f.integers.matmul(e1, e2), s1 * s2)
+    return integer_map(f, f.integers.matmul(m1.entries(), m2.entries()), 1)
 
 
 def inverse(m: Mobius) -> Mobius:
-    """The adjugate of the lowered matrix, renormalised."""
+    """The adjugate, renormalised."""
     f, ring = m.ctx, m.ctx.integers
-    (a, b, c, d), s, _ = f.lower(m.entries())
-    return integer_map(f, (d, ring.sub(ring.zero, b), ring.sub(ring.zero, c), a), s)
+    return integer_map(f, (m.d, ring.sub(ring.zero, m.b), ring.sub(ring.zero, m.c), m.a), 1)
 
 
 def proj_eq(m1: Mobius, m2: Mobius) -> bool:
-    """Projective equality, decided by cross-multiplication of the lowered
-    entries."""
-    f = m1.ctx
-    (e1, _, _), (e2, _, _) = f.lower(m1.entries()), f.lower(m2.entries())
-    cross, zero = f.integers.cross, f.integers.zero
+    """Projective equality, decided by cross-multiplication of the entries."""
+    e1, e2 = m1.entries(), m2.entries()
+    cross, zero = m1.ctx.integers.cross, m1.ctx.integers.zero
     return all(cross(e1[i], e2[j], e1[j], e2[i]) == zero for i in range(4) for j in range(i + 1, 4))
 
 
@@ -176,8 +165,8 @@ def is_loxodromic(v_tr, v_det) -> bool:
     parabolic: its eigenvalues have distinct valuations, so the map is
     loxodromic, exactly when 2 v(tr) < v(det).
 
-    The valuations may be ``Val`` objects, or both counted in steps of
-    the value group (see :meth:`~.valfield.FieldContext.integral_valuation`).
+    Both valuations are counted in steps of the value group (see
+    :meth:`~.valfield.FieldContext.integral_valuation`).
     A parabolic matrix (tr^2 = 4 det) has 2 v(tr) = 2 v(2) + v(det) >=
     v(det), so the rule never calls one loxodromic.
     """
@@ -187,20 +176,25 @@ def is_loxodromic(v_tr, v_det) -> bool:
 def classify(ctx: FieldContext, m: Mobius) -> ElementClass:
     """Identity / parabolic / elliptic / loxodromic, by eigenvalue valuations.
 
-    A scalar matrix is the identity.  Otherwise the characteristic
-    polynomial has a double root exactly when tr^2 = 4 det (parabolic),
-    and :func:`is_loxodromic` tells loxodromic from elliptic; the
-    translation length is then v(det) - 2 v(tr).  Each test is unchanged
-    when the matrix is scaled, so any representative serves.
+    Everything is read off the integer entries.  A scalar matrix (b = c =
+    0, a = d) is the identity.  Otherwise the characteristic polynomial
+    has a double root exactly when tr^2 = 4 det (parabolic); tr = 0 is
+    elliptic; and :func:`is_loxodromic` tells loxodromic from elliptic on
+    the valuations of tr and det counted in steps of the value group, the
+    translation length then being (e v(det) - 2 e v(tr)) / e.  Each test
+    is unchanged when the matrix is scaled, so any representative serves.
     """
-    if m.is_scalar():
+    ring = ctx.integers
+    if m.b == ring.zero and m.c == ring.zero and m.a == m.d:
         return ElementClass(MapKind.IDENTITY)
     tr, det = m.trace(), m.det()
-    if ctx.mul(tr, tr) == ctx.mul(ctx.from_fraction(4), det):
+    if ring.mul(tr, tr) == ring.times(det, 4):
         return ElementClass(MapKind.PARABOLIC)
-    v_tr, v_det = ctx.valuation(tr), ctx.valuation(det)
+    if tr == ring.zero:
+        return ElementClass(MapKind.ELLIPTIC)
+    v_tr, v_det = ctx.integral_valuation(tr), ctx.integral_valuation(det)
     if is_loxodromic(v_tr, v_det):
-        return ElementClass(MapKind.LOXODROMIC, (v_det - 2 * v_tr).fraction)
+        return ElementClass(MapKind.LOXODROMIC, Fraction(v_det - 2 * v_tr, ctx.ramification))
     return ElementClass(MapKind.ELLIPTIC)
 
 

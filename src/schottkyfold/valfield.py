@@ -281,6 +281,7 @@ class _Integers:
     """Integral elements of Q: ``int``."""
 
     zero, one = 0, 1
+    add = staticmethod(operator.add)
     mul = staticmethod(operator.mul)
     sub = staticmethod(operator.sub)
     times = staticmethod(operator.mul)
@@ -388,6 +389,10 @@ class _CyclotomicIntegers:
         z = z[-n:] + z[:-n]
         top = z[-1]
         return [c - top for c in z[:-1]]
+
+    @staticmethod
+    def add(x: list[int], y: list[int]) -> list[int]:
+        return [a + b for a, b in zip(x, y)]
 
     @staticmethod
     def sub(x: list[int], y: list[int]) -> list[int]:

@@ -19,7 +19,10 @@ the smallest strict superset, and a point's even clusters by membership.
 map and the Moebius action by field arithmetic on ``Fraction``s, with the
 canonical scale of ``mobius_by_fractions``: the reference for the integer
 constructor ``projline.order_p_matrix`` and the integer action
-``projline.image``.
+``projline.image``.  ``classify_by_fractions`` classifies a map from its
+trace and determinant as field elements, with the valuations of the second
+half: the reference for ``projline.classify`` on integers.  A map's
+integer entries become field elements through ``element``.
 
 The second half is cyclotomic field arithmetic by polynomial division over
 Q, an independent check of the field layer's integer kernels: products and
@@ -34,8 +37,8 @@ from math import gcd, lcm
 
 from schottkyfold.folding import FoldWitness
 from schottkyfold.hull import Disc
-from schottkyfold.projline import (INFINITY, Mobius, PPoint, apply, compose, inverse,
-                                   order_p_fixing, proj_eq)
+from schottkyfold.projline import (INFINITY, ElementClass, MapKind, Mobius, PPoint, apply,
+                                   compose, inverse, order_p_fixing, proj_eq)
 from schottkyfold.valfield import FieldKind, Val, int_valuation
 
 
@@ -203,10 +206,17 @@ def zeta_power_by_definition(ctx, n: int):
     return tuple(Fraction(int(k == n)) for k in range(ctx.degree))
 
 
+def element(ctx, x):
+    """An integral entry of a map (an ``int``, or a list of p - 1 integer
+    coefficients) as a field element."""
+    return Fraction(x) if ctx.kind is FieldKind.RATIONAL else tuple(map(Fraction, x))
+
+
 def mobius_by_fractions(ctx, a, b, c, d) -> Mobius:
-    """The canonical scale on ``Fraction`` entries: over Q denominators
-    cleared, the content divided out and the first nonzero entry made
-    positive; over Q(zeta_p) only the rational denominators cleared."""
+    """The canonical scale of field entries, as integers: over Q
+    denominators cleared, the content divided out and the first nonzero
+    entry made positive; over Q(zeta_p) only the rational denominators
+    cleared."""
     ent = [ctx.from_fraction(x) if isinstance(x, (int, Fraction)) else x for x in (a, b, c, d)]
     if ctx.kind is FieldKind.RATIONAL:
         den = lcm(*[x.denominator for x in ent])
@@ -215,9 +225,9 @@ def mobius_by_fractions(ctx, a, b, c, d) -> Mobius:
         nums = [n // k for n in nums]
         if next(n for n in nums if n) < 0:
             nums = [-n for n in nums]
-        return Mobius(ctx, *map(Fraction, nums))
+        return Mobius(ctx, *nums)
     den = lcm(*[q.denominator for x in ent for q in x])
-    return Mobius(ctx, *(tuple(q * den for q in x) for x in ent))
+    return Mobius(ctx, *([(q * den).numerator for q in x] for x in ent))
 
 
 def order_p_fixing_by_fractions(ctx, a, b, n: int) -> Mobius:
@@ -240,16 +250,18 @@ def order_p_fixing_by_fractions(ctx, a, b, n: int) -> Mobius:
 def compose_by_fractions(m1: Mobius, m2: Mobius) -> Mobius:
     """The matrix product m1 m2 by field arithmetic, in canonical scale."""
     ctx = m1.ctx
+    a1, b1, c1, d1 = (element(ctx, x) for x in m1.entries())
+    a2, b2, c2, d2 = (element(ctx, x) for x in m2.entries())
 
     def dot(x, y, u, v):
         return ctx.add(field_mul(ctx, x, y), field_mul(ctx, u, v))
 
     return mobius_by_fractions(
         ctx,
-        dot(m1.a, m2.a, m1.b, m2.c),
-        dot(m1.a, m2.b, m1.b, m2.d),
-        dot(m1.c, m2.a, m1.d, m2.c),
-        dot(m1.c, m2.b, m1.d, m2.d),
+        dot(a1, a2, b1, c2),
+        dot(a1, b2, b1, d2),
+        dot(c1, a2, d1, c2),
+        dot(c1, b2, d1, d2),
     )
 
 
@@ -257,12 +269,48 @@ def apply_by_fractions(m: Mobius, pt: PPoint) -> PPoint:
     """The fractional-linear action by field arithmetic; poles map to
     infinity."""
     ctx = m.ctx
+    a, b, c, d = (element(ctx, x) for x in m.entries())
     if pt.is_infinity:
-        return INFINITY if ctx.is_zero(m.c) else PPoint(field_div(ctx, m.a, m.c))
-    den = ctx.add(field_mul(ctx, m.c, pt.value), m.d)
+        return INFINITY if ctx.is_zero(c) else PPoint(field_div(ctx, a, c))
+    den = ctx.add(field_mul(ctx, c, pt.value), d)
     if ctx.is_zero(den):
         return INFINITY
-    return PPoint(field_div(ctx, ctx.add(field_mul(ctx, m.a, pt.value), m.b), den))
+    return PPoint(field_div(ctx, ctx.add(field_mul(ctx, a, pt.value), b), den))
+
+
+def pole_by_fractions(m: Mobius) -> PPoint:
+    """-d / c, the point m sends to infinity (m must not fix infinity)."""
+    ctx = m.ctx
+    c, d = element(ctx, m.c), element(ctx, m.d)
+    return PPoint(field_div(ctx, ctx.sub(ctx.zero(), d), c))
+
+
+def field_valuation(ctx, x) -> Val:
+    """v(x): the ell-adic valuation of a rational, ``cyclo_valuation``
+    otherwise."""
+    if ctx.kind is not FieldKind.RATIONAL:
+        return cyclo_valuation(ctx, x)
+    if x == 0:
+        return Val(None)
+    return Val(Fraction(int_valuation(x.numerator, ctx.ell) - int_valuation(x.denominator, ctx.ell)))
+
+
+def classify_by_fractions(ctx, m: Mobius) -> ElementClass:
+    """Identity / parabolic / elliptic / loxodromic from the trace and the
+    determinant as field elements: a scalar matrix is the identity, tr^2 =
+    4 det is parabolic, and otherwise the map is loxodromic, with
+    translation length v(det) - 2 v(tr), exactly when 2 v(tr) < v(det)."""
+    a, b, c, d = (element(ctx, x) for x in m.entries())
+    if ctx.is_zero(b) and ctx.is_zero(c) and a == d:
+        return ElementClass(MapKind.IDENTITY)
+    tr = ctx.add(a, d)
+    det = ctx.sub(field_mul(ctx, a, d), field_mul(ctx, b, c))
+    if field_mul(ctx, tr, tr) == field_mul(ctx, ctx.from_fraction(4), det):
+        return ElementClass(MapKind.PARABOLIC)
+    v_tr, v_det = field_valuation(ctx, tr), field_valuation(ctx, det)
+    if 2 * v_tr < v_det:
+        return ElementClass(MapKind.LOXODROMIC, (v_det - 2 * v_tr).fraction)
+    return ElementClass(MapKind.ELLIPTIC)
 
 
 def transported_vertex_disc(ctx, values, members, m) -> Disc:

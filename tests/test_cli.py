@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -263,6 +264,28 @@ def test_main_reports_an_internal_error_with_its_own_exit_code(
     assert cli.main(["--input", str(path)]) == cli.EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: unexpected state\n"
+
+
+def test_main_exits_with_its_own_code_when_stdout_is_closed(tmp_path, monkeypatch, capsys):
+    # a reader that went away (as in "| head") makes every write raise
+    # BrokenPipeError; that is no internal error, and stderr stays empty
+    path = tmp_path / "problem.json"
+    path.write_text(problem_5adic(), encoding="utf-8")
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli.main(["--input", str(path)]) == cli.EXIT_OUTPUT_CLOSED == 5
+    # stdout now writes nowhere, so the flush at exit cannot fail again
+    assert sys.stdout.name == os.devnull
+    print("nothing", flush=True)
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""
 
 
 def test_points_past_the_int_string_limit_round_trip():

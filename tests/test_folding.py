@@ -44,10 +44,10 @@ from helpers import (
 from reference import (
     apply_by_fractions,
     disc,
-    field_div,
     fold_exponent,
     order_p_fixing_by_fractions,
     point_to_axis,
+    pole_by_fractions,
     same,
     skeleton_disc,
 )
@@ -159,10 +159,10 @@ def test_fold_map_and_apply_folding_match_the_fraction_route():
             assert apply_folding(pcfg, others, m).points == tuple(expected)
             # a finite pair l moved onto the pole of m, by hand (the map
             # fixing infinity has none)
-            if ctx.is_zero(m.c):
+            if m.c == ctx.integers.zero:
                 continue
             l = (j + 1) % pcfg.g
-            pole = sf.PPoint(field_div(ctx, ctx.sub(ctx.zero(), m.d), m.c))
+            pole = pole_by_fractions(m)
             if pole in pcfg.points():
                 continue
             pairs = list(pcfg.pairs)

@@ -230,6 +230,32 @@ def test_skeleton_discs_match_the_reference_route():
     assert cases == 588  # 7 fields, 6 sets for each g, g (i, j) cases per set
 
 
+def test_every_hull_vertex_is_centred_at_its_lowest_ranked_member():
+    # a member's rank is its place among the finite points listed pair by
+    # pair; in the pinned 3-adic set the vertex of {27, 36, 6} holds the
+    # ranks 4, 5 and 8, and is centred at 27
+    def check(pcfg):
+        ranked = [pt.value for pair in pcfg.pairs for pt in pair if not pt.is_infinity]
+        values = pcfg.skeleton().values
+        tree = sf.reduced_convex_hull(pcfg)
+        for v in tree.vertices:
+            members = [values[k] for k in v.cluster]
+            assert v.disc.center == min(members, key=ranked.index)
+        return tree
+
+    ctx = sf.field_context(2, 3)
+    points = [2, 27, 6, 37, -11, 43, 10, -13, 36, "inf"]
+    pcfg = sf.pair_up(sf.configuration(ctx, points))
+    centres = {frozenset(pcfg.skeleton().values[k] for k in v.cluster): v.disc.center
+               for v in check(pcfg).vertices}
+    assert centres[frozenset(sf.finite(ctx, x).value for x in (27, 36, 6))] == 27
+    rng = random.Random(45)
+    for p, ell in ((2, 2), (2, 3), (2, 5), (3, 7), (5, 5)):
+        ctx = sf.field_context(p, ell)
+        for g in (2, 3, 4, 5) * 4:
+            check(sample_paired(rng, ctx, g)[1])
+
+
 def test_hull_affine_invariance():
     rng = random.Random(44)
     ctx = ctx7()

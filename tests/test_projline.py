@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,10 +12,13 @@ import schottkyfold as sf
 from helpers import TEST_FIELDS, ctx2, ctx5, ctx7
 from reference import (
     apply_by_fractions,
+    classify_by_fractions,
     compose_by_fractions,
+    element,
     field_div,
     mobius_by_fractions,
     order_p_fixing_by_fractions,
+    pole_by_fractions,
 )
 
 
@@ -198,8 +202,8 @@ def test_integer_route_matches_the_fraction_route():
                     ref = order_p_fixing_by_fractions(ctx, a, bb, n)
                     assert m == ref and repr(m) == repr(ref)
                     probes = [a, bb, sf.INFINITY, sf.PPoint(random_value(rng, ctx))]
-                    if not ctx.is_zero(m.c):
-                        pole = sf.PPoint(field_div(ctx, ctx.sub(ctx.zero(), m.d), m.c))
+                    if m.c != ctx.integers.zero:
+                        pole = pole_by_fractions(m)
                         assert sf.apply(m, pole).is_infinity
                         probes.append(pole)
                         poles += 1
@@ -212,6 +216,7 @@ def test_mobius_compose_and_proj_eq_match_the_fraction_route():
     rng = random.Random(30)
     for p, ell in TEST_FIELDS:
         ctx = sf.field_context(p, ell)
+        ring = ctx.integers
         maps = []
         while len(maps) < 6:
             entries = [random_value(rng, ctx) for _ in range(4)]
@@ -221,11 +226,46 @@ def test_mobius_compose_and_proj_eq_match_the_fraction_route():
                 continue
             assert m == mobius_by_fractions(ctx, *entries)
             maps.append(m)
+        # the identity and adjugates are inputs too
+        maps.append(sf.identity(ctx))
+        for m in maps[:3]:
+            a, b, c, d = (element(ctx, x) for x in m.entries())
+            minus_b, minus_c = ctx.sub(ctx.zero(), b), ctx.sub(ctx.zero(), c)
+            assert sf.inverse(m) == mobius_by_fractions(ctx, d, minus_b, minus_c, a)
+            maps.append(sf.inverse(m))
         for m1, m2 in zip(maps, maps[1:]):
             assert sf.compose(m1, m2) == compose_by_fractions(m1, m2)
-            # any nonzero scalar, rational or not, keeps the projective class
-            u = random_value(rng, ctx)
-            if not ctx.is_zero(u):
-                scaled = sf.Mobius(ctx, *(ctx.mul(u, x) for x in m1.entries()))
+            # any nonzero integral scalar, rational or not, keeps the
+            # projective class
+            (u,), _, _ = ctx.lower([random_value(rng, ctx)])
+            if u != ring.zero:
+                scaled = sf.Mobius(ctx, *(ring.mul(u, x) for x in m1.entries()))
                 assert sf.proj_eq(m1, scaled) and sf.proj_eq(scaled, m1)
             assert sf.proj_eq(m1, m2) == (m1 == m2)
+
+
+def test_classify_on_integers_matches_the_fraction_route():
+    # classify reads the integer trace and det of a map; the reference
+    # classifies by field arithmetic and its own valuations.  Generator
+    # powers have trace 0 when p = 2.
+    rng = random.Random(31)
+    kinds = set()
+    for p, ell in TEST_FIELDS:
+        ctx = sf.field_context(p, ell)
+        maps = [sf.identity(ctx), sf.mobius(ctx, 1, 1, 0, 1), sf.mobius(ctx, ell, 0, 0, 1)]
+        while len(maps) < 11:
+            try:
+                maps.append(sf.mobius(ctx, *(random_value(rng, ctx) for _ in range(4))))
+            except ValueError:
+                continue
+        gens = []
+        for b in (sf.INFINITY, sf.PPoint(random_value(rng, ctx)), sf.PPoint(random_value(rng, ctx))):
+            a = sf.PPoint(random_value(rng, ctx))
+            if a != b:
+                gens += [sf.order_p_fixing(ctx, a, b, n) for n in range(1, p)]
+        maps += gens + [sf.compose(g, h) for g, h in itertools.product(gens, gens)]
+        for m in maps:
+            cls = sf.classify(ctx, m)
+            assert cls == classify_by_fractions(ctx, m)
+            kinds.add(cls.kind)
+    assert kinds == set(sf.MapKind)
