@@ -28,7 +28,7 @@ from . import folding, oracle
 from .clusters import Configuration, PairedConfiguration
 from .errors import InvalidInputError, SchottkyFoldError, UnsupportedFieldError
 from .hull import reduced_convex_hull, to_dot
-from .projline import INFINITY, Mobius, PPoint, apply, mobius, point_str
+from .projline import INFINITY, Mobius, apply, finite, mobius, point_str
 from .valfield import Val, decimal_to_int, field_context, format_fraction
 
 EXIT_GOOD = 0
@@ -150,6 +150,13 @@ def _fmt_val(v: Val) -> str:
     return "inf" if v.is_infinite else format_fraction(v.fraction)
 
 
+def _fmt_ring_val(ctx, a) -> str:
+    """v(a) for an element a of ``ctx.integers``, such as a map's trace."""
+    if a == ctx.integers.zero:
+        return "inf"
+    return _fmt_val(ctx.val_of_steps(ctx.integral_valuation(a)))
+
+
 def _fmt_matrix(ctx, m: Mobius) -> list[str]:
     return [ctx.to_str(x) for x in m.entries()]
 
@@ -188,8 +195,8 @@ def _audit_record(ctx, pcfg: PairedConfiguration, depth: int) -> dict:
             "word": [[i, e] for i, e in word.syllables],
             "class": cls.kind.value,
             "matrix": _fmt_matrix(ctx, matrix),
-            "trace_valuation": _fmt_val(ctx.valuation(matrix.trace())),
-            "det_valuation": _fmt_val(ctx.valuation(matrix.det())),
+            "trace_valuation": _fmt_ring_val(ctx, matrix.trace()),
+            "det_valuation": _fmt_ring_val(ctx, matrix.det()),
         }
     record["relations"] = [
         [[i, e] for i, e in w.syllables] for w in result.relations
@@ -209,9 +216,7 @@ def run(spec: ProblemSpec) -> tuple[dict, int]:
         ],
         "normalization": None,
     }
-    points = [
-        INFINITY if x == "inf" else PPoint(ctx.from_fraction(x)) for x in raw
-    ]
+    points = [INFINITY if x == "inf" else finite(ctx, x) for x in raw]
     if not any(pt.is_infinity for pt in points):
         if not spec.normalize_infinity:
             report["error"] = (
@@ -367,7 +372,8 @@ def _main(args: argparse.Namespace) -> int:
     spec.normalize_infinity = spec.normalize_infinity or args.normalize_infinity
 
     report, code = run(spec)
-    print(render_report(report))
+    # flushed here, so a closed stdout raises in main and not at exit
+    print(render_report(report), flush=True)
     if spec.dot is not None:
         try:
             written = write_dot_files(report, spec.dot)

@@ -97,8 +97,7 @@ class Mobius:
 def mobius(ctx: FieldContext, a, b, c, d) -> Mobius:
     """Build a Moebius map, in canonical scale: the entries, lowered over
     one common denominator, go through :func:`integer_map`."""
-    ent = [x if not isinstance(x, (int, Fraction)) else ctx.from_fraction(x) for x in (a, b, c, d)]
-    m, den, _ = ctx.lower(ent)
+    m, den, _ = ctx.lower([finite(ctx, x).value for x in (a, b, c, d)])
     if ctx.integers.cross(m[0], m[3], m[1], m[2]) == ctx.integers.zero:
         raise ValueError("matrix is singular")
     return integer_map(ctx, m, den)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
+import schottkyfold as sf
 from schottkyfold import cli
-from helpers import EIGHT_POINT_7ADIC_MIN, ctx7, module_env, values_multiset
+from helpers import EIGHT_POINT_7ADIC_MIN, TEST_FIELDS, ctx7, module_env, values_multiset
+from reference import element, field_valuation
 
 
 def problem_5adic(**options):
@@ -154,6 +158,27 @@ def test_audit_record_present_when_requested():
     assert report7["audit"]["relations"] == []
 
 
+def test_witness_valuations_read_the_ring_entries_like_the_field_route():
+    # the audit record values a map's trace and det as elements of the
+    # integer ring; the reference values them as field elements.  Generator
+    # powers have trace 0 when p = 2, which prints as "inf"
+    rng = random.Random(43)
+    printed = set()
+    for p, ell in TEST_FIELDS:
+        ctx = sf.field_context(p, ell)
+        gens = [sf.identity(ctx)]
+        for _ in range(3):
+            a, b = (Fraction(rng.randint(-60, 60), rng.choice([1, 2, ell, ell**2])) for _ in range(2))
+            if a != b:
+                gens += [sf.order_p_fixing(ctx, sf.finite(ctx, a), sf.finite(ctx, b), n) for n in range(1, p)]
+        for m in gens + [sf.compose(g, h) for g, h in itertools.product(gens, gens)]:
+            for x in (m.trace(), m.det()):
+                text = cli._fmt_ring_val(ctx, x)
+                assert text == cli._fmt_val(field_valuation(ctx, element(ctx, x)))
+                printed.add(text)
+    assert "inf" in printed and "0" in printed
+
+
 def test_dot_trees_embedded_and_written(tmp_path):
     prefix = str(tmp_path / "run")
     spec = cli.parse_problem(problem_7adic())
@@ -267,14 +292,16 @@ def test_main_reports_an_internal_error_with_its_own_exit_code(
 
 
 def test_main_exits_with_its_own_code_when_stdout_is_closed(tmp_path, monkeypatch, capsys):
-    # a reader that went away (as in "| head") makes every write raise
-    # BrokenPipeError; that is no internal error, and stderr stays empty
+    # a reader that went away (as in "| head") makes the write of the report
+    # raise BrokenPipeError; a block-buffered stdout takes the text and
+    # raises only on flush, so the report must be flushed inside main.  That
+    # is no internal error, and stderr stays empty
     path = tmp_path / "problem.json"
     path.write_text(problem_5adic(), encoding="utf-8")
 
     class ClosedPipe:
         def write(self, text):
-            raise BrokenPipeError(32, "Broken pipe")
+            return len(text)
 
         def flush(self):
             raise BrokenPipeError(32, "Broken pipe")
@@ -286,6 +313,27 @@ def test_main_exits_with_its_own_code_when_stdout_is_closed(tmp_path, monkeypatc
     print("nothing", flush=True)
     sys.stdout.close()
     assert capsys.readouterr().err == ""
+
+
+def test_entry_point_exits_5_on_a_pipe_closed_before_it_starts():
+    # stdout is a pipe with no reader, block-buffered as it is by default;
+    # the interpreter's own flush at exit must find nothing left to write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "schottkyfold", "--input",
+             str(Path(__file__).parent / "expected" / "cli" / "p2_l5_redundant.json")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OUTPUT_CLOSED, b"")
 
 
 def test_points_past_the_int_string_limit_round_trip():
