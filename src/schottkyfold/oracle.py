@@ -19,8 +19,9 @@ rotations, is conjugate to a word met earlier in the order; while all the
 words met so far are loxodromic it is loxodromic too, so only the least
 rotations of cyclically reduced words are classified.  ``words_checked``
 still counts every word up to the witness, in closed form.  The walk runs
-on integer matrices that :func:`~.projline.order_p_matrix` builds from
-the lowered points, as for the fold step, composes each
+on integer matrices that :func:`~.projline.order_p_matrix` builds, as for
+the fold step, from all the points lowered once over one common
+denominator; :func:`word_matrix` reads the same table.  It composes each
 prefix once from its parent (except the prefixes one syllable short of
 the longest words, which close on a cached product of two generators),
 and classifies a word from its integer trace and the cached valuations of
@@ -43,8 +44,8 @@ from .projline import (
     MapKind,
     Mobius,
     compose,
+    integer_map,
     is_loxodromic,
-    order_p_fixing,
     order_p_matrix,
 )
 from .valfield import int_valuation
@@ -121,50 +122,43 @@ def _word_position(g: int, p: int, word: GroupWord) -> int:
     return position
 
 
-def pair_generators(pcfg: PairedConfiguration) -> list[list[Mobius]]:
-    """gens[i][e-1] = the e-th power of the order-p map fixing pair i."""
-    out = []
-    for a, b in pcfg.pairs:
-        if a.is_infinity:
-            a, b = b, a
-        out.append(
-            [order_p_fixing(pcfg.ctx, a, b, e) for e in range(1, pcfg.ctx.p)]
-        )
-    return out
-
-
-def word_matrix(pcfg: PairedConfiguration, word: GroupWord) -> Mobius:
-    gens = pair_generators(pcfg)
-    m = None
-    for idx, exp in word.syllables:
-        factor = gens[idx][exp - 1]
-        m = factor if m is None else compose(m, factor)
-    if m is None:
-        raise ValueError("empty word")
-    return m
-
-
 def _det(ring, m: tuple):
     a, b, c, d = m
     return ring.cross(a, d, b, c)
 
 
-def _integer_generators(pcfg: PairedConfiguration) -> list[list[tuple]]:
-    """gens[idx][n - 1] = (integer matrix, det, e v(det)) of the n-th power
-    of generator idx, in ``ctx.integers``: :func:`~.projline.order_p_matrix`
-    on the pair lowered over its own denominator, a scalar multiple of the
-    map of :func:`pair_generators`."""
+def _generators(pcfg: PairedConfiguration) -> list[list[tuple]]:
+    """gens[idx][n - 1] = (M, S, det M, e v(det M)) for the n-th power of
+    generator idx: (M, S) is :func:`~.projline.order_p_matrix` on the pair,
+    with every finite point of the configuration lowered once over one
+    common denominator, so M / S is the map's matrix; an infinite point is
+    dropped."""
     ctx = pcfg.ctx
     ring, valuation = ctx.integers, ctx.integral_valuation
+    ints, den, _ = ctx.lower([pt.value for pt in pcfg.points() if not pt.is_infinity])
+    lowered = iter(ints)
     gens = []
-    for a, b in pcfg.pairs:
-        if a == b:
+    for pair in pcfg.pairs:
+        if pair[0] == pair[1]:
             raise DegeneratePairError("order-p map needs two distinct fixed points")
-        ints, den, _ = ctx.lower([pt.value for pt in (a, b) if not pt.is_infinity])
-        mats = [order_p_matrix(ctx, ints, den, n)[0] for n in range(1, ctx.p)]
-        dets = [_det(ring, m) for m in mats]
-        gens.append([(m, d, valuation(d)) for m, d in zip(mats, dets)])
+        pair_ints = [next(lowered) for pt in pair if not pt.is_infinity]
+        mats = [order_p_matrix(ctx, pair_ints, den, n) for n in range(1, ctx.p)]
+        dets = [_det(ring, m) for m, _ in mats]
+        gens.append([(m, s, d, valuation(d)) for (m, s), d in zip(mats, dets)])
     return gens
+
+
+def word_matrix(pcfg: PairedConfiguration, word: GroupWord) -> Mobius:
+    """The word's map: the factors it names in :func:`_generators`, composed."""
+    gens = _generators(pcfg)
+    m = None
+    for idx, exp in word.syllables:
+        gen, s, _, _ = gens[idx][exp - 1]
+        factor = integer_map(pcfg.ctx, gen, s)
+        m = factor if m is None else compose(m, factor)
+    if m is None:
+        raise ValueError("empty word")
+    return m
 
 
 @dataclass(frozen=True)
@@ -206,9 +200,9 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     The walk runs on integers from start to end:
 
     * **generators** -- each generator matrix is built once in
-      ``ctx.integers`` from the points lowered over one common
-      denominator, with its det and v(det)
-      (:func:`_integer_generators`);
+      ``ctx.integers`` from the points, all lowered by one call over one
+      common denominator, with its det and v(det) (:func:`_generators`,
+      the table :func:`word_matrix` reads too);
     * **prefixes** -- the walk goes one length at a time over a list of
       prefixes, each with its integer matrix, exponent sum mod p and
       v(det).  A prefix is composed once, from its parent, with the ring's
@@ -240,7 +234,7 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     """
     g, p = pcfg.g, pcfg.ctx.p
     last = max_len - max_len % 2 if p == 2 else max_len
-    gens = _integer_generators(pcfg)
+    gens = _generators(pcfg)
     pairs: dict = {}
     witness, relations = (
         _walk(pcfg.ctx, gens, last, True, pairs)
@@ -270,12 +264,12 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, pairs: dict):
     relations: list[GroupWord] = []
 
     def pair(s: int, t: int) -> tuple:
-        """(G_s G_t, its det, e v(det)) for syllable codes s and t."""
+        """(G_s G_t, its scale, det, e v(det)) for syllable codes s and t."""
         hit = pairs.get((s, t))
         if hit is None:
-            g_s, det_s, v_s = gens[s // p][s % p - 1]
-            g_t, det_t, v_t = gens[t // p][t % p - 1]
-            hit = pairs[s, t] = (matmul(g_s, g_t), mul(det_s, det_t), v_s + v_t)
+            g_s, s_s, det_s, v_s = gens[s // p][s % p - 1]
+            g_t, s_t, det_t, v_t = gens[t // p][t % p - 1]
+            hit = pairs[s, t] = (matmul(g_s, g_t), s_s * s_t, mul(det_s, det_t), v_s + v_t)
         return hit
 
     # prefixes of the current length: (syllable codes, integer matrix,
@@ -284,7 +278,7 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, pairs: dict):
     level = [
         ((idx * p + exp,), gen, exp, v_det, 1)
         for idx, row in enumerate(gens)
-        for exp, (gen, _, v_det) in enumerate(row, 1)
+        for exp, (gen, _, _, v_det) in enumerate(row, 1)
     ]
     closing = False
     for length in range(2, last + 1):
@@ -304,7 +298,7 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, pairs: dict):
                     continue
                 # the word is m times its closer: the last generator, or on
                 # the closing level the last two
-                closer, det_closer, v_det_closer = (
+                closer, _, det_closer, v_det_closer = (
                     pair(prefix[-1], code) if closing else row[exp - 1]
                 )
                 tr = trace_mul(m, closer)
@@ -342,7 +336,7 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, pairs: dict):
                         if closing:
                             nxt.append((extended, m, total_next, v_det, lyndon_next))
                             continue
-                        gen, _, v_det_gen = gens[idx][exp - 1]
+                        gen, _, _, v_det_gen = gens[idx][exp - 1]
                         product = matmul(m, gen)
                         k = ring.content(product)
                         nxt.append((

@@ -19,14 +19,15 @@ Three field flavours cover every supported (p, ell) pair:
 Field elements are ``Fraction`` values in the rational flavour, and tuples
 of ``Fraction`` coefficients (degree < p - 1, reduced modulo the p-th
 cyclotomic polynomial, hence canonical) in the cyclotomic flavours.  The
-cyclotomic operations clear denominators once and work on integers:
-products are cyclic convolutions modulo x^p - 1 reduced with
-x^(p-1) = -(1 + ... + x^(p-2)), and quotients multiply by the product of
-the Galois conjugates over the norm.  Valuations are ``Val`` objects:
-exact rationals plus a +infinity sentinel reserved for the valuation of
-zero.  The kernels are reached through one entry point,
-``integral_valuation``, which takes integer coefficients and counts the
-valuation in steps of the value group.
+cyclotomic operations clear denominators once and work on integers, in
+the kernels of the integer ring (below): products are convolutions
+folded modulo x^p - 1 and reduced with x^(p-1) = -(1 + ... + x^(p-2)),
+and quotients multiply by the product of the Galois conjugates over the
+norm, each conjugate and each product taken in that ring.  Valuations
+are ``Val`` objects: exact rationals plus a +infinity sentinel reserved
+for the valuation of zero.  The kernels are reached through one entry
+point, ``integral_valuation``, which takes integer coefficients and
+counts the valuation in steps of the value group.
 
 The entry point from field elements to the integers is ``lower``: it puts
 a list of elements over one common denominator L and returns their
@@ -207,21 +208,15 @@ _MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Exact primality: deterministic Miller-Rabin below ``_MR_BOUND``
-    (about 3.3 10^24), trial division above it, where no base set is
-    proven and the test is slow."""
+    """Primality by Miller-Rabin with the bases ``_MR_BASES``: exact below
+    ``_MR_BOUND`` (about 3.3 10^24).  At or above the bound no base set is
+    proven, so a composite may pass; :class:`FieldContext` refuses such
+    p and ell before asking."""
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    if n >= _MR_BOUND:
-        d = _MR_BASES[-1] + 2
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
     odd, s = n - 1, 0
     while odd % 2 == 0:
         odd, s = odd // 2, s + 1
@@ -249,23 +244,6 @@ def _integral(x) -> tuple[list[int], int]:
     x's coefficients."""
     den = lcm(*[c.denominator for c in x])
     return [c.numerator * (den // c.denominator) for c in x], den
-
-
-def _cyclic_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    """a * b in Z[x]/(x^p - 1) for at most p coefficients each; p out."""
-    full = [0] * (2 * p - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for k, bk in enumerate(b, i):
-                full[k] += ai * bk
-    return [full[k] + full[k + p] for k in range(p - 1)] + [full[p - 1]]
-
-
-def _canonical(z: list[int], den: int) -> tuple:
-    """The element z(zeta) / den for z in Z[x]/(x^p - 1) (p coefficients),
-    in canonical form: x^(p-1) = -(1 + ... + x^(p-2)) removes the top one."""
-    top = z[-1]
-    return tuple(Fraction(c - top, den) for c in z[:-1])
 
 
 def _add_product(buf: list[int], x: list[int], y: list[int], sign: int = 1) -> None:
@@ -381,6 +359,16 @@ class _CyclotomicIntegers:
         _add_product(buf, u, v, -1)
         return self._reduce(buf)
 
+    def conjugate(self, x: list[int], k: int) -> list[int]:
+        """The Galois conjugate x(zeta^k): zeta^i goes to zeta^(i k) in
+        Z[x]/(x^p - 1), then the top coefficient is reduced away."""
+        p = self.p
+        z = [0] * p
+        for i, c in enumerate(x):
+            z[i * k % p] = c
+        top = z[-1]
+        return [c - top for c in z[:-1]]
+
     def rotate(self, x: list[int], n: int) -> list[int]:
         """zeta^n x: in Z[x]/(x^p - 1) the p coefficients turn by n places,
         then the top one is reduced away."""
@@ -428,6 +416,11 @@ class FieldContext:
     """
 
     def __init__(self, p: int, ell: int):
+        if max(p, ell) >= _MR_BOUND:
+            raise UnsupportedFieldError(
+                f"p={p} and ell={ell} must be below {_MR_BOUND}, the bound "
+                "under which primality is decided exactly"
+            )
         if not _is_prime(p) or not _is_prime(ell):
             raise UnsupportedFieldError(f"p={p} and ell={ell} must be prime")
         self.p = p
@@ -518,9 +511,9 @@ class FieldContext:
     def mul(self, x, y):
         if self.kind is FieldKind.RATIONAL:
             return x * y
-        a, den_a = _integral(x)
-        b, den_b = _integral(y)
-        return _canonical(_cyclic_mul(a, b, self.p), den_a * den_b)
+        (a, b), den, _ = self.lower([x, y])
+        square = den * den
+        return tuple(Fraction(c, square) for c in self.integers.mul(a, b))
 
     def inv(self, x):
         (a,), den, _ = self.lower([x])
@@ -537,18 +530,16 @@ class FieldContext:
             return None
         if self.kind is FieldKind.RATIONAL:
             return Fraction(num, den)
-        p = self.p
-        conjugates = None
-        for s in range(2, p):
-            conj = [0] * p
-            for i, c in enumerate(den):
-                conj[i * s % p] = c
-            conjugates = conj if conjugates is None else _cyclic_mul(conjugates, conj, p)
-        # A times its conjugates is the rational norm, so the coefficients
-        # of x, ..., x^(p-1) of that product agree; the norm is the constant
-        # coefficient less the top one, read without forming the product
-        norm = sum(c * (conjugates[-i] - conjugates[-1 - i]) for i, c in enumerate(den))
-        return _canonical(_cyclic_mul(num, conjugates, p), norm)
+        ring = self.integers
+        conjugates = ring.conjugate(den, 2)
+        for s in range(3, self.p):
+            conjugates = ring.mul(conjugates, ring.conjugate(den, s))
+        # A times its conjugates is the rational norm, so in Z[x]/(x^p - 1)
+        # the coefficients of x, ..., x^(p-1) of that product agree; the norm,
+        # constant less top, is read off A and the padded conjugates
+        padded = conjugates + [0]
+        norm = sum(c * (padded[-i] - padded[-1 - i]) for i, c in enumerate(den))
+        return tuple(Fraction(c, norm) for c in ring.mul(num, conjugates))
 
     # -- the valuation -----------------------------------------------------
 

@@ -401,3 +401,27 @@ def test_pinned_reports_cover_every_field_and_verdict():
         ("good", None), ("not_good", "initial"), ("not_good", "after_fold"), ("redundant", None),
     }
     assert {"normalization", "folds", "trees", "audit"} <= {k for r in reports for k in r}
+    # word_matrix's output is pinned through an audit witness's matrix, over
+    # Q and over Q(zeta_p)
+    witnessed = {r["p"] == 2 for r in reports if (r.get("audit") or {}).get("witness")}
+    assert witnessed == {True, False}
+
+
+def test_main_refuses_an_ell_past_the_primality_bound_at_once(tmp_path):
+    # an ell of 10^25 + 13 is past the bound below which primality is
+    # decided exactly: the document is refused with exit 3, not tested
+    path = tmp_path / "problem.json"
+    path.write_text(
+        '{"p": 2, "ell": 10000000000000000000000013, "points": ["0","1","2","inf"]}',
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "schottkyfold", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        env=module_env(),
+        timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_INVALID
+    assert proc.stdout == ""
+    assert "3317044064679887385961981" in proc.stderr

@@ -10,6 +10,7 @@ from helpers import (
     EIGHT_POINT_7ADIC,
     EIGHT_POINT_7ADIC_MIN,
     SIX_POINT_5ADIC,
+    TEST_FIELDS,
     ctx5,
     ctx7,
     sample_paired,
@@ -345,3 +346,47 @@ def test_audit_multiplies_and_values_only_while_lowering(monkeypatch):
     result = sf.schottky_audit(pmin, 7)
     assert result.witness is None and result.words_checked == 1092
     assert calls == []
+
+
+def _hand_built(ctx):
+    """Four pairs: points with denominators, a pair written (inf, x), a
+    duplicated pair, and over Q(zeta_p) a point that is not rational."""
+    third = sf.finite(ctx, Fraction(1, 3))
+    a = sf.finite(ctx, Fraction(2, ctx.ell))
+    b = sf.finite(ctx, ctx.add(ctx.zeta, ctx.from_fraction(Fraction(5, 4))))
+    pairs = ((a, third), (a, third), (sf.INFINITY, sf.finite(ctx, 7)), (b, sf.finite(ctx, ctx.ell)))
+    return sf.PairedConfiguration(ctx, pairs)
+
+
+def test_word_matrix_of_one_syllable_is_the_order_p_map_of_its_pair():
+    # the audit's generator table, built from one lowering of all the
+    # points, gives each generator power as order_p_fixing builds it from
+    # its own pair (infinity passed second)
+    for p, ell in TEST_FIELDS:
+        pcfg = _hand_built(sf.field_context(p, ell))
+        for idx, (a, b) in enumerate(pcfg.pairs):
+            if a.is_infinity:
+                a, b = b, a
+            for n in range(1, p):
+                word = sf.GroupWord(((idx, n),))
+                assert sf.word_matrix(pcfg, word) == sf.order_p_fixing(pcfg.ctx, a, b, n)
+
+
+def test_audit_and_word_matrix_lower_the_points_once(monkeypatch):
+    calls = []
+    original = sf.FieldContext.lower
+
+    def counted(self, values):
+        calls.append(None)
+        return original(self, values)
+
+    monkeypatch.setattr(sf.FieldContext, "lower", counted)
+    for p, ell in TEST_FIELDS:
+        pcfg = _hand_built(sf.field_context(p, ell))
+        calls.clear()
+        result = sf.schottky_audit(pcfg, 3)
+        assert result.relations[0].syllables == ((0, 1), (1, p - 1))  # the duplicated pair
+        assert len(calls) == 1
+        calls.clear()
+        sf.word_matrix(pcfg, sf.GroupWord(((0, 1), (1, p - 1), (2, 1), (3, p - 1))))
+        assert len(calls) == 1

@@ -11,7 +11,8 @@ from math import lcm
 import pytest
 
 import schottkyfold as sf
-from schottkyfold.valfield import INF, Val, _is_prime, decimal_to_int, int_to_decimal
+from schottkyfold.valfield import (INF, _MR_BOUND, Val, _is_prime, decimal_to_int,
+                                   int_to_decimal)
 from helpers import TEST_FIELDS
 from reference import (
     cyclo_inv,
@@ -285,8 +286,19 @@ def test_primality_is_exact_for_large_primes_and_strong_pseudoprimes():
         assert not _is_prime(n)
     for n in (10**15 + 37, 10**18 + 3, 2**61 - 1, 2**31 - 1):
         assert _is_prime(n)
-    # above the proven bound of the bases, trial division decides
+    # above the proven bound of the bases the test is not exact, but base 2
+    # still rejects this composite
     assert not _is_prime(43 * (10**24 + 7))
     with pytest.raises(sf.UnsupportedFieldError):
         sf.field_context(2, 3215031751)
     assert sf.field_context(2, 10**18 + 3).ell == 10**18 + 3
+
+
+def test_field_context_refuses_p_or_ell_at_or_above_the_primality_bound():
+    # primality is exact only below _MR_BOUND, so a larger p or ell is
+    # refused at once, naming the bound, rather than tested
+    for p, ell in ((2, 10**25 + 13), (2, _MR_BOUND), (10**25 + 13, 10**25 + 13)):
+        with pytest.raises(sf.UnsupportedFieldError, match=str(_MR_BOUND)):
+            sf.field_context(p, ell)
+    assert _is_prime(10**24 + 7) and _MR_BOUND > 10**24 + 7
+    assert sf.field_context(2, 10**24 + 7).ell == 10**24 + 7
