@@ -3,7 +3,9 @@
 A *cluster* of a finite configuration is the intersection of its finite
 points with an ultrametric disc; its *depth* is the minimal pairwise
 valuation of differences (+infinity for singletons).  Clusters form a
-laminar family, computed here as a recursive partition.
+laminar family, computed here as a recursive partition that values only
+the differences the strong triangle inequality leaves open
+(``cluster_data``).
 
 Inside a ``Skeleton`` every valuation is an ``int`` counting steps of the
 value group (1/e) Z, e = ``FieldContext.ramification``: the step matrix,
@@ -15,7 +17,7 @@ arithmetic.  ``Val`` and ``Fraction`` appear only at the edges: the depths
 ``cluster_data`` returns and the margin of ``NotSeparatedError``.  Points
 are named by their input position among the finite points, never hashed
 and never permuted: a repeated value has a repeated numerator, found as a
-zero difference while the step matrix is filled.
+zero difference while the tree is built.
 
 A configuration is *clustered in rho-separated pairs* when two rules hold.
 ``canonical_pairs``: two points are equivalent when they lie in exactly the
@@ -38,7 +40,7 @@ from typing import NamedTuple, Optional
 
 from .errors import NotClusteredInPairsError, NotSeparatedError, RepeatedPointsError
 from .projline import INFINITY, PPoint, point_str
-from .valfield import INF_STEPS, FieldContext, Val
+from .valfield import INF_STEPS, FieldContext, Val, int_valuation
 
 
 @dataclass(frozen=True)
@@ -93,78 +95,96 @@ class Cluster:
     depth: Val | int
 
 
-def _lowered_steps(ctx: FieldContext, values) -> tuple[tuple, int, int, tuple]:
-    """(numerators A_x over a common denominator L, L, e v(L), step matrix).
-
-    The step matrix holds e v(x_a - x_b) = e v(A_a - A_b) - e v(L) for
-    every two of the values, and INF_STEPS on the diagonal.  Equal values
-    have equal numerators: their difference is zero, and that is a
-    repeated point (RepeatedPointsError).
-    """
-    ints, den, den_steps = ctx.lower(values)
-    n = len(ints)
-    ring, valuation = ctx.integers, ctx.integral_valuation
-    sub, zero = ring.sub, ring.zero
-    rows = [[INF_STEPS] * n for _ in range(n)]
-    for a in range(n):
-        row, x = rows[a], ints[a]
-        for b in range(a + 1, n):
-            d = sub(x, ints[b])
-            if d == zero:
-                raise RepeatedPointsError("the points are not distinct")
-            row[b] = rows[b][a] = valuation(d) - den_steps
-    return tuple(ints), den, den_steps, tuple(tuple(row) for row in rows)
-
-
-def cluster_data(cfg: Configuration, smat=None):
+def cluster_data(cfg: Configuration, values=None):
     """Every cluster of the finite points, with depths as ``Val``s.
 
     The full finite set is always a cluster and every point is a singleton
     cluster of depth +infinity.  Members index into ``finite_values()``
     (multiplicities collapse).  Clusters come in pre-order: each one is
-    followed at once by the clusters strictly inside it.  A cluster's depth
-    is read off one member's row: the valuation is ultrametric, so every
-    point of a disc is a centre.
+    followed at once by the clusters strictly inside it.
 
-    ``smat``, when given, is the step matrix of the distinct finite points
-    in input order, and the members are its positions.  The result is
-    then the tree a ``Skeleton`` keeps: (clusters with depths in steps,
-    the position of each cluster's parent, None for the root, and the
-    position of each point's singleton).
+    ``values``, when given, are the finite values in input order, repeats
+    included, and the members are their positions.  The result is then the
+    ``Skeleton`` they span, with no pairs: the one tree builder, which
+    :meth:`Skeleton.build` calls once.
+
+    The values are lowered once, and only the differences that the strong
+    triangle inequality leaves open are valued.  The root's first point is
+    valued against every other point.  Inside a cluster of depth d whose
+    first point x has its full row, the members above d from x form x's
+    child.  The first point y of each later child is valued only against
+    the members not yet placed, which splits off that child; every other
+    entry of y's row is x's, but d towards x's child, for v(y - z) =
+    min(v(y - x), v(x - z)) whenever the two differ.  So each row is built
+    once, when its point first leads a cluster.  Equal values never fall
+    into different children, so their zero difference is met while one of
+    them is valued: a repeated point (RepeatedPointsError).  The tree is
+    grown from a stack, not by recursion, so no depth of nesting meets the
+    interpreter's recursion limit.
     """
-    in_steps = smat is not None
-    if not in_steps:
-        smat = _lowered_steps(cfg.ctx, cfg.finite_values())[3]
-
+    ctx, dedupe = cfg.ctx, values is None
+    if dedupe:
+        values = cfg.finite_values()
+    ints, den = ctx.lower(values)
+    den_steps = ctx.ramification * int_valuation(den, ctx.ell)
+    n = len(ints)
+    ring, valuation = ctx.integers, ctx.integral_valuation
+    sub, zero = ring.sub, ring.zero
+    rows: list = [None] * n
     clusters: list[Cluster] = []
     parent: list[Optional[int]] = []
-    leaf = [0] * len(smat)
+    leaf = [0] * n
 
-    def recurse(idx: list[int], up: Optional[int]):
+    def value(a: int, others) -> None:
+        """Fill a's row towards the others: e v(A_a - A_b) - e v(L)."""
+        row, x = rows[a], ints[a]
+        for b in others:
+            d = sub(x, ints[b])
+            if d == zero:
+                raise RepeatedPointsError("the points are not distinct")
+            row[b] = valuation(d) - den_steps
+
+    # clusters in pre-order, from a stack of (members, parent position);
+    # each cluster's first point has its full row
+    stack: list = []
+    if n:
+        rows[0] = [INF_STEPS] * n
+        value(0, range(1, n))
+        stack.append((list(range(n)), None))
+    while stack:
+        idx, up = stack.pop()
         k = len(clusters)
         parent.append(up)
         if len(idx) == 1:
             leaf[idx[0]] = k
             clusters.append(Cluster(frozenset(idx), INF_STEPS))
-            return
-        row = smat[idx[0]]
-        depth = min([row[b] for b in idx[1:]])
+            continue
+        top = rows[idx[0]]
+        depth = min([top[b] for b in idx[1:]])
         clusters.append(Cluster(frozenset(idx), depth))
         # children: equivalence classes of "valuation strictly above depth"
+        children: list[list[int]] = []
         while idx:
-            row = smat[idx[0]]
-            block, rest = [idx[0]], []
-            for b in idx[1:]:
-                (block if row[b] > depth else rest).append(b)
-            idx = rest
-            recurse(block, k)
-
-    if smat:
-        recurse(list(range(len(smat))), None)
-    if in_steps:
-        return tuple(clusters), tuple(parent), tuple(leaf)
-    to_val = cfg.ctx.val_of_steps
-    return tuple(Cluster(c.members, to_val(c.depth)) for c in clusters)
+            a, rest = idx[0], idx[1:]
+            if children:
+                row = rows[a] = top.copy()
+                for b in children[0]:
+                    row[b] = depth
+                row[a] = INF_STEPS
+                value(a, rest)
+            row, block, idx = rows[a], [a], []
+            for b in rest:
+                (block if row[b] > depth else idx).append(b)
+            children.append(block)
+        stack += [(block, k) for block in reversed(children)]
+    if dedupe:
+        to_val = ctx.val_of_steps
+        return tuple(Cluster(c.members, to_val(c.depth)) for c in clusters)
+    smat = tuple(tuple(row) for row in rows)
+    return Skeleton(
+        tuple(values), tuple(ints), den, den_steps, smat,
+        tuple(clusters), tuple(parent), tuple(leaf),
+    )
 
 
 class Skeleton(NamedTuple):
@@ -176,13 +196,15 @@ class Skeleton(NamedTuple):
     finite points, ascending (one for a pair with infinity).  ``values``
     are the finite values and ``ints`` their integral numerators over one
     common denominator L = ``den`` (the fold step reads its points here),
-    and ``den_steps`` is e v(L).  ``smat`` is the step matrix: e v(x_a -
-    x_b), an ``int`` counting steps of the value group (1/e) Z, with
-    ``INF_STEPS`` on the diagonal.  ``clusters`` is the
-    laminar cluster tree in pre-order, with depths in steps (a singleton's
-    is ``INF_STEPS``), ``parent[k]`` the position of the smallest cluster
-    strictly containing cluster k (None for the root) and ``leaf[x]`` the
-    position of the singleton cluster {x}.  ``pair_discs[l]`` is pair l's
+    and ``den_steps`` is e v(L).  ``smat`` is the full step matrix: e v(x_a
+    - x_b), an ``int`` counting steps of the value group (1/e) Z, with
+    ``INF_STEPS`` on the diagonal; :func:`cluster_data` writes most
+    entries without a valuation, as the depth of the cluster that
+    separates the two points.
+    ``clusters`` is the laminar cluster tree in pre-order, with depths in
+    steps (a singleton's is ``INF_STEPS``), ``parent[k]`` the position of
+    the smallest cluster strictly containing cluster k (None for the root)
+    and ``leaf[x]`` the position of the singleton cluster {x}.  ``pair_discs[l]`` is pair l's
     minimal disc as (center position, radius in steps); the disc of the
     pair at infinity is that of all finite values, centred at the first
     point of pair 0.  ``pair_odd[l]`` is the smallest odd cluster
@@ -206,9 +228,10 @@ class Skeleton(NamedTuple):
     def build(cfg: Configuration, pairing=None) -> "Skeleton":
         """The skeleton of the configuration's finite points, in three steps.
 
-        1. Lower the points once in input order and build the step matrix;
-           a second infinity or two equal values is a repeated point
-           (RepeatedPointsError).  Then build the cluster tree.
+        1. Lower the points once in input order, and build the cluster
+           tree and the step matrix together (:func:`cluster_data`); a
+           second infinity or two equal values is a repeated point
+           (RepeatedPointsError).
         2. ``pairing(smat, clusters, parent, leaf)`` names the pairs as
            tuples of positions; without it no pair is kept.
         3. Read each pair's minimal disc and each finite pair's minimal
@@ -217,16 +240,16 @@ class Skeleton(NamedTuple):
         values = tuple(pt.value for pt in cfg.points if not pt.is_infinity)
         if len(values) + 1 < cfg.size:
             raise RepeatedPointsError("the points are not distinct")
-        ints, den, den_steps, smat = _lowered_steps(cfg.ctx, values)
-        clusters, parent, leaf = cluster_data(cfg, smat)
-        pairs = () if pairing is None else pairing(smat, clusters, parent, leaf)
+        sk = cluster_data(cfg, values)
+        smat, clusters = sk.smat, sk.clusters
+        pairs = () if pairing is None else pairing(smat, clusters, sk.parent, sk.leaf)
         # the disc of the pair at infinity is that of all finite values
         top = clusters[0].depth if len(values) > 1 else 0
         discs = tuple(
             (pr[0], smat[pr[0]][pr[1]]) if len(pr) == 2 else (pairs[0][0], top)
             for pr in pairs
         )
-        sk = Skeleton(values, ints, den, den_steps, smat, clusters, parent, leaf, pairs, discs)
+        sk = sk._replace(pair_points=pairs, pair_discs=discs)
         return sk._replace(
             pair_odd=tuple(sk.minimal_odd(pts) if len(pts) == 2 else None for pts in pairs)
         )

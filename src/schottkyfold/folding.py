@@ -10,6 +10,12 @@ breaks the pairing, which certifies that the input was not good.  The
 pairwise distances between distinguished vertices live in a discrete
 value group and strictly decrease at every fold, so the loop terminates.
 
+Every valuation a pass reads comes from the skeleton's integers, and the
+strong triangle inequality spares most of them: the skeleton values only
+the differences it leaves open, and the fold test
+(:func:`find_fold_exponent`) drops, unvalued, every pair whose cross
+ratios' valuations already decide that the test fails.
+
 Outcomes:
 
 * :class:`Good` -- no fold applies any more; the current configuration is
@@ -232,43 +238,63 @@ def find_fold_exponent(
 
     where zeta^n turns coefficients and e v(M_x) = smat[c][b] + e v(L).
     When M_x = L the numerator is L (N_l - zeta^n N_i) and one L cancels.
-    The right side, e v(r_l) + e rho, is read off the step matrix.
+    The right side, e v(r_l) + e rho, is read off the step matrix:
+    e v(r_x) = smat[c][a] - smat[c][b] (just smat[c][a] when b_j is
+    infinity).
+
+    The strong triangle inequality settles most of the scan without a
+    valuation.  v(zeta^n r_i) = v(r_i), so where v(r_l) and v(r_i) differ,
+    v(r_l - zeta^n r_i) = min(v(r_l), v(r_i)) <= v(r_l) + rho, and the
+    test fails for that choice at every n.  So a pair l whose
+    representatives do not all share one e v(r_x) with pair i's is dropped
+    before the scan, and when pair i's own two differ no l can pass.
     """
     ctx = pcfg.ctx
     sk = pcfg.skeleton()
     ring, valuation, rho = ctx.integers, ctx.integral_valuation, ctx.rho_steps
-    sub, ints, den, points = ring.sub, sk.ints, sk.den_steps, sk.pair_points
+    sub, ints, den, points, smat = ring.sub, sk.ints, sk.den_steps, sk.pair_points, sk.smat
     a, b = points[j] if len(points[j]) == 2 else (points[j][0], None)
 
+    def levels(members) -> set[int]:
+        """e v(r_x) of each finite representative of the pair at these
+        positions."""
+        return {smat[x][a] - (0 if b is None else smat[x][b]) for x in members}
+
     def ratios(members):
-        """(N_x, M_x, e v(M_x), e v(r_x)) for each finite representative of
-        the pair at these positions; M_x is None when b_j is infinity."""
+        """(N_x, M_x, e v(M_x)) for each finite representative of the pair
+        at these positions; M_x is None when b_j is infinity."""
         out = []
         for x in members:
-            row = sk.smat[x]
-            m, vm = (None, den) if b is None else (sub(ints[x], ints[b]), row[b] + den)
-            out.append((sub(ints[x], ints[a]), m, vm, row[a] + den - vm))
+            m, vm = (None, den) if b is None else (sub(ints[x], ints[b]), smat[x][b] + den)
+            out.append((sub(ints[x], ints[a]), m, vm))
         return out
 
+    level = levels(points[i])
+    if len(level) > 1:
+        return None
+    rhs = next(iter(level)) + rho
     reps_i = ratios(points[i])
-    reps = {l: ratios(pts) for l, pts in enumerate(points) if l != j and l not in I}
+    reps = {
+        l: ratios(pts)
+        for l, pts in enumerate(points)
+        if l != j and l not in I and levels(pts) == level
+    }
     for n in range(1, ctx.p):
-        turned = [(ring.rotate(n_i, n), m_i, vm_i) for n_i, m_i, vm_i, _ in reps_i]
+        turned = [(ring.rotate(n_i, n), m_i, vm_i) for n_i, m_i, vm_i in reps_i]
         for l, reps_l in reps.items():
-            sides = None
-            for (zn_i, m_i, vm_i), (n_l, m_l, vm_l, v_l) in product(turned, reps_l):
+            sides = []
+            for (zn_i, m_i, vm_i), (n_l, m_l, vm_l) in product(turned, reps_l):
                 if b is None:
                     top, below = sub(n_l, zn_i), den
                 else:
                     top = ring.cross(n_l, m_i, zn_i, m_l)
                     below = vm_l + vm_i
                 lhs = INF_STEPS if top == ring.zero else valuation(top) - below
-                if not lhs > v_l + rho:
+                if not lhs > rhs:
                     break
-                sides = sides or (lhs, v_l + rho)
+                sides.append(lhs)
             else:
-                if sides:
-                    return n, FoldWitness(l, *map(ctx.val_of_steps, sides))
+                return n, FoldWitness(l, *map(ctx.val_of_steps, (sides[0], rhs)))
     return None
 
 

@@ -21,7 +21,8 @@ rotations of cyclically reduced words are classified.  ``words_checked``
 still counts every word up to the witness, in closed form.  The walk runs
 on integer matrices that :func:`~.projline.order_p_matrix` builds, as for
 the fold step, from all the points lowered once over one common
-denominator; :func:`word_matrix` reads the same table.  It composes each
+denominator (:func:`_lowered_pairs`, which :func:`word_matrix` reads too,
+building only the generator powers its word names).  It composes each
 prefix once from its parent (except the prefixes one syllable short of
 the longest words, which close on a cached product of two generators),
 and classifies a word from its integer trace and the cached valuations of
@@ -127,35 +128,34 @@ def _det(ring, m: tuple):
     return ring.cross(a, d, b, c)
 
 
-def _generators(pcfg: PairedConfiguration) -> list[list[tuple]]:
-    """gens[idx][n - 1] = (M, S, det M, e v(det M)) for the n-th power of
-    generator idx: (M, S) is :func:`~.projline.order_p_matrix` on the pair,
-    with every finite point of the configuration lowered once over one
-    common denominator, so M / S is the map's matrix; an infinite point is
-    dropped."""
-    ctx = pcfg.ctx
-    ring, valuation = ctx.integers, ctx.integral_valuation
-    ints, den, _ = ctx.lower([pt.value for pt in pcfg.points() if not pt.is_infinity])
+def _lowered_pairs(pcfg: PairedConfiguration) -> tuple[list[list], int]:
+    """Each pair's finite points as integral numerators over one common
+    denominator L, and L: every finite point of the configuration is
+    lowered by one call, and an infinite point is dropped.  The n-th power
+    of generator idx is then :func:`~.projline.order_p_matrix` on pair idx
+    over L."""
+    ints, den = pcfg.ctx.lower([pt.value for pt in pcfg.points() if not pt.is_infinity])
     lowered = iter(ints)
-    gens = []
+    pairs = []
     for pair in pcfg.pairs:
         if pair[0] == pair[1]:
             raise DegeneratePairError("order-p map needs two distinct fixed points")
-        pair_ints = [next(lowered) for pt in pair if not pt.is_infinity]
-        mats = [order_p_matrix(ctx, pair_ints, den, n) for n in range(1, ctx.p)]
-        dets = [_det(ring, m) for m, _ in mats]
-        gens.append([(m, s, d, valuation(d)) for (m, s), d in zip(mats, dets)])
-    return gens
+        pairs.append([next(lowered) for pt in pair if not pt.is_infinity])
+    return pairs, den
 
 
 def word_matrix(pcfg: PairedConfiguration, word: GroupWord) -> Mobius:
-    """The word's map: the factors it names in :func:`_generators`, composed."""
-    gens = _generators(pcfg)
+    """The word's map: each generator power it names, built once from
+    :func:`_lowered_pairs`, composed."""
+    ctx = pcfg.ctx
+    pairs, den = _lowered_pairs(pcfg)
+    factors = {
+        (idx, exp): integer_map(ctx, *order_p_matrix(ctx, pairs[idx], den, exp))
+        for idx, exp in set(word.syllables)
+    }
     m = None
-    for idx, exp in word.syllables:
-        gen, s, _, _ = gens[idx][exp - 1]
-        factor = integer_map(pcfg.ctx, gen, s)
-        m = factor if m is None else compose(m, factor)
+    for syllable in word.syllables:
+        m = factors[syllable] if m is None else compose(m, factors[syllable])
     if m is None:
         raise ValueError("empty word")
     return m
@@ -201,8 +201,7 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
 
     * **generators** -- each generator matrix is built once in
       ``ctx.integers`` from the points, all lowered by one call over one
-      common denominator, with its det and v(det) (:func:`_generators`,
-      the table :func:`word_matrix` reads too);
+      common denominator (:func:`_lowered_pairs`), with its det and v(det);
     * **prefixes** -- the walk goes one length at a time over a list of
       prefixes, each with its integer matrix, exponent sum mod p and
       v(det).  A prefix is composed once, from its parent, with the ring's
@@ -232,13 +231,24 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     Every test is unchanged when a matrix is scaled, so the verdicts are
     those of :func:`~.projline.classify` on the normalised products.
     """
-    g, p = pcfg.g, pcfg.ctx.p
+    ctx = pcfg.ctx
+    g, p = pcfg.g, ctx.p
     last = max_len - max_len % 2 if p == 2 else max_len
-    gens = _generators(pcfg)
+    ring, valuation = ctx.integers, ctx.integral_valuation
+    pair_ints, den = _lowered_pairs(pcfg)
+    # gens[idx][n - 1] = (M, det M, e v(det M)) for the n-th power of
+    # generator idx; M is a scalar multiple of its matrix
+    gens = []
+    for ints in pair_ints:
+        row = []
+        for n in range(1, p):
+            m, _ = order_p_matrix(ctx, ints, den, n)
+            det = _det(ring, m)
+            row.append((m, det, valuation(det)))
+        gens.append(row)
     pairs: dict = {}
     witness, relations = (
-        _walk(pcfg.ctx, gens, last, True, pairs)
-        or _walk(pcfg.ctx, gens, last, False, pairs)
+        _walk(ctx, gens, last, True, pairs) or _walk(ctx, gens, last, False, pairs)
     )
     if witness is None:
         checked = _word_count(g, p, last)
@@ -264,12 +274,12 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, pairs: dict):
     relations: list[GroupWord] = []
 
     def pair(s: int, t: int) -> tuple:
-        """(G_s G_t, its scale, det, e v(det)) for syllable codes s and t."""
+        """(G_s G_t, det, e v(det)) for syllable codes s and t."""
         hit = pairs.get((s, t))
         if hit is None:
-            g_s, s_s, det_s, v_s = gens[s // p][s % p - 1]
-            g_t, s_t, det_t, v_t = gens[t // p][t % p - 1]
-            hit = pairs[s, t] = (matmul(g_s, g_t), s_s * s_t, mul(det_s, det_t), v_s + v_t)
+            g_s, det_s, v_s = gens[s // p][s % p - 1]
+            g_t, det_t, v_t = gens[t // p][t % p - 1]
+            hit = pairs[s, t] = (matmul(g_s, g_t), mul(det_s, det_t), v_s + v_t)
         return hit
 
     # prefixes of the current length: (syllable codes, integer matrix,
@@ -278,7 +288,7 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, pairs: dict):
     level = [
         ((idx * p + exp,), gen, exp, v_det, 1)
         for idx, row in enumerate(gens)
-        for exp, (gen, _, _, v_det) in enumerate(row, 1)
+        for exp, (gen, _, v_det) in enumerate(row, 1)
     ]
     closing = False
     for length in range(2, last + 1):
@@ -298,7 +308,7 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, pairs: dict):
                     continue
                 # the word is m times its closer: the last generator, or on
                 # the closing level the last two
-                closer, _, det_closer, v_det_closer = (
+                closer, det_closer, v_det_closer = (
                     pair(prefix[-1], code) if closing else row[exp - 1]
                 )
                 tr = trace_mul(m, closer)
@@ -336,7 +346,7 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, pairs: dict):
                         if closing:
                             nxt.append((extended, m, total_next, v_det, lyndon_next))
                             continue
-                        gen, _, _, v_det_gen = gens[idx][exp - 1]
+                        gen, _, v_det_gen = gens[idx][exp - 1]
                         product = matmul(m, gen)
                         k = ring.content(product)
                         nxt.append((

@@ -97,7 +97,7 @@ class Mobius:
 def mobius(ctx: FieldContext, a, b, c, d) -> Mobius:
     """Build a Moebius map, in canonical scale: the entries, lowered over
     one common denominator, go through :func:`integer_map`."""
-    m, den, _ = ctx.lower([finite(ctx, x).value for x in (a, b, c, d)])
+    m, den = ctx.lower([finite(ctx, x).value for x in (a, b, c, d)])
     if ctx.integers.cross(m[0], m[3], m[1], m[2]) == ctx.integers.zero:
         raise ValueError("matrix is singular")
     return integer_map(ctx, m, den)
@@ -135,7 +135,7 @@ def apply(m: Mobius, pt: PPoint) -> PPoint:
     """The fractional-linear action; total on P^1 (poles map to infinity),
     by :func:`image` on the map's entries and the lowered point."""
     f = m.ctx
-    (num,), den, _ = ([f.integers.one], 0, 0) if pt.is_infinity else f.lower([pt.value])
+    (num,), den = ([f.integers.one], 0) if pt.is_infinity else f.lower([pt.value])
     return image(f, m.entries(), num, den)
 
 
@@ -236,5 +236,5 @@ def order_p_fixing(ctx: FieldContext, a: PPoint, b: PPoint, n: int) -> Mobius:
         raise DegeneratePairError("order-p map needs two distinct fixed points")
     if a.is_infinity:
         raise ValueError("infinity must be passed as the second fixed point")
-    ints, den, _ = ctx.lower([pt.value for pt in (a, b) if not pt.is_infinity])
+    ints, den = ctx.lower([pt.value for pt in (a, b) if not pt.is_infinity])
     return integer_map(ctx, *order_p_matrix(ctx, ints, den, n))

@@ -32,8 +32,8 @@ counts the valuation in steps of the value group.
 The entry point from field elements to the integers is ``lower``: it puts
 a list of elements over one common denominator L and returns their
 integral numerators, in the ring ``FieldContext.integers`` (``int``, or
-lists of p - 1 integer coefficients), with L and e v(L); ``quotient`` is
-the way back, one conversion of num / den.  Then e v(x - y) is
+lists of p - 1 integer coefficients), with L; ``quotient`` is the way
+back, one conversion of num / den.  Then e v(x - y) is
 ``integral_valuation`` of a numerator difference minus e v(L), and
 ``valuation`` is the one-element case.  Callers that compare many
 valuations lower their elements once and stay on integers; counts of steps
@@ -511,12 +511,12 @@ class FieldContext:
     def mul(self, x, y):
         if self.kind is FieldKind.RATIONAL:
             return x * y
-        (a, b), den, _ = self.lower([x, y])
+        (a, b), den = self.lower([x, y])
         square = den * den
         return tuple(Fraction(c, square) for c in self.integers.mul(a, b))
 
     def inv(self, x):
-        (a,), den, _ = self.lower([x])
+        (a,), den = self.lower([x])
         if a == self.integers.zero:
             raise FieldDivisionError("inversion of zero")
         return self.quotient(self.integers.times(self.integers.one, den), a)
@@ -543,15 +543,13 @@ class FieldContext:
 
     # -- the valuation -----------------------------------------------------
 
-    def lower(self, values) -> tuple[list, int, int]:
+    def lower(self, values) -> tuple[list, int]:
         """The elements over one common denominator L > 0: their integral
-        numerators in :attr:`integers`, each x being A_x / L, then L and
-        e v(L)."""
+        numerators in :attr:`integers`, each x being A_x / L, then L."""
         ring = self.integers
         parts = [ring.lower(x) for x in values]
         den = lcm(*[d for _, d in parts])
-        ints = [ring.times(a, den // d) for a, d in parts]
-        return ints, den, self.ramification * int_valuation(den, self.ell)
+        return [ring.times(a, den // d) for a, d in parts], den
 
     def val_of_steps(self, steps) -> Val:
         """A count of steps of (1/e) Z as a ``Val``; ``INF_STEPS`` is
@@ -562,9 +560,10 @@ class FieldContext:
 
     def valuation(self, x) -> Val:
         """v(x): multiplicative, ultrametric, v(0) = +infinity."""
-        (a,), _, den_steps = self.lower([x])
+        (a,), den = self.lower([x])
         if a == self.integers.zero:
             return INF
+        den_steps = self.ramification * int_valuation(den, self.ell)
         return self.val_of_steps(self.integral_valuation(a) - den_steps)
 
     def integral_valuation(self, a) -> int:

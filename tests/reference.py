@@ -116,38 +116,45 @@ def point_to_axis(d: Disc, pair, ctx) -> Fraction:
     return dist
 
 
+def cross_ratios(pcfg, j: int, k: int) -> list:
+    """r_x = (c_x - a_j) / (c_x - b_j) for each finite point c_x of pair k,
+    against pair j = (a_j, b_j), by field division (just c_x - a_j when b_j
+    is infinity)."""
+    ctx = pcfg.ctx
+    a_j, b_j = pcfg.pairs[j]
+    out = []
+    for pt in pcfg.pairs[k]:
+        if pt.is_infinity:
+            continue
+        num = ctx.sub(pt.value, a_j.value)
+        out.append(num if b_j.is_infinity else field_div(ctx, num, ctx.sub(pt.value, b_j.value)))
+    return out
+
+
 def fold_exponent(pcfg, i: int, j: int, I):
     """The fold test on field cross ratios: the (n, witness) that
     ``folding.find_fold_exponent`` gives, or None, computed with field
     division and ``FieldContext.valuation``.
 
-    r_x = (c_x - a_j) / (c_x - b_j) (just c_x - a_j when b_j is infinity);
-    the test v(r_l - zeta^n r_i) > v(r_l) + rho must hold for every choice
-    of finite representatives, scanned in ascending n, then l.
+    r_x is the cross ratio of a finite representative c_x against pair j
+    (:func:`cross_ratios`); the test v(r_l - zeta^n r_i) > v(r_l) + rho
+    must hold for every choice of finite representatives, scanned in
+    ascending n, then l.  Every candidate is valued: none is dropped by
+    the strong triangle inequality.
     """
     ctx = pcfg.ctx
-    a_j, b_j = pcfg.pairs[j]
-
-    def ratio(c):
-        num = ctx.sub(c, a_j.value)
-        if b_j.is_infinity:
-            return num
-        return field_div(ctx, num, ctx.sub(c, b_j.value))
-
-    reps_i = [pt.value for pt in pcfg.pairs[i] if not pt.is_infinity]
+    reps_i = cross_ratios(pcfg, j, i)
+    reps = {l: cross_ratios(pcfg, j, l) for l in range(pcfg.g + 1) if l != j and l not in I}
     for n in range(1, ctx.p):
         zeta_n = ctx.zeta_power(n)
-        for l in range(pcfg.g + 1):
-            if l == j or l in I:
-                continue
-            reps_l = [pt.value for pt in pcfg.pairs[l] if not pt.is_infinity]
+        for l, reps_l in reps.items():
             sides = [
                 (
-                    ctx.valuation(ctx.sub(ratio(c_l), ctx.mul(zeta_n, ratio(c_i)))),
-                    ctx.valuation(ratio(c_l)) + ctx.rho,
+                    ctx.valuation(ctx.sub(r_l, ctx.mul(zeta_n, r_i))),
+                    ctx.valuation(r_l) + ctx.rho,
                 )
-                for c_i in reps_i
-                for c_l in reps_l
+                for r_i in reps_i
+                for r_l in reps_l
             ]
             if sides and all(lhs > rhs for lhs, rhs in sides):
                 return n, FoldWitness(l, *sides[0])

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import random
+import sys
+import traceback
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -11,7 +15,7 @@ import schottkyfold as sf
 from schottkyfold.clusters import Skeleton, even_profiles
 from schottkyfold.errors import RepeatedPointsError
 from schottkyfold.folding import compute_I, d_j_of_i, select_target, tilde_d_j_of_i
-from schottkyfold.valfield import INF, INF_STEPS, Val
+from schottkyfold.valfield import INF, INF_STEPS, FieldKind, Val
 from helpers import (
     EIGHT_POINT_7ADIC,
     SIX_POINT_5ADIC,
@@ -217,21 +221,98 @@ def test_repetition_report_keeps_first_occurrence_order():
 
 def test_step_matrix_matches_the_field_valuation():
     # The skeleton lowers its values once and counts every valuation in
-    # steps of (1/e) Z on integers; each entry must equal e v(x_a - x_b)
+    # steps of (1/e) Z on integers, valuing only the differences the strong
+    # triangle inequality leaves open; each entry must equal e v(x_a - x_b)
     # from FieldContext.valuation, with denominators and non-rational
-    # cyclotomic points among the values.
-    entries = 0
-    for ctx, cfg in lowering_sets(17):
+    # cyclotomic points among the values.  Genera 8 to 12 give deep nests,
+    # and over ell >= 5 clusters with five or more children.  The tree must
+    # be the balls of the matrix, each once, with its least entry as depth.
+    entries, branching = 0, set()
+    for ctx, cfg in chain(lowering_sets(17), lowering_sets(17, genera=(8, 10, 12))):
         sk = Skeleton.build(cfg)
-        values, e = sk.values, ctx.ramification
+        values, e, n = sk.values, ctx.ramification, len(sk.values)
         assert sk.values == cfg.finite_values()
-        for a in range(len(values)):
+        for a in range(n):
             assert sk.smat[a][a] is INF_STEPS
-            for b in range(a + 1, len(values)):
+            for b in range(a + 1, n):
                 v = ctx.valuation(ctx.sub(values[a], values[b]))
                 assert sk.smat[a][b] == sk.smat[b][a] == e * v.fraction
                 entries += 1
-    assert entries == 7 * 2 * (10 + 21 + 36)
+        row = sk.smat
+        balls = {
+            frozenset(y for y in range(n) if row[x][y] >= row[x][z])
+            for x in range(n)
+            for z in range(n)
+        }
+        assert len(sk.clusters) == len(balls)
+        assert {c.members for c in sk.clusters} == balls
+        for k, c in enumerate(sk.clusters):
+            depth = min(row[x][y] for x in c.members for y in c.members)
+            assert c.depth == depth
+            assert sk.parent[k] == smallest_superset(sk.clusters, k)
+        if max(Counter(sk.parent).values()) >= 5:
+            branching.add(ctx.kind)
+    sizes = [2 * g + 1 for g in (2, 3, 4, 8, 10, 12)]
+    assert entries == 7 * 2 * sum(n * (n - 1) // 2 for n in sizes)
+    assert branching == set(FieldKind)
+
+
+def test_a_planted_repeat_is_met_anywhere_in_the_tree():
+    # Equal values never fall into different children, so their zero
+    # difference is met while some row is valued.  A value is copied onto
+    # another point in the deepest cluster, from the first point of a later
+    # child onto a sibling, and from input position 0 onto the last point.
+    planted = 0
+    for ctx, cfg in lowering_sets(19, genera=(8, 10, 12)):
+        sk = Skeleton.build(cfg)
+        at = [k for k, pt in enumerate(cfg.points) if not pt.is_infinity]
+        deepest = max((c for c in sk.clusters if len(c.members) > 1), key=lambda c: c.depth)
+        k = next(k for k, up in enumerate(sk.parent) if up is not None and k != up + 1)
+        child, siblings = sk.clusters[k].members, sk.clusters[sk.parent[k]].members
+        copies = [
+            sorted(deepest.members)[:2],
+            (min(child), min(siblings - child)),
+            (0, len(at) - 1),
+        ]
+        for src, dst in copies:
+            points = list(cfg.points)
+            points[at[dst]] = points[at[src]]
+            with pytest.raises(RepeatedPointsError):
+                Skeleton.build(sf.Configuration(ctx, tuple(points)))
+            planted += 1
+    assert planted == 7 * 3 * 2 * 3
+
+
+def test_nesting_depth_is_not_bounded_by_the_recursion_limit():
+    # the points 2^k, k < 150, nest 149 clusters deep; the tree is built
+    # under a recursion limit of 50 frames above this test's own
+    ctx = ctx2()
+    cfg = sf.configuration(ctx, [2**k for k in range(150)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + 50)
+    try:
+        clusters = sf.cluster_data(cfg)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(clusters) == 2 * 150 - 1
+    assert sorted(c.depth for c in clusters if len(c.members) > 1) == [Val.of(k) for k in range(149)]
+
+
+def test_skeleton_values_only_the_open_differences(monkeypatch):
+    # The 7-adic showcase has 7 finite points and 21 differences.  Its root's
+    # first point 1336/3 is valued against the other 6; the first point of
+    # the later child {0, 7} against 7 and 1, and that of {-110, 86} against
+    # 86.  The other 12 entries are written from the ultrametric.
+    calls = []
+    original = sf.FieldContext.integral_valuation
+
+    def counted(self, a):
+        calls.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(sf.FieldContext, "integral_valuation", counted)
+    sk = Skeleton.build(sf.configuration(ctx7(), EIGHT_POINT_7ADIC))
+    assert len(sk.values) == 7 and len(calls) == 9
 
 
 def _planted_repeats(rng, cfg):

@@ -43,6 +43,7 @@ from helpers import (
 )
 from reference import (
     apply_by_fractions,
+    cross_ratios,
     disc,
     fold_exponent,
     order_p_fixing_by_fractions,
@@ -536,7 +537,7 @@ def test_integer_scan_matches_the_field_route():
     # give the same (n, witness) as the scan on field cross ratios.  Each
     # set is also run after a Nielsen move around the finite pair 1, which
     # a fold around that pair undoes.
-    seen = {"finite": [0, 0], "infinite": [0, 0]}
+    seen = {"finite": [0, 0], "infinite": [0, 0], "pruned": 0}
     for ctx, cfg in lowering_sets(29, genera=(2, 3)):
         for start in (cfg, nielsen_move(sf.pair_up(cfg), 0, 1)):
             verdict = sf.run_algorithm(ctx, start)
@@ -545,20 +546,69 @@ def test_integer_scan_matches_the_field_route():
                 passes.append(verdict.s_min)
             _compare_scans(passes, seen)
     assert min(seen["finite"] + seen["infinite"]) >= 20, seen
+    assert seen["pruned"], seen
+
+
+def test_integer_scan_matches_the_field_route_at_wider_genus():
+    # the same comparison at g = 5 and 6, from the Nielsen moves alone (they
+    # give the folds), with many (i, l) candidates dropped unvalued because
+    # their cross ratios' valuations differ
+    seen = {"finite": [0, 0], "infinite": [0, 0], "pruned": 0}
+    for ctx, cfg in lowering_sets(31, genera=(5, 6)):
+        verdict = sf.run_algorithm(ctx, nielsen_move(sf.pair_up(cfg), 0, 1))
+        passes = [step.before for step in verdict.trace]
+        if isinstance(verdict, sf.Good):
+            passes.append(verdict.s_min)
+        _compare_scans(passes, seen)
+    assert min(seen["finite"] + seen["infinite"]) >= 20, seen
+    assert seen["pruned"] >= 100, seen
+
+
+def _valuations(pcfg, j, k):
+    """v(r_x) for the finite representatives c_x of pair k, by field route."""
+    return {pcfg.ctx.valuation(r) for r in cross_ratios(pcfg, j, k)}
 
 
 def _compare_scans(passes, seen):
+    """find_fold_exponent against the reference at every (pass, i, j).
+
+    ``seen`` counts misses and hits by the kind of pair j, and the (i, l)
+    candidates whose representatives' cross ratios do not all share one
+    valuation.  The scan must drop those unvalued: it values at most the
+    (p - 1) |reps_i| |reps_l| differences of each other candidate l, and
+    nothing when pair i's own two ratios differ.
+    """
+    valued = []
+    original = sf.FieldContext.integral_valuation
+
+    def counted(ctx, a):
+        valued.append(None)
+        return original(ctx, a)
+
     for pcfg in passes:
+        pairs = range(pcfg.g + 1)
+        levels = {(j, k): _valuations(pcfg, j, k) for j in pairs for k in pairs if k != j}
+        size = [sum(not pt.is_infinity for pt in pair) for pair in pcfg.pairs]
         for i in range(pcfg.g):
             _, target = select_target(pcfg, i)
             indices = compute_I(pcfg, i, target)
-            for j in range(pcfg.g + 1):
+            for j in pairs:
                 if j == i:
                     continue
-                found = find_fold_exponent(pcfg, i, j, indices)
+                sf.FieldContext.integral_valuation = counted
+                try:
+                    found = find_fold_exponent(pcfg, i, j, indices)
+                finally:
+                    sf.FieldContext.integral_valuation = original
                 assert found == fold_exponent(pcfg, i, j, indices)
                 kind = "infinite" if pcfg.pairs[j][1].is_infinity else "finite"
                 seen[kind][found is not None] += 1
+                candidates = [l for l in pairs if l != j and l not in indices]
+                open_ = [l for l in candidates if len(levels[j, i] | levels[j, l]) == 1]
+                seen["pruned"] += len(candidates) - len(open_)
+                bound = (pcfg.ctx.p - 1) * sum(size[i] * size[l] for l in open_)
+                assert len(valued) <= bound
+                valued.clear()
 
 
 def _count_hashes(monkeypatch):

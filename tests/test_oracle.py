@@ -390,3 +390,36 @@ def test_audit_and_word_matrix_lower_the_points_once(monkeypatch):
         calls.clear()
         sf.word_matrix(pcfg, sf.GroupWord(((0, 1), (1, p - 1), (2, 1), (3, p - 1))))
         assert len(calls) == 1
+
+
+def test_word_matrix_builds_only_the_factors_its_word_names(monkeypatch):
+    # a word naming two generator powers, one of them twice, builds two
+    # order-p matrices and values no determinant; the audit alone keeps
+    # det and v(det) for every generator power
+    built, valued = [], []
+    order_p_matrix = sf.oracle.order_p_matrix
+    integral_valuation = sf.FieldContext.integral_valuation
+
+    def counted_build(*args):
+        built.append(args[-1])
+        return order_p_matrix(*args)
+
+    def counted_valuation(ctx, a):
+        valued.append(None)
+        return integral_valuation(ctx, a)
+
+    monkeypatch.setattr(sf.oracle, "order_p_matrix", counted_build)
+    monkeypatch.setattr(sf.FieldContext, "integral_valuation", counted_valuation)
+    for p, ell in TEST_FIELDS:
+        pcfg = _hand_built(sf.field_context(p, ell))
+        valued.clear()
+        word = sf.GroupWord(((2, 1), (3, p - 1), (2, 1)))
+        expected = sf.compose(sf.compose(
+            sf.word_matrix(pcfg, sf.GroupWord(((2, 1),))),
+            sf.word_matrix(pcfg, sf.GroupWord(((3, p - 1),))),
+        ), sf.word_matrix(pcfg, sf.GroupWord(((2, 1),))))
+        built.clear()
+        assert sf.word_matrix(pcfg, word) == expected
+        assert sorted(built) == sorted([1, p - 1]) and valued == []
+        sf.schottky_audit(pcfg, 2)
+        assert len(valued) >= 4 * (p - 1)
