@@ -83,8 +83,7 @@ def configuration(ctx: FieldContext, values) -> Configuration:
     return Configuration(ctx, tuple(pts))
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """A cluster given by member indices into ``Configuration.finite_values``
     (in a ``Skeleton``, positions of its values).
 
@@ -209,7 +208,10 @@ class Skeleton(NamedTuple):
     pair at infinity is that of all finite values, centred at the first
     point of pair 0.  ``pair_odd[l]`` is the smallest odd cluster
     containing a finite pair l (None for the pair at infinity, or where
-    there is none).
+    there is none), and ``pair_odd_depths[l]`` the depths of all the odd
+    clusters containing it, smallest cluster (deepest) first; () for the
+    pair at infinity.  The fold pass reads its target rule off these
+    depths and the step matrix (``folding.d_j_of_i``).
     """
 
     values: tuple
@@ -223,6 +225,7 @@ class Skeleton(NamedTuple):
     pair_points: tuple[tuple[int, ...], ...] = ()
     pair_discs: tuple[tuple[int, int], ...] = ()
     pair_odd: tuple[Optional[frozenset[int]], ...] = ()
+    pair_odd_depths: tuple[tuple[int, ...], ...] = ()
 
     @staticmethod
     def build(cfg: Configuration, pairing=None) -> "Skeleton":
@@ -234,8 +237,9 @@ class Skeleton(NamedTuple):
            (RepeatedPointsError).
         2. ``pairing(smat, clusters, parent, leaf)`` names the pairs as
            tuples of positions; without it no pair is kept.
-        3. Read each pair's minimal disc and each finite pair's minimal
-           odd cluster.
+        3. Read each pair's minimal disc, and walk each finite pair's
+           cluster chain once (:meth:`chain`) for its odd clusters: the
+           smallest one and the depths of all.
         """
         values = tuple(pt.value for pt in cfg.points if not pt.is_infinity)
         if len(values) + 1 < cfg.size:
@@ -249,9 +253,15 @@ class Skeleton(NamedTuple):
             (pr[0], smat[pr[0]][pr[1]]) if len(pr) == 2 else (pairs[0][0], top)
             for pr in pairs
         )
-        sk = sk._replace(pair_points=pairs, pair_discs=discs)
+        odd = [
+            [c for c in sk.chain(pts) if len(c.members) % 2] if len(pts) == 2 else []
+            for pts in pairs
+        ]
         return sk._replace(
-            pair_odd=tuple(sk.minimal_odd(pts) if len(pts) == 2 else None for pts in pairs)
+            pair_points=pairs,
+            pair_discs=discs,
+            pair_odd=tuple(walk[0].members if walk else None for walk in odd),
+            pair_odd_depths=tuple(tuple(c.depth for c in walk) for walk in odd),
         )
 
     def chain(self, members: tuple[int, ...]):
@@ -264,36 +274,35 @@ class Skeleton(NamedTuple):
                 yield c
             k = self.parent[k]
 
-    def minimal_odd(self, members: tuple[int, ...]) -> Optional[frozenset[int]]:
-        """The smallest odd cluster containing the given positions, if any."""
-        for c in self.chain(members):
-            if len(c.members) % 2 == 1:
-                return c.members
-        return None
-
     def join(self, c1: int, r1: int, c2: int, r2: int) -> int:
         """Radius of the smallest disc containing the discs (c1, r1), (c2, r2)."""
         return min(r1, r2, self.smat[c1][c2])
 
-    def axis_distance(self, i: int, j: int) -> int:
-        """Tree distance between the axes spanned by pairs i and j, in steps.
+    def axis_margin(self) -> Optional[int]:
+        """The least tree distance between the axes spanned by two pairs, in
+        steps; None for fewer than two pairs.
 
         With u the maximal valuation of a cross difference and d_k the depth
-        of pair k, the distance is max(0, d_i - u) + max(0, d_j - u); the
-        depth term of a pair containing infinity is dropped (its axis runs
-        upward without bound).
+        of pair k, the distance between the axes of pairs i and j is
+        max(0, d_i - u) + max(0, d_j - u); the depth term of a pair
+        containing infinity is dropped (its axis runs upward without
+        bound).  Each pair's rows are read once, against every later pair.
         """
-        smat = self.smat
-        fin_i, fin_j = self.pair_points[i], self.pair_points[j]
-        u = max(smat[x][y] for x in fin_i for y in fin_j)
-        if u is INF_STEPS:
-            raise ValueError("axes share a point")
-        total = 0
-        for fin in (fin_i, fin_j):
-            if len(fin) == 2:
-                a, b = fin
-                total += max(0, smat[a][b] - u)
-        return total
+        smat, points = self.smat, self.pair_points
+        margin = None
+        for k, pts in enumerate(points):
+            rows = [smat[x] for x in pts]
+            d_i = rows[0][pts[1]] if len(pts) == 2 else None
+            for other in points[k + 1:]:
+                u = max([row[y] for row in rows for y in other])
+                gap = d_i - u if d_i is not None and d_i > u else 0
+                if len(other) == 2:
+                    d_j = smat[other[0]][other[1]]
+                    if d_j > u:
+                        gap += d_j - u
+                if margin is None or gap < margin:
+                    margin = gap
+        return margin
 
 
 @dataclass(frozen=True)
@@ -396,12 +405,9 @@ def canonical_pairs(
 
 def check_separated(pcfg: PairedConfiguration) -> None:
     """NotSeparatedError unless every two pair axes stay more than 2 rho
-    apart; read off the configuration's skeleton."""
-    view, n = pcfg.skeleton(), len(pcfg.pairs)
-    margin = min(
-        (view.axis_distance(i, j) for i in range(n) for j in range(i + 1, n)),
-        default=None,
-    )
+    apart, with the least distance (:meth:`Skeleton.axis_margin`, read off
+    the step-matrix rows of the configuration's skeleton) as its margin."""
+    margin = pcfg.skeleton().axis_margin()
     if margin is not None and margin <= 2 * pcfg.ctx.rho_steps:
         raise NotSeparatedError(Fraction(margin, pcfg.ctx.ramification))
 

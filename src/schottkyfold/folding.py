@@ -16,6 +16,13 @@ the differences it leaves open, and the fold test
 (:func:`find_fold_exponent`) drops, unvalued, every pair whose cross
 ratios' valuations already decide that the test fails.
 
+The pass's other rules are closed forms on rows of the skeleton's step
+matrix, with no walk through the cluster tree: the target
+(:func:`d_j_of_i`) compares two entries of one row with the depths of the
+odd clusters through pair i, which the skeleton lists once per pair, and
+the branch (:func:`compute_I`) compares entries of one row with the
+target's radius.
+
 Outcomes:
 
 * :class:`Good` -- no fold applies any more; the current configuration is
@@ -119,32 +126,39 @@ def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
     Either the minimal odd clusters through both pairs coincide (then the
     target is the minimal disc of pair j), or some odd cluster contains
     pair i together with exactly one point of pair j (then the target is
-    the minimal disc realising that containment).  When pair j contains
-    infinity its finite point is the one included.  The minimal odd
-    clusters are read off the skeleton, which finds them once per pair.
+    the minimal disc around pair i that reaches that point).  When pair j
+    contains infinity its finite point is the one included.
+
+    The second rule is read off one row of the step matrix.  A cluster C
+    of depth d is {z : v(z - x) >= d} for any member x, since the tree
+    splits a cluster's points on "above its depth".  So with c the centre
+    of pair i's disc (radius r_i) and lo <= hi the entries of row c at
+    pair j's points, an odd cluster through pair i holds exactly one of
+    them iff some odd depth d of pair i's chain (``pair_odd_depths``) has
+    lo < d <= hi; for the pair at infinity, iff some d <= hi, its finite
+    point's entry.  The smallest disc around c holding the point at hi
+    has radius min(r_i, hi), and it leaves the point at lo out, for lo < d
+    and every chain depth d is at most r_i.  A disc around c reaching the
+    point at lo would hold the point at hi too.  So the target is
+    (c, min(r_i, hi)).
     """
     if i == j:
         raise ValueError("indices must be distinct")
     sk = pcfg.skeleton()
-    mem_i, mem_j = sk.pair_points[i], sk.pair_points[j]
-    if len(mem_i) < 2:
+    if len(sk.pair_points[i]) < 2:
         return None
     # pair_odd is None for the pair at infinity
-    if sk.pair_odd[i] is not None and sk.pair_odd[i] == sk.pair_odd[j]:
+    odd = sk.pair_odd[i]
+    if odd is not None and odd == sk.pair_odd[j]:
         return sk.pair_discs[j]
-    if not any(
-        len(c.members) % 2 == 1 and sum(x in c.members for x in mem_j) == 1
-        for c in sk.chain(mem_i)
-    ):
-        return None
     center, r_i = sk.pair_discs[i]
-    best = None
-    for k in mem_j:
-        radius = sk.join(center, r_i, k, r_i)
-        if all(sk.smat[o][center] < radius for o in mem_j if o != k):
-            if best is None or radius > best:
-                best = radius
-    return None if best is None else (center, best)
+    row = sk.smat[center]
+    ends = [row[y] for y in sk.pair_points[j]]
+    hi, lo = max(ends), (min(ends) if len(ends) == 2 else None)
+    for d in sk.pair_odd_depths[i]:
+        if d <= hi and (lo is None or lo < d):
+            return center, min(r_i, hi)
+    return None
 
 
 def tilde_d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
@@ -202,16 +216,20 @@ def select_target(pcfg: PairedConfiguration, i: int) -> tuple[int, tuple]:
 def compute_I(pcfg: PairedConfiguration, i: int, target: tuple) -> frozenset[int]:
     """Indices of the pairs hanging in the branch of the pushed-back target
     (center index, radius in steps) around pair i: both points must be
-    finite and strictly inside the residue branch through pair i."""
+    finite and strictly inside the residue branch through pair i, that is,
+    both their entries in the row of pair i's first point exceed the
+    target's radius.  RuntimeError if pair i is not among them: a target
+    from :func:`select_target` never lies that deep."""
     sk = pcfg.skeleton()
-    anchor = sk.pair_points[i][0]
-    level = target[1]
-    out = set()
-    for l, members in enumerate(sk.pair_points):
-        if len(members) == 2 and all(sk.smat[m][anchor] > level for m in members):
-            out.add(l)
-    assert i in out, "pair i must lie in its own branch"
-    return frozenset(out)
+    row, level = sk.smat[sk.pair_points[i][0]], target[1]
+    out = frozenset(
+        l
+        for l, pts in enumerate(sk.pair_points)
+        if len(pts) == 2 and row[pts[0]] > level and row[pts[1]] > level
+    )
+    if i not in out:
+        raise RuntimeError(f"pair {i} does not lie in its own branch")
+    return out
 
 
 def find_fold_exponent(

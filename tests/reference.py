@@ -10,7 +10,12 @@ pairs into ``Disc`` values for the comparison.
 
 ``fold_exponent`` is the fold test on field cross ratios, by division and
 ``FieldContext.valuation``: the reference for the integer scan of
-``folding.find_fold_exponent``.  ``pairwise_depth``,
+``folding.find_fold_exponent``.  ``target_by_chain``,
+``pushed_back_by_chain`` and ``select_by_chain`` are the fold pass's
+target rules by walking cluster chains found by membership,
+``branch_by_valuation`` its branch and ``axis_margin_by_valuation`` the
+separation margin by field valuations: the references for the closed
+forms the program reads off step-matrix rows.  ``pairwise_depth``,
 ``smallest_superset`` and ``even_profile`` are the cluster tree's
 definitions: the least valuation over every two members, the parent as
 the smallest strict superset, and a point's even clusters by membership.
@@ -33,6 +38,7 @@ extended Euclid, and valuations come from the norm, a resultant.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from schottkyfold.folding import FoldWitness
@@ -190,6 +196,113 @@ def even_profile(clusters, x) -> tuple[int, ...]:
     return tuple(
         k for k, c in enumerate(clusters) if len(c.members) % 2 == 0 and x in c.members
     )
+
+
+def chain_by_membership(sk, members) -> list:
+    """The clusters of a skeleton holding every given position, smallest
+    first, found by member-set inclusion."""
+    held = [c for c in sk.clusters if set(members) <= c.members]
+    return sorted(held, key=lambda c: len(c.members))
+
+
+def minimal_odd(sk, members):
+    """The members of the smallest odd cluster holding the given positions,
+    or None."""
+    return next((c.members for c in chain_by_membership(sk, members) if len(c.members) % 2), None)
+
+
+@lru_cache(maxsize=1 << 16)
+def field_steps(ctx, x, y) -> int:
+    """e v(x - y) for distinct field elements, by ``FieldContext.valuation``
+    (remembered, as the rule comparisons ask for the same few often)."""
+    return int(ctx.ramification * ctx.valuation(ctx.sub(x, y)).fraction)
+
+
+def target_by_chain(pcfg, i: int, j: int):
+    """``folding.d_j_of_i`` by its definition, walking pair i's cluster
+    chain: the minimal disc of pair j where the minimal odd clusters through
+    pairs i and j coincide; else, where some odd cluster through pair i
+    holds exactly one point of pair j, the largest disc around pair i's
+    centre that holds one point k of pair j and no other; else None."""
+    sk, ctx = pcfg.skeleton(), pcfg.ctx
+    mem_i, mem_j = sk.pair_points[i], sk.pair_points[j]
+    if len(mem_i) < 2:
+        return None
+    odd_i = minimal_odd(sk, mem_i)
+    if odd_i is not None and len(mem_j) == 2 and odd_i == minimal_odd(sk, mem_j):
+        return sk.pair_discs[j]
+    if not any(
+        len(c.members) % 2 == 1 and sum(x in c.members for x in mem_j) == 1
+        for c in chain_by_membership(sk, mem_i)
+    ):
+        return None
+    center, r_i = sk.pair_discs[i]
+    dist = {k: field_steps(ctx, sk.values[k], sk.values[center]) for k in mem_j}
+    best = None
+    for k in mem_j:
+        radius = min(r_i, dist[k])
+        if all(dist[o] < radius for o in mem_j if o != k):
+            if best is None or radius > best:
+                best = radius
+    return None if best is None else (center, best)
+
+
+def pushed_back_by_chain(pcfg, i: int, j: int):
+    """``folding.tilde_d_j_of_i`` on :func:`target_by_chain`."""
+    base = target_by_chain(pcfg, i, j)
+    if base is None:
+        return None
+    sk, rho = pcfg.skeleton(), pcfg.ctx.rho_steps
+    (center, radius), (c_i, r_i) = base, sk.pair_discs[i]
+    jn = min(r_i, radius, sk.smat[c_i][center])
+    if radius - jn > rho:
+        return center, radius - rho
+    return c_i, 2 * jn - radius + rho
+
+
+def select_by_chain(pcfg, i: int):
+    """``folding.select_target`` on :func:`pushed_back_by_chain`: of the
+    targets properly holding pair i's disc, one of largest radius, the
+    smallest j among ties."""
+    sk = pcfg.skeleton()
+    c_i, r_i = sk.pair_discs[i]
+    found = []
+    for j in range(pcfg.g + 1):
+        dt = None if j == i else pushed_back_by_chain(pcfg, i, j)
+        if dt is not None and r_i > dt[1] and sk.smat[c_i][dt[0]] >= dt[1]:
+            found.append((j, dt))
+    return max(found, key=lambda jt: (jt[1][1], -jt[0]), default=None)
+
+
+def branch_by_valuation(pcfg, i: int, target) -> frozenset[int]:
+    """``folding.compute_I`` by field valuations: the finite pairs both of
+    whose points lie strictly above the target's radius from pair i's first
+    point."""
+    sk, ctx = pcfg.skeleton(), pcfg.ctx
+    anchor = sk.values[sk.pair_points[i][0]]
+    return frozenset(
+        l
+        for l, pts in enumerate(sk.pair_points)
+        if len(pts) == 2
+        and all(x == anchor or field_steps(ctx, x, anchor) > target[1] for x in (sk.values[m] for m in pts))
+    )
+
+
+def axis_margin_by_valuation(pcfg):
+    """The least distance between two pair axes, in steps, valuing every
+    cross difference of every two pairs in the field: with u the largest
+    cross valuation and d_k the depth of a finite pair k, the axes of pairs
+    i and j lie max(0, d_i - u) + max(0, d_j - u) apart.  None for fewer
+    than two pairs."""
+    sk, ctx = pcfg.skeleton(), pcfg.ctx
+    finite = [[sk.values[x] for x in pts] for pts in sk.pair_points]
+    margin = None
+    for k, fin_i in enumerate(finite):
+        for fin_j in finite[k + 1:]:
+            u = max(field_steps(ctx, x, y) for x in fin_i for y in fin_j)
+            gap = sum(max(0, field_steps(ctx, *fin) - u) for fin in (fin_i, fin_j) if len(fin) == 2)
+            margin = gap if margin is None else min(margin, gap)
+    return margin
 
 
 def field_mul(ctx, x, y):

@@ -5,9 +5,11 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,7 @@ from helpers import (
     ctx7,
     kadziela_points,
     lowering_sets,
+    module_env,
     multiset,
     nielsen_move,
     sample_paired,
@@ -43,14 +46,21 @@ from helpers import (
 )
 from reference import (
     apply_by_fractions,
+    axis_margin_by_valuation,
+    branch_by_valuation,
+    chain_by_membership,
     cross_ratios,
     disc,
     fold_exponent,
+    minimal_odd,
     order_p_fixing_by_fractions,
     point_to_axis,
     pole_by_fractions,
+    pushed_back_by_chain,
     same,
+    select_by_chain,
     skeleton_disc,
+    target_by_chain,
 )
 
 
@@ -409,29 +419,45 @@ def test_run_computes_each_pushed_back_target_once(monkeypatch):
     assert keys and len(keys) == len(set(keys))
 
 
-def _count_minimal_odd(monkeypatch):
+def _count_chain_walks(monkeypatch):
     calls = []
-    original = sf.clusters.Skeleton.minimal_odd
+    original = sf.clusters.Skeleton.chain
 
     def counted(self, members):
         calls.append(members)
         return original(self, members)
 
-    monkeypatch.setattr(sf.clusters.Skeleton, "minimal_odd", counted)
+    monkeypatch.setattr(sf.clusters.Skeleton, "chain", counted)
     return calls
 
 
+def _count_finite_pairs_built(monkeypatch):
+    # the finite pairs of every skeleton built, one entry per build
+    built = []
+    original = sf.clusters.Skeleton.build
+
+    def counted(cfg, pairing=None):
+        sk = original(cfg, pairing)
+        built.append(sum(len(pts) == 2 for pts in sk.pair_points))
+        return sk
+
+    monkeypatch.setattr(sf.clusters.Skeleton, "build", staticmethod(counted))
+    return built
+
+
 def test_select_target_finds_the_odd_cluster_of_pair_i_once(monkeypatch):
-    # the skeleton finds the minimal odd cluster through each finite pair
-    # once, when it is built; select_target only reads them
+    # the skeleton walks the cluster chain of each finite pair once, when it
+    # is built; select_target, compute_I and check_separated only read rows
     pcfg = paired(ctx7(), EIGHT_POINT_7ADIC)
     sk = pcfg.skeleton()
     assert sk.pair_odd == tuple(
-        sk.minimal_odd(pts) if len(pts) == 2 else None for pts in sk.pair_points
+        minimal_odd(sk, pts) if len(pts) == 2 else None for pts in sk.pair_points
     )
-    calls = _count_minimal_odd(monkeypatch)
+    calls = _count_chain_walks(monkeypatch)
     for i in range(pcfg.g):
-        select_target(pcfg, i)
+        j, target = select_target(pcfg, i)
+        compute_I(pcfg, i, target)
+    sf.clusters.check_separated(pcfg)
     assert calls == []
 
 
@@ -439,15 +465,152 @@ def test_select_target_finds_the_odd_cluster_of_pair_i_once(monkeypatch):
     "ctx_of, points", [(ctx7, EIGHT_POINT_7ADIC), (ctx5, SIX_POINT_5ADIC)]
 )
 def test_one_minimal_odd_cluster_per_pair_per_pass(monkeypatch, ctx_of, points):
-    # each pass finds the minimal odd cluster of each of its g + 1 pairs
-    # at most once, however many (i, j) select_target tries
+    # each pass walks the cluster chain of each of its finite pairs at most
+    # once, however many (i, j) select_target tries
     ctx = ctx_of()
     cfg = sf.configuration(ctx, points)
     passes = _count_calls(monkeypatch, sf.folding, "pair_up", False)
-    calls = _count_minimal_odd(monkeypatch)
+    built = _count_finite_pairs_built(monkeypatch)
+    calls = _count_chain_walks(monkeypatch)
     sf.run_algorithm(ctx, cfg)
     assert passes and calls
     assert len(calls) <= len(passes) * len(points) // 2
+    assert len(calls) <= sum(built)
+
+
+def _fold_rule_inputs(monkeypatch):
+    """Every paired configuration check_separated is handed, with the error
+    it raised (None when it passed): at the fold stages of the 7-adic
+    showcase, at every stage of every pinned CLI document, and on
+    ``lowering_sets`` at g up to 12 (random paired sets of the seven test
+    fields and their images with denominators), each also paired at random
+    (its pair at infinity last), which is seldom separated."""
+    seen = []
+    original = sf.clusters.check_separated
+
+    def recorded(pcfg):
+        try:
+            original(pcfg)
+        except sf.NotSeparatedError as exc:
+            seen.append((pcfg, exc))
+            raise
+        seen.append((pcfg, None))
+
+    monkeypatch.setattr(sf.clusters, "check_separated", recorded)
+    sf.run_algorithm(ctx7(), sf.configuration(ctx7(), EIGHT_POINT_7ADIC))
+    for doc in sorted((Path(__file__).parent / "expected" / "cli").glob("*.json")):
+        cli.run(cli.parse_problem(doc.read_text(encoding="utf-8")))
+    rng = random.Random(19)
+    for ctx, cfg in lowering_sets(19, genera=(2, 3, 5, 8, 12)):
+        sf.pair_up(cfg)
+        finite = [pt for pt in cfg.points if not pt.is_infinity]
+        rng.shuffle(finite)
+        pairs = list(zip(finite[::2], finite[1::2])) + [(finite[-1], sf.INFINITY)]
+        try:
+            sf.clusters.check_separated(sf.PairedConfiguration(ctx, tuple(pairs)))
+        except sf.NotSeparatedError:
+            pass
+    return seen
+
+
+def test_fold_pass_rules_match_their_definitions(monkeypatch):
+    # d_j_of_i reads the target off one step-matrix row and the odd depths
+    # of pair i's chain, compute_I the branch off one row, check_separated
+    # the margin off the pairs' rows; each must agree with its definition
+    # by cluster membership and field valuations, on every (i, j), whether
+    # or not the pairs are separated
+    cases = Counter()
+    for pcfg, error in _fold_rule_inputs(monkeypatch):
+        sk, ctx = pcfg.skeleton(), pcfg.ctx
+        margin = axis_margin_by_valuation(pcfg)
+        assert sk.axis_margin() == margin
+        # and the distance of every two axes, as the margin of those two pairs
+        for i, j in itertools.combinations(range(pcfg.g + 1), 2):
+            two = sf.PairedConfiguration(ctx, (pcfg.pairs[i], pcfg.pairs[j]))
+            assert two.skeleton().axis_margin() == axis_margin_by_valuation(two)
+        if error is None:
+            assert margin is None or margin > 2 * ctx.rho_steps
+        else:
+            cases["not separated"] += 1
+            assert margin <= 2 * ctx.rho_steps
+            assert error.margin == Fraction(margin, ctx.ramification)
+        for i, pts_i in enumerate(sk.pair_points):
+            walk = [c for c in chain_by_membership(sk, pts_i) if len(c.members) % 2]
+            assert sk.pair_odd[i] == (minimal_odd(sk, pts_i) if len(pts_i) == 2 else None)
+            assert sk.pair_odd_depths[i] == (tuple(c.depth for c in walk) if len(pts_i) == 2 else ())
+            for j, pts_j in enumerate(sk.pair_points):
+                if j == i:
+                    continue
+                assert d_j_of_i(pcfg, i, j) == target_by_chain(pcfg, i, j)
+                dt = tilde_d_j_of_i(pcfg, i, j)
+                assert dt == pushed_back_by_chain(pcfg, i, j)
+                if dt is None:
+                    continue
+                # the branch of every pushed-back target, as deep as it goes
+                branch = branch_by_valuation(pcfg, i, dt)
+                if i in branch:
+                    assert compute_I(pcfg, i, dt) == branch
+                else:
+                    with pytest.raises(RuntimeError):
+                        compute_I(pcfg, i, dt)
+                row = sk.smat[sk.pair_discs[i][0]]
+                ends = sorted(row[y] for y in pts_j)
+                depths = sk.pair_odd_depths[i]
+                cases["j at infinity"] += len(pts_j) == 1
+                cases["same minimal odd"] += sk.pair_odd[i] is not None and sk.pair_odd[i] == sk.pair_odd[j]
+                cases["depth at lo"] += len(ends) == 2 and ends[0] in depths
+                cases["depth at hi"] += ends[-1] in depths
+                cases["hi beyond pair i"] += ends[-1] > sk.pair_discs[i][1]
+            if i < pcfg.g:
+                expected = select_by_chain(pcfg, i)
+                if expected is None:
+                    with pytest.raises(sf.InvalidInputError):
+                        select_target(pcfg, i)
+                    continue
+                j, target = select_target(pcfg, i)
+                assert (j, target) == expected
+                assert compute_I(pcfg, i, target) == branch_by_valuation(pcfg, i, target)
+    assert set(cases) == {
+        "not separated", "j at infinity", "same minimal odd", "depth at lo", "depth at hi",
+        "hi beyond pair i",
+    }
+    assert all(cases.values()), cases
+
+
+def test_compute_I_refuses_a_target_that_leaves_pair_i_out():
+    # a branch as deep as pair i's own disc leaves pair i's second point out
+    pcfg = paired(ctx7(), EIGHT_POINT_7ADIC)
+    with pytest.raises(RuntimeError, match="own branch"):
+        compute_I(pcfg, 0, pcfg.skeleton().pair_discs[0])
+
+
+# select_target replaced by one that hands compute_I pair i's own disc
+_TOO_DEEP = """
+import sys
+from schottkyfold import cli, folding
+folding.select_target = lambda pcfg, i: (pcfg.g, pcfg.skeleton().pair_discs[i])
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_target_that_leaves_pair_i_out_exits_4(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(
+        json.dumps({"p": 2, "ell": 7, "points": [str(x) for x in EIGHT_POINT_7ADIC]}),
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(
+        sf.folding, "select_target", lambda pcfg, i: (pcfg.g, pcfg.skeleton().pair_discs[i])
+    )
+    assert cli.main(["--input", str(path)]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("internal error: RuntimeError:")
+    # python -O strips asserts; the check must hold there too
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TOO_DEEP, "--input", str(path)],
+        capture_output=True, text=True, env=module_env(),
+    )
+    assert proc.returncode == cli.EXIT_INTERNAL
+    assert proc.stderr.startswith("internal error: RuntimeError:")
 
 
 def test_hull_builds_no_skeleton_of_its_own(monkeypatch):
