@@ -29,8 +29,9 @@ for p, ell in ((2, 5), (2, 2), (3, 3), (3, 7)):
 
 # Odd p needs the cyclotomic field Q(zeta_p).  When ell = 1 (mod p) the
 # cyclotomic polynomial splits ell-adically and a valuation is read off by
-# evaluating at a Hensel-lifted root modulo ell^4, ell^8, ... until the
-# value is nonzero; when ell = p the extension is totally ramified, pi =
+# evaluating at a p-th root of unity in Z_ell (a power of a^((ell-1)/p) mod
+# ell, lifted to ell^k) modulo ell^4, ell^8, ... until the value is
+# nonzero; when ell = p the extension is totally ramified, pi =
 # 1 - zeta generates the prime, and the valuation counts exact divisions
 # by pi, each worth 1/(p - 1).
 split = field_context(p=3, ell=7)

@@ -7,8 +7,10 @@ A problem document looks like::
 with points given as exact decimal-integer or "num/den" strings ("inf" for
 the point at infinity).  The report is a stable JSON object whose rational
 entries are always exact normalised strings, never floats.  Exit codes:
-0 the configuration is good, 1 not good, 2 redundant, 3 invalid input,
-4 internal error (an unexpected exception; a one-line message goes to
+0 the configuration is good, 1 not good, 2 redundant, 3 invalid input
+(also a command-line usage error, such as a missing ``--input`` or an
+unknown flag, with argparse's usage message on stderr; ``--help`` exits
+0), 4 internal error (an unexpected exception; a one-line message goes to
 stderr), 5 output closed (the reader of the report went away before it was
 written, as in ``| head``; nothing goes to stderr).
 """
@@ -336,7 +338,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (code 0) or a usage error (code 2,
+        # which would read as "redundant")
+        return EXIT_INVALID if exc.code else 0
     try:
         return _main(args)
     except BrokenPipeError:

@@ -420,9 +420,9 @@ def pair_up(cfg: Configuration) -> PairedConfiguration:
     rule runs.  The returned configuration keeps the one skeleton built
     here, on ``cfg`` in input order.
     """
-    has_inf = cfg.has_infinity()
-    sk = Skeleton.build(cfg, partial(canonical_pairs, has_infinity=has_inf))
     finite = [pt for pt in cfg.points if not pt.is_infinity]
+    has_inf = len(finite) < cfg.size
+    sk = Skeleton.build(cfg, partial(canonical_pairs, has_infinity=has_inf))
     points = [finite[x] for pts in sk.pair_points for x in pts]
     points += [INFINITY] if has_inf else []
     pcfg = PairedConfiguration(cfg.ctx, tuple(zip(points[::2], points[1::2])))

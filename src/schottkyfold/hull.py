@@ -115,26 +115,18 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     # of lowest rank
     discs = {k: (order[ranks[k][0]], clusters[k].depth) for k in kept}
 
-    edges = []
+    # kept lists each cluster after its parent, so an even cluster joins its
+    # kept parent's component and any other vertex starts the next one
+    edges, components, count = [], [], 0
     for k in kept:
         par = sk.parent[k]
         if len(clusters[k].members) % 2 == 0 and par in ids:
             length = Fraction(discs[k][1] - discs[par][1], e)
             edges.append((ids[k], ids[par], length))
-
-    # union-find over kept edges
-    parent_uf = list(range(len(kept)))
-
-    def find(x):
-        while parent_uf[x] != x:
-            parent_uf[x] = parent_uf[parent_uf[x]]
-            x = parent_uf[x]
-        return x
-
-    for a, b, _ in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent_uf[ra] = rb
+            components.append(components[ids[par]])
+        else:
+            components.append(count)
+            count += 1
 
     def on_axis(center, radius, i) -> bool:
         """Whether the disc point lies on the axis of pair i."""
@@ -146,10 +138,8 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
             return radius >= pr and smat[center][pc] >= pr
         return inside[0] and radius == pr and smat[pc][center] >= radius
 
-    comp_label: dict[int, int] = {}
     vertices = []
     for vid, k in enumerate(kept):
-        comp = comp_label.setdefault(find(vid), len(comp_label))
         center, radius = discs[k]
         pidx = next(
             (i for i in range(len(pcfg.pairs)) if on_axis(center, radius, i)), None
@@ -160,7 +150,7 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
                 disc=Disc(ctx, sk.values[center], Fraction(radius, e)),
                 distinguished=pidx is not None,
                 pair_index=pidx,
-                component=comp,
+                component=components[vid],
                 cluster=clusters[k].members,
             )
         )

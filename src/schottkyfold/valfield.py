@@ -7,9 +7,10 @@ Three field flavours cover every supported (p, ell) pair:
   (ell = 2 included).
 * ``CYCLOTOMIC_SPLIT`` -- K = Q(zeta_p) for odd p with ell = 1 (mod p).  The
   p-th cyclotomic polynomial splits over Z_ell, so the valuation of an
-  integral element A(zeta) is v_ell(A(r)) for a Hensel-lifted root r.  A(r)
-  is taken modulo ell^k with k = 4, 8, 16, ...: the first nonzero residue
-  gives the valuation exactly.
+  integral element A(zeta) is v_ell(A(r)) for r the p-th root of unity in
+  Z_ell above the least root mod ell, a power of a^((ell-1)/p) for the
+  first a where that is not 1.  A(r) is taken modulo ell^k with k = 4, 8,
+  16, ...: the first nonzero residue gives the valuation exactly.
 * ``CYCLOTOMIC_RAMIFIED`` -- K = Q(zeta_p) for odd p with ell = p.  The
   prime above p is generated by pi = 1 - zeta with v(pi) = 1/(p - 1), so
   v(p) = 1 and the value group is (1/(p-1)) Z.  pi divides an integral
@@ -51,7 +52,7 @@ once, rather than reducing every product and adding afterwards.
 
 Everything here is immutable and every operation is a pure function, so
 contexts and elements can be shared between threads.  The only internal
-mutable state, the split flavour's table of lifted-root powers, is filled
+mutable state, the split flavour's table of the root's powers, is filled
 with ``dict.setdefault`` and holds values every thread computes alike.
 """
 
@@ -451,7 +452,7 @@ class FieldContext:
             _Integers if self.kind is FieldKind.RATIONAL else _CyclotomicIntegers(p)
         )
         # precision k -> (ell^k, the powers 1, r, ..., r^(p-2) mod ell^k of
-        # the split flavour's lifted root r)
+        # the split flavour's root r)
         self._root_powers: dict[int, tuple[int, tuple[int, ...]]] = {}
         self.zeta = self.zeta_power(1)
 
@@ -615,8 +616,8 @@ class FieldContext:
 
     def _split_valuation(self, a: list[int]) -> int:
         """v_ell(A(zeta)) for nonzero integer coefficients A: A evaluated at
-        the root lifted mod ell^k is exact once it is nonzero mod ell^k, so
-        k starts at 4 and doubles until then."""
+        the root r mod ell^k (:meth:`_power_table`) is exact once it is
+        nonzero mod ell^k, so k starts at 4 and doubles until then."""
         k = 4
         while True:
             modulus, powers = self._root_powers.get(k) or self._power_table(k)
@@ -627,32 +628,24 @@ class FieldContext:
 
     def _power_table(self, prec: int) -> tuple[int, tuple[int, ...]]:
         """ell^prec and the powers of the root of the cyclotomic polynomial
-        modulo it: the least root modulo ell, lifted by Newton steps that
-        double the precision."""
-        ell = self.ell
-        root = next(r for r in range(2, ell) if self._phi_int(r, ell) == 0)
-        k = 1
+        modulo it.  The first a^((ell-1)/p) mod ell that is not 1 has order
+        p, so its powers are every root mod ell; the least of them is lifted
+        to the one p-th root of unity above it (Hensel: ell does not divide
+        p) by Newton steps on x^p - 1 that double the precision.  The power
+        least^(ell^(prec-1)) is the same lift, but takes about prec log2(ell)
+        squarings mod ell^prec where the steps take log2(prec)."""
+        ell, p = self.ell, self.p
+        r = next(x for a in range(2, ell) if (x := pow(a, (ell - 1) // p, ell)) != 1)
+        root, k = min(pow(r, i, ell) for i in range(1, p)), 1
         while k < prec:
             k = min(2 * k, prec)
             mod = ell**k
-            step = self._phi_int(root, mod) * pow(self._dphi_int(root, mod), -1, mod)
-            root = (root - step) % mod
+            # x - (x^p - 1) / (p x^(p-1)), where 1 / x^(p-1) is x while x^p = 1
+            root = root * (p + 1 - pow(root, p, mod)) * pow(p, -1, mod) % mod
         modulus = ell**prec
         powers = tuple(pow(root, i, modulus) for i in range(self.degree))
         # setdefault is atomic and every thread computes the same table
         return self._root_powers.setdefault(prec, (modulus, powers))
-
-    def _phi_int(self, r: int, mod: int) -> int:
-        value = 0
-        for _ in range(self.p):
-            value = (value * r + 1) % mod
-        return value
-
-    def _dphi_int(self, r: int, mod: int) -> int:
-        value = 0
-        for k in range(self.p - 1, 0, -1):
-            value = (value + k * pow(r, k - 1, mod)) % mod
-        return value
 
     # -- presentation ------------------------------------------------------
 

@@ -336,6 +336,28 @@ def test_entry_point_exits_5_on_a_pipe_closed_before_it_starts():
     assert (proc.returncode, proc.stderr) == (cli.EXIT_OUTPUT_CLOSED, b"")
 
 
+def test_command_line_usage_errors_exit_3(tmp_path, capsys):
+    # argparse exits 2 on a usage error, which is the code for "redundant";
+    # main returns 3 (invalid input) instead of raising, and the usage
+    # message stays on stderr
+    path = tmp_path / "problem.json"
+    path.write_text(problem_5adic(), encoding="utf-8")
+    for argv in ([], ["--input", str(path), "--verify-depth", "abc"], ["--bogus"]):
+        assert cli.main(argv) == cli.EXIT_INVALID == 3
+        assert capsys.readouterr().err.startswith("usage: schottkyfold")
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: schottkyfold")
+
+
+def test_entry_point_exits_3_on_a_usage_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "schottkyfold"],
+        env=module_env(), capture_output=True, timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_INVALID
+    assert proc.stdout == b"" and proc.stderr.startswith(b"usage: schottkyfold")
+
+
 def test_points_past_the_int_string_limit_round_trip():
     # 12 + 10**4400 lies in the disc of 12 that the other points see, so the
     # verdict is the showcase's; its 4401 digits exceed the interpreter's

@@ -12,6 +12,7 @@ from schottkyfold.folding import select_target, tilde_d_j_of_i
 from helpers import (
     EIGHT_POINT_7ADIC,
     SIX_POINT_5ADIC,
+    TEST_FIELDS,
     ctx2,
     ctx5,
     ctx7,
@@ -200,6 +201,35 @@ def test_hull_statistics_on_random_configurations():
                         if va.id < vb.id and va.component == vb.component:
                             d = delta(va.disc, vb.disc)
                             assert d > 2 * ctx.rho
+
+
+def test_components_are_the_connected_pieces_of_the_edges():
+    # the hull labels components off the cluster tree; here they are found
+    # by a search over the edges, and numbered in order of first vertex id
+    rng = random.Random(11)
+    split = 0
+    for p, ell in TEST_FIELDS:
+        ctx = sf.field_context(p, ell)
+        for g in (1, 2, 3, 4, 5):
+            for _ in range(4):
+                _, pcfg = sample_paired(rng, ctx, g)
+                tree = sf.reduced_convex_hull(pcfg)
+                adjacent = {v.id: set() for v in tree.vertices}
+                for a, b, _ in tree.edges:
+                    adjacent[a].add(b)
+                    adjacent[b].add(a)
+                label: dict[int, int] = {}
+                for v in tree.vertices:
+                    if v.id in label:
+                        continue
+                    stack, label[v.id] = [v.id], len(set(label.values()))
+                    while stack:
+                        for w in adjacent[stack.pop()] - label.keys():
+                            label[w] = label[v.id]
+                            stack.append(w)
+                assert [v.component for v in tree.vertices] == [label[v.id] for v in tree.vertices]
+                split += tree.component_count() > 1
+    assert split >= 20
 
 
 def test_skeleton_discs_match_the_reference_route():

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -13,7 +16,7 @@ import pytest
 import schottkyfold as sf
 from schottkyfold.valfield import (INF, _MR_BOUND, Val, _is_prime, decimal_to_int,
                                    int_to_decimal)
-from helpers import TEST_FIELDS
+from helpers import TEST_FIELDS, module_env
 from reference import (
     cyclo_inv,
     cyclo_mul,
@@ -302,3 +305,59 @@ def test_field_context_refuses_p_or_ell_at_or_above_the_primality_bound():
             sf.field_context(p, ell)
     assert _is_prime(10**24 + 7) and _MR_BOUND > 10**24 + 7
     assert sf.field_context(2, 10**24 + 7).ell == 10**24 + 7
+
+
+def _split_primes(p: int, count: int, below: int) -> list[int]:
+    """The first ``count`` primes ell = 1 (mod p) below ``below``."""
+    found = [ell for ell in range(p + 1, below, p) if _is_prime(ell)]
+    assert len(found) >= count
+    return found[:count]
+
+
+def test_split_root_table_matches_the_reference_lift():
+    # the root is a power of a^((ell-1)/p) mod ell, the least one, lifted to
+    # the p-th root of unity above it; the reference scans for the least
+    # root of Phi_p mod ell and lifts it one power of ell at a time
+    cases = 0
+    for p in (3, 5, 7, 11, 13):
+        for ell in _split_primes(p, 25, 3000):
+            ctx = sf.field_context(p, ell)
+            for prec in (1, 4, 8, 16, 32, 64):
+                modulus, powers = ctx._power_table(prec)
+                root = split_root(ctx, prec)
+                assert modulus == ell**prec
+                assert powers == tuple(pow(root, i, modulus) for i in range(p - 1))
+                cases += 1
+    assert cases == 750
+    # the doubling lift far past the precisions above
+    for p, ell in ((3, 7), (5, 11)):
+        ctx = sf.field_context(p, ell)
+        assert ctx._power_table(1000)[1][1] == split_root(ctx, 1000)
+
+
+def test_split_valuation_with_a_large_ell_finishes_in_a_subprocess():
+    # a scan for the root over 2..ell-1 would run for hours at ell = 10^12 + 39;
+    # the child process is killed after 60 s, so the test fails, not hangs
+    ell = 1000000000039
+    script = f"""
+from schottkyfold.valfield import Val, field_context
+ell = {ell}
+ctx = field_context(3, ell)
+for k in (1, 4, 8, 64):
+    modulus, (_, r) = ctx._power_table(k)
+    assert modulus == ell**k and (r * r + r + 1) % modulus == 0, k
+r0 = r % ell
+assert r0 < ell - 1 - r0, "not the smaller of the two roots mod ell"
+assert ctx.valuation(ctx.from_fraction(ell**3)) == Val.of(3)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=module_env(), capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    doc = json.dumps({"p": 3, "ell": ell, "points": ["0", str(ell), "1", "inf"]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "schottkyfold", "--stdin"],
+        input=doc.encode(), env=module_env(), capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout)["verdict"]["kind"] == "good"
