@@ -17,14 +17,12 @@ written, as in ``| head``; nothing goes to stderr).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import folding, oracle
 from .clusters import Configuration, PairedConfiguration
@@ -32,6 +30,9 @@ from .errors import InvalidInputError, SchottkyFoldError, UnsupportedFieldError
 from .hull import reduced_convex_hull, to_dot
 from .projline import INFINITY, Mobius, apply, finite, mobius, point_str
 from .valfield import Val, decimal_to_int, field_context, format_fraction
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_GOOD = 0
 EXIT_NOT_GOOD = 1
@@ -53,15 +54,28 @@ class ValidationError(ProblemError):
     pass
 
 
-@dataclass
 class ProblemSpec:
-    p: int
-    ell: int
-    points: list  # Fraction values and the string "inf"
-    trace: bool = False
-    dot: Optional[str] = None
-    verify_depth: Optional[int] = None
-    normalize_infinity: bool = False
+    """A parsed problem; ``main`` merges the command-line flags into it."""
+
+    __slots__ = ("p", "ell", "points", "trace", "dot", "verify_depth", "normalize_infinity")
+
+    def __init__(
+        self,
+        p: int,
+        ell: int,
+        points: list,  # Fraction values and the string "inf"
+        trace: bool = False,
+        dot: Optional[str] = None,
+        verify_depth: Optional[int] = None,
+        normalize_infinity: bool = False,
+    ):
+        self.p = p
+        self.ell = ell
+        self.points = points
+        self.trace = trace
+        self.dot = dot
+        self.verify_depth = verify_depth
+        self.normalize_infinity = normalize_infinity
 
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
@@ -300,6 +314,8 @@ def write_dot_files(report: dict, prefix: str) -> list[str]:
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    import argparse  # only a command line needs it; importing cli does not
+
     parser = argparse.ArgumentParser(
         prog="schottkyfold",
         description=(

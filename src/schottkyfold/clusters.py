@@ -32,7 +32,6 @@ paired configuration holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import count
@@ -43,8 +42,7 @@ from .projline import INFINITY, PPoint, point_str
 from .valfield import INF_STEPS, FieldContext, Val, int_valuation
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """An ordered multiset of points of P^1(K)."""
 
     ctx: FieldContext
@@ -305,7 +303,6 @@ class Skeleton(NamedTuple):
         return margin
 
 
-@dataclass(frozen=True)
 class PairedConfiguration:
     """2g+2 distinct points partitioned into g+1 indexed pairs.
 
@@ -315,14 +312,38 @@ class PairedConfiguration:
     first use, on the points listed pair by pair.  ``_checked`` is set by
     ``pair_up`` alone: its pairs passed ``canonical_pairs`` and
     ``check_separated`` on that skeleton.
+
+    Immutable, and compared and hashed by ``(ctx, pairs)`` alone: the
+    skeleton and ``_checked`` are a cache, written only through
+    ``object.__setattr__``, and take no part in equality, hash or repr.
     """
+
+    __slots__ = ("ctx", "pairs", "_skeleton", "_checked")
 
     ctx: FieldContext
     pairs: tuple[tuple[PPoint, PPoint], ...]
-    _skeleton: Optional[Skeleton] = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    _checked: bool = field(default=False, init=False, compare=False, repr=False)
+    _skeleton: Optional[Skeleton]
+    _checked: bool
+
+    def __init__(self, ctx: FieldContext, pairs: tuple[tuple[PPoint, PPoint], ...]):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_skeleton", None)
+        object.__setattr__(self, "_checked", False)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not PairedConfiguration:
+            return NotImplemented
+        return self.ctx == other.ctx and self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash((self.ctx, self.pairs))
 
     @property
     def g(self) -> int:

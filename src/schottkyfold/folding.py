@@ -35,10 +35,9 @@ Outcomes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .clusters import (
     Configuration,
@@ -63,8 +62,7 @@ def _failure_of(exc: PairingError) -> PairingFailure:
     return PairingFailure.NOT_CLUSTERED_IN_PAIRS
 
 
-@dataclass(frozen=True)
-class FoldWitness:
+class FoldWitness(NamedTuple):
     """The scan hit certifying a fold: index l and both sides of the test."""
 
     l: int
@@ -72,8 +70,7 @@ class FoldWitness:
     rhs: Val
 
 
-@dataclass(frozen=True)
-class FoldingStep:
+class FoldingStep(NamedTuple):
     i: int
     j: int
     n: int
@@ -84,38 +81,37 @@ class FoldingStep:
     witness: Optional[FoldWitness]
 
 
-@dataclass(frozen=True)
-class Good:
+class Good(NamedTuple):
     s_min: PairedConfiguration
     trace: tuple[FoldingStep, ...]
 
 
-@dataclass(frozen=True)
-class InitialNotPaired:
+class InitialNotPaired(NamedTuple):
     failure: PairingFailure
 
 
-@dataclass(frozen=True)
-class BadFoldingProduced:
+class BadFoldingProduced(NamedTuple):
     step: FoldingStep
     failure: PairingFailure
 
 
-@dataclass(frozen=True)
-class NotGood:
+class NotGood(NamedTuple):
     reason: Union[InitialNotPaired, BadFoldingProduced]
     trace: tuple[FoldingStep, ...]
 
 
-@dataclass(frozen=True)
-class Redundant:
+class Redundant(NamedTuple):
     reduced: Configuration
     trace: tuple[FoldingStep, ...]
 
 
 Verdict = Union[Good, NotGood, Redundant]
 
-FOLD_CAP = 100  # generous; the discrete termination measure keeps runs tiny
+# A fixed bound on the folds of one run, not the paper's termination
+# measure, and a valid input can need more: a good set moved by a chain of
+# k Nielsen moves takes k + 1 folds, so at k = 100 the run passes the cap
+# and raises RuntimeError (exit 4 from the command line).
+FOLD_CAP = 100
 
 
 def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):

@@ -18,16 +18,15 @@ renders it as Graphviz text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .clusters import PairedConfiguration, canonical_pairs, check_separated
 from .errors import NotPairedError, PairingError, RepeatedPointsError
 from .valfield import FieldContext, format_fraction
 
 
-@dataclass(frozen=True)
-class Disc:
+class Disc(NamedTuple):
     """Closed disc {z : v(z - center) >= radius}, the label of a hull vertex."""
 
     ctx: FieldContext
@@ -41,8 +40,7 @@ class Disc:
         return self.key()
 
 
-@dataclass(frozen=True)
-class SkeletonVertex:
+class SkeletonVertex(NamedTuple):
     id: int
     disc: Disc
     distinguished: bool
@@ -51,8 +49,7 @@ class SkeletonVertex:
     cluster: frozenset[int]  # member positions into the skeleton's values
 
 
-@dataclass(frozen=True)
-class SkeletonTree:
+class SkeletonTree(NamedTuple):
     vertices: tuple[SkeletonVertex, ...]
     edges: tuple[tuple[int, int, Fraction], ...]
 

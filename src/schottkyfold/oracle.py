@@ -35,8 +35,7 @@ verdicts word by word and serve as its reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .clusters import PairedConfiguration
 from .errors import DegeneratePairError
@@ -52,8 +51,7 @@ from .projline import (
 from .valfield import int_valuation
 
 
-@dataclass(frozen=True)
-class GroupWord:
+class GroupWord(NamedTuple):
     """A reduced word: syllables (generator index, exponent in 1..p-1)."""
 
     syllables: tuple[tuple[int, int], ...]
@@ -161,8 +159,7 @@ def word_matrix(pcfg: PairedConfiguration, word: GroupWord) -> Mobius:
     return m
 
 
-@dataclass(frozen=True)
-class AuditResult:
+class AuditResult(NamedTuple):
     witness: Optional[tuple[GroupWord, ElementClass]]
     relations: tuple[GroupWord, ...]
     words_checked: int

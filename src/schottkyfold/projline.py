@@ -16,17 +16,16 @@ Nothing is mutated; operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import DegeneratePairError
 from .valfield import FieldContext, FieldKind
 
 
-@dataclass(frozen=True)
-class PPoint:
+class PPoint(NamedTuple):
     """A point of P^1(K): a canonical field element, or infinity (value None)."""
 
     value: object | None = None
@@ -60,14 +59,12 @@ class MapKind(Enum):
     LOXODROMIC = "loxodromic"
 
 
-@dataclass(frozen=True)
-class ElementClass:
+class ElementClass(NamedTuple):
     kind: MapKind
     translation_length: Fraction = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(NamedTuple):
     """z -> (az + b)/(cz + d) with ad - bc != 0: four elements of
     ``ctx.integers`` (``int``, or lists of p - 1 integer coefficients) in
     the canonical scale of :func:`integer_map`; ``det`` and ``trace`` too.

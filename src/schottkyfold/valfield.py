@@ -59,11 +59,11 @@ with ``dict.setdefault`` and holds values every thread computes alike.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import FieldDivisionError, UnsupportedFieldError
 
@@ -79,8 +79,7 @@ class FieldKind(Enum):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Val:
+class Val(NamedTuple):
     """An exact valuation value: a rational number or +infinity.
 
     The infinite value arises only as the valuation of zero (and, by the

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import json
 import re
+import subprocess
+import sys
 import types
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import schottkyfold as sf
 
@@ -55,3 +61,83 @@ def test_demos_benchmark_and_readme_use_only_public_names():
     # submodules such as ``cli`` are imported as modules, not as API names
     submodules = {n for n in names if importlib.util.find_spec(f"schottkyfold.{n}")}
     assert names - submodules <= set(PUBLIC)
+
+
+# Run in a fresh isolated interpreter: the modules it loads before the
+# import (``site`` and its like) do not count, only those the import adds.
+_IMPORT_GATE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import schottkyfold, schottkyfold.cli
+loaded = set(sys.modules) - before
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = schottkyfold.cli.main(["--help"])
+print(json.dumps([sorted(loaded), code, out.getvalue().startswith("usage: schottkyfold"),
+                  "argparse" in sys.modules]))
+"""
+
+
+def test_import_loads_no_dataclasses_inspect_or_argparse():
+    # the records are NamedTuples and argparse is loaded only to parse a
+    # command line, so importing the package and its CLI pulls in neither
+    # dataclasses (with inspect behind it) nor argparse
+    src = str(Path(sf.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _IMPORT_GATE, src],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, code, usage, argparse_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "schottkyfold.cli" in loaded
+    assert not {"dataclasses", "inspect", "argparse"} & set(loaded)
+    assert (code, usage, argparse_loaded) == (0, True, True)
+
+
+def _assert_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+
+
+def test_records_compare_and_hash_by_value():
+    ctx = sf.field_context(2, 5)
+    one = sf.Val(Fraction(1))
+    cases = [  # (a field, how to build the record, one of its type that differs)
+        ("value", lambda: sf.PPoint(Fraction(7, 5)), sf.INFINITY),
+        ("q", lambda: sf.Val(Fraction(-3, 2)), sf.Val(None)),
+        ("syllables", lambda: sf.GroupWord(((0, 1), (1, 1))), sf.GroupWord(((1, 1), (0, 1)))),
+        ("kind", lambda: sf.ElementClass(sf.MapKind.LOXODROMIC, Fraction(2)),
+         sf.ElementClass(sf.MapKind.LOXODROMIC)),
+        ("points", lambda: sf.configuration(ctx, [Fraction(7, 5), 12, "inf"]),
+         sf.configuration(ctx, [12, Fraction(7, 5), "inf"])),
+        ("lhs", lambda: sf.FoldWitness(3, one, sf.Val(None)), sf.FoldWitness(3, one, one)),
+        ("a", lambda: sf.mobius(ctx, 2, 1, 0, 4), sf.identity(ctx)),
+    ]
+    for field, build, other in cases:
+        x, y = build(), build()
+        assert x is not y and x == y and hash(x) == hash(y), field
+        assert type(other) is type(x) and x != other, field
+        # a NamedTuple: iterable, and equal to the plain tuple of its fields
+        assert isinstance(x, tuple) and x == tuple(y), field
+        _assert_immutable(x, field)
+
+    # the skeleton is a cache: not part of equality, hash or repr
+    cfg = sf.configuration(ctx, [7, 12, 0, 5, 1, "inf"])
+    built = sf.pair_up(cfg)
+    fresh = sf.PairedConfiguration(ctx, built.pairs)
+    assert fresh._skeleton is None and built._skeleton is not None
+    assert fresh == built and hash(fresh) == hash(built) and repr(fresh) == repr(built)
+    fresh.skeleton()
+    assert fresh == built and hash(fresh) == hash(built) and repr(fresh) == repr(built)
+    assert fresh != sf.PairedConfiguration(ctx, built.pairs[::-1])
+    assert not isinstance(built, tuple) and built != (ctx, built.pairs)
+    for field in ("ctx", "pairs", "_skeleton", "_checked"):
+        _assert_immutable(built, field)
+    with pytest.raises(AttributeError):
+        del built.pairs
+
+    # over Q(zeta_3) a map's entries are lists, so it has no hash
+    m = sf.identity(sf.field_context(3, 7))
+    assert m == sf.identity(m.ctx)
+    with pytest.raises(TypeError):
+        hash(m)

@@ -478,13 +478,26 @@ def test_one_minimal_odd_cluster_per_pair_per_pass(monkeypatch, ctx_of, points):
     assert len(calls) <= sum(built)
 
 
+# Two paired configurations made by hand, which no run_algorithm input reaches:
+# pairs in no odd cluster (there is no infinity, so the root is even), and
+# a pair inside an even cluster of negative depth that splits another pair.
+NO_INFINITY_PAIRS = [(0, 5), (1, 6)]
+NEGATIVE_EVEN_PAIRS = [(0, 25), ("1/5", "1/25"), (1, "inf")]
+
+
+def _hand_paired(ctx, pairs):
+    pt = lambda x: sf.INFINITY if x == "inf" else sf.finite(ctx, Fraction(x))
+    return sf.PairedConfiguration(ctx, tuple((pt(a), pt(b)) for a, b in pairs))
+
+
 def _fold_rule_inputs(monkeypatch):
     """Every paired configuration check_separated is handed, with the error
     it raised (None when it passed): at the fold stages of the 7-adic
-    showcase, at every stage of every pinned CLI document, and on
+    showcase, at every stage of every pinned CLI document, on
     ``lowering_sets`` at g up to 12 (random paired sets of the seven test
     fields and their images with denominators), each also paired at random
-    (its pair at infinity last), which is seldom separated."""
+    (its pair at infinity last), which is seldom separated, and on the two
+    configurations made by hand above (5-adic)."""
     seen = []
     original = sf.clusters.check_separated
 
@@ -508,6 +521,11 @@ def _fold_rule_inputs(monkeypatch):
         pairs = list(zip(finite[::2], finite[1::2])) + [(finite[-1], sf.INFINITY)]
         try:
             sf.clusters.check_separated(sf.PairedConfiguration(ctx, tuple(pairs)))
+        except sf.NotSeparatedError:
+            pass
+    for pairs in (NO_INFINITY_PAIRS, NEGATIVE_EVEN_PAIRS):
+        try:
+            sf.clusters.check_separated(_hand_paired(ctx5(), pairs))
         except sf.NotSeparatedError:
             pass
     return seen
@@ -575,6 +593,31 @@ def test_fold_pass_rules_match_their_definitions(monkeypatch):
         "hi beyond pair i",
     }
     assert all(cases.values()), cases
+
+
+def test_target_rule_without_infinity():
+    # with infinity the root cluster is odd, so every finite pair has a
+    # minimal odd cluster; here the four points lie in even clusters only,
+    # so neither pair has one, and no odd cluster holds one point of the
+    # other pair: no target, though both pair_odd are None
+    pcfg = _hand_paired(ctx5(), NO_INFINITY_PAIRS)
+    assert pcfg.skeleton().pair_odd == (None, None)
+    assert d_j_of_i(pcfg, 0, 1) is None and d_j_of_i(pcfg, 1, 0) is None
+
+
+def test_target_rule_skips_an_even_cluster_of_negative_depth():
+    # pair 0 = {0, 25} lies in G = {0, 25, 1} (odd, depth 0), inside
+    # E = G + {1/5} (even, depth -1), inside the root (odd, depth -2);
+    # pair 1 = {1/5, 1/25} has one point in E and one outside it.  The odd
+    # depths of pair 0's chain are 0 and -2, neither in (-2, -1], so there
+    # is no target; E's depth, -1, would give one
+    pcfg = _hand_paired(ctx5(), NEGATIVE_EVEN_PAIRS)
+    sk = pcfg.skeleton()
+    assert sk.pair_odd_depths[0] == (0, -2)
+    row = sk.smat[sk.pair_discs[0][0]]
+    assert sorted(row[y] for y in sk.pair_points[1]) == [-2, -1]
+    assert any(len(c.members) == 4 and c.depth == -1 for c in sk.clusters)
+    assert d_j_of_i(pcfg, 0, 1) is None
 
 
 def test_compute_I_refuses_a_target_that_leaves_pair_i_out():
