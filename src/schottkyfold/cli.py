@@ -5,7 +5,10 @@ A problem document looks like::
     {"p": 2, "ell": 5, "points": ["7", "12", "0", "5", "1", "inf"]}
 
 with points given as exact decimal-integer or "num/den" strings ("inf" for
-the point at infinity).  The report is a stable JSON object whose rational
+the point at infinity) and an optional "options" object: "trace" and
+"normalize_infinity" null, true or false, "dot" null or a string,
+"verify_depth" null or an integer >= 0.  Any other value, or any other key
+there, is invalid input.  The report is a stable JSON object whose rational
 entries are always exact normalised strings, never floats.  Exit codes:
 0 the configuration is good, 1 not good, 2 redundant, 3 invalid input
 (also a command-line usage error, such as a missing ``--input`` or an
@@ -131,6 +134,15 @@ def parse_problem(text: str, verify_depth: Optional[int] = None) -> ProblemSpec:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ParseError("field 'options' must be an object")
+    for key in options:
+        if key not in ("trace", "dot", "verify_depth", "normalize_infinity"):
+            raise ValidationError(
+                f"unknown option {key!r}; the options are "
+                "'trace', 'dot', 'verify_depth', 'normalize_infinity'"
+            )
+    for flag in ("trace", "normalize_infinity"):
+        if not isinstance(options.get(flag), (bool, type(None))):
+            raise ValidationError(f"option {flag!r} must be null, true or false")
     for depth in (options.get("verify_depth"), verify_depth):
         if depth is not None and (
             isinstance(depth, bool) or not isinstance(depth, int) or depth < 0
@@ -146,10 +158,10 @@ def parse_problem(text: str, verify_depth: Optional[int] = None) -> ProblemSpec:
         p=p,
         ell=ell,
         points=points,
-        trace=bool(options.get("trace", False)),
+        trace=bool(options.get("trace")),
         dot=options.get("dot"),
         verify_depth=verify_depth,
-        normalize_infinity=bool(options.get("normalize_infinity", False)),
+        normalize_infinity=bool(options.get("normalize_infinity")),
     )
 
 

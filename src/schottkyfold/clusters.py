@@ -13,8 +13,10 @@ cluster depths, disc radii and distances.  +infinity, found only on the
 matrix diagonal and as a singleton's depth, is ``valfield.INF_STEPS``,
 which compares above every int.  The values are lowered once per build to
 integral numerators over one common denominator, so no entry needs field
-arithmetic.  ``Val`` and ``Fraction`` appear only at the edges: the depths
-``cluster_data`` returns and the margin of ``NotSeparatedError``.  Points
+arithmetic.  ``Val`` and ``Fraction`` appear only at the edges, converted
+from steps and never computed with: the depths ``cluster_data`` returns
+and the margin of ``NotSeparatedError``.  ``configuration`` makes each
+finite point through ``projline.finite``, which refuses floats.  Points
 are named by their input position among the finite points, never hashed
 and never permuted: a repeated value has a repeated numerator, found as a
 zero difference while the tree is built.
@@ -38,7 +40,7 @@ from itertools import count
 from typing import NamedTuple, Optional
 
 from .errors import NotClusteredInPairsError, NotSeparatedError, RepeatedPointsError
-from .projline import INFINITY, PPoint, point_str
+from .projline import INFINITY, PPoint, finite, point_str
 from .valfield import INF_STEPS, FieldContext, Val, int_valuation
 
 
@@ -74,10 +76,8 @@ def configuration(ctx: FieldContext, values) -> Configuration:
             pts.append(INFINITY)
         elif isinstance(v, PPoint):
             pts.append(v)
-        elif isinstance(v, (int, Fraction)):
-            pts.append(PPoint(ctx.from_fraction(v)))
         else:
-            pts.append(PPoint(v))
+            pts.append(finite(ctx, v))
     return Configuration(ctx, tuple(pts))
 
 

@@ -42,9 +42,12 @@ INFINITY = PPoint(None)
 
 
 def finite(ctx: FieldContext, x) -> PPoint:
-    """The finite point with value x (rationals are accepted and converted)."""
+    """The finite point with value x (rationals are accepted and converted):
+    the one place a value becomes a point, so floats are refused here."""
     if isinstance(x, (int, Fraction)):
         return PPoint(ctx.from_fraction(x))
+    if isinstance(x, float):
+        raise TypeError(f"point {x!r} is a float; give an exact int or Fraction")
     return PPoint(x)
 
 

@@ -24,11 +24,11 @@ cyclotomic operations clear denominators once and work on integers, in
 the kernels of the integer ring (below): products are convolutions
 folded modulo x^p - 1 and reduced with x^(p-1) = -(1 + ... + x^(p-2)),
 and quotients multiply by the product of the Galois conjugates over the
-norm, each conjugate and each product taken in that ring.  Valuations
-are ``Val`` objects: exact rationals plus a +infinity sentinel reserved
-for the valuation of zero.  The kernels are reached through one entry
-point, ``integral_valuation``, which takes integer coefficients and
-counts the valuation in steps of the value group.
+norm, each conjugate and each product taken in that ring.  The kernels
+are reached through one entry point, ``integral_valuation``, which takes
+integer coefficients and counts the valuation in steps of the value group.
+A ``Val`` is the public, printed form of a valuation: an exact rational or
++infinity, with equality and hash but no arithmetic and no order.
 
 The entry point from field elements to the integers is ``lower``: it puts
 a list of elements over one common denominator L and returns their
@@ -80,10 +80,13 @@ class FieldKind(Enum):
 
 
 class Val(NamedTuple):
-    """An exact valuation value: a rational number or +infinity.
+    """A valuation as shown at the edges: a rational number or +infinity.
 
     The infinite value arises only as the valuation of zero (and, by the
-    empty-minimum convention, as the depth of a singleton cluster).
+    empty-minimum convention, as the depth of a singleton cluster).  The
+    program compares valuations as counts of steps; a ``Val`` is read
+    through :attr:`fraction` and :attr:`is_infinite` and has no arithmetic
+    or order.
     """
 
     q: Fraction | None = None  # None encodes +infinity
@@ -102,54 +105,14 @@ class Val(NamedTuple):
             raise ValueError("valuation is infinite")
         return self.q
 
-    def __add__(self, other):
-        o = _as_val(other)
-        if self.q is None or o.q is None:
-            return INF
-        return Val(self.q + o.q)
+    # A tuple would add, multiply and order element-wise, and INF against a
+    # finite value would raise.  Valuations are compared by their fraction
+    # or counted in steps of the value group instead, so all nine refuse.
+    def _no_arithmetic(self, other):
+        return NotImplemented
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _as_val(other)
-        if o.q is None:
-            raise ValueError("cannot subtract an infinite valuation")
-        if self.q is None:
-            return INF
-        return Val(self.q - o.q)
-
-    def __mul__(self, k: int):
-        if self.q is None:
-            return INF
-        return Val(self.q * k)
-
-    __rmul__ = __mul__
-
-    # Comparisons read q directly (None is +infinity) and build nothing.
-
-    def __lt__(self, other):
-        a, b = self.q, _operand(other)
-        if a is None:
-            return False
-        return b is None or a < b
-
-    def __le__(self, other):
-        a, b = self.q, _operand(other)
-        if b is None:
-            return True
-        return a is not None and a <= b
-
-    def __gt__(self, other):
-        a, b = self.q, _operand(other)
-        if b is None:
-            return False
-        return a is None or a > b
-
-    def __ge__(self, other):
-        a, b = self.q, _operand(other)
-        if a is None:
-            return True
-        return b is not None and a >= b
+    __add__ = __radd__ = __sub__ = __mul__ = __rmul__ = _no_arithmetic
+    __lt__ = __le__ = __gt__ = __ge__ = _no_arithmetic
 
     def __repr__(self):
         return "Val(inf)" if self.q is None else f"Val({self.q})"
@@ -172,21 +135,6 @@ class _InfSteps:
 
 
 INF_STEPS = _InfSteps()
-
-
-def _as_val(x) -> Val:
-    if isinstance(x, Val):
-        return x
-    return Val(Fraction(x))
-
-
-def _operand(x):
-    """The rational a valuation is compared with; None for +infinity."""
-    if type(x) is Val:
-        return x.q
-    if type(x) is int or type(x) is Fraction:
-        return x
-    return _as_val(x).q
 
 
 def int_valuation(n: int, ell: int) -> int:
@@ -412,7 +360,8 @@ class FieldContext:
 
     Elements are ``Fraction`` (rational flavour) or tuples of ``Fraction``
     of length p - 1 (cyclotomic flavours).  Use :func:`field_context` to
-    construct instances.
+    construct instances.  Contexts compare and hash by (p, ell), from which
+    all else is derived; the split flavour's root powers are a cache.
     """
 
     def __init__(self, p: int, ell: int):
@@ -652,6 +601,14 @@ class FieldContext:
         if self.kind is FieldKind.RATIONAL or self.is_rational(x):
             return format_fraction(self.as_fraction(x))
         return "[" + ",".join(format_fraction(c) for c in x) + "]"
+
+    def __eq__(self, other):
+        if type(other) is not FieldContext:
+            return NotImplemented
+        return self.p == other.p and self.ell == other.ell
+
+    def __hash__(self):
+        return hash((self.p, self.ell))
 
     def __repr__(self):
         return f"FieldContext(p={self.p}, ell={self.ell}, {self.kind.value})"

@@ -10,7 +10,7 @@ from fractions import Fraction
 import schottkyfold as sf
 from schottkyfold.folding import tilde_d_j_of_i
 
-from reference import delta, skeleton_disc, transported_vertex_disc, verify_fold_conjugation
+from reference import above, delta, skeleton_disc, transported_vertex_disc, verify_fold_conjugation
 
 # Showcase configurations used across the suite (5-adic and 7-adic, p = 2).
 SIX_POINT_5ADIC = [7, 12, 0, 5, 1, "inf"]
@@ -250,7 +250,7 @@ def check_fold_step(step):
         if disc.radius <= dt.radius:
             return False
         sep = ctx.valuation(ctx.sub(disc.center, anchor))
-        return sep > sf.Val.of(dt.radius)
+        return above(sep, dt.radius)
 
     distinguished = tree.distinguished()
     before_discs = [v.disc for v in distinguished]

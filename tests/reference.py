@@ -48,6 +48,16 @@ from schottkyfold.projline import (INFINITY, ElementClass, MapKind, Mobius, PPoi
 from schottkyfold.valfield import FieldKind, Val, int_valuation
 
 
+def at_least(v: Val, r) -> bool:
+    """v >= r for a valuation v, which may be infinite, and a rational r."""
+    return v.is_infinite or v.fraction >= r
+
+
+def above(v: Val, r) -> bool:
+    """v > r for a valuation v, which may be infinite, and a rational r."""
+    return v.is_infinite or v.fraction > r
+
+
 def disc(ctx, center, radius) -> Disc:
     if isinstance(center, (int, Fraction)):
         center = ctx.from_fraction(center)
@@ -56,7 +66,7 @@ def disc(ctx, center, radius) -> Disc:
 
 def same(d1: Disc, d2: Disc) -> bool:
     sep = d1.ctx.valuation(d1.ctx.sub(d2.center, d1.center))
-    return d1.radius == d2.radius and sep >= d1.radius
+    return d1.radius == d2.radius and at_least(sep, d1.radius)
 
 
 def join(d1: Disc, d2: Disc) -> Disc:
@@ -111,7 +121,7 @@ def point_to_axis(d: Disc, pair, ctx) -> Fraction:
     entry_radii = []
     for x in fins:
         v = ctx.valuation(ctx.sub(x, d.center))
-        entry_radii.append(d.radius if v >= d.radius else v.fraction)
+        entry_radii.append(d.radius if at_least(v, d.radius) else v.fraction)
     entry = max(entry_radii)
     dist = d.radius - entry
     if len(fins) == 2:
@@ -157,13 +167,14 @@ def fold_exponent(pcfg, i: int, j: int, I):
             sides = [
                 (
                     ctx.valuation(ctx.sub(r_l, ctx.mul(zeta_n, r_i))),
-                    ctx.valuation(r_l) + ctx.rho,
+                    ctx.valuation(r_l).fraction + ctx.rho,
                 )
                 for r_i in reps_i
                 for r_l in reps_l
             ]
-            if sides and all(lhs > rhs for lhs, rhs in sides):
-                return n, FoldWitness(l, *sides[0])
+            if sides and all(above(lhs, rhs) for lhs, rhs in sides):
+                lhs, rhs = sides[0]
+                return n, FoldWitness(l, lhs, Val(rhs))
     return None
 
 
@@ -428,8 +439,9 @@ def classify_by_fractions(ctx, m: Mobius) -> ElementClass:
     if field_mul(ctx, tr, tr) == field_mul(ctx, ctx.from_fraction(4), det):
         return ElementClass(MapKind.PARABOLIC)
     v_tr, v_det = field_valuation(ctx, tr), field_valuation(ctx, det)
-    if 2 * v_tr < v_det:
-        return ElementClass(MapKind.LOXODROMIC, (v_det - 2 * v_tr).fraction)
+    # tr = 0 has v(tr) = +infinity: not loxodromic
+    if not v_tr.is_infinite and 2 * v_tr.fraction < v_det.fraction:
+        return ElementClass(MapKind.LOXODROMIC, v_det.fraction - 2 * v_tr.fraction)
     return ElementClass(MapKind.ELLIPTIC)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import itertools
 import json
 import re
 import subprocess
@@ -102,24 +103,34 @@ def _assert_immutable(record, field):
 def test_records_compare_and_hash_by_value():
     ctx = sf.field_context(2, 5)
     one = sf.Val(Fraction(1))
-    cases = [  # (a field, how to build the record, one of its type that differs)
-        ("value", lambda: sf.PPoint(Fraction(7, 5)), sf.INFINITY),
-        ("q", lambda: sf.Val(Fraction(-3, 2)), sf.Val(None)),
-        ("syllables", lambda: sf.GroupWord(((0, 1), (1, 1))), sf.GroupWord(((1, 1), (0, 1)))),
-        ("kind", lambda: sf.ElementClass(sf.MapKind.LOXODROMIC, Fraction(2)),
+    cases = [  # (a field, how to build the record in a context, one of its type that differs)
+        ("value", lambda c: sf.PPoint(Fraction(7, 5)), sf.INFINITY),
+        ("q", lambda c: sf.Val(Fraction(-3, 2)), sf.Val(None)),
+        ("syllables", lambda c: sf.GroupWord(((0, 1), (1, 1))), sf.GroupWord(((1, 1), (0, 1)))),
+        ("kind", lambda c: sf.ElementClass(sf.MapKind.LOXODROMIC, Fraction(2)),
          sf.ElementClass(sf.MapKind.LOXODROMIC)),
-        ("points", lambda: sf.configuration(ctx, [Fraction(7, 5), 12, "inf"]),
+        ("points", lambda c: sf.configuration(c, [Fraction(7, 5), 12, "inf"]),
          sf.configuration(ctx, [12, Fraction(7, 5), "inf"])),
-        ("lhs", lambda: sf.FoldWitness(3, one, sf.Val(None)), sf.FoldWitness(3, one, one)),
-        ("a", lambda: sf.mobius(ctx, 2, 1, 0, 4), sf.identity(ctx)),
+        ("lhs", lambda c: sf.FoldWitness(3, one, sf.Val(None)), sf.FoldWitness(3, one, one)),
+        ("a", lambda c: sf.mobius(c, 2, 1, 0, 4), sf.identity(ctx)),
+        ("a", lambda c: sf.identity(c), sf.identity(sf.field_context(2, 7))),
     ]
     for field, build, other in cases:
-        x, y = build(), build()
+        # each record built in its own, separately constructed context
+        x, y = build(sf.field_context(2, 5)), build(sf.field_context(2, 5))
         assert x is not y and x == y and hash(x) == hash(y), field
         assert type(other) is type(x) and x != other, field
         # a NamedTuple: iterable, and equal to the plain tuple of its fields
         assert isinstance(x, tuple) and x == tuple(y), field
         _assert_immutable(x, field)
+    # a context compares by (p, ell) alone
+    assert sf.field_context(2, 5) == ctx and hash(sf.field_context(2, 5)) == hash(ctx)
+    contexts = [sf.field_context(2, 5), sf.field_context(2, 7), sf.field_context(3, 7)]
+    for a, b in itertools.combinations(contexts, 2):
+        assert a != b and a != (a.p, a.ell)
+    paired = [sf.pair_up(sf.configuration(sf.field_context(2, 5), [7, 12, 0, 5, 1, "inf"]))
+              for _ in range(2)]
+    assert paired[0] == paired[1] and hash(paired[0]) == hash(paired[1])
 
     # the skeleton is a cache: not part of equality, hash or repr
     cfg = sf.configuration(ctx, [7, 12, 0, 5, 1, "inf"])

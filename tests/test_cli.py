@@ -232,11 +232,33 @@ def test_main_reports_identically_across_runs(tmp_path):
 
 @pytest.mark.parametrize(
     "options",
-    [{"verify_depth": "x"}, {"verify_depth": -2}, {"verify_depth": True}, {"dot": 7}],
+    [{"verify_depth": "x"}, {"verify_depth": -2}, {"verify_depth": True}, {"dot": 7},
+     {"trace": "false"}, {"trace": 1}, {"normalize_infinity": "false"},
+     {"normalize_infinity": 0}, {"normalize_infinity": []}, {"verify-depth": 3},
+     {"traces": True}],
 )
 def test_parse_problem_rejects_bad_options(options):
     with pytest.raises(cli.ValidationError):
         cli.parse_problem(problem_5adic(**options))
+
+
+def test_options_name_their_keys_and_take_null_for_a_flag(tmp_path, capsys):
+    with pytest.raises(cli.ValidationError, match=(
+        "unknown option 'verify-depth'; the options are "
+        "'trace', 'dot', 'verify_depth', 'normalize_infinity'"
+    )):
+        cli.parse_problem(problem_5adic(**{"verify-depth": 3}))
+    spec = cli.parse_problem(problem_5adic(trace=None, normalize_infinity=None))
+    assert spec.trace is False and spec.normalize_infinity is False
+    # the string "false" is not a flag, so nothing moves to infinity: exit 3
+    doc = {"p": 2, "ell": 3, "points": ["0", "9", "1", "10", "2", "11"],
+           "options": {"normalize_infinity": "false"}}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["--input", str(path)]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: option 'normalize_infinity' must be null, true or false\n"
 
 
 def test_main_rejects_bad_verify_depth(tmp_path):

@@ -31,7 +31,7 @@ from helpers import (
     sample_paired,
     values_multiset,
 )
-from reference import even_profile, pair_disc, pairwise_depth, smallest_superset
+from reference import at_least, even_profile, pair_disc, pairwise_depth, smallest_superset
 
 
 def _cluster_value_sets(cfg, clusters):
@@ -81,7 +81,8 @@ def test_clusters_are_laminar_and_depth_monotone():
                         or c2.members <= c1.members
                     )
                     if c1.members < c2.members:
-                        assert c1.depth >= c2.depth
+                        # a singleton's depth is +infinity
+                        assert at_least(c1.depth, c2.depth.fraction)
 
 
 def test_pair_up_examples():
@@ -295,7 +296,7 @@ def test_nesting_depth_is_not_bounded_by_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert len(clusters) == 2 * 150 - 1
-    assert sorted(c.depth for c in clusters if len(c.members) > 1) == [Val.of(k) for k in range(149)]
+    assert sorted(c.depth.fraction for c in clusters if len(c.members) > 1) == list(range(149))
 
 
 def test_skeleton_values_only_the_open_differences(monkeypatch):

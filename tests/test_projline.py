@@ -40,6 +40,23 @@ def test_apply_examples():
     assert sf.apply(m, fin(c7, -355)) == fin(c7, -40)
 
 
+def test_points_refuse_floats():
+    # a point enters through finite alone, and a float is refused there
+    # instead of failing deep inside the field layer
+    ctx = ctx5()
+    for build in (
+        lambda: sf.finite(ctx, 0.5),
+        lambda: sf.configuration(ctx, [0.5, 1, 2, "inf"]),
+        lambda: sf.configuration(ctx, [0, 1, 2.0, 3]),
+        lambda: sf.mobius(ctx, 1, 0.5, 0, 1),
+    ):
+        with pytest.raises(TypeError, match="float"):
+            build()
+    cfg = sf.configuration(ctx, [Fraction(1, 2), 1, fin(ctx, 2), None, "inf"])
+    assert cfg.points == (fin(ctx, Fraction(1, 2)), fin(ctx, 1), fin(ctx, 2),
+                          sf.INFINITY, sf.INFINITY)
+
+
 def test_apply_is_total():
     ctx = ctx5()
     m = sf.mobius(ctx, 1, 0, 1, -3)  # pole at 3

@@ -18,6 +18,7 @@ from schottkyfold.valfield import (INF, _MR_BOUND, Val, _is_prime, decimal_to_in
                                    int_to_decimal)
 from helpers import TEST_FIELDS, module_env
 from reference import (
+    at_least,
     cyclo_inv,
     cyclo_mul,
     cyclo_valuation,
@@ -100,12 +101,13 @@ def test_valuation_is_multiplicative_and_ultrametric(p, ell):
             continue
         checked += 1
         vx, vy = ctx.valuation(x), ctx.valuation(y)
-        assert ctx.valuation(ctx.mul(x, y)) == vx + vy
+        assert ctx.valuation(ctx.mul(x, y)).fraction == vx.fraction + vy.fraction
         s = ctx.add(x, y)
         vs = ctx.valuation(s)
-        assert vs >= min(vx, vy)
+        # x + y = 0 has v = +infinity, above both
+        assert at_least(vs, min(vx.fraction, vy.fraction))
         if vx != vy:
-            assert vs == min(vx, vy)
+            assert vs.fraction == min(vx.fraction, vy.fraction)
 
 
 @pytest.mark.parametrize("p,ell", [(2, 5), (2, 2), (3, 7), (3, 3)])
@@ -169,7 +171,7 @@ def test_cyclotomic_kernels_match_division_over_q(p, ell):
         # zeta - r for the root r lifted to ell^12 has valuation >= 12, past
         # the first precisions ell^4 and ell^8 of the evaluation
         near = ctx.sub(ctx.zeta, ctx.from_fraction(split_root(ctx, 12)))
-        assert ctx.valuation(near) >= 12
+        assert at_least(ctx.valuation(near), 12)
         xs += [near, cyclo_mul(ctx, near, xs[0]), cyclo_mul(ctx, near, near)]
     for x, y in zip(xs, xs[1:] + xs[:1]):
         assert ctx.valuation(x) == cyclo_valuation(ctx, x)
@@ -221,29 +223,28 @@ def test_fused_kernels_match_their_compositions(p, ell):
             assert as_field(mul(a, w)) == cyclo_mul(ctx, as_field(a), as_field(w))
 
 
-def test_val_ordering_and_arithmetic():
-    assert INF > Val.of(10**9)
-    assert Val.of(Fraction(1, 2)) + Fraction(1, 2) == Val.of(1)
-    assert (INF + 3).is_infinite
-    assert 2 * Val.of(Fraction(3, 2)) == Val.of(3)
-    with pytest.raises(ValueError):
-        _ = INF.fraction
-
-
-def test_val_comparisons_order_infinity_last():
-    # every comparison agrees with the order of (is infinite, value) keys,
-    # with Val, int and Fraction operands on either side
-    def key(x):
-        q = x.q if isinstance(x, Val) else Fraction(x)
-        return (1, Fraction(0)) if q is None else (0, q)
-
+def test_val_is_a_record_without_arithmetic_or_order():
+    # Val is the printed form of a valuation: every arithmetic and ordering
+    # operator raises, with Val, int and Fraction operands on either side,
+    # instead of falling through to tuple concatenation or ordering
     values = [INF, Val.of(0), Val.of(Fraction(1, 2)), Val.of(-3)]
-    values += [0, -3, Fraction(1, 2), Fraction(7, 3)]
-    ops = (operator.lt, operator.le, operator.gt, operator.ge)
-    for x, y in itertools.product(values, repeat=2):
+    ops = (operator.add, operator.sub, operator.mul,
+           operator.lt, operator.le, operator.gt, operator.ge)
+    for x, y in itertools.product(values + [2, Fraction(1, 2)], repeat=2):
         if isinstance(x, Val) or isinstance(y, Val):
             for op in ops:
-                assert op(x, y) == op(key(x), key(y)), (x, op.__name__, y)
+                with pytest.raises(TypeError):
+                    op(x, y)
+    for reduce in (sorted, min, max, sum):
+        with pytest.raises(TypeError):
+            reduce(values)
+    assert Val.of(Fraction(3, 2)) == Val(Fraction(3, 2)) and Val.of(2).fraction == 2
+    assert not Val.of(0).is_infinite and INF.is_infinite and INF == Val(None)
+    with pytest.raises(ValueError):
+        _ = INF.fraction
+    assert Val.of(1) != INF and Val.of(1) != Val.of(2)
+    assert len({Val.of(1), Val(Fraction(1)), INF, Val(None)}) == 2
+    assert repr(Val.of(Fraction(-7, 3))) == "Val(-7/3)" and repr(INF) == "Val(inf)"
 
 
 def test_decimal_conversion_past_the_int_string_limit():
