@@ -209,7 +209,14 @@ class Skeleton(NamedTuple):
     there is none), and ``pair_odd_depths[l]`` the depths of all the odd
     clusters containing it, smallest cluster (deepest) first; () for the
     pair at infinity.  The fold pass reads its target rule off these
-    depths and the step matrix (``folding.d_j_of_i``).
+    depths and the step matrix (``folding.d_j_of_i``).  ``pair_gaps``
+    holds the distance in steps between the axes of every two pairs k < l,
+    in the order (0, 1), (0, 2), ..., (1, 2), ...: with u the largest entry
+    between their points and r their disc radii, max(0, r_k - u) +
+    max(0, r_l - u).  The term of the pair at infinity, whose axis runs
+    upward without bound, is 0: its radius is the root's depth.
+    ``check_separated`` reads their least, and the fold loop's termination
+    measure is their sum.
     """
 
     values: tuple
@@ -224,6 +231,7 @@ class Skeleton(NamedTuple):
     pair_discs: tuple[tuple[int, int], ...] = ()
     pair_odd: tuple[Optional[frozenset[int]], ...] = ()
     pair_odd_depths: tuple[tuple[int, ...], ...] = ()
+    pair_gaps: tuple[int, ...] = ()
 
     @staticmethod
     def build(cfg: Configuration, pairing=None) -> "Skeleton":
@@ -237,7 +245,7 @@ class Skeleton(NamedTuple):
            tuples of positions; without it no pair is kept.
         3. Read each pair's minimal disc, and walk each finite pair's
            cluster chain once (:meth:`chain`) for its odd clusters: the
-           smallest one and the depths of all.
+           smallest one and the depths of all.  Then every axis gap.
         """
         values = tuple(pt.value for pt in cfg.points if not pt.is_infinity)
         if len(values) + 1 < cfg.size:
@@ -255,11 +263,18 @@ class Skeleton(NamedTuple):
             [c for c in sk.chain(pts) if len(c.members) % 2] if len(pts) == 2 else []
             for pts in pairs
         ]
+        gaps = []
+        for k, pts in enumerate(pairs):
+            rows = [smat[x] for x in pts]
+            for l in range(k + 1, len(pairs)):
+                u = max([row[y] for row in rows for y in pairs[l]])
+                gaps.append(max(0, discs[k][1] - u) + max(0, discs[l][1] - u))
         return sk._replace(
             pair_points=pairs,
             pair_discs=discs,
             pair_odd=tuple(walk[0].members if walk else None for walk in odd),
             pair_odd_depths=tuple(tuple(c.depth for c in walk) for walk in odd),
+            pair_gaps=tuple(gaps),
         )
 
     def chain(self, members: tuple[int, ...]):
@@ -275,32 +290,6 @@ class Skeleton(NamedTuple):
     def join(self, c1: int, r1: int, c2: int, r2: int) -> int:
         """Radius of the smallest disc containing the discs (c1, r1), (c2, r2)."""
         return min(r1, r2, self.smat[c1][c2])
-
-    def axis_margin(self) -> Optional[int]:
-        """The least tree distance between the axes spanned by two pairs, in
-        steps; None for fewer than two pairs.
-
-        With u the maximal valuation of a cross difference and d_k the depth
-        of pair k, the distance between the axes of pairs i and j is
-        max(0, d_i - u) + max(0, d_j - u); the depth term of a pair
-        containing infinity is dropped (its axis runs upward without
-        bound).  Each pair's rows are read once, against every later pair.
-        """
-        smat, points = self.smat, self.pair_points
-        margin = None
-        for k, pts in enumerate(points):
-            rows = [smat[x] for x in pts]
-            d_i = rows[0][pts[1]] if len(pts) == 2 else None
-            for other in points[k + 1:]:
-                u = max([row[y] for row in rows for y in other])
-                gap = d_i - u if d_i is not None and d_i > u else 0
-                if len(other) == 2:
-                    d_j = smat[other[0]][other[1]]
-                    if d_j > u:
-                        gap += d_j - u
-                if margin is None or gap < margin:
-                    margin = gap
-        return margin
 
 
 class PairedConfiguration:
@@ -426,11 +415,10 @@ def canonical_pairs(
 
 def check_separated(pcfg: PairedConfiguration) -> None:
     """NotSeparatedError unless every two pair axes stay more than 2 rho
-    apart, with the least distance (:meth:`Skeleton.axis_margin`, read off
-    the step-matrix rows of the configuration's skeleton) as its margin."""
-    margin = pcfg.skeleton().axis_margin()
-    if margin is not None and margin <= 2 * pcfg.ctx.rho_steps:
-        raise NotSeparatedError(Fraction(margin, pcfg.ctx.ramification))
+    apart, with the least of the skeleton's ``pair_gaps`` as its margin."""
+    gaps = pcfg.skeleton().pair_gaps
+    if gaps and min(gaps) <= 2 * pcfg.ctx.rho_steps:
+        raise NotSeparatedError(Fraction(min(gaps), pcfg.ctx.ramification))
 
 
 def pair_up(cfg: Configuration) -> PairedConfiguration:

@@ -7,8 +7,9 @@ around pair i by their images under the n-th power of the order-p map
 fixing pair j brings the configuration strictly closer together.  Each
 fold either keeps the configuration properly paired (a *good* fold) or
 breaks the pairing, which certifies that the input was not good.  The
-pairwise distances between distinguished vertices live in a discrete
-value group and strictly decrease at every fold, so the loop terminates.
+termination measure, the axis gaps of every two pairs summed in steps of
+the discrete value group (``Skeleton.pair_gaps``), strictly drops at
+every fold, and the driver checks that it does, so the loop terminates.
 
 Every valuation a pass reads comes from the skeleton's integers, and the
 strong triangle inequality spares most of them: the skeleton values only
@@ -106,12 +107,6 @@ class Redundant(NamedTuple):
 
 
 Verdict = Union[Good, NotGood, Redundant]
-
-# A fixed bound on the folds of one run, not the paper's termination
-# measure, and a valid input can need more: a good set moved by a chain of
-# k Nielsen moves takes k + 1 folds, so at k = 100 the run passes the cap
-# and raises RuntimeError (exit 4 from the command line).
-FOLD_CAP = 100
 
 
 def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
@@ -360,14 +355,15 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
     infinity among them, while it builds its step matrix; only then are
     they counted (an even number of repeated values stops with Redundant,
     an odd number means the pairing is broken).  After a fold the pairs
-    must sit at the positions handed down, compared by position.  Then
-    i = 0..g-1 is scanned for a fold; a performed fold restarts the pass.
-    When no fold exists the configuration is optimal.
+    must sit at the positions handed down, compared by position, and the
+    sum of the ``pair_gaps`` must drop, or RuntimeError.  Then i = 0..g-1
+    is scanned for a fold; a performed fold restarts the pass.  When no
+    fold exists the configuration is optimal.
     """
     validate_input(cfg)
     trace: list[FoldingStep] = []
-    current = cfg
-    for _ in range(FOLD_CAP + 1):
+    current, measure = cfg, None
+    while True:
         failure = None
         try:
             pcfg = pair_up(current)
@@ -393,6 +389,9 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
             if trace:
                 return NotGood(BadFoldingProduced(trace[-1], failure), tuple(trace))
             return NotGood(InitialNotPaired(failure), tuple(trace))
+        previous, measure = measure, sum(pcfg.skeleton().pair_gaps)
+        if previous is not None and measure >= previous:
+            raise RuntimeError(f"termination measure did not drop: {previous} to {measure}")
 
         performed = False
         for i in range(pcfg.g):
@@ -421,4 +420,3 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
             break
         if not performed:
             return Good(pcfg, tuple(trace))
-    raise RuntimeError("fold cap exceeded; termination measure violated")

@@ -42,13 +42,19 @@ INFINITY = PPoint(None)
 
 
 def finite(ctx: FieldContext, x) -> PPoint:
-    """The finite point with value x (rationals are accepted and converted):
-    the one place a value becomes a point, so floats are refused here."""
-    if isinstance(x, (int, Fraction)):
+    """The finite point with value x, an int or Fraction or, over Q(zeta_p),
+    p - 1 of them (a tuple or list, low degree first): the one place a value
+    becomes a point, so anything else is refused here, a float above all."""
+    listed = ctx.kind is not FieldKind.RATIONAL and isinstance(x, (tuple, list))
+    for q in x if listed else (x,):
+        if not isinstance(q, (int, Fraction)):
+            what = "a float" if isinstance(q, float) else f"a {type(q).__name__}"
+            raise TypeError(f"point {x!r} holds {what}; give exact ints or Fractions")
+    if not listed:
         return PPoint(ctx.from_fraction(x))
-    if isinstance(x, float):
-        raise TypeError(f"point {x!r} is a float; give an exact int or Fraction")
-    return PPoint(x)
+    if len(x) != ctx.degree:
+        raise ValueError(f"point {x!r} needs {ctx.degree} coefficients, not {len(x)}")
+    return PPoint(tuple(map(Fraction, x)))
 
 
 def point_str(ctx: FieldContext, pt: PPoint) -> str:

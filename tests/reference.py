@@ -13,9 +13,10 @@ pairs into ``Disc`` values for the comparison.
 ``folding.find_fold_exponent``.  ``target_by_chain``,
 ``pushed_back_by_chain`` and ``select_by_chain`` are the fold pass's
 target rules by walking cluster chains found by membership,
-``branch_by_valuation`` its branch and ``axis_margin_by_valuation`` the
-separation margin by field valuations: the references for the closed
-forms the program reads off step-matrix rows.  ``pairwise_depth``,
+``branch_by_valuation`` its branch and ``axis_gaps_by_valuation`` the
+axis gaps of every two pairs (the separation margin is their least) by
+field valuations: the references for the closed forms the program reads
+off step-matrix rows.  ``pairwise_depth``,
 ``smallest_superset`` and ``even_profile`` are the cluster tree's
 definitions: the least valuation over every two members, the parent as
 the smallest strict superset, and a point's even clusters by membership.
@@ -299,21 +300,21 @@ def branch_by_valuation(pcfg, i: int, target) -> frozenset[int]:
     )
 
 
-def axis_margin_by_valuation(pcfg):
-    """The least distance between two pair axes, in steps, valuing every
-    cross difference of every two pairs in the field: with u the largest
-    cross valuation and d_k the depth of a finite pair k, the axes of pairs
-    i and j lie max(0, d_i - u) + max(0, d_j - u) apart.  None for fewer
-    than two pairs."""
+def axis_gaps_by_valuation(pcfg) -> tuple[int, ...]:
+    """The distance between the axes of every two pairs k < l, in steps and
+    in the order (0, 1), (0, 2), ..., (1, 2), ..., valuing every cross
+    difference of the two pairs in the field: with u the largest cross
+    valuation and d_k the depth of a finite pair k, the axes lie
+    max(0, d_k - u) + max(0, d_l - u) apart.  Their least is the separation
+    margin."""
     sk, ctx = pcfg.skeleton(), pcfg.ctx
     finite = [[sk.values[x] for x in pts] for pts in sk.pair_points]
-    margin = None
+    gaps = []
     for k, fin_i in enumerate(finite):
         for fin_j in finite[k + 1:]:
             u = max(field_steps(ctx, x, y) for x in fin_i for y in fin_j)
-            gap = sum(max(0, field_steps(ctx, *fin) - u) for fin in (fin_i, fin_j) if len(fin) == 2)
-            margin = gap if margin is None else min(margin, gap)
-    return margin
+            gaps.append(sum(max(0, field_steps(ctx, *fin) - u) for fin in (fin_i, fin_j) if len(fin) == 2))
+    return tuple(gaps)
 
 
 def field_mul(ctx, x, y):

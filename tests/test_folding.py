@@ -46,7 +46,7 @@ from helpers import (
 )
 from reference import (
     apply_by_fractions,
-    axis_margin_by_valuation,
+    axis_gaps_by_valuation,
     branch_by_valuation,
     chain_by_membership,
     cross_ratios,
@@ -533,19 +533,22 @@ def _fold_rule_inputs(monkeypatch):
 
 def test_fold_pass_rules_match_their_definitions(monkeypatch):
     # d_j_of_i reads the target off one step-matrix row and the odd depths
-    # of pair i's chain, compute_I the branch off one row, check_separated
-    # the margin off the pairs' rows; each must agree with its definition
-    # by cluster membership and field valuations, on every (i, j), whether
-    # or not the pairs are separated
+    # of pair i's chain, compute_I the branch off one row, the skeleton
+    # every axis gap off the pairs' rows (check_separated reads their
+    # least); each must agree with its definition by cluster membership and
+    # field valuations, on every (i, j), whether or not the pairs are
+    # separated
     cases = Counter()
     for pcfg, error in _fold_rule_inputs(monkeypatch):
         sk, ctx = pcfg.skeleton(), pcfg.ctx
-        margin = axis_margin_by_valuation(pcfg)
-        assert sk.axis_margin() == margin
-        # and the distance of every two axes, as the margin of those two pairs
-        for i, j in itertools.combinations(range(pcfg.g + 1), 2):
+        gaps = axis_gaps_by_valuation(pcfg)
+        assert sk.pair_gaps == gaps
+        margin = min(gaps, default=None)
+        # and the distance of every two axes, as the one gap of those two
+        # pairs, in the order of pair_gaps
+        for (i, j), gap in zip(itertools.combinations(range(pcfg.g + 1), 2), gaps, strict=True):
             two = sf.PairedConfiguration(ctx, (pcfg.pairs[i], pcfg.pairs[j]))
-            assert two.skeleton().axis_margin() == axis_margin_by_valuation(two)
+            assert two.skeleton().pair_gaps == axis_gaps_by_valuation(two) == (gap,)
         if error is None:
             assert margin is None or margin > 2 * ctx.rho_steps
         else:
@@ -654,6 +657,59 @@ def test_a_target_that_leaves_pair_i_out_exits_4(tmp_path, monkeypatch, capsys):
     )
     assert proc.returncode == cli.EXIT_INTERNAL
     assert proc.stderr.startswith("internal error: RuntimeError:")
+
+
+def _nielsen_chain(k):
+    """The good set (0, 81), (1, 82), (2, 83), (5, inf) over p = 2, ell = 3,
+    its third pair moved by t_0, t_1, t_0, ... (k maps in all), t_m the
+    order-2 map fixing pair m: a chain of Nielsen moves, so the set stays
+    good."""
+    ctx = sf.field_context(2, 3)
+    fin = lambda x: sf.finite(ctx, x)
+    t = [sf.order_p_fixing(ctx, fin(a), fin(b), 1) for a, b in ((0, 81), (1, 82))]
+    pair = [fin(2), fin(83)]
+    for s in range(k):
+        pair = [sf.apply(t[s % 2], x) for x in pair]
+    return ctx, sf.configuration(ctx, [0, 81, 1, 82, *pair, 5, "inf"])
+
+
+@pytest.mark.parametrize("k", [100, 150])
+def test_a_long_nielsen_chain_folds_back_to_good(k):
+    # k moves take k + 1 folds, more than a fixed cap of 100 folds would
+    # allow; the loop ends on the termination measure, the sum of the axis
+    # gaps, which drops at every fold
+    ctx, cfg = _nielsen_chain(k)
+    verdict = sf.run_algorithm(ctx, cfg)
+    assert isinstance(verdict, sf.Good)
+    assert len(verdict.trace) == k + 1
+    stages = [step.before for step in verdict.trace] + [verdict.s_min]
+    measures = [sum(pcfg.skeleton().pair_gaps) for pcfg in stages]
+    assert all(a > b >= 0 for a, b in zip(measures, measures[1:]))
+
+
+def test_a_fold_that_leaves_the_measure_level_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # a fold that makes no progress: it hands back the stage's own points,
+    # pair by pair with infinity last, so the next stage pairs up as before
+    calls = []
+
+    def same_points(pcfg, I, m):
+        calls.append(I)
+        return pcfg.configuration()
+
+    monkeypatch.setattr(sf.folding, "apply_folding", same_points)
+    ctx = ctx7()
+    with pytest.raises(RuntimeError, match="termination measure did not drop"):
+        sf.run_algorithm(ctx, sf.configuration(ctx, EIGHT_POINT_7ADIC))
+    assert len(calls) == 1
+    path = tmp_path / "problem.json"
+    path.write_text(
+        json.dumps({"p": 2, "ell": 7, "points": [str(x) for x in EIGHT_POINT_7ADIC]}),
+        encoding="utf-8",
+    )
+    assert cli.main(["--input", str(path)]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("internal error: RuntimeError: termination measure did not drop")
 
 
 def test_hull_builds_no_skeleton_of_its_own(monkeypatch):

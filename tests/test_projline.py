@@ -55,6 +55,25 @@ def test_points_refuse_floats():
     cfg = sf.configuration(ctx, [Fraction(1, 2), 1, fin(ctx, 2), None, "inf"])
     assert cfg.points == (fin(ctx, Fraction(1, 2)), fin(ctx, 1), fin(ctx, 2),
                           sf.INFINITY, sf.INFINITY)
+    # a tuple is no rational value, and a string or None is no coefficient
+    for x in ((Fraction(1),), "1"):
+        with pytest.raises(TypeError):
+            fin(ctx, x)
+    # over Q(zeta_p) a value is exactly p - 1 exact coefficients, each
+    # checked, and a list is stored as the tuple of Fractions it names
+    c3 = sf.field_context(3, 7)
+    with pytest.raises(TypeError, match="float"):
+        sf.configuration(c3, [(0.5, Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(2), Fraction(0)), "inf"])
+    for x in ((1, "0"), [Fraction(1), None], (1, 0.0)):
+        with pytest.raises(TypeError):
+            fin(c3, x)
+    for x in ((Fraction(1),), (Fraction(1), Fraction(0), Fraction(0)), [], [1, 2, 3]):
+        with pytest.raises(ValueError, match="2 coefficients"):
+            fin(c3, x)
+    pt = fin(c3, [1, Fraction(1, 2)])
+    assert pt == fin(c3, (Fraction(1), Fraction(1, 2))) and hash(pt) == hash(fin(c3, (1, Fraction(1, 2))))
+    assert type(pt.value) is tuple and all(type(q) is Fraction for q in pt.value)
+    assert fin(c3, 3) == fin(c3, (3, 0))
 
 
 def test_apply_is_total():
