@@ -4,18 +4,22 @@ A problem document looks like::
 
     {"p": 2, "ell": 5, "points": ["7", "12", "0", "5", "1", "inf"]}
 
-with points given as exact decimal-integer or "num/den" strings ("inf" for
-the point at infinity) and an optional "options" object: "trace" and
+with "p" and "ell" JSON integers (not booleans), points given as exact
+decimal-integer or "num/den" strings in the ASCII digits 0-9 ("inf" for
+the point at infinity), and an optional "options" object: "trace" and
 "normalize_infinity" null, true or false, "dot" null or a string,
 "verify_depth" null or an integer >= 0.  Any other value, or any other key
 there, is invalid input.  The report is a stable JSON object whose rational
-entries are always exact normalised strings, never floats.  Exit codes:
-0 the configuration is good, 1 not good, 2 redundant, 3 invalid input
-(also a command-line usage error, such as a missing ``--input`` or an
-unknown flag, with argparse's usage message on stderr; ``--help`` exits
-0), 4 internal error (an unexpected exception; a one-line message goes to
-stderr), 5 output closed (the reader of the report went away before it was
-written, as in ``| head``; nothing goes to stderr).
+entries are always exact normalised strings, never floats; its text equals
+``json.dumps(report, indent=2)`` but is written by ``render_report``
+itself, because an ``indent`` sends ``json.dumps`` through its pure-Python
+encoder.  Exit codes: 0 the configuration is good, 1 not good, 2
+redundant, 3 invalid input (also a command-line usage error, such as a
+missing ``--input`` or an unknown flag, with argparse's usage message on
+stderr; ``--help`` exits 0), 4 internal error (an unexpected exception; a
+one-line message goes to stderr), 5 output closed (the reader of the
+report went away before it was written, as in ``| head``; nothing goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Optional
 
 from . import folding, oracle
@@ -81,7 +86,8 @@ class ProblemSpec:
         self.normalize_infinity = normalize_infinity
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# ASCII digits only: without re.ASCII, \d matches every Unicode decimal digit
+_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$", re.ASCII)
 
 
 def _parse_rational(text: str, where: str) -> Fraction:
@@ -108,7 +114,7 @@ def parse_problem(text: str, verify_depth: Optional[int] = None) -> ProblemSpec:
         if field not in doc:
             raise ParseError(f"field {field!r} is missing")
     p, ell = doc["p"], doc["ell"]
-    if not isinstance(p, int) or not isinstance(ell, int):
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (p, ell)):
         raise ValidationError("fields 'p' and 'ell' must be integers")
     raw_points = doc["points"]
     if not isinstance(raw_points, list):
@@ -312,7 +318,48 @@ def run(spec: ProblemSpec) -> tuple[dict, int]:
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2)
+    """The report as JSON text, equal to ``json.dumps(report, indent=2)``.
+
+    It is written here rather than by that call because an ``indent``
+    sends ``json.dumps`` through its pure-Python encoder; strings go through
+    the C function that call uses, ``encode_basestring_ascii``.  A report
+    holds dicts with ``str`` keys, lists, ``str``, ``int``, ``bool`` and
+    None; anything else, a float above all, raises ``TypeError``.
+    """
+    return _json_text(report, "\n")
+
+
+def _json_text(value, newline: str) -> str:
+    """``value`` in ``json.dumps``'s indent=2 layout; ``newline`` is a line
+    break and the indent of ``value``'s own line, its items go two spaces
+    deeper.  A ``str`` item is quoted in place, sparing a call."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            text = _quote(item) if type(item) is str else _json_text(item, inner)
+            items.append(_quote(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_quote(x) if type(x) is str else _json_text(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"a report holds no {type(value).__name__}")
 
 
 def write_dot_files(report: dict, prefix: str) -> list[str]:

@@ -54,7 +54,7 @@ def finite(ctx: FieldContext, x) -> PPoint:
         return PPoint(ctx.from_fraction(x))
     if len(x) != ctx.degree:
         raise ValueError(f"point {x!r} needs {ctx.degree} coefficients, not {len(x)}")
-    return PPoint(tuple(map(Fraction, x)))
+    return PPoint(tuple(q if type(q) is Fraction else Fraction(q) for q in x))
 
 
 def point_str(ctx: FieldContext, pt: PPoint) -> str:

@@ -51,7 +51,8 @@ coefficients, folded mod x^p - 1 once, and the top coefficient subtracted
 once, rather than reducing every product and adding afterwards.
 
 Everything here is immutable and every operation is a pure function, so
-contexts and elements can be shared between threads.  The only internal
+contexts and elements can be shared between threads; ``field_context``
+hands every caller the one context of a field.  The only internal
 mutable state, the split flavour's table of the root's powers, is filled
 with ``dict.setdefault`` and holds values every thread computes alike.
 """
@@ -61,7 +62,7 @@ from __future__ import annotations
 import operator
 from enum import Enum
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -354,6 +355,9 @@ class _CyclotomicIntegers:
 # --------------------------------------------------------------------------
 
 
+_ZERO = Fraction(0)
+
+
 class FieldContext:
     """Field K with an ell-adic valuation and a chosen primitive p-th root
     of unity.
@@ -402,6 +406,8 @@ class FieldContext:
         # precision k -> (ell^k, the powers 1, r, ..., r^(p-2) mod ell^k of
         # the split flavour's root r)
         self._root_powers: dict[int, tuple[int, tuple[int, ...]]] = {}
+        # the degree - 1 zero coefficients above a rational element
+        self._zero_tail = (_ZERO,) * (self.degree - 1)
         self.zeta = self.zeta_power(1)
 
     # -- constructors ------------------------------------------------------
@@ -415,10 +421,11 @@ class FieldContext:
         return self.from_fraction(Fraction(1))
 
     def from_fraction(self, q) -> object:
-        q = Fraction(q)
+        if type(q) is not Fraction:  # a Fraction is kept: copying one is slow
+            q = Fraction(q)
         if self.kind is FieldKind.RATIONAL:
             return q
-        return (q,) + (Fraction(0),) * (self.degree - 1)
+        return (q,) + self._zero_tail
 
     def zeta_power(self, n: int):
         """zeta_p^n in canonical form (zeta_2 = -1): the integer ring's
@@ -614,8 +621,17 @@ class FieldContext:
         return f"FieldContext(p={self.p}, ell={self.ell}, {self.kind.value})"
 
 
+@lru_cache(maxsize=64)
 def field_context(p: int, ell: int) -> FieldContext:
-    """The valued field for superelliptic degree p and residue characteristic ell."""
+    """The valued field for superelliptic degree p and residue characteristic ell.
+
+    One context per field is shared by every caller, from a cache of the 64
+    fields used last: building one tests p and ell for primality, computes
+    zeta and, for a split field, starts the table of the root's powers,
+    which the shared context then keeps.  A context is immutable but for
+    that table, which is deterministic and filled with ``dict.setdefault``.
+    A field that is refused raises each time and is not kept.
+    """
     return FieldContext(p, ell)
 
 

@@ -70,6 +70,18 @@ def test_parse_problem_rejects_bad_documents():
         cli.parse_problem(
             json.dumps({"p": 2, "ell": 5, "points": ["0", "5", "1", "0.5"]})
         )
+    # points take the ASCII digits 0-9 only, not other Unicode decimal
+    # digits such as the Arabic-Indic seven
+    for point in ("\u0667", "1/\u0667"):
+        with pytest.raises(cli.ParseError):
+            cli.parse_problem(
+                json.dumps({"p": 2, "ell": 5, "points": [point, "12", "0", "5", "1", "inf"]})
+            )
+    # a JSON boolean is no integer, though Python's bool is an int
+    for field in ("p", "ell"):
+        doc = {"p": 2, "ell": 5, "points": ["7", "12", "0", "5", "1", "inf"], field: True}
+        with pytest.raises(cli.ValidationError, match="must be integers"):
+            cli.parse_problem(json.dumps(doc))
 
 
 def test_run_not_good_exit_code_and_fold():
@@ -146,6 +158,45 @@ def test_report_round_trips_and_is_deterministic():
     text1, text2 = cli.render_report(report1), cli.render_report(report2)
     assert text1 == text2
     assert json.loads(text1) == report1  # lossless JSON round trip
+
+
+def _random_string(rng: random.Random) -> str:
+    alphabet = ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "a", " ",
+                "\u00e9", "\u0667", "\u2028", "\ud800", "\U0001f600"]
+    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+
+
+def _random_json_value(rng: random.Random, depth: int):
+    """A value of the types a report may hold, with the strings and ints
+    that stress an encoder."""
+    kind = rng.randrange(4 if depth else 2)
+    if kind == 0:
+        return _random_string(rng)
+    if kind == 1:
+        return rng.choice([True, False, None, 0, -1, 2**64 + 1, -(2**70), rng.randrange(-999, 999)])
+    size = rng.randrange(4)
+    if kind == 2:
+        return [_random_json_value(rng, depth - 1) for _ in range(size)]
+    return {_random_string(rng): _random_json_value(rng, depth - 1) for _ in range(size)}
+
+
+def test_render_report_equals_json_dumps_with_indent_2():
+    # every pinned report, with dot and verify_depth as the entry point
+    # sets them (run writes no file), then nested values of every allowed type
+    for doc in PINNED:
+        spec = cli.parse_problem(doc.read_text())
+        spec.dot = "tree"
+        report, _ = cli.run(spec)
+        assert cli.render_report(report) == json.dumps(report, indent=2)
+    rng = random.Random(20261019)
+    values = [{}, [], {"a": {}}, [[]], {"a": [{}, []]}]
+    values += [_random_json_value(rng, 4) for _ in range(500)]
+    for value in values:
+        report = {"value": value}
+        assert cli.render_report(report) == json.dumps(report, indent=2)
+    for bad in ({"x": 0.5}, {"x": [1, 2.0]}, {1: "a"}, {"x": {None: "a"}}):
+        with pytest.raises(TypeError):
+            cli.render_report(bad)
 
 
 def test_audit_record_present_when_requested():

@@ -69,6 +69,13 @@ def test_unsupported_field():
         sf.field_context(4, 5)  # p must be prime
 
 
+def test_field_context_is_one_shared_context_per_field():
+    assert sf.field_context(3, 7) is sf.field_context(3, 7)
+    assert isinstance(sf.field_context.cache_info().maxsize, int)
+    contexts = [sf.field_context(p, ell) for p, ell in TEST_FIELDS]
+    assert len(set(contexts)) == len(TEST_FIELDS)
+
+
 def test_division_by_zero_raises():
     ctx = sf.field_context(2, 5)
     with pytest.raises(sf.FieldDivisionError):
