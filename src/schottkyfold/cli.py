@@ -6,20 +6,23 @@ A problem document looks like::
 
 with "p" and "ell" JSON integers (not booleans), points given as exact
 decimal-integer or "num/den" strings in the ASCII digits 0-9 ("inf" for
-the point at infinity), and an optional "options" object: "trace" and
+the point at infinity; written twice, it is a repeated value like any
+other), and an optional "options" object: "trace" and
 "normalize_infinity" null, true or false, "dot" null or a string,
-"verify_depth" null or an integer >= 0.  Any other value, or any other key
-there, is invalid input.  The report is a stable JSON object whose rational
-entries are always exact normalised strings, never floats; its text equals
-``json.dumps(report, indent=2)`` but is written by ``render_report``
-itself, because an ``indent`` sends ``json.dumps`` through its pure-Python
-encoder.  Exit codes: 0 the configuration is good, 1 not good, 2
-redundant, 3 invalid input (also a command-line usage error, such as a
-missing ``--input`` or an unknown flag, with argparse's usage message on
-stderr; ``--help`` exits 0), 4 internal error (an unexpected exception; a
-one-line message goes to stderr), 5 output closed (the reader of the
-report went away before it was written, as in ``| head``; nothing goes to
-stderr).
+"verify_depth" null or an integer >= 0.  Any other value, or any other
+key there, is invalid input.  On the command line, ``--trace`` and
+``--normalize-infinity`` turn their option on, and ``--dot`` and
+``--verify-depth`` replace it.  The report is a stable JSON object whose
+rational entries are always exact normalised strings, never floats; its
+text equals ``json.dumps(report, indent=2)`` but is written by
+``render_report`` itself, because an ``indent`` sends ``json.dumps``
+through its pure-Python encoder.  Exit codes: 0 the configuration is
+good, 1 not good, 2 redundant, 3 invalid input (also a command-line usage
+error, such as a missing ``--input`` or an unknown flag, with argparse's
+usage message on stderr; ``--help`` exits 0), 4 internal error (an
+unexpected exception; a one-line message goes to stderr), 5 output closed
+(the reader of the report went away before it was written, as in
+``| head``; nothing goes to stderr).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import folding, oracle
 from .clusters import Configuration, PairedConfiguration
@@ -62,28 +65,17 @@ class ValidationError(ProblemError):
     pass
 
 
-class ProblemSpec:
-    """A parsed problem; ``main`` merges the command-line flags into it."""
+class ProblemSpec(NamedTuple):
+    """A parsed problem document, a record like every other in the package:
+    ``main`` merges the command-line flags into a copy (``_replace``)."""
 
-    __slots__ = ("p", "ell", "points", "trace", "dot", "verify_depth", "normalize_infinity")
-
-    def __init__(
-        self,
-        p: int,
-        ell: int,
-        points: list,  # Fraction values and the string "inf"
-        trace: bool = False,
-        dot: Optional[str] = None,
-        verify_depth: Optional[int] = None,
-        normalize_infinity: bool = False,
-    ):
-        self.p = p
-        self.ell = ell
-        self.points = points
-        self.trace = trace
-        self.dot = dot
-        self.verify_depth = verify_depth
-        self.normalize_infinity = normalize_infinity
+    p: int
+    ell: int
+    points: tuple  # Fraction values and the string "inf"
+    trace: bool = False
+    dot: Optional[str] = None
+    verify_depth: Optional[int] = None
+    normalize_infinity: bool = False
 
 
 # ASCII digits only: without re.ASCII, \d matches every Unicode decimal digit
@@ -99,9 +91,15 @@ def _parse_rational(text: str, where: str) -> Fraction:
     return Fraction(decimal_to_int(num), decimal_to_int(den or "1"))
 
 
-def parse_problem(text: str, verify_depth: Optional[int] = None) -> ProblemSpec:
-    """Parse and validate a JSON problem document; ``verify_depth``, when
-    given, passes the option's check and then replaces the option."""
+def _check_verify_depth(depth) -> None:
+    """ValidationError unless ``depth``, the option or the flag, is None or an int >= 0."""
+    if depth is not None and (isinstance(depth, bool) or not isinstance(depth, int) or depth < 0):
+        raise ValidationError("option 'verify_depth' must be null or an integer >= 0")
+
+
+def parse_problem(text: str) -> ProblemSpec:
+    """Parse and validate a JSON problem document, and nothing else: the
+    command-line flags are merged by ``main``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -120,17 +118,10 @@ def parse_problem(text: str, verify_depth: Optional[int] = None) -> ProblemSpec:
     if not isinstance(raw_points, list):
         raise ParseError("field 'points' must be a list")
     points: list = []
-    inf_seen = 0
     for k, item in enumerate(raw_points):
         if not isinstance(item, str):
             raise ParseError(f"points[{k}]: expected a string literal")
-        if item == "inf":
-            inf_seen += 1
-            points.append("inf")
-        else:
-            points.append(_parse_rational(item, f"points[{k}]"))
-    if inf_seen > 1:
-        raise ValidationError("the point at infinity may appear only once")
+        points.append(item if item == "inf" else _parse_rational(item, f"points[{k}]"))
     if len(points) < 4 or len(points) % 2 != 0:
         raise ValidationError("the number of points must be even and >= 4")
     try:
@@ -149,24 +140,16 @@ def parse_problem(text: str, verify_depth: Optional[int] = None) -> ProblemSpec:
     for flag in ("trace", "normalize_infinity"):
         if not isinstance(options.get(flag), (bool, type(None))):
             raise ValidationError(f"option {flag!r} must be null, true or false")
-    for depth in (options.get("verify_depth"), verify_depth):
-        if depth is not None and (
-            isinstance(depth, bool) or not isinstance(depth, int) or depth < 0
-        ):
-            raise ValidationError(
-                "option 'verify_depth' must be null or an integer >= 0"
-            )
-    if verify_depth is None:
-        verify_depth = options.get("verify_depth")
+    _check_verify_depth(options.get("verify_depth"))
     if not isinstance(options.get("dot"), (str, type(None))):
         raise ValidationError("option 'dot' must be null or a string")
     return ProblemSpec(
         p=p,
         ell=ell,
-        points=points,
+        points=tuple(points),
         trace=bool(options.get("trace")),
         dot=options.get("dot"),
-        verify_depth=verify_depth,
+        verify_depth=options.get("verify_depth"),
         normalize_infinity=bool(options.get("normalize_infinity")),
     )
 
@@ -241,16 +224,15 @@ def _audit_record(ctx, pcfg: PairedConfiguration, depth: int) -> dict:
 def run(spec: ProblemSpec) -> tuple[dict, int]:
     """Execute a problem and return (report, exit code)."""
     ctx = field_context(spec.p, spec.ell)
-    raw = list(spec.points)
     report: dict = {
         "p": spec.p,
         "ell": spec.ell,
         "points": [
-            x if isinstance(x, str) else format_fraction(x) for x in raw
+            x if isinstance(x, str) else format_fraction(x) for x in spec.points
         ],
         "normalization": None,
     }
-    points = [INFINITY if x == "inf" else finite(ctx, x) for x in raw]
+    points = [INFINITY if x == "inf" else finite(ctx, x) for x in spec.points]
     if not any(pt.is_infinity for pt in points):
         if not spec.normalize_infinity:
             report["error"] = (
@@ -260,9 +242,9 @@ def run(spec: ProblemSpec) -> tuple[dict, int]:
             return report, EXIT_INVALID
         # z -> 1/(z - c) carries the first point c to infinity; the matrix
         # is reported as written, not in the canonical scale
-        normalization = mobius(ctx, 0, 1, 1, -raw[0])
+        normalization = mobius(ctx, 0, 1, 1, -spec.points[0])
         points = [apply(normalization, pt) for pt in points]
-        report["normalization"] = {"matrix": ["0", "1", "1", format_fraction(-raw[0])]}
+        report["normalization"] = {"matrix": ["0", "1", "1", format_fraction(-spec.points[0])]}
     cfg = Configuration(ctx, tuple(points))
 
     try:
@@ -444,14 +426,18 @@ def _main(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        spec = parse_problem(text, args.verify_depth)
+        spec = parse_problem(text)
+        _check_verify_depth(args.verify_depth)
     except ProblemError as exc:
         if not args.quiet:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    spec.trace = spec.trace or args.trace
-    spec.dot = spec.dot if args.dot is None else args.dot
-    spec.normalize_infinity = spec.normalize_infinity or args.normalize_infinity
+    spec = spec._replace(
+        trace=spec.trace or args.trace,
+        dot=spec.dot if args.dot is None else args.dot,
+        verify_depth=spec.verify_depth if args.verify_depth is None else args.verify_depth,
+        normalize_infinity=spec.normalize_infinity or args.normalize_infinity,
+    )
 
     report, code = run(spec)
     # flushed here, so a closed stdout raises in main and not at exit

@@ -35,7 +35,6 @@ paired configuration holds.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import count
 from typing import NamedTuple, Optional
 
@@ -216,7 +215,8 @@ class Skeleton(NamedTuple):
     max(0, r_l - u).  The term of the pair at infinity, whose axis runs
     upward without bound, is 0: its radius is the root's depth.
     ``check_separated`` reads their least, and the fold loop's termination
-    measure is their sum.
+    measure is their sum.  The pair fields are empty until :meth:`paired`
+    adds them for the pairs its caller names.
     """
 
     values: tuple
@@ -234,42 +234,38 @@ class Skeleton(NamedTuple):
     pair_gaps: tuple[int, ...] = ()
 
     @staticmethod
-    def build(cfg: Configuration, pairing=None) -> "Skeleton":
-        """The skeleton of the configuration's finite points, in three steps.
-
-        1. Lower the points once in input order, and build the cluster
-           tree and the step matrix together (:func:`cluster_data`); a
-           second infinity or two equal values is a repeated point
-           (RepeatedPointsError).
-        2. ``pairing(smat, clusters, parent, leaf)`` names the pairs as
-           tuples of positions; without it no pair is kept.
-        3. Read each pair's minimal disc, and walk each finite pair's
-           cluster chain once (:meth:`chain`) for its odd clusters: the
-           smallest one and the depths of all.  Then every axis gap.
-        """
+    def build(cfg: Configuration) -> "Skeleton":
+        """The skeleton of the configuration's finite points, with no pairs:
+        the points are lowered once in input order, and :func:`cluster_data`
+        builds the cluster tree and the step matrix together.  A second
+        infinity or two equal values is a repeated point (RepeatedPointsError)."""
         values = tuple(pt.value for pt in cfg.points if not pt.is_infinity)
         if len(values) + 1 < cfg.size:
             raise RepeatedPointsError("the points are not distinct")
-        sk = cluster_data(cfg, values)
-        smat, clusters = sk.smat, sk.clusters
-        pairs = () if pairing is None else pairing(smat, clusters, sk.parent, sk.leaf)
+        return cluster_data(cfg, values)
+
+    def paired(self, pairs: tuple[tuple[int, ...], ...]) -> "Skeleton":
+        """The skeleton with the pairs ``pairs`` (tuples of positions) and what
+        is read off them: each pair's minimal disc, each finite pair's odd
+        clusters from one walk of its chain (:meth:`chain`), the smallest one
+        and the depths of all, and then every axis gap."""
         # the disc of the pair at infinity is that of all finite values
-        top = clusters[0].depth if len(values) > 1 else 0
+        top = self.clusters[0].depth if len(self.values) > 1 else 0
         discs = tuple(
-            (pr[0], smat[pr[0]][pr[1]]) if len(pr) == 2 else (pairs[0][0], top)
+            (pr[0], self.smat[pr[0]][pr[1]]) if len(pr) == 2 else (pairs[0][0], top)
             for pr in pairs
         )
         odd = [
-            [c for c in sk.chain(pts) if len(c.members) % 2] if len(pts) == 2 else []
+            [c for c in self.chain(pts) if len(c.members) % 2] if len(pts) == 2 else []
             for pts in pairs
         ]
         gaps = []
         for k, pts in enumerate(pairs):
-            rows = [smat[x] for x in pts]
+            rows = [self.smat[x] for x in pts]
             for l in range(k + 1, len(pairs)):
                 u = max([row[y] for row in rows for y in pairs[l]])
                 gaps.append(max(0, discs[k][1] - u) + max(0, discs[l][1] - u))
-        return sk._replace(
+        return self._replace(
             pair_points=pairs,
             pair_discs=discs,
             pair_odd=tuple(walk[0].members if walk else None for walk in odd),
@@ -286,10 +282,6 @@ class Skeleton(NamedTuple):
             if last in c.members:
                 yield c
             k = self.parent[k]
-
-    def join(self, c1: int, r1: int, c2: int, r2: int) -> int:
-        """Radius of the smallest disc containing the discs (c1, r1), (c2, r2)."""
-        return min(r1, r2, self.smat[c1][c2])
 
 
 class PairedConfiguration:
@@ -346,16 +338,17 @@ class PairedConfiguration:
 
     def skeleton(self) -> Skeleton:
         """The skeleton, whose positions name the finite points of the
-        configuration it was built on: ``pair_up``'s input, or else
-        ``configuration()``.  RepeatedPointsError if the points are not
-        distinct.
+        configuration it was built on: ``pair_up``'s input, paired by
+        ``canonical_pairs``, or else ``configuration()``, paired
+        (:meth:`Skeleton.paired`) with the pairs held here.
+        RepeatedPointsError if the points are not distinct.
 
         Deterministic, so two threads building it at once store equal views.
         """
         if self._skeleton is None:
             k = count()
             pairs = tuple(tuple(next(k) for pt in p if not pt.is_infinity) for p in self.pairs)
-            sk = Skeleton.build(self.configuration(), lambda *_: pairs)
+            sk = Skeleton.build(self.configuration()).paired(pairs)
             object.__setattr__(self, "_skeleton", sk)
         return self._skeleton
 
@@ -383,11 +376,9 @@ def even_profiles(clusters, parent, leaf) -> list[tuple[int, ...]]:
     return [profile[k] for k in leaf]
 
 
-def canonical_pairs(
-    smat, clusters, parent, leaf, has_infinity: bool
-) -> tuple[tuple[int, ...], ...]:
-    """The canonical pairing of the positions of a step matrix and its
-    cluster tree (and infinity, when present), or NotClusteredInPairsError.
+def canonical_pairs(sk: Skeleton, has_infinity: bool) -> tuple[tuple[int, ...], ...]:
+    """The canonical pairing of the positions of a skeleton (and infinity,
+    when present), or NotClusteredInPairsError.
 
     Points are equivalent when they lie in exactly the same even-cardinality
     clusters (infinity lies in none), read by :func:`even_profiles`; every
@@ -398,7 +389,7 @@ def canonical_pairs(
     and lists its finite point only.
     """
     classes: dict[tuple[int, ...], list] = {}
-    for x, profile in enumerate(even_profiles(clusters, parent, leaf)):
+    for x, profile in enumerate(even_profiles(sk.clusters, sk.parent, sk.leaf)):
         classes.setdefault(profile, []).append(x)
     if has_infinity:
         classes.setdefault((), []).append(None)
@@ -408,7 +399,7 @@ def canonical_pairs(
         )
     finite = sorted(
         (tuple(ab) for ab in classes.values() if None not in ab),
-        key=lambda ab: (-smat[ab[0]][ab[1]], ab[0]),
+        key=lambda ab: (-sk.smat[ab[0]][ab[1]], ab[0]),
     )
     return tuple(finite) + tuple((ab[0],) for ab in classes.values() if None in ab)
 
@@ -431,7 +422,8 @@ def pair_up(cfg: Configuration) -> PairedConfiguration:
     """
     finite = [pt for pt in cfg.points if not pt.is_infinity]
     has_inf = len(finite) < cfg.size
-    sk = Skeleton.build(cfg, partial(canonical_pairs, has_infinity=has_inf))
+    sk = Skeleton.build(cfg)
+    sk = sk.paired(canonical_pairs(sk, has_inf))
     points = [finite[x] for pts in sk.pair_points for x in pts]
     points += [INFINITY] if has_inf else []
     pcfg = PairedConfiguration(cfg.ctx, tuple(zip(points[::2], points[1::2])))

@@ -57,12 +57,6 @@ class PairingFailure(Enum):
     NOT_SEPARATED = "not_separated"
 
 
-def _failure_of(exc: PairingError) -> PairingFailure:
-    if isinstance(exc, NotSeparatedError):
-        return PairingFailure.NOT_SEPARATED
-    return PairingFailure.NOT_CLUSTERED_IN_PAIRS
-
-
 class FoldWitness(NamedTuple):
     """The scan hit certifying a fold: index l and both sides of the test."""
 
@@ -169,7 +163,7 @@ def tilde_d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
     sk = pcfg.skeleton()
     rho = pcfg.ctx.rho_steps
     (center, radius), (c_i, r_i) = base, sk.pair_discs[i]
-    jn = sk.join(c_i, r_i, center, radius)
+    jn = min(r_i, radius, sk.smat[c_i][center])  # the join: the least disc holding both
     if radius - jn > rho:
         return center, radius - rho
     return c_i, 2 * jn - radius + rho
@@ -372,8 +366,10 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
             if repeated % 2 == 0:
                 return Redundant(underlying, tuple(trace))
             failure = PairingFailure.NOT_CLUSTERED_IN_PAIRS
-        except PairingError as exc:
-            failure = _failure_of(exc)
+        except NotSeparatedError:
+            failure = PairingFailure.NOT_SEPARATED
+        except PairingError:
+            failure = PairingFailure.NOT_CLUSTERED_IN_PAIRS
         else:
             # A fold is only good if the set stays clustered in the inherited
             # pairs.  Clusterings are unique, so a different canonical pairing
@@ -393,7 +389,6 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
         if previous is not None and measure >= previous:
             raise RuntimeError(f"termination measure did not drop: {previous} to {measure}")
 
-        performed = False
         for i in range(pcfg.g):
             j, target = select_target(pcfg, i)
             indices = compute_I(pcfg, i, target)
@@ -416,7 +411,6 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
                 )
             )
             current = after
-            performed = True
             break
-        if not performed:
+        else:
             return Good(pcfg, tuple(trace))

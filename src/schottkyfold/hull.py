@@ -74,7 +74,8 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     The pairs must be the canonical pairing of distinct points, and
     separated: the rules of ``clusters.canonical_pairs`` and
     ``clusters.check_separated``, applied to the skeleton the configuration
-    already holds.  A ``pair_up`` result has passed both on that skeleton
+    already holds, paired with its own pairs (``canonical_pairs`` reads only
+    the tree).  A ``pair_up`` result has passed both on that skeleton
     and is not checked again; otherwise NotPairedError is raised.
     """
     ctx = pcfg.ctx
@@ -86,7 +87,7 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     if not pcfg._checked:
         try:
             # both list each pair's positions in ascending order
-            canonical = canonical_pairs(sk.smat, sk.clusters, sk.parent, sk.leaf, has_inf)
+            canonical = canonical_pairs(sk, has_inf)
             if sorted(canonical) != sorted(sk.pair_points):
                 raise NotPairedError(
                     "pairs are not the canonical pairing of the points"

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import schottkyfold as sf
+from schottkyfold import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,6 +104,8 @@ def _assert_immutable(record, field):
 def test_records_compare_and_hash_by_value():
     ctx = sf.field_context(2, 5)
     one = sf.Val(Fraction(1))
+    document = json.dumps({"p": 2, "ell": 5, "points": ["7", "12", "0", "5", "1", "inf"]})
+    traced = json.dumps({**json.loads(document), "options": {"trace": True}})
     cases = [  # (a field, how to build the record in a context, one of its type that differs)
         ("value", lambda c: sf.PPoint(Fraction(7, 5)), sf.INFINITY),
         ("q", lambda c: sf.Val(Fraction(-3, 2)), sf.Val(None)),
@@ -114,6 +117,7 @@ def test_records_compare_and_hash_by_value():
         ("lhs", lambda c: sf.FoldWitness(3, one, sf.Val(None)), sf.FoldWitness(3, one, one)),
         ("a", lambda c: sf.mobius(c, 2, 1, 0, 4), sf.identity(ctx)),
         ("a", lambda c: sf.identity(c), sf.identity(sf.field_context(2, 7))),
+        ("points", lambda c: cli.parse_problem(document), cli.parse_problem(traced)),
     ]
     for field, build, other in cases:
         # each record built in its own, separately constructed context
@@ -123,6 +127,12 @@ def test_records_compare_and_hash_by_value():
         # a NamedTuple: iterable, and equal to the plain tuple of its fields
         assert isinstance(x, tuple) and x == tuple(y), field
         _assert_immutable(x, field)
+    # the command line merges its flags into a copy of a parsed problem
+    spec = cli.parse_problem(document)
+    merged = spec._replace(trace=True, dot="tree")
+    assert merged == spec._replace(trace=True)._replace(dot="tree") != spec
+    assert (merged.trace, merged.dot, spec.trace, spec.dot) == (True, "tree", False, None)
+    assert merged[:3] == spec[:3] and merged.verify_depth is spec.verify_depth is None
     # a context compares by (p, ell) alone
     assert sf.field_context(2, 5) == ctx and hash(sf.field_context(2, 5)) == hash(ctx)
     contexts = [sf.field_context(2, 5), sf.field_context(2, 7), sf.field_context(3, 7)]

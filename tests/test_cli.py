@@ -52,10 +52,6 @@ def test_parse_problem_rejects_bad_documents():
         cli.parse_problem(json.dumps({"p": 2, "ell": 5, "points": ["0", "5", "1"]}))
     with pytest.raises(cli.ValidationError):
         cli.parse_problem(
-            json.dumps({"p": 2, "ell": 5, "points": ["0", "5", "inf", "inf"]})
-        )
-    with pytest.raises(cli.ValidationError):
-        cli.parse_problem(
             json.dumps({"p": 3, "ell": 5, "points": ["0", "5", "1", "inf"]})
         )
     with pytest.raises(cli.ParseError):
@@ -132,23 +128,32 @@ def test_run_requires_infinity_unless_normalized():
     assert report["normalization"] is not None
 
 
-def test_normalize_infinity_counts_a_doubled_first_point_as_a_repeat():
+def test_normalize_infinity_counts_a_doubled_first_point_as_a_repeat(tmp_path, capsys):
     # z -> 1/(z - c) sends both copies of the first point c to infinity;
     # the doubled infinity is a repeated value like any other, not an
-    # invalid input, whichever copy comes first
-    def run(points):
-        doc = {"p": 2, "ell": 3, "points": points, "options": {"normalize_infinity": True}}
+    # invalid input, whichever copy comes first.  So is "inf" written twice
+    def run(points, ell=3):
+        doc = {"p": 2, "ell": ell, "points": points, "options": {"normalize_infinity": True}}
         return cli.run(cli.parse_problem(json.dumps(doc)))
 
-    for points in (["0", "0", "1", "10", "2", "11"], ["1", "10", "0", "0", "2", "11"]):
+    not_paired = {"kind": "not_good", "stage": "initial", "failure": "not_clustered_in_pairs"}
+    for points in (["0", "0", "1", "10", "2", "11"], ["1", "10", "0", "0", "2", "11"],
+                   ["inf", "inf", "1", "10", "2", "11"], ["1", "10", "inf", "inf", "2", "11"]):
         report, code = run(points)
         assert code == cli.EXIT_NOT_GOOD
-        assert report["verdict"] == {
-            "kind": "not_good", "stage": "initial", "failure": "not_clustered_in_pairs",
-        }
+        assert report["verdict"] == not_paired
     report, code = run(["0", "0", "1", "1", "2", "11"])
     assert code == cli.EXIT_REDUNDANT
     assert report["verdict"]["reduced"] == ["inf", "1", "1/2", "1/11"]
+    report, code = run(["0", "0", "inf", "inf"], ell=5)
+    assert code == cli.EXIT_REDUNDANT
+    assert report["verdict"]["reduced"] == ["0", "inf"]
+    # through the command line too: exit 1, as run_algorithm counts it
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"p": 2, "ell": 5, "points": ["0", "1", "inf", "inf"]}))
+    assert cli.main(["--input", str(path)]) == cli.EXIT_NOT_GOOD
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == not_paired and captured.err == ""
 
 
 def test_report_round_trips_and_is_deterministic():
@@ -184,8 +189,7 @@ def test_render_report_equals_json_dumps_with_indent_2():
     # every pinned report, with dot and verify_depth as the entry point
     # sets them (run writes no file), then nested values of every allowed type
     for doc in PINNED:
-        spec = cli.parse_problem(doc.read_text())
-        spec.dot = "tree"
+        spec = cli.parse_problem(doc.read_text())._replace(dot="tree")
         report, _ = cli.run(spec)
         assert cli.render_report(report) == json.dumps(report, indent=2)
     rng = random.Random(20261019)
@@ -232,8 +236,7 @@ def test_witness_valuations_read_the_ring_entries_like_the_field_route():
 
 def test_dot_trees_embedded_and_written(tmp_path):
     prefix = str(tmp_path / "run")
-    spec = cli.parse_problem(problem_7adic())
-    spec.dot = prefix
+    spec = cli.parse_problem(problem_7adic())._replace(dot=prefix)
     report, _ = cli.run(spec)
     assert len(report["trees"]) == 3  # two fold stages plus the optimum
     written = cli.write_dot_files(report, prefix)
@@ -337,6 +340,50 @@ def test_main_checks_the_verify_depth_flag_like_the_option(tmp_path, capsys):
     path.write_text(problem_5adic(verify_depth=3), encoding="utf-8")
     assert cli.main(["--input", str(path), "--verify-depth", "0"]) == cli.EXIT_NOT_GOOD
     assert json.loads(capsys.readouterr().out)["audit"]["depth"] == 0
+
+
+@pytest.mark.parametrize("flag", ["trace", "normalize_infinity", "dot", "verify_depth"])
+def test_main_merges_each_flag_with_the_document_option(flag, tmp_path, capsys):
+    # --trace and --normalize-infinity turn their option on whatever the
+    # document says; --dot and --verify-depth replace the document's value.
+    # Each flag runs off and on, with the option absent and then present
+    doc = json.loads(problem_5adic())
+    if flag == "normalize_infinity":
+        doc["points"] = ["2", "27", "3", "4"]  # no infinity: exit 3 unless normalized
+    present = {"trace": (False, True), "normalize_infinity": (False, True),
+               "dot": ("doc",), "verify_depth": (3,)}[flag]
+    on = {"trace": True, "normalize_infinity": True, "dot": "flag", "verify_depth": 0}[flag]
+    name = "--" + flag.replace("_", "-")
+    for k, (option, by_flag) in enumerate(itertools.product((None,) + present, (None, on))):
+        case = tmp_path / str(k)
+        case.mkdir()
+        doc.pop("options", None)
+        if option is not None:
+            doc["options"] = {flag: str(case / option) if flag == "dot" else option}
+        argv = []
+        if by_flag is True:
+            argv = [name]
+        elif by_flag is not None:
+            argv = [name, str(case / by_flag) if flag == "dot" else str(by_flag)]
+        path = case / "problem.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = cli.main(["--input", str(path), "--quiet", *argv])
+        report = json.loads(capsys.readouterr().out)
+        if flag in ("trace", "normalize_infinity"):
+            expected = bool(option) or bool(by_flag)
+        else:
+            expected = option if by_flag is None else by_flag
+        if flag == "trace":
+            assert ("folds" in report) is expected, (option, by_flag)
+        elif flag == "normalize_infinity":
+            moved = report["normalization"] == {"matrix": ["0", "1", "1", "-2"]}
+            assert moved is expected and (code == cli.EXIT_INVALID) is not expected, (option, by_flag)
+        elif flag == "dot":
+            written = {p.name.split(".")[0] for p in case.glob("*.dot")}
+            assert written == ({expected} if expected else set()), (option, by_flag)
+            assert ("trees" in report) is bool(expected)
+        else:
+            assert report.get("audit", {}).get("depth") == expected, (option, by_flag)
 
 
 def test_main_unwritable_dot_prefix_exits_invalid(tmp_path, capsys):

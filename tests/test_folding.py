@@ -432,16 +432,15 @@ def _count_chain_walks(monkeypatch):
 
 
 def _count_finite_pairs_built(monkeypatch):
-    # the finite pairs of every skeleton built, one entry per build
+    # the finite pairs of every skeleton paired, one entry per Skeleton.paired call
     built = []
-    original = sf.clusters.Skeleton.build
+    original = sf.clusters.Skeleton.paired
 
-    def counted(cfg, pairing=None):
-        sk = original(cfg, pairing)
-        built.append(sum(len(pts) == 2 for pts in sk.pair_points))
-        return sk
+    def counted(sk, pairs):
+        built.append(sum(len(pts) == 2 for pts in pairs))
+        return original(sk, pairs)
 
-    monkeypatch.setattr(sf.clusters.Skeleton, "build", staticmethod(counted))
+    monkeypatch.setattr(sf.clusters.Skeleton, "paired", counted)
     return built
 
 
