@@ -10,8 +10,8 @@ group-word audit.
 
 ``__all__`` is the public API.  The driver's internal steps
 (``select_target``, ``compute_I``, ``find_fold_exponent``,
-``apply_folding``, the target discs ``d_j_of_i`` and ``tilde_d_j_of_i``,
-and the ``Skeleton`` they read) are imported from their modules.
+``apply_folding``, the target loop ``targets`` and its views ``d_j_of_i``
+and ``tilde_d_j_of_i``, the ``Skeleton``) come from their modules.
 """
 
 from .clusters import (Cluster, Configuration, PairedConfiguration, cluster_data,

@@ -23,13 +23,13 @@ zero difference while the tree is built.
 
 A configuration is *clustered in rho-separated pairs* when two rules hold.
 ``canonical_pairs``: two points are equivalent when they lie in exactly the
-same even-cardinality clusters (the point at infinity lies in none), and
-every class has size two.  ``check_separated``: the axes spanned by the
-pairs stay more than 2 rho apart, where rho = v(p)/(p-1) is the separation
-radius of the field.  Both read positions in a ``Skeleton``: ``pair_up``
-decides the pairs on the tree it builds in input order and keeps them as
-pairs of input positions, and the hull compares them with the pairs a
-paired configuration holds.
+same even-cardinality clusters (the point at infinity lies in none), that
+is, when the smallest of them is the same, and every class has size two.
+``check_separated``: the axes spanned by the pairs stay more than 2 rho
+apart, where rho = v(p)/(p-1) is the separation radius of the field.  Both
+read positions in a ``Skeleton``: ``pair_up`` decides the pairs on the tree
+it builds in input order and keeps them as pairs of input positions, and
+the hull compares them with the pairs a paired configuration holds.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ class Skeleton(NamedTuple):
     there is none), and ``pair_odd_depths[l]`` the depths of all the odd
     clusters containing it, smallest cluster (deepest) first; () for the
     pair at infinity.  The fold pass reads its target rule off these
-    depths and the step matrix (``folding.d_j_of_i``).  ``pair_gaps``
+    depths and the step matrix (``folding.targets``).  ``pair_gaps``
     holds the distance in steps between the axes of every two pairs k < l,
     in the order (0, 1), (0, 2), ..., (1, 2), ...: with u the largest entry
     between their points and r their disc radii, max(0, r_k - u) +
@@ -251,20 +251,23 @@ class Skeleton(NamedTuple):
         and the depths of all, and then every axis gap."""
         # the disc of the pair at infinity is that of all finite values
         top = self.clusters[0].depth if len(self.values) > 1 else 0
+        smat = self.smat
         discs = tuple(
-            (pr[0], self.smat[pr[0]][pr[1]]) if len(pr) == 2 else (pairs[0][0], top)
+            (pr[0], smat[pr[0]][pr[1]]) if len(pr) == 2 else (pairs[0][0], top)
             for pr in pairs
         )
         odd = [
             [c for c in self.chain(pts) if len(c.members) % 2] if len(pts) == 2 else []
             for pts in pairs
         ]
+        # each pair's ends (its one point twice at infinity) and radius
+        ends = [(pts[0], pts[-1], r) for pts, (_, r) in zip(pairs, discs)]
         gaps = []
-        for k, pts in enumerate(pairs):
-            rows = [self.smat[x] for x in pts]
-            for l in range(k + 1, len(pairs)):
-                u = max([row[y] for row in rows for y in pairs[l]])
-                gaps.append(max(0, discs[k][1] - u) + max(0, discs[l][1] - u))
+        for k, (a, b, r_k) in enumerate(ends):
+            row_a, row_b = smat[a], smat[b]
+            for y, z, r_l in ends[k + 1:]:
+                u = max(row_a[y], row_a[z], row_b[y], row_b[z])
+                gaps.append((r_k - u if r_k > u else 0) + (r_l - u if r_l > u else 0))
         return self._replace(
             pair_points=pairs,
             pair_discs=discs,
@@ -364,16 +367,15 @@ class PairedConfiguration:
         return f"PairedConfiguration({inner})"
 
 
-def even_profiles(clusters, parent, leaf) -> list[tuple[int, ...]]:
-    """Each point's even-cardinality clusters, as ascending positions in the
-    pre-order tree (clusters, parent, leaf): one pass down the tree, each
-    cluster extending its parent's profile, then each point reads its
-    leaf's."""
-    profile: list[tuple[int, ...]] = []
-    for k, c in enumerate(clusters):
-        up = () if parent[k] is None else profile[parent[k]]
-        profile.append(up + (k,) if len(c.members) % 2 == 0 else up)
-    return [profile[k] for k in leaf]
+def even_keys(sk: Skeleton) -> list[Optional[int]]:
+    """Each position's key for :func:`canonical_pairs`: the smallest even
+    cluster on its leaf's chain, walking up from the leaf, or None."""
+    keys = []
+    for k in sk.leaf:
+        while k is not None and len(sk.clusters[k].members) % 2:
+            k = sk.parent[k]
+        keys.append(k)
+    return keys
 
 
 def canonical_pairs(sk: Skeleton, has_infinity: bool) -> tuple[tuple[int, ...], ...]:
@@ -381,18 +383,20 @@ def canonical_pairs(sk: Skeleton, has_infinity: bool) -> tuple[tuple[int, ...], 
     when present), or NotClusteredInPairsError.
 
     Points are equivalent when they lie in exactly the same even-cardinality
-    clusters (infinity lies in none), read by :func:`even_profiles`; every
-    class must have size two.  Each pair lists its positions in ascending
-    order.  Finite pairs come first, by depth of the minimal pair disc
-    descending, ties broken by position (first occurrence in the input, for
-    a tree built in input order); the pair containing infinity comes last
-    and lists its finite point only.
+    clusters (infinity lies in none); every class must have size two.  The
+    even clusters through a point form a chain, so two points share all of
+    them exactly when they share the smallest: :func:`even_keys`, with
+    infinity under None.  Each pair lists its positions in ascending order.
+    Finite pairs come first, by depth of the minimal pair disc descending,
+    ties broken by position (first occurrence in the input, for a tree
+    built in input order); the pair containing infinity comes last and
+    lists its finite point only.
     """
-    classes: dict[tuple[int, ...], list] = {}
-    for x, profile in enumerate(even_profiles(sk.clusters, sk.parent, sk.leaf)):
-        classes.setdefault(profile, []).append(x)
+    classes: dict[Optional[int], list] = {}
+    for x, key in enumerate(even_keys(sk)):
+        classes.setdefault(key, []).append(x)
     if has_infinity:
-        classes.setdefault((), []).append(None)
+        classes.setdefault(None, []).append(None)
     if any(len(members) != 2 for members in classes.values()):
         raise NotClusteredInPairsError(
             "even-cluster equivalence classes do not all have size 2"

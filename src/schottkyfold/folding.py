@@ -18,11 +18,11 @@ the differences it leaves open, and the fold test
 ratios' valuations already decide that the test fails.
 
 The pass's other rules are closed forms on rows of the skeleton's step
-matrix, with no walk through the cluster tree: the target
-(:func:`d_j_of_i`) compares two entries of one row with the depths of the
-odd clusters through pair i, which the skeleton lists once per pair, and
-the branch (:func:`compute_I`) compares entries of one row with the
-target's radius.
+matrix, with no walk through the cluster tree: one loop over j
+(:func:`targets`) reads pair i's row once, comparing two entries with the
+depths of the odd clusters through pair i (listed once per pair), for
+every target and its push-back, and the branch (:func:`compute_I`)
+compares entries of one row with the target's radius.
 
 Outcomes:
 
@@ -103,96 +103,104 @@ class Redundant(NamedTuple):
 Verdict = Union[Good, NotGood, Redundant]
 
 
-def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
-    """The target disc on the axis of pair j seen from pair i, as
-    (center index, radius in steps) in the skeleton, or None where
-    undefined.
+def targets(pcfg: PairedConfiguration, i: int) -> list:
+    """Pair i's targets, for every j in one loop that reads pair i's row of
+    the step matrix once: entry j is (d_j, tilde d_j), the target disc on
+    pair j's axis and that disc pushed back by the separation radius rho,
+    each as (center index, radius in steps), or None where undefined.
 
-    Either the minimal odd clusters through both pairs coincide (then the
-    target is the minimal disc of pair j), or some odd cluster contains
-    pair i together with exactly one point of pair j (then the target is
-    the minimal disc around pair i that reaches that point).  When pair j
+    The target: either the minimal odd clusters through both pairs coincide
+    (then it is the minimal disc of pair j), or some odd cluster contains
+    pair i together with exactly one point of pair j (then it is the
+    minimal disc around pair i that reaches that point).  When pair j
     contains infinity its finite point is the one included.
 
-    The second rule is read off one row of the step matrix.  A cluster C
-    of depth d is {z : v(z - x) >= d} for any member x, since the tree
-    splits a cluster's points on "above its depth".  So with c the centre
-    of pair i's disc (radius r_i) and lo <= hi the entries of row c at
-    pair j's points, an odd cluster through pair i holds exactly one of
-    them iff some odd depth d of pair i's chain (``pair_odd_depths``) has
-    lo < d <= hi; for the pair at infinity, iff some d <= hi, its finite
-    point's entry.  The smallest disc around c holding the point at hi
-    has radius min(r_i, hi), and it leaves the point at lo out, for lo < d
-    and every chain depth d is at most r_i.  A disc around c reaching the
-    point at lo would hold the point at hi too.  So the target is
-    (c, min(r_i, hi)).
+    The second rule is read off row c, with c the centre of pair i's disc
+    (radius r_i).  A cluster C of depth d is {z : v(z - x) >= d} for any
+    member x, since the tree splits a cluster's points on "above its
+    depth".  So with lo <= hi the entries of row c at pair j's points, an
+    odd cluster through pair i holds exactly one of them iff some odd depth
+    d of pair i's chain (``pair_odd_depths``) has lo < d <= hi; for the
+    pair at infinity, iff some d <= hi, its finite point's entry.  The
+    smallest disc around c holding the point at hi has radius min(r_i, hi),
+    and it leaves the point at lo out, for lo < d and every chain depth d
+    is at most r_i.  A disc around c reaching the point at lo would hold
+    the point at hi too.  So the target is (c, min(r_i, hi)).
+
+    The push-back walks a distance rho from the target disc point toward
+    the vertex of pair i: either the walk stays below the join, the least
+    disc holding both (shrink the radius by rho), or it crosses the join
+    and descends toward pair i (radius 2 d(join) - d(target) + rho around
+    pair i).  With rho = 0 it is the target disc itself.
     """
+    sk = pcfg.skeleton()
+    out: list = [None] * len(sk.pair_points)
+    depths = sk.pair_odd_depths[i]
+    # no odd cluster through pair i (always so for the pair at infinity)
+    if not depths:
+        return out
+    rho, odd, pair_odd = pcfg.ctx.rho_steps, sk.pair_odd[i], sk.pair_odd
+    c_i, r_i = sk.pair_discs[i]
+    row = sk.smat[c_i]
+    for j, pts in enumerate(sk.pair_points):
+        if j == i:
+            continue
+        # pair_odd is None for the pair at infinity
+        if odd == pair_odd[j]:
+            center, radius = target = sk.pair_discs[j]
+        else:
+            lo, hi = row[pts[0]], row[pts[-1]]
+            if len(pts) == 1:
+                lo = depths[-1] - 1  # below every depth
+            elif lo > hi:
+                lo, hi = hi, lo
+            # the depths descend, so the first one up to hi decides
+            for d in depths:
+                if d <= hi:
+                    break
+            if not lo < d <= hi:
+                continue
+            center, radius = target = c_i, min(r_i, hi)
+        jn = min(r_i, radius, row[center])
+        if radius - jn > rho:
+            out[j] = target, (center, radius - rho)
+        else:
+            out[j] = target, (c_i, 2 * jn - radius + rho)
+    return out
+
+
+def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
+    """Pair j's target disc seen from pair i, or None: a view of :func:`targets`."""
     if i == j:
         raise ValueError("indices must be distinct")
-    sk = pcfg.skeleton()
-    if len(sk.pair_points[i]) < 2:
-        return None
-    # pair_odd is None for the pair at infinity
-    odd = sk.pair_odd[i]
-    if odd is not None and odd == sk.pair_odd[j]:
-        return sk.pair_discs[j]
-    center, r_i = sk.pair_discs[i]
-    row = sk.smat[center]
-    ends = [row[y] for y in sk.pair_points[j]]
-    hi, lo = max(ends), (min(ends) if len(ends) == 2 else None)
-    for d in sk.pair_odd_depths[i]:
-        if d <= hi and (lo is None or lo < d):
-            return center, min(r_i, hi)
-    return None
+    return (targets(pcfg, i)[j] or (None, None))[0]
 
 
 def tilde_d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
-    """The target disc pushed back by the separation radius rho, as
-    (center index, radius in steps) in the skeleton, or None where
-    undefined.
-
-    Walking a distance rho from the target disc point toward the vertex of
-    pair i: either the walk stays below the join (shrink the radius by
-    rho), or it crosses the join and descends toward pair i (radius
-    2 d(join) - d(target) + rho around pair i).  With rho = 0 this is the
-    target disc itself.
-    """
-    base = d_j_of_i(pcfg, i, j)
-    if base is None:
-        return None
-    sk = pcfg.skeleton()
-    rho = pcfg.ctx.rho_steps
-    (center, radius), (c_i, r_i) = base, sk.pair_discs[i]
-    jn = min(r_i, radius, sk.smat[c_i][center])  # the join: the least disc holding both
-    if radius - jn > rho:
-        return center, radius - rho
-    return c_i, 2 * jn - radius + rho
+    """That target pushed back by rho, or None: a view of :func:`targets`."""
+    if i == j:
+        raise ValueError("indices must be distinct")
+    return (targets(pcfg, i)[j] or (None, None))[1]
 
 
 def select_target(pcfg: PairedConfiguration, i: int) -> tuple[int, tuple]:
     """The index j whose pushed-back target strictly contains the pair-i disc
     and is minimal under inclusion (ties go to the smallest index), with
-    that target ``tilde_d_j_of_i(pcfg, i, j)``.
+    that target, read off one call of :func:`targets`.
 
     The pair at infinity always qualifies, so a target exists for every
     i < g.
     """
     sk = pcfg.skeleton()
     c_i, r_i = sk.pair_discs[i]
-    best = None
-    best_radius = None
-    for j in range(pcfg.g + 1):
-        if j == i:
+    row, best = sk.smat[c_i], None
+    for j, found in enumerate(targets(pcfg, i)):
+        if found is None:
             continue
-        dt = tilde_d_j_of_i(pcfg, i, j)
-        if dt is None:
-            continue
-        center, radius = dt
-        # proper containment of the pair-i disc
-        if not (r_i > radius and sk.smat[c_i][center] >= radius):
-            continue
-        if best_radius is None or radius > best_radius:
-            best, best_radius = (j, dt), radius
+        center, radius = found[1]
+        # proper containment of the pair-i disc; largest radius, then least j
+        if r_i > radius and row[center] >= radius and (best is None or radius > best[1][1]):
+            best = j, found[1]
     if best is None:
         raise InvalidInputError(f"no folding target exists for index {i}")
     return best

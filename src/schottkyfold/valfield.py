@@ -75,7 +75,7 @@ from __future__ import annotations
 import operator
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -135,14 +135,22 @@ class Val(NamedTuple):
 INF = Val(None)
 
 
-@total_ordering
 class _InfSteps:
-    """+infinity among counts of steps: above every ``int``."""
+    """+infinity among counts of steps: above every ``int``, each comparison one call."""
 
     __slots__ = ()
 
     def __lt__(self, other):
         return False
+
+    def __le__(self, other):
+        return other is self
+
+    def __gt__(self, other):
+        return other is not self
+
+    def __ge__(self, other):
+        return True
 
     def __repr__(self):
         return "INF_STEPS"

@@ -504,7 +504,7 @@ def _trim(c: list) -> list:
 def _poly_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
@@ -513,7 +513,7 @@ def _poly_mul(a: list, b: list) -> list:
 
 def _poly_sub(a: list, b: list) -> list:
     n = max(len(a), len(b))
-    a, b = a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
     return _trim([x - y for x, y in zip(a, b)])
 
 
@@ -528,26 +528,53 @@ def _poly_divmod(a: list, b: list) -> tuple[list, list]:
     return _trim(q), _trim(a)
 
 
+def _pseudo_divmod(a: list, b: list) -> tuple[list, list]:
+    """(q, r) with lc(b)^k a = q b + r and deg r < deg b, k = max(0, deg a -
+    deg b + 1), for integer polynomials: the division over Q with each step
+    scaled by lc(b), so no ``Fraction`` is formed."""
+    lead, m = b[-1], len(b)
+    q, r = [0] * max(0, len(a) - m + 1), list(a)
+    for k in range(len(a) - m, -1, -1):
+        c = r[k + m - 1]
+        q, r = [lead * v for v in q], [lead * v for v in r]
+        q[k] = c
+        for j, bj in enumerate(b):
+            r[k + j] -= c * bj
+    return q, _trim(r[: m - 1])
+
+
+def _integral(poly: list) -> tuple[int, list]:
+    """(L, P) with poly = P / L and P an integer polynomial."""
+    den = lcm(*[Fraction(c).denominator for c in poly])
+    return den, _trim([int(Fraction(c) * den) for c in poly])
+
+
 def _phi(p: int) -> list:
     """The p-th cyclotomic polynomial 1 + x + ... + x^(p-1)."""
     return [Fraction(1)] * p
 
 
 def resultant(a: list, b: list) -> Fraction:
-    """Resultant of two polynomials over Q by the Euclidean algorithm."""
-    a, b = _trim([Fraction(x) for x in a]), _trim([Fraction(x) for x in b])
+    """Resultant of two polynomials over Q by the Euclidean algorithm, run
+    on integer multiples: a remainder over Q is g r / lc(b)^k for the
+    pseudo-remainder's content g and primitive part r, and Res(b, c r) =
+    c^deg(b) Res(b, r), so res takes those factors and the Euclid steps go
+    on with r."""
+    (s, a), (t, b) = _integral(a), _integral(b)
     if not a or not b:
         return Fraction(0)
-    res = Fraction(1)
+    res = Fraction(1, s ** (len(b) - 1) * t ** (len(a) - 1))
     while True:
         da, db = len(a) - 1, len(b) - 1
         if db == 0:
             return res * b[0] ** da
-        _, r = _poly_divmod(a, b)
+        _, r = _pseudo_divmod(a, b)
         if not r:
             return Fraction(0)
-        res *= (-1) ** (da * db) * b[-1] ** (da - len(r) + 1)
-        a, b = b, r
+        g, k = gcd(*r), max(0, da - db + 1)
+        res *= (-1) ** (da * db) * Fraction(b[-1]) ** (da - len(r) + 1)
+        res *= Fraction(g, b[-1] ** k) ** db
+        a, b = b, [v // g for v in r]
 
 
 def _canonical(ctx, poly: list) -> tuple:
@@ -559,16 +586,28 @@ def cyclo_mul(ctx, x, y) -> tuple:
     return _canonical(ctx, _poly_mul(list(x), list(y)))
 
 
+def times_one_minus_zeta(ctx, x) -> tuple:
+    """x (1 - zeta) with no product: x less x shifted up one degree, then
+    less one multiple of Phi_p, the one that clears the degree p - 1 term."""
+    zero = Fraction(0)
+    poly = [a - b for a, b in zip([*x, zero], [zero, *x])]
+    return tuple(c - poly[-1] for c in poly[:-1])
+
+
 def cyclo_inv(ctx, x) -> tuple:
-    """1/x by extended Euclid against the cyclotomic polynomial."""
-    r0, r1 = _phi(ctx.p), _trim(list(x))
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    assert len(r0) == 1, "the cyclotomic polynomial is irreducible"
-    return _canonical(ctx, [c / r0[0] for c in s0])
+    """1/x by extended Euclid against the cyclotomic polynomial, run on
+    integer multiples: with x = X / L, each remainder r = s X mod Phi_p is a
+    pseudo-remainder, divided with its cofactor s by their common content,
+    until r is a constant g, so 1/x = L s / g."""
+    den, r1 = _integral(x)
+    r0, s0, s1 = [1] * ctx.p, [], [1]
+    while len(r1) > 1:
+        q, r = _pseudo_divmod(r0, r1)
+        s = _poly_sub([r1[-1] ** (len(r0) - len(r1) + 1) * v for v in s0], _poly_mul(q, s1))
+        g = gcd(*r, *s)
+        r0, r1, s0, s1 = r1, [v // g for v in r], s1, [v // g for v in s]
+    assert len(r1) == 1, "the cyclotomic polynomial is irreducible"
+    return _canonical(ctx, [Fraction(den * v, r1[0]) for v in s1])
 
 
 def split_root(ctx, prec: int) -> int:

@@ -7,12 +7,12 @@ import sys
 import traceback
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 
 import schottkyfold as sf
-from schottkyfold.clusters import Skeleton, even_profiles
+from schottkyfold.clusters import Skeleton, even_keys
 from schottkyfold.errors import RepeatedPointsError
 from schottkyfold.folding import compute_I, d_j_of_i, select_target, tilde_d_j_of_i
 from schottkyfold.valfield import INF, INF_STEPS, FieldKind, Val
@@ -368,8 +368,10 @@ def test_skeleton_tree_matches_the_pairwise_definitions():
 
 
 def test_even_profiles_match_the_membership_definition():
-    # canonical_pairs groups points by the even clusters they lie in, read
-    # down the tree from parent links; membership defines the same profiles
+    # canonical_pairs groups points by the smallest even cluster on their
+    # leaf's chain, walked up by parent links: by membership that is the
+    # last (smallest) cluster of the point's even profile, and two points
+    # share it exactly when they share their whole profiles
     rng = random.Random(43)
     checked = 0
     for p, ell in TEST_FIELDS:
@@ -381,8 +383,11 @@ def test_even_profiles_match_the_membership_definition():
                     sk = Skeleton.build(c)
                 except RepeatedPointsError:
                     continue
-                profiles = even_profiles(sk.clusters, sk.parent, sk.leaf)
-                assert profiles == [even_profile(sk.clusters, x) for x in range(len(sk.values))]
+                keys = even_keys(sk)
+                profiles = [even_profile(sk.clusters, x) for x in range(len(sk.values))]
+                assert keys == [profile[-1] if profile else None for profile in profiles]
+                for x, y in product(range(len(keys)), repeat=2):
+                    assert (keys[x] == keys[y]) == (profiles[x] == profiles[y])
                 checked += 1
     # a Nielsen move can land a point on another
     assert checked > 50

@@ -410,13 +410,23 @@ def test_one_cluster_build_per_pass(monkeypatch, ctx_of, points):
 
 
 def test_run_computes_each_pushed_back_target_once(monkeypatch):
-    # select_target hands its target to compute_I, so no (pass, i, j)
-    # target is computed twice
-    calls = _count_calls(monkeypatch, sf.folding, "tilde_d_j_of_i", False)
+    # select_target finds every target of pair i in one targets loop per
+    # (pass, i) and hands its choice to compute_I, so no (pass, i, j)
+    # target is computed twice, and the views are never called
+    loops = _count_calls(monkeypatch, sf.folding, "targets", False)
+    selects = _count_calls(monkeypatch, sf.folding, "select_target", False)
+    views = _count_calls(monkeypatch, sf.folding, "d_j_of_i", False)
+    views += _count_calls(monkeypatch, sf.folding, "tilde_d_j_of_i", False)
     verdict = sf.run_algorithm(ctx7(), sf.configuration(ctx7(), EIGHT_POINT_7ADIC))
     assert isinstance(verdict, sf.Good) and len(verdict.trace) == 2
-    keys = [(id(pcfg), i, j) for pcfg, i, j in calls]
-    assert keys and len(keys) == len(set(keys))
+    passes = [(id(pcfg), i) for pcfg, i in loops]
+    assert passes and sorted(passes) == sorted((id(pcfg), i) for pcfg, i in selects)
+    assert len(passes) == len(set(passes))
+    keys = []
+    for pcfg, i in loops:
+        keys += [(id(pcfg), i, j) for j in range(pcfg.g + 1) if j != i]
+    assert len(keys) == len(set(keys)) == len(passes) * verdict.s_min.g
+    assert views == []
 
 
 def _count_chain_walks(monkeypatch):

@@ -15,8 +15,9 @@ import pytest
 
 import schottkyfold as sf
 from schottkyfold import valfield
-from schottkyfold.valfield import (INF, _MR_BOUND, FieldContext, Val, _CyclotomicIntegers,
-                                   _is_prime, decimal_to_int, int_to_decimal)
+from schottkyfold.valfield import (INF, INF_STEPS, _MR_BOUND, FieldContext, Val,
+                                   _CyclotomicIntegers, _is_prime, decimal_to_int,
+                                   int_to_decimal)
 from helpers import TEST_FIELDS, module_env
 from reference import (
     at_least,
@@ -25,6 +26,7 @@ from reference import (
     cyclo_valuation,
     field_div,
     split_root,
+    times_one_minus_zeta,
     zeta_power_by_definition,
 )
 
@@ -154,8 +156,7 @@ CYCLOTOMIC_FIELDS = [(3, 3), (5, 5), (7, 7), (3, 7), (5, 11), (7, 29), (3, 13), 
 
 def _scaled_elements(rng, ctx, count):
     """Random elements with denominators, times ell^k and (1 - zeta)^m
-    (multiplied by the reference route)."""
-    pi = ctx.sub(ctx.one(), ctx.zeta)
+    (multiplied by the reference's shift, ``times_one_minus_zeta``)."""
     out = []
     while len(out) < count:
         x = tuple(
@@ -165,7 +166,7 @@ def _scaled_elements(rng, ctx, count):
         scale = Fraction(ctx.ell) ** rng.randint(-3, 6)
         x = tuple(c * scale for c in x)
         for _ in range(rng.randint(0, 2 * ctx.p)):
-            x = cyclo_mul(ctx, x, pi)
+            x = times_one_minus_zeta(ctx, x)
         if not ctx.is_zero(x):
             out.append(x)
     return out
@@ -176,6 +177,9 @@ def test_cyclotomic_kernels_match_division_over_q(p, ell):
     ctx = sf.field_context(p, ell)
     rng = random.Random(31 * p + ell)
     xs = _scaled_elements(rng, ctx, 60)
+    pi = ctx.sub(ctx.one(), ctx.zeta)
+    for x in xs[:4]:
+        assert times_one_minus_zeta(ctx, x) == cyclo_mul(ctx, x, pi)
     if ctx.kind is sf.FieldKind.CYCLOTOMIC_SPLIT:
         # zeta - r for the root r lifted to ell^12 has valuation >= 12, past
         # the first precisions ell^4 and ell^8 of the evaluation
@@ -317,6 +321,30 @@ def test_val_is_a_record_without_arithmetic_or_order():
     assert Val.of(1) != INF and Val.of(1) != Val.of(2)
     assert len({Val.of(1), Val(Fraction(1)), INF, Val(None)}) == 2
     assert repr(Val.of(Fraction(-7, 3))) == "Val(-7/3)" and repr(INF) == "Val(inf)"
+
+
+def test_inf_steps_compares_above_every_int_by_its_own_methods():
+    # +infinity among step counts: above every int (negative, zero, above
+    # 2^64) and equal only to itself, with either operand first, under all
+    # four operators and inside min, max and sorted
+    for n in (-(2**70), -1, 0, 1, 2**64 + 1):
+        assert INF_STEPS > n and INF_STEPS >= n and n < INF_STEPS and n <= INF_STEPS
+        assert not (INF_STEPS < n or INF_STEPS <= n or n > INF_STEPS or n >= INF_STEPS)
+        assert INF_STEPS != n and n != INF_STEPS
+        assert min(INF_STEPS, n) == n == min(n, INF_STEPS)
+        assert max(INF_STEPS, n) is INF_STEPS is max(n, INF_STEPS)
+    assert INF_STEPS <= INF_STEPS and INF_STEPS >= INF_STEPS and INF_STEPS == INF_STEPS
+    assert not (INF_STEPS < INF_STEPS or INF_STEPS > INF_STEPS)
+    assert min(INF_STEPS, INF_STEPS) is INF_STEPS is max(INF_STEPS, INF_STEPS)
+    values = [3, INF_STEPS, -(2**65), 0, 2**64 + 1, INF_STEPS]
+    assert sorted(values) == [-(2**65), 0, 3, 2**64 + 1, INF_STEPS, INF_STEPS]
+    assert sorted(values, reverse=True)[:2] == [INF_STEPS, INF_STEPS]
+    assert min(values) == -(2**65) and max(values) is INF_STEPS
+    # each comparison is written in the class body, so an int on either side
+    # reaches it in one call, not through functools.total_ordering's fallbacks
+    cls = type(INF_STEPS)
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert vars(cls)[name].__qualname__ == f"{cls.__name__}.{name}"
 
 
 def test_decimal_conversion_past_the_int_string_limit():
