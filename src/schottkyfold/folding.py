@@ -258,7 +258,9 @@ def find_fold_exponent(
     v(r_l - zeta^n r_i) = min(v(r_l), v(r_i)) <= v(r_l) + rho, and the
     test fails for that choice at every n.  So a pair l whose
     representatives do not all share one e v(r_x) with pair i's is dropped
-    before the scan, and when pair i's own two differ no l can pass.
+    before the scan, and when pair i's own two differ no l can pass.  When
+    every l is dropped the scan returns before pair i's ratios are formed or
+    turned.
     """
     ctx = pcfg.ctx
     sk = pcfg.skeleton()
@@ -283,13 +285,15 @@ def find_fold_exponent(
     level = levels(points[i])
     if len(level) > 1:
         return None
-    rhs = next(iter(level)) + rho
-    reps_i = ratios(points[i])
     reps = {
         l: ratios(pts)
         for l, pts in enumerate(points)
         if l != j and l not in I and levels(pts) == level
     }
+    if not reps:
+        return None
+    rhs = next(iter(level)) + rho
+    reps_i = ratios(points[i])
     for n in range(1, ctx.p):
         turned = [(ring.rotate(n_i, n), m_i, vm_i) for n_i, m_i, vm_i in reps_i]
         for l, reps_l in reps.items():

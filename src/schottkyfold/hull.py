@@ -96,7 +96,7 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
         except PairingError as exc:
             raise NotPairedError(str(exc)) from exc
 
-    smat, clusters, e = sk.smat, sk.clusters, ctx.ramification
+    clusters, e = sk.clusters, ctx.ramification
     order = [x for pts in sk.pair_points for x in pts]
     rank = [0] * len(order)
     for r, x in enumerate(order):
@@ -126,22 +126,22 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
             components.append(count)
             count += 1
 
-    def on_axis(center, radius, i) -> bool:
-        """Whether the disc point lies on the axis of pair i."""
-        inside = [smat[m][center] >= radius for m in sk.pair_points[i]]
-        if len(inside) < 2:
-            return inside[0]
-        pc, pr = sk.pair_discs[i]
-        if inside[0] != inside[1]:
-            return radius >= pr and smat[center][pc] >= pr
-        return inside[0] and radius == pr and smat[pc][center] >= radius
+    # the least pair whose axis holds each cluster's disc: a finite pair's
+    # axis runs from each point's leaf up to their join, the chain's clusters
+    # at least as deep as the pair's radius; the pair at infinity's, whose
+    # radius is the root's depth, up the whole chain
+    axis: dict[int, int] = {}
+    for i, (pts, (_, r)) in enumerate(zip(sk.pair_points, sk.pair_discs)):
+        for x in pts:
+            k = sk.leaf[x]
+            while k is not None and clusters[k].depth >= r:
+                axis.setdefault(k, i)
+                k = sk.parent[k]
 
     vertices = []
     for vid, k in enumerate(kept):
         center, radius = discs[k]
-        pidx = next(
-            (i for i in range(len(pcfg.pairs)) if on_axis(center, radius, i)), None
-        )
+        pidx = axis.get(k)
         vertices.append(
             SkeletonVertex(
                 id=vid,

@@ -34,13 +34,13 @@ A ``Val`` is the public, printed form of a valuation: an exact rational or
 The entry point from field elements to the integers is ``lower``: it puts
 a list of elements over one common denominator L and returns their
 integral numerators, in the ring ``FieldContext.integers`` (``int``, or
-lists of p - 1 integer coefficients), with L; ``quotient`` is the way
-back, one conversion of num / den.  Then e v(x - y) is
-``integral_valuation`` of a numerator difference minus e v(L), and
-``valuation`` is the one-element case.  Callers that compare many
-valuations lower their elements once and stay on integers; counts of steps
-are plain ``int``s, with ``INF_STEPS`` for +infinity, and ``val_of_steps``
-turns one back into a ``Val``.
+lists of p - 1 integer coefficients), with L, in one pass over the
+coefficients; ``quotient`` is the way back, one conversion of num / den.
+Then e v(x - y) is ``integral_valuation`` of a numerator difference minus
+e v(L), and ``valuation`` is the one-element case.  Callers that compare
+many valuations lower their elements once and stay on integers; counts of
+steps are plain ``int``s, with ``INF_STEPS`` for +infinity, and
+``val_of_steps`` turns one back into a ``Val``.
 
 Each integer ring has three fused kernels for the 2x2 matrices (a, b, c, d)
 that the group-word audit and the fold test multiply: ``matmul(m, n)``,
@@ -209,13 +209,6 @@ def _is_prime(n: int) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _integral(x) -> tuple[list[int], int]:
-    """(A, L) with x = A(zeta) / L and L the least common denominator of
-    x's coefficients."""
-    den = lcm(*[c.denominator for c in x])
-    return [c.numerator * (den // c.denominator) for c in x], den
-
-
 def _add_product(buf: list[int], x: list[int], y: list[int], sign: int = 1) -> None:
     """buf += sign x y, the plain convolution of two coefficient lists."""
     for i, xi in enumerate(x):
@@ -252,10 +245,6 @@ class _Integers:
     def cross(x: int, y: int, u: int, v: int) -> int:
         """x y - u v."""
         return x * y - u * v
-
-    @staticmethod
-    def lower(x) -> tuple[int, int]:
-        return x.numerator, x.denominator
 
     @staticmethod
     def rotate(x: int, n: int) -> int:
@@ -448,8 +437,6 @@ class _CyclotomicIntegers:
     def times(x: list[int], k: int) -> list[int]:
         return [c * k for c in x]
 
-    lower = staticmethod(_integral)
-
     @staticmethod
     def content(entries) -> int:
         return gcd(*[c for x in entries for c in x])
@@ -611,12 +598,19 @@ class FieldContext:
     # -- the valuation -----------------------------------------------------
 
     def lower(self, values) -> tuple[list, int]:
-        """The elements over one common denominator L > 0: their integral
-        numerators in :attr:`integers`, each x being A_x / L, then L."""
-        ring = self.integers
-        parts = [ring.lower(x) for x in values]
-        den = lcm(*[d for _, d in parts])
-        return [ring.times(a, den // d) for a, d in parts], den
+        """The elements over one common denominator L > 0, the lcm of every
+        coefficient's denominator taken in one pass: their integral numerators
+        in :attr:`integers`, each x being A_x / L, scaled once (as they are
+        when L = 1), then L."""
+        if self.kind is FieldKind.RATIONAL:
+            den = lcm(*[x.denominator for x in values])
+            if den == 1:
+                return [x.numerator for x in values], 1
+            return [x.numerator * (den // x.denominator) for x in values], den
+        den = lcm(*[c.denominator for x in values for c in x])
+        if den == 1:
+            return [[c.numerator for c in x] for x in values], 1
+        return [[c.numerator * (den // c.denominator) for c in x] for x in values], den
 
     def val_of_steps(self, steps) -> Val:
         """A count of steps of (1/e) Z as a ``Val``; ``INF_STEPS`` is

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import schottkyfold as sf
-from schottkyfold import cli
+from schottkyfold import cli, valfield
 from schottkyfold.folding import (
     apply_folding,
     compute_I,
@@ -833,6 +833,59 @@ def test_integer_scan_matches_the_field_route_at_wider_genus():
         _compare_scans(passes, seen)
     assert min(seen["finite"] + seen["infinite"]) >= 20, seen
     assert seen["pruned"] >= 100, seen
+
+
+def test_a_scan_with_every_pair_dropped_forms_no_ratio(monkeypatch):
+    # at every (pass, i, j) where no pair l outside j and the fold set shares
+    # pair i's one cross-ratio valuation (by field division here), the scan
+    # returns before it forms pair i's ratios or turns them: the integer
+    # ring's sub and rotate never run inside it; where some l does, both run
+    calls, inside = Counter(), [False]
+
+    def watch(ring, name):
+        raw = ring.__dict__[name]
+        bare = isinstance(raw, staticmethod)
+        original = raw.__func__ if bare else raw
+
+        def counted(*args):
+            calls[name] += inside[0]
+            return original(*args)
+
+        monkeypatch.setattr(ring, name, staticmethod(counted) if bare else counted)
+
+    for ring in (valfield._Integers, valfield._CyclotomicIntegers):
+        for name in ("sub", "rotate"):
+            watch(ring, name)
+    seen = Counter()
+    for ctx, cfg in lowering_sets(37, genera=(2, 3)):
+        verdict = sf.run_algorithm(ctx, nielsen_move(sf.pair_up(cfg), 0, 1))
+        passes = [step.before for step in verdict.trace]
+        if isinstance(verdict, sf.Good):
+            passes.append(verdict.s_min)
+        for pcfg in passes:
+            pairs = range(pcfg.g + 1)
+            levels = {(j, k): _valuations(pcfg, j, k) for j in pairs for k in pairs if k != j}
+            for i in range(pcfg.g):
+                indices = compute_I(pcfg, i, select_target(pcfg, i)[1])
+                for j in pairs:
+                    if j == i:
+                        continue
+                    level = levels[j, i]
+                    open_ = len(level) == 1 and any(
+                        levels[j, l] == level for l in pairs if l != j and l not in indices
+                    )
+                    calls.clear()
+                    inside[0] = True
+                    try:
+                        found = find_fold_exponent(pcfg, i, j, indices)
+                    finally:
+                        inside[0] = False
+                    if open_:
+                        assert calls["sub"] and calls["rotate"]
+                    else:
+                        assert found is None and not +calls, calls
+                    seen["open" if open_ else "split" if len(level) > 1 else "dropped"] += 1
+    assert seen["dropped"] >= 50 and seen["open"] >= 50, seen
 
 
 def _valuations(pcfg, j, k):

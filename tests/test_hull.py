@@ -260,6 +260,27 @@ def test_skeleton_discs_match_the_reference_route():
     assert cases == 588  # 7 fields, 6 sets for each g, g (i, j) cases per set
 
 
+def test_each_vertex_lies_on_the_axis_of_its_least_pair():
+    # a vertex's pair index is the least i whose axis holds its disc point
+    # (distance 0 by field valuations), None when no axis does; a finite
+    # pair's axis ends at its join, the minimal disc of the pair
+    rng = random.Random(13)
+    seen = {"on": 0, "off": 0, "joins": 0}
+    for p, ell in TEST_FIELDS:
+        ctx = sf.field_context(p, ell)
+        for g in (1, 2, 3, 4, 5, 6) * 2:
+            _, pcfg = sample_paired(rng, ctx, g)
+            for v in sf.reduced_convex_hull(pcfg).vertices:
+                least = next(
+                    (i for i, pair in enumerate(pcfg.pairs) if point_to_axis(v.disc, pair, ctx) == 0),
+                    None,
+                )
+                assert v.pair_index == least and v.distinguished == (least is not None)
+                seen["on" if least is not None else "off"] += 1
+                seen["joins"] += least is not None and least < g and same(v.disc, pair_disc(pcfg, least))
+    assert min(seen.values()) >= 50, seen
+
+
 def test_every_hull_vertex_is_centred_at_its_lowest_ranked_member():
     # a member's rank is its place among the finite points listed pair by
     # pair; in the pinned 3-adic set the vertex of {27, 36, 6} holds the

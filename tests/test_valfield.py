@@ -377,6 +377,41 @@ def test_quotient_is_division_on_lowered_elements():
             assert ctx.zeta_power(n) == zeta_power_by_definition(ctx, n)
 
 
+def test_lower_puts_every_element_over_the_lcm_of_its_denominators():
+    # lower by its definition: L is the lcm of every coefficient's
+    # denominator, and each integer numerator over L is its coefficient
+    # again; the empty list, L = 1, mixed denominators and, over Q, ints
+    def coefficients(ctx, x):
+        return [x] if ctx.degree == 1 else list(x)
+
+    def check(ctx, values):
+        nums, den = ctx.lower(values)
+        coeffs = [coefficients(ctx, x) for x in values]
+        assert den == lcm(*[Fraction(c).denominator for cs in coeffs for c in cs])
+        assert len(nums) == len(values)
+        for a, cs in zip(nums, coeffs):
+            a = coefficients(ctx, a)
+            assert len(a) == len(cs) == ctx.degree
+            for n, c in zip(a, cs):
+                assert type(n) is int and Fraction(n, den) == c
+        return den
+
+    for p, ell in TEST_FIELDS:
+        ctx = sf.field_context(p, ell)
+        rng = random.Random(7 * p + ell)
+        assert ctx.lower([]) == ([], 1)
+        assert check(ctx, [ctx.zero(), ctx.one(), ctx.zeta, ctx.from_fraction(-(3**80))]) == 1
+        assert check(ctx, [ctx.from_fraction(Fraction(5, 6)), ctx.from_fraction(Fraction(-7, 4))]) == 12
+        dens = set()
+        for _ in range(20):
+            dens.add(check(ctx, [_random_element(rng, ctx) for _ in range(rng.randint(1, 7))]))
+        assert len(dens) > 2, dens
+    ctx = sf.field_context(2, 5)
+    assert ctx.lower([3, -4, 0]) == ([3, -4, 0], 1)
+    assert ctx.lower([3, Fraction(1, 6), -4, Fraction(-5, 4)]) == ([36, 2, -48, -15], 12)
+    assert check(ctx, [3, Fraction(1, 6), -4, Fraction(-5, 4)]) == 12
+
+
 def test_primality_is_exact_for_large_primes_and_strong_pseudoprimes():
     sieve = [True] * 5000
     sieve[0] = sieve[1] = False
