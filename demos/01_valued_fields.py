@@ -19,7 +19,7 @@ for x in (350, 625, Fraction(224, 935), Fraction(1, 125)):
     print(f"  v({x}) =", ctx.valuation(ctx.from_fraction(x)))
 
 # The valuation of zero is the infinite sentinel.
-print("  v(0) =", ctx.valuation(ctx.zero()))
+print("  v(0) =", ctx.valuation(ctx.from_fraction(0)))
 
 # The separation radius v(p)/(p-1) measures how thick the fixed locus of
 # an order-p map is.  It vanishes unless ell = p.
@@ -33,13 +33,15 @@ for p, ell in ((2, 5), (2, 2), (3, 3), (3, 7)):
 # ell, lifted to ell^k) modulo ell^4, ell^8, ... until the value is
 # nonzero; when ell = p the extension is totally ramified, pi =
 # 1 - zeta generates the prime, and the valuation counts exact divisions
-# by pi, each worth 1/(p - 1).
+# by pi, each worth 1/(p - 1).  An element is its tuple of coefficients in
+# the basis 1, zeta, so zeta - 1 takes 1 off the first one.
 split = field_context(p=3, ell=7)
 zeta = split.zeta
 print("zeta_3 lives as the coefficient tuple", zeta)
-print("v(zeta_3 - 1) over the 7-adics:", split.valuation(split.sub(zeta, split.one())))
+zeta_minus_one = (zeta[0] - 1, *zeta[1:])
+print("v(zeta_3 - 1) over the 7-adics:", split.valuation(zeta_minus_one))
 
+# The same element of Q(zeta_3), valued at the prime above 3 instead.
 ramified = field_context(p=3, ell=3)
-z = ramified.zeta
-print("v(zeta_3 - 1) over the 3-adics:", ramified.valuation(ramified.sub(z, ramified.one())))
+print("v(zeta_3 - 1) over the 3-adics:", ramified.valuation(zeta_minus_one))
 print("v(3) over the 3-adics:", ramified.valuation(ramified.from_fraction(3)))

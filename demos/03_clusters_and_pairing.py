@@ -23,11 +23,14 @@ from schottkyfold import (
 ctx = field_context(2, 7)
 cfg = configuration(ctx, [Fraction(1336, 3), -355, -110, 86, 0, 7, 1, "inf"])
 
+# The skeleton names points by their place among the finite points and
+# counts depths in steps of the value group; val_of_steps shows a count as
+# a valuation.
 print("clusters of the 7-adic showcase configuration:")
-values = cfg.finite_values()
-for c in sorted(cluster_data(cfg), key=lambda c: (-len(c.members), sorted(c.members))):
-    names = "{" + ", ".join(ctx.to_str(values[k]) for k in sorted(c.members)) + "}"
-    print(f"  depth {c.depth}: {names}")
+sk = cluster_data(cfg)
+for c in sorted(sk.clusters, key=lambda c: (-len(c.members), sorted(c.members))):
+    names = "{" + ", ".join(ctx.to_str(sk.values[k]) for k in sorted(c.members)) + "}"
+    print(f"  depth {ctx.val_of_steps(c.depth)}: {names}")
 
 print("pairing:", pair_up(cfg))
 

@@ -8,17 +8,18 @@ superelliptic curve).  The decision runs the folding algorithm on the
 configuration's skeleton forest and is cross-checked by a brute-force
 group-word audit.
 
-``__all__`` is the public API.  The driver's internal steps
+``__all__`` is the public API, and each of its names has a caller in the
+library, a demo or the benchmark.  The driver's internal steps
 (``select_target``, ``compute_I``, ``find_fold_exponent``,
-``apply_folding``, the target loop ``targets`` and its views ``d_j_of_i``
-and ``tilde_d_j_of_i``, the ``Skeleton``) come from their modules.
+``apply_folding``, the target loop ``targets``, the ``Skeleton`` that
+``cluster_data`` builds) come from their modules.
 """
 
 from .clusters import (Cluster, Configuration, PairedConfiguration, cluster_data,
                        configuration, pair_up, repetition_report)
-from .errors import (DegeneratePairError, FieldDivisionError, InvalidInputError,
-                     NotClusteredInPairsError, NotPairedError, NotSeparatedError,
-                     PairingError, SchottkyFoldError, UnsupportedFieldError)
+from .errors import (DegeneratePairError, InvalidInputError, NotClusteredInPairsError,
+                     NotPairedError, NotSeparatedError, PairingError, SchottkyFoldError,
+                     UnsupportedFieldError)
 from .folding import (BadFoldingProduced, FoldingStep, FoldWitness, Good,
                       InitialNotPaired, NotGood, PairingFailure, Redundant, Verdict,
                       run_algorithm)
@@ -26,8 +27,7 @@ from .hull import Disc, SkeletonTree, SkeletonVertex, reduced_convex_hull, to_do
 from .oracle import (AuditResult, GroupWord, enumerate_gamma_words, schottky_audit,
                      word_matrix)
 from .projline import (INFINITY, ElementClass, MapKind, Mobius, PPoint, apply,
-                       classify, compose, finite, identity, inverse, mobius,
-                       order_p_fixing, proj_eq)
+                       classify, compose, finite, mobius, order_p_fixing, proj_eq)
 from .valfield import FieldContext, FieldKind, Val, field_context, format_fraction
 
 __version__ = "0.1.0"
@@ -37,9 +37,9 @@ __all__ = [
     "Cluster", "Configuration", "PairedConfiguration", "cluster_data",
     "configuration", "pair_up", "repetition_report",
     # errors
-    "DegeneratePairError", "FieldDivisionError", "InvalidInputError",
-    "NotClusteredInPairsError", "NotPairedError", "NotSeparatedError",
-    "PairingError", "SchottkyFoldError", "UnsupportedFieldError",
+    "DegeneratePairError", "InvalidInputError", "NotClusteredInPairsError",
+    "NotPairedError", "NotSeparatedError", "PairingError", "SchottkyFoldError",
+    "UnsupportedFieldError",
     # the folding driver and its verdicts
     "BadFoldingProduced", "FoldingStep", "FoldWitness", "Good",
     "InitialNotPaired", "NotGood", "PairingFailure", "Redundant", "Verdict",
@@ -51,8 +51,7 @@ __all__ = [
     "word_matrix",
     # the projective line and Moebius maps
     "INFINITY", "ElementClass", "MapKind", "Mobius", "PPoint", "apply",
-    "classify", "compose", "finite", "identity", "inverse", "mobius",
-    "order_p_fixing", "proj_eq",
+    "classify", "compose", "finite", "mobius", "order_p_fixing", "proj_eq",
     # valued fields
     "FieldContext", "FieldKind", "Val", "field_context", "format_fraction",
 ]

@@ -3,9 +3,9 @@
 A *cluster* of a finite configuration is the intersection of its finite
 points with an ultrametric disc; its *depth* is the minimal pairwise
 valuation of differences (+infinity for singletons).  Clusters form a
-laminar family, computed here as a recursive partition that values only
-the differences the strong triangle inequality leaves open
-(``cluster_data``).
+laminar family, computed by the one tree builder, ``cluster_data``, as a
+partition that values only the differences the strong triangle
+inequality leaves open.  It returns the ``Skeleton``.
 
 Inside a ``Skeleton`` every valuation is an ``int`` counting steps of the
 value group (1/e) Z, e = ``FieldContext.ramification``: the step matrix,
@@ -13,13 +13,12 @@ cluster depths, disc radii and distances.  +infinity, found only on the
 matrix diagonal and as a singleton's depth, is ``valfield.INF_STEPS``,
 which compares above every int.  The values are lowered once per build to
 integral numerators over one common denominator, so no entry needs field
-arithmetic.  ``Val`` and ``Fraction`` appear only at the edges, converted
-from steps and never computed with: the depths ``cluster_data`` returns
-and the margin of ``NotSeparatedError``.  ``configuration`` makes each
-finite point through ``projline.finite``, which refuses floats.  Points
-are named by their input position among the finite points, never hashed
-and never permuted: a repeated value has a repeated numerator, found as a
-zero difference while the tree is built.
+arithmetic.  A ``Fraction`` appears only at the edge, converted from steps
+and never computed with: the margin of ``NotSeparatedError``.
+``configuration`` makes each finite point through ``projline.finite``,
+which refuses floats.  Points are named by their input position among the
+finite points, never hashed and never permuted: a repeated value has a
+repeated numerator, found as a zero difference while the tree is built.
 
 A configuration is *clustered in rho-separated pairs* when two rules hold.
 ``canonical_pairs``: two points are equivalent when they lie in exactly the
@@ -40,7 +39,7 @@ from typing import NamedTuple, Optional
 
 from .errors import NotClusteredInPairsError, NotSeparatedError, RepeatedPointsError
 from .projline import INFINITY, PPoint, finite, point_str
-from .valfield import INF_STEPS, FieldContext, Val, int_valuation
+from .valfield import INF_STEPS, FieldContext, int_valuation
 
 
 class Configuration(NamedTuple):
@@ -55,12 +54,6 @@ class Configuration(NamedTuple):
 
     def has_infinity(self) -> bool:
         return any(pt.is_infinity for pt in self.points)
-
-    def finite_values(self) -> tuple:
-        """Distinct finite point values, in first-occurrence order."""
-        return tuple(
-            dict.fromkeys(pt.value for pt in self.points if not pt.is_infinity)
-        )
 
     def __repr__(self):
         inner = ", ".join(point_str(self.ctx, pt) for pt in self.points)
@@ -81,28 +74,23 @@ def configuration(ctx: FieldContext, values) -> Configuration:
 
 
 class Cluster(NamedTuple):
-    """A cluster given by member indices into ``Configuration.finite_values``
-    (in a ``Skeleton``, positions of its values).
-
-    ``depth`` is a ``Val``; in a ``Skeleton`` it counts steps of the value
-    group."""
+    """A cluster of a ``Skeleton``: the positions of its members among the
+    configuration's finite points, and its depth in steps of the value
+    group (``INF_STEPS`` for a singleton)."""
 
     members: frozenset[int]
-    depth: Val | int
+    depth: int
 
 
-def cluster_data(cfg: Configuration, values=None):
-    """Every cluster of the finite points, with depths as ``Val``s.
+def cluster_data(cfg: Configuration) -> Skeleton:
+    """The skeleton of the configuration's finite points, with no pairs:
+    the step matrix and every cluster, built together.
 
     The full finite set is always a cluster and every point is a singleton
-    cluster of depth +infinity.  Members index into ``finite_values()``
-    (multiplicities collapse).  Clusters come in pre-order: each one is
-    followed at once by the clusters strictly inside it.
-
-    ``values``, when given, are the finite values in input order, repeats
-    included, and the members are their positions.  The result is then the
-    ``Skeleton`` they span, with no pairs: the one tree builder, which
-    :meth:`Skeleton.build` calls once.
+    cluster of depth +infinity.  Members are positions among the finite
+    points, in input order.  Clusters come in pre-order: each one is
+    followed at once by the clusters strictly inside it.  A second infinity
+    or two equal values is a repeated point (RepeatedPointsError).
 
     The values are lowered once, and only the differences that the strong
     triangle inequality leaves open are valued.  The root's first point is
@@ -118,9 +106,10 @@ def cluster_data(cfg: Configuration, values=None):
     grown from a stack, not by recursion, so no depth of nesting meets the
     interpreter's recursion limit.
     """
-    ctx, dedupe = cfg.ctx, values is None
-    if dedupe:
-        values = cfg.finite_values()
+    values = tuple(pt.value for pt in cfg.points if not pt.is_infinity)
+    if len(values) + 1 < cfg.size:
+        raise RepeatedPointsError("the points are not distinct")
+    ctx = cfg.ctx
     ints, den = ctx.lower(values)
     den_steps = ctx.ramification * int_valuation(den, ctx.ell)
     n = len(ints)
@@ -173,12 +162,9 @@ def cluster_data(cfg: Configuration, values=None):
                 (block if row[b] > depth else idx).append(b)
             children.append(block)
         stack += [(block, k) for block in reversed(children)]
-    if dedupe:
-        to_val = ctx.val_of_steps
-        return tuple(Cluster(c.members, to_val(c.depth)) for c in clusters)
     smat = tuple(tuple(row) for row in rows)
     return Skeleton(
-        tuple(values), tuple(ints), den, den_steps, smat,
+        values, tuple(ints), den, den_steps, smat,
         tuple(clusters), tuple(parent), tuple(leaf),
     )
 
@@ -232,17 +218,6 @@ class Skeleton(NamedTuple):
     pair_odd: tuple[Optional[frozenset[int]], ...] = ()
     pair_odd_depths: tuple[tuple[int, ...], ...] = ()
     pair_gaps: tuple[int, ...] = ()
-
-    @staticmethod
-    def build(cfg: Configuration) -> "Skeleton":
-        """The skeleton of the configuration's finite points, with no pairs:
-        the points are lowered once in input order, and :func:`cluster_data`
-        builds the cluster tree and the step matrix together.  A second
-        infinity or two equal values is a repeated point (RepeatedPointsError)."""
-        values = tuple(pt.value for pt in cfg.points if not pt.is_infinity)
-        if len(values) + 1 < cfg.size:
-            raise RepeatedPointsError("the points are not distinct")
-        return cluster_data(cfg, values)
 
     def paired(self, pairs: tuple[tuple[int, ...], ...]) -> "Skeleton":
         """The skeleton with the pairs ``pairs`` (tuples of positions) and what
@@ -351,13 +326,9 @@ class PairedConfiguration:
         if self._skeleton is None:
             k = count()
             pairs = tuple(tuple(next(k) for pt in p if not pt.is_infinity) for p in self.pairs)
-            sk = Skeleton.build(self.configuration()).paired(pairs)
+            sk = cluster_data(self.configuration()).paired(pairs)
             object.__setattr__(self, "_skeleton", sk)
         return self._skeleton
-
-    def pairing(self) -> set[frozenset[PPoint]]:
-        """The pairs as unordered point sets, compared by exact value."""
-        return {frozenset(pair) for pair in self.pairs}
 
     def __repr__(self):
         inner = ", ".join(
@@ -426,7 +397,7 @@ def pair_up(cfg: Configuration) -> PairedConfiguration:
     """
     finite = [pt for pt in cfg.points if not pt.is_infinity]
     has_inf = len(finite) < cfg.size
-    sk = Skeleton.build(cfg)
+    sk = cluster_data(cfg)
     sk = sk.paired(canonical_pairs(sk, has_inf))
     points = [finite[x] for pts in sk.pair_points for x in pts]
     points += [INFINITY] if has_inf else []

@@ -9,10 +9,6 @@ class UnsupportedFieldError(SchottkyFoldError):
     """No supported field carries a primitive p-th root of unity for (p, ell)."""
 
 
-class FieldDivisionError(SchottkyFoldError, ZeroDivisionError):
-    """Division or inversion of the zero field element."""
-
-
 class DegeneratePairError(SchottkyFoldError):
     """An order-p map was requested for a pair of equal fixed points."""
 

@@ -2,14 +2,15 @@
 
 Given a paired configuration with infinity among its points, the driver
 repeatedly looks for an index pair (i, j) and an exponent n such that
-replacing the pairs hanging in the branch of ``tilde_d_j_of_i(i, j)``
-around pair i by their images under the n-th power of the order-p map
-fixing pair j brings the configuration strictly closer together.  Each
-fold either keeps the configuration properly paired (a *good* fold) or
-breaks the pairing, which certifies that the input was not good.  The
-termination measure, the axis gaps of every two pairs summed in steps of
-the discrete value group (``Skeleton.pair_gaps``), strictly drops at
-every fold, and the driver checks that it does, so the loop terminates.
+replacing the pairs hanging in the branch around pair i of the target
+disc d_j(i) pushed back by rho (``targets(pcfg, i)[j]``, second half) by
+their images under the n-th power of the order-p map fixing pair j brings
+the configuration strictly closer together.  Each fold either keeps the
+configuration properly paired (a *good* fold) or breaks the pairing,
+which certifies that the input was not good.  The termination measure,
+the axis gaps of every two pairs summed in steps of the discrete value
+group (``Skeleton.pair_gaps``), strictly drops at every fold, and the
+driver checks that it does, so the loop terminates.
 
 Every valuation a pass reads comes from the skeleton's integers, and the
 strong triangle inequality spares most of them: the skeleton values only
@@ -167,20 +168,6 @@ def targets(pcfg: PairedConfiguration, i: int) -> list:
         else:
             out[j] = target, (c_i, 2 * jn - radius + rho)
     return out
-
-
-def d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
-    """Pair j's target disc seen from pair i, or None: a view of :func:`targets`."""
-    if i == j:
-        raise ValueError("indices must be distinct")
-    return (targets(pcfg, i)[j] or (None, None))[0]
-
-
-def tilde_d_j_of_i(pcfg: PairedConfiguration, i: int, j: int):
-    """That target pushed back by rho, or None: a view of :func:`targets`."""
-    if i == j:
-        raise ValueError("indices must be distinct")
-    return (targets(pcfg, i)[j] or (None, None))[1]
 
 
 def select_target(pcfg: PairedConfiguration, i: int) -> tuple[int, tuple]:

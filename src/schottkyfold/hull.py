@@ -53,6 +53,9 @@ class SkeletonTree(NamedTuple):
     vertices: tuple[SkeletonVertex, ...]
     edges: tuple[tuple[int, int, Fraction], ...]
 
+    # the three readings below are kept for demo 04, which shows the
+    # forest's shape with them
+
     def valency(self, vid: int) -> int:
         return sum(1 for u, v, _ in self.edges if vid in (u, v))
 

@@ -62,6 +62,7 @@ class GroupWord(NamedTuple):
         )
 
 
+# kept for demo 06; the audit walks the same order without listing it
 def enumerate_gamma_words(g: int, p: int, max_len: int) -> Iterator[GroupWord]:
     """All reduced words of syllable length <= max_len whose exponent sum is
     divisible by p, in length-lexicographic order, each exactly once.

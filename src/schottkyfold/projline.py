@@ -121,11 +121,6 @@ def integer_map(ctx: FieldContext, m: tuple, s: int) -> Mobius:
     return Mobius(ctx, *ring.divide(m, gcd(s, k)))
 
 
-def identity(ctx: FieldContext) -> Mobius:
-    one, zero = ctx.integers.one, ctx.integers.zero
-    return Mobius(ctx, one, zero, zero, one)
-
-
 def image(ctx: FieldContext, m: tuple, num, den: int) -> PPoint:
     """The image of num / den (num in ``ctx.integers``; infinity is 1 / 0)
     under the integer matrix m: (a num + b den) / (c num + d den), one
@@ -152,12 +147,7 @@ def compose(m1: Mobius, m2: Mobius) -> Mobius:
     return integer_map(f, f.integers.matmul(m1.entries(), m2.entries()), 1)
 
 
-def inverse(m: Mobius) -> Mobius:
-    """The adjugate, renormalised."""
-    f, ring = m.ctx, m.ctx.integers
-    return integer_map(f, (m.d, ring.sub(ring.zero, m.b), ring.sub(ring.zero, m.c), m.a), 1)
-
-
+# kept for demo 02, which shows with it that a generator has order p
 def proj_eq(m1: Mobius, m2: Mobius) -> bool:
     """Projective equality, decided by cross-multiplication of the entries."""
     e1, e2 = m1.entries(), m2.entries()
@@ -178,6 +168,8 @@ def is_loxodromic(v_tr, v_det) -> bool:
     return 2 * v_tr < v_det
 
 
+# kept for demo 02 and the benchmark's tracer (perfbench/spans.py); the
+# audit applies the same rule inline
 def classify(ctx: FieldContext, m: Mobius) -> ElementClass:
     """Identity / parabolic / elliptic / loxodromic, by eigenvalue valuations.
 
@@ -228,6 +220,7 @@ def order_p_matrix(ctx: FieldContext, ints: list, den: int, n: int) -> tuple:
     ), den * den
 
 
+# kept for demo 02; the fold and the audit build on order_p_matrix
 def order_p_fixing(ctx: FieldContext, a: PPoint, b: PPoint, n: int) -> Mobius:
     """The n-th power of an order-p map fixing a and b: the points lowered
     over one common denominator, :func:`order_p_matrix` in canonical scale.

@@ -8,9 +8,10 @@ from collections import Counter
 from fractions import Fraction
 
 import schottkyfold as sf
-from schottkyfold.folding import tilde_d_j_of_i
+from schottkyfold.folding import targets
 
-from reference import above, delta, skeleton_disc, transported_vertex_disc, verify_fold_conjugation
+from reference import (above, delta, field_add, field_mul, field_sub, skeleton_disc,
+                       transported_vertex_disc, verify_fold_conjugation)
 
 # Showcase configurations used across the suite (5-adic and 7-adic, p = 2).
 SIX_POINT_5ADIC = [7, 12, 0, 5, 1, "inf"]
@@ -51,6 +52,30 @@ def config(ctx, values):
 def pair_list(pcfg):
     """The pairs in index order, each as an unordered set of exact points."""
     return [frozenset(pair) for pair in pcfg.pairs]
+
+
+def pairing(pcfg):
+    """The pairs as unordered point sets, compared by exact value."""
+    return set(pair_list(pcfg))
+
+
+def finite_values(cfg):
+    """The finite point values, in input order: the values a skeleton built
+    on the configuration names by position."""
+    return tuple(pt.value for pt in cfg.points if not pt.is_infinity)
+
+
+def target_disc(pcfg, i, j):
+    """d_j(i), pair j's target disc seen from pair i, as (center position,
+    radius in steps), or None: entry j of ``folding.targets``."""
+    found = targets(pcfg, i)[j]
+    return None if found is None else found[0]
+
+
+def pushed_back(pcfg, i, j):
+    """That target pushed back by rho toward pair i, or None."""
+    found = targets(pcfg, i)[j]
+    return None if found is None else found[1]
 
 
 def pairs_as_sets(ctx, values_pairs):
@@ -154,7 +179,7 @@ def sample_paired(rng, ctx, g):
             pcfg = sf.pair_up(cfg)
         except sf.PairingError:
             continue
-        if pcfg.pairing() == expected:
+        if pairing(pcfg) == expected:
             return cfg, pcfg
     raise AssertionError("random generator failed to produce a paired set")
 
@@ -170,7 +195,7 @@ def affine_image(cfg, u, c):
     return sf.Configuration(
         ctx,
         tuple(
-            pt if pt.is_infinity else sf.finite(ctx, ctx.add(ctx.mul(u, pt.value), c))
+            pt if pt.is_infinity else sf.finite(ctx, field_add(ctx, field_mul(ctx, u, pt.value), c))
             for pt in cfg.points
         ),
     )
@@ -183,8 +208,8 @@ def lowering_sets(seed, genera=(2, 3, 4)):
     rng = random.Random(seed)
     for p, ell in TEST_FIELDS:
         ctx = sf.field_context(p, ell)
-        u = ctx.mul(ctx.zeta, ctx.from_fraction(Fraction(1, ell)))
-        c = ctx.add(ctx.zeta, ctx.from_fraction(Fraction(2, 3)))
+        u = field_mul(ctx, ctx.zeta, ctx.from_fraction(Fraction(1, ell)))
+        c = field_add(ctx, ctx.zeta, ctx.from_fraction(Fraction(2, 3)))
         for g in genera:
             cfg, _ = sample_paired(rng, ctx, g)
             yield ctx, cfg
@@ -240,7 +265,7 @@ def check_fold_step(step):
 
     ctx = step.before.ctx
     tree = sf.reduced_convex_hull(step.before)
-    dt = skeleton_disc(step.before, tilde_d_j_of_i(step.before, step.i, step.j))
+    dt = skeleton_disc(step.before, pushed_back(step.before, step.i, step.j))
     anchor = next(
         pt.value for pt in step.before.pairs[step.i] if not pt.is_infinity
     )
@@ -249,7 +274,7 @@ def check_fold_step(step):
     def in_branch(disc):
         if disc.radius <= dt.radius:
             return False
-        sep = ctx.valuation(ctx.sub(disc.center, anchor))
+        sep = ctx.valuation(field_sub(ctx, disc.center, anchor))
         return above(sep, dt.radius)
 
     distinguished = tree.distinguished()

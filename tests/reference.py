@@ -28,7 +28,15 @@ constructor ``projline.order_p_matrix`` and the integer action
 ``projline.image``.  ``classify_by_fractions`` classifies a map from its
 trace and determinant as field elements, with the valuations of the second
 half: the reference for ``projline.classify`` on integers.  A map's
-integer entries become field elements through ``element``.
+integer entries become field elements through ``element``, and
+``identity`` and ``inverse`` build maps the same way.
+
+Elements are added, subtracted and compared with zero by ``field_add``,
+``field_sub`` and ``field_is_zero`` (with ``field_zero`` and
+``field_one``), on ``Fraction``s and on coefficient tuples, next to the
+products and quotients of ``field_mul`` and ``field_div``: the reference
+adds, multiplies and divides elements without the field context, which
+only builds and values them.
 
 The second half is cyclotomic field arithmetic by polynomial division over
 Q, an independent check of the field layer's integer kernels: products and
@@ -45,7 +53,7 @@ from math import gcd, lcm
 from schottkyfold.folding import FoldWitness
 from schottkyfold.hull import Disc
 from schottkyfold.projline import (INFINITY, ElementClass, MapKind, Mobius, PPoint, apply,
-                                   compose, inverse, order_p_fixing, proj_eq)
+                                   compose, order_p_fixing, proj_eq)
 from schottkyfold.valfield import FieldKind, Val, int_valuation
 
 
@@ -66,7 +74,7 @@ def disc(ctx, center, radius) -> Disc:
 
 
 def same(d1: Disc, d2: Disc) -> bool:
-    sep = d1.ctx.valuation(d1.ctx.sub(d2.center, d1.center))
+    sep = d1.ctx.valuation(field_sub(d1.ctx, d2.center, d1.center))
     return d1.radius == d2.radius and at_least(sep, d1.radius)
 
 
@@ -74,7 +82,7 @@ def join(d1: Disc, d2: Disc) -> Disc:
     """The smallest closed disc containing both inputs."""
     ctx = d1.ctx
     r = min(d1.radius, d2.radius)
-    sep = ctx.valuation(ctx.sub(d1.center, d2.center))
+    sep = ctx.valuation(field_sub(ctx, d1.center, d2.center))
     if not sep.is_infinite:
         r = min(r, sep.fraction)
     return Disc(ctx, d1.center, r)
@@ -91,7 +99,7 @@ def min_disc(ctx, values) -> Disc:
     center = values[0]
     radius = None
     for x in values[1:]:
-        v = ctx.valuation(ctx.sub(x, center))
+        v = ctx.valuation(field_sub(ctx, x, center))
         if not v.is_infinite and (radius is None or v.fraction < radius):
             radius = v.fraction
     if radius is None:
@@ -121,7 +129,7 @@ def point_to_axis(d: Disc, pair, ctx) -> Fraction:
     fins = [pt.value for pt in pair if not pt.is_infinity]
     entry_radii = []
     for x in fins:
-        v = ctx.valuation(ctx.sub(x, d.center))
+        v = ctx.valuation(field_sub(ctx, x, d.center))
         entry_radii.append(d.radius if at_least(v, d.radius) else v.fraction)
     entry = max(entry_radii)
     dist = d.radius - entry
@@ -143,8 +151,8 @@ def cross_ratios(pcfg, j: int, k: int) -> list:
     for pt in pcfg.pairs[k]:
         if pt.is_infinity:
             continue
-        num = ctx.sub(pt.value, a_j.value)
-        out.append(num if b_j.is_infinity else field_div(ctx, num, ctx.sub(pt.value, b_j.value)))
+        num = field_sub(ctx, pt.value, a_j.value)
+        out.append(num if b_j.is_infinity else field_div(ctx, num, field_sub(ctx, pt.value, b_j.value)))
     return out
 
 
@@ -167,7 +175,7 @@ def fold_exponent(pcfg, i: int, j: int, I):
         for l, reps_l in reps.items():
             sides = [
                 (
-                    ctx.valuation(ctx.sub(r_l, ctx.mul(zeta_n, r_i))),
+                    ctx.valuation(field_sub(ctx, r_l, field_mul(ctx, zeta_n, r_i))),
                     ctx.valuation(r_l).fraction + ctx.rho,
                 )
                 for r_i in reps_i
@@ -186,7 +194,7 @@ def pairwise_depth(ctx, values, members):
     members = sorted(members)
     return min(
         (
-            ctx.ramification * ctx.valuation(ctx.sub(values[a], values[b])).fraction
+            ctx.ramification * ctx.valuation(field_sub(ctx, values[a], values[b])).fraction
             for k, a in enumerate(members)
             for b in members[k + 1:]
         ),
@@ -227,15 +235,16 @@ def minimal_odd(sk, members):
 def field_steps(ctx, x, y) -> int:
     """e v(x - y) for distinct field elements, by ``FieldContext.valuation``
     (remembered, as the rule comparisons ask for the same few often)."""
-    return int(ctx.ramification * ctx.valuation(ctx.sub(x, y)).fraction)
+    return int(ctx.ramification * ctx.valuation(field_sub(ctx, x, y)).fraction)
 
 
 def target_by_chain(pcfg, i: int, j: int):
-    """``folding.d_j_of_i`` by its definition, walking pair i's cluster
-    chain: the minimal disc of pair j where the minimal odd clusters through
-    pairs i and j coincide; else, where some odd cluster through pair i
-    holds exactly one point of pair j, the largest disc around pair i's
-    centre that holds one point k of pair j and no other; else None."""
+    """d_j(i), the target in entry j of ``folding.targets(pcfg, i)``, by its
+    definition, walking pair i's cluster chain: the minimal disc of pair j
+    where the minimal odd clusters through pairs i and j coincide; else,
+    where some odd cluster through pair i holds exactly one point of pair
+    j, the largest disc around pair i's centre that holds one point k of
+    pair j and no other; else None."""
     sk, ctx = pcfg.skeleton(), pcfg.ctx
     mem_i, mem_j = sk.pair_points[i], sk.pair_points[j]
     if len(mem_i) < 2:
@@ -260,7 +269,8 @@ def target_by_chain(pcfg, i: int, j: int):
 
 
 def pushed_back_by_chain(pcfg, i: int, j: int):
-    """``folding.tilde_d_j_of_i`` on :func:`target_by_chain`."""
+    """The push-back by rho of entry j of ``folding.targets(pcfg, i)``, on
+    :func:`target_by_chain`."""
     base = target_by_chain(pcfg, i, j)
     if base is None:
         return None
@@ -317,6 +327,32 @@ def axis_gaps_by_valuation(pcfg) -> tuple[int, ...]:
     return tuple(gaps)
 
 
+def field_zero(ctx):
+    """0: a ``Fraction`` over Q, p - 1 zero coefficients otherwise."""
+    return Fraction(0) if ctx.kind is FieldKind.RATIONAL else (Fraction(0),) * ctx.degree
+
+
+def field_one(ctx):
+    """1: the constant coefficient 1 in the cyclotomic flavours."""
+    if ctx.kind is FieldKind.RATIONAL:
+        return Fraction(1)
+    return (Fraction(1),) + (Fraction(0),) * (ctx.degree - 1)
+
+
+def field_is_zero(ctx, x) -> bool:
+    return x == field_zero(ctx)
+
+
+def field_add(ctx, x, y):
+    """x + y, coefficient by coefficient in the cyclotomic flavours."""
+    return x + y if ctx.kind is FieldKind.RATIONAL else tuple(a + b for a, b in zip(x, y))
+
+
+def field_sub(ctx, x, y):
+    """x - y, coefficient by coefficient in the cyclotomic flavours."""
+    return x - y if ctx.kind is FieldKind.RATIONAL else tuple(a - b for a, b in zip(x, y))
+
+
 def field_mul(ctx, x, y):
     """x y, by polynomial division over Q in the cyclotomic flavours."""
     return x * y if ctx.kind is FieldKind.RATIONAL else cyclo_mul(ctx, x, y)
@@ -362,20 +398,33 @@ def mobius_by_fractions(ctx, a, b, c, d) -> Mobius:
     return Mobius(ctx, *([(q * den).numerator for q in x] for x in ent))
 
 
+def identity(ctx) -> Mobius:
+    """The identity map, in canonical scale."""
+    return mobius_by_fractions(ctx, 1, 0, 0, 1)
+
+
+def inverse(m: Mobius) -> Mobius:
+    """The inverse map: the adjugate (d, -b, -c, a), in canonical scale."""
+    ctx = m.ctx
+    a, b, c, d = (element(ctx, x) for x in m.entries())
+    zero = field_zero(ctx)
+    return mobius_by_fractions(ctx, d, field_sub(ctx, zero, b), field_sub(ctx, zero, c), a)
+
+
 def order_p_fixing_by_fractions(ctx, a, b, n: int) -> Mobius:
     """The n-th power of the order-p map fixing a and b (b may be
     infinity), by field arithmetic: [[a - z^n b, (z^n - 1) a b], [1 - z^n,
     z^n a - b]] with z = zeta_p, or z -> (1 - z^n) a + z^n z."""
-    zn, one, av = zeta_power_by_definition(ctx, n), ctx.one(), a.value
+    zn, one, av = zeta_power_by_definition(ctx, n), field_one(ctx), a.value
     if b.is_infinity:
-        return mobius_by_fractions(ctx, zn, field_mul(ctx, ctx.sub(one, zn), av), ctx.zero(), one)
+        return mobius_by_fractions(ctx, zn, field_mul(ctx, field_sub(ctx, one, zn), av), 0, one)
     bv = b.value
     return mobius_by_fractions(
         ctx,
-        ctx.sub(av, field_mul(ctx, zn, bv)),
-        field_mul(ctx, ctx.sub(zn, one), field_mul(ctx, av, bv)),
-        ctx.sub(one, zn),
-        ctx.sub(field_mul(ctx, zn, av), bv),
+        field_sub(ctx, av, field_mul(ctx, zn, bv)),
+        field_mul(ctx, field_sub(ctx, zn, one), field_mul(ctx, av, bv)),
+        field_sub(ctx, one, zn),
+        field_sub(ctx, field_mul(ctx, zn, av), bv),
     )
 
 
@@ -386,7 +435,7 @@ def compose_by_fractions(m1: Mobius, m2: Mobius) -> Mobius:
     a2, b2, c2, d2 = (element(ctx, x) for x in m2.entries())
 
     def dot(x, y, u, v):
-        return ctx.add(field_mul(ctx, x, y), field_mul(ctx, u, v))
+        return field_add(ctx, field_mul(ctx, x, y), field_mul(ctx, u, v))
 
     return mobius_by_fractions(
         ctx,
@@ -403,18 +452,18 @@ def apply_by_fractions(m: Mobius, pt: PPoint) -> PPoint:
     ctx = m.ctx
     a, b, c, d = (element(ctx, x) for x in m.entries())
     if pt.is_infinity:
-        return INFINITY if ctx.is_zero(c) else PPoint(field_div(ctx, a, c))
-    den = ctx.add(field_mul(ctx, c, pt.value), d)
-    if ctx.is_zero(den):
+        return INFINITY if field_is_zero(ctx, c) else PPoint(field_div(ctx, a, c))
+    den = field_add(ctx, field_mul(ctx, c, pt.value), d)
+    if field_is_zero(ctx, den):
         return INFINITY
-    return PPoint(field_div(ctx, ctx.add(field_mul(ctx, a, pt.value), b), den))
+    return PPoint(field_div(ctx, field_add(ctx, field_mul(ctx, a, pt.value), b), den))
 
 
 def pole_by_fractions(m: Mobius) -> PPoint:
     """-d / c, the point m sends to infinity (m must not fix infinity)."""
     ctx = m.ctx
     c, d = element(ctx, m.c), element(ctx, m.d)
-    return PPoint(field_div(ctx, ctx.sub(ctx.zero(), d), c))
+    return PPoint(field_div(ctx, field_sub(ctx, field_zero(ctx), d), c))
 
 
 def field_valuation(ctx, x) -> Val:
@@ -433,10 +482,10 @@ def classify_by_fractions(ctx, m: Mobius) -> ElementClass:
     4 det is parabolic, and otherwise the map is loxodromic, with
     translation length v(det) - 2 v(tr), exactly when 2 v(tr) < v(det)."""
     a, b, c, d = (element(ctx, x) for x in m.entries())
-    if ctx.is_zero(b) and ctx.is_zero(c) and a == d:
+    if field_is_zero(ctx, b) and field_is_zero(ctx, c) and a == d:
         return ElementClass(MapKind.IDENTITY)
-    tr = ctx.add(a, d)
-    det = ctx.sub(field_mul(ctx, a, d), field_mul(ctx, b, c))
+    tr = field_add(ctx, a, d)
+    det = field_sub(ctx, field_mul(ctx, a, d), field_mul(ctx, b, c))
     if field_mul(ctx, tr, tr) == field_mul(ctx, ctx.from_fraction(4), det):
         return ElementClass(MapKind.PARABOLIC)
     v_tr, v_det = field_valuation(ctx, tr), field_valuation(ctx, det)
@@ -600,6 +649,8 @@ def cyclo_inv(ctx, x) -> tuple:
     pseudo-remainder, divided with its cofactor s by their common content,
     until r is a constant g, so 1/x = L s / g."""
     den, r1 = _integral(x)
+    if not r1:
+        raise ZeroDivisionError("inverse of zero")
     r0, s0, s1 = [1] * ctx.p, [], [1]
     while len(r1) > 1:
         q, r = _pseudo_divmod(r0, r1)

@@ -21,7 +21,6 @@ from schottkyfold.folding import (
     compute_I,
     fold_map,
     select_target,
-    tilde_d_j_of_i,
 )
 from helpers import (
     DYADIC_FOUR,
@@ -34,6 +33,7 @@ from helpers import (
     multiset,
     pair_list,
     pairs_as_sets,
+    pushed_back,
     sample_paired,
     values_multiset,
 )
@@ -236,7 +236,7 @@ def test_criterion_6_hull_statistics(corpus):
         for ctx, cfg, pcfg in corpus["hull_corpus"]:
             g = pcfg.g
             tree = sf.reduced_convex_hull(pcfg)
-            clusters = sf.cluster_data(cfg)
+            clusters = sf.cluster_data(cfg).clusters
             odd = sum(
                 1
                 for c in clusters
@@ -295,14 +295,14 @@ def test_criterion_10_oracle_consistency(corpus):
         # the target axis, and the verdicts are self-consistent
         ctx2 = sf.field_context(2, 2)
         four = sf.pair_up(sf.configuration(ctx2, DYADIC_FOUR))
-        dt = skeleton_disc(four, tilde_d_j_of_i(four, 0, 1))
+        dt = skeleton_disc(four, pushed_back(four, 0, 1))
         assert point_to_axis(dt, four.pairs[1], ctx2) == 1
         assert isinstance(corpus["smoke_four"], sf.Good)
         assert corpus["smoke_four"].trace == ()
 
         six = sf.pair_up(sf.configuration(ctx2, DYADIC_SIX_FOLDING))
         j, _ = select_target(six, 0)
-        dt6 = skeleton_disc(six, tilde_d_j_of_i(six, 0, j))
+        dt6 = skeleton_disc(six, pushed_back(six, 0, j))
         assert point_to_axis(dt6, six.pairs[j], ctx2) == 1
         assert isinstance(corpus["smoke_six"], sf.Good)
         assert len(corpus["smoke_six"].trace) == 1

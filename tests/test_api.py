@@ -17,13 +17,14 @@ import pytest
 
 import schottkyfold as sf
 from schottkyfold import cli
+from reference import identity
 
 ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = [
     "AuditResult", "BadFoldingProduced", "Cluster", "Configuration",
     "DegeneratePairError", "Disc", "ElementClass", "FieldContext",
-    "FieldDivisionError", "FieldKind", "FoldWitness", "FoldingStep", "Good",
+    "FieldKind", "FoldWitness", "FoldingStep", "Good",
     "GroupWord", "INFINITY", "InitialNotPaired", "InvalidInputError", "MapKind",
     "Mobius", "NotClusteredInPairsError", "NotGood", "NotPairedError",
     "NotSeparatedError", "PPoint", "PairedConfiguration", "PairingError",
@@ -31,7 +32,7 @@ PUBLIC = [
     "SkeletonVertex", "UnsupportedFieldError", "Val", "Verdict", "apply",
     "classify", "cluster_data", "compose", "configuration",
     "enumerate_gamma_words", "field_context", "finite", "format_fraction",
-    "identity", "inverse", "mobius", "order_p_fixing", "pair_up", "proj_eq",
+    "mobius", "order_p_fixing", "pair_up", "proj_eq",
     "reduced_convex_hull", "repetition_report", "run_algorithm",
     "schottky_audit", "to_dot", "word_matrix",
 ]
@@ -63,6 +64,72 @@ def test_demos_benchmark_and_readme_use_only_public_names():
     # submodules such as ``cli`` are imported as modules, not as API names
     submodules = {n for n in names if importlib.util.find_spec(f"schottkyfold.{n}")}
     assert names - submodules <= set(PUBLIC)
+
+
+def _references_outside_tests():
+    """The names read by the library, the demos and the benchmark, and the
+    subset read as methods of a field context.
+
+    A read is a loaded ``name`` or ``x.name``: a definition, an import or a
+    docstring is not one.  Every read in a demo or the benchmark counts.  In
+    the library a read counts at module or class level, and inside a
+    function only once that function is itself read (dunder methods always
+    are), so a name that only dead code reads stays unread.  ``x.name``
+    reads a method of ``FieldContext`` when x is ``FieldContext``, ``self``
+    in its class body, or a variable whose last part starts with ``ctx``,
+    the library's name for a context: ``ring.add`` on the integer ring is
+    no read of ``FieldContext.add``.
+    """
+    reads = []  # (owning function or None, name, read as a context method)
+    defs = {}  # function -> (its name, whether it is a FieldContext method)
+
+    def visit(node, owner, in_context, library):
+        for child in ast.iter_child_nodes(node):
+            inner, inside = owner, in_context
+            if isinstance(child, ast.ClassDef):
+                inside = child.name == "FieldContext"
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and library:
+                inner = child
+                defs[child] = (child.name, in_context and isinstance(node, ast.ClassDef))
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                reads.append((owner, child.id, False))
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                receiver = ast.unparse(child.value)
+                as_method = (
+                    receiver == "FieldContext"
+                    or receiver.rsplit(".", 1)[-1].startswith("ctx")
+                    or (in_context and receiver == "self")
+                )
+                reads.append((owner, child.attr, as_method))
+            visit(child, inner, inside, library)
+
+    for path in ROOT.glob("src/schottkyfold/*.py"):
+        visit(ast.parse(path.read_text()), None, False, True)
+    for path in [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]:
+        visit(ast.parse(path.read_text()), None, False, False)
+    live = {fn for fn, (name, _) in defs.items() if name.startswith("__")}
+    while True:
+        names, methods = set(), set()
+        for owner, name, as_method in reads:
+            if owner is None or owner in live:
+                names.add(name)
+                if as_method:
+                    methods.add(name)
+        grown = live | {fn for fn, (name, method) in defs.items() if name in (methods if method else names)}
+        if grown == live:
+            return names, methods
+        live = grown
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # each name in __all__ and each public FieldContext method is read in
+    # the library beyond its own definition, in a demo, or in the benchmark;
+    # what only the tests call belongs in tests/reference.py
+    names, methods = _references_outside_tests()
+    public = {name for name, value in vars(sf.FieldContext).items() if callable(value) and not name.startswith("_")}
+    assert {"lower", "mul", "valuation"} <= public
+    unread = sorted(set(sf.__all__) - names) + [f"FieldContext.{m}" for m in sorted(public - methods)]
+    assert unread == []
 
 
 # Run in a fresh isolated interpreter: the modules it loads before the
@@ -115,8 +182,8 @@ def test_records_compare_and_hash_by_value():
         ("points", lambda c: sf.configuration(c, [Fraction(7, 5), 12, "inf"]),
          sf.configuration(ctx, [12, Fraction(7, 5), "inf"])),
         ("lhs", lambda c: sf.FoldWitness(3, one, sf.Val(None)), sf.FoldWitness(3, one, one)),
-        ("a", lambda c: sf.mobius(c, 2, 1, 0, 4), sf.identity(ctx)),
-        ("a", lambda c: sf.identity(c), sf.identity(sf.field_context(2, 7))),
+        ("a", lambda c: sf.mobius(c, 2, 1, 0, 4), identity(ctx)),
+        ("a", lambda c: identity(c), identity(sf.field_context(2, 7))),
         ("points", lambda c: cli.parse_problem(document), cli.parse_problem(traced)),
     ]
     for field, build, other in cases:
@@ -158,7 +225,7 @@ def test_records_compare_and_hash_by_value():
         del built.pairs
 
     # over Q(zeta_3) a map's entries are lists, so it has no hash
-    m = sf.identity(sf.field_context(3, 7))
-    assert m == sf.identity(m.ctx)
+    m = identity(sf.field_context(3, 7))
+    assert m == identity(m.ctx)
     with pytest.raises(TypeError):
         hash(m)

@@ -17,7 +17,7 @@ import pytest
 import schottkyfold as sf
 from schottkyfold import cli
 from helpers import EIGHT_POINT_7ADIC_MIN, TEST_FIELDS, ctx7, module_env, values_multiset
-from reference import element, field_valuation
+from reference import element, field_valuation, identity
 
 
 def problem_5adic(**options):
@@ -221,7 +221,7 @@ def test_witness_valuations_read_the_ring_entries_like_the_field_route():
     printed = set()
     for p, ell in TEST_FIELDS:
         ctx = sf.field_context(p, ell)
-        gens = [sf.identity(ctx)]
+        gens = [identity(ctx)]
         for _ in range(3):
             a, b = (Fraction(rng.randint(-60, 60), rng.choice([1, 2, ell, ell**2])) for _ in range(2))
             if a != b:

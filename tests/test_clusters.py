@@ -12,9 +12,9 @@ from itertools import chain, product
 import pytest
 
 import schottkyfold as sf
-from schottkyfold.clusters import Skeleton, even_keys
+from schottkyfold.clusters import even_keys
 from schottkyfold.errors import RepeatedPointsError
-from schottkyfold.folding import compute_I, d_j_of_i, select_target, tilde_d_j_of_i
+from schottkyfold.folding import compute_I, select_target, targets
 from schottkyfold.valfield import INF, INF_STEPS, FieldKind, Val
 from helpers import (
     EIGHT_POINT_7ADIC,
@@ -23,35 +23,36 @@ from helpers import (
     ctx2,
     ctx5,
     ctx7,
+    finite_values,
     lowering_sets,
     multiset,
     nielsen_move,
     pair_list,
+    pairing,
     pairs_as_sets,
     sample_paired,
     values_multiset,
 )
-from reference import at_least, even_profile, pair_disc, pairwise_depth, smallest_superset
+from reference import even_profile, field_sub, pair_disc, pairwise_depth, smallest_superset
 
 
-def _cluster_value_sets(cfg, clusters):
-    values = cfg.finite_values()
-    ctx = cfg.ctx
+def _cluster_value_sets(ctx, sk):
+    # each cluster's values, with its depth in steps shown as a valuation
     return {
-        frozenset(ctx.to_str(values[k]) for k in c.members): c.depth
-        for c in clusters
+        frozenset(ctx.to_str(sk.values[k]) for k in c.members): ctx.val_of_steps(c.depth)
+        for c in sk.clusters
     }
 
 
 def test_cluster_data_of_the_7adic_showcase():
     ctx = ctx7()
     cfg = sf.configuration(ctx, EIGHT_POINT_7ADIC)
-    table = _cluster_value_sets(cfg, sf.cluster_data(cfg))
-    assert table[frozenset({"1336/3", "-355"})] == Val.of(4)
-    assert table[frozenset({"0", "7"})] == Val.of(1)
-    assert table[frozenset({"1336/3", "-355", "-110", "86"})] == Val.of(2)
+    table = _cluster_value_sets(ctx, sf.cluster_data(cfg))
+    assert table[frozenset({"1336/3", "-355"})] == Val(Fraction(4))
+    assert table[frozenset({"0", "7"})] == Val(Fraction(1))
+    assert table[frozenset({"1336/3", "-355", "-110", "86"})] == Val(Fraction(2))
     full = frozenset({"1336/3", "-355", "-110", "86", "0", "7", "1"})
-    assert table[full] == Val.of(0)
+    assert table[full] == Val(Fraction(0))
     assert table[frozenset({"1"})] == INF
     # laminar and complete: every point is a singleton, the full set appears
     assert len(table) == 7 + 3 + 1  # singletons, proper clusters, full set
@@ -60,9 +61,9 @@ def test_cluster_data_of_the_7adic_showcase():
 def test_singleton_depth_is_infinite():
     ctx = ctx5()
     cfg = sf.configuration(ctx, [3, 4, 9, "inf"])
-    for c in sf.cluster_data(cfg):
+    for c in sf.cluster_data(cfg).clusters:
         if len(c.members) == 1:
-            assert c.depth.is_infinite
+            assert c.depth is INF_STEPS and ctx.val_of_steps(c.depth).is_infinite
 
 
 def test_clusters_are_laminar_and_depth_monotone():
@@ -71,7 +72,7 @@ def test_clusters_are_laminar_and_depth_monotone():
         ctx = sf.field_context(2, ell)
         for g in (1, 2, 3, 4):
             cfg, _ = sample_paired(rng, ctx, g)
-            clusters = sf.cluster_data(cfg)
+            clusters = sf.cluster_data(cfg).clusters
             for c1 in clusters:
                 for c2 in clusters:
                     inter = c1.members & c2.members
@@ -81,8 +82,8 @@ def test_clusters_are_laminar_and_depth_monotone():
                         or c2.members <= c1.members
                     )
                     if c1.members < c2.members:
-                        # a singleton's depth is +infinity
-                        assert at_least(c1.depth, c2.depth.fraction)
+                        # a singleton's depth is +infinity, above every int
+                        assert c1.depth >= c2.depth
 
 
 def test_pair_up_examples():
@@ -94,7 +95,7 @@ def test_pair_up_examples():
         sf.pair_up(sf.configuration(ctx, [-5, -10, 0, 5, 1, "inf"]))
 
     derived = sf.pair_up(sf.configuration(ctx, [0, 125, 5, 1, 6, "inf"]))
-    assert derived.pairing() == set(
+    assert pairing(derived) == set(
         pairs_as_sets(ctx, [[0, 125], [1, 6], [5, "inf"]])
     )
     # deterministic index order: deeper pair discs first, infinity pair last
@@ -132,7 +133,7 @@ def test_pair_up_separation_is_a_tube_condition():
     # pairs {0,8} and {2,10} split at depth 1 but sit at depth 3
     ctx = ctx2()
     pcfg = sf.pair_up(sf.configuration(ctx, [0, 8, 2, 10, 5, "inf"]))
-    assert pcfg.pairing() == set(
+    assert pairing(pcfg) == set(
         pairs_as_sets(ctx, [[0, 8], [2, 10], [5, "inf"]])
     )
 
@@ -144,7 +145,7 @@ def test_pair_up_affine_invariance():
         cfg, pcfg = sample_paired(rng, ctx, g)
         u, c = Fraction(3, 2), Fraction(-11)  # v(u) = 0
         mapped = [
-            "inf" if pt.is_infinity else u * ctx.as_fraction(pt.value) + c
+            "inf" if pt.is_infinity else u * pt.value + c
             for pt in cfg.points
         ]
         mapped_pairs = sf.pair_up(sf.configuration(ctx, mapped))
@@ -152,34 +153,34 @@ def test_pair_up_affine_invariance():
             frozenset(
                 pt
                 if pt.is_infinity
-                else sf.finite(ctx, u * ctx.as_fraction(pt.value) + c)
+                else sf.finite(ctx, u * pt.value + c)
                 for pt in pair
             )
             for pair in pcfg.pairs
         }
-        assert mapped_pairs.pairing() == expect
+        assert pairing(mapped_pairs) == expect
 
 
 def test_pair_up_is_permutation_stable():
     rng = random.Random(12)
     ctx = ctx7()
     cfg, pcfg = sample_paired(rng, ctx, 3)
-    reference = pcfg.pairing()
+    reference = pairing(pcfg)
     points = list(cfg.points)
     for _ in range(5):
         rng.shuffle(points)
         again = sf.pair_up(sf.Configuration(ctx, tuple(points)))
-        assert again.pairing() == reference
+        assert pairing(again) == reference
 
 
 def test_pair_up_without_infinity():
     # pairing is defined for finite-only configurations as well
     ctx = ctx5()
     pcfg = sf.pair_up(sf.configuration(ctx, [7, 12, 0, 5]))
-    assert pcfg.pairing() == set(pairs_as_sets(ctx, [[7, 12], [0, 5]]))
+    assert pairing(pcfg) == set(pairs_as_sets(ctx, [[7, 12], [0, 5]]))
     # two nested cherries pair up even without infinity
     nested = sf.pair_up(sf.configuration(ctx, [0, 25, 5, 30]))
-    assert nested.pairing() == set(pairs_as_sets(ctx, [[0, 25], [5, 30]]))
+    assert pairing(nested) == set(pairs_as_sets(ctx, [[0, 25], [5, 30]]))
     # four points in mutually distinct residues form a single class
     with pytest.raises(sf.NotClusteredInPairsError):
         sf.pair_up(sf.configuration(ctx, [0, 1, 2, 3]))
@@ -230,13 +231,13 @@ def test_step_matrix_matches_the_field_valuation():
     # be the balls of the matrix, each once, with its least entry as depth.
     entries, branching = 0, set()
     for ctx, cfg in chain(lowering_sets(17), lowering_sets(17, genera=(8, 10, 12))):
-        sk = Skeleton.build(cfg)
+        sk = sf.cluster_data(cfg)
         values, e, n = sk.values, ctx.ramification, len(sk.values)
-        assert sk.values == cfg.finite_values()
+        assert sk.values == finite_values(cfg)
         for a in range(n):
             assert sk.smat[a][a] is INF_STEPS
             for b in range(a + 1, n):
-                v = ctx.valuation(ctx.sub(values[a], values[b]))
+                v = ctx.valuation(field_sub(ctx, values[a], values[b]))
                 assert sk.smat[a][b] == sk.smat[b][a] == e * v.fraction
                 entries += 1
         row = sk.smat
@@ -265,7 +266,7 @@ def test_a_planted_repeat_is_met_anywhere_in_the_tree():
     # child onto a sibling, and from input position 0 onto the last point.
     planted = 0
     for ctx, cfg in lowering_sets(19, genera=(8, 10, 12)):
-        sk = Skeleton.build(cfg)
+        sk = sf.cluster_data(cfg)
         at = [k for k, pt in enumerate(cfg.points) if not pt.is_infinity]
         deepest = max((c for c in sk.clusters if len(c.members) > 1), key=lambda c: c.depth)
         k = next(k for k, up in enumerate(sk.parent) if up is not None and k != up + 1)
@@ -279,9 +280,31 @@ def test_a_planted_repeat_is_met_anywhere_in_the_tree():
             points = list(cfg.points)
             points[at[dst]] = points[at[src]]
             with pytest.raises(RepeatedPointsError):
-                Skeleton.build(sf.Configuration(ctx, tuple(points)))
+                sf.cluster_data(sf.Configuration(ctx, tuple(points)))
             planted += 1
     assert planted == 7 * 3 * 2 * 3
+
+
+def test_cluster_data_refuses_a_repeated_value_and_a_second_infinity():
+    # the one tree builder finds both kinds of repeat: two equal finite
+    # values (written differently, or not rational) meet as a zero
+    # difference, and a second infinity is counted before anything is
+    # lowered; the same points without the repeat give the skeleton
+    for p, ell in TEST_FIELDS:
+        ctx = sf.field_context(p, ell)
+        repeats = [
+            [0, 5, 1, 5, "inf"],
+            [Fraction(1, 5), 2, Fraction(2, 10), "inf"],
+            [0, 5, 1, "inf", "inf"],
+            ["inf", 0, "inf", 1],
+            [ctx.zeta, 0, ctx.zeta, 1],
+        ]
+        for values in repeats:
+            with pytest.raises(RepeatedPointsError):
+                sf.cluster_data(sf.configuration(ctx, values))
+        cfg = sf.configuration(ctx, [ctx.zeta, 0, 5, 1, "inf"])
+        sk = sf.cluster_data(cfg)
+        assert sk.values == finite_values(cfg) and sk.clusters[0].members == frozenset(range(4))
 
 
 def test_nesting_depth_is_not_bounded_by_the_recursion_limit():
@@ -292,11 +315,12 @@ def test_nesting_depth_is_not_bounded_by_the_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(traceback.extract_stack()) + 50)
     try:
-        clusters = sf.cluster_data(cfg)
+        clusters = sf.cluster_data(cfg).clusters
     finally:
         sys.setrecursionlimit(limit)
     assert len(clusters) == 2 * 150 - 1
-    assert sorted(c.depth.fraction for c in clusters if len(c.members) > 1) == list(range(149))
+    depths = [ctx.val_of_steps(c.depth).fraction for c in clusters if len(c.members) > 1]
+    assert sorted(depths) == list(range(149))
 
 
 def test_skeleton_values_only_the_open_differences(monkeypatch):
@@ -312,7 +336,7 @@ def test_skeleton_values_only_the_open_differences(monkeypatch):
         return original(self, a)
 
     monkeypatch.setattr(sf.FieldContext, "integral_valuation", counted)
-    sk = Skeleton.build(sf.configuration(ctx7(), EIGHT_POINT_7ADIC))
+    sk = sf.cluster_data(sf.configuration(ctx7(), EIGHT_POINT_7ADIC))
     assert len(sk.values) == 7 and len(calls) == 9
 
 
@@ -347,13 +371,13 @@ def test_skeleton_tree_matches_the_pairwise_definitions():
             for c in [cfg, moved] + _planted_repeats(rng, cfg):
                 repeated, _ = sf.repetition_report(c)
                 try:
-                    sk = Skeleton.build(c)
+                    sk = sf.cluster_data(c)
                 except RepeatedPointsError:
                     assert repeated
                     repeats += 1
                     continue
                 assert not repeated
-                assert sk.values == c.finite_values()
+                assert sk.values == finite_values(c)
                 for k, cluster in enumerate(sk.clusters):
                     depth = pairwise_depth(ctx, sk.values, cluster.members)
                     assert cluster.depth == (INF_STEPS if depth is None else depth)
@@ -380,7 +404,7 @@ def test_even_profiles_match_the_membership_definition():
             cfg, pcfg = sample_paired(rng, ctx, g)
             for c in (cfg, nielsen_move(pcfg, rng.randrange(g), g)):
                 try:
-                    sk = Skeleton.build(c)
+                    sk = sf.cluster_data(c)
                 except RepeatedPointsError:
                     continue
                 keys = even_keys(sk)
@@ -404,9 +428,9 @@ def _view_readings(pcfg):
     out = [sf.to_dot(sf.reduced_convex_hull(pcfg))]
     for i in range(g + 1):
         out.append(pair_disc(pcfg, i))
-        for j in range(g + 1):
+        for j, found in enumerate(targets(pcfg, i)):
             if j != i:
-                out.append((by_value(d_j_of_i(pcfg, i, j)), by_value(tilde_d_j_of_i(pcfg, i, j))))
+                out.append(tuple(map(by_value, found or (None, None))))
     for i in range(g):
         j, target = select_target(pcfg, i)
         out.append((j, by_value(target), compute_I(pcfg, i, target)))
@@ -436,7 +460,7 @@ def test_handed_over_skeleton_matches_a_fresh_one(inputs):
         assert _view_readings(pcfg) == _view_readings(fresh)
         # pair_up's skeleton keeps its input order; a fresh one is built on
         # the points listed pair by pair
-        assert pcfg.skeleton().values == cfg.finite_values()
-        assert fresh.skeleton().values == pcfg.configuration().finite_values()
+        assert pcfg.skeleton().values == finite_values(cfg)
+        assert fresh.skeleton().values == finite_values(pcfg.configuration())
         reordered += pcfg.skeleton().values != fresh.skeleton().values
     assert reordered  # the two orders differed at least once

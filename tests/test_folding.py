@@ -18,11 +18,10 @@ from schottkyfold import cli, valfield
 from schottkyfold.folding import (
     apply_folding,
     compute_I,
-    d_j_of_i,
     find_fold_exponent,
     fold_map,
     select_target,
-    tilde_d_j_of_i,
+    targets,
 )
 from schottkyfold.valfield import Val
 from helpers import (
@@ -41,7 +40,10 @@ from helpers import (
     module_env,
     multiset,
     nielsen_move,
+    pairing,
+    pushed_back,
     sample_paired,
+    target_disc,
     values_multiset,
 )
 from reference import (
@@ -51,6 +53,7 @@ from reference import (
     chain_by_membership,
     cross_ratios,
     disc,
+    field_add,
     fold_exponent,
     minimal_odd,
     order_p_fixing_by_fractions,
@@ -69,7 +72,7 @@ def paired(ctx, values):
 
 
 def fold_set(pcfg, i, j):
-    return compute_I(pcfg, i, tilde_d_j_of_i(pcfg, i, j))
+    return compute_I(pcfg, i, pushed_back(pcfg, i, j))
 
 
 def scan(pcfg, i, j):
@@ -82,33 +85,33 @@ def fold(pcfg, i, j, n):
 
 def test_d_j_of_i_examples():
     p7 = paired(ctx7(), EIGHT_POINT_7ADIC)
-    got = skeleton_disc(p7, d_j_of_i(p7, 0, 1))
+    got = skeleton_disc(p7, target_disc(p7, 0, 1))
     assert same(got, disc(ctx7(), -12, 2))
-    got = skeleton_disc(p7, d_j_of_i(p7, 0, 3))
+    got = skeleton_disc(p7, target_disc(p7, 0, 3))
     assert same(got, disc(ctx7(), 0, 0))
 
     p5 = paired(ctx5(), [0, 125, 5, 1, 6, "inf"])
-    assert d_j_of_i(p5, 0, 1) is None
+    assert target_disc(p5, 0, 1) is None
 
 
 def test_tilde_disc_examples():
     # zero separation radius: the pushed-back disc is the target itself
     p7 = paired(ctx7(), EIGHT_POINT_7ADIC)
-    assert same(skeleton_disc(p7, tilde_d_j_of_i(p7, 0, 1)), disc(ctx7(), -12, 2))
+    assert same(skeleton_disc(p7, pushed_back(p7, 0, 1)), disc(ctx7(), -12, 2))
     # dyadic second-case formula: radius 2*0 - 0 + 1 around the pair
     p2 = paired(ctx2(), DYADIC_FOUR)
-    dt = skeleton_disc(p2, tilde_d_j_of_i(p2, 0, 1))
+    dt = skeleton_disc(p2, pushed_back(p2, 0, 1))
     assert same(dt, disc(ctx2(), 0, 1))
     assert point_to_axis(dt, p2.pairs[1], ctx2()) == 1
 
 
 def test_select_target_examples():
     p5 = paired(ctx5(), SIX_POINT_5ADIC)
-    assert select_target(p5, 0) == (2, tilde_d_j_of_i(p5, 0, 2))
+    assert select_target(p5, 0) == (2, pushed_back(p5, 0, 2))
     p7 = paired(ctx7(), EIGHT_POINT_7ADIC)
-    assert select_target(p7, 0) == (1, tilde_d_j_of_i(p7, 0, 1))
+    assert select_target(p7, 0) == (1, pushed_back(p7, 0, 1))
     p7b = paired(ctx7(), [9, -40, -110, 86, 0, 7, 1, "inf"])
-    assert select_target(p7b, 0) == (3, tilde_d_j_of_i(p7b, 0, 3))
+    assert select_target(p7b, 0) == (3, pushed_back(p7b, 0, 3))
 
 
 def test_compute_I_examples():
@@ -121,10 +124,10 @@ def test_compute_I_examples():
 
 def test_find_fold_exponent_examples():
     n, w = scan(paired(ctx5(), SIX_POINT_5ADIC), 0, 2)
-    assert n == 1 and w.lhs == Val.of(1) and w.rhs == Val.of(0)
+    assert n == 1 and w.lhs == Val(Fraction(1)) and w.rhs == Val(Fraction(0))
 
     n, w = scan(paired(ctx7(), EIGHT_POINT_7ADIC), 0, 1)
-    assert n == 1 and w.lhs == Val.of(1) and w.rhs == Val.of(0)
+    assert n == 1 and w.lhs == Val(Fraction(1)) and w.rhs == Val(Fraction(0))
 
     # the optimal set admits no fold anywhere
     pmin = paired(ctx7(), EIGHT_POINT_7ADIC_MIN)
@@ -265,7 +268,7 @@ def test_dyadic_runs_are_self_consistent():
     assert isinstance(verdict, sf.Good)
     assert len(verdict.trace) == 1
     step = verdict.trace[0]
-    assert step.witness.lhs == Val.of(5) and step.witness.rhs == Val.of(3)
+    assert step.witness.lhs == Val(Fraction(5)) and step.witness.rhs == Val(Fraction(3))
     check_verdict_folds(verdict)
     rerun = sf.run_algorithm(ctx, verdict.s_min.configuration())
     assert isinstance(rerun, sf.Good) and rerun.trace == ()
@@ -318,7 +321,7 @@ def test_fold_that_repairs_differently_is_bad():
     assert verdict.reason.failure is sf.PairingFailure.NOT_SEPARATED
     after = verdict.trace[-1].after.points
     inherited = {frozenset(after[k : k + 2]) for k in range(0, len(after), 2)}
-    assert sf.pair_up(verdict.trace[-1].after).pairing() != inherited
+    assert pairing(sf.pair_up(verdict.trace[-1].after)) != inherited
     witness = sf.schottky_audit(sf.pair_up(cfg), 4).witness
     assert witness is not None
     assert witness[1].kind is not sf.MapKind.LOXODROMIC
@@ -412,11 +415,9 @@ def test_one_cluster_build_per_pass(monkeypatch, ctx_of, points):
 def test_run_computes_each_pushed_back_target_once(monkeypatch):
     # select_target finds every target of pair i in one targets loop per
     # (pass, i) and hands its choice to compute_I, so no (pass, i, j)
-    # target is computed twice, and the views are never called
+    # target is computed twice
     loops = _count_calls(monkeypatch, sf.folding, "targets", False)
     selects = _count_calls(monkeypatch, sf.folding, "select_target", False)
-    views = _count_calls(monkeypatch, sf.folding, "d_j_of_i", False)
-    views += _count_calls(monkeypatch, sf.folding, "tilde_d_j_of_i", False)
     verdict = sf.run_algorithm(ctx7(), sf.configuration(ctx7(), EIGHT_POINT_7ADIC))
     assert isinstance(verdict, sf.Good) and len(verdict.trace) == 2
     passes = [(id(pcfg), i) for pcfg, i in loops]
@@ -426,7 +427,6 @@ def test_run_computes_each_pushed_back_target_once(monkeypatch):
     for pcfg, i in loops:
         keys += [(id(pcfg), i, j) for j in range(pcfg.g + 1) if j != i]
     assert len(keys) == len(set(keys)) == len(passes) * verdict.s_min.g
-    assert views == []
 
 
 def _count_chain_walks(monkeypatch):
@@ -541,7 +541,7 @@ def _fold_rule_inputs(monkeypatch):
 
 
 def test_fold_pass_rules_match_their_definitions(monkeypatch):
-    # d_j_of_i reads the target off one step-matrix row and the odd depths
+    # targets reads each target off one step-matrix row and the odd depths
     # of pair i's chain, compute_I the branch off one row, the skeleton
     # every axis gap off the pairs' rows (check_separated reads their
     # least); each must agree with its definition by cluster membership and
@@ -568,11 +568,13 @@ def test_fold_pass_rules_match_their_definitions(monkeypatch):
             walk = [c for c in chain_by_membership(sk, pts_i) if len(c.members) % 2]
             assert sk.pair_odd[i] == (minimal_odd(sk, pts_i) if len(pts_i) == 2 else None)
             assert sk.pair_odd_depths[i] == (tuple(c.depth for c in walk) if len(pts_i) == 2 else ())
+            found = targets(pcfg, i)
+            assert len(found) == pcfg.g + 1 and found[i] is None
             for j, pts_j in enumerate(sk.pair_points):
                 if j == i:
                     continue
-                assert d_j_of_i(pcfg, i, j) == target_by_chain(pcfg, i, j)
-                dt = tilde_d_j_of_i(pcfg, i, j)
+                d, dt = found[j] or (None, None)
+                assert d == target_by_chain(pcfg, i, j)
                 assert dt == pushed_back_by_chain(pcfg, i, j)
                 if dt is None:
                     continue
@@ -614,7 +616,7 @@ def test_target_rule_without_infinity():
     # other pair: no target, though both pair_odd are None
     pcfg = _hand_paired(ctx5(), NO_INFINITY_PAIRS)
     assert pcfg.skeleton().pair_odd == (None, None)
-    assert d_j_of_i(pcfg, 0, 1) is None and d_j_of_i(pcfg, 1, 0) is None
+    assert target_disc(pcfg, 0, 1) is None and target_disc(pcfg, 1, 0) is None
 
 
 def test_target_rule_skips_an_even_cluster_of_negative_depth():
@@ -629,7 +631,7 @@ def test_target_rule_skips_an_even_cluster_of_negative_depth():
     row = sk.smat[sk.pair_discs[0][0]]
     assert sorted(row[y] for y in sk.pair_points[1]) == [-2, -1]
     assert any(len(c.members) == 4 and c.depth == -1 for c in sk.clusters)
-    assert d_j_of_i(pcfg, 0, 1) is None
+    assert target_disc(pcfg, 0, 1) is None
 
 
 def test_compute_I_refuses_a_target_that_leaves_pair_i_out():
@@ -763,8 +765,8 @@ def test_translation_beyond_the_decimal_digit_limit():
 
 
 def test_scan_does_no_field_arithmetic(monkeypatch):
-    # the fold test runs on the skeleton's integers: no product, quotient,
-    # inverse or valuation of field elements is formed during the scan
+    # the fold test runs on the skeleton's integers: no product, quotient or
+    # valuation of field elements is formed during the scan
     rng = random.Random(8)
     scanning = []
     calls = []
@@ -779,7 +781,7 @@ def test_scan_does_no_field_arithmetic(monkeypatch):
 
         monkeypatch.setattr(sf.FieldContext, name, watched)
 
-    for name in ("mul", "quotient", "inv", "valuation"):
+    for name in ("mul", "quotient", "valuation"):
         watch(name)
     original_scan = sf.folding.find_fold_exponent
     scans = []
@@ -983,7 +985,7 @@ def test_a_fold_pass_hashes_no_values(monkeypatch):
 
 def _cyclotomic_multiset():
     ctx = sf.field_context(3, 7)
-    w = ctx.add(ctx.zeta, ctx.from_fraction(Fraction(2, 3)))
+    w = field_add(ctx, ctx.zeta, ctx.from_fraction(Fraction(2, 3)))
     return ctx, [w, 1, w, 1, 0, "inf"], [w, 1, 0, "inf"]
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import schottkyfold as sf
-from schottkyfold.folding import select_target, tilde_d_j_of_i
+from schottkyfold.folding import select_target
 from helpers import (
     EIGHT_POINT_7ADIC,
     SIX_POINT_5ADIC,
@@ -17,6 +17,7 @@ from helpers import (
     ctx5,
     ctx7,
     pairs_as_sets,
+    pushed_back,
     sample_paired,
 )
 from reference import (
@@ -187,7 +188,7 @@ def test_hull_statistics_on_random_configurations():
             for _ in range(3):
                 cfg, pcfg = sample_paired(rng, ctx, g)
                 tree = sf.reduced_convex_hull(pcfg)
-                clusters = sf.cluster_data(cfg)
+                clusters = sf.cluster_data(cfg).clusters
                 odd = sum(
                     1
                     for c in clusters
@@ -254,7 +255,7 @@ def test_skeleton_discs_match_the_reference_route():
                 assert same(v.disc, min_disc(ctx, cluster))
             for i in range(g):
                 j, _ = select_target(pcfg, i)
-                dt = skeleton_disc(pcfg, tilde_d_j_of_i(pcfg, i, j))
+                dt = skeleton_disc(pcfg, pushed_back(pcfg, i, j))
                 assert point_to_axis(dt, pcfg.pairs[j], ctx) == ctx.rho
                 cases += 1
     assert cases == 588  # 7 fields, 6 sets for each g, g (i, j) cases per set
@@ -314,7 +315,7 @@ def test_hull_affine_invariance():
     tree = sf.reduced_convex_hull(pcfg)
     u, c = Fraction(5, 3), Fraction(29)
     mapped = [
-        "inf" if pt.is_infinity else u * ctx.as_fraction(pt.value) + c
+        "inf" if pt.is_infinity else u * pt.value + c
         for pt in cfg.points
     ]
     tree2 = sf.reduced_convex_hull(sf.pair_up(sf.configuration(ctx, mapped)))
@@ -328,7 +329,7 @@ def test_hull_affine_invariance():
 def test_point_to_axis_distances():
     ctx = ctx2()
     pcfg = sf.pair_up(sf.configuration(ctx, [0, 32, 1, "inf"]))
-    dt = skeleton_disc(pcfg, tilde_d_j_of_i(pcfg, 0, 1))
+    dt = skeleton_disc(pcfg, pushed_back(pcfg, 0, 1))
     assert same(dt, disc(ctx, 0, 1))
     assert point_to_axis(dt, pcfg.pairs[1], ctx) == 1
     # a disc away from a finite axis enters over the top

@@ -15,7 +15,7 @@ from helpers import (
     ctx7,
     sample_paired,
 )
-from reference import verify_fold_conjugation
+from reference import field_add, verify_fold_conjugation
 
 
 def test_enumeration_counts():
@@ -353,7 +353,7 @@ def _hand_built(ctx):
     duplicated pair, and over Q(zeta_p) a point that is not rational."""
     third = sf.finite(ctx, Fraction(1, 3))
     a = sf.finite(ctx, Fraction(2, ctx.ell))
-    b = sf.finite(ctx, ctx.add(ctx.zeta, ctx.from_fraction(Fraction(5, 4))))
+    b = sf.finite(ctx, field_add(ctx, ctx.zeta, ctx.from_fraction(Fraction(5, 4))))
     pairs = ((a, third), (a, third), (sf.INFINITY, sf.finite(ctx, 7)), (b, sf.finite(ctx, ctx.ell)))
     return sf.PairedConfiguration(ctx, pairs)
 

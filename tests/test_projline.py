@@ -16,6 +16,10 @@ from reference import (
     compose_by_fractions,
     element,
     field_div,
+    field_sub,
+    field_zero,
+    identity,
+    inverse,
     mobius_by_fractions,
     order_p_fixing_by_fractions,
     pole_by_fractions,
@@ -30,8 +34,8 @@ def test_apply_examples():
     ctx = ctx5()
     flip = sf.mobius(ctx, -1, 2, 0, 1)  # z -> 2 - z
     assert sf.apply(flip, fin(ctx, 7)) == fin(ctx, -5)
-    assert sf.apply(sf.identity(ctx), fin(ctx, 42)) == fin(ctx, 42)
-    assert sf.apply(sf.identity(ctx), sf.INFINITY).is_infinity
+    assert sf.apply(identity(ctx), fin(ctx, 42)) == fin(ctx, 42)
+    assert sf.apply(identity(ctx), sf.INFINITY).is_infinity
 
     # the first fold map of the 7-adic showcase sends 1336/3 to 9
     c7 = ctx7()
@@ -112,7 +116,7 @@ def test_order_p_fixing_fixes_and_has_order_p():
                 power = m
                 for _ in range(ctx.p - 1):
                     power = sf.compose(power, m)
-                assert sf.proj_eq(power, sf.identity(ctx))
+                assert sf.proj_eq(power, identity(ctx))
                 # n-th power of the base map
                 base = sf.order_p_fixing(ctx, pa, pb, 1)
                 acc = base
@@ -136,10 +140,10 @@ def test_order_p_fixing_orientation_is_uniform():
                 img = sf.apply(m, probe)
 
                 def chart(pt):
-                    num = ctx.sub(pt.value, a.value)
+                    num = field_sub(ctx, pt.value, a.value)
                     if bb.is_infinity:
                         return num
-                    return field_div(ctx, num, ctx.sub(pt.value, bb.value))
+                    return field_div(ctx, num, field_sub(ctx, pt.value, bb.value))
 
                 assert chart(img) == ctx.mul(zn, chart(probe))
 
@@ -159,7 +163,7 @@ def test_classify_examples():
     assert sf.classify(ctx, sf.mobius(ctx, 5, 0, 0, 1)).kind is sf.MapKind.LOXODROMIC
     assert sf.classify(ctx, sf.mobius(ctx, 5, 0, 0, 1)).translation_length == 1
     assert sf.classify(ctx, sf.mobius(ctx, 1, 1, 0, 1)).kind is sf.MapKind.PARABOLIC
-    assert sf.classify(ctx, sf.identity(ctx)).kind is sf.MapKind.IDENTITY
+    assert sf.classify(ctx, identity(ctx)).kind is sf.MapKind.IDENTITY
     # the showcase product with characteristic data (350, 625) is elliptic
     s0 = sf.order_p_fixing(ctx, fin(ctx, 7), fin(ctx, 12), 1)
     s1 = sf.order_p_fixing(ctx, fin(ctx, 0), fin(ctx, 5), 1)
@@ -178,7 +182,7 @@ def test_compose_inverse_identity():
         if entries[0] * entries[3] == entries[1] * entries[2]:
             continue
         m = sf.mobius(ctx, *entries)
-        assert sf.proj_eq(sf.compose(m, sf.inverse(m)), sf.identity(ctx))
+        assert sf.proj_eq(sf.compose(m, inverse(m)), identity(ctx))
 
 
 def test_classify_is_projective_and_conjugation_invariant():
@@ -195,7 +199,7 @@ def test_classify_is_projective_and_conjugation_invariant():
         if ge[0] * ge[3] == ge[1] * ge[2]:
             continue
         gmat = sf.mobius(ctx, *ge)
-        conj = sf.compose(sf.compose(gmat, m), sf.inverse(gmat))
+        conj = sf.compose(sf.compose(gmat, m), inverse(gmat))
         assert sf.classify(ctx, m) == sf.classify(ctx, conj)
 
 
@@ -262,13 +266,15 @@ def test_mobius_compose_and_proj_eq_match_the_fraction_route():
                 continue
             assert m == mobius_by_fractions(ctx, *entries)
             maps.append(m)
-        # the identity and adjugates are inputs too
-        maps.append(sf.identity(ctx))
+        # the identity and adjugates are inputs too, and the constructor puts
+        # an adjugate's entries in the canonical scale of the fraction route
+        maps.append(identity(ctx))
         for m in maps[:3]:
             a, b, c, d = (element(ctx, x) for x in m.entries())
-            minus_b, minus_c = ctx.sub(ctx.zero(), b), ctx.sub(ctx.zero(), c)
-            assert sf.inverse(m) == mobius_by_fractions(ctx, d, minus_b, minus_c, a)
-            maps.append(sf.inverse(m))
+            zero = field_zero(ctx)
+            minus_b, minus_c = field_sub(ctx, zero, b), field_sub(ctx, zero, c)
+            assert sf.mobius(ctx, d, minus_b, minus_c, a) == inverse(m)
+            maps.append(inverse(m))
         for m1, m2 in zip(maps, maps[1:]):
             assert sf.compose(m1, m2) == compose_by_fractions(m1, m2)
             # any nonzero integral scalar, rational or not, keeps the
@@ -288,7 +294,7 @@ def test_classify_on_integers_matches_the_fraction_route():
     kinds = set()
     for p, ell in TEST_FIELDS:
         ctx = sf.field_context(p, ell)
-        maps = [sf.identity(ctx), sf.mobius(ctx, 1, 1, 0, 1), sf.mobius(ctx, ell, 0, 0, 1)]
+        maps = [identity(ctx), sf.mobius(ctx, 1, 1, 0, 1), sf.mobius(ctx, ell, 0, 0, 1)]
         while len(maps) < 11:
             try:
                 maps.append(sf.mobius(ctx, *(random_value(rng, ctx) for _ in range(4))))

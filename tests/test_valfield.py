@@ -24,7 +24,12 @@ from reference import (
     cyclo_inv,
     cyclo_mul,
     cyclo_valuation,
+    field_add,
     field_div,
+    field_is_zero,
+    field_one,
+    field_sub,
+    field_zero,
     split_root,
     times_one_minus_zeta,
     zeta_power_by_definition,
@@ -33,13 +38,13 @@ from reference import (
 
 def test_rational_valuation_examples():
     ctx = sf.field_context(2, 5)
-    assert ctx.valuation(Fraction(350)) == Val.of(2)
-    assert ctx.valuation(Fraction(625)) == Val.of(4)
+    assert ctx.valuation(Fraction(350)) == Val(Fraction(2))
+    assert ctx.valuation(Fraction(625)) == Val(Fraction(4))
     assert ctx.valuation(Fraction(0)).is_infinite
 
     ctx7 = sf.field_context(2, 7)
     # 224 = 2^5 * 7 and 935 = 5 * 11 * 17
-    assert ctx7.valuation(Fraction(224, 935)) == Val.of(1)
+    assert ctx7.valuation(Fraction(224, 935)) == Val(Fraction(1))
     assert ctx7.integral_valuation(-224 * 49) == 3
     with pytest.raises(ValueError):
         ctx7.integral_valuation(0)
@@ -51,9 +56,9 @@ def test_zeta_powers():
     assert ctx.zeta_power(2) == Fraction(1)
 
     ctx3 = sf.field_context(3, 3)
-    assert ctx3.zeta_power(3) == ctx3.one()
+    assert ctx3.zeta_power(3) == field_one(ctx3)
     z = ctx3.zeta
-    assert ctx3.valuation(ctx3.sub(z, ctx3.one())) == Val.of(Fraction(1, 2))
+    assert ctx3.valuation(field_sub(ctx3, z, field_one(ctx3))) == Val(Fraction(1, 2))
 
 
 def test_separation_radius():
@@ -80,12 +85,19 @@ def test_field_context_is_one_shared_context_per_field():
 
 
 def test_division_by_zero_raises():
-    ctx = sf.field_context(2, 5)
-    with pytest.raises(sf.FieldDivisionError):
-        ctx.inv(Fraction(0))
-    ctx3 = sf.field_context(3, 7)
-    with pytest.raises(sf.FieldDivisionError):
-        ctx3.inv(ctx3.zero())
+    # the reference division refuses a zero divisor in both routes, and the
+    # field's one division, quotient, gives None (a pole) for den = 0
+    for p, ell in ((2, 5), (3, 7)):
+        ctx = sf.field_context(p, ell)
+        with pytest.raises(ZeroDivisionError):
+            field_div(ctx, field_one(ctx), field_zero(ctx))
+        assert ctx.quotient(ctx.integers.one, ctx.integers.zero) is None
+
+
+def _inverse(ctx, x):
+    """1/x through the field's one division: L / A for x = A / L."""
+    (a,), den = ctx.lower([x])
+    return ctx.quotient(ctx.integers.times(ctx.integers.one, den), a)
 
 
 def _random_element(rng, ctx):
@@ -107,12 +119,12 @@ def test_valuation_is_multiplicative_and_ultrametric(p, ell):
     checked = 0
     while checked < 200:
         x, y = _random_element(rng, ctx), _random_element(rng, ctx)
-        if ctx.is_zero(x) or ctx.is_zero(y):
+        if field_is_zero(ctx, x) or field_is_zero(ctx, y):
             continue
         checked += 1
         vx, vy = ctx.valuation(x), ctx.valuation(y)
         assert ctx.valuation(ctx.mul(x, y)).fraction == vx.fraction + vy.fraction
-        s = ctx.add(x, y)
+        s = field_add(ctx, x, y)
         vs = ctx.valuation(s)
         # x + y = 0 has v = +infinity, above both
         assert at_least(vs, min(vx.fraction, vy.fraction))
@@ -125,7 +137,7 @@ def test_zeta_minus_one_has_valuation_rho(p, ell):
     ctx = sf.field_context(p, ell)
     for n in range(1, p):
         zn = ctx.zeta_power(n)
-        assert ctx.valuation(ctx.sub(zn, ctx.one())) == Val.of(ctx.rho)
+        assert ctx.valuation(field_sub(ctx, zn, field_one(ctx))) == Val(ctx.rho)
 
 
 def test_split_valuation_agrees_with_rational_on_rationals():
@@ -145,9 +157,9 @@ def test_cyclotomic_inverse_roundtrip():
         rng = random.Random(p * ell)
         for _ in range(25):
             x = _random_element(rng, ctx)
-            if ctx.is_zero(x):
+            if field_is_zero(ctx, x):
                 continue
-            assert ctx.mul(x, ctx.inv(x)) == ctx.one()
+            assert ctx.mul(x, _inverse(ctx, x)) == field_one(ctx)
 
 
 # (17, 103) is above the bound of the straight-line kernels: the loops run
@@ -167,7 +179,7 @@ def _scaled_elements(rng, ctx, count):
         x = tuple(c * scale for c in x)
         for _ in range(rng.randint(0, 2 * ctx.p)):
             x = times_one_minus_zeta(ctx, x)
-        if not ctx.is_zero(x):
+        if not field_is_zero(ctx, x):
             out.append(x)
     return out
 
@@ -177,13 +189,13 @@ def test_cyclotomic_kernels_match_division_over_q(p, ell):
     ctx = sf.field_context(p, ell)
     rng = random.Random(31 * p + ell)
     xs = _scaled_elements(rng, ctx, 60)
-    pi = ctx.sub(ctx.one(), ctx.zeta)
+    pi = field_sub(ctx, field_one(ctx), ctx.zeta)
     for x in xs[:4]:
         assert times_one_minus_zeta(ctx, x) == cyclo_mul(ctx, x, pi)
     if ctx.kind is sf.FieldKind.CYCLOTOMIC_SPLIT:
         # zeta - r for the root r lifted to ell^12 has valuation >= 12, past
         # the first precisions ell^4 and ell^8 of the evaluation
-        near = ctx.sub(ctx.zeta, ctx.from_fraction(split_root(ctx, 12)))
+        near = field_sub(ctx, ctx.zeta, ctx.from_fraction(split_root(ctx, 12)))
         assert at_least(ctx.valuation(near), 12)
         xs += [near, cyclo_mul(ctx, near, xs[0]), cyclo_mul(ctx, near, near)]
     for x, y in zip(xs, xs[1:] + xs[:1]):
@@ -194,7 +206,7 @@ def test_cyclotomic_kernels_match_division_over_q(p, ell):
         steps = ctx.ramification * cyclo_valuation(ctx, tuple(map(Fraction, a))).fraction
         assert ctx.integral_valuation(a) == steps
         assert ctx.mul(x, y) == cyclo_mul(ctx, x, y)
-        assert ctx.inv(x) == cyclo_inv(ctx, x)
+        assert _inverse(ctx, x) == cyclo_inv(ctx, x)
     with pytest.raises(ValueError):
         ctx.integral_valuation([0] * ctx.degree)
 
@@ -280,7 +292,7 @@ def test_a_ring_compiles_its_kernels_at_their_first_lookup(monkeypatch):
     kernels = {"mul", "matmul", "trace_mul", "cross"}
     ctx = FieldContext(7, 29)
     ring = ctx.integers
-    assert ctx.zeta == ctx.zeta_power(1) and ctx.valuation(ctx.zeta) == Val.of(0)
+    assert ctx.zeta == ctx.zeta_power(1) and ctx.valuation(ctx.zeta) == Val(Fraction(0))
     assert compiled == [] and not kernels & vars(ring).keys()
     matmul = ring.matmul
     assert compiled == [7] and vars(ring).keys() & kernels == {"matmul"}
@@ -303,7 +315,7 @@ def test_val_is_a_record_without_arithmetic_or_order():
     # Val is the printed form of a valuation: every arithmetic and ordering
     # operator raises, with Val, int and Fraction operands on either side,
     # instead of falling through to tuple concatenation or ordering
-    values = [INF, Val.of(0), Val.of(Fraction(1, 2)), Val.of(-3)]
+    values = [INF, Val(Fraction(0)), Val(Fraction(1, 2)), Val(Fraction(-3))]
     ops = (operator.add, operator.sub, operator.mul,
            operator.lt, operator.le, operator.gt, operator.ge)
     for x, y in itertools.product(values + [2, Fraction(1, 2)], repeat=2):
@@ -314,13 +326,13 @@ def test_val_is_a_record_without_arithmetic_or_order():
     for reduce in (sorted, min, max, sum):
         with pytest.raises(TypeError):
             reduce(values)
-    assert Val.of(Fraction(3, 2)) == Val(Fraction(3, 2)) and Val.of(2).fraction == 2
-    assert not Val.of(0).is_infinite and INF.is_infinite and INF == Val(None)
+    assert Val(Fraction(3, 2)).fraction == Fraction(3, 2) and Val(Fraction(2)).fraction == 2
+    assert not Val(Fraction(0)).is_infinite and INF.is_infinite and INF == Val(None)
     with pytest.raises(ValueError):
         _ = INF.fraction
-    assert Val.of(1) != INF and Val.of(1) != Val.of(2)
-    assert len({Val.of(1), Val(Fraction(1)), INF, Val(None)}) == 2
-    assert repr(Val.of(Fraction(-7, 3))) == "Val(-7/3)" and repr(INF) == "Val(inf)"
+    assert Val(Fraction(1)) != INF and Val(Fraction(1)) != Val(Fraction(2))
+    assert len({Val(Fraction(1)), Val(Fraction(1)), INF, Val(None)}) == 2
+    assert repr(Val(Fraction(-7, 3))) == "Val(-7/3)" and repr(INF) == "Val(inf)"
 
 
 def test_inf_steps_compares_above_every_int_by_its_own_methods():
@@ -368,10 +380,10 @@ def test_quotient_is_division_on_lowered_elements():
         for _ in range(25):
             x, y = _random_element(rng, ctx), _random_element(rng, ctx)
             (num, den), _ = ctx.lower([x, y])
-            if ctx.is_zero(y):
+            if field_is_zero(ctx, y):
                 assert ctx.quotient(num, den) is None
                 continue
-            assert ctx.quotient(num, den) == ctx.mul(x, ctx.inv(y)) == field_div(ctx, x, y)
+            assert ctx.quotient(num, den) == ctx.mul(x, _inverse(ctx, y)) == field_div(ctx, x, y)
         assert ctx.quotient(num, ctx.integers.zero) is None
         for n in range(-1, p + 2):
             assert ctx.zeta_power(n) == zeta_power_by_definition(ctx, n)
@@ -400,7 +412,7 @@ def test_lower_puts_every_element_over_the_lcm_of_its_denominators():
         ctx = sf.field_context(p, ell)
         rng = random.Random(7 * p + ell)
         assert ctx.lower([]) == ([], 1)
-        assert check(ctx, [ctx.zero(), ctx.one(), ctx.zeta, ctx.from_fraction(-(3**80))]) == 1
+        assert check(ctx, [field_zero(ctx), field_one(ctx), ctx.zeta, ctx.from_fraction(-(3**80))]) == 1
         assert check(ctx, [ctx.from_fraction(Fraction(5, 6)), ctx.from_fraction(Fraction(-7, 4))]) == 12
         dens = set()
         for _ in range(20):
@@ -484,7 +496,7 @@ for k in (1, 4, 8, 64):
     assert modulus == ell**k and (r * r + r + 1) % modulus == 0, k
 r0 = r % ell
 assert r0 < ell - 1 - r0, "not the smaller of the two roots mod ell"
-assert ctx.valuation(ctx.from_fraction(ell**3)) == Val.of(3)
+assert ctx.valuation(ctx.from_fraction(ell**3)) == Val(3)
 """
     proc = subprocess.run(
         [sys.executable, "-c", script], env=module_env(), capture_output=True, timeout=60
