@@ -8,9 +8,9 @@ with "p" and "ell" JSON integers (not booleans), points given as exact
 decimal-integer or "num/den" strings in the ASCII digits 0-9 ("inf" for
 the point at infinity; written twice, it is a repeated value like any
 other), and an optional "options" object: "trace" and
-"normalize_infinity" null, true or false, "dot" null or a string,
-"verify_depth" null or an integer >= 0.  Any other value, or any other
-key there, is invalid input.  On the command line, ``--trace`` and
+"normalize_infinity" null, true or false, "dot" null or a non-empty
+string, "verify_depth" null or an integer >= 0.  Any other value, or any
+other key there, is invalid input.  On the command line, ``--trace`` and
 ``--normalize-infinity`` turn their option on, and ``--dot`` and
 ``--verify-depth`` replace it.  The report is a stable JSON object whose
 rational entries are always exact normalised strings, never floats; its
@@ -97,6 +97,14 @@ def _check_verify_depth(depth) -> None:
         raise ValidationError("option 'verify_depth' must be null or an integer >= 0")
 
 
+def _check_dot(prefix) -> None:
+    """ValidationError unless ``prefix``, the option or the flag, is None or a
+    non-empty string: an empty prefix would name hidden files such as
+    ``.stage00.dot`` in the working directory."""
+    if prefix is not None and (not isinstance(prefix, str) or not prefix):
+        raise ValidationError("option 'dot' must be null or a non-empty string")
+
+
 def parse_problem(text: str) -> ProblemSpec:
     """Parse and validate a JSON problem document, and nothing else: the
     command-line flags are merged by ``main``."""
@@ -141,8 +149,7 @@ def parse_problem(text: str) -> ProblemSpec:
         if not isinstance(options.get(flag), (bool, type(None))):
             raise ValidationError(f"option {flag!r} must be null, true or false")
     _check_verify_depth(options.get("verify_depth"))
-    if not isinstance(options.get("dot"), (str, type(None))):
-        raise ValidationError("option 'dot' must be null or a string")
+    _check_dot(options.get("dot"))
     return ProblemSpec(
         p=p,
         ell=ell,
@@ -428,6 +435,7 @@ def _main(args: argparse.Namespace) -> int:
     try:
         spec = parse_problem(text)
         _check_verify_depth(args.verify_depth)
+        _check_dot(args.dot)
     except ProblemError as exc:
         if not args.quiet:
             print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,12 @@ points with an ultrametric disc; its *depth* is the minimal pairwise
 valuation of differences (+infinity for singletons).  Clusters form a
 laminar family, computed by the one tree builder, ``cluster_data``, as a
 partition that values only the differences the strong triangle
-inequality leaves open.  It returns the ``Skeleton``.
+inequality leaves open.  It returns the ``Skeleton``, which keeps the tree
+as flat pre-order tuples: each cluster is an index, with its size, depth,
+parent and the start of its members' span in one ordering of the points.
+The fold pass reads only those; a ``Cluster`` record (members and depth)
+is made on demand, by ``Skeleton.cluster`` and the ``Skeleton.clusters``
+view, for the hull and for readers outside the fold loop.
 
 Inside a ``Skeleton`` every valuation is an ``int`` counting steps of the
 value group (1/e) Z, e = ``FieldContext.ramification``: the step matrix,
@@ -84,13 +89,15 @@ class Cluster(NamedTuple):
 
 def cluster_data(cfg: Configuration) -> Skeleton:
     """The skeleton of the configuration's finite points, with no pairs:
-    the step matrix and every cluster, built together.
+    the step matrix and the cluster tree, built together.
 
     The full finite set is always a cluster and every point is a singleton
     cluster of depth +infinity.  Members are positions among the finite
     points, in input order.  Clusters come in pre-order: each one is
-    followed at once by the clusters strictly inside it.  A second infinity
-    or two equal values is a repeated point (RepeatedPointsError).
+    followed at once by the clusters strictly inside it.  The tree is kept
+    as flat tuples (see ``Skeleton``), and no cluster is made a record.  A
+    second infinity or two equal values is a repeated point
+    (RepeatedPointsError).
 
     The values are lowered once, and only the differences that the strong
     triangle inequality leaves open are valued.  The root's first point is
@@ -116,8 +123,12 @@ def cluster_data(cfg: Configuration) -> Skeleton:
     ring, valuation = ctx.integers, ctx.integral_valuation
     sub, zero = ring.sub, ring.zero
     rows: list = [None] * n
-    clusters: list[Cluster] = []
+    sizes: list[int] = []
+    depths: list[int] = []
     parent: list[Optional[int]] = []
+    first: list[int] = []
+    order: list[int] = []
+    place = [0] * n
     leaf = [0] * n
 
     def value(a: int, others) -> None:
@@ -130,7 +141,8 @@ def cluster_data(cfg: Configuration) -> Skeleton:
             row[b] = valuation(d) - den_steps
 
     # clusters in pre-order, from a stack of (members, parent position);
-    # each cluster's first point has its full row
+    # each cluster's first point has its full row.  A cluster's singletons
+    # are popped right after it, so its members are the next ones in order.
     stack: list = []
     if n:
         rows[0] = [INF_STEPS] * n
@@ -138,15 +150,19 @@ def cluster_data(cfg: Configuration) -> Skeleton:
         stack.append((list(range(n)), None))
     while stack:
         idx, up = stack.pop()
-        k = len(clusters)
+        k = len(sizes)
         parent.append(up)
+        first.append(len(order))
+        sizes.append(len(idx))
         if len(idx) == 1:
-            leaf[idx[0]] = k
-            clusters.append(Cluster(frozenset(idx), INF_STEPS))
+            x = idx[0]
+            leaf[x], place[x] = k, len(order)
+            order.append(x)
+            depths.append(INF_STEPS)
             continue
         top = rows[idx[0]]
         depth = min([top[b] for b in idx[1:]])
-        clusters.append(Cluster(frozenset(idx), depth))
+        depths.append(depth)
         # children: equivalence classes of "valuation strictly above depth"
         children: list[list[int]] = []
         while idx:
@@ -164,8 +180,8 @@ def cluster_data(cfg: Configuration) -> Skeleton:
         stack += [(block, k) for block in reversed(children)]
     smat = tuple(tuple(row) for row in rows)
     return Skeleton(
-        values, tuple(ints), den, den_steps, smat,
-        tuple(clusters), tuple(parent), tuple(leaf),
+        values, tuple(ints), den, den_steps, smat, tuple(sizes), tuple(depths),
+        tuple(parent), tuple(first), tuple(order), tuple(place), tuple(leaf),
     )
 
 
@@ -183,26 +199,36 @@ class Skeleton(NamedTuple):
     ``INF_STEPS`` on the diagonal; :func:`cluster_data` writes most
     entries without a valuation, as the depth of the cluster that
     separates the two points.
-    ``clusters`` is the laminar cluster tree in pre-order, with depths in
-    steps (a singleton's is ``INF_STEPS``), ``parent[k]`` the position of
-    the smallest cluster strictly containing cluster k (None for the root)
-    and ``leaf[x]`` the position of the singleton cluster {x}.  ``pair_discs[l]`` is pair l's
-    minimal disc as (center position, radius in steps); the disc of the
-    pair at infinity is that of all finite values, centred at the first
-    point of pair 0.  ``pair_odd[l]`` is the smallest odd cluster
-    containing a finite pair l (None for the pair at infinity, or where
-    there is none), and ``pair_odd_depths[l]`` the depths of all the odd
-    clusters containing it, smallest cluster (deepest) first; () for the
-    pair at infinity.  The fold pass reads its target rule off these
-    depths and the step matrix (``folding.targets``).  ``pair_gaps``
-    holds the distance in steps between the axes of every two pairs k < l,
-    in the order (0, 1), (0, 2), ..., (1, 2), ...: with u the largest entry
-    between their points and r their disc radii, max(0, r_k - u) +
-    max(0, r_l - u).  The term of the pair at infinity, whose axis runs
-    upward without bound, is 0: its radius is the root's depth.
-    ``check_separated`` reads their least, and the fold loop's termination
-    measure is their sum.  The pair fields are empty until :meth:`paired`
-    adds them for the pairs its caller names.
+
+    The laminar cluster tree is kept flat, in pre-order: cluster k is an
+    index into the tuples ``sizes`` (its number of members), ``depths``
+    (in steps; a singleton's is ``INF_STEPS``), ``parent`` (the index of
+    the smallest cluster strictly containing it, None for the root) and
+    ``first``.  ``order`` lists the positions in the order the tree's
+    pre-order meets their singletons, and ``place[x]`` is x's index in
+    ``order``, so cluster k's members are ``order[first[k] : first[k] +
+    sizes[k]]``, and x lies in cluster k iff first[k] <= place[x] <
+    first[k] + sizes[k].  ``leaf[x]`` is the index of the singleton {x}.
+    The fold pass reads only these tuples.  :meth:`cluster` makes cluster k
+    a ``Cluster`` record on demand, and :attr:`clusters` makes them all,
+    for readers outside the fold pass.
+
+    ``pair_discs[l]`` is pair l's minimal disc as (center position, radius
+    in steps); the disc of the pair at infinity is that of all finite
+    values, centred at the first point of pair 0.  ``pair_odd[l]`` is the
+    index of the smallest odd cluster containing a finite pair l (None for
+    the pair at infinity, or where there is none), and
+    ``pair_odd_depths[l]`` the depths of all the odd clusters containing
+    it, smallest cluster (deepest) first; () for the pair at infinity.  The
+    fold pass reads its target rule off these depths and the step matrix
+    (``folding.targets``).  ``pair_gaps`` holds the distance in steps
+    between the axes of every two pairs k < l, in the order (0, 1), (0,
+    2), ..., (1, 2), ...: with u the largest entry between their points and
+    r their disc radii, max(0, r_k - u) + max(0, r_l - u).  The term of the
+    pair at infinity, whose axis runs upward without bound, is 0: its
+    radius is the root's depth.  ``check_separated`` reads their least, and
+    the fold loop's termination measure is their sum.  The pair fields are
+    empty until :meth:`paired` adds them for the pairs its caller names.
     """
 
     values: tuple
@@ -210,33 +236,51 @@ class Skeleton(NamedTuple):
     den: int
     den_steps: int
     smat: tuple[tuple[int, ...], ...]
-    clusters: tuple[Cluster, ...]
+    sizes: tuple[int, ...]
+    depths: tuple[int, ...]
     parent: tuple[Optional[int], ...]
+    first: tuple[int, ...]
+    order: tuple[int, ...]
+    place: tuple[int, ...]
     leaf: tuple[int, ...]
     pair_points: tuple[tuple[int, ...], ...] = ()
     pair_discs: tuple[tuple[int, int], ...] = ()
-    pair_odd: tuple[Optional[frozenset[int]], ...] = ()
+    pair_odd: tuple[Optional[int], ...] = ()
     pair_odd_depths: tuple[tuple[int, ...], ...] = ()
     pair_gaps: tuple[int, ...] = ()
+
+    def cluster(self, k: int) -> Cluster:
+        """Cluster k as a record: its members and its depth."""
+        start = self.first[k]
+        return Cluster(frozenset(self.order[start : start + self.sizes[k]]), self.depths[k])
+
+    @property
+    def clusters(self) -> tuple[Cluster, ...]:
+        """Every cluster as a record, in pre-order, built on each read."""
+        return tuple(map(self.cluster, range(len(self.sizes))))
 
     def paired(self, pairs: tuple[tuple[int, ...], ...]) -> "Skeleton":
         """The skeleton with the pairs ``pairs`` (tuples of positions) and what
         is read off them: each pair's minimal disc, each finite pair's odd
         clusters from one walk of its chain (:meth:`chain`), the smallest one
         and the depths of all, and then every axis gap."""
+        sizes, depths, smat = self.sizes, self.depths, self.smat
         # the disc of the pair at infinity is that of all finite values
-        top = self.clusters[0].depth if len(self.values) > 1 else 0
-        smat = self.smat
-        discs = tuple(
-            (pr[0], smat[pr[0]][pr[1]]) if len(pr) == 2 else (pairs[0][0], top)
-            for pr in pairs
-        )
-        odd = [
-            [c for c in self.chain(pts) if len(c.members) % 2] if len(pts) == 2 else []
-            for pts in pairs
-        ]
+        top = depths[0] if len(self.values) > 1 else 0
         # each pair's ends (its one point twice at infinity) and radius
-        ends = [(pts[0], pts[-1], r) for pts, (_, r) in zip(pairs, discs)]
+        discs, ends, odd, odd_depths = [], [], [], []
+        for pts in pairs:
+            a, b = pts[0], pts[-1]
+            if len(pts) == 2:
+                r = smat[a][b]
+                discs.append((a, r))
+                walk = [k for k in self.chain(pts) if sizes[k] % 2]
+            else:
+                r, walk = top, []
+                discs.append((pairs[0][0], r))
+            ends.append((a, b, r))
+            odd.append(walk[0] if walk else None)
+            odd_depths.append(tuple([depths[k] for k in walk]))
         gaps = []
         for k, (a, b, r_k) in enumerate(ends):
             row_a, row_b = smat[a], smat[b]
@@ -245,21 +289,24 @@ class Skeleton(NamedTuple):
                 gaps.append((r_k - u if r_k > u else 0) + (r_l - u if r_l > u else 0))
         return self._replace(
             pair_points=pairs,
-            pair_discs=discs,
-            pair_odd=tuple(walk[0].members if walk else None for walk in odd),
-            pair_odd_depths=tuple(tuple(c.depth for c in walk) for walk in odd),
+            pair_discs=tuple(discs),
+            pair_odd=tuple(odd),
+            pair_odd_depths=tuple(odd_depths),
             pair_gaps=tuple(gaps),
         )
 
     def chain(self, members: tuple[int, ...]):
-        """The clusters containing the given positions, smallest first."""
-        # walking up from the first member's leaf, only the last can be missing
-        k, last = self.leaf[members[0]], members[-1]
+        """The indices of the clusters containing the given positions,
+        smallest first."""
+        # walking up from the first member's leaf, only the last can be
+        # missing, and once a cluster holds it so do all above
+        k, at = self.leaf[members[0]], self.place[members[-1]]
+        first, sizes, parent = self.first, self.sizes, self.parent
+        while not first[k] <= at < first[k] + sizes[k]:
+            k = parent[k]
         while k is not None:
-            c = self.clusters[k]
-            if last in c.members:
-                yield c
-            k = self.parent[k]
+            yield k
+            k = parent[k]
 
 
 class PairedConfiguration:
@@ -341,10 +388,10 @@ class PairedConfiguration:
 def even_keys(sk: Skeleton) -> list[Optional[int]]:
     """Each position's key for :func:`canonical_pairs`: the smallest even
     cluster on its leaf's chain, walking up from the leaf, or None."""
-    keys = []
+    keys, sizes, parent = [], sk.sizes, sk.parent
     for k in sk.leaf:
-        while k is not None and len(sk.clusters[k].members) % 2:
-            k = sk.parent[k]
+        while k is not None and sizes[k] % 2:
+            k = parent[k]
         keys.append(k)
     return keys
 

@@ -1,8 +1,9 @@
 """The reduced convex hull of a paired configuration, as a metric forest.
 
 The hull reads the skeleton the configuration already holds
-(``clusters.Skeleton``): cluster depths from the step matrix, the cluster
-tree and the pair discs, all in steps of the value group (1/e) Z.  It owns
+(``clusters.Skeleton``): cluster depths from the step matrix, the flat
+cluster tree and the pair discs, all in steps of the value group (1/e) Z;
+it makes a ``Cluster`` record only for each vertex it keeps.  It owns
 no disc metric of its own; an edge's length is the difference of the
 logarithmic radii of its two cluster discs.  Radii and lengths become
 ``Fraction``s (steps / e) only in the ``Disc`` labels and the edges.
@@ -99,29 +100,31 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
         except PairingError as exc:
             raise NotPairedError(str(exc)) from exc
 
-    clusters, e = sk.clusters, ctx.ramification
+    e, sizes, depths, parent = ctx.ramification, sk.sizes, sk.depths, sk.parent
     order = [x for pts in sk.pair_points for x in pts]
     rank = [0] * len(order)
     for r, x in enumerate(order):
         rank[x] = r
-    # pair-order ranks of the vertex clusters; without infinity the root goes
-    ranks = {
-        k: sorted(rank[x] for x in c.members)
-        for k, c in enumerate(clusters)
-        if len(c.members) >= 2 and (has_inf or sk.parent[k] is not None)
+    # the vertex clusters as records, and their members' pair-order ranks;
+    # without infinity the root goes
+    records = {
+        k: sk.cluster(k)
+        for k, size in enumerate(sizes)
+        if size >= 2 and (has_inf or parent[k] is not None)
     }
+    ranks = {k: sorted(rank[x] for x in c.members) for k, c in records.items()}
     kept = sorted(ranks, key=lambda k: (-len(ranks[k]), ranks[k]))
     ids = {k: vid for vid, k in enumerate(kept)}
     # minimal discs: the cluster depth as radius, and as center the member
     # of lowest rank
-    discs = {k: (order[ranks[k][0]], clusters[k].depth) for k in kept}
+    discs = {k: (order[ranks[k][0]], depths[k]) for k in kept}
 
     # kept lists each cluster after its parent, so an even cluster joins its
     # kept parent's component and any other vertex starts the next one
     edges, components, count = [], [], 0
     for k in kept:
-        par = sk.parent[k]
-        if len(clusters[k].members) % 2 == 0 and par in ids:
+        par = parent[k]
+        if sizes[k] % 2 == 0 and par in ids:
             length = Fraction(discs[k][1] - discs[par][1], e)
             edges.append((ids[k], ids[par], length))
             components.append(components[ids[par]])
@@ -137,9 +140,9 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     for i, (pts, (_, r)) in enumerate(zip(sk.pair_points, sk.pair_discs)):
         for x in pts:
             k = sk.leaf[x]
-            while k is not None and clusters[k].depth >= r:
+            while k is not None and depths[k] >= r:
                 axis.setdefault(k, i)
-                k = sk.parent[k]
+                k = parent[k]
 
     vertices = []
     for vid, k in enumerate(kept):
@@ -152,7 +155,7 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
                 distinguished=pidx is not None,
                 pair_index=pidx,
                 component=components[vid],
-                cluster=clusters[k].members,
+                cluster=records[k].members,
             )
         )
     return SkeletonTree(tuple(vertices), tuple(edges))

@@ -19,7 +19,9 @@ field valuations: the references for the closed forms the program reads
 off step-matrix rows.  ``pairwise_depth``,
 ``smallest_superset`` and ``even_profile`` are the cluster tree's
 definitions: the least valuation over every two members, the parent as
-the smallest strict superset, and a point's even clusters by membership.
+the smallest strict superset, and a point's even clusters by membership;
+``clusters_in_preorder`` lists every cluster, found as a ball of field
+valuations, in the pre-order the skeleton keeps its flat tree in.
 
 ``order_p_fixing_by_fractions`` and ``apply_by_fractions`` are the order-p
 map and the Moebius action by field arithmetic on ``Fraction``s, with the
@@ -54,7 +56,7 @@ from schottkyfold.folding import FoldWitness
 from schottkyfold.hull import Disc
 from schottkyfold.projline import (INFINITY, ElementClass, MapKind, Mobius, PPoint, apply,
                                    compose, order_p_fixing, proj_eq)
-from schottkyfold.valfield import FieldKind, Val, int_valuation
+from schottkyfold.valfield import INF_STEPS, FieldKind, Val, int_valuation
 
 
 def at_least(v: Val, r) -> bool:
@@ -208,6 +210,32 @@ def smallest_superset(clusters, k):
     members = clusters[k].members
     supersets = [q for q, c in enumerate(clusters) if members < c.members]
     return min(supersets, key=lambda q: len(clusters[q].members), default=None)
+
+
+def clusters_in_preorder(ctx, values) -> list:
+    """Every cluster of the distinct finite values as (members, depth in
+    steps), by field valuations alone: the balls {y : v(y - x) >= v(z - x)}
+    of every two members x, z, each with the least e v(y - z) over two of
+    its members as depth (``INF_STEPS`` for a singleton).  Listed in
+    pre-order, each cluster followed by the clusters inside it, children in
+    the order of their least member."""
+    n = len(values)
+    steps = [
+        [INF_STEPS if x == y else field_steps(ctx, values[x], values[y]) for y in range(n)]
+        for x in range(n)
+    ]
+    balls = {
+        frozenset(y for y in range(n) if row[y] >= row[z]) for row in steps for z in range(n)
+    }
+    out, stack = [], [frozenset(range(n))] if n else []
+    while stack:
+        members = stack.pop()
+        depth = min((steps[x][y] for x in members for y in members if x != y), default=INF_STEPS)
+        out.append((members, depth))
+        inside = [c for c in balls if c < members]
+        children = [c for c in inside if not any(c < d for d in inside)]
+        stack += sorted(children, key=min, reverse=True)
+    return out
 
 
 def even_profile(clusters, x) -> tuple[int, ...]:

@@ -386,6 +386,25 @@ def test_main_merges_each_flag_with_the_document_option(flag, tmp_path, capsys):
             assert report.get("audit", {}).get("depth") == expected, (option, by_flag)
 
 
+def test_an_empty_dot_prefix_exits_invalid_before_running(tmp_path, monkeypatch, capsys):
+    # an empty prefix would write hidden .stage00.dot files into the working
+    # directory; the option and the flag pass one check, before the run, so
+    # no report is printed and no file is written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(cli.ValidationError, match="non-empty string"):
+        cli.parse_problem(problem_7adic(dot=""))
+    message = "error: option 'dot' must be null or a non-empty string\n"
+    path = tmp_path / "problem.json"
+    for text, argv in ((problem_7adic(dot=""), []),
+                       (problem_7adic(), ["--dot", ""]),
+                       (problem_7adic(dot="tree"), ["--dot", ""])):
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["--input", str(path), *argv]) == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+    assert [p.name for p in tmp_path.iterdir()] == ["problem.json"]
+
+
 def test_main_unwritable_dot_prefix_exits_invalid(tmp_path, capsys):
     path = tmp_path / "problem.json"
     path.write_text(problem_7adic(), encoding="utf-8")

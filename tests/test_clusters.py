@@ -33,7 +33,8 @@ from helpers import (
     sample_paired,
     values_multiset,
 )
-from reference import even_profile, field_sub, pair_disc, pairwise_depth, smallest_superset
+from reference import (clusters_in_preorder, even_profile, field_sub, pair_disc, pairwise_depth,
+                       smallest_superset)
 
 
 def _cluster_value_sets(ctx, sk):
@@ -389,6 +390,66 @@ def test_skeleton_tree_matches_the_pairwise_definitions():
     # every planted copy repeats, and so do 4 of the 28 Nielsen copies:
     # the move lands a point on another
     assert (trees, repeats) == (7 * 4 * 2 - 4, 7 * 4 * 3 + 4)
+
+
+def test_flat_tree_matches_the_membership_definition():
+    # The skeleton keeps its tree as flat pre-order tuples: cluster k's
+    # members are the span order[first[k] : first[k] + sizes[k]], and x lies
+    # in cluster k iff first[k] <= place[x] < first[k] + sizes[k].  In all
+    # three field flavours, and in nests deep enough for clusters with five
+    # or more children, each span must hold exactly the cluster's members by
+    # field valuations, place must invert order, sizes, depths and parent
+    # must agree with the membership definitions, each chain must be the
+    # clusters holding its positions, and the records built on demand must
+    # be the clusters in pre-order
+    kinds, spans, branching = set(), 0, set()
+    for ctx, cfg in chain(lowering_sets(53), lowering_sets(53, genera=(8, 10, 12))):
+        sk = sf.cluster_data(cfg)
+        n = len(sk.values)
+        assert sorted(sk.order) == list(range(n))
+        assert [sk.place[x] for x in sk.order] == list(range(n))
+        expected = clusters_in_preorder(ctx, sk.values)
+        records = sk.clusters
+        assert records == tuple(sf.Cluster(members, depth) for members, depth in expected)
+        assert len(sk.sizes) == len(sk.depths) == len(sk.parent) == len(sk.first) == len(expected)
+        for k, (members, depth) in enumerate(expected):
+            start, end = sk.first[k], sk.first[k] + sk.sizes[k]
+            assert sorted(sk.order[start:end]) == sorted(members)
+            assert {x for x in range(n) if start <= sk.place[x] < end} == members
+            assert sk.depths[k] == depth
+            assert sk.parent[k] == smallest_superset(records, k)
+            if len(members) == 1:
+                assert sk.leaf[min(members)] == k
+            spans += 1
+        for x, y in product(range(n), repeat=2):
+            held = sorted((c for c in records if {x, y} <= c.members), key=lambda c: len(c.members))
+            assert [records[k] for k in sk.chain((x, y))] == held
+        kinds.add(ctx.kind)
+        if max(Counter(sk.parent).values()) >= 5:
+            branching.add(ctx.kind)
+    assert kinds == branching == set(FieldKind)
+    assert spans > 900
+
+
+def test_cluster_records_of_the_showcases():
+    # the records Skeleton.clusters builds on demand, in pre-order, with the
+    # parent links and singleton indices of the flat tree
+    I = INF_STEPS
+    cases = [
+        (ctx7, EIGHT_POINT_7ADIC, [
+            ((0, 1, 2, 3, 4, 5, 6), 0), ((0, 1, 2, 3), 2), ((0, 1), 4), ((0,), I), ((1,), I),
+            ((2,), I), ((3,), I), ((4, 5), 1), ((4,), I), ((5,), I), ((6,), I),
+        ], (None, 0, 1, 2, 2, 1, 1, 0, 7, 7, 0), (3, 4, 5, 6, 8, 9, 10)),
+        (ctx5, SIX_POINT_5ADIC, [
+            ((0, 1, 2, 3, 4), 0), ((0, 1), 1), ((0,), I), ((1,), I), ((2, 3), 1), ((2,), I),
+            ((3,), I), ((4,), I),
+        ], (None, 0, 1, 1, 0, 4, 4, 0), (2, 3, 5, 6, 7)),
+    ]
+    for ctx_of, points, records, parent, leaf in cases:
+        sk = sf.cluster_data(sf.configuration(ctx_of(), points))
+        assert sk.clusters == tuple(sf.Cluster(frozenset(m), d) for m, d in records)
+        assert (sk.parent, sk.leaf) == (parent, leaf)
+        assert sk.sizes == tuple(len(m) for m, _ in records)
 
 
 def test_even_profiles_match_the_membership_definition():

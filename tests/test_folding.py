@@ -459,7 +459,10 @@ def test_select_target_finds_the_odd_cluster_of_pair_i_once(monkeypatch):
     # is built; select_target, compute_I and check_separated only read rows
     pcfg = paired(ctx7(), EIGHT_POINT_7ADIC)
     sk = pcfg.skeleton()
-    assert sk.pair_odd == tuple(
+    # pair_odd holds cluster indices; their records' members are the minimal
+    # odd clusters by membership
+    clusters = sk.clusters
+    assert tuple(None if k is None else clusters[k].members for k in sk.pair_odd) == tuple(
         minimal_odd(sk, pts) if len(pts) == 2 else None for pts in sk.pair_points
     )
     calls = _count_chain_walks(monkeypatch)
@@ -485,6 +488,35 @@ def test_one_minimal_odd_cluster_per_pair_per_pass(monkeypatch, ctx_of, points):
     assert passes and calls
     assert len(calls) <= len(passes) * len(points) // 2
     assert len(calls) <= sum(built)
+
+
+def _count_cluster_records(monkeypatch):
+    made = []
+    original = sf.clusters.Cluster.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(sf.clusters.Cluster, "__new__", counted)
+    return made
+
+
+@pytest.mark.parametrize(
+    "ctx_of, points", [(ctx7, EIGHT_POINT_7ADIC), (ctx5, SIX_POINT_5ADIC)]
+)
+def test_the_fold_loop_makes_no_cluster_records(monkeypatch, ctx_of, points):
+    # the fold pass reads the skeleton's flat tree; a Cluster record is made
+    # only for a reader outside the loop, such as the hull of each stage
+    ctx = ctx_of()
+    made = _count_cluster_records(monkeypatch)
+    verdict = sf.run_algorithm(ctx, sf.configuration(ctx, points))
+    assert verdict.trace and made == []
+    stages = [step.before for step in verdict.trace]
+    stages += [verdict.s_min] if isinstance(verdict, sf.Good) else []
+    for pcfg in stages:
+        sf.reduced_convex_hull(pcfg)
+    assert made
 
 
 # Two paired configurations made by hand, which no run_algorithm input reaches:
@@ -566,7 +598,10 @@ def test_fold_pass_rules_match_their_definitions(monkeypatch):
             assert error.margin == Fraction(margin, ctx.ramification)
         for i, pts_i in enumerate(sk.pair_points):
             walk = [c for c in chain_by_membership(sk, pts_i) if len(c.members) % 2]
-            assert sk.pair_odd[i] == (minimal_odd(sk, pts_i) if len(pts_i) == 2 else None)
+            odd_i = sk.pair_odd[i]
+            assert (None if odd_i is None else sk.clusters[odd_i].members) == (
+                minimal_odd(sk, pts_i) if len(pts_i) == 2 else None
+            )
             assert sk.pair_odd_depths[i] == (tuple(c.depth for c in walk) if len(pts_i) == 2 else ())
             found = targets(pcfg, i)
             assert len(found) == pcfg.g + 1 and found[i] is None
