@@ -78,12 +78,13 @@ class ProblemSpec(NamedTuple):
     normalize_infinity: bool = False
 
 
-# ASCII digits only: without re.ASCII, \d matches every Unicode decimal digit
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$", re.ASCII)
+# ASCII digits only: without re.ASCII, \d matches every Unicode decimal digit.
+# Matched with fullmatch: "$" would also match before a final newline
+_RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?", re.ASCII)
 
 
 def _parse_rational(text: str, where: str) -> Fraction:
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ParseError(
             f"{where}: expected a decimal integer or num/den string, got {text!r}"
         )

@@ -99,89 +99,105 @@ def cluster_data(cfg: Configuration) -> Skeleton:
     second infinity or two equal values is a repeated point
     (RepeatedPointsError).
 
-    The values are lowered once, and only the differences that the strong
-    triangle inequality leaves open are valued.  The root's first point is
-    valued against every other point.  Inside a cluster of depth d whose
-    first point x has its full row, the members above d from x form x's
-    child.  The first point y of each later child is valued only against
-    the members not yet placed, which splits off that child; every other
-    entry of y's row is x's, but d towards x's child, for v(y - z) =
-    min(v(y - x), v(x - z)) whenever the two differ.  So each row is built
-    once, when its point first leads a cluster.  Equal values never fall
-    into different children, so their zero difference is met while one of
-    them is valued: a repeated point (RepeatedPointsError).  The tree is
-    grown from a stack, not by recursion, so no depth of nesting meets the
-    interpreter's recursion limit.
+    The values are lowered once (with no valuation of the denominator L
+    when L = 1), and only the differences that the strong triangle
+    inequality leaves open are valued.  The root's first point is valued
+    against every other point.  Inside a cluster of depth d whose first
+    point x has its full row, the members above d from x form x's child.
+    The first point y of each later child is valued only against the
+    members not yet placed, and each is put in y's child or left for the
+    next in the same loop; every other entry of y's row is x's, but d
+    towards x's child, for v(y - z) = min(v(y - x), v(x - z)) whenever the
+    two differ.  So each row is built once, when its point first leads a
+    cluster, and made a tuple once, at the end.  A cluster of two needs no
+    loop: its depth is x's entry for y, and its two singletons follow it at
+    once.  Equal values never fall into different children, so their zero
+    difference is met while one of them is valued: a repeated point
+    (RepeatedPointsError).  The tree is grown from a stack, not by
+    recursion, so no depth of nesting meets the interpreter's recursion
+    limit.  Each cluster is kept as one (parent, first, size, depth) record
+    while the tree grows, and the records become the four tuples at the
+    end.
     """
-    values = tuple(pt.value for pt in cfg.points if not pt.is_infinity)
+    values = tuple([pt.value for pt in cfg.points if not pt.is_infinity])
     if len(values) + 1 < cfg.size:
         raise RepeatedPointsError("the points are not distinct")
     ctx = cfg.ctx
     ints, den = ctx.lower(values)
-    den_steps = ctx.ramification * int_valuation(den, ctx.ell)
+    den_steps = 0 if den == 1 else ctx.ramification * int_valuation(den, ctx.ell)
     n = len(ints)
-    ring, valuation = ctx.integers, ctx.integral_valuation
-    sub, zero = ring.sub, ring.zero
+    sub, zero = ctx.integers.sub, ctx.integers.zero
+    valuation = ctx.integral_valuation
     rows: list = [None] * n
-    sizes: list[int] = []
-    depths: list[int] = []
-    parent: list[Optional[int]] = []
-    first: list[int] = []
+    tree: list[tuple] = []  # (parent, first, size, depth) of each cluster
     order: list[int] = []
     place = [0] * n
     leaf = [0] * n
 
-    def value(a: int, others) -> None:
-        """Fill a's row towards the others: e v(A_a - A_b) - e v(L)."""
-        row, x = rows[a], ints[a]
-        for b in others:
-            d = sub(x, ints[b])
+    # clusters in pre-order, from a stack of (members, parent position);
+    # each cluster's first point has its full row.  A cluster's singletons
+    # come right after it (popped, or placed by a cluster of two), so its
+    # members are the next ones in order.
+    stack: list = []
+    if n:
+        row, lead = [INF_STEPS] * n, ints[0]
+        for b in range(1, n):
+            d = sub(lead, ints[b])
             if d == zero:
                 raise RepeatedPointsError("the points are not distinct")
             row[b] = valuation(d) - den_steps
-
-    # clusters in pre-order, from a stack of (members, parent position);
-    # each cluster's first point has its full row.  A cluster's singletons
-    # are popped right after it, so its members are the next ones in order.
-    stack: list = []
-    if n:
-        rows[0] = [INF_STEPS] * n
-        value(0, range(1, n))
+        rows[0] = row
         stack.append((list(range(n)), None))
     while stack:
         idx, up = stack.pop()
-        k = len(sizes)
-        parent.append(up)
-        first.append(len(order))
-        sizes.append(len(idx))
+        k, at, x = len(tree), len(order), idx[0]
         if len(idx) == 1:
-            x = idx[0]
-            leaf[x], place[x] = k, len(order)
+            leaf[x], place[x] = k, at
+            tree.append((up, at, 1, INF_STEPS))
             order.append(x)
-            depths.append(INF_STEPS)
             continue
-        top = rows[idx[0]]
-        depth = min([top[b] for b in idx[1:]])
-        depths.append(depth)
-        # children: equivalence classes of "valuation strictly above depth"
-        children: list[list[int]] = []
-        while idx:
-            a, rest = idx[0], idx[1:]
-            if children:
-                row = rows[a] = top.copy()
-                for b in children[0]:
-                    row[b] = depth
-                row[a] = INF_STEPS
-                value(a, rest)
-            row, block, idx = rows[a], [a], []
-            for b in rest:
-                (block if row[b] > depth else idx).append(b)
+        top = rows[x]
+        if len(idx) == 2:
+            # two singletons follow at once; y's row is x's, but the depth towards x
+            y = idx[1]
+            depth = top[y]
+            row = rows[y] = top.copy()
+            row[x], row[y] = depth, INF_STEPS
+            tree += [(up, at, 2, depth), (k, at, 1, INF_STEPS), (k, at + 1, 1, INF_STEPS)]
+            leaf[x], leaf[y], place[x], place[y] = k + 1, k + 2, at, at + 1
+            order += idx
+            continue
+        others = idx[1:]
+        depth = min(map(top.__getitem__, others))
+        tree.append((up, at, len(idx), depth))
+        # children: equivalence classes of "valuation strictly above depth".
+        # x's child is split off x's row; each later child's first point a
+        # is valued against the members not yet placed, which splits it off
+        # in the same loop
+        block, rest = [x], []
+        for b in others:
+            (block if top[b] > depth else rest).append(b)
+        children = [block]
+        while rest:
+            a, others = rest[0], rest[1:]
+            row = rows[a] = top.copy()
+            for b in children[0]:
+                row[b] = depth
+            row[a] = INF_STEPS
+            block, rest, lead = [a], [], ints[a]
+            for b in others:
+                d = sub(lead, ints[b])
+                if d == zero:
+                    raise RepeatedPointsError("the points are not distinct")
+                steps = row[b] = valuation(d) - den_steps
+                (block if steps > depth else rest).append(b)
             children.append(block)
-        stack += [(block, k) for block in reversed(children)]
-    smat = tuple(tuple(row) for row in rows)
+        for block in reversed(children):
+            stack.append((block, k))
+    parent, first, sizes, depths = zip(*tree) if tree else ((),) * 4
     return Skeleton(
-        values, tuple(ints), den, den_steps, smat, tuple(sizes), tuple(depths),
-        tuple(parent), tuple(first), tuple(order), tuple(place), tuple(leaf),
+        values, tuple(ints), den, den_steps, tuple(map(tuple, rows)), sizes, depths,
+        parent, first, tuple(order), tuple(place), tuple(leaf),
     )
 
 
@@ -263,36 +279,40 @@ class Skeleton(NamedTuple):
         """The skeleton with the pairs ``pairs`` (tuples of positions) and what
         is read off them: each pair's minimal disc, each finite pair's odd
         clusters from one walk of its chain (:meth:`chain`), the smallest one
-        and the depths of all, and then every axis gap."""
+        and the depths of all, and then every axis gap, from the two
+        step-matrix rows of each pair, looked up once.  It is one new
+        skeleton, made in one call from this one's tree fields and the pair
+        fields."""
         sizes, depths, smat = self.sizes, self.depths, self.smat
         # the disc of the pair at infinity is that of all finite values
         top = depths[0] if len(self.values) > 1 else 0
-        # each pair's ends (its one point twice at infinity) and radius
+        # each pair's two rows (its one point's twice at infinity), its
+        # positions and its radius
         discs, ends, odd, odd_depths = [], [], [], []
         for pts in pairs:
-            a, b = pts[0], pts[-1]
+            a = pts[0]
+            row_a = smat[a]
             if len(pts) == 2:
-                r = smat[a][b]
+                b = pts[1]
+                r = row_a[b]
                 discs.append((a, r))
                 walk = [k for k in self.chain(pts) if sizes[k] % 2]
+                odd.append(walk[0] if walk else None)
+                odd_depths.append(tuple([depths[k] for k in walk]))
+                ends.append((row_a, smat[b], a, b, r))
             else:
-                r, walk = top, []
-                discs.append((pairs[0][0], r))
-            ends.append((a, b, r))
-            odd.append(walk[0] if walk else None)
-            odd_depths.append(tuple([depths[k] for k in walk]))
+                discs.append((pairs[0][0], top))
+                odd.append(None)
+                odd_depths.append(())
+                ends.append((row_a, row_a, a, a, top))
         gaps = []
-        for k, (a, b, r_k) in enumerate(ends):
-            row_a, row_b = smat[a], smat[b]
-            for y, z, r_l in ends[k + 1:]:
+        for k, (row_a, row_b, _, _, r_k) in enumerate(ends):
+            for _, _, y, z, r_l in ends[k + 1:]:
                 u = max(row_a[y], row_a[z], row_b[y], row_b[z])
                 gaps.append((r_k - u if r_k > u else 0) + (r_l - u if r_l > u else 0))
-        return self._replace(
-            pair_points=pairs,
-            pair_discs=tuple(discs),
-            pair_odd=tuple(odd),
-            pair_odd_depths=tuple(odd_depths),
-            pair_gaps=tuple(gaps),
+        # the twelve fields of the tree, then the five of the pairs
+        return Skeleton._make(
+            self[:12] + (pairs, tuple(discs), tuple(odd), tuple(odd_depths), tuple(gaps))
         )
 
     def chain(self, members: tuple[int, ...]):
@@ -415,15 +435,21 @@ def canonical_pairs(sk: Skeleton, has_infinity: bool) -> tuple[tuple[int, ...], 
         classes.setdefault(key, []).append(x)
     if has_infinity:
         classes.setdefault(None, []).append(None)
-    if any(len(members) != 2 for members in classes.values()):
-        raise NotClusteredInPairsError(
-            "even-cluster equivalence classes do not all have size 2"
-        )
-    finite = sorted(
-        (tuple(ab) for ab in classes.values() if None not in ab),
-        key=lambda ab: (-sk.smat[ab[0]][ab[1]], ab[0]),
-    )
-    return tuple(finite) + tuple((ab[0],) for ab in classes.values() if None in ab)
+    # each class checked and keyed for the order in one loop: infinity is
+    # appended last, so it can only be a class's second member
+    smat, finite, last = sk.smat, [], ()
+    for ab in classes.values():
+        if len(ab) != 2:
+            raise NotClusteredInPairsError(
+                "even-cluster equivalence classes do not all have size 2"
+            )
+        a, b = ab
+        if b is None:
+            last = ((a,),)
+        else:
+            finite.append((-smat[a][b], a, b))
+    finite.sort()
+    return tuple([(a, b) for _, a, b in finite]) + last
 
 
 def check_separated(pcfg: PairedConfiguration) -> None:
@@ -440,13 +466,15 @@ def pair_up(cfg: Configuration) -> PairedConfiguration:
 
     Repeated points raise RepeatedPointsError, a ValueError, before either
     rule runs.  The returned configuration keeps the one skeleton built
-    here, on ``cfg`` in input order.
+    here, on ``cfg`` in input order.  Only ``cluster_data`` scans the points
+    for infinity: the pairs' finite points are made from the values it
+    listed, and infinity is present when it listed fewer than all.
     """
-    finite = [pt for pt in cfg.points if not pt.is_infinity]
-    has_inf = len(finite) < cfg.size
     sk = cluster_data(cfg)
+    values = sk.values
+    has_inf = len(values) < cfg.size
     sk = sk.paired(canonical_pairs(sk, has_inf))
-    points = [finite[x] for pts in sk.pair_points for x in pts]
+    points = [PPoint(values[x]) for pts in sk.pair_points for x in pts]
     points += [INFINITY] if has_inf else []
     pcfg = PairedConfiguration(cfg.ctx, tuple(zip(points[::2], points[1::2])))
     object.__setattr__(pcfg, "_skeleton", sk)

@@ -158,14 +158,37 @@ INF_STEPS = _InfSteps()
 
 
 def int_valuation(n: int, ell: int) -> int:
-    """ell-adic valuation of a nonzero integer."""
+    """ell-adic valuation of a nonzero integer (ell >= 2).
+
+    One division per step while the valuation is small; from 8 on, the
+    rest comes off in blocks (:func:`_block_valuation`), so a valuation v
+    costs O(log v) divisions, not v.
+    """
     if n == 0:
         raise ValueError("valuation of zero is infinite")
-    n = abs(n)
     v = 0
     while n % ell == 0:
         n //= ell
         v += 1
+        if v == 8:
+            return v + _block_valuation(n, ell)
+    return v
+
+
+def _block_valuation(n: int, ell: int) -> int:
+    """ell-adic valuation of a nonzero integer by blocks: strip ell, ell^2,
+    ell^4, ... while the number stays divisible, then try each smaller
+    block once on the way back down (a binary search on the rest)."""
+    v, blocks = 0, [ell]
+    while n % blocks[-1] == 0:
+        n //= blocks[-1]
+        v += 1 << (len(blocks) - 1)
+        blocks.append(blocks[-1] * blocks[-1])
+    # the rest is below the last block tried, so below 2^(len(blocks) - 1)
+    for k in range(len(blocks) - 2, -1, -1):
+        if n % blocks[k] == 0:
+            n //= blocks[k]
+            v += 1 << k
     return v
 
 

@@ -67,8 +67,9 @@ def test_parse_problem_rejects_bad_documents():
             json.dumps({"p": 2, "ell": 5, "points": ["0", "5", "1", "0.5"]})
         )
     # points take the ASCII digits 0-9 only, not other Unicode decimal
-    # digits such as the Arabic-Indic seven
-    for point in ("\u0667", "1/\u0667"):
+    # digits such as the Arabic-Indic seven, and no whitespace: not even a
+    # final newline, which a pattern ending in "$" lets by
+    for point in ("\u0667", "1/\u0667", "7\n", "1/2\n", "7 ", " 7", "\t7"):
         with pytest.raises(cli.ParseError):
             cli.parse_problem(
                 json.dumps({"p": 2, "ell": 5, "points": [point, "12", "0", "5", "1", "inf"]})

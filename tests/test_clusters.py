@@ -33,8 +33,8 @@ from helpers import (
     sample_paired,
     values_multiset,
 )
-from reference import (clusters_in_preorder, even_profile, field_sub, pair_disc, pairwise_depth,
-                       smallest_superset)
+from reference import (axis_gaps_by_valuation, clusters_in_preorder, even_profile, field_sub,
+                       pair_disc, pairwise_depth, smallest_superset)
 
 
 def _cluster_value_sets(ctx, sk):
@@ -525,3 +525,119 @@ def test_handed_over_skeleton_matches_a_fresh_one(inputs):
         assert fresh.skeleton().values == finite_values(pcfg.configuration())
         reordered += pcfg.skeleton().values != fresh.skeleton().values
     assert reordered  # the two orders differed at least once
+
+
+def _refusal_by_definition(cfg):
+    """The error pair_up must raise on ``cfg``, or None, from the
+    definitions alone: a repeated value or a second infinity first, then
+    even-cluster classes by membership (clusters as balls of field
+    valuations) that are not all of size two, then two pair axes at most 2
+    rho apart, by the cross valuations of their points."""
+    ctx = cfg.ctx
+    values = [pt.value for pt in cfg.points if not pt.is_infinity]
+    if len(set(cfg.points)) < cfg.size:
+        return RepeatedPointsError
+    evens = [m for m, _ in clusters_in_preorder(ctx, values) if len(m) % 2 == 0]
+    classes = {}
+    for x in range(len(values)):
+        profile = frozenset(m for m in evens if x in m)
+        classes.setdefault(profile, []).append(sf.finite(ctx, values[x]))
+    if cfg.has_infinity():
+        classes.setdefault(frozenset(), []).append(sf.INFINITY)
+    if any(len(members) != 2 for members in classes.values()):
+        return sf.NotClusteredInPairsError
+    pcfg = sf.PairedConfiguration(ctx, tuple(map(tuple, classes.values())))
+    gaps = axis_gaps_by_valuation(pcfg)
+    if gaps and min(gaps) <= 2 * ctx.rho_steps:
+        return sf.NotSeparatedError
+    return None
+
+
+def _skeleton_by_value(sk):
+    # what pair_up's skeleton and a fresh one must share: every reading,
+    # with each position replaced by its value
+    n, vals = len(sk.values), sk.values
+    members = lambda k: frozenset(vals[x] for x in sk.cluster(k).members)
+    return (
+        {members(k): sk.depths[k] for k in range(len(sk.sizes))},
+        {(vals[a], vals[b]): sk.smat[a][b] for a, b in product(range(n), repeat=2)},
+        tuple(tuple(vals[x] for x in pts) for pts in sk.pair_points),
+        tuple((vals[c], r) for c, r in sk.pair_discs),
+        tuple(None if k is None else members(k) for k in sk.pair_odd),
+        sk.pair_odd_depths,
+        sk.pair_gaps,
+        (sk.den, sk.den_steps),
+    )
+
+
+def test_every_fold_pass_skeleton_matches_a_fresh_one_and_the_definitions(monkeypatch):
+    # Every pair_up call of run_algorithm on sampled paired sets in the
+    # seven test fields, g = 2 to 4, and on Nielsen-moved copies of them:
+    # each skeleton handed over reads, value by value, as a fresh one built
+    # on the pairs, its tree is the clusters by field valuations and its
+    # axis gaps are those by valuation; every outcome, a refusal included,
+    # is the one the definitions give.  Then the order of the refusals, on
+    # random small multisets with repeats and a second infinity: a repeat
+    # before either pairing rule, a broken pairing before separation.
+    calls = []
+    pair_up = sf.folding.pair_up
+
+    def recorded(cfg):
+        try:
+            pcfg = pair_up(cfg)
+        except (ValueError, sf.PairingError) as exc:
+            calls.append((cfg, exc))
+            raise
+        calls.append((cfg, pcfg))
+        return pcfg
+
+    monkeypatch.setattr(sf.folding, "pair_up", recorded)
+    rng = random.Random(31)
+    runs = []
+    for p, ell in TEST_FIELDS:
+        ctx = sf.field_context(p, ell)
+        for g in (2, 3, 4):
+            cfg, pcfg = sample_paired(rng, ctx, g)
+            runs.append(sf.run_algorithm(ctx, cfg))
+            # then a chain of three Nielsen moves, each moving a pair i < j,
+            # so never the pair at infinity (the last), and each copy run
+            for _ in range(3):
+                i, j = sorted(rng.sample(range(g + 1), 2))
+                c = nielsen_move(pcfg, i, j, rng.randrange(1, p))
+                runs.append(sf.run_algorithm(ctx, c))
+                pcfg = sf.PairedConfiguration(ctx, tuple(zip(c.points[::2], c.points[1::2])))
+    outcomes = Counter()
+    for cfg, out in calls:
+        expected = _refusal_by_definition(cfg)
+        if isinstance(out, Exception):
+            assert type(out) is expected
+            outcomes[expected] += 1
+            continue
+        assert expected is None
+        fresh = sf.PairedConfiguration(out.ctx, out.pairs)
+        assert _skeleton_by_value(out.skeleton()) == _skeleton_by_value(fresh.skeleton())
+        sk = out.skeleton()
+        assert sk.clusters == tuple(
+            sf.Cluster(m, d) for m, d in clusters_in_preorder(out.ctx, sk.values)
+        )
+        assert sk.pair_gaps == axis_gaps_by_valuation(out)
+        outcomes[None] += 1
+    # every run makes one pass more than it folds
+    assert len(calls) == len(runs) + sum(len(verdict.trace) for verdict in runs)
+    assert outcomes[None] > 150 and len(calls) > 2 * len(runs)
+    for p, ell in TEST_FIELDS:
+        ctx = sf.field_context(p, ell)
+        for _ in range(60):
+            points = [rng.randrange(-ell**2, ell**3) for _ in range(rng.choice((5, 7)))]
+            points += ["inf"] * rng.choice((1, 1, 2))
+            cfg = sf.configuration(ctx, rng.sample(points, len(points)))
+            expected = _refusal_by_definition(cfg)
+            try:
+                sf.pair_up(cfg)
+            except (ValueError, sf.PairingError) as exc:
+                assert type(exc) is expected
+            else:
+                assert expected is None
+            outcomes[expected] += 1
+    kinds = (None, RepeatedPointsError, sf.NotClusteredInPairsError, sf.NotSeparatedError)
+    assert all(outcomes[kind] >= 20 for kind in kinds)

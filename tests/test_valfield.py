@@ -50,6 +50,39 @@ def test_rational_valuation_examples():
         ctx7.integral_valuation(0)
 
 
+def _valuation_by_single_divisions(n, ell):
+    n, v = abs(n), 0
+    while n % ell == 0:
+        n //= ell
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 1000000000039])
+def test_int_valuation_matches_the_plain_loop(ell):
+    # past 8 single divisions the kernel strips blocks ell^(2^k) and comes
+    # back down.  Every valuation tried up to 10^4 (the first 70, each side
+    # of every block boundary 2^k, and 10^4 itself), of +-ell^v u for units
+    # u (five up to 69, two past it), is v.  The plain loop, quadratic in
+    # the size, checks it too where ell^v has at most 2^15 bits (every v
+    # for ell <= 7).  Random integers of either sign agree with the loop as
+    # well.
+    rng = random.Random(ell)
+    vs = list(range(70)) + [(1 << k) + d for k in range(6, 14) for d in (-1, 0, 1)] + [10**4]
+    for v in vs:
+        power = ell**v
+        units = [-1, rng.randrange(1, 10**30) * ell + rng.randrange(1, ell)]
+        for u in units + ([1, ell + 1, -(ell - 1)] if v < 70 else []):
+            n = u * power
+            assert valfield.int_valuation(n, ell) == v
+            if power.bit_length() <= 1 << 15:
+                assert _valuation_by_single_divisions(n, ell) == v
+    for _ in range(2000):
+        n = rng.randrange(-10**40, 10**40) or 1
+        n *= ell ** rng.randrange(12)
+        assert valfield.int_valuation(n, ell) == _valuation_by_single_divisions(n, ell)
+
+
 def test_zeta_powers():
     ctx = sf.field_context(2, 5)
     assert ctx.zeta_power(1) == Fraction(-1)
