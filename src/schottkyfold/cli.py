@@ -197,9 +197,7 @@ def _fold_record(ctx, step: folding.FoldingStep) -> dict:
         "n": step.n,
         "indices": sorted(step.indices),
         "matrix": _fmt_matrix(ctx, step.map),
-        "witness": None
-        if step.witness is None
-        else {
+        "witness": {
             "l": step.witness.l,
             "lhs": _fmt_val(step.witness.lhs),
             "rhs": _fmt_val(step.witness.rhs),

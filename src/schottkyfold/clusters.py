@@ -308,7 +308,8 @@ class Skeleton(NamedTuple):
         gaps = []
         for k, (row_a, row_b, _, _, r_k) in enumerate(ends):
             for _, _, y, z, r_l in ends[k + 1:]:
-                u = max(row_a[y], row_a[z], row_b[y], row_b[z])
+                # no row_b[z]: where it alone is largest, r_k = row_a[z] and r_l = row_b[y]
+                u = max(row_a[y], row_a[z], row_b[y])
                 gaps.append((r_k - u if r_k > u else 0) + (r_l - u if r_l > u else 0))
         # the twelve fields of the tree, then the five of the pairs
         return Skeleton._make(

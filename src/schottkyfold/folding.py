@@ -74,7 +74,7 @@ class FoldingStep(NamedTuple):
     map: Mobius
     before: PairedConfiguration
     after: Configuration
-    witness: Optional[FoldWitness]
+    witness: FoldWitness
 
 
 class Good(NamedTuple):

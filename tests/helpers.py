@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -90,6 +91,81 @@ def multiset(cfg):
 
 def values_multiset(ctx, values):
     return multiset(sf.configuration(ctx, values))
+
+
+# --------------------------------------------------------------------------
+# counting calls
+# --------------------------------------------------------------------------
+
+
+def count_calls(monkeypatch, owner, name, everywhere=False):
+    """Record the arguments of each call of a function through every binding
+    of it in ``owner`` (a module or a class, a static method included), or,
+    with ``everywhere``, in every schottkyfold module."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    owners = [owner]
+    if everywhere:
+        owners = [
+            m
+            for key, m in sys.modules.items()
+            if key == "schottkyfold" or key.startswith("schottkyfold.")
+        ]
+    for m in owners:
+        for key, value in list(vars(m).items()):
+            if value is original:
+                monkeypatch.setattr(m, key, counted)
+            elif isinstance(value, staticmethod) and value.__func__ is original:
+                monkeypatch.setattr(m, key, staticmethod(counted))
+    return calls
+
+
+def count_chain_walks(monkeypatch):
+    """The arguments (skeleton, members) of each ``Skeleton.chain`` walk."""
+    return count_calls(monkeypatch, sf.clusters.Skeleton, "chain")
+
+
+def count_finite_pairs_built(monkeypatch):
+    """The finite pairs of every skeleton paired, one entry per
+    ``Skeleton.paired`` call."""
+    built = []
+    original = sf.clusters.Skeleton.paired
+
+    def counted(sk, pairs):
+        built.append(sum(len(pts) == 2 for pts in pairs))
+        return original(sk, pairs)
+
+    monkeypatch.setattr(sf.clusters.Skeleton, "paired", counted)
+    return built
+
+
+def count_cluster_records(monkeypatch):
+    """The arguments of each ``clusters.Cluster`` record made."""
+    return count_calls(monkeypatch, sf.clusters.Cluster, "__new__")
+
+
+def recorded_inside(monkeypatch, owner, name, **counters):
+    """Wrap ``owner.name`` so that what each counter (a list the helpers
+    above fill) records during its calls is kept apart: returns, per
+    counter, the entries recorded inside those calls."""
+    inside = {key: [] for key in counters}
+    original = getattr(owner, name)
+
+    def call(*args, **kwargs):
+        marks = {key: len(calls) for key, calls in counters.items()}
+        try:
+            return original(*args, **kwargs)
+        finally:
+            for key, calls in counters.items():
+                inside[key] += calls[marks[key]:]
+
+    monkeypatch.setattr(owner, name, call)
+    return inside
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from helpers import (
     EIGHT_POINT_7ADIC,
     SIX_POINT_5ADIC,
     TEST_FIELDS,
+    count_calls,
     ctx2,
     ctx5,
     ctx7,
@@ -329,14 +330,7 @@ def test_skeleton_values_only_the_open_differences(monkeypatch):
     # first point 1336/3 is valued against the other 6; the first point of
     # the later child {0, 7} against 7 and 1, and that of {-110, 86} against
     # 86.  The other 12 entries are written from the ultrametric.
-    calls = []
-    original = sf.FieldContext.integral_valuation
-
-    def counted(self, a):
-        calls.append(a)
-        return original(self, a)
-
-    monkeypatch.setattr(sf.FieldContext, "integral_valuation", counted)
+    calls = count_calls(monkeypatch, sf.FieldContext, "integral_valuation")
     sk = sf.cluster_data(sf.configuration(ctx7(), EIGHT_POINT_7ADIC))
     assert len(sk.values) == 7 and len(calls) == 9
 

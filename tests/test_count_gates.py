@@ -1,0 +1,124 @@
+"""The fold loop's count gates: operation counts that do not depend on the
+machine, read in one pass of every pinned CLI document through
+``parse_problem``, ``run`` (with a dot prefix, so the hull runs; no file is
+written) and ``render_report``, from a cleared ``field_context`` cache.
+
+Each gate holds a limit or a ratio, and each has a count above 0 so that it
+cannot pass vacuously.  ``pytest tests/test_count_gates.py -s`` prints the
+readings.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+import schottkyfold as sf
+from schottkyfold import cli, folding, valfield
+from schottkyfold.valfield import FieldContext
+
+from helpers import (count_calls, count_chain_walks, count_cluster_records,
+                     count_finite_pairs_built, recorded_inside)
+
+DOCS = sorted((Path(__file__).parent / "expected" / "cli").glob("*.json"))
+
+# valuing every difference in the skeleton and the fold scan took 736
+VALUATION_LIMIT = 464
+# turning pair i's cross ratios at every scan took 144
+ROTATION_LIMIT = 114
+
+
+@pytest.fixture(scope="module")
+def counts():
+    with pytest.MonkeyPatch.context() as mp:
+        sf.field_context.cache_clear()
+        contexts = count_calls(mp, FieldContext, "__init__")
+        scan = recorded_inside(
+            mp, folding, "find_fold_exponent",
+            rational=count_calls(mp, valfield._Integers, "rotate"),
+            cyclotomic=count_calls(mp, valfield._CyclotomicIntegers, "rotate"),
+        )
+        scans = count_calls(mp, folding, "find_fold_exponent")
+        records = count_cluster_records(mp)
+        hull = recorded_inside(mp, cli, "reduced_convex_hull", records=records)
+        loop = recorded_inside(
+            mp, folding, "run_algorithm",
+            valuations=count_calls(mp, FieldContext, "integral_valuation"),
+            walks=count_chain_walks(mp),
+            pairs=count_finite_pairs_built(mp),
+            records=records,
+            targets=count_calls(mp, folding, "targets"),
+            selects=count_calls(mp, folding, "select_target"),
+        )
+        fields = set()
+        for doc in DOCS:
+            spec = cli.parse_problem(doc.read_text(encoding="utf-8"))
+            cli.render_report(cli.run(spec._replace(dot="unused"))[0])
+            fields.add((spec.p, spec.ell))
+    assert DOCS
+    return {
+        "valuations": len(loop["valuations"]),
+        "rotations": len(scan["rational"]) + len(scan["cyclotomic"]),
+        "scans": len(scans),
+        "walks": len(loop["walks"]),
+        "pairs": sum(loop["pairs"]),
+        "loop records": len(loop["records"]),
+        "hull records": len(hull["records"]),
+        "targets": len(loop["targets"]),
+        "selects": len(loop["selects"]),
+        "contexts": len(contexts),
+        "fields": len(fields),
+    }
+
+
+def test_valuations_in_the_fold_loop(counts):
+    # the FieldContext.integral_valuation calls made inside run_algorithm
+    # (the audit and the hull are not counted): the skeleton and the fold
+    # scan value only the differences the strong triangle inequality
+    # leaves open
+    print(f"\n{counts['valuations']} valuations over {len(DOCS)} documents (limit {VALUATION_LIMIT})")
+    assert counts["valuations"] <= VALUATION_LIMIT
+
+
+def test_rotations_in_the_fold_scan(counts):
+    # the rotate calls of both integer rings made inside find_fold_exponent:
+    # the scan forms and turns pair i's cross ratios only when some pair l
+    # shares their level
+    print(f"\n{counts['rotations']} rotations in {counts['scans']} fold scans (limit {ROTATION_LIMIT})")
+    assert counts["scans"] > 0
+    assert counts["rotations"] <= ROTATION_LIMIT
+
+
+def test_chain_walks_in_the_fold_loop(counts):
+    # Skeleton.paired walks each finite pair's cluster chain once, and the
+    # fold pass reads its targets, branches and separation margin off
+    # step-matrix rows, so the walks never exceed the pairs
+    print(f"\n{counts['walks']} chain walks for {counts['pairs']} finite pairs built")
+    assert counts["pairs"] > 0
+    assert counts["walks"] <= counts["pairs"]
+
+
+def test_no_cluster_records_in_the_fold_loop(counts):
+    # the fold pass reads the skeleton's flat tree and makes no Cluster
+    # record, while the hull makes one for each vertex it keeps
+    print(f"\n{counts['loop records']} Cluster records in run_algorithm, "
+          f"{counts['hull records']} in reduced_convex_hull")
+    assert counts["loop records"] == 0
+    assert counts["hull records"] > 0
+
+
+def test_one_targets_loop_per_select_target(counts):
+    # select_target finds the targets of pair i for every j in one targets
+    # loop
+    print(f"\n{counts['targets']} targets loops for {counts['selects']} select_target calls")
+    assert counts["selects"] > 0
+    assert counts["targets"] == counts["selects"]
+
+
+def test_one_field_context_per_field(counts):
+    # field_context hands out one shared context per field, where
+    # validating in parse_problem and building again in run took two per
+    # document
+    print(f"\n{counts['contexts']} field contexts built for {counts['fields']} fields")
+    assert counts["contexts"] <= counts["fields"]

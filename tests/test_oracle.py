@@ -11,6 +11,7 @@ from helpers import (
     EIGHT_POINT_7ADIC_MIN,
     SIX_POINT_5ADIC,
     TEST_FIELDS,
+    count_calls,
     ctx5,
     ctx7,
     sample_paired,
@@ -334,18 +335,10 @@ def test_audit_multiplies_and_values_only_while_lowering(monkeypatch):
     # and the walk runs on integers: FieldContext.mul and valuation are
     # never called
     pmin = sf.pair_up(sf.configuration(ctx7(), EIGHT_POINT_7ADIC_MIN))
-    calls = []
-    for name in ("mul", "valuation"):
-        original = getattr(sf.FieldContext, name)
-
-        def counted(*args, original=original):
-            calls.append(None)
-            return original(*args)
-
-        monkeypatch.setattr(sf.FieldContext, name, counted)
+    calls = [count_calls(monkeypatch, sf.FieldContext, name) for name in ("mul", "valuation")]
     result = sf.schottky_audit(pmin, 7)
     assert result.witness is None and result.words_checked == 1092
-    assert calls == []
+    assert calls == [[], []]
 
 
 def _hand_built(ctx):
@@ -373,14 +366,7 @@ def test_word_matrix_of_one_syllable_is_the_order_p_map_of_its_pair():
 
 
 def test_audit_and_word_matrix_lower_the_points_once(monkeypatch):
-    calls = []
-    original = sf.FieldContext.lower
-
-    def counted(self, values):
-        calls.append(None)
-        return original(self, values)
-
-    monkeypatch.setattr(sf.FieldContext, "lower", counted)
+    calls = count_calls(monkeypatch, sf.FieldContext, "lower")
     for p, ell in TEST_FIELDS:
         pcfg = _hand_built(sf.field_context(p, ell))
         calls.clear()
@@ -396,20 +382,8 @@ def test_word_matrix_builds_only_the_factors_its_word_names(monkeypatch):
     # a word naming two generator powers, one of them twice, builds two
     # order-p matrices and values no determinant; the audit alone keeps
     # det and v(det) for every generator power
-    built, valued = [], []
-    order_p_matrix = sf.oracle.order_p_matrix
-    integral_valuation = sf.FieldContext.integral_valuation
-
-    def counted_build(*args):
-        built.append(args[-1])
-        return order_p_matrix(*args)
-
-    def counted_valuation(ctx, a):
-        valued.append(None)
-        return integral_valuation(ctx, a)
-
-    monkeypatch.setattr(sf.oracle, "order_p_matrix", counted_build)
-    monkeypatch.setattr(sf.FieldContext, "integral_valuation", counted_valuation)
+    built = count_calls(monkeypatch, sf.oracle, "order_p_matrix")
+    valued = count_calls(monkeypatch, sf.FieldContext, "integral_valuation")
     for p, ell in TEST_FIELDS:
         pcfg = _hand_built(sf.field_context(p, ell))
         valued.clear()
@@ -420,6 +394,6 @@ def test_word_matrix_builds_only_the_factors_its_word_names(monkeypatch):
         ), sf.word_matrix(pcfg, sf.GroupWord(((2, 1),))))
         built.clear()
         assert sf.word_matrix(pcfg, word) == expected
-        assert sorted(built) == sorted([1, p - 1]) and valued == []
+        assert sorted(args[-1] for args in built) == sorted([1, p - 1]) and valued == []
         sf.schottky_audit(pcfg, 2)
         assert len(valued) >= 4 * (p - 1)
