@@ -105,19 +105,19 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     rank = [0] * len(order)
     for r, x in enumerate(order):
         rank[x] = r
-    # the vertex clusters as records, and their members' pair-order ranks;
-    # without infinity the root goes
-    records = {
-        k: sk.cluster(k)
-        for k, size in enumerate(sizes)
-        if size >= 2 and (has_inf or parent[k] is not None)
-    }
-    ranks = {k: sorted(rank[x] for x in c.members) for k, c in records.items()}
-    kept = sorted(ranks, key=lambda k: (-len(ranks[k]), ranks[k]))
+    # the vertex clusters' members, and each one's least pair-order rank;
+    # without infinity the root goes.  Two clusters of one size are
+    # disjoint, so the least rank orders them
+    members, least = {}, {}
+    for k, size in enumerate(sizes):
+        if size >= 2 and (has_inf or parent[k] is not None):
+            members[k] = sk.cluster(k).members
+            least[k] = min(rank[x] for x in members[k])
+    kept = sorted(least, key=lambda k: (-sizes[k], least[k]))
     ids = {k: vid for vid, k in enumerate(kept)}
     # minimal discs: the cluster depth as radius, and as center the member
     # of lowest rank
-    discs = {k: (order[ranks[k][0]], depths[k]) for k in kept}
+    discs = {k: (order[least[k]], depths[k]) for k in kept}
 
     # kept lists each cluster after its parent, so an even cluster joins its
     # kept parent's component and any other vertex starts the next one
@@ -155,7 +155,7 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
                 distinguished=pidx is not None,
                 pair_index=pidx,
                 component=components[vid],
-                cluster=records[k].members,
+                cluster=members[k],
             )
         )
     return SkeletonTree(tuple(vertices), tuple(edges))

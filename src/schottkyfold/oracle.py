@@ -12,12 +12,18 @@ Words are visited in length-lexicographic order and the first witness in
 that order is returned, which keeps recorded results stable.  Identity
 evaluations are collected separately as relation witnesses.
 
-:func:`schottky_audit` classifies one word per conjugacy class.  Trace
-and determinant valuations do not change under conjugation, and every
-word that is not cyclically reduced, or is not the least of its cyclic
-rotations, is conjugate to a word met earlier in the order; while all the
-words met so far are loxodromic it is loxodromic too, so only the least
-rotations of cyclically reduced words are classified.  ``words_checked``
+:func:`schottky_audit` classifies one word per conjugacy class up to
+inversion.  Trace and determinant valuations do not change under
+conjugation, and a map and its inverse have the same class.  A word that
+is not cyclically reduced, or is not the least of its cyclic rotations,
+is conjugate to a word met earlier in the order; a word that a rotation
+of its inverse precedes is the inverse of a conjugate of that earlier
+word; and a power u^k of an earlier word u of the subgroup is loxodromic
+when u is.  While all the
+words met so far are loxodromic such a word is loxodromic too, so only
+the least rotations of cyclically reduced words are classified, less
+those whose inverse has a rotation that two syllables put earlier, and
+less the powers of shorter words of the subgroup.  ``words_checked``
 still counts every word up to the witness, in closed form.  The walk runs
 on integer matrices that :func:`~.projline.order_p_matrix` builds, as for
 the fold step, from all the points lowered once over one common
@@ -184,6 +190,21 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
       so w is, and the first non-loxodromic word is always classified.
       ``words_checked`` is then computed in closed form, as the position
       of the witness in the order (or the count of all the words);
+    * **inverse rule** -- the same induction skips a least rotation w =
+      w_0 ... w_(n-1) when a rotation of w^-1, a word of the same length
+      and class, is smaller; it is decided on two syllables.  The inverse
+      of a syllable (i, e) is (i, p - e), and the rotation of w^-1 that
+      starts at inv(w_k) reads inv(w_k), inv(w_(k-1)), ...  As every
+      syllable of w is at least w_0, inv(w_k) < w_0 needs w_k to carry
+      w_0's index, so never at k = 1 or k = n - 1.  A first syllable with
+      2e > p starts no word; a syllable w_k, 2 <= k <= n - 2, of w_0's
+      index is dropped with all its extensions when inv(w_k) < w_0, or
+      inv(w_k) = w_0 and inv(w_(k-1)) < w_1; and when w_0 is its own
+      inverse (p = 2), a last syllable c is skipped when inv(c) < w_1;
+    * **powers rule** -- a least rotation that is a power u^k (k >= 2)
+      of its Lyndon prefix u is skipped when u's exponent sum is 0 mod
+      p: u is then an earlier word of the subgroup, and u^k is
+      loxodromic when u is;
     * **necklaces** -- a least rotation is a necklace, so every prefix of
       it is a prenecklace: a word whose syllable after its longest Lyndon
       prefix of length q repeats the syllable q places back or exceeds
@@ -258,8 +279,9 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
 def _walk(ctx, gens: list, last: int, necklaces: bool, pairs: dict):
     """(witness, relations) over the words of length 2..last, in order.
 
-    With ``necklaces`` only the least rotations of cyclically reduced
-    words are classified, and meeting an identity word returns None.
+    With ``necklaces`` only the words the skip, inverse and powers rules
+    of :func:`schottky_audit` keep are classified, and meeting an identity
+    word returns None.
     Syllables are coded as idx p + exp, which orders them as (idx, exp).
     ``pairs`` memoises the two-generator products of the closing level.
     """
@@ -287,6 +309,7 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, pairs: dict):
         ((idx * p + exp,), gen, exp, v_det, 1)
         for idx, row in enumerate(gens)
         for exp, (gen, _, v_det) in enumerate(row, 1)
+        if not necklaces or 2 * exp <= p
     ]
     closing = False
     for length in range(2, last + 1):
@@ -298,11 +321,18 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, pairs: dict):
             end = prefix[-1] // p
             # a syllable code is >= 1: with ref 0 and first -1 nothing is skipped
             ref, first = (prefix[n - lyndon], prefix[0] // p) if necklaces else (0, -1)
+            # for p = 2 a syllable is its own inverse: the rotation of the
+            # inverse from w_0 reads w_0, then the closer
+            low = max(ref, prefix[1]) if necklaces and p == 2 and n > 1 else ref
             for idx, row in enumerate(gens):
                 code = idx * p + exp
-                if idx == end or idx == first or code < ref:
+                if idx == end or idx == first or code < low:
                     continue
-                if code == ref and length % lyndon:
+                # a power u^k of its Lyndon prefix u: skipped when u's
+                # exponent sum, so u is a word of the subgroup, is 0 mod p
+                if code == ref and (
+                    length % lyndon or sum(s % p for s in prefix[:lyndon]) % p == 0
+                ):
                     continue
                 # the word is m times its closer: the last generator, or on
                 # the closing level the last two
@@ -332,10 +362,20 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, pairs: dict):
             for prefix, m, total, v_det, lyndon in level:
                 end = prefix[-1] // p
                 ref = prefix[n - lyndon] if necklaces else 0
+                lead = prefix[0] // p if necklaces else -1
                 for idx in range(ref // p, len(gens)):
                     if idx == end:
                         continue
-                    for exp in range(1, p):
+                    # a syllable w_k of w_0's index keeps inv(w_k) >= w_0
+                    # while exp <= p - e_0, and at equality needs
+                    # inv(w_(k-1)) >= w_1; the inverse of code c is
+                    # c + p - 2 (c mod p)
+                    top = p
+                    if idx == lead:
+                        top = p + 1 - prefix[0] % p
+                        if prefix[-1] + p - 2 * (prefix[-1] % p) < prefix[1]:
+                            top -= 1
+                    for exp in range(1, top):
                         code = idx * p + exp
                         if code < ref or closing and (total + exp) % p == 0:
                             continue

@@ -1,7 +1,8 @@
-"""The fold loop's count gates: operation counts that do not depend on the
-machine, read in one pass of every pinned CLI document through
-``parse_problem``, ``run`` (with a dot prefix, so the hull runs; no file is
-written) and ``render_report``, from a cleared ``field_context`` cache.
+"""The count gates of the fold loop and the audit: operation counts that do
+not depend on the machine, read in one pass of every pinned CLI document
+through ``parse_problem``, ``run`` (with a dot prefix, so the hull runs; no
+file is written) and ``render_report``, from a cleared ``field_context``
+cache.
 
 Each gate holds a limit or a ratio, and each has a count above 0 so that it
 cannot pass vacuously.  ``pytest tests/test_count_gates.py -s`` prints the
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import schottkyfold as sf
-from schottkyfold import cli, folding, valfield
+from schottkyfold import cli, folding, oracle, valfield
 from schottkyfold.valfield import FieldContext
 
 from helpers import (count_calls, count_chain_walks, count_cluster_records,
@@ -27,6 +28,8 @@ DOCS = sorted((Path(__file__).parent / "expected" / "cli").glob("*.json"))
 VALUATION_LIMIT = 464
 # turning pair i's cross ratios at every scan took 144
 ROTATION_LIMIT = 114
+# classifying every least rotation, inverses and powers included, took 119
+CLASSIFIED_LIMIT = 77
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,11 @@ def counts():
             targets=count_calls(mp, folding, "targets"),
             selects=count_calls(mp, folding, "select_target"),
         )
+        audit = recorded_inside(
+            mp, oracle, "schottky_audit",
+            classified=count_calls(mp, oracle, "is_loxodromic"),
+        )
+        audits = count_calls(mp, oracle, "schottky_audit")
         fields = set()
         for doc in DOCS:
             spec = cli.parse_problem(doc.read_text(encoding="utf-8"))
@@ -68,6 +76,8 @@ def counts():
         "targets": len(loop["targets"]),
         "selects": len(loop["selects"]),
         "contexts": len(contexts),
+        "classified": len(audit["classified"]),
+        "audits": len(audits),
         "fields": len(fields),
     }
 
@@ -122,3 +132,13 @@ def test_one_field_context_per_field(counts):
     # document
     print(f"\n{counts['contexts']} field contexts built for {counts['fields']} fields")
     assert counts["contexts"] <= counts["fields"]
+
+
+def test_words_classified_in_the_audit(counts):
+    # the is_loxodromic calls made inside schottky_audit: one word per
+    # conjugacy class up to inversion, less the powers of shorter words of
+    # the subgroup
+    print(f"\n{counts['classified']} words classified in {counts['audits']} audits "
+          f"(limit {CLASSIFIED_LIMIT})")
+    assert counts["classified"] > 0
+    assert counts["classified"] <= CLASSIFIED_LIMIT
