@@ -554,6 +554,21 @@ def test_pinned_report(doc, tmp_path, capsys):
     assert code == int(doc.with_suffix(".exit").read_text())
 
 
+@pytest.mark.parametrize(
+    "name", ["p2_l7_showcase_good", "p5_l11_audit_witness", "p2_l3_redundant_after_fold"]
+)
+def test_pinned_report_through_the_entry_point(name, tmp_path):
+    # one document per exit code 0, 1 and 2 through python -m schottkyfold:
+    # the bytes it writes to stdout, not the text main prints, are pinned
+    doc = Path(__file__).parent / "expected" / "cli" / f"{name}.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "schottkyfold", "--input", str(doc), "--dot", str(tmp_path / "tree")],
+        capture_output=True, env=module_env(), timeout=60,
+    )
+    assert proc.stdout == doc.with_suffix(".stdout").read_bytes()
+    assert proc.returncode == int(doc.with_suffix(".exit").read_text())
+
+
 def test_pinned_reports_cover_every_field_and_verdict():
     reports = [json.loads(doc.with_suffix(".stdout").read_text()) for doc in PINNED]
     fields = {(r["p"], r["ell"]) for r in reports}

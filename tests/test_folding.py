@@ -695,6 +695,37 @@ def test_a_long_nielsen_chain_folds_back_to_good(k):
     assert all(a > b >= 0 for a, b in zip(measures, measures[1:]))
 
 
+def _nielsen_chain_document(k):
+    """``_nielsen_chain(k)`` as a problem document, its moves built on plain
+    Fractions rather than by the package's own maps."""
+
+    def involution(a, b):
+        # z -> ((a + b) z - 2ab) / (2z - (a + b)) fixes a and b
+        return lambda z: ((a + b) * z - 2 * a * b) / (2 * z - (a + b))
+
+    moves = [involution(Fraction(0), Fraction(81)), involution(Fraction(1), Fraction(82))]
+    pair = [Fraction(2), Fraction(83)]
+    for s in range(k):
+        pair = [moves[s % 2](z) for z in pair]
+    return json.dumps({"p": 2, "ell": 3, "points": ["0", "81", "1", "82", *map(str, pair), "5", "inf"]})
+
+
+@pytest.mark.parametrize("k", [100, 400])
+def test_a_long_nielsen_chain_folds_back_through_the_entry_point(k):
+    # at k = 400 the points grow to hundreds of digits, whose valuations the
+    # integer kernel strips in blocks of ell^(2^j); the child process is
+    # killed after 60 s, so the test fails, not hangs
+    proc = subprocess.run(
+        [sys.executable, "-m", "schottkyfold", "--stdin"],
+        input=_nielsen_chain_document(k), capture_output=True, text=True,
+        env=module_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["verdict"]["kind"] == "good"
+    assert report["fold_count"] == k + 1
+
+
 def test_a_fold_that_leaves_the_measure_level_is_an_internal_error(monkeypatch, tmp_path, capsys):
     # a fold that makes no progress: it hands back the stage's own points,
     # pair by pair with infinity last, so the next stage pairs up as before

@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 import schottkyfold as sf
+from schottkyfold import cli
 from helpers import (
     EIGHT_POINT_7ADIC,
     EIGHT_POINT_7ADIC_MIN,
@@ -422,6 +425,24 @@ def test_audit_multiplies_and_values_only_while_lowering(monkeypatch):
     assert calls == [[], []]
 
 
+@pytest.mark.parametrize("doc, depth, words", [
+    ('{"p": 3, "ell": 7, "points": ["0", "343", "1", "344", "2", "345", "3", "inf"]}', 6, 25368),
+    ('{"p": 5, "ell": 11, "points": ["0", "121", "1", "122", "2", "inf"]}', 5, 11208),
+    ('{"p": 3, "ell": 3, "points": ["0", "27", "1", "28", "2", "inf"]}', 6, 2772),
+    ('{"p": 7, "ell": 29, "points": ["0", "841", "1", "842", "2", "inf"]}', 5, 58140),
+    ('{"p": 17, "ell": 103, "points": ["0", "10609", "1", "10610", "2", "inf"]}', 3, 2976),
+], ids=["p3_l7", "p5_l11", "p3_l3", "p7_l29", "p17_l103"])
+def test_cyclotomic_audit_of_a_good_set_counts_every_word(doc, depth, words):
+    # Good sets over Q(zeta_p), split and ramified, audited through the
+    # cyclotomic kernels: p = 3, 5 and 7 on the straight-line kernels,
+    # p = 17 (above their bound, 13) on the loops.  Each exits 0 with no
+    # witness and no relation, and counts every word up to its depth
+    report, code = cli.run(cli.parse_problem(doc)._replace(verify_depth=depth))
+    assert code == cli.EXIT_GOOD
+    audit = report["audit"]
+    assert (audit["words_checked"], audit["witness"], audit["relations"]) == (words, None, [])
+
+
 def _hand_built(ctx):
     """Four pairs: points with denominators, a pair written (inf, x), a
     duplicated pair, and over Q(zeta_p) a point that is not rational."""
@@ -512,3 +533,31 @@ def test_two_pair_law():
             seen[loxodromic] += 1
         print(f"\n{(p, ell)}: {seen[True]} loxodromic, {seen[False]} not")
         assert min(seen.values()) > 0
+
+
+def test_systole_law():
+    # on a Good S^min, the least translation length over the loxodromic
+    # words whose first and last generator differ is 2 (D - 2 rho), D the
+    # least axis gap (pair_gaps, in steps of 1/e): the two-pair law's word
+    # on the nearest two pairs, and no longer word is shorter
+    for p, ell in (*TEST_FIELDS, (2, 3)):
+        ctx = sf.field_context(p, ell)
+        rng = random.Random(f"systole/{p}/{ell}")
+        depth = 5 if p == 2 else 3
+        checked = tries = 0
+        while checked < 14:
+            cfg, _ = sample_paired(rng, ctx, 1 + tries % 3)
+            tries += 1
+            verdict = sf.run_algorithm(ctx, cfg)
+            if not isinstance(verdict, sf.Good):
+                continue
+            smin = verdict.s_min
+            lengths = []
+            for word in sf.enumerate_gamma_words(smin.g, p, depth):
+                if word.syllables[0][0] != word.syllables[-1][0]:
+                    cls = sf.classify(ctx, sf.word_matrix(smin, word))
+                    if cls.kind is sf.MapKind.LOXODROMIC:
+                        lengths.append(cls.translation_length)
+            gap = Fraction(min(smin.skeleton().pair_gaps), ctx.ramification)
+            assert min(lengths) == 2 * (gap - 2 * ctx.rho), (ctx, smin.pairs)
+            checked += 1
