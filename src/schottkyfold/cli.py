@@ -115,6 +115,8 @@ def parse_problem(text: str) -> ProblemSpec:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
         raise ParseError(str(exc).split(";")[0]) from exc
+    except RecursionError as exc:  # arrays or objects nested past the decoder's limit
+        raise ParseError("the document nests too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("problem document must be a JSON object")
     for field in ("p", "ell", "points"):
@@ -427,7 +429,7 @@ def _main(args: argparse.Namespace) -> int:
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         if not args.quiet:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -61,7 +61,8 @@ products, so its cost grows as p^2: all four compile in about 11 ms and
 43 MiB at p = 53, 1.2 s and 159 MiB at p = 101 (medians of three fresh
 processes, Python 3.11.7 on an x86-64 Xeon).  Above 13 the kernels are
 loops over the coefficients that accumulate each sum in one convolution
-buffer of 2p - 3 coefficients, the one path that stays small at large p.
+buffer of 2p - 3 coefficients (one rule, ``_CyclotomicIntegers._sum``),
+the one path that stays small at large p.
 
 Everything here is immutable and every operation is a pure function, so
 contexts and elements can be shared between threads; ``field_context``
@@ -285,6 +286,8 @@ class _Integers:
 # the loop kernels run above it: compiling costs time and memory that grow
 # as p^2 (measured in the module docstring).
 _STRAIGHT_LINE_BOUND = 13
+# the product kernels a ring fixes at their first lookup, by name
+_KERNELS = ("mul", "matmul", "trace_mul", "cross")
 
 
 def _kernel_source(p: int) -> str:
@@ -292,7 +295,7 @@ def _kernel_source(p: int) -> str:
     over Z[zeta_p], one expression per coefficient of each sum of products
     over the unpacked coefficients: the products x_i y_j with i + j = k or
     k + p (the fold mod x^p - 1), less the top coefficient t, the products
-    with i + j = p - 1, as :meth:`_CyclotomicIntegers._reduce` does."""
+    with i + j = p - 1, as :meth:`_CyclotomicIntegers._sum` does."""
     n = p - 1
 
     def unpack(names: str, arg: str) -> str:
@@ -336,96 +339,69 @@ def _straight_line_kernels(p: int) -> dict:
     (only primes up to ``_STRAIGHT_LINE_BOUND`` reach the cache)."""
     namespace: dict = {}
     exec(compile(_kernel_source(p), f"<Z[zeta_{p}] kernels>", "exec"), namespace)
-    return {name: namespace[name] for name in ("mul", "matmul", "trace_mul", "cross")}
-
-
-class _Kernel:
-    """A product kernel of :class:`_CyclotomicIntegers`, fixed on a ring at
-    its first lookup: the straight-line function of the ring's p up to
-    ``_STRAIGHT_LINE_BOUND``, the decorated loop (kept as :attr:`loop`)
-    above it.  The choice is stored on the ring, so a ring compiles nothing
-    until then and later lookups read the instance."""
-
-    def __init__(self, loop):
-        self.loop = loop
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, ring, owner=None):
-        if ring is None:
-            return self
-        if ring.p <= _STRAIGHT_LINE_BOUND:
-            kernel = _straight_line_kernels(ring.p)[self.name]
-        else:
-            kernel = self.loop.__get__(ring, owner)
-        vars(ring)[self.name] = kernel
-        return kernel
+    return {name: namespace[name] for name in _KERNELS}
 
 
 class _CyclotomicIntegers:
     """Integral elements A(zeta) of Q(zeta_p): the p - 1 integer
     coefficients of A in the canonical basis 1, zeta, ..., zeta^(p-2), so
-    equal elements are equal lists.  The product kernels below are the
-    loops; up to ``_STRAIGHT_LINE_BOUND`` a ring looks up the straight-line
-    functions of its p instead (:class:`_Kernel`)."""
+    equal elements are equal lists.  The product kernels ``mul``,
+    ``matmul``, ``trace_mul`` and ``cross`` are fixed on a ring at their
+    first lookup (:meth:`__getattr__`): the straight-line functions of its
+    p up to ``_STRAIGHT_LINE_BOUND``, the loops ``_mul``, ``_matmul``,
+    ``_trace_mul`` and ``_cross`` above it."""
 
     def __init__(self, p: int):
         self.p = p
         self.zero = [0] * (p - 1)
         self.one = [1] + [0] * (p - 2)
 
-    def _reduce(self, buf: list[int]) -> list[int]:
-        """A sum of products in Z[x] (2p - 3 coefficients) as an element:
+    def __getattr__(self, name: str):
+        """A product kernel missing from the ring, stored on it: a ring
+        compiles nothing until then, and later lookups read the instance.
+        Any other name is missing before ``p`` is read, so that copy and
+        pickle probes of a ring without one do not recurse."""
+        if name not in _KERNELS:
+            raise AttributeError(name)
+        if self.p <= _STRAIGHT_LINE_BOUND:
+            kernel = _straight_line_kernels(self.p)[name]
+        else:
+            kernel = getattr(self, "_" + name)
+        vars(self)[name] = kernel
+        return kernel
+
+    def _sum(self, *products) -> list[int]:
+        """The sum of the products sign x y of (sign, x, y) triples, built
+        in Z[x] in one buffer of 2p - 3 coefficients and reduced once:
         folded mod x^p - 1, then zeta^(p-1) = -(1 + zeta + ... +
         zeta^(p-2)) subtracts the top coefficient from the others."""
         p = self.p
+        buf = [0] * (2 * p - 3)
+        for sign, x, y in products:
+            _add_product(buf, x, y, sign)
         top = buf[p - 1]
         out = [c - top for c in buf[: p - 1]]
         for k, c in enumerate(buf[p:]):
             out[k] += c
         return out
 
-    @_Kernel
-    def mul(self, x: list[int], y: list[int]) -> list[int]:
-        buf = [0] * (2 * self.p - 3)
-        _add_product(buf, x, y)
-        return self._reduce(buf)
+    def _mul(self, x: list[int], y: list[int]) -> list[int]:
+        return self._sum((1, x, y))
 
-    @_Kernel
-    def matmul(self, m: tuple, n: tuple) -> tuple:
-        """The 2x2 product m n of matrices (a, b, c, d): each entry is one
-        buffer of two products, reduced once."""
-        a, b, c, d = m
-        w, x, y, z = n
-        size, reduce = 2 * self.p - 3, self._reduce
-        out = []
-        for r, s, t, u in ((a, w, b, y), (a, x, b, z), (c, w, d, y), (c, x, d, z)):
-            buf = [0] * size
-            _add_product(buf, r, s)
-            _add_product(buf, t, u)
-            out.append(reduce(buf))
-        return tuple(out)
+    def _matmul(self, m: tuple, n: tuple) -> tuple:
+        """The 2x2 product m n of matrices (a, b, c, d)."""
+        (a, b, c, d), (w, x, y, z) = m, n
+        entries = ((a, w, b, y), (a, x, b, z), (c, w, d, y), (c, x, d, z))
+        return tuple([self._sum((1, r, s), (1, t, u)) for r, s, t, u in entries])
 
-    @_Kernel
-    def trace_mul(self, m: tuple, n: tuple) -> list[int]:
-        """tr(m n): four products in one buffer, reduced once."""
-        a, b, c, d = m
-        w, x, y, z = n
-        buf = [0] * (2 * self.p - 3)
-        _add_product(buf, a, w)
-        _add_product(buf, b, y)
-        _add_product(buf, c, x)
-        _add_product(buf, d, z)
-        return self._reduce(buf)
+    def _trace_mul(self, m: tuple, n: tuple) -> list[int]:
+        """tr(m n)."""
+        (a, b, c, d), (w, x, y, z) = m, n
+        return self._sum((1, a, w), (1, b, y), (1, c, x), (1, d, z))
 
-    @_Kernel
-    def cross(self, x: list[int], y: list[int], u: list[int], v: list[int]) -> list[int]:
-        """x y - u v, in one buffer reduced once."""
-        buf = [0] * (2 * self.p - 3)
-        _add_product(buf, x, y)
-        _add_product(buf, u, v, -1)
-        return self._reduce(buf)
+    def _cross(self, x: list[int], y: list[int], u: list[int], v: list[int]) -> list[int]:
+        """x y - u v."""
+        return self._sum((1, x, y), (-1, u, v))
 
     def conjugate(self, x: list[int], k: int) -> list[int]:
         """The Galois conjugate x(zeta^k): zeta^i goes to zeta^(i k) in

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import os
@@ -18,6 +19,8 @@ import schottkyfold as sf
 from schottkyfold import cli
 from helpers import EIGHT_POINT_7ADIC_MIN, TEST_FIELDS, ctx7, module_env, values_multiset
 from reference import element, field_valuation, identity
+
+PINNED_DIR = Path(__file__).parent / "expected" / "cli"
 
 
 def problem_5adic(**options):
@@ -532,6 +535,60 @@ def test_main_rejects_an_integer_literal_past_the_int_string_limit(tmp_path, cap
     assert "\n" not in captured.err.rstrip("\n")
 
 
+def test_main_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    # an undecodable document is a problem with the input: exit 3 and one
+    # line on stderr, or none with --quiet
+    path = tmp_path / "problem.json"
+    path.write_bytes(b"\xff" + problem_5adic().encode("utf-8"))
+    assert cli.main(["--input", str(path)]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: 'utf-8' codec can't decode")
+    assert captured.err.count("\n") == 1
+    assert cli.main(["--input", str(path), "--quiet"]) == cli.EXIT_INVALID
+    assert capsys.readouterr() == ("", "")
+
+
+def test_main_rejects_stdin_that_is_not_utf8_under_strict_decoding(monkeypatch, capsys):
+    # as PYTHONIOENCODING=utf-8:strict sets up sys.stdin
+    raw = b"\xff" + problem_5adic().encode("utf-8")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="strict"))
+    assert cli.main(["--stdin"]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: 'utf-8' codec can't decode")
+    assert captured.err.count("\n") == 1
+
+
+def test_main_rejects_a_document_nested_past_the_decoders_limit(tmp_path, capsys):
+    # json.loads raises RecursionError past its nesting limit; that is a
+    # problem with the document, not an internal error
+    with pytest.raises(cli.ParseError):
+        cli.parse_problem("[" * 100000 + "]" * 100000)
+    path = tmp_path / "problem.json"
+    path.write_text('{"p": 2, "ell": 5, "points": ' + "[" * 100000 + "]" * 100000 + "}", encoding="utf-8")
+    assert cli.main(["--input", str(path)]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: the document nests too deeply\n")
+
+
+def test_audit_is_left_out_and_trees_empty_without_a_paired_stage(tmp_path):
+    # with verify_depth set, a run with no paired stage (an initial
+    # not_good, a redundant verdict before any fold) has no audit key, and
+    # with dot its trees are {}; a redundant verdict after a fold audits
+    # the first stage
+    docs = (
+        ({"p": 2, "ell": 5, "points": ["-5", "-10", "0", "5", "1", "inf"]}, "not_good", False),
+        (json.loads((PINNED_DIR / "p2_l5_redundant.json").read_text()), "redundant", False),
+        (json.loads((PINNED_DIR / "p2_l3_redundant_after_fold.json").read_text()), "redundant", True),
+    )
+    for doc, kind, staged in docs:
+        doc["options"] = {"verify_depth": 3, "dot": str(tmp_path / "tree")}
+        report, _ = cli.run(cli.parse_problem(json.dumps(doc)))
+        assert report["verdict"]["kind"] == kind
+        assert ("audit" in report) is staged
+        assert len(report["trees"]) == report["fold_count"]
+        assert (report["trees"] == {}) is (not staged)
+
+
 @pytest.mark.parametrize("ell", [10**15 + 37, 10**18 + 3])
 def test_main_accepts_a_field_with_a_large_prime(tmp_path, capsys, ell):
     # primality by Miller-Rabin: trial division took seconds at 10^15 + 37
@@ -543,7 +600,7 @@ def test_main_accepts_a_field_with_a_large_prime(tmp_path, capsys, ell):
     assert json.loads(capsys.readouterr().out)["ell"] == ell
 
 
-PINNED = sorted((Path(__file__).parent / "expected" / "cli").glob("*.json"))
+PINNED = sorted(PINNED_DIR.glob("*.json"))
 
 
 @pytest.mark.parametrize("doc", PINNED, ids=lambda path: path.stem)

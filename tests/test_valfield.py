@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import operator
+import pickle
 import random
 import subprocess
 import sys
@@ -290,7 +292,7 @@ def test_straight_line_kernels_match_the_loops_and_the_reference(p):
     # replace, and the product against the reference route
     ctx = sf.field_context(p, p)
     ring = _CyclotomicIntegers(p)
-    loop = {name: getattr(_CyclotomicIntegers, name).loop for name in ("mul", "matmul", "trace_mul", "cross")}
+    loop = {name: getattr(_CyclotomicIntegers, "_" + name) for name in ("mul", "matmul", "trace_mul", "cross")}
     assert all(getattr(ring, name) is valfield._straight_line_kernels(p)[name] for name in loop)
     rng = random.Random(100 + p)
 
@@ -332,7 +334,40 @@ def test_a_ring_compiles_its_kernels_at_their_first_lookup(monkeypatch):
     assert ring.matmul is matmul and ring.mul(ring.one, ring.one) == ring.one
     assert FieldContext(7, 7).integers.cross is ring.cross and compiled == [7]
     large = FieldContext(17, 103).integers
-    assert large.mul.__func__ is _CyclotomicIntegers.mul.loop and compiled == [7]
+    assert large.mul.__func__ is _CyclotomicIntegers._mul and compiled == [7]
+
+
+def test_a_ring_misses_every_name_but_its_four_kernels():
+    # any other missing name raises AttributeError before p is read and is
+    # not stored, so the probes of copy and pickle on a bare ring do not
+    # recurse, and a copy or an unpickled ring looks its kernels up anew
+    ring = _CyclotomicIntegers(5)
+    with pytest.raises(AttributeError):
+        ring.nope
+    assert not hasattr(ring, "nope") and not hasattr(ring, "_nope")
+    assert vars(ring).keys() == {"p", "zero", "one"}
+    bare = _CyclotomicIntegers.__new__(_CyclotomicIntegers)
+    assert not hasattr(bare, "__setstate__") and vars(bare) == {}
+    for twin in (copy.deepcopy(ring), pickle.loads(pickle.dumps(ring))):
+        assert twin.p == 5 and twin.mul(twin.one, twin.one) == twin.one
+        assert twin.mul is valfield._straight_line_kernels(5)["mul"]
+
+
+def test_a_ring_above_the_bound_binds_its_loops_without_compiling(monkeypatch):
+    # each kernel of a ring above _STRAIGHT_LINE_BOUND is the loop of its
+    # name bound to the ring, stored at its first lookup, and nothing compiles
+    compiled = []
+    source = valfield._kernel_source
+    monkeypatch.setattr(valfield, "_kernel_source", lambda p: compiled.append(p) or source(p))
+    valfield._straight_line_kernels.cache_clear()
+    for p in (17, 53):
+        ring = FieldContext(p, p).integers
+        for name in ("mul", "matmul", "trace_mul", "cross"):
+            kernel = getattr(ring, name)
+            assert kernel.__func__ is getattr(_CyclotomicIntegers, "_" + name) and kernel.__self__ is ring
+            assert vars(ring)[name] is kernel is getattr(ring, name)
+        assert ring.mul(ring.one, ring.one) == ring.one and ring.cross(ring.one, ring.one, ring.one, ring.one) == ring.zero
+    assert compiled == []
 
 
 @pytest.mark.parametrize("p,ell", CYCLOTOMIC_FIELDS)
