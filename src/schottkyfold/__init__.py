@@ -18,7 +18,7 @@ library, a demo or the benchmark.  The driver's internal steps
 from .clusters import (Cluster, Configuration, PairedConfiguration, cluster_data,
                        configuration, pair_up, repetition_report)
 from .errors import (DegeneratePairError, InvalidInputError, NotClusteredInPairsError,
-                     NotPairedError, NotSeparatedError, PairingError, SchottkyFoldError,
+                     NotSeparatedError, PairingError, SchottkyFoldError,
                      UnsupportedFieldError)
 from .folding import (BadFoldingProduced, FoldingStep, FoldWitness, Good,
                       InitialNotPaired, NotGood, PairingFailure, Redundant, Verdict,
@@ -38,7 +38,7 @@ __all__ = [
     "configuration", "pair_up", "repetition_report",
     # errors
     "DegeneratePairError", "InvalidInputError", "NotClusteredInPairsError",
-    "NotPairedError", "NotSeparatedError", "PairingError", "SchottkyFoldError",
+    "NotSeparatedError", "PairingError", "SchottkyFoldError",
     "UnsupportedFieldError",
     # the folding driver and its verdicts
     "BadFoldingProduced", "FoldingStep", "FoldWitness", "Good",

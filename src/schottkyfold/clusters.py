@@ -31,15 +31,15 @@ same even-cardinality clusters (the point at infinity lies in none), that
 is, when the smallest of them is the same, and every class has size two.
 ``check_separated``: the axes spanned by the pairs stay more than 2 rho
 apart, where rho = v(p)/(p-1) is the separation radius of the field.  Both
-read positions in a ``Skeleton``: ``pair_up`` decides the pairs on the tree
-it builds in input order and keeps them as pairs of input positions, and
-the hull compares them with the pairs a paired configuration holds.
+read positions in a ``Skeleton``.  ``pair_up`` alone decides them, once per
+pass, on the tree it builds in input order: it keeps the pairs as pairs of
+input positions and hands the skeleton over in the ``PairedConfiguration``
+it returns, which the fold pass and the hull read and do not check again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
 from typing import NamedTuple, Optional
 
 from .errors import NotClusteredInPairsError, NotSeparatedError, RepeatedPointsError
@@ -330,47 +330,20 @@ class Skeleton(NamedTuple):
             k = parent[k]
 
 
-class PairedConfiguration:
+class PairedConfiguration(NamedTuple):
     """2g+2 distinct points partitioned into g+1 indexed pairs.
 
     The pair containing infinity (when present) always has the last index,
-    with infinity as its second member.  The skeleton is kept: ``pair_up``
-    hands over the one it built on its input; one made by hand is built on
-    first use, on the points listed pair by pair.  ``_checked`` is set by
-    ``pair_up`` alone: its pairs passed ``canonical_pairs`` and
-    ``check_separated`` on that skeleton.
-
-    Immutable, and compared and hashed by ``(ctx, pairs)`` alone: the
-    skeleton and ``_checked`` are a cache, written only through
-    ``object.__setattr__``, and take no part in equality, hash or repr.
+    with infinity as its second member.  ``skeleton`` is the one ``pair_up``
+    built on its input and paired with its canonical pairs, the pairs that
+    passed ``canonical_pairs`` and ``check_separated``.  A record made by
+    hand has none: the audit, which reads only ``ctx`` and ``pairs``, needs
+    none, and the fold pass and the hull take a ``pair_up`` result.
     """
-
-    __slots__ = ("ctx", "pairs", "_skeleton", "_checked")
 
     ctx: FieldContext
     pairs: tuple[tuple[PPoint, PPoint], ...]
-    _skeleton: Optional[Skeleton]
-    _checked: bool
-
-    def __init__(self, ctx: FieldContext, pairs: tuple[tuple[PPoint, PPoint], ...]):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_skeleton", None)
-        object.__setattr__(self, "_checked", False)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not PairedConfiguration:
-            return NotImplemented
-        return self.ctx == other.ctx and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash((self.ctx, self.pairs))
+    skeleton: Optional[Skeleton] = None
 
     @property
     def g(self) -> int:
@@ -381,22 +354,6 @@ class PairedConfiguration:
 
     def configuration(self) -> Configuration:
         return Configuration(self.ctx, self.points())
-
-    def skeleton(self) -> Skeleton:
-        """The skeleton, whose positions name the finite points of the
-        configuration it was built on: ``pair_up``'s input, paired by
-        ``canonical_pairs``, or else ``configuration()``, paired
-        (:meth:`Skeleton.paired`) with the pairs held here.
-        RepeatedPointsError if the points are not distinct.
-
-        Deterministic, so two threads building it at once store equal views.
-        """
-        if self._skeleton is None:
-            k = count()
-            pairs = tuple(tuple(next(k) for pt in p if not pt.is_infinity) for p in self.pairs)
-            sk = cluster_data(self.configuration()).paired(pairs)
-            object.__setattr__(self, "_skeleton", sk)
-        return self._skeleton
 
     def __repr__(self):
         inner = ", ".join(
@@ -456,7 +413,7 @@ def canonical_pairs(sk: Skeleton, has_infinity: bool) -> tuple[tuple[int, ...], 
 def check_separated(pcfg: PairedConfiguration) -> None:
     """NotSeparatedError unless every two pair axes stay more than 2 rho
     apart, with the least of the skeleton's ``pair_gaps`` as its margin."""
-    gaps = pcfg.skeleton().pair_gaps
+    gaps = pcfg.skeleton.pair_gaps
     if gaps and min(gaps) <= 2 * pcfg.ctx.rho_steps:
         raise NotSeparatedError(Fraction(min(gaps), pcfg.ctx.ramification))
 
@@ -477,10 +434,8 @@ def pair_up(cfg: Configuration) -> PairedConfiguration:
     sk = sk.paired(canonical_pairs(sk, has_inf))
     points = [PPoint(values[x]) for pts in sk.pair_points for x in pts]
     points += [INFINITY] if has_inf else []
-    pcfg = PairedConfiguration(cfg.ctx, tuple(zip(points[::2], points[1::2])))
-    object.__setattr__(pcfg, "_skeleton", sk)
+    pcfg = PairedConfiguration(cfg.ctx, tuple(zip(points[::2], points[1::2])), sk)
     check_separated(pcfg)
-    object.__setattr__(pcfg, "_checked", True)
     return pcfg
 
 

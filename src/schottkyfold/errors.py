@@ -17,10 +17,6 @@ class InvalidInputError(SchottkyFoldError):
     """A configuration violates the algorithm's input contract."""
 
 
-class NotPairedError(SchottkyFoldError):
-    """A paired configuration was required but the points do not pair up."""
-
-
 class PairingError(SchottkyFoldError):
     """Base class for pair_up failures."""
 

@@ -25,6 +25,12 @@ depths of the odd clusters through pair i (listed once per pair), for
 every target and its push-back, and the branch (:func:`compute_I`)
 compares entries of one row with the target's radius.
 
+The pass's functions (:func:`targets`, :func:`select_target`,
+:func:`compute_I`, :func:`find_fold_exponent`, :func:`fold_map` and
+:func:`apply_folding`) take a ``pair_up`` result and read the skeleton it
+holds (``pcfg.skeleton``); ``pair_up`` has checked its pairs, and they are
+not checked again.
+
 Outcomes:
 
 * :class:`Good` -- no fold applies any more; the current configuration is
@@ -134,7 +140,7 @@ def targets(pcfg: PairedConfiguration, i: int) -> list:
     and descends toward pair i (radius 2 d(join) - d(target) + rho around
     pair i).  With rho = 0 it is the target disc itself.
     """
-    sk = pcfg.skeleton()
+    sk = pcfg.skeleton
     out: list = [None] * len(sk.pair_points)
     depths = sk.pair_odd_depths[i]
     # no odd cluster through pair i (always so for the pair at infinity)
@@ -178,7 +184,7 @@ def select_target(pcfg: PairedConfiguration, i: int) -> tuple[int, tuple]:
     The pair at infinity always qualifies, so a target exists for every
     i < g.
     """
-    sk = pcfg.skeleton()
+    sk = pcfg.skeleton
     c_i, r_i = sk.pair_discs[i]
     row, best = sk.smat[c_i], None
     for j, found in enumerate(targets(pcfg, i)):
@@ -200,7 +206,7 @@ def compute_I(pcfg: PairedConfiguration, i: int, target: tuple) -> frozenset[int
     both their entries in the row of pair i's first point exceed the
     target's radius.  RuntimeError if pair i is not among them: a target
     from :func:`select_target` never lies that deep."""
-    sk = pcfg.skeleton()
+    sk = pcfg.skeleton
     row, level = sk.smat[sk.pair_points[i][0]], target[1]
     out = frozenset(
         l
@@ -250,7 +256,7 @@ def find_fold_exponent(
     turned.
     """
     ctx = pcfg.ctx
-    sk = pcfg.skeleton()
+    sk = pcfg.skeleton
     ring, valuation, rho = ctx.integers, ctx.integral_valuation, ctx.rho_steps
     sub, ints, den, points, smat = ring.sub, sk.ints, sk.den_steps, sk.pair_points, sk.smat
     a, b = points[j] if len(points[j]) == 2 else (points[j][0], None)
@@ -304,7 +310,7 @@ def fold_map(pcfg: PairedConfiguration, j: int, n: int) -> Mobius:
     """:func:`~.projline.order_p_fixing` on ``pcfg.pairs[j]``, built from
     the skeleton's numerators of pair j over its denominator L, so nothing
     is lowered again."""
-    sk = pcfg.skeleton()
+    sk = pcfg.skeleton
     ints = [sk.ints[x] for x in sk.pair_points[j]]
     return integer_map(pcfg.ctx, *order_p_matrix(pcfg.ctx, ints, sk.den, n))
 
@@ -319,7 +325,7 @@ def apply_folding(
     entries, a finite one read off the skeleton as A / L.  The result is
     flattened in pair-index order and may be a multiset.
     """
-    ctx, sk, ent = pcfg.ctx, pcfg.skeleton(), m.entries()
+    ctx, sk, ent = pcfg.ctx, pcfg.skeleton, m.entries()
     points = []
     for l, pair in enumerate(pcfg.pairs):
         if l not in I:
@@ -377,14 +383,14 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
             # apply_folding lists inherited pair k at input positions (2k,
             # 2k + 1), infinity last, and each finite pair holds the input
             # positions of its points.
-            finite = pcfg.skeleton().pair_points[: pcfg.g]
+            finite = pcfg.skeleton.pair_points[: pcfg.g]
             if trace and any(x // 2 != y // 2 for x, y in finite):
                 failure = PairingFailure.NOT_SEPARATED
         if failure is not None:
             if trace:
                 return NotGood(BadFoldingProduced(trace[-1], failure), tuple(trace))
             return NotGood(InitialNotPaired(failure), tuple(trace))
-        previous, measure = measure, sum(pcfg.skeleton().pair_gaps)
+        previous, measure = measure, sum(pcfg.skeleton.pair_gaps)
         if previous is not None and measure >= previous:
             raise RuntimeError(f"termination measure did not drop: {previous} to {measure}")
 

@@ -8,7 +8,7 @@ no disc metric of its own; an edge's length is the difference of the
 logarithmic radii of its two cluster discs.  Radii and lengths become
 ``Fraction``s (steps / e) only in the ``Disc`` labels and the edges.
 Positions are those of the skeleton, so ``SkeletonVertex.cluster`` indexes
-``pcfg.skeleton().values``.  Vertices are listed, and each disc centred, in
+``pcfg.skeleton.values``.  Vertices are listed, and each disc centred, in
 pair order: a position's rank among the points listed pair by pair.  The
 forest is what is left after removing the segment interiors that split the
 points into two odd halves; its vertices are the minimal discs of clusters
@@ -22,8 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .clusters import PairedConfiguration, canonical_pairs, check_separated
-from .errors import NotPairedError, PairingError, RepeatedPointsError
+from .clusters import PairedConfiguration
 from .valfield import FieldContext, format_fraction
 
 
@@ -75,31 +74,12 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     infinity is absent the vertex of the minimal disc of the whole set is
     removed (together with its incident segments), splitting the top level.
 
-    The pairs must be the canonical pairing of distinct points, and
-    separated: the rules of ``clusters.canonical_pairs`` and
-    ``clusters.check_separated``, applied to the skeleton the configuration
-    already holds, paired with its own pairs (``canonical_pairs`` reads only
-    the tree).  A ``pair_up`` result has passed both on that skeleton
-    and is not checked again; otherwise NotPairedError is raised.
+    It takes a ``pair_up`` result and reads the skeleton it holds, whose
+    pairs are the canonical pairing of distinct points, and separated; they
+    are not checked again.
     """
-    ctx = pcfg.ctx
-    try:
-        sk = pcfg.skeleton()
-    except RepeatedPointsError:
-        raise NotPairedError("the points are not distinct") from None
+    ctx, sk = pcfg.ctx, pcfg.skeleton
     has_inf = any(len(members) < 2 for members in sk.pair_points)
-    if not pcfg._checked:
-        try:
-            # both list each pair's positions in ascending order
-            canonical = canonical_pairs(sk, has_inf)
-            if sorted(canonical) != sorted(sk.pair_points):
-                raise NotPairedError(
-                    "pairs are not the canonical pairing of the points"
-                )
-            check_separated(pcfg)
-        except PairingError as exc:
-            raise NotPairedError(str(exc)) from exc
-
     e, sizes, depths, parent = ctx.ramification, sk.sizes, sk.depths, sk.parent
     order = [x for pts in sk.pair_points for x in pts]
     rank = [0] * len(order)

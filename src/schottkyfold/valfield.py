@@ -154,6 +154,11 @@ class _InfSteps:
     def __repr__(self):
         return "INF_STEPS"
 
+    def __reduce__(self):
+        # pickled by name, so that unpickling gives back the one instance
+        # the ``is INF_STEPS`` tests compare with
+        return "INF_STEPS"
+
 
 INF_STEPS = _InfSteps()
 
@@ -682,6 +687,11 @@ class FieldContext:
 
     def __hash__(self):
         return hash((self.p, self.ell))
+
+    def __reduce__(self):
+        # pickled as its field: the ring's stored kernels come from exec and
+        # cannot be pickled, and unpickling gives back the shared context
+        return field_context, (self.p, self.ell)
 
     def __repr__(self):
         return f"FieldContext(p={self.p}, ell={self.ell}, {self.kind.value})"

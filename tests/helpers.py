@@ -345,7 +345,7 @@ def check_fold_step(step):
     anchor = next(
         pt.value for pt in step.before.pairs[step.i] if not pt.is_infinity
     )
-    values = step.before.skeleton().values  # what v.cluster indexes
+    values = step.before.skeleton.values  # what v.cluster indexes
 
     def in_branch(disc):
         if disc.radius <= dt.radius:

@@ -6,7 +6,9 @@ values, so tests can check paper claims by a second route: pair discs and
 hull vertices are minimal discs, d~_j(i) sits at distance rho from axis j,
 a fold shrinks distinguished distances, and a folded generator is a
 conjugate.  ``skeleton_disc`` and ``pair_disc`` turn the skeleton's index
-pairs into ``Disc`` values for the comparison.
+pairs into ``Disc`` values for the comparison.  ``paired_by_hand`` gives a
+pairing made by hand the skeleton ``pair_up`` would hand over, with no
+pairing rule checked.
 
 ``fold_exponent`` is the fold test on field cross ratios, by division and
 ``FieldContext.valuation``: the reference for the integer scan of
@@ -50,8 +52,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, lcm
 
+from schottkyfold.clusters import PairedConfiguration, cluster_data
 from schottkyfold.folding import FoldWitness
 from schottkyfold.hull import Disc
 from schottkyfold.projline import (INFINITY, ElementClass, MapKind, Mobius, PPoint, apply,
@@ -110,6 +114,17 @@ def min_disc(ctx, values) -> Disc:
     return Disc(ctx, center, radius)
 
 
+def paired_by_hand(ctx, pairs) -> PairedConfiguration:
+    """The pairs as a ``PairedConfiguration`` holding a skeleton, which
+    checks no pairing rule: the skeleton is built on the points listed pair
+    by pair, its finite points numbered in that order, and paired with the
+    pairs as given.  RepeatedPointsError if the points are not distinct."""
+    pcfg = PairedConfiguration(ctx, pairs)
+    k = count()
+    positions = tuple(tuple(next(k) for pt in p if not pt.is_infinity) for p in pairs)
+    return pcfg._replace(skeleton=cluster_data(pcfg.configuration()).paired(positions))
+
+
 def skeleton_disc(pcfg, target):
     """A skeleton disc (center index, radius in steps of (1/e) Z) as a
     Disc; None stays None."""
@@ -117,13 +132,13 @@ def skeleton_disc(pcfg, target):
         return None
     center, radius = target
     radius = Fraction(radius, pcfg.ctx.ramification)
-    return Disc(pcfg.ctx, pcfg.skeleton().values[center], radius)
+    return Disc(pcfg.ctx, pcfg.skeleton.values[center], radius)
 
 
 def pair_disc(pcfg, i: int) -> Disc:
     """The skeleton's minimal disc of pair i (of all finite points for the
     pair at infinity)."""
-    return skeleton_disc(pcfg, pcfg.skeleton().pair_discs[i])
+    return skeleton_disc(pcfg, pcfg.skeleton.pair_discs[i])
 
 
 def point_to_axis(d: Disc, pair, ctx) -> Fraction:
@@ -273,7 +288,7 @@ def target_by_chain(pcfg, i: int, j: int):
     where some odd cluster through pair i holds exactly one point of pair
     j, the largest disc around pair i's centre that holds one point k of
     pair j and no other; else None."""
-    sk, ctx = pcfg.skeleton(), pcfg.ctx
+    sk, ctx = pcfg.skeleton, pcfg.ctx
     mem_i, mem_j = sk.pair_points[i], sk.pair_points[j]
     if len(mem_i) < 2:
         return None
@@ -302,7 +317,7 @@ def pushed_back_by_chain(pcfg, i: int, j: int):
     base = target_by_chain(pcfg, i, j)
     if base is None:
         return None
-    sk, rho = pcfg.skeleton(), pcfg.ctx.rho_steps
+    sk, rho = pcfg.skeleton, pcfg.ctx.rho_steps
     (center, radius), (c_i, r_i) = base, sk.pair_discs[i]
     jn = min(r_i, radius, sk.smat[c_i][center])
     if radius - jn > rho:
@@ -314,7 +329,7 @@ def select_by_chain(pcfg, i: int):
     """``folding.select_target`` on :func:`pushed_back_by_chain`: of the
     targets properly holding pair i's disc, one of largest radius, the
     smallest j among ties."""
-    sk = pcfg.skeleton()
+    sk = pcfg.skeleton
     c_i, r_i = sk.pair_discs[i]
     found = []
     for j in range(pcfg.g + 1):
@@ -328,7 +343,7 @@ def branch_by_valuation(pcfg, i: int, target) -> frozenset[int]:
     """``folding.compute_I`` by field valuations: the finite pairs both of
     whose points lie strictly above the target's radius from pair i's first
     point."""
-    sk, ctx = pcfg.skeleton(), pcfg.ctx
+    sk, ctx = pcfg.skeleton, pcfg.ctx
     anchor = sk.values[sk.pair_points[i][0]]
     return frozenset(
         l
@@ -345,7 +360,7 @@ def axis_gaps_by_valuation(pcfg) -> tuple[int, ...]:
     valuation and d_k the depth of a finite pair k, the axes lie
     max(0, d_k - u) + max(0, d_l - u) apart.  Their least is the separation
     margin."""
-    sk, ctx = pcfg.skeleton(), pcfg.ctx
+    sk, ctx = pcfg.skeleton, pcfg.ctx
     finite = [[sk.values[x] for x in pts] for pts in sk.pair_points]
     gaps = []
     for k, fin_i in enumerate(finite):

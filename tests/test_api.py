@@ -6,6 +6,7 @@ import ast
 import importlib.util
 import itertools
 import json
+import pickle
 import re
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import pytest
 
 import schottkyfold as sf
 from schottkyfold import cli
+from schottkyfold.valfield import INF_STEPS
 from reference import identity
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,7 +28,7 @@ PUBLIC = [
     "DegeneratePairError", "Disc", "ElementClass", "FieldContext",
     "FieldKind", "FoldWitness", "FoldingStep", "Good",
     "GroupWord", "INFINITY", "InitialNotPaired", "InvalidInputError", "MapKind",
-    "Mobius", "NotClusteredInPairsError", "NotGood", "NotPairedError",
+    "Mobius", "NotClusteredInPairsError", "NotGood",
     "NotSeparatedError", "PPoint", "PairedConfiguration", "PairingError",
     "PairingFailure", "Redundant", "SchottkyFoldError", "SkeletonTree",
     "SkeletonVertex", "UnsupportedFieldError", "Val", "Verdict", "apply",
@@ -209,23 +211,46 @@ def test_records_compare_and_hash_by_value():
               for _ in range(2)]
     assert paired[0] == paired[1] and hash(paired[0]) == hash(paired[1])
 
-    # the skeleton is a cache: not part of equality, hash or repr
+    # a paired configuration is the NamedTuple (ctx, pairs, skeleton): two
+    # compare equal when all three fields do, and one made by hand holds no
+    # skeleton; only pair_up hands one over
     cfg = sf.configuration(ctx, [7, 12, 0, 5, 1, "inf"])
     built = sf.pair_up(cfg)
-    fresh = sf.PairedConfiguration(ctx, built.pairs)
-    assert fresh._skeleton is None and built._skeleton is not None
-    assert fresh == built and hash(fresh) == hash(built) and repr(fresh) == repr(built)
-    fresh.skeleton()
-    assert fresh == built and hash(fresh) == hash(built) and repr(fresh) == repr(built)
-    assert fresh != sf.PairedConfiguration(ctx, built.pairs[::-1])
-    assert not isinstance(built, tuple) and built != (ctx, built.pairs)
-    for field in ("ctx", "pairs", "_skeleton", "_checked"):
+    bare = sf.PairedConfiguration(ctx, built.pairs)
+    assert bare.skeleton is None and built.skeleton is not None
+    assert bare == built._replace(skeleton=None) and bare != built
+    assert repr(bare) == repr(built) and built == (ctx, built.pairs, built.skeleton)
+    assert bare != sf.PairedConfiguration(ctx, built.pairs[::-1])
+    for field in ("ctx", "pairs", "skeleton"):
         _assert_immutable(built, field)
     with pytest.raises(AttributeError):
         del built.pairs
+    # over Q(zeta_3) the skeleton's numerators are lists, so it has no hash
+    zeta = sf.pair_up(sf.configuration(sf.field_context(3, 7), [0, 7, 1, 8, 2, "inf"]))
+    assert zeta == sf.pair_up(zeta.configuration())
+    with pytest.raises(TypeError):
+        hash(zeta)
 
     # over Q(zeta_3) a map's entries are lists, so it has no hash
     m = identity(sf.field_context(3, 7))
     assert m == identity(m.ctx)
     with pytest.raises(TypeError):
         hash(m)
+
+
+@pytest.mark.parametrize("p, ell, points", [
+    (2, 5, [7, 12, 0, 5, 1, "inf"]),  # not good after one fold
+    (3, 7, [8, 299, 9, 4, "inf", 204, 5, 2405]),  # good after one fold
+    (3, 3, [5, 8, 2, 731, 170, 3, 248, "inf"]),  # good without a fold
+])
+def test_a_verdict_survives_pickling(p, ell, points):
+    # a verdict holds paired stages, each with its skeleton; the context is
+    # pickled as its field and comes back as the shared context, even once
+    # the ring has stored a kernel, and INF_STEPS comes back as itself
+    ctx = sf.field_context(p, ell)
+    ctx.integers.mul(ctx.integers.one, ctx.integers.one)
+    verdict = sf.run_algorithm(ctx, sf.configuration(ctx, points))
+    loaded = pickle.loads(pickle.dumps(verdict))
+    assert loaded == verdict and type(loaded) is type(verdict)
+    stage = loaded.s_min if isinstance(loaded, sf.Good) else loaded.reason.step.before
+    assert stage.ctx is ctx and stage.skeleton.depths[-1] is INF_STEPS

@@ -35,7 +35,7 @@ from helpers import (
     values_multiset,
 )
 from reference import (axis_gaps_by_valuation, clusters_in_preorder, even_profile, field_sub,
-                       pair_disc, pairwise_depth, smallest_superset)
+                       pair_disc, paired_by_hand, pairwise_depth, smallest_superset)
 
 
 def _cluster_value_sets(ctx, sk):
@@ -475,7 +475,7 @@ def test_even_profiles_match_the_membership_definition():
 def _view_readings(pcfg):
     # every (center position, radius) disc is read by value: the two
     # skeletons list the same points in different orders
-    g, values = pcfg.g, pcfg.skeleton().values
+    g, values = pcfg.g, pcfg.skeleton.values
 
     def by_value(disc):
         return None if disc is None else (values[disc[0]], disc[1])
@@ -511,13 +511,13 @@ def test_handed_over_skeleton_matches_a_fresh_one(inputs):
     reordered = 0
     for cfg in inputs():
         pcfg = sf.pair_up(cfg)
-        fresh = sf.PairedConfiguration(pcfg.ctx, pcfg.pairs)
+        fresh = paired_by_hand(pcfg.ctx, pcfg.pairs)
         assert _view_readings(pcfg) == _view_readings(fresh)
         # pair_up's skeleton keeps its input order; a fresh one is built on
         # the points listed pair by pair
-        assert pcfg.skeleton().values == finite_values(cfg)
-        assert fresh.skeleton().values == finite_values(pcfg.configuration())
-        reordered += pcfg.skeleton().values != fresh.skeleton().values
+        assert pcfg.skeleton.values == finite_values(cfg)
+        assert fresh.skeleton.values == finite_values(pcfg.configuration())
+        reordered += pcfg.skeleton.values != fresh.skeleton.values
     assert reordered  # the two orders differed at least once
 
 
@@ -540,7 +540,7 @@ def _refusal_by_definition(cfg):
         classes.setdefault(frozenset(), []).append(sf.INFINITY)
     if any(len(members) != 2 for members in classes.values()):
         return sf.NotClusteredInPairsError
-    pcfg = sf.PairedConfiguration(ctx, tuple(map(tuple, classes.values())))
+    pcfg = paired_by_hand(ctx, tuple(map(tuple, classes.values())))
     gaps = axis_gaps_by_valuation(pcfg)
     if gaps and min(gaps) <= 2 * ctx.rho_steps:
         return sf.NotSeparatedError
@@ -608,9 +608,9 @@ def test_every_fold_pass_skeleton_matches_a_fresh_one_and_the_definitions(monkey
             outcomes[expected] += 1
             continue
         assert expected is None
-        fresh = sf.PairedConfiguration(out.ctx, out.pairs)
-        assert _skeleton_by_value(out.skeleton()) == _skeleton_by_value(fresh.skeleton())
-        sk = out.skeleton()
+        fresh = paired_by_hand(out.ctx, out.pairs)
+        assert _skeleton_by_value(out.skeleton) == _skeleton_by_value(fresh.skeleton)
+        sk = out.skeleton
         assert sk.clusters == tuple(
             sf.Cluster(m, d) for m, d in clusters_in_preorder(out.ctx, sk.values)
         )

@@ -63,6 +63,7 @@ from reference import (
     fold_exponent,
     minimal_odd,
     order_p_fixing_by_fractions,
+    paired_by_hand,
     point_to_axis,
     pole_by_fractions,
     pushed_back_by_chain,
@@ -187,7 +188,7 @@ def test_fold_map_and_apply_folding_match_the_fraction_route():
                 continue
             pairs = list(pcfg.pairs)
             pairs[l] = (pole, pairs[l][1])
-            moved = sf.PairedConfiguration(ctx, tuple(pairs))
+            moved = paired_by_hand(ctx, tuple(pairs))
             assert fold_map(moved, j, n) == m
             after = apply_folding(moved, frozenset({l}), m)
             assert after.points[2 * l].is_infinity
@@ -415,7 +416,7 @@ def test_select_target_finds_the_odd_cluster_of_pair_i_once(monkeypatch):
     # the skeleton walks the cluster chain of each finite pair once, when it
     # is built; select_target, compute_I and check_separated only read rows
     pcfg = paired(ctx7(), EIGHT_POINT_7ADIC)
-    sk = pcfg.skeleton()
+    sk = pcfg.skeleton
     # pair_odd holds cluster indices; their records' members are the minimal
     # odd clusters by membership
     clusters = sk.clusters
@@ -473,7 +474,7 @@ NEGATIVE_EVEN_PAIRS = [(0, 25), ("1/5", "1/25"), (1, "inf")]
 
 def _hand_paired(ctx, pairs):
     pt = lambda x: sf.INFINITY if x == "inf" else sf.finite(ctx, Fraction(x))
-    return sf.PairedConfiguration(ctx, tuple((pt(a), pt(b)) for a, b in pairs))
+    return paired_by_hand(ctx, tuple((pt(a), pt(b)) for a, b in pairs))
 
 
 def _fold_rule_inputs(monkeypatch):
@@ -506,7 +507,7 @@ def _fold_rule_inputs(monkeypatch):
         rng.shuffle(finite)
         pairs = list(zip(finite[::2], finite[1::2])) + [(finite[-1], sf.INFINITY)]
         try:
-            sf.clusters.check_separated(sf.PairedConfiguration(ctx, tuple(pairs)))
+            sf.clusters.check_separated(paired_by_hand(ctx, tuple(pairs)))
         except sf.NotSeparatedError:
             pass
     # pairs (a, b), (y, z) with v(b - z) alone the largest of the four cross
@@ -539,15 +540,15 @@ def test_fold_pass_rules_match_their_definitions(monkeypatch):
     # separated
     cases = Counter()
     for pcfg, error in _fold_rule_inputs(monkeypatch):
-        sk, ctx = pcfg.skeleton(), pcfg.ctx
+        sk, ctx = pcfg.skeleton, pcfg.ctx
         gaps = axis_gaps_by_valuation(pcfg)
         assert sk.pair_gaps == gaps
         margin = min(gaps, default=None)
         # and the distance of every two axes, as the one gap of those two
         # pairs, in the order of pair_gaps
         for (i, j), gap in zip(itertools.combinations(range(pcfg.g + 1), 2), gaps, strict=True):
-            two = sf.PairedConfiguration(ctx, (pcfg.pairs[i], pcfg.pairs[j]))
-            assert two.skeleton().pair_gaps == axis_gaps_by_valuation(two) == (gap,)
+            two = paired_by_hand(ctx, (pcfg.pairs[i], pcfg.pairs[j]))
+            assert two.skeleton.pair_gaps == axis_gaps_by_valuation(two) == (gap,)
             if len(sk.pair_points[j]) == 2:
                 (a, b), (y, z) = sk.pair_points[i], sk.pair_points[j]
                 rest = max(sk.smat[a][y], sk.smat[a][z], sk.smat[b][y])
@@ -612,7 +613,7 @@ def test_target_rule_without_infinity():
     # so neither pair has one, and no odd cluster holds one point of the
     # other pair: no target, though both pair_odd are None
     pcfg = _hand_paired(ctx5(), NO_INFINITY_PAIRS)
-    assert pcfg.skeleton().pair_odd == (None, None)
+    assert pcfg.skeleton.pair_odd == (None, None)
     assert target_disc(pcfg, 0, 1) is None and target_disc(pcfg, 1, 0) is None
 
 
@@ -623,7 +624,7 @@ def test_target_rule_skips_an_even_cluster_of_negative_depth():
     # depths of pair 0's chain are 0 and -2, neither in (-2, -1], so there
     # is no target; E's depth, -1, would give one
     pcfg = _hand_paired(ctx5(), NEGATIVE_EVEN_PAIRS)
-    sk = pcfg.skeleton()
+    sk = pcfg.skeleton
     assert sk.pair_odd_depths[0] == (0, -2)
     row = sk.smat[sk.pair_discs[0][0]]
     assert sorted(row[y] for y in sk.pair_points[1]) == [-2, -1]
@@ -635,14 +636,14 @@ def test_compute_I_refuses_a_target_that_leaves_pair_i_out():
     # a branch as deep as pair i's own disc leaves pair i's second point out
     pcfg = paired(ctx7(), EIGHT_POINT_7ADIC)
     with pytest.raises(RuntimeError, match="own branch"):
-        compute_I(pcfg, 0, pcfg.skeleton().pair_discs[0])
+        compute_I(pcfg, 0, pcfg.skeleton.pair_discs[0])
 
 
 # select_target replaced by one that hands compute_I pair i's own disc
 _TOO_DEEP = """
 import sys
 from schottkyfold import cli, folding
-folding.select_target = lambda pcfg, i: (pcfg.g, pcfg.skeleton().pair_discs[i])
+folding.select_target = lambda pcfg, i: (pcfg.g, pcfg.skeleton.pair_discs[i])
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -654,7 +655,7 @@ def test_a_target_that_leaves_pair_i_out_exits_4(tmp_path, monkeypatch, capsys):
         encoding="utf-8",
     )
     monkeypatch.setattr(
-        sf.folding, "select_target", lambda pcfg, i: (pcfg.g, pcfg.skeleton().pair_discs[i])
+        sf.folding, "select_target", lambda pcfg, i: (pcfg.g, pcfg.skeleton.pair_discs[i])
     )
     assert cli.main(["--input", str(path)]) == cli.EXIT_INTERNAL
     assert capsys.readouterr().err.startswith("internal error: RuntimeError:")
@@ -691,7 +692,7 @@ def test_a_long_nielsen_chain_folds_back_to_good(k):
     assert isinstance(verdict, sf.Good)
     assert len(verdict.trace) == k + 1
     stages = [step.before for step in verdict.trace] + [verdict.s_min]
-    measures = [sum(pcfg.skeleton().pair_gaps) for pcfg in stages]
+    measures = [sum(pcfg.skeleton.pair_gaps) for pcfg in stages]
     assert all(a > b >= 0 for a, b in zip(measures, measures[1:]))
 
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import pytest
-
 import schottkyfold as sf
 from schottkyfold.folding import select_target
 from helpers import (
@@ -132,54 +130,6 @@ def test_any_paired_four_point_set_is_trivially_optimal():
             assert all(tree.valency(v.id) <= 1 for v in tree.distinguished())
 
 
-def test_hull_requires_canonical_pairing():
-    ctx = ctx5()
-    pcfg = sf.pair_up(sf.configuration(ctx, SIX_POINT_5ADIC))
-    scrambled = sf.PairedConfiguration(
-        ctx,
-        (
-            (pcfg.pairs[0][0], pcfg.pairs[1][0]),
-            (pcfg.pairs[0][1], pcfg.pairs[1][1]),
-            pcfg.pairs[2],
-        ),
-    )
-    with pytest.raises(sf.NotPairedError):
-        sf.reduced_convex_hull(scrambled)
-
-    dyadic = ctx2()
-    for pairs in (
-        ((0, 4), (1, "inf")),  # canonical classes, but margin 2 <= 2 rho
-        ((1, 1), (2, "inf")),  # a repeated point
-    ):
-        pcfg = sf.PairedConfiguration(
-            dyadic,
-            tuple(tuple(sf.configuration(dyadic, pair).points) for pair in pairs),
-        )
-        with pytest.raises(sf.NotPairedError):
-            sf.reduced_convex_hull(pcfg)
-
-
-def test_hull_checks_only_pairings_made_by_hand(monkeypatch):
-    # a pair_up result passed both pairing rules on the skeleton it holds;
-    # the same pairs made by hand are checked, and give the same forest
-    calls = []
-    for name in ("canonical_pairs", "check_separated"):
-        original = getattr(sf.hull, name)
-
-        def counted(*args, name=name, original=original):
-            calls.append(name)
-            return original(*args)
-
-        monkeypatch.setattr(sf.hull, name, counted)
-    ctx = ctx7()
-    pcfg = sf.pair_up(sf.configuration(ctx, EIGHT_POINT_7ADIC))
-    tree = sf.reduced_convex_hull(pcfg)
-    assert calls == []
-    by_hand = sf.PairedConfiguration(ctx, pcfg.pairs)
-    assert sf.to_dot(sf.reduced_convex_hull(by_hand)) == sf.to_dot(tree)
-    assert calls == ["canonical_pairs", "check_separated"]
-
-
 def test_hull_statistics_on_random_configurations():
     rng = random.Random(8)
     for ell in (2, 3, 5, 7):
@@ -243,7 +193,7 @@ def test_skeleton_discs_match_the_reference_route():
         ctx = sf.field_context(p, ell)
         for g in (2, 3, 4, 5) * 6:
             cfg, pcfg = sample_paired(rng, ctx, g)
-            values = pcfg.skeleton().values
+            values = pcfg.skeleton.values
             for i, pair in enumerate(pcfg.pairs):
                 if any(pt.is_infinity for pt in pair):
                     members = values
@@ -288,7 +238,7 @@ def test_every_hull_vertex_is_centred_at_its_lowest_ranked_member():
     # ranks 4, 5 and 8, and is centred at 27
     def check(pcfg):
         ranked = [pt.value for pair in pcfg.pairs for pt in pair if not pt.is_infinity]
-        values = pcfg.skeleton().values
+        values = pcfg.skeleton.values
         tree = sf.reduced_convex_hull(pcfg)
         for v in tree.vertices:
             members = [values[k] for k in v.cluster]
@@ -298,7 +248,7 @@ def test_every_hull_vertex_is_centred_at_its_lowest_ranked_member():
     ctx = sf.field_context(2, 3)
     points = [2, 27, 6, 37, -11, 43, 10, -13, 36, "inf"]
     pcfg = sf.pair_up(sf.configuration(ctx, points))
-    centres = {frozenset(pcfg.skeleton().values[k] for k in v.cluster): v.disc.center
+    centres = {frozenset(pcfg.skeleton.values[k] for k in v.cluster): v.disc.center
                for v in check(pcfg).vertices}
     assert centres[frozenset(sf.finite(ctx, x).value for x in (27, 36, 6))] == 27
     rng = random.Random(45)
@@ -364,16 +314,3 @@ def test_to_dot_7adic_has_four_distinguished_nodes():
     dot = sf.to_dot(sf.reduced_convex_hull(pcfg))
     assert dot.count("fillcolor=lightblue") == 4
     assert dot.count(" -- ") == 3
-
-
-def test_hull_accepts_infinity_first_in_its_pair():
-    # the pairing is compared as unordered pairs, so a hand-built
-    # configuration listing infinity first in its pair is canonical too,
-    # and its forest is the one pair_up's order gives
-    for ctx, points in ((ctx5(), SIX_POINT_5ADIC), (ctx7(), EIGHT_POINT_7ADIC)):
-        pcfg = sf.pair_up(sf.configuration(ctx, points))
-        *finite, (last, inf) = pcfg.pairs
-        flipped = sf.PairedConfiguration(ctx, (*finite, (inf, last)))
-        assert inf.is_infinity
-        want = sf.to_dot(sf.reduced_convex_hull(pcfg))
-        assert sf.to_dot(sf.reduced_convex_hull(flipped)) == want

@@ -19,7 +19,7 @@ from helpers import (
     ctx7,
     sample_paired,
 )
-from reference import field_add, field_mul, verify_fold_conjugation
+from reference import field_add, field_mul, paired_by_hand, verify_fold_conjugation
 
 
 def test_enumeration_counts():
@@ -520,8 +520,8 @@ def test_two_pair_law():
                 # order_p_fixing takes infinity second
                 points[rng.choice((1, 3))] = sf.INFINITY
             pair_0, pair_1 = (points[0], points[1]), (points[2], points[3])
-            pcfg = sf.PairedConfiguration(ctx, (pair_0, pair_1))
-            gap = Fraction(pcfg.skeleton().pair_gaps[0], ctx.ramification)
+            pcfg = paired_by_hand(ctx, (pair_0, pair_1))
+            gap = Fraction(pcfg.skeleton.pair_gaps[0], ctx.ramification)
             n = rng.randrange(1, p)
             word = sf.compose(sf.order_p_fixing(ctx, *pair_0, n),
                               sf.order_p_fixing(ctx, *pair_1, p - n))
@@ -558,6 +558,6 @@ def test_systole_law():
                     cls = sf.classify(ctx, sf.word_matrix(smin, word))
                     if cls.kind is sf.MapKind.LOXODROMIC:
                         lengths.append(cls.translation_length)
-            gap = Fraction(min(smin.skeleton().pair_gaps), ctx.ramification)
+            gap = Fraction(min(smin.skeleton.pair_gaps), ctx.ramification)
             assert min(lengths) == 2 * (gap - 2 * ctx.rho), (ctx, smin.pairs)
             checked += 1
