@@ -26,7 +26,7 @@ pcfg = pair_up(
 tree = reduced_convex_hull(pcfg)
 print("skeleton of the 7-adic showcase:")
 for v in tree.vertices:
-    role = f"axis {v.pair_index}" if v.distinguished else "branch"
+    role = f"axis {v.pair_index}" if v.pair_index is not None else "branch"
     print(f"  vertex {v.id}: {v.disc} [{role}] valency {tree.valency(v.id)}")
 for u, v, length in tree.edges:
     print(f"  edge {u} -- {v} of length {length}")

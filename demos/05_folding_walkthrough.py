@@ -33,7 +33,8 @@ def narrate(ctx, values):
     if isinstance(verdict, Good):
         print("  GOOD; optimal configuration:", verdict.s_min)
     elif isinstance(verdict, NotGood):
-        print("  NOT GOOD:", verdict.reason)
+        stage = f"after fold {len(verdict.trace)}" if verdict.trace else "before any fold"
+        print(f"  NOT GOOD: {verdict.failure.value} {stage}")
     else:
         print("  REDUNDANT; underlying set:", verdict.reduced)
     print()

@@ -20,9 +20,8 @@ from .clusters import (Cluster, Configuration, PairedConfiguration, cluster_data
 from .errors import (DegeneratePairError, InvalidInputError, NotClusteredInPairsError,
                      NotSeparatedError, PairingError, SchottkyFoldError,
                      UnsupportedFieldError)
-from .folding import (BadFoldingProduced, FoldingStep, FoldWitness, Good,
-                      InitialNotPaired, NotGood, PairingFailure, Redundant, Verdict,
-                      run_algorithm)
+from .folding import (FoldingStep, FoldWitness, Good, NotGood, PairingFailure,
+                      Redundant, Verdict, run_algorithm)
 from .hull import Disc, SkeletonTree, SkeletonVertex, reduced_convex_hull, to_dot
 from .oracle import (AuditResult, GroupWord, enumerate_gamma_words, schottky_audit,
                      word_matrix)
@@ -41,9 +40,8 @@ __all__ = [
     "NotSeparatedError", "PairingError", "SchottkyFoldError",
     "UnsupportedFieldError",
     # the folding driver and its verdicts
-    "BadFoldingProduced", "FoldingStep", "FoldWitness", "Good",
-    "InitialNotPaired", "NotGood", "PairingFailure", "Redundant", "Verdict",
-    "run_algorithm",
+    "FoldingStep", "FoldWitness", "Good", "NotGood", "PairingFailure",
+    "Redundant", "Verdict", "run_algorithm",
     # the reduced convex hull
     "Disc", "SkeletonTree", "SkeletonVertex", "reduced_convex_hull", "to_dot",
     # the group-word audit

@@ -57,14 +57,6 @@ class ProblemError(SchottkyFoldError):
     """Raised for malformed or invalid problem documents."""
 
 
-class ParseError(ProblemError):
-    pass
-
-
-class ValidationError(ProblemError):
-    pass
-
-
 class ProblemSpec(NamedTuple):
     """A parsed problem document, a record like every other in the package:
     ``main`` merges the command-line flags into a copy (``_replace``)."""
@@ -85,7 +77,7 @@ _RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?", re.ASCII)
 
 def _parse_rational(text: str, where: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(text):
-        raise ParseError(
+        raise ProblemError(
             f"{where}: expected a decimal integer or num/den string, got {text!r}"
         )
     num, _, den = text.partition("/")
@@ -93,17 +85,17 @@ def _parse_rational(text: str, where: str) -> Fraction:
 
 
 def _check_verify_depth(depth) -> None:
-    """ValidationError unless ``depth``, the option or the flag, is None or an int >= 0."""
+    """ProblemError unless ``depth``, the option or the flag, is None or an int >= 0."""
     if depth is not None and (isinstance(depth, bool) or not isinstance(depth, int) or depth < 0):
-        raise ValidationError("option 'verify_depth' must be null or an integer >= 0")
+        raise ProblemError("option 'verify_depth' must be null or an integer >= 0")
 
 
 def _check_dot(prefix) -> None:
-    """ValidationError unless ``prefix``, the option or the flag, is None or a
+    """ProblemError unless ``prefix``, the option or the flag, is None or a
     non-empty string: an empty prefix would name hidden files such as
     ``.stage00.dot`` in the working directory."""
     if prefix is not None and (not isinstance(prefix, str) or not prefix):
-        raise ValidationError("option 'dot' must be null or a non-empty string")
+        raise ProblemError("option 'dot' must be null or a non-empty string")
 
 
 def parse_problem(text: str) -> ProblemSpec:
@@ -112,45 +104,45 @@ def parse_problem(text: str) -> ProblemSpec:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
+        raise ProblemError(f"line {exc.lineno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
-        raise ParseError(str(exc).split(";")[0]) from exc
+        raise ProblemError(str(exc).split(";")[0]) from exc
     except RecursionError as exc:  # arrays or objects nested past the decoder's limit
-        raise ParseError("the document nests too deeply") from exc
+        raise ProblemError("the document nests too deeply") from exc
     if not isinstance(doc, dict):
-        raise ParseError("problem document must be a JSON object")
+        raise ProblemError("problem document must be a JSON object")
     for field in ("p", "ell", "points"):
         if field not in doc:
-            raise ParseError(f"field {field!r} is missing")
+            raise ProblemError(f"field {field!r} is missing")
     p, ell = doc["p"], doc["ell"]
     if any(isinstance(x, bool) or not isinstance(x, int) for x in (p, ell)):
-        raise ValidationError("fields 'p' and 'ell' must be integers")
+        raise ProblemError("fields 'p' and 'ell' must be integers")
     raw_points = doc["points"]
     if not isinstance(raw_points, list):
-        raise ParseError("field 'points' must be a list")
+        raise ProblemError("field 'points' must be a list")
     points: list = []
     for k, item in enumerate(raw_points):
         if not isinstance(item, str):
-            raise ParseError(f"points[{k}]: expected a string literal")
+            raise ProblemError(f"points[{k}]: expected a string literal")
         points.append(item if item == "inf" else _parse_rational(item, f"points[{k}]"))
     if len(points) < 4 or len(points) % 2 != 0:
-        raise ValidationError("the number of points must be even and >= 4")
+        raise ProblemError("the number of points must be even and >= 4")
     try:
         field_context(p, ell)
     except UnsupportedFieldError as exc:
-        raise ValidationError(str(exc)) from exc
+        raise ProblemError(str(exc)) from exc
     options = doc.get("options", {})
     if not isinstance(options, dict):
-        raise ParseError("field 'options' must be an object")
+        raise ProblemError("field 'options' must be an object")
     for key in options:
         if key not in ("trace", "dot", "verify_depth", "normalize_infinity"):
-            raise ValidationError(
+            raise ProblemError(
                 f"unknown option {key!r}; the options are "
                 "'trace', 'dot', 'verify_depth', 'normalize_infinity'"
             )
     for flag in ("trace", "normalize_infinity"):
         if not isinstance(options.get(flag), (bool, type(None))):
-            raise ValidationError(f"option {flag!r} must be null, true or false")
+            raise ProblemError(f"option {flag!r} must be null, true or false")
     _check_verify_depth(options.get("verify_depth"))
     _check_dot(options.get("dot"))
     return ProblemSpec(
@@ -270,16 +262,10 @@ def run(spec: ProblemSpec) -> tuple[dict, int]:
         }
         code = EXIT_GOOD
     elif isinstance(verdict, folding.NotGood):
-        reason = verdict.reason
-        if isinstance(reason, folding.InitialNotPaired):
-            detail = {"stage": "initial", "failure": reason.failure.value}
-        else:
-            detail = {
-                "stage": "after_fold",
-                "failure": reason.failure.value,
-                "failing_fold": len(verdict.trace) - 1,
-            }
-        report["verdict"] = {"kind": "not_good", **detail}
+        stage = "after_fold" if verdict.trace else "initial"
+        report["verdict"] = {"kind": "not_good", "stage": stage, "failure": verdict.failure.value}
+        if verdict.trace:
+            report["verdict"]["failing_fold"] = len(verdict.trace) - 1
         code = EXIT_NOT_GOOD
     else:
         report["verdict"] = {

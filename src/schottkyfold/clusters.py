@@ -131,7 +131,6 @@ def cluster_data(cfg: Configuration) -> Skeleton:
     rows: list = [None] * n
     tree: list[tuple] = []  # (parent, first, size, depth) of each cluster
     order: list[int] = []
-    place = [0] * n
     leaf = [0] * n
 
     # clusters in pre-order, from a stack of (members, parent position);
@@ -152,7 +151,7 @@ def cluster_data(cfg: Configuration) -> Skeleton:
         idx, up = stack.pop()
         k, at, x = len(tree), len(order), idx[0]
         if len(idx) == 1:
-            leaf[x], place[x] = k, at
+            leaf[x] = k
             tree.append((up, at, 1, INF_STEPS))
             order.append(x)
             continue
@@ -164,7 +163,7 @@ def cluster_data(cfg: Configuration) -> Skeleton:
             row = rows[y] = top.copy()
             row[x], row[y] = depth, INF_STEPS
             tree += [(up, at, 2, depth), (k, at, 1, INF_STEPS), (k, at + 1, 1, INF_STEPS)]
-            leaf[x], leaf[y], place[x], place[y] = k + 1, k + 2, at, at + 1
+            leaf[x], leaf[y] = k + 1, k + 2
             order += idx
             continue
         others = idx[1:]
@@ -197,7 +196,7 @@ def cluster_data(cfg: Configuration) -> Skeleton:
     parent, first, sizes, depths = zip(*tree) if tree else ((),) * 4
     return Skeleton(
         values, tuple(ints), den, den_steps, tuple(map(tuple, rows)), sizes, depths,
-        parent, first, tuple(order), tuple(place), tuple(leaf),
+        parent, first, tuple(order), tuple(leaf),
     )
 
 
@@ -221,10 +220,11 @@ class Skeleton(NamedTuple):
     (in steps; a singleton's is ``INF_STEPS``), ``parent`` (the index of
     the smallest cluster strictly containing it, None for the root) and
     ``first``.  ``order`` lists the positions in the order the tree's
-    pre-order meets their singletons, and ``place[x]`` is x's index in
-    ``order``, so cluster k's members are ``order[first[k] : first[k] +
-    sizes[k]]``, and x lies in cluster k iff first[k] <= place[x] <
-    first[k] + sizes[k].  ``leaf[x]`` is the index of the singleton {x}.
+    pre-order meets their singletons, so cluster k's members are
+    ``order[first[k] : first[k] + sizes[k]]``.  ``leaf[x]`` is the index of
+    the singleton {x}, so x's index in ``order`` is ``first[leaf[x]]``, and
+    x lies in cluster k iff first[k] <= first[leaf[x]] < first[k] +
+    sizes[k].
     The fold pass reads only these tuples.  :meth:`cluster` makes cluster k
     a ``Cluster`` record on demand, and :attr:`clusters` makes them all,
     for readers outside the fold pass.
@@ -257,7 +257,6 @@ class Skeleton(NamedTuple):
     parent: tuple[Optional[int], ...]
     first: tuple[int, ...]
     order: tuple[int, ...]
-    place: tuple[int, ...]
     leaf: tuple[int, ...]
     pair_points: tuple[tuple[int, ...], ...] = ()
     pair_discs: tuple[tuple[int, int], ...] = ()
@@ -311,9 +310,9 @@ class Skeleton(NamedTuple):
                 # no row_b[z]: where it alone is largest, r_k = row_a[z] and r_l = row_b[y]
                 u = max(row_a[y], row_a[z], row_b[y])
                 gaps.append((r_k - u if r_k > u else 0) + (r_l - u if r_l > u else 0))
-        # the twelve fields of the tree, then the five of the pairs
+        # the eleven fields of the tree, then the five of the pairs
         return Skeleton._make(
-            self[:12] + (pairs, tuple(discs), tuple(odd), tuple(odd_depths), tuple(gaps))
+            self[:11] + (pairs, tuple(discs), tuple(odd), tuple(odd_depths), tuple(gaps))
         )
 
     def chain(self, members: tuple[int, ...]):
@@ -321,8 +320,8 @@ class Skeleton(NamedTuple):
         smallest first."""
         # walking up from the first member's leaf, only the last can be
         # missing, and once a cluster holds it so do all above
-        k, at = self.leaf[members[0]], self.place[members[-1]]
-        first, sizes, parent = self.first, self.sizes, self.parent
+        first, sizes, parent, leaf = self.first, self.sizes, self.parent, self.leaf
+        k, at = leaf[members[0]], first[leaf[members[-1]]]
         while not first[k] <= at < first[k] + sizes[k]:
             k = parent[k]
         while k is not None:

@@ -36,7 +36,9 @@ Outcomes:
 * :class:`Good` -- no fold applies any more; the current configuration is
   optimal and is returned together with the full trace.
 * :class:`NotGood` -- the input (or a folded successor) is not clustered in
-  separated pairs.
+  separated pairs.  ``failure`` names the rule that broke, and ``trace``
+  holds the folds made before: empty when the input itself fails, and
+  otherwise its last fold is the one that produced the failing set.
 * :class:`Redundant` -- a configuration acquired an even number of repeated
   values; the underlying set generates the same groups.
 """
@@ -88,17 +90,8 @@ class Good(NamedTuple):
     trace: tuple[FoldingStep, ...]
 
 
-class InitialNotPaired(NamedTuple):
-    failure: PairingFailure
-
-
-class BadFoldingProduced(NamedTuple):
-    step: FoldingStep
-    failure: PairingFailure
-
-
 class NotGood(NamedTuple):
-    reason: Union[InitialNotPaired, BadFoldingProduced]
+    failure: PairingFailure
     trace: tuple[FoldingStep, ...]
 
 
@@ -363,33 +356,27 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
     trace: list[FoldingStep] = []
     current, measure = cfg, None
     while True:
-        failure = None
         try:
             pcfg = pair_up(current)
         except RepeatedPointsError:
             repeated, underlying = repetition_report(current)
             if repeated % 2 == 0:
                 return Redundant(underlying, tuple(trace))
-            failure = PairingFailure.NOT_CLUSTERED_IN_PAIRS
+            return NotGood(PairingFailure.NOT_CLUSTERED_IN_PAIRS, tuple(trace))
         except NotSeparatedError:
-            failure = PairingFailure.NOT_SEPARATED
+            return NotGood(PairingFailure.NOT_SEPARATED, tuple(trace))
         except PairingError:
-            failure = PairingFailure.NOT_CLUSTERED_IN_PAIRS
-        else:
-            # A fold is only good if the set stays clustered in the inherited
-            # pairs.  Clusterings are unique, so a different canonical pairing
-            # means the inherited labels lost separation (their tubes touch):
-            # a bad folding, even though the bare point set pairs up again.
-            # apply_folding lists inherited pair k at input positions (2k,
-            # 2k + 1), infinity last, and each finite pair holds the input
-            # positions of its points.
-            finite = pcfg.skeleton.pair_points[: pcfg.g]
-            if trace and any(x // 2 != y // 2 for x, y in finite):
-                failure = PairingFailure.NOT_SEPARATED
-        if failure is not None:
-            if trace:
-                return NotGood(BadFoldingProduced(trace[-1], failure), tuple(trace))
-            return NotGood(InitialNotPaired(failure), tuple(trace))
+            return NotGood(PairingFailure.NOT_CLUSTERED_IN_PAIRS, tuple(trace))
+        # A fold is only good if the set stays clustered in the inherited
+        # pairs.  Clusterings are unique, so a different canonical pairing
+        # means the inherited labels lost separation (their tubes touch):
+        # a bad folding, even though the bare point set pairs up again.
+        # apply_folding lists inherited pair k at input positions (2k,
+        # 2k + 1), infinity last, and each finite pair holds the input
+        # positions of its points.
+        finite = pcfg.skeleton.pair_points[: pcfg.g]
+        if trace and any(x // 2 != y // 2 for x, y in finite):
+            return NotGood(PairingFailure.NOT_SEPARATED, tuple(trace))
         previous, measure = measure, sum(pcfg.skeleton.pair_gaps)
         if previous is not None and measure >= previous:
             raise RuntimeError(f"termination measure did not drop: {previous} to {measure}")

@@ -13,7 +13,8 @@ pair order: a position's rank among the points listed pair by pair.  The
 forest is what is left after removing the segment interiors that split the
 points into two odd halves; its vertices are the minimal discs of clusters
 of size >= 2, its edges connect even clusters to their parents, and the
-*distinguished* vertices are those lying on a pair axis.  ``to_dot``
+*distinguished* vertices are those lying on a pair axis: their
+``pair_index``, the least such pair, is not None.  ``to_dot``
 renders it as Graphviz text.
 """
 
@@ -43,7 +44,6 @@ class Disc(NamedTuple):
 class SkeletonVertex(NamedTuple):
     id: int
     disc: Disc
-    distinguished: bool
     pair_index: int | None
     component: int
     cluster: frozenset[int]  # member positions into the skeleton's values
@@ -60,7 +60,7 @@ class SkeletonTree(NamedTuple):
         return sum(1 for u, v, _ in self.edges if vid in (u, v))
 
     def distinguished(self) -> tuple[SkeletonVertex, ...]:
-        return tuple(v for v in self.vertices if v.distinguished)
+        return tuple(v for v in self.vertices if v.pair_index is not None)
 
     def component_count(self) -> int:
         return len({v.component for v in self.vertices})
@@ -132,7 +132,6 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
             SkeletonVertex(
                 id=vid,
                 disc=Disc(ctx, sk.values[center], Fraction(radius, e)),
-                distinguished=pidx is not None,
                 pair_index=pidx,
                 component=components[vid],
                 cluster=members[k],
@@ -147,7 +146,7 @@ def to_dot(tree: SkeletonTree) -> str:
     for v in tree.vertices:
         label = v.disc.key()
         attrs = ""
-        if v.distinguished:
+        if v.pair_index is not None:
             label = f"v{v.pair_index}\\n{label}"
             attrs = " style=filled fillcolor=lightblue"
         lines.append(f'  n{v.id} [label="{label}"{attrs}];')

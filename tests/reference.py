@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import combinations, count, permutations, product
 from math import gcd, lcm
 
 from schottkyfold.clusters import PairedConfiguration, cluster_data
@@ -156,6 +156,56 @@ def point_to_axis(d: Disc, pair, ctx) -> Fraction:
             # the path enters above the top of the axis and must come down
             dist += top.radius - entry
     return dist
+
+
+def axis_foot(ctx, end: PPoint, pair) -> Disc:
+    """Where the path from ``end``, a point off the pair, meets the pair's
+    axis: the vertex where the paths between the three ends meet, which is
+    the deepest of the least discs holding two of their finite values."""
+    fins = [pt.value for pt in (end, *pair) if not pt.is_infinity]
+    return max((min_disc(ctx, two) for two in combinations(fins, 2)), key=lambda d: d.radius)
+
+
+@lru_cache(maxsize=64)
+def axis_geometry(ctx, pairs) -> tuple[dict, dict]:
+    """The distances between pair axes more than 2 rho apart, from discs.
+    The path from A_i meets A_j at one foot, that of either end of pair i.
+    ``gap[i, j]`` is D_ij, the ``delta`` between the foot of A_i on A_j and
+    that of A_j on A_i (0 when i = j), and ``run[prev, cur, next]`` the
+    ``delta`` between the feet of A_prev and A_next on A_cur.  Remembered,
+    as every word on one S^min reads the same few."""
+    n = len(pairs)
+    feet = {(i, j): axis_foot(ctx, pairs[i][0], pairs[j]) for i, j in permutations(range(n), 2)}
+    gap = {(i, i): Fraction(0) for i in range(n)}
+    gap.update({(i, j): delta(feet[i, j], feet[j, i]) for i, j in feet})
+    run = {(i, j, k): delta(feet[i, j], feet[k, l]) for (i, j), (k, l) in product(feet, feet) if j == l}
+    return gap, run
+
+
+def translation_length_by_axes(pcfg, word) -> Fraction:
+    """The translation length of a Gamma-word on a Good S^min, in closed form
+    from the pair axes A_l (ROADMAP item 3), with no matrix: the word's index
+    sequence i_1 ... i_k has k >= 2 and no two cyclic neighbours equal, and
+    its exponents play no part.  Syllable m, with prev, cur and next its
+    index and its cyclic neighbours', adds (D_cur,next - 2 rho) + in_m
+    (``axis_geometry``): where the feet of A_prev and A_next on A_cur
+    differ, in_m is the run between them plus 2 rho; where they coincide,
+    it is 2 rho - 2 min(rho, s), s = (D_prev,cur + D_cur,next -
+    D_prev,next) / 2 the length the two paths share before A_cur."""
+    rho = pcfg.ctx.rho
+    gap, run = axis_geometry(pcfg.ctx, pcfg.pairs)
+    index = [i for i, _ in word.syllables]
+    total = Fraction(0)
+    for m, cur in enumerate(index):
+        prev, nxt = index[m - 1], index[(m + 1) % len(index)]
+        between = run[prev, cur, nxt]
+        if between:
+            inner = between + 2 * rho
+        else:
+            shared = (gap[prev, cur] + gap[cur, nxt] - gap[prev, nxt]) / 2
+            inner = 2 * rho - 2 * min(rho, shared)
+        total += gap[cur, nxt] - 2 * rho + inner
+    return total
 
 
 def cross_ratios(pcfg, j: int, k: int) -> list:

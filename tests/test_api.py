@@ -24,10 +24,10 @@ from reference import identity
 ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = [
-    "AuditResult", "BadFoldingProduced", "Cluster", "Configuration",
+    "AuditResult", "Cluster", "Configuration",
     "DegeneratePairError", "Disc", "ElementClass", "FieldContext",
     "FieldKind", "FoldWitness", "FoldingStep", "Good",
-    "GroupWord", "INFINITY", "InitialNotPaired", "InvalidInputError", "MapKind",
+    "GroupWord", "INFINITY", "InvalidInputError", "MapKind",
     "Mobius", "NotClusteredInPairsError", "NotGood",
     "NotSeparatedError", "PPoint", "PairedConfiguration", "PairingError",
     "PairingFailure", "Redundant", "SchottkyFoldError", "SkeletonTree",
@@ -252,5 +252,5 @@ def test_a_verdict_survives_pickling(p, ell, points):
     verdict = sf.run_algorithm(ctx, sf.configuration(ctx, points))
     loaded = pickle.loads(pickle.dumps(verdict))
     assert loaded == verdict and type(loaded) is type(verdict)
-    stage = loaded.s_min if isinstance(loaded, sf.Good) else loaded.reason.step.before
+    stage = loaded.s_min if isinstance(loaded, sf.Good) else loaded.trace[-1].before
     assert stage.ctx is ctx and stage.skeleton.depths[-1] is INF_STEPS

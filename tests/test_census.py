@@ -35,7 +35,7 @@ def census_line(points, verdict) -> str:
     elif isinstance(verdict, sf.Redundant):
         shown, failure = repr(verdict.reduced), ""
     else:
-        shown, failure = "", verdict.reason.failure.value
+        shown, failure = "", verdict.failure.value
     kind = type(verdict).__name__
     return f"{points}|{kind}|{len(verdict.trace)}|{shown}|{failure}\n"
 

@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -51,21 +52,21 @@ def test_parse_problem_examples():
 
 
 def test_parse_problem_rejects_bad_documents():
-    with pytest.raises(cli.ValidationError):
+    with pytest.raises(cli.ProblemError, match="number of points must be even and >= 4"):
         cli.parse_problem(json.dumps({"p": 2, "ell": 5, "points": ["0", "5", "1"]}))
-    with pytest.raises(cli.ValidationError):
+    with pytest.raises(cli.ProblemError, match="no supported valued field contains"):
         cli.parse_problem(
             json.dumps({"p": 3, "ell": 5, "points": ["0", "5", "1", "inf"]})
         )
-    with pytest.raises(cli.ParseError):
+    with pytest.raises(cli.ProblemError, match="^line 1: Expecting property name"):
         cli.parse_problem("{not json")
-    with pytest.raises(cli.ParseError):
+    with pytest.raises(cli.ProblemError, match="field 'points' is missing"):
         cli.parse_problem(json.dumps({"p": 2, "ell": 5}))
-    with pytest.raises(cli.ParseError):
+    with pytest.raises(cli.ProblemError, match=r"points\[3\]: expected a string literal"):
         cli.parse_problem(
             json.dumps({"p": 2, "ell": 5, "points": ["0", "5", "1", 7]})
         )
-    with pytest.raises(cli.ParseError):
+    with pytest.raises(cli.ProblemError, match=r"points\[3\]: expected a decimal integer"):
         cli.parse_problem(
             json.dumps({"p": 2, "ell": 5, "points": ["0", "5", "1", "0.5"]})
         )
@@ -73,14 +74,14 @@ def test_parse_problem_rejects_bad_documents():
     # digits such as the Arabic-Indic seven, and no whitespace: not even a
     # final newline, which a pattern ending in "$" lets by
     for point in ("\u0667", "1/\u0667", "7\n", "1/2\n", "7 ", " 7", "\t7"):
-        with pytest.raises(cli.ParseError):
+        with pytest.raises(cli.ProblemError, match=r"points\[0\]: expected a decimal integer"):
             cli.parse_problem(
                 json.dumps({"p": 2, "ell": 5, "points": [point, "12", "0", "5", "1", "inf"]})
             )
     # a JSON boolean is no integer, though Python's bool is an int
     for field in ("p", "ell"):
         doc = {"p": 2, "ell": 5, "points": ["7", "12", "0", "5", "1", "inf"], field: True}
-        with pytest.raises(cli.ValidationError, match="must be integers"):
+        with pytest.raises(cli.ProblemError, match="fields 'p' and 'ell' must be integers"):
             cli.parse_problem(json.dumps(doc))
 
 
@@ -296,12 +297,19 @@ def test_main_reports_identically_across_runs(tmp_path):
      {"traces": True}],
 )
 def test_parse_problem_rejects_bad_options(options):
-    with pytest.raises(cli.ValidationError):
+    (key,) = options
+    message = {
+        "verify_depth": "option 'verify_depth' must be null or an integer >= 0",
+        "dot": "option 'dot' must be null or a non-empty string",
+        "trace": "option 'trace' must be null, true or false",
+        "normalize_infinity": "option 'normalize_infinity' must be null, true or false",
+    }.get(key, f"unknown option {key!r}")
+    with pytest.raises(cli.ProblemError, match=re.escape(message)):
         cli.parse_problem(problem_5adic(**options))
 
 
 def test_options_name_their_keys_and_take_null_for_a_flag(tmp_path, capsys):
-    with pytest.raises(cli.ValidationError, match=(
+    with pytest.raises(cli.ProblemError, match=(
         "unknown option 'verify-depth'; the options are "
         "'trace', 'dot', 'verify_depth', 'normalize_infinity'"
     )):
@@ -395,7 +403,7 @@ def test_an_empty_dot_prefix_exits_invalid_before_running(tmp_path, monkeypatch,
     # directory; the option and the flag pass one check, before the run, so
     # no report is printed and no file is written
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(cli.ValidationError, match="non-empty string"):
+    with pytest.raises(cli.ProblemError, match="option 'dot' must be null or a non-empty string"):
         cli.parse_problem(problem_7adic(dot=""))
     message = "error: option 'dot' must be null or a non-empty string\n"
     path = tmp_path / "problem.json"
@@ -561,7 +569,7 @@ def test_main_rejects_stdin_that_is_not_utf8_under_strict_decoding(monkeypatch, 
 def test_main_rejects_a_document_nested_past_the_decoders_limit(tmp_path, capsys):
     # json.loads raises RecursionError past its nesting limit; that is a
     # problem with the document, not an internal error
-    with pytest.raises(cli.ParseError):
+    with pytest.raises(cli.ProblemError, match="the document nests too deeply"):
         cli.parse_problem("[" * 100000 + "]" * 100000)
     path = tmp_path / "problem.json"
     path.write_text('{"p": 2, "ell": 5, "points": ' + "[" * 100000 + "]" * 100000 + "}", encoding="utf-8")

@@ -389,19 +389,19 @@ def test_skeleton_tree_matches_the_pairwise_definitions():
 def test_flat_tree_matches_the_membership_definition():
     # The skeleton keeps its tree as flat pre-order tuples: cluster k's
     # members are the span order[first[k] : first[k] + sizes[k]], and x lies
-    # in cluster k iff first[k] <= place[x] < first[k] + sizes[k].  In all
-    # three field flavours, and in nests deep enough for clusters with five
-    # or more children, each span must hold exactly the cluster's members by
-    # field valuations, place must invert order, sizes, depths and parent
-    # must agree with the membership definitions, each chain must be the
-    # clusters holding its positions, and the records built on demand must
-    # be the clusters in pre-order
+    # in cluster k iff first[k] <= first[leaf[x]] < first[k] + sizes[k].  In
+    # all three field flavours, and in nests deep enough for clusters with
+    # five or more children, each span must hold exactly the cluster's
+    # members by field valuations, first[leaf[x]] must invert order, sizes,
+    # depths and parent must agree with the membership definitions, each
+    # chain must be the clusters holding its positions, and the records
+    # built on demand must be the clusters in pre-order
     kinds, spans, branching = set(), 0, set()
     for ctx, cfg in chain(lowering_sets(53), lowering_sets(53, genera=(8, 10, 12))):
         sk = sf.cluster_data(cfg)
         n = len(sk.values)
         assert sorted(sk.order) == list(range(n))
-        assert [sk.place[x] for x in sk.order] == list(range(n))
+        assert [sk.first[sk.leaf[x]] for x in sk.order] == list(range(n))
         expected = clusters_in_preorder(ctx, sk.values)
         records = sk.clusters
         assert records == tuple(sf.Cluster(members, depth) for members, depth in expected)
@@ -409,7 +409,7 @@ def test_flat_tree_matches_the_membership_definition():
         for k, (members, depth) in enumerate(expected):
             start, end = sk.first[k], sk.first[k] + sk.sizes[k]
             assert sorted(sk.order[start:end]) == sorted(members)
-            assert {x for x in range(n) if start <= sk.place[x] < end} == members
+            assert {x for x in range(n) if start <= sk.first[sk.leaf[x]] < end} == members
             assert sk.depths[k] == depth
             assert sk.parent[k] == smallest_superset(records, k)
             if len(members) == 1:

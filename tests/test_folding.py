@@ -205,8 +205,7 @@ def test_run_not_good_showcase():
     assert (step.i, step.j, step.n) == (0, 2, 1)
     assert step.indices == {0}
     assert multiset(step.after) == values_multiset(ctx5(), [-5, -10, 0, 5, 1, "inf"])
-    assert isinstance(verdict.reason, sf.BadFoldingProduced)
-    assert verdict.reason.failure is sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS
+    assert verdict.failure is sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS
     check_verdict_folds(verdict)
 
 
@@ -251,7 +250,8 @@ def test_run_not_good_on_odd_repetitions():
     ctx = ctx5()
     verdict = sf.run_algorithm(ctx, sf.configuration(ctx, [0, 0, 5, 7, 1, "inf"]))
     assert isinstance(verdict, sf.NotGood)
-    assert isinstance(verdict.reason, sf.InitialNotPaired)
+    assert verdict.trace == ()
+    assert verdict.failure is sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS
 
 
 def test_run_not_good_when_initially_unpaired():
@@ -260,8 +260,8 @@ def test_run_not_good_when_initially_unpaired():
         ctx, sf.configuration(ctx, [-5, -10, 0, 5, 1, "inf"])
     )
     assert isinstance(verdict, sf.NotGood)
-    assert isinstance(verdict.reason, sf.InitialNotPaired)
     assert verdict.trace == ()
+    assert verdict.failure is sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS
 
 
 def test_dyadic_runs_are_self_consistent():
@@ -322,10 +322,9 @@ def test_fold_that_repairs_differently_is_bad():
     verdict = sf.run_algorithm(ctx, cfg)
     assert isinstance(verdict, sf.NotGood)
     assert len(verdict.trace) == 1
-    assert isinstance(verdict.reason, sf.BadFoldingProduced)
     # the folded set pairs up, so the failure comes from the check of the
     # inherited pairing
-    assert verdict.reason.failure is sf.PairingFailure.NOT_SEPARATED
+    assert verdict.failure is sf.PairingFailure.NOT_SEPARATED
     after = verdict.trace[-1].after.points
     inherited = {frozenset(after[k : k + 2]) for k in range(0, len(after), 2)}
     assert pairing(sf.pair_up(verdict.trace[-1].after)) != inherited
@@ -1026,9 +1025,7 @@ def test_odd_repetitions_are_not_paired(points):
     ctx = ctx5()
     verdict = sf.run_algorithm(ctx, sf.configuration(ctx, points))
     assert isinstance(verdict, sf.NotGood) and verdict.trace == ()
-    assert verdict.reason == sf.InitialNotPaired(
-        sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS
-    )
+    assert verdict.failure is sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS
 
 
 ORDER_DEPENDENT_REPEAT = [2, 258, 5, 69, -1, 127, 4, 132, 1, 257, 0, 128, 6, 134, 3, "inf"]
@@ -1075,7 +1072,5 @@ def test_pair_up_rejects_repeats_before_any_pairing_rule():
         assert not isinstance(info.value, sf.PairingError)
     # a repeated infinity is one repeated value: odd, so the pairing is broken
     verdict = sf.run_algorithm(ctx, sf.configuration(ctx, [0, 5, 1, "inf", 7, "inf"]))
-    assert verdict == sf.NotGood(
-        sf.InitialNotPaired(sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS), ()
-    )
+    assert verdict == sf.NotGood(sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS, ())
 

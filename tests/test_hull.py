@@ -226,7 +226,7 @@ def test_each_vertex_lies_on_the_axis_of_its_least_pair():
                     (i for i, pair in enumerate(pcfg.pairs) if point_to_axis(v.disc, pair, ctx) == 0),
                     None,
                 )
-                assert v.pair_index == least and v.distinguished == (least is not None)
+                assert v.pair_index == least
                 seen["on" if least is not None else "off"] += 1
                 seen["joins"] += least is not None and least < g and same(v.disc, pair_disc(pcfg, least))
     assert min(seen.values()) >= 50, seen

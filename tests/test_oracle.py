@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -19,7 +20,8 @@ from helpers import (
     ctx7,
     sample_paired,
 )
-from reference import field_add, field_mul, paired_by_hand, verify_fold_conjugation
+from reference import (axis_geometry, field_add, field_mul, paired_by_hand,
+                       translation_length_by_axes, verify_fold_conjugation)
 
 
 def test_enumeration_counts():
@@ -561,3 +563,40 @@ def test_systole_law():
             gap = Fraction(min(smin.skeleton.pair_gaps), ctx.ramification)
             assert min(lengths) == 2 * (gap - 2 * ctx.rho), (ctx, smin.pairs)
             checked += 1
+
+
+def test_translation_length_by_axes():
+    # on a Good S^min, the translation length of every Gamma-word whose k >= 2
+    # syllables have no two cyclic neighbours equal is item 3's sum over the
+    # syllables, read off the pair axes by discs, and at least k (D - 2 rho),
+    # D the least axis gap; the discs' gaps are the skeleton's pair_gaps
+    syllables = {"apart": 0, "together": 0}
+    for p, ell in (*TEST_FIELDS, (2, 3)):
+        ctx = sf.field_context(p, ell)
+        rng = random.Random(f"axes/{p}/{ell}")
+        depth = 5 if p == 2 else 3
+        words = 0
+        for g in (1, 2, 3, 4):
+            verdict = None
+            while not isinstance(verdict, sf.Good):
+                cfg, _ = sample_paired(rng, ctx, g)
+                verdict = sf.run_algorithm(ctx, cfg)
+            smin = verdict.s_min
+            gap, run = axis_geometry(ctx, smin.pairs)
+            pair_gaps = [Fraction(d, ctx.ramification) for d in smin.skeleton.pair_gaps]
+            assert [gap[kl] for kl in combinations(range(g + 1), 2)] == pair_gaps
+            least = min(pair_gaps) - 2 * ctx.rho
+            for word in sf.enumerate_gamma_words(g, p, depth):
+                index = [i for i, _ in word.syllables]
+                k = len(index)
+                if k < 2 or any(index[m] == index[(m + 1) % k] for m in range(k)):
+                    continue
+                length = sf.classify(ctx, sf.word_matrix(smin, word)).translation_length
+                assert translation_length_by_axes(smin, word) == length, (ctx, smin.pairs, word)
+                assert length >= k * least, (ctx, smin.pairs, word)
+                for m in range(k):
+                    apart = run[index[m - 1], index[m], index[(m + 1) % k]] > 0
+                    syllables["apart" if apart else "together"] += 1
+                words += 1
+        assert words > 0
+    assert min(syllables.values()) > 0, syllables
