@@ -11,8 +11,7 @@ when every team has size two.  The pairing, when it exists, is unique.
 from fractions import Fraction
 
 from schottkyfold import (
-    NotClusteredInPairsError,
-    NotSeparatedError,
+    PairingError,
     cluster_data,
     configuration,
     field_context,
@@ -39,7 +38,7 @@ print("pairing:", pair_up(cfg))
 ctx5 = field_context(2, 5)
 try:
     pair_up(configuration(ctx5, [-5, -10, 0, 5, 1, "inf"]))
-except NotClusteredInPairsError as exc:
+except PairingError as exc:
     print("not clustered in pairs:", exc)
 
 # Over the dyadics the separation radius is 1, and pair axes must stay
@@ -47,7 +46,7 @@ except NotClusteredInPairsError as exc:
 ctx2 = field_context(2, 2)
 try:
     pair_up(configuration(ctx2, [0, 4, 1, "inf"]))
-except NotSeparatedError as exc:
+except PairingError as exc:
     print("not separated:", exc)
 print("deep enough instead:", pair_up(configuration(ctx2, [0, 8, 1, "inf"])))
 

@@ -17,11 +17,9 @@ library, a demo or the benchmark.  The driver's internal steps
 
 from .clusters import (Cluster, Configuration, PairedConfiguration, cluster_data,
                        configuration, pair_up, repetition_report)
-from .errors import (DegeneratePairError, InvalidInputError, NotClusteredInPairsError,
-                     NotSeparatedError, PairingError, SchottkyFoldError,
-                     UnsupportedFieldError)
-from .folding import (FoldingStep, FoldWitness, Good, NotGood, PairingFailure,
-                      Redundant, Verdict, run_algorithm)
+from .errors import (InvalidInputError, PairingError, PairingFailure, RepeatedPointsError,
+                     SchottkyFoldError, UnsupportedFieldError)
+from .folding import FoldingStep, FoldWitness, Good, NotGood, Redundant, Verdict, run_algorithm
 from .hull import Disc, SkeletonTree, SkeletonVertex, reduced_convex_hull, to_dot
 from .oracle import (AuditResult, GroupWord, enumerate_gamma_words, schottky_audit,
                      word_matrix)
@@ -36,12 +34,11 @@ __all__ = [
     "Cluster", "Configuration", "PairedConfiguration", "cluster_data",
     "configuration", "pair_up", "repetition_report",
     # errors
-    "DegeneratePairError", "InvalidInputError", "NotClusteredInPairsError",
-    "NotSeparatedError", "PairingError", "SchottkyFoldError",
-    "UnsupportedFieldError",
+    "InvalidInputError", "PairingError", "PairingFailure", "RepeatedPointsError",
+    "SchottkyFoldError", "UnsupportedFieldError",
     # the folding driver and its verdicts
-    "FoldingStep", "FoldWitness", "Good", "NotGood", "PairingFailure",
-    "Redundant", "Verdict", "run_algorithm",
+    "FoldingStep", "FoldWitness", "Good", "NotGood", "Redundant", "Verdict",
+    "run_algorithm",
     # the reduced convex hull
     "Disc", "SkeletonTree", "SkeletonVertex", "reduced_convex_hull", "to_dot",
     # the group-word audit

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import folding, oracle
 from .clusters import Configuration, PairedConfiguration
-from .errors import InvalidInputError, SchottkyFoldError, UnsupportedFieldError
+from .errors import SchottkyFoldError, UnsupportedFieldError
 from .hull import reduced_convex_hull, to_dot
 from .projline import INFINITY, Mobius, apply, finite, mobius, point_str
 from .valfield import Val, decimal_to_int, field_context, format_fraction
@@ -246,12 +246,7 @@ def run(spec: ProblemSpec) -> tuple[dict, int]:
         points = [apply(normalization, pt) for pt in points]
         report["normalization"] = {"matrix": ["0", "1", "1", format_fraction(-spec.points[0])]}
     cfg = Configuration(ctx, tuple(points))
-
-    try:
-        verdict = folding.run_algorithm(ctx, cfg)
-    except InvalidInputError as exc:
-        report["error"] = str(exc)
-        return report, EXIT_INVALID
+    verdict = folding.run_algorithm(ctx, cfg)
 
     report["fold_count"] = len(verdict.trace)
     if isinstance(verdict, folding.Good):
@@ -416,17 +411,13 @@ def _main(args: argparse.Namespace) -> int:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        if not args.quiet:
-            print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _refuse(args, exc)
     try:
         spec = parse_problem(text)
         _check_verify_depth(args.verify_depth)
         _check_dot(args.dot)
     except ProblemError as exc:
-        if not args.quiet:
-            print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _refuse(args, exc)
     spec = spec._replace(
         trace=spec.trace or args.trace,
         dot=spec.dot if args.dot is None else args.dot,
@@ -441,11 +432,16 @@ def _main(args: argparse.Namespace) -> int:
         try:
             written = write_dot_files(report, spec.dot)
         except OSError as exc:
-            if not args.quiet:
-                print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+            return _refuse(args, exc)
         if written and not args.quiet:
             print("wrote " + ", ".join(written), file=sys.stderr)
-    if code == EXIT_INVALID and not args.quiet and "error" in report:
-        print(f"error: {report['error']}", file=sys.stderr)
+    if "error" in report:
+        return _refuse(args, report["error"])
     return code
+
+
+def _refuse(args: argparse.Namespace, message) -> int:
+    """Invalid input: ``error: message`` on stderr unless ``--quiet``."""
+    if not args.quiet:
+        print(f"error: {message}", file=sys.stderr)
+    return EXIT_INVALID

@@ -19,7 +19,8 @@ matrix diagonal and as a singleton's depth, is ``valfield.INF_STEPS``,
 which compares above every int.  The values are lowered once per build to
 integral numerators over one common denominator, so no entry needs field
 arithmetic.  A ``Fraction`` appears only at the edge, converted from steps
-and never computed with: the margin of ``NotSeparatedError``.
+and never computed with: the margin in the message of a ``PairingError``
+that names ``PairingFailure.NOT_SEPARATED``.
 ``configuration`` makes each finite point through ``projline.finite``,
 which refuses floats.  Points are named by their input position among the
 finite points, never hashed and never permuted: a repeated value has a
@@ -42,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import NotClusteredInPairsError, NotSeparatedError, RepeatedPointsError
+from .errors import PairingError, PairingFailure, RepeatedPointsError
 from .projline import INFINITY, PPoint, finite, point_str
 from .valfield import INF_STEPS, FieldContext, int_valuation
 
@@ -375,7 +376,7 @@ def even_keys(sk: Skeleton) -> list[Optional[int]]:
 
 def canonical_pairs(sk: Skeleton, has_infinity: bool) -> tuple[tuple[int, ...], ...]:
     """The canonical pairing of the positions of a skeleton (and infinity,
-    when present), or NotClusteredInPairsError.
+    when present), or a PairingError naming NOT_CLUSTERED_IN_PAIRS.
 
     Points are equivalent when they lie in exactly the same even-cardinality
     clusters (infinity lies in none); every class must have size two.  The
@@ -397,9 +398,8 @@ def canonical_pairs(sk: Skeleton, has_infinity: bool) -> tuple[tuple[int, ...], 
     smat, finite, last = sk.smat, [], ()
     for ab in classes.values():
         if len(ab) != 2:
-            raise NotClusteredInPairsError(
-                "even-cluster equivalence classes do not all have size 2"
-            )
+            raise PairingError(PairingFailure.NOT_CLUSTERED_IN_PAIRS,
+                               "even-cluster equivalence classes do not all have size 2")
         a, b = ab
         if b is None:
             last = ((a,),)
@@ -410,16 +410,20 @@ def canonical_pairs(sk: Skeleton, has_infinity: bool) -> tuple[tuple[int, ...], 
 
 
 def check_separated(pcfg: PairedConfiguration) -> None:
-    """NotSeparatedError unless every two pair axes stay more than 2 rho
-    apart, with the least of the skeleton's ``pair_gaps`` as its margin."""
+    """A PairingError naming NOT_SEPARATED unless every two pair axes stay
+    more than 2 rho apart; its message gives the least of the skeleton's
+    ``pair_gaps`` as the margin."""
     gaps = pcfg.skeleton.pair_gaps
     if gaps and min(gaps) <= 2 * pcfg.ctx.rho_steps:
-        raise NotSeparatedError(Fraction(min(gaps), pcfg.ctx.ramification))
+        margin = Fraction(min(gaps), pcfg.ctx.ramification)
+        raise PairingError(PairingFailure.NOT_SEPARATED,
+                           f"separation margin {margin} is not > twice the radius")
 
 
 def pair_up(cfg: Configuration) -> PairedConfiguration:
-    """Partition into the canonical pairs (``canonical_pairs``), or raise
-    NotClusteredInPairsError / NotSeparatedError (``check_separated``).
+    """Partition into the canonical pairs (``canonical_pairs``), or raise a
+    PairingError from it or from ``check_separated``, whose ``failure``
+    names the rule that broke.
 
     Repeated points raise RepeatedPointsError, a ValueError, before either
     rule runs.  The returned configuration keeps the one skeleton built

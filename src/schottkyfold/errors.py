@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the pairing rules a
+``PairingError`` names."""
+
+from enum import Enum
 
 
 class SchottkyFoldError(Exception):
@@ -9,29 +12,24 @@ class UnsupportedFieldError(SchottkyFoldError):
     """No supported field carries a primitive p-th root of unity for (p, ell)."""
 
 
-class DegeneratePairError(SchottkyFoldError):
-    """An order-p map was requested for a pair of equal fixed points."""
-
-
 class InvalidInputError(SchottkyFoldError):
     """A configuration violates the algorithm's input contract."""
 
 
+class PairingFailure(Enum):
+    """The pairing rule a set breaks."""
+
+    NOT_CLUSTERED_IN_PAIRS = "not_clustered_in_pairs"
+    NOT_SEPARATED = "not_separated"
+
+
 class PairingError(SchottkyFoldError):
-    """Base class for pair_up failures."""
+    """pair_up's refusal: ``failure`` names the rule that broke."""
 
-
-class NotClusteredInPairsError(PairingError):
-    """Some equivalence class of the even-cluster relation has size != 2."""
-
-
-class NotSeparatedError(PairingError):
-    """Pair axes come within twice the separation radius of each other."""
-
-    def __init__(self, margin):
-        super().__init__(f"separation margin {margin} is not > twice the radius")
-        self.margin = margin
+    def __init__(self, failure: PairingFailure, message: str):
+        super().__init__(message)
+        self.failure = failure
 
 
 class RepeatedPointsError(SchottkyFoldError, ValueError):
-    """A configuration that must hold distinct points repeats one."""
+    """A configuration, or a pair, that must hold distinct points repeats one."""

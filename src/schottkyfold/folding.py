@@ -45,7 +45,6 @@ Outcomes:
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import product
 from typing import NamedTuple, Optional, Union
 
@@ -55,15 +54,9 @@ from .clusters import (
     pair_up,
     repetition_report,
 )
-from .errors import (InvalidInputError, NotSeparatedError, PairingError,
-                     RepeatedPointsError)
+from .errors import InvalidInputError, PairingError, PairingFailure, RepeatedPointsError
 from .projline import Mobius, image, integer_map, order_p_matrix
 from .valfield import INF_STEPS, FieldContext, Val
-
-
-class PairingFailure(Enum):
-    NOT_CLUSTERED_IN_PAIRS = "not_clustered_in_pairs"
-    NOT_SEPARATED = "not_separated"
 
 
 class FoldWitness(NamedTuple):
@@ -363,10 +356,8 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
             if repeated % 2 == 0:
                 return Redundant(underlying, tuple(trace))
             return NotGood(PairingFailure.NOT_CLUSTERED_IN_PAIRS, tuple(trace))
-        except NotSeparatedError:
-            return NotGood(PairingFailure.NOT_SEPARATED, tuple(trace))
-        except PairingError:
-            return NotGood(PairingFailure.NOT_CLUSTERED_IN_PAIRS, tuple(trace))
+        except PairingError as exc:
+            return NotGood(exc.failure, tuple(trace))
         # A fold is only good if the set stays clustered in the inherited
         # pairs.  Clusterings are unique, so a different canonical pairing
         # means the inherited labels lost separation (their tubes touch):

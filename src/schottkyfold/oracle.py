@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Optional
 
 from .clusters import PairedConfiguration
-from .errors import DegeneratePairError
+from .errors import RepeatedPointsError
 from .projline import (
     ElementClass,
     MapKind,
@@ -144,7 +144,7 @@ def _lowered_pairs(pcfg: PairedConfiguration) -> tuple[list[list], int]:
     pairs = []
     for pair in pcfg.pairs:
         if pair[0] == pair[1]:
-            raise DegeneratePairError("order-p map needs two distinct fixed points")
+            raise RepeatedPointsError("order-p map needs two distinct fixed points")
         pairs.append([next(lowered) for pt in pair if not pt.is_infinity])
     return pairs, den
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .errors import DegeneratePairError
+from .errors import RepeatedPointsError
 from .valfield import FieldContext, FieldKind
 
 
@@ -232,7 +232,7 @@ def order_p_fixing(ctx: FieldContext, a: PPoint, b: PPoint, n: int) -> Mobius:
     as b.
     """
     if a == b:
-        raise DegeneratePairError("order-p map needs two distinct fixed points")
+        raise RepeatedPointsError("order-p map needs two distinct fixed points")
     if a.is_infinity:
         raise ValueError("infinity must be passed as the second fixed point")
     ints, den = ctx.lower([pt.value for pt in (a, b) if not pt.is_infinity])

@@ -25,12 +25,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = [
     "AuditResult", "Cluster", "Configuration",
-    "DegeneratePairError", "Disc", "ElementClass", "FieldContext",
+    "Disc", "ElementClass", "FieldContext",
     "FieldKind", "FoldWitness", "FoldingStep", "Good",
     "GroupWord", "INFINITY", "InvalidInputError", "MapKind",
-    "Mobius", "NotClusteredInPairsError", "NotGood",
-    "NotSeparatedError", "PPoint", "PairedConfiguration", "PairingError",
-    "PairingFailure", "Redundant", "SchottkyFoldError", "SkeletonTree",
+    "Mobius", "NotGood", "PPoint", "PairedConfiguration", "PairingError",
+    "PairingFailure", "Redundant", "RepeatedPointsError", "SchottkyFoldError", "SkeletonTree",
     "SkeletonVertex", "UnsupportedFieldError", "Val", "Verdict", "apply",
     "classify", "cluster_data", "compose", "configuration",
     "enumerate_gamma_words", "field_context", "finite", "format_fraction",
@@ -47,6 +46,24 @@ def test_all_is_the_written_list_of_objects():
     namespace: dict = {}
     exec("from schottkyfold import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(PUBLIC)
+
+
+def test_every_library_error_is_public():
+    # the errors errors.py defines are exactly the exception classes in
+    # __all__, so a caller can catch each one from the package
+    defined = {
+        name for name, value in vars(sf.errors).items()
+        if isinstance(value, type) and issubclass(value, sf.SchottkyFoldError)
+        and value.__module__ == sf.errors.__name__
+    }
+    public = {
+        name for name in sf.__all__
+        if isinstance(getattr(sf, name), type) and issubclass(getattr(sf, name), BaseException)
+    }
+    assert defined == public == {
+        "SchottkyFoldError", "UnsupportedFieldError", "InvalidInputError",
+        "PairingError", "RepeatedPointsError",
+    }
 
 
 def test_demos_benchmark_and_readme_use_only_public_names():

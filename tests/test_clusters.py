@@ -93,8 +93,9 @@ def test_pair_up_examples():
     pcfg = sf.pair_up(sf.configuration(ctx, SIX_POINT_5ADIC))
     assert pair_list(pcfg) == pairs_as_sets(ctx, [[7, 12], [0, 5], [1, "inf"]])
 
-    with pytest.raises(sf.NotClusteredInPairsError):
+    with pytest.raises(sf.PairingError, match="do not all have size 2") as info:
         sf.pair_up(sf.configuration(ctx, [-5, -10, 0, 5, 1, "inf"]))
+    assert info.value.failure is sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS
 
     derived = sf.pair_up(sf.configuration(ctx, [0, 125, 5, 1, 6, "inf"]))
     assert pairing(derived) == set(
@@ -121,11 +122,13 @@ def test_pair_up_rejects_repeated_points():
 def test_pair_up_separation_failure_in_residue_characteristic():
     # over the dyadics the separation radius is 1; a shallow pair fails
     ctx = ctx2()
-    with pytest.raises(sf.NotSeparatedError):
+    with pytest.raises(sf.PairingError, match="^separation margin 1 is not > twice the radius$") as info:
         sf.pair_up(sf.configuration(ctx, [0, 2, 1, "inf"]))
+    assert info.value.failure is sf.PairingFailure.NOT_SEPARATED
     # gap of 2 is still not > 2
-    with pytest.raises(sf.NotSeparatedError):
+    with pytest.raises(sf.PairingError, match="^separation margin 2 is not > twice the radius$") as info:
         sf.pair_up(sf.configuration(ctx, [0, 4, 1, "inf"]))
+    assert info.value.failure is sf.PairingFailure.NOT_SEPARATED
     # gap of 3 passes
     assert sf.pair_up(sf.configuration(ctx, [0, 8, 1, "inf"])).g == 1
 
@@ -184,8 +187,9 @@ def test_pair_up_without_infinity():
     nested = sf.pair_up(sf.configuration(ctx, [0, 25, 5, 30]))
     assert pairing(nested) == set(pairs_as_sets(ctx, [[0, 25], [5, 30]]))
     # four points in mutually distinct residues form a single class
-    with pytest.raises(sf.NotClusteredInPairsError):
+    with pytest.raises(sf.PairingError, match="do not all have size 2") as info:
         sf.pair_up(sf.configuration(ctx, [0, 1, 2, 3]))
+    assert info.value.failure is sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS
 
 
 def test_repetition_report():
@@ -521,12 +525,18 @@ def test_handed_over_skeleton_matches_a_fresh_one(inputs):
     assert reordered  # the two orders differed at least once
 
 
+def _refusal(exc):
+    """What a refusal of pair_up names: the broken rule of a PairingError,
+    else the error's type."""
+    return exc.failure if isinstance(exc, sf.PairingError) else type(exc)
+
+
 def _refusal_by_definition(cfg):
-    """The error pair_up must raise on ``cfg``, or None, from the
-    definitions alone: a repeated value or a second infinity first, then
-    even-cluster classes by membership (clusters as balls of field
-    valuations) that are not all of size two, then two pair axes at most 2
-    rho apart, by the cross valuations of their points."""
+    """The refusal pair_up must make on ``cfg`` (as :func:`_refusal` names
+    it), or None, from the definitions alone: a repeated value or a second
+    infinity first, then even-cluster classes by membership (clusters as
+    balls of field valuations) that are not all of size two, then two pair
+    axes at most 2 rho apart, by the cross valuations of their points."""
     ctx = cfg.ctx
     values = [pt.value for pt in cfg.points if not pt.is_infinity]
     if len(set(cfg.points)) < cfg.size:
@@ -539,11 +549,11 @@ def _refusal_by_definition(cfg):
     if cfg.has_infinity():
         classes.setdefault(frozenset(), []).append(sf.INFINITY)
     if any(len(members) != 2 for members in classes.values()):
-        return sf.NotClusteredInPairsError
+        return sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS
     pcfg = paired_by_hand(ctx, tuple(map(tuple, classes.values())))
     gaps = axis_gaps_by_valuation(pcfg)
     if gaps and min(gaps) <= 2 * ctx.rho_steps:
-        return sf.NotSeparatedError
+        return sf.PairingFailure.NOT_SEPARATED
     return None
 
 
@@ -604,7 +614,7 @@ def test_every_fold_pass_skeleton_matches_a_fresh_one_and_the_definitions(monkey
     for cfg, out in calls:
         expected = _refusal_by_definition(cfg)
         if isinstance(out, Exception):
-            assert type(out) is expected
+            assert _refusal(out) is expected
             outcomes[expected] += 1
             continue
         assert expected is None
@@ -629,9 +639,10 @@ def test_every_fold_pass_skeleton_matches_a_fresh_one_and_the_definitions(monkey
             try:
                 sf.pair_up(cfg)
             except (ValueError, sf.PairingError) as exc:
-                assert type(exc) is expected
+                assert _refusal(exc) is expected
             else:
                 assert expected is None
             outcomes[expected] += 1
-    kinds = (None, RepeatedPointsError, sf.NotClusteredInPairsError, sf.NotSeparatedError)
+    kinds = (None, RepeatedPointsError, sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS,
+             sf.PairingFailure.NOT_SEPARATED)
     assert all(outcomes[kind] >= 20 for kind in kinds)

@@ -490,7 +490,7 @@ def _fold_rule_inputs(monkeypatch):
     def recorded(pcfg):
         try:
             original(pcfg)
-        except sf.NotSeparatedError as exc:
+        except sf.PairingError as exc:
             seen.append((pcfg, exc))
             raise
         seen.append((pcfg, None))
@@ -507,7 +507,7 @@ def _fold_rule_inputs(monkeypatch):
         pairs = list(zip(finite[::2], finite[1::2])) + [(finite[-1], sf.INFINITY)]
         try:
             sf.clusters.check_separated(paired_by_hand(ctx, tuple(pairs)))
-        except sf.NotSeparatedError:
+        except sf.PairingError:
             pass
     # pairs (a, b), (y, z) with v(b - z) alone the largest of the four cross
     # valuations: v(a - b) < v(y - z) < v(b - z)
@@ -520,12 +520,12 @@ def _fold_rule_inputs(monkeypatch):
             pairs = ((b + unit() * ell**s, b), (z + unit() * ell ** (s + 1), z), (b - 1, "inf"))
             try:
                 sf.clusters.check_separated(_hand_paired(ctx, pairs))
-            except sf.NotSeparatedError:
+            except sf.PairingError:
                 pass
     for pairs in (NO_INFINITY_PAIRS, NEGATIVE_EVEN_PAIRS):
         try:
             sf.clusters.check_separated(_hand_paired(ctx5(), pairs))
-        except sf.NotSeparatedError:
+        except sf.PairingError:
             pass
     return seen
 
@@ -557,7 +557,10 @@ def test_fold_pass_rules_match_their_definitions(monkeypatch):
         else:
             cases["not separated"] += 1
             assert margin <= 2 * ctx.rho_steps
-            assert error.margin == Fraction(margin, ctx.ramification)
+            assert error.failure is sf.PairingFailure.NOT_SEPARATED
+            assert str(error) == (
+                f"separation margin {Fraction(margin, ctx.ramification)} is not > twice the radius"
+            )
         for i, pts_i in enumerate(sk.pair_points):
             walk = [c for c in chain_by_membership(sk, pts_i) if len(c.members) % 2]
             odd_i = sk.pair_odd[i]

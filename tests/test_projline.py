@@ -150,7 +150,7 @@ def test_order_p_fixing_orientation_is_uniform():
 
 def test_order_p_fixing_errors():
     ctx = ctx5()
-    with pytest.raises(sf.DegeneratePairError):
+    with pytest.raises(sf.RepeatedPointsError, match="two distinct fixed points"):
         sf.order_p_fixing(ctx, fin(ctx, 3), fin(ctx, 3), 1)
     with pytest.raises(ValueError):
         sf.order_p_fixing(ctx, sf.INFINITY, fin(ctx, 3), 1)
