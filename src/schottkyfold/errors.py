@@ -17,10 +17,12 @@ class InvalidInputError(SchottkyFoldError):
 
 
 class PairingFailure(Enum):
-    """The pairing rule a set breaks."""
+    """The pairing rule a set breaks: one of pair_up's two, or, after a
+    fold, two distinct inherited pairs that share a fixed point."""
 
     NOT_CLUSTERED_IN_PAIRS = "not_clustered_in_pairs"
     NOT_SEPARATED = "not_separated"
+    SHARED_FIXED_POINT = "shared_fixed_point"
 
 
 class PairingError(SchottkyFoldError):
@@ -29,6 +31,10 @@ class PairingError(SchottkyFoldError):
     def __init__(self, failure: PairingFailure, message: str):
         super().__init__(message)
         self.failure = failure
+
+    def __reduce__(self):
+        # rebuilt from both arguments, so a copy or a pickle keeps the failure
+        return type(self), (self.failure, str(self))
 
 
 class RepeatedPointsError(SchottkyFoldError, ValueError):

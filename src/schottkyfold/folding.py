@@ -36,11 +36,14 @@ Outcomes:
 * :class:`Good` -- no fold applies any more; the current configuration is
   optimal and is returned together with the full trace.
 * :class:`NotGood` -- the input (or a folded successor) is not clustered in
-  separated pairs.  ``failure`` names the rule that broke, and ``trace``
-  holds the folds made before: empty when the input itself fails, and
-  otherwise its last fold is the one that produced the failing set.
+  separated pairs, or a fold made two distinct inherited pairs share a
+  point, a fixed point of both pairs' maps.  ``failure`` names the rule
+  that broke, and ``trace`` holds the folds made before: empty when the
+  input itself fails, and otherwise its last fold is the one that
+  produced the failing set.
 * :class:`Redundant` -- a configuration acquired an even number of repeated
-  values; the underlying set generates the same groups.
+  values, after a fold only from inherited pairs equal as sets; the
+  underlying set generates the same groups.
 """
 
 from __future__ import annotations
@@ -337,13 +340,14 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
     """Run the folding loop to a verdict, recording every fold.
 
     Each pass re-pairs from scratch.  ``pair_up`` finds repeated points,
-    infinity among them, while it builds its step matrix; only then are
-    they counted (an even number of repeated values stops with Redundant,
-    an odd number means the pairing is broken).  After a fold the pairs
-    must sit at the positions handed down, compared by position, and the
-    sum of the ``pair_gaps`` must drop, or RuntimeError.  Then i = 0..g-1
-    is scanned for a fold; a performed fold restarts the pass.  When no
-    fold exists the configuration is optimal.
+    infinity among them, while it builds its step matrix.  After a fold,
+    two distinct inherited pairs that share a point give NotGood
+    (SHARED_FIXED_POINT).  Otherwise the repeated values are counted: an
+    even number stops with Redundant, an odd number means the pairing is
+    broken.  After a fold the pairs must sit at the positions handed down,
+    compared by position, and the sum of the ``pair_gaps`` must drop, or
+    RuntimeError.  Then i = 0..g-1 is scanned for a fold; a performed fold
+    restarts the pass.  When no fold exists the configuration is optimal.
     """
     validate_input(cfg)
     trace: list[FoldingStep] = []
@@ -352,6 +356,11 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
         try:
             pcfg = pair_up(current)
         except RepeatedPointsError:
+            # apply_folding lists inherited pair k at positions (2k, 2k + 1);
+            # the distinct pairs meet when their sizes sum past their union's
+            pairs = {frozenset(current.points[k : k + 2]) for k in range(0, current.size, 2)}
+            if trace and sum(map(len, pairs)) > len(frozenset().union(*pairs)):
+                return NotGood(PairingFailure.SHARED_FIXED_POINT, tuple(trace))
             repeated, underlying = repetition_report(current)
             if repeated % 2 == 0:
                 return Redundant(underlying, tuple(trace))

@@ -271,3 +271,13 @@ def test_a_verdict_survives_pickling(p, ell, points):
     assert loaded == verdict and type(loaded) is type(verdict)
     stage = loaded.s_min if isinstance(loaded, sf.Good) else loaded.trace[-1].before
     assert stage.ctx is ctx and stage.skeleton.depths[-1] is INF_STEPS
+
+
+def test_a_pairing_error_survives_pickling():
+    # a refusal sent between processes keeps its failure and its message
+    ctx = sf.field_context(2, 2)
+    with pytest.raises(sf.PairingError) as info:
+        sf.pair_up(sf.configuration(ctx, [0, 4, 1, "inf"]))
+    loaded = pickle.loads(pickle.dumps(info.value))
+    assert type(loaded) is sf.PairingError and loaded.failure is sf.PairingFailure.NOT_SEPARATED
+    assert str(loaded) == str(info.value) == "separation margin 2 is not > twice the radius"

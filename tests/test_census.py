@@ -25,7 +25,7 @@ BOXES = {
     (3, 3, 9): (27, 653, 0),
     (5, 11, 7): (0, 286, 0),
 }
-DIGEST = "39b08aeac10287195d9558e99d55a07b8141e481275871c7c3161219054662bc"
+DIGEST = "1b4c305fbb2b9f46d9ccbc97e8b7c4111793999cbce153fd3ea93d5a36940b55"
 
 
 def census_line(points, verdict) -> str:
@@ -40,14 +40,18 @@ def census_line(points, verdict) -> str:
     return f"{points}|{kind}|{len(verdict.trace)}|{shown}|{failure}\n"
 
 
+def census_sets(p, ell, n):
+    """The box's sets {0, 1, inf, x, y, z}, as point lists in that order."""
+    span = [x for x in range(-n, n + 1) if x not in (0, 1)]
+    return [[0, 1, "inf", x, y, z] for x, y, z in combinations(span, 3)]
+
+
 def test_census_of_six_boxes_keeps_every_verdict():
     digest = hashlib.sha256()
     for (p, ell, n), want in BOXES.items():
         ctx = sf.field_context(p, ell)
         tally = {sf.Good: 0, sf.NotGood: 0, sf.Redundant: 0}
-        span = [x for x in range(-n, n + 1) if x not in (0, 1)]
-        for x, y, z in combinations(span, 3):
-            points = [0, 1, "inf", x, y, z]
+        for points in census_sets(p, ell, n):
             verdict = sf.run_algorithm(ctx, sf.configuration(ctx, points))
             tally[type(verdict)] += 1
             digest.update(f"{p},{ell}|{census_line(points, verdict)}".encode())
@@ -56,3 +60,25 @@ def test_census_of_six_boxes_keeps_every_verdict():
         assert got == want, (p, ell, n)
     print(f"census digest: {digest.hexdigest()}")
     assert digest.hexdigest() == DIGEST
+
+
+def test_census_verdicts_survive_a_change_of_coordinates():
+    # z -> 1/(z - c) carries a finite point c of the set to infinity and
+    # infinity to 0; it conjugates the group, so the verdict's kind, its
+    # failure and its fold count stay.  c runs through 0, 1, x, y, z in turn.
+    def summary(verdict):
+        return type(verdict), getattr(verdict, "failure", None), len(verdict.trace)
+
+    moved = 0
+    for p, ell, n in BOXES:
+        ctx = sf.field_context(p, ell)
+        for k, points in enumerate(census_sets(p, ell, n)):
+            cfg = sf.configuration(ctx, points)
+            c = [0, 1, *points[3:]][k % 5]
+            m = sf.mobius(ctx, 0, 1, 1, -c)
+            image = sf.Configuration(ctx, tuple(sf.apply(m, pt) for pt in cfg.points))
+            assert summary(sf.run_algorithm(ctx, image)) == summary(sf.run_algorithm(ctx, cfg)), (
+                p, ell, points, c,
+            )
+            moved += 1
+    assert moved == sum(sum(counts) for counts in BOXES.values())

@@ -115,6 +115,21 @@ def test_run_redundant_exit_code():
     assert sorted(report["verdict"]["reduced"]) == ["0", "1", "5", "inf"]
 
 
+def test_run_a_shared_fixed_point_after_a_fold_exits_not_good():
+    # one fold makes two distinct inherited pairs share a point, in the
+    # given order and sorted: the same not_good report line in both
+    points = [2, 258, 5, 69, -1, 127, 4, 132, 1, 257, 0, 128, 6, 134, 3]
+    for order in (points, sorted(points)):
+        doc = json.dumps({"p": 2, "ell": 2, "points": [str(x) for x in order] + ["inf"]})
+        report, code = cli.run(cli.parse_problem(doc))
+        assert code == cli.EXIT_NOT_GOOD == 1
+        assert report["fold_count"] == 1
+        assert report["verdict"] == {
+            "kind": "not_good", "stage": "after_fold", "failure": "shared_fixed_point",
+            "failing_fold": 0,
+        }
+
+
 def test_run_requires_infinity_unless_normalized():
     doc = json.dumps({"p": 2, "ell": 5, "points": ["2", "27", "3", "4"]})
     report, code = cli.run(cli.parse_problem(doc))

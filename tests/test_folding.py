@@ -1031,35 +1031,35 @@ def test_odd_repetitions_are_not_paired(points):
     assert verdict.failure is sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS
 
 
-ORDER_DEPENDENT_REPEAT = [2, 258, 5, 69, -1, 127, 4, 132, 1, 257, 0, 128, 6, 134, 3, "inf"]
+SHARED_POINT_AFTER_A_FOLD = [2, 258, 5, 69, -1, 127, 4, 132, 1, 257, 0, 128, 6, 134, 3, "inf"]
 
 
 def test_repetition_after_a_fold_is_redundant():
-    # the folded points repeat two values: pair_up reports it on the next
-    # pass, and the reduced set keeps the first occurrences in order.  The
-    # verdict depends on the input order (ROADMAP, open item 2).
-    ctx = ctx2()
-    verdict = sf.run_algorithm(ctx, sf.configuration(ctx, ORDER_DEPENDENT_REPEAT))
+    # the fold maps pair (13, 4) onto pair (12, 3): the folded points repeat
+    # two values, in two inherited pairs equal as sets, so pair_up reports
+    # it on the next pass and the reduced set keeps the first occurrences
+    # in order (the points of tests/expected/cli/p2_l3_redundant_after_fold)
+    ctx = sf.field_context(2, 3)
+    points = [13, "inf", 12, 3, 4, 2, 8, 56]
+    verdict = sf.run_algorithm(ctx, sf.configuration(ctx, points))
     assert isinstance(verdict, sf.Redundant) and len(verdict.trace) == 1
-    reduced = [4, -252, 1, 257, -1, 127, 132, 0, 128, -128, 5, 69, 3, "inf"]
-    assert verdict.reduced == sf.configuration(ctx, reduced)
+    assert verdict.trace[0].after == sf.configuration(ctx, [2, 56, 3, 12, 12, 3, 8, "inf"])
+    assert verdict.reduced == sf.configuration(ctx, [2, 56, 3, 12, 8, "inf"])
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a repeat after a fold is judged by the parity of repeated values, not by the "
-    "pairs that share it, so the verdict depends on the point order (ROADMAP, open item 2)",
-)
 def test_a_repeat_after_a_fold_gives_one_verdict_kind_in_any_order():
-    # in the given order one fold gives Redundant, sorted one fold gives
-    # NotGood; after the fold the repeated value lies in two inherited pairs
-    # that share one point, whose commutator is parabolic
+    # after one fold, in either order, the repeated value lies in two
+    # inherited pairs that share one point: a fixed point of both pairs'
+    # maps, whose commutator is parabolic, so the set is not good
     ctx = ctx2()
-    verdicts = [
-        sf.run_algorithm(ctx, sf.configuration(ctx, points))
-        for points in (ORDER_DEPENDENT_REPEAT, sorted(ORDER_DEPENDENT_REPEAT[:-1]) + ["inf"])
-    ]
-    assert type(verdicts[0]) is type(verdicts[1])
+    for points in (SHARED_POINT_AFTER_A_FOLD, sorted(SHARED_POINT_AFTER_A_FOLD[:-1]) + ["inf"]):
+        verdict = sf.run_algorithm(ctx, sf.configuration(ctx, points))
+        assert isinstance(verdict, sf.NotGood) and len(verdict.trace) == 1
+        assert verdict.failure is sf.PairingFailure.SHARED_FIXED_POINT
+        after = verdict.trace[0].after.points
+        pairs = {frozenset(after[k : k + 2]) for k in range(0, len(after), 2)}
+        assert len(pairs) == len(after) // 2
+        assert any(len(a & b) == 1 for a, b in itertools.combinations(pairs, 2))
 
 
 def test_pair_up_rejects_repeats_before_any_pairing_rule():
