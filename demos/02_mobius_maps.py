@@ -5,19 +5,22 @@ Moebius maps and their classification
 Fractional linear maps act on the projective line; their dynamical type
 is read off the Newton polygon of the characteristic polynomial.  The
 order-p maps fixing a prescribed pair of points are the generators the
-whole theory is built from.
+whole theory is built from: ``word_matrix(pcfg, GroupWord(((k, n),)))``
+is the n-th power of the one fixing pair k of a paired configuration.
 """
 
 from schottkyfold import (
     INFINITY,
+    GroupWord,
+    PairedConfiguration,
     apply,
     classify,
     compose,
     field_context,
     finite,
     mobius,
-    order_p_fixing,
     proj_eq,
+    word_matrix,
 )
 
 ctx = field_context(2, 5)
@@ -29,14 +32,21 @@ print("diag(5, 1):", classify(ctx, mobius(ctx, 5, 0, 0, 1)))
 # z -> z + 1 has a single eigenvalue: parabolic.
 print("unipotent:", classify(ctx, mobius(ctx, 1, 1, 0, 1)))
 
+# Three pairs, paired by hand: {7, 12}, {0, 5} and {1, infinity}.
+pcfg = PairedConfiguration(ctx, (
+    (finite(ctx, 7), finite(ctx, 12)),
+    (finite(ctx, 0), finite(ctx, 5)),
+    (finite(ctx, 1), INFINITY),
+))
+
 # The involution fixing 7 and 12.
-s0 = order_p_fixing(ctx, finite(ctx, 7), finite(ctx, 12), 1)
+s0 = word_matrix(pcfg, GroupWord(((0, 1),)))
 print("involution fixing {7, 12}:", s0, "->", classify(ctx, s0))
 print("  fixes 7:", apply(s0, finite(ctx, 7)) == finite(ctx, 7))
 
 # Involutions fixing {0, 5} and {1, infinity}.
-s1 = order_p_fixing(ctx, finite(ctx, 0), finite(ctx, 5), 1)
-s2 = order_p_fixing(ctx, finite(ctx, 1), INFINITY, 1)
+s1 = word_matrix(pcfg, GroupWord(((1, 1),)))
+s2 = word_matrix(pcfg, GroupWord(((2, 1),)))
 print("involution fixing {0, 5}:", s1)
 print("involution fixing {1, inf}:", s2, "(z -> 2 - z)")
 
@@ -47,6 +57,6 @@ print("s0^2 is the identity:", proj_eq(compose(s0, s0), mobius(ctx, 1, 0, 0, 1))
 # characteristic polynomial proportional to T^2 - 350 T + 625, whose two
 # roots share the valuation 2, so the map is elliptic.  Its existence
 # shows the configuration {7, 12, 0, 5, 1, inf} cannot be good.
-w = compose(compose(compose(s1, s2), s0), s2)
+w = word_matrix(pcfg, GroupWord(((1, 1), (2, 1), (0, 1), (2, 1))))
 print("s1*s2*s0*s2 =", w)
 print("  trace:", w.trace(), " det:", w.det(), "->", classify(ctx, w))

@@ -24,7 +24,7 @@ from .hull import Disc, SkeletonTree, SkeletonVertex, reduced_convex_hull, to_do
 from .oracle import (AuditResult, GroupWord, enumerate_gamma_words, schottky_audit,
                      word_matrix)
 from .projline import (INFINITY, ElementClass, MapKind, Mobius, PPoint, apply,
-                       classify, compose, finite, mobius, order_p_fixing, proj_eq)
+                       classify, compose, finite, mobius, proj_eq)
 from .valfield import FieldContext, FieldKind, Val, field_context, format_fraction
 
 __version__ = "0.1.0"
@@ -46,7 +46,7 @@ __all__ = [
     "word_matrix",
     # the projective line and Moebius maps
     "INFINITY", "ElementClass", "MapKind", "Mobius", "PPoint", "apply",
-    "classify", "compose", "finite", "mobius", "order_p_fixing", "proj_eq",
+    "classify", "compose", "finite", "mobius", "proj_eq",
     # valued fields
     "FieldContext", "FieldKind", "Val", "field_context", "format_fraction",
 ]

@@ -39,7 +39,7 @@ from . import folding, oracle
 from .clusters import Configuration, PairedConfiguration
 from .errors import SchottkyFoldError, UnsupportedFieldError
 from .hull import reduced_convex_hull, to_dot
-from .projline import INFINITY, Mobius, apply, finite, mobius, point_str
+from .projline import INFINITY, Mobius, finite, point_str
 from .valfield import Val, decimal_to_int, field_context, format_fraction
 
 if TYPE_CHECKING:
@@ -240,11 +240,10 @@ def run(spec: ProblemSpec) -> tuple[dict, int]:
                 "to change coordinates first"
             )
             return report, EXIT_INVALID
-        # z -> 1/(z - c) carries the first point c to infinity; the matrix
-        # is reported as written, not in the canonical scale
-        normalization = mobius(ctx, 0, 1, 1, -spec.points[0])
-        points = [apply(normalization, pt) for pt in points]
-        report["normalization"] = {"matrix": ["0", "1", "1", format_fraction(-spec.points[0])]}
+        # z -> 1/(z - c), the reported map, carries the first point c to infinity
+        c = spec.points[0]
+        points = [INFINITY if x == c else finite(ctx, 1 / (x - c)) for x in spec.points]
+        report["normalization"] = {"matrix": ["0", "1", "1", format_fraction(-c)]}
     cfg = Configuration(ctx, tuple(points))
     verdict = folding.run_algorithm(ctx, cfg)
 

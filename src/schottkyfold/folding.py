@@ -296,9 +296,9 @@ def find_fold_exponent(
 
 
 def fold_map(pcfg: PairedConfiguration, j: int, n: int) -> Mobius:
-    """:func:`~.projline.order_p_fixing` on ``pcfg.pairs[j]``, built from
-    the skeleton's numerators of pair j over its denominator L, so nothing
-    is lowered again."""
+    """The n-th power of generator j, as :func:`~.oracle.word_matrix` gives
+    it, built from the skeleton's numerators of pair j over its
+    denominator L, so nothing is lowered again."""
     sk = pcfg.skeleton
     ints = [sk.ints[x] for x in sk.pair_points[j]]
     return integer_map(pcfg.ctx, *order_p_matrix(pcfg.ctx, ints, sk.den, n))
@@ -326,10 +326,12 @@ def apply_folding(
     return Configuration(ctx, tuple(points))
 
 
-def validate_input(cfg: Configuration) -> None:
-    """InvalidInputError unless the size is even and >= 4 and infinity is
-    among the points; a repeated infinity, like any repeated value, is
-    left to the repeat count of ``run_algorithm``."""
+def validate_input(ctx: FieldContext, cfg: Configuration) -> None:
+    """InvalidInputError unless ``cfg`` lies in ``ctx``, its size is even
+    and >= 4 and infinity is among its points; a repeated infinity, like
+    any repeated value, is left to the repeat count of ``run_algorithm``."""
+    if cfg.ctx != ctx:
+        raise InvalidInputError(f"the configuration's field is {cfg.ctx!r}, not {ctx!r}")
     if cfg.size < 4 or cfg.size % 2 != 0:
         raise InvalidInputError("configuration must have even size >= 4")
     if not cfg.has_infinity():
@@ -349,7 +351,7 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
     RuntimeError.  Then i = 0..g-1 is scanned for a fold; a performed fold
     restarts the pass.  When no fold exists the configuration is optimal.
     """
-    validate_input(cfg)
+    validate_input(ctx, cfg)
     trace: list[FoldingStep] = []
     current, measure = cfg, None
     while True:

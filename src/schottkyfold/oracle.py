@@ -41,6 +41,7 @@ verdicts word by word and serve as its reference.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterator, NamedTuple, Optional
 
 from .clusters import PairedConfiguration
@@ -136,34 +137,29 @@ def _det(ring, m: tuple):
 def _lowered_pairs(pcfg: PairedConfiguration) -> tuple[list[list], int]:
     """Each pair's finite points as integral numerators over one common
     denominator L, and L: every finite point of the configuration is
-    lowered by one call, and an infinite point is dropped.  The n-th power
-    of generator idx is then :func:`~.projline.order_p_matrix` on pair idx
-    over L."""
+    lowered by one call, and an infinite point is dropped."""
+    if any(a == b for a, b in pcfg.pairs):
+        raise RepeatedPointsError("order-p map needs two distinct fixed points")
     ints, den = pcfg.ctx.lower([pt.value for pt in pcfg.points() if not pt.is_infinity])
     lowered = iter(ints)
-    pairs = []
-    for pair in pcfg.pairs:
-        if pair[0] == pair[1]:
-            raise RepeatedPointsError("order-p map needs two distinct fixed points")
-        pairs.append([next(lowered) for pt in pair if not pt.is_infinity])
-    return pairs, den
+    return [[next(lowered) for pt in pair if not pt.is_infinity] for pair in pcfg.pairs], den
 
 
 def word_matrix(pcfg: PairedConfiguration, word: GroupWord) -> Mobius:
-    """The word's map: each generator power it names, built once from
-    :func:`_lowered_pairs`, composed."""
+    """The word's map, its generator powers built once from
+    :func:`_lowered_pairs` and composed.  A syllable (k, n) is the n-th
+    power of the order-p map fixing pair k, whose multiplier at the pair's
+    finite first point is zeta_p^n (a pair (infinity, x) is read as (x,
+    infinity)): the orientation the folding test certifies."""
+    if not word.syllables:
+        raise ValueError("empty word")
     ctx = pcfg.ctx
     pairs, den = _lowered_pairs(pcfg)
     factors = {
         (idx, exp): integer_map(ctx, *order_p_matrix(ctx, pairs[idx], den, exp))
         for idx, exp in set(word.syllables)
     }
-    m = None
-    for syllable in word.syllables:
-        m = factors[syllable] if m is None else compose(m, factors[syllable])
-    if m is None:
-        raise ValueError("empty word")
-    return m
+    return reduce(compose, [factors[syllable] for syllable in word.syllables])
 
 
 class AuditResult(NamedTuple):

@@ -21,7 +21,6 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .errors import RepeatedPointsError
 from .valfield import FieldContext, FieldKind
 
 
@@ -100,6 +99,7 @@ class Mobius(NamedTuple):
         return "Mobius[[{}, {}], [{}, {}]]".format(*map(self.ctx.to_str, self.entries()))
 
 
+# kept for demo 02; the library builds its maps with integer_map
 def mobius(ctx: FieldContext, a, b, c, d) -> Mobius:
     """Build a Moebius map, in canonical scale: the entries, lowered over
     one common denominator, go through :func:`integer_map`."""
@@ -132,6 +132,7 @@ def image(ctx: FieldContext, m: tuple, num, den: int) -> PPoint:
     return INFINITY if value is None else PPoint(value)
 
 
+# kept for demo 02 and the benchmark's tracer; the library maps points by image
 def apply(m: Mobius, pt: PPoint) -> PPoint:
     """The fractional-linear action; total on P^1 (poles map to infinity),
     by :func:`image` on the map's entries and the lowered point."""
@@ -219,21 +220,3 @@ def order_p_matrix(ctx: FieldContext, ints: list, den: int, n: int) -> tuple:
         times(sub(rotate(a, n), b), den),
     ), den * den
 
-
-# kept for demo 02; the fold and the audit build on order_p_matrix
-def order_p_fixing(ctx: FieldContext, a: PPoint, b: PPoint, n: int) -> Mobius:
-    """The n-th power of an order-p map fixing a and b: the points lowered
-    over one common denominator, :func:`order_p_matrix` in canonical scale.
-
-    The orientation is normalised so the multiplier (the derivative) at a
-    is zeta_p^n; in the coordinate sending (a, b) to (0, infinity) the map
-    is multiplication by zeta_p^n, which is the orientation the folding
-    test certifies.  If a point of the pair is infinite it must be passed
-    as b.
-    """
-    if a == b:
-        raise RepeatedPointsError("order-p map needs two distinct fixed points")
-    if a.is_infinity:
-        raise ValueError("infinity must be passed as the second fixed point")
-    ints, den = ctx.lower([pt.value for pt in (a, b) if not pt.is_infinity])
-    return integer_map(ctx, *order_p_matrix(ctx, ints, den, n))

@@ -11,8 +11,8 @@ from fractions import Fraction
 import schottkyfold as sf
 from schottkyfold.folding import targets
 
-from reference import (above, delta, field_add, field_mul, field_sub, skeleton_disc,
-                       transported_vertex_disc, verify_fold_conjugation)
+from reference import (above, delta, field_add, field_mul, field_sub, order_p_fixing,
+                       skeleton_disc, transported_vertex_disc, verify_fold_conjugation)
 
 # Showcase configurations used across the suite (5-adic and 7-adic, p = 2).
 SIX_POINT_5ADIC = [7, 12, 0, 5, 1, "inf"]
@@ -296,7 +296,7 @@ def nielsen_move(pcfg, i, j, n=1):
     """The points with pair i replaced by its image under the n-th power of
     the order-p map fixing pair j, listed pair by pair: the generators
     change, the group does not, and folding undoes the move around j."""
-    m = sf.order_p_fixing(pcfg.ctx, *pcfg.pairs[j], n)
+    m = order_p_fixing(pcfg.ctx, *pcfg.pairs[j], n)
     points = [
         sf.apply(m, pt) if k == i else pt
         for k, pair in enumerate(pcfg.pairs)

@@ -58,8 +58,9 @@ from math import gcd, lcm
 from schottkyfold.clusters import PairedConfiguration, cluster_data
 from schottkyfold.folding import FoldWitness
 from schottkyfold.hull import Disc
+from schottkyfold.oracle import GroupWord, word_matrix
 from schottkyfold.projline import (INFINITY, ElementClass, MapKind, Mobius, PPoint, apply,
-                                   compose, order_p_fixing, proj_eq)
+                                   compose, proj_eq)
 from schottkyfold.valfield import INF_STEPS, FieldKind, Val, int_valuation
 
 
@@ -502,6 +503,12 @@ def inverse(m: Mobius) -> Mobius:
     a, b, c, d = (element(ctx, x) for x in m.entries())
     zero = field_zero(ctx)
     return mobius_by_fractions(ctx, d, field_sub(ctx, zero, b), field_sub(ctx, zero, c), a)
+
+
+def order_p_fixing(ctx, a, b, n: int) -> Mobius:
+    """The n-th power of the order-p map fixing a and b, by the program's
+    route: ``word_matrix`` of one syllable on a record of the one pair."""
+    return word_matrix(PairedConfiguration(ctx, ((a, b),)), GroupWord(((0, n),)))
 
 
 def order_p_fixing_by_fractions(ctx, a, b, n: int) -> Mobius:

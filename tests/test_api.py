@@ -33,7 +33,7 @@ PUBLIC = [
     "SkeletonVertex", "UnsupportedFieldError", "Val", "Verdict", "apply",
     "classify", "cluster_data", "compose", "configuration",
     "enumerate_gamma_words", "field_context", "finite", "format_fraction",
-    "mobius", "order_p_fixing", "pair_up", "proj_eq",
+    "mobius", "pair_up", "proj_eq",
     "reduced_convex_hull", "repetition_report", "run_algorithm",
     "schottky_audit", "to_dot", "word_matrix",
 ]

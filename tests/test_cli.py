@@ -18,8 +18,9 @@ import pytest
 
 import schottkyfold as sf
 from schottkyfold import cli
-from helpers import EIGHT_POINT_7ADIC_MIN, TEST_FIELDS, ctx7, module_env, values_multiset
-from reference import element, field_valuation, identity
+from helpers import (EIGHT_POINT_7ADIC_MIN, TEST_FIELDS, ctx7, module_env, random_paired_points,
+                     values_multiset)
+from reference import element, field_valuation, identity, order_p_fixing
 
 PINNED_DIR = Path(__file__).parent / "expected" / "cli"
 
@@ -176,6 +177,46 @@ def test_normalize_infinity_counts_a_doubled_first_point_as_a_repeat(tmp_path, c
     assert json.loads(captured.out)["verdict"] == not_paired and captured.err == ""
 
 
+def test_normalisation_in_the_cyclotomic_flavours():
+    # the CLI moves the first point c to infinity on the parsed Fractions;
+    # its report agrees with run_algorithm on the points that the Moebius
+    # map z -> 1/(z - c) gives, in split and ramified Q(zeta_p), a repeated
+    # first point included
+    rng = random.Random(39)
+    kinds = set()
+    for p, ell in ((3, 7), (3, 3), (5, 11), (5, 5)):
+        ctx = sf.field_context(p, ell)
+        documents = []
+        for g in (1, 2, 3):
+            # a paired set moved off infinity by z -> 1/(z - d)
+            points, _ = random_paired_points(rng, ctx, g)
+            d = next(x for x in itertools.count(1) if x not in points)
+            documents.append([Fraction(0) if x == "inf" else 1 / Fraction(x - d) for x in points])
+        documents.append([Fraction(rng.randint(-ell**3, ell**3)) for _ in range(6)])
+        # the first point once more, in place of the last or with the second
+        documents += [documents[1][:1] + documents[1][:-1], documents[2] + documents[2][:2]]
+        for values in documents:
+            doc = {"p": p, "ell": ell, "points": [sf.format_fraction(x) for x in values],
+                   "options": {"normalize_infinity": True}}
+            report, _ = cli.run(cli.parse_problem(json.dumps(doc)))
+            moved = sf.mobius(ctx, 0, 1, 1, -values[0])
+            cfg = sf.Configuration(ctx, tuple(sf.apply(moved, sf.finite(ctx, x)) for x in values))
+            verdict = sf.run_algorithm(ctx, cfg)
+            kind = report["verdict"]["kind"]
+            assert report["fold_count"] == len(verdict.trace), doc
+            if isinstance(verdict, sf.Good):
+                assert kind == "good", doc
+                assert report["verdict"]["s_min"] == [
+                    sf.projline.point_str(ctx, pt) for pt in verdict.s_min.configuration().points
+                ], doc
+            elif isinstance(verdict, sf.NotGood):
+                assert (kind, report["verdict"]["failure"]) == ("not_good", verdict.failure.value), doc
+            else:
+                assert kind == "redundant", doc
+            kinds.add(kind)
+    assert kinds == {"good", "not_good", "redundant"}
+
+
 def test_report_round_trips_and_is_deterministic():
     spec = cli.parse_problem(problem_7adic(trace=True, verify_depth=4))
     report1, _ = cli.run(spec)
@@ -245,7 +286,7 @@ def test_witness_valuations_read_the_ring_entries_like_the_field_route():
         for _ in range(3):
             a, b = (Fraction(rng.randint(-60, 60), rng.choice([1, 2, ell, ell**2])) for _ in range(2))
             if a != b:
-                gens += [sf.order_p_fixing(ctx, sf.finite(ctx, a), sf.finite(ctx, b), n) for n in range(1, p)]
+                gens += [order_p_fixing(ctx, sf.finite(ctx, a), sf.finite(ctx, b), n) for n in range(1, p)]
         for m in gens + [sf.compose(g, h) for g, h in itertools.product(gens, gens)]:
             for x in (m.trace(), m.det()):
                 text = cli._fmt_ring_val(ctx, x)

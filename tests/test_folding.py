@@ -62,6 +62,7 @@ from reference import (
     field_add,
     fold_exponent,
     minimal_odd,
+    order_p_fixing,
     order_p_fixing_by_fractions,
     paired_by_hand,
     point_to_axis,
@@ -160,7 +161,7 @@ def test_apply_folding_examples():
 def test_fold_map_and_apply_folding_match_the_fraction_route():
     # fold_map builds the map from the skeleton's numerators, and
     # apply_folding maps each moved point through one quotient; they must
-    # give order_p_fixing on the pair and the Fraction action on the points,
+    # give the pair's generator power and the Fraction action on the points,
     # a pole going to infinity
     poles = 0
     for ctx, cfg in lowering_sets(47, genera=(2, 3)):
@@ -168,7 +169,7 @@ def test_fold_map_and_apply_folding_match_the_fraction_route():
         for j, n in itertools.product(range(pcfg.g + 1), range(1, ctx.p)):
             m = fold_map(pcfg, j, n)
             ref = order_p_fixing_by_fractions(ctx, *pcfg.pairs[j], n)
-            assert m == sf.order_p_fixing(ctx, *pcfg.pairs[j], n) == ref
+            assert m == order_p_fixing(ctx, *pcfg.pairs[j], n) == ref
             assert repr(m) == repr(ref)
             # every pair but j moves, the pair at infinity included
             others = frozenset(range(pcfg.g + 1)) - {j}
@@ -237,6 +238,17 @@ def test_run_requires_infinity_and_even_size():
         sf.run_algorithm(ctx, sf.configuration(ctx, [0, 5, "inf"]))
     with pytest.raises(sf.InvalidInputError):
         sf.run_algorithm(ctx, sf.configuration(ctx, [0, 5, 1, 3, 9, 2]))
+
+
+def test_run_refuses_a_context_other_than_the_configurations():
+    # the run reads the field off the configuration, so a context that is
+    # not the configuration's own is refused, not ignored; an equal one,
+    # even built anew, is the configuration's own
+    cfg = sf.configuration(ctx5(), SIX_POINT_5ADIC)
+    for ctx in (ctx7(), ctx2(), sf.field_context(3, 7)):
+        with pytest.raises(sf.InvalidInputError, match=r"field is FieldContext\(p=2, ell=5"):
+            sf.run_algorithm(ctx, cfg)
+    assert isinstance(sf.run_algorithm(sf.FieldContext(2, 5), cfg), sf.NotGood)
 
 
 def test_run_redundant_on_even_repetitions():
@@ -677,7 +689,7 @@ def _nielsen_chain(k):
     good."""
     ctx = sf.field_context(2, 3)
     fin = lambda x: sf.finite(ctx, x)
-    t = [sf.order_p_fixing(ctx, fin(a), fin(b), 1) for a, b in ((0, 81), (1, 82))]
+    t = [order_p_fixing(ctx, fin(a), fin(b), 1) for a, b in ((0, 81), (1, 82))]
     pair = [fin(2), fin(83)]
     for s in range(k):
         pair = [sf.apply(t[s % 2], x) for x in pair]

@@ -20,7 +20,8 @@ from helpers import (
     ctx7,
     sample_paired,
 )
-from reference import (axis_geometry, field_add, field_mul, paired_by_hand,
+from reference import (axis_geometry, field_add, field_mul, order_p_fixing,
+                       order_p_fixing_by_fractions, paired_by_hand,
                        translation_length_by_axes, verify_fold_conjugation)
 
 
@@ -106,7 +107,7 @@ def test_verify_fold_conjugation_vacuous_on_empty_fold_set():
         j=3,
         n=1,
         indices=frozenset(),
-        map=sf.order_p_fixing(ctx, pcfg.pairs[3][0], pcfg.pairs[3][1], 1),
+        map=order_p_fixing(ctx, pcfg.pairs[3][0], pcfg.pairs[3][1], 1),
         before=pcfg,
         after=pcfg.configuration(),
         witness=None,
@@ -457,8 +458,9 @@ def _hand_built(ctx):
 
 def test_word_matrix_of_one_syllable_is_the_order_p_map_of_its_pair():
     # the audit's generator table, built from one lowering of all the
-    # points, gives each generator power as order_p_fixing builds it from
-    # its own pair (infinity passed second)
+    # points, gives each generator power as a record of its pair alone
+    # does, and as the Fraction route does; a pair written (inf, x) is
+    # read as (x, inf)
     for p, ell in TEST_FIELDS:
         pcfg = _hand_built(sf.field_context(p, ell))
         for idx, (a, b) in enumerate(pcfg.pairs):
@@ -466,7 +468,8 @@ def test_word_matrix_of_one_syllable_is_the_order_p_map_of_its_pair():
                 a, b = b, a
             for n in range(1, p):
                 word = sf.GroupWord(((idx, n),))
-                assert sf.word_matrix(pcfg, word) == sf.order_p_fixing(pcfg.ctx, a, b, n)
+                ref = order_p_fixing_by_fractions(pcfg.ctx, a, b, n)
+                assert sf.word_matrix(pcfg, word) == order_p_fixing(pcfg.ctx, a, b, n) == ref
 
 
 def test_audit_and_word_matrix_lower_the_points_once(monkeypatch):
@@ -519,14 +522,14 @@ def test_two_pair_law():
                 values = (a, b, c, d)
             points = [sf.finite(ctx, x) for x in values]
             if rng.random() < 0.3:
-                # order_p_fixing takes infinity second
+                # a pair holds infinity second
                 points[rng.choice((1, 3))] = sf.INFINITY
             pair_0, pair_1 = (points[0], points[1]), (points[2], points[3])
             pcfg = paired_by_hand(ctx, (pair_0, pair_1))
             gap = Fraction(pcfg.skeleton.pair_gaps[0], ctx.ramification)
             n = rng.randrange(1, p)
-            word = sf.compose(sf.order_p_fixing(ctx, *pair_0, n),
-                              sf.order_p_fixing(ctx, *pair_1, p - n))
+            word = sf.compose(order_p_fixing(ctx, *pair_0, n),
+                              order_p_fixing(ctx, *pair_1, p - n))
             cls = sf.classify(ctx, word)
             loxodromic = gap > 2 * ctx.rho
             assert (cls.kind is sf.MapKind.LOXODROMIC) == loxodromic, (ctx, pair_0, pair_1, n)
