@@ -75,13 +75,16 @@ class ProblemSpec(NamedTuple):
 _RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?", re.ASCII)
 
 
-def _parse_rational(text: str, where: str) -> Fraction:
+def _parse_rational(text: str, k: int) -> Fraction:
+    """Point k's exact value, from its literal."""
     if not _RATIONAL_RE.fullmatch(text):
         raise ProblemError(
-            f"{where}: expected a decimal integer or num/den string, got {text!r}"
+            f"points[{k}]: expected a decimal integer or num/den string, got {text!r}"
         )
     num, _, den = text.partition("/")
-    return Fraction(decimal_to_int(num), decimal_to_int(den or "1"))
+    if not den:  # an integer needs no gcd
+        return Fraction(decimal_to_int(num))
+    return Fraction(decimal_to_int(num), decimal_to_int(den))
 
 
 def _check_verify_depth(depth) -> None:
@@ -115,7 +118,7 @@ def parse_problem(text: str) -> ProblemSpec:
         if field not in doc:
             raise ProblemError(f"field {field!r} is missing")
     p, ell = doc["p"], doc["ell"]
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in (p, ell)):
+    if type(p) is not int or type(ell) is not int:  # a JSON bool is no int here
         raise ProblemError("fields 'p' and 'ell' must be integers")
     raw_points = doc["points"]
     if not isinstance(raw_points, list):
@@ -124,7 +127,7 @@ def parse_problem(text: str) -> ProblemSpec:
     for k, item in enumerate(raw_points):
         if not isinstance(item, str):
             raise ProblemError(f"points[{k}]: expected a string literal")
-        points.append(item if item == "inf" else _parse_rational(item, f"points[{k}]"))
+        points.append(item if item == "inf" else _parse_rational(item, k))
     if len(points) < 4 or len(points) % 2 != 0:
         raise ProblemError("the number of points must be even and >= 4")
     try:
@@ -224,35 +227,33 @@ def _audit_record(ctx, pcfg: PairedConfiguration, depth: int) -> dict:
 def run(spec: ProblemSpec) -> tuple[dict, int]:
     """Execute a problem and return (report, exit code)."""
     ctx = field_context(spec.p, spec.ell)
-    report: dict = {
-        "p": spec.p,
-        "ell": spec.ell,
-        "points": [
-            x if isinstance(x, str) else format_fraction(x) for x in spec.points
-        ],
-        "normalization": None,
-    }
-    points = [INFINITY if x == "inf" else finite(ctx, x) for x in spec.points]
-    if not any(pt.is_infinity for pt in points):
+    # the one string a point can be is "inf"; a type test spares the
+    # Fraction comparisons
+    shown = [x if type(x) is str else format_fraction(x) for x in spec.points]
+    report: dict = {"p": spec.p, "ell": spec.ell, "points": shown, "normalization": None}
+    points = [INFINITY if type(x) is str else finite(ctx, x) for x in spec.points]
+    if "inf" not in shown:
         if not spec.normalize_infinity:
             report["error"] = (
                 "the point at infinity is required; pass normalize_infinity "
                 "to change coordinates first"
             )
             return report, EXIT_INVALID
-        # z -> 1/(z - c), the reported map, carries the first point c to infinity
+        # z -> 1/(z - c), the reported map, carries the first point c, and
+        # any repeat of it (a zero difference), to infinity
         c = spec.points[0]
-        points = [INFINITY if x == c else finite(ctx, 1 / (x - c)) for x in spec.points]
+        points = [finite(ctx, 1 / d) if (d := x - c) else INFINITY for x in spec.points]
         report["normalization"] = {"matrix": ["0", "1", "1", format_fraction(-c)]}
     cfg = Configuration(ctx, tuple(points))
     verdict = folding.run_algorithm(ctx, cfg)
 
     report["fold_count"] = len(verdict.trace)
     if isinstance(verdict, folding.Good):
+        pairs = _fmt_pairs(ctx, verdict.s_min)
         report["verdict"] = {
             "kind": "good",
-            "s_min": _fmt_points(ctx, verdict.s_min.configuration()),
-            "s_min_pairs": _fmt_pairs(ctx, verdict.s_min),
+            "s_min": [x for pair in pairs for x in pair],
+            "s_min_pairs": pairs,
         }
         code = EXIT_GOOD
     elif isinstance(verdict, folding.NotGood):
@@ -292,9 +293,10 @@ def render_report(report: dict) -> str:
 
     It is written here rather than by that call because an ``indent``
     sends ``json.dumps`` through its pure-Python encoder; strings go through
-    the C function that call uses, ``encode_basestring_ascii``.  A report
-    holds dicts with ``str`` keys, lists, ``str``, ``int``, ``bool`` and
-    None; anything else, a float above all, raises ``TypeError``.
+    the C function that call uses, ``encode_basestring_ascii``, a list of
+    strings in one pass (see ``_json_text``).  A report holds dicts with
+    ``str`` keys, lists, ``str``, ``int``, ``bool`` and None; anything
+    else, a float above all, raises ``TypeError``.
     """
     return _json_text(report, "\n")
 
@@ -302,17 +304,17 @@ def render_report(report: dict) -> str:
 def _json_text(value, newline: str) -> str:
     """``value`` in ``json.dumps``'s indent=2 layout; ``newline`` is a line
     break and the indent of ``value``'s own line, its items go two spaces
-    deeper.  A ``str`` item is quoted in place, sparing a call."""
+    deeper.  A ``str`` item is quoted in place, sparing a call.  A list
+    whose first item is a ``str`` is quoted whole, ``map(_quote, value)``
+    in one ``join``: most lists of a report (points, pairs, matrices,
+    results) hold only ``str``.  On any other item ``_quote`` raises
+    ``TypeError``, and the list is written item by item."""
     if isinstance(value, str):
         return _quote(value)
+    if isinstance(value, int):
+        return "true" if value is True else "false" if value is False else int.__repr__(value)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
@@ -322,11 +324,16 @@ def _json_text(value, newline: str) -> str:
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be str, not {type(key).__name__}")
             text = _quote(item) if type(item) is str else _json_text(item, inner)
-            items.append(_quote(key) + ": " + text)
+            items.append(f"{_quote(key)}: {text}")
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, list):
         if not value:
             return "[]"
+        if type(value[0]) is str:
+            try:
+                return "[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]"
+            except TypeError:  # _quote takes nothing but str
+                pass
         items = [_quote(x) if type(x) is str else _json_text(x, inner) for x in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     raise TypeError(f"a report holds no {type(value).__name__}")

@@ -120,8 +120,8 @@ def cluster_data(cfg: Configuration) -> Skeleton:
     while the tree grows, and the records become the four tuples at the
     end.
     """
-    values = tuple([pt.value for pt in cfg.points if not pt.is_infinity])
-    if len(values) + 1 < cfg.size:
+    values = tuple([pt.value for pt in cfg.points if pt.value is not None])
+    if len(values) + 1 < len(cfg.points):
         raise RepeatedPointsError("the points are not distinct")
     ctx = cfg.ctx
     ints, den = ctx.lower(values)
@@ -427,15 +427,15 @@ def pair_up(cfg: Configuration) -> PairedConfiguration:
 
     Repeated points raise RepeatedPointsError, a ValueError, before either
     rule runs.  The returned configuration keeps the one skeleton built
-    here, on ``cfg`` in input order.  Only ``cluster_data`` scans the points
-    for infinity: the pairs' finite points are made from the values it
-    listed, and infinity is present when it listed fewer than all.
+    here, on ``cfg`` in input order.  Its pairs hold ``cfg``'s own points:
+    a skeleton position indexes the finite ones, and infinity is present
+    when there are fewer of them than points.
     """
     sk = cluster_data(cfg)
-    values = sk.values
-    has_inf = len(values) < cfg.size
+    held = [pt for pt in cfg.points if pt.value is not None]
+    has_inf = len(held) < len(cfg.points)
     sk = sk.paired(canonical_pairs(sk, has_inf))
-    points = [PPoint(values[x]) for pts in sk.pair_points for x in pts]
+    points = [held[x] for pts in sk.pair_points for x in pts]
     points += [INFINITY] if has_inf else []
     pcfg = PairedConfiguration(cfg.ctx, tuple(zip(points[::2], points[1::2])), sk)
     check_separated(pcfg)

@@ -332,9 +332,10 @@ def validate_input(ctx: FieldContext, cfg: Configuration) -> None:
     any repeated value, is left to the repeat count of ``run_algorithm``."""
     if cfg.ctx != ctx:
         raise InvalidInputError(f"the configuration's field is {cfg.ctx!r}, not {ctx!r}")
-    if cfg.size < 4 or cfg.size % 2 != 0:
+    size = len(cfg.points)
+    if size < 4 or size % 2 != 0:
         raise InvalidInputError("configuration must have even size >= 4")
-    if not cfg.has_infinity():
+    if not any(pt.value is None for pt in cfg.points):
         raise InvalidInputError("configuration must contain the point at infinity")
 
 

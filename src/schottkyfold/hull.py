@@ -6,7 +6,9 @@ cluster tree and the pair discs, all in steps of the value group (1/e) Z;
 it makes a ``Cluster`` record only for each vertex it keeps.  It owns
 no disc metric of its own; an edge's length is the difference of the
 logarithmic radii of its two cluster discs.  Radii and lengths become
-``Fraction``s (steps / e) only in the ``Disc`` labels and the edges.
+``Fraction``s (steps / e) only in the ``Disc`` labels and the edges; over
+an unramified field (e = 1) a step count is the ``Fraction``'s integer,
+with no gcd taken.
 Positions are those of the skeleton, so ``SkeletonVertex.cluster`` indexes
 ``pcfg.skeleton.values``.  Vertices are listed, and each disc centred, in
 pair order: a position's rank among the points listed pair by pair.  The
@@ -79,64 +81,53 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     are not checked again.
     """
     ctx, sk = pcfg.ctx, pcfg.skeleton
-    has_inf = any(len(members) < 2 for members in sk.pair_points)
     e, sizes, depths, parent = ctx.ramification, sk.sizes, sk.depths, sk.parent
+    exact = Fraction if e == 1 else lambda steps: Fraction(steps, e)
     order = [x for pts in sk.pair_points for x in pts]
     rank = [0] * len(order)
     for r, x in enumerate(order):
         rank[x] = r
-    # the vertex clusters' members, and each one's least pair-order rank;
-    # without infinity the root goes.  Two clusters of one size are
-    # disjoint, so the least rank orders them
-    members, least = {}, {}
-    for k, size in enumerate(sizes):
-        if size >= 2 and (has_inf or parent[k] is not None):
-            members[k] = sk.cluster(k).members
-            least[k] = min(rank[x] for x in members[k])
-    kept = sorted(least, key=lambda k: (-sizes[k], least[k]))
-    ids = {k: vid for vid, k in enumerate(kept)}
-    # minimal discs: the cluster depth as radius, and as center the member
-    # of lowest rank
-    discs = {k: (order[least[k]], depths[k]) for k in kept}
-
-    # kept lists each cluster after its parent, so an even cluster joins its
-    # kept parent's component and any other vertex starts the next one
-    edges, components, count = [], [], 0
-    for k in kept:
-        par = parent[k]
-        if sizes[k] % 2 == 0 and par in ids:
-            length = Fraction(discs[k][1] - discs[par][1], e)
-            edges.append((ids[k], ids[par], length))
-            components.append(components[ids[par]])
-        else:
-            components.append(count)
-            count += 1
+    # the vertex clusters, each with its members' least pair-order rank.
+    # Without infinity, that is with an even number of finite points, the
+    # root (cluster 0) goes.  Two clusters of one size are disjoint, so
+    # (-size, least rank) orders them, each after its parent
+    kept = []
+    for k in range(0 if len(order) % 2 else 1, len(sizes)):
+        if sizes[k] >= 2:
+            members = sk.cluster(k).members
+            kept.append((-sizes[k], min(map(rank.__getitem__, members)), k, members))
+    kept.sort()
 
     # the least pair whose axis holds each cluster's disc: a finite pair's
     # axis runs from each point's leaf up to their join, the chain's clusters
     # at least as deep as the pair's radius; the pair at infinity's, whose
-    # radius is the root's depth, up the whole chain
-    axis: dict[int, int] = {}
+    # radius is the root's depth, up the whole chain.  Each walk starts above
+    # the leaf, which is never a vertex
+    axis: list = [None] * len(sizes)
     for i, (pts, (_, r)) in enumerate(zip(sk.pair_points, sk.pair_discs)):
         for x in pts:
-            k = sk.leaf[x]
+            k = parent[sk.leaf[x]]
             while k is not None and depths[k] >= r:
-                axis.setdefault(k, i)
+                if axis[k] is None:
+                    axis[k] = i
                 k = parent[k]
 
-    vertices = []
-    for vid, k in enumerate(kept):
-        center, radius = discs[k]
-        pidx = axis.get(k)
-        vertices.append(
-            SkeletonVertex(
-                id=vid,
-                disc=Disc(ctx, sk.values[center], Fraction(radius, e)),
-                pair_index=pidx,
-                component=components[vid],
-                cluster=members[k],
-            )
-        )
+    # each vertex is the minimal disc: the cluster depth as radius, and as
+    # center the member of lowest rank.  An even cluster joins its kept
+    # parent's component, listed before it, and any other vertex starts the
+    # next one
+    vertices, edges, ids, count = [], [], {}, 0
+    for vid, (_, least, k, members) in enumerate(kept):
+        ids[k] = vid
+        up = parent[k]
+        par = ids.get(up)
+        if sizes[k] % 2 == 0 and par is not None:
+            edges.append((vid, par, exact(depths[k] - depths[up])))
+            component = vertices[par].component
+        else:
+            component, count = count, count + 1
+        disc = Disc(ctx, sk.values[order[least]], exact(depths[k]))
+        vertices.append(SkeletonVertex(vid, disc, axis[k], component, members))
     return SkeletonTree(tuple(vertices), tuple(edges))
 
 
@@ -144,12 +135,11 @@ def to_dot(tree: SkeletonTree) -> str:
     """Deterministic Graphviz DOT text for a skeleton forest."""
     lines = ["graph skeleton {", "  node [shape=circle fontsize=10];"]
     for v in tree.vertices:
-        label = v.disc.key()
-        attrs = ""
-        if v.pair_index is not None:
-            label = f"v{v.pair_index}\\n{label}"
-            attrs = " style=filled fillcolor=lightblue"
-        lines.append(f'  n{v.id} [label="{label}"{attrs}];')
+        if v.pair_index is None:
+            lines.append(f'  n{v.id} [label="{v.disc.key()}"];')
+        else:
+            lines.append(f'  n{v.id} [label="v{v.pair_index}\\n{v.disc.key()}"'
+                         " style=filled fillcolor=lightblue];")
     for u, v, length in tree.edges:
         lines.append(f'  n{u} -- n{v} [label="{format_fraction(length)}"];')
     lines.append("}")

@@ -44,6 +44,8 @@ def finite(ctx: FieldContext, x) -> PPoint:
     """The finite point with value x, an int or Fraction or, over Q(zeta_p),
     p - 1 of them (a tuple or list, low degree first): the one place a value
     becomes a point, so anything else is refused here, a float above all."""
+    if type(x) is Fraction:  # the common case: one exact value
+        return PPoint(ctx.from_fraction(x))
     listed = ctx.kind is not FieldKind.RATIONAL and isinstance(x, (tuple, list))
     for q in x if listed else (x,):
         if not isinstance(q, (int, Fraction)):
@@ -57,7 +59,7 @@ def finite(ctx: FieldContext, x) -> PPoint:
 
 
 def point_str(ctx: FieldContext, pt: PPoint) -> str:
-    return "inf" if pt.is_infinity else ctx.to_str(pt.value)
+    return "inf" if pt.value is None else ctx.to_str(pt.value)
 
 
 class MapKind(Enum):

@@ -712,11 +712,19 @@ def field_context(p: int, ell: int) -> FieldContext:
 
 
 def format_fraction(q: Fraction) -> str:
-    if not isinstance(q, Fraction):
+    """q in lowest terms as "n" or "n/d": ``str`` of a ``Fraction`` or an
+    ``int``, any other rational converted to a ``Fraction`` first.
+
+    ``str`` is one call; past the interpreter's limit on int-to-string
+    conversion it raises, and :func:`int_to_decimal` writes each part.
+    """
+    if type(q) is not Fraction and type(q) is not int:
         q = Fraction(q)
-    if q.denominator == 1:
-        return int_to_decimal(q.numerator)
-    return f"{int_to_decimal(q.numerator)}/{int_to_decimal(q.denominator)}"
+    try:
+        return str(q)
+    except ValueError:
+        text = int_to_decimal(q.numerator)
+        return text if q.denominator == 1 else f"{text}/{int_to_decimal(q.denominator)}"
 
 
 def int_to_decimal(n: int) -> str:

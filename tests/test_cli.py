@@ -259,7 +259,7 @@ def test_render_report_equals_json_dumps_with_indent_2():
     for value in values:
         report = {"value": value}
         assert cli.render_report(report) == json.dumps(report, indent=2)
-    for bad in ({"x": 0.5}, {"x": [1, 2.0]}, {1: "a"}, {"x": {None: "a"}}):
+    for bad in ({"x": 0.5}, {"x": [1, 2.0]}, {"x": ["a", 2.0]}, {1: "a"}, {"x": {None: "a"}}):
         with pytest.raises(TypeError):
             cli.render_report(bad)
 

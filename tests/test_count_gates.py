@@ -1,8 +1,8 @@
-"""The count gates of the fold loop and the audit: operation counts that do
-not depend on the machine, read in one pass of every pinned CLI document
-through ``parse_problem``, ``run`` (with a dot prefix, so the hull runs; no
-file is written) and ``render_report``, from a cleared ``field_context``
-cache.
+"""The count gates of the fold loop, the report path and the audit:
+operation counts that do not depend on the machine, read in one pass of
+every pinned CLI document through ``parse_problem``, ``run`` (with a dot
+prefix, so the hull runs; no file is written) and ``render_report``, from a
+cleared ``field_context`` cache.
 
 Each gate holds a limit or a ratio, and each has a count above 0 so that it
 cannot pass vacuously.  ``pytest tests/test_count_gates.py -s`` prints the
@@ -11,12 +11,14 @@ readings.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import schottkyfold as sf
 from schottkyfold import cli, folding, oracle, valfield
+from schottkyfold.projline import PPoint
 from schottkyfold.valfield import FieldContext
 
 from helpers import (count_calls, count_chain_walks, count_cluster_records,
@@ -30,6 +32,11 @@ VALUATION_LIMIT = 464
 ROTATION_LIMIT = 114
 # classifying every least rotation, inverses and powers included, took 119
 CLASSIFIED_LIMIT = 77
+# pair_up making each paired point anew, not handing over the input's, took 200
+POINT_LIMIT = 39
+# telling "inf" from a point, and a repeat of the first point, by comparing
+# each with it took 288
+COMPARISON_LIMIT = 73
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +51,8 @@ def counts():
         )
         scans = count_calls(mp, folding, "find_fold_exponent")
         records = count_cluster_records(mp)
+        points = count_calls(mp, PPoint, "__new__")
+        run = recorded_inside(mp, cli, "run", comparisons=count_calls(mp, Fraction, "__eq__"))
         hull = recorded_inside(mp, cli, "reduced_convex_hull", records=records)
         loop = recorded_inside(
             mp, folding, "run_algorithm",
@@ -51,6 +60,7 @@ def counts():
             walks=count_chain_walks(mp),
             pairs=count_finite_pairs_built(mp),
             records=records,
+            points=points,
             targets=count_calls(mp, folding, "targets"),
             selects=count_calls(mp, folding, "select_target"),
         )
@@ -73,6 +83,9 @@ def counts():
         "pairs": sum(loop["pairs"]),
         "loop records": len(loop["records"]),
         "hull records": len(hull["records"]),
+        "points": len(loop["points"]),
+        "comparisons": len(run["comparisons"]),
+        "runs": len(DOCS),
         "targets": len(loop["targets"]),
         "selects": len(loop["selects"]),
         "contexts": len(contexts),
@@ -142,3 +155,19 @@ def test_words_classified_in_the_audit(counts):
           f"(limit {CLASSIFIED_LIMIT})")
     assert counts["classified"] > 0
     assert counts["classified"] <= CLASSIFIED_LIMIT
+
+
+def test_points_made_in_the_fold_loop(counts):
+    # the PPoint records made inside run_algorithm: pair_up hands over the
+    # configuration's own points, so only a fold makes new ones
+    print(f"\n{counts['points']} PPoint records made in run_algorithm (limit {POINT_LIMIT})")
+    assert counts["points"] <= POINT_LIMIT
+
+
+def test_fraction_comparisons_in_cli_run(counts):
+    # the Fraction.__eq__ calls made inside cli.run, the audit and the fold
+    # loop included: the report path tells "inf" from a point by its type,
+    # and a repeat of the point moved to infinity by its zero difference
+    print(f"\n{counts['comparisons']} Fraction comparisons in {counts['runs']} cli.run calls "
+          f"(limit {COMPARISON_LIMIT})")
+    assert counts["comparisons"] <= COMPARISON_LIMIT

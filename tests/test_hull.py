@@ -309,6 +309,28 @@ def test_to_dot_golden():
     )
 
 
+def test_to_dot_golden_with_fractional_labels():
+    # over the ramified Q(zeta_3) (e = 2), (1 - zeta)^3 = -3 - 6 zeta has
+    # valuation 3/2, so two radii and both edge lengths are not integers
+    ctx = sf.field_context(3, 3)
+    points = [(0, 0), (-3, -6), (1, 0), (-2, -6), (2, 0), None]
+    verdict = sf.run_algorithm(ctx, sf.configuration(ctx, points))
+    assert isinstance(verdict, sf.Good) and not verdict.trace
+    assert pairs_as_sets(ctx, [[(0, 0), (-3, -6)], [(1, 0), (-2, -6)], [(2, 0), "inf"]]) == [
+        frozenset(pair) for pair in verdict.s_min.pairs
+    ]
+    assert sf.to_dot(sf.reduced_convex_hull(verdict.s_min)) == (
+        "graph skeleton {\n"
+        "  node [shape=circle fontsize=10];\n"
+        '  n0 [label="v2\\nD(0;0)" style=filled fillcolor=lightblue];\n'
+        '  n1 [label="v0\\nD(0;3/2)" style=filled fillcolor=lightblue];\n'
+        '  n2 [label="v1\\nD(1;3/2)" style=filled fillcolor=lightblue];\n'
+        '  n1 -- n0 [label="3/2"];\n'
+        '  n2 -- n0 [label="3/2"];\n'
+        "}\n"
+    )
+
+
 def test_to_dot_7adic_has_four_distinguished_nodes():
     pcfg = sf.pair_up(sf.configuration(ctx7(), EIGHT_POINT_7ADIC))
     dot = sf.to_dot(sf.reduced_convex_hull(pcfg))

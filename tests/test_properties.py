@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import schottkyfold as sf
@@ -53,3 +53,18 @@ def test_an_affine_map_keeps_the_verdict(field, g, seed, data):
     a, b = data.draw(elements(ctx, nonzero=True)), data.draw(elements(ctx))
     image = affine_image(cfg, a, b)
     assert summary(sf.run_algorithm(ctx, image)) == summary(sf.run_algorithm(ctx, cfg))
+
+
+@PROPERTY
+@given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+def test_a_nielsen_move_keeps_good(field, g, seed, data):
+    # a Nielsen move of S^min conjugates one generator by another, so the
+    # group, and a Good verdict, stay
+    ctx = sf.field_context(*field)
+    cfg, _ = sample_paired(random.Random(seed), ctx, g)
+    verdict = sf.run_algorithm(ctx, cfg)
+    assume(isinstance(verdict, sf.Good))
+    i = data.draw(st.integers(0, g - 1))
+    j = data.draw(st.integers(0, g).filter(lambda j: j != i))
+    moved = nielsen_move(verdict.s_min, i, j, data.draw(st.integers(1, ctx.p - 1)))
+    assert isinstance(sf.run_algorithm(ctx, moved), sf.Good)
