@@ -114,6 +114,11 @@ def parse_problem(text: str) -> ProblemSpec:
         raise ProblemError("the document nests too deeply") from exc
     if not isinstance(doc, dict):
         raise ProblemError("problem document must be a JSON object")
+    for key in doc:
+        if key not in ("p", "ell", "points", "options"):
+            raise ProblemError(
+                f"unknown field {key!r}; the fields are 'p', 'ell', 'points', 'options'"
+            )
     for field in ("p", "ell", "points"):
         if field not in doc:
             raise ProblemError(f"field {field!r} is missing")

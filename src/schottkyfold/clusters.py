@@ -25,6 +25,9 @@ that names ``PairingFailure.NOT_SEPARATED``.
 which refuses floats.  Points are named by their input position among the
 finite points, never hashed and never permuted: a repeated value has a
 repeated numerator, found as a zero difference while the tree is built.
+It is the one place that decides that two points are equal: its
+``RepeatedPointsError`` names the repeats by position, and the fold loop
+and ``repetition_report`` read them.
 
 A configuration is *clustered in rho-separated pairs* when two rules hold.
 ``canonical_pairs``: two points are equivalent when they lie in exactly the
@@ -57,9 +60,6 @@ class Configuration(NamedTuple):
     @property
     def size(self) -> int:
         return len(self.points)
-
-    def has_infinity(self) -> bool:
-        return any(pt.is_infinity for pt in self.points)
 
     def __repr__(self):
         inner = ", ".join(point_str(self.ctx, pt) for pt in self.points)
@@ -97,8 +97,10 @@ def cluster_data(cfg: Configuration) -> Skeleton:
     points, in input order.  Clusters come in pre-order: each one is
     followed at once by the clusters strictly inside it.  The tree is kept
     as flat tuples (see ``Skeleton``), and no cluster is made a record.  A
-    second infinity or two equal values is a repeated point
-    (RepeatedPointsError).
+    second infinity or two equal values is a repeated point: a
+    RepeatedPointsError whose ``classes`` group the indices into
+    ``cfg.points`` by the numerators already lowered, with the tree left
+    unfinished.
 
     The values are lowered once (with no valuation of the denominator L
     when L = 1), and only the differences that the strong triangle
@@ -121,10 +123,10 @@ def cluster_data(cfg: Configuration) -> Skeleton:
     end.
     """
     values = tuple([pt.value for pt in cfg.points if pt.value is not None])
-    if len(values) + 1 < len(cfg.points):
-        raise RepeatedPointsError("the points are not distinct")
     ctx = cfg.ctx
     ints, den = ctx.lower(values)
+    if len(values) + 1 < len(cfg.points):
+        raise _repeated(cfg, ints)
     den_steps = 0 if den == 1 else ctx.ramification * int_valuation(den, ctx.ell)
     n = len(ints)
     sub, zero = ctx.integers.sub, ctx.integers.zero
@@ -144,7 +146,7 @@ def cluster_data(cfg: Configuration) -> Skeleton:
         for b in range(1, n):
             d = sub(lead, ints[b])
             if d == zero:
-                raise RepeatedPointsError("the points are not distinct")
+                raise _repeated(cfg, ints)
             row[b] = valuation(d) - den_steps
         rows[0] = row
         stack.append((list(range(n)), None))
@@ -188,7 +190,7 @@ def cluster_data(cfg: Configuration) -> Skeleton:
             for b in others:
                 d = sub(lead, ints[b])
                 if d == zero:
-                    raise RepeatedPointsError("the points are not distinct")
+                    raise _repeated(cfg, ints)
                 steps = row[b] = valuation(d) - den_steps
                 (block if steps > depth else rest).append(b)
             children.append(block)
@@ -198,6 +200,26 @@ def cluster_data(cfg: Configuration) -> Skeleton:
     return Skeleton(
         values, tuple(ints), den, den_steps, tuple(map(tuple, rows)), sizes, depths,
         parent, first, tuple(order), tuple(leaf),
+    )
+
+
+def _repeated(cfg: Configuration, ints: list) -> RepeatedPointsError:
+    """The refusal of a configuration that repeats a point, naming its
+    classes: the indices into ``cfg.points`` of each value met more than
+    once, grouped by equal numerators ``ints`` over the one denominator,
+    with infinity under None.  A class is made at its first index, so the
+    classes come in that order."""
+    leads: list = []
+    classes: list[list[int]] = []
+    lowered = iter(ints)
+    for k, pt in enumerate(cfg.points):
+        a = None if pt.value is None else next(lowered)
+        if a not in leads:
+            leads.append(a)
+            classes.append([])
+        classes[leads.index(a)].append(k)
+    return RepeatedPointsError(
+        "the points are not distinct", tuple([tuple(c) for c in classes if len(c) > 1])
     )
 
 
@@ -443,9 +465,14 @@ def pair_up(cfg: Configuration) -> PairedConfiguration:
 
 
 def repetition_report(cfg: Configuration) -> tuple[int, Configuration]:
-    """(number of distinct values repeated with multiplicity >= 2, underlying set)."""
-    counts: dict[PPoint, int] = {}
-    for pt in cfg.points:
-        counts[pt] = counts.get(pt, 0) + 1
-    repeated = sum(1 for c in counts.values() if c >= 2)
-    return repeated, Configuration(cfg.ctx, tuple(counts))
+    """(number of distinct values repeated with multiplicity >= 2, underlying
+    set), read off the classes of ``cluster_data``'s RepeatedPointsError:
+    the underlying set keeps each value's first occurrence, in order."""
+    try:
+        cluster_data(cfg)
+    except RepeatedPointsError as exc:
+        later = {k for first, *others in exc.classes for k in others}
+        return len(exc.classes), cfg._replace(
+            points=tuple([pt for k, pt in enumerate(cfg.points) if k not in later])
+        )
+    return 0, cfg

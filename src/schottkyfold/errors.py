@@ -38,4 +38,15 @@ class PairingError(SchottkyFoldError):
 
 
 class RepeatedPointsError(SchottkyFoldError, ValueError):
-    """A configuration, or a pair, that must hold distinct points repeats one."""
+    """A configuration, or a pair, that must hold distinct points repeats one.
+    ``classes``, from ``cluster_data`` (empty from the audit), holds each
+    repeated value's indices into the points, infinity's too, ascending and
+    in order of first index."""
+
+    def __init__(self, message: str, classes: tuple[tuple[int, ...], ...] = ()):
+        super().__init__(message)
+        self.classes = classes
+
+    def __reduce__(self):
+        # rebuilt from both arguments, so a copy or a pickle keeps the classes
+        return type(self), (str(self), self.classes)

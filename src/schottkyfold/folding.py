@@ -51,12 +51,7 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple, Optional, Union
 
-from .clusters import (
-    Configuration,
-    PairedConfiguration,
-    pair_up,
-    repetition_report,
-)
+from .clusters import Configuration, PairedConfiguration, pair_up
 from .errors import InvalidInputError, PairingError, PairingFailure, RepeatedPointsError
 from .projline import Mobius, image, integer_map, order_p_matrix
 from .valfield import INF_STEPS, FieldContext, Val
@@ -343,14 +338,17 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
     """Run the folding loop to a verdict, recording every fold.
 
     Each pass re-pairs from scratch.  ``pair_up`` finds repeated points,
-    infinity among them, while it builds its step matrix.  After a fold,
-    two distinct inherited pairs that share a point give NotGood
-    (SHARED_FIXED_POINT).  Otherwise the repeated values are counted: an
-    even number stops with Redundant, an odd number means the pairing is
-    broken.  After a fold the pairs must sit at the positions handed down,
-    compared by position, and the sum of the ``pair_gaps`` must drop, or
-    RuntimeError.  Then i = 0..g-1 is scanned for a fold; a performed fold
-    restarts the pass.  When no fold exists the configuration is optimal.
+    infinity among them, while it builds its step matrix, and its
+    RepeatedPointsError names their classes by position; each point is
+    named by the first index of its class.  After a fold, two distinct
+    inherited pairs that share a name give NotGood (SHARED_FIXED_POINT).
+    Otherwise the classes are counted: an even number stops with
+    Redundant, which keeps the first occurrences in order, and an odd
+    number means the pairing is broken.  After a fold the pairs must sit
+    at the positions handed down, compared by position, and the sum of the
+    ``pair_gaps`` must drop, or RuntimeError.  Then i = 0..g-1 is scanned
+    for a fold; a performed fold restarts the pass.  When no fold exists
+    the configuration is optimal.
     """
     validate_input(ctx, cfg)
     trace: list[FoldingStep] = []
@@ -358,15 +356,20 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
     while True:
         try:
             pcfg = pair_up(current)
-        except RepeatedPointsError:
-            # apply_folding lists inherited pair k at positions (2k, 2k + 1);
-            # the distinct pairs meet when their sizes sum past their union's
-            pairs = {frozenset(current.points[k : k + 2]) for k in range(0, current.size, 2)}
+        except RepeatedPointsError as exc:
+            # each point named by the first index of its class; apply_folding
+            # lists inherited pair k at positions (2k, 2k + 1), and the
+            # distinct pairs meet when their sizes sum past their union's
+            name = list(range(len(current.points)))
+            for first, *others in exc.classes:
+                for k in others:
+                    name[k] = first
+            pairs = {frozenset(name[k : k + 2]) for k in range(0, len(name), 2)}
             if trace and sum(map(len, pairs)) > len(frozenset().union(*pairs)):
                 return NotGood(PairingFailure.SHARED_FIXED_POINT, tuple(trace))
-            repeated, underlying = repetition_report(current)
-            if repeated % 2 == 0:
-                return Redundant(underlying, tuple(trace))
+            if len(exc.classes) % 2 == 0:
+                reduced = [pt for k, pt in enumerate(current.points) if name[k] == k]
+                return Redundant(current._replace(points=tuple(reduced)), tuple(trace))
             return NotGood(PairingFailure.NOT_CLUSTERED_IN_PAIRS, tuple(trace))
         except PairingError as exc:
             return NotGood(exc.failure, tuple(trace))

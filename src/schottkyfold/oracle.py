@@ -137,12 +137,15 @@ def _det(ring, m: tuple):
 def _lowered_pairs(pcfg: PairedConfiguration) -> tuple[list[list], int]:
     """Each pair's finite points as integral numerators over one common
     denominator L, and L: every finite point of the configuration is
-    lowered by one call, and an infinite point is dropped."""
-    if any(a == b for a, b in pcfg.pairs):
-        raise RepeatedPointsError("order-p map needs two distinct fixed points")
+    lowered by one call, and an infinite point is dropped.  A pair of two
+    infinities, or of two equal numerators, is refused
+    (RepeatedPointsError)."""
     ints, den = pcfg.ctx.lower([pt.value for pt in pcfg.points() if not pt.is_infinity])
     lowered = iter(ints)
-    return [[next(lowered) for pt in pair if not pt.is_infinity] for pair in pcfg.pairs], den
+    pairs = [[next(lowered) for pt in pair if not pt.is_infinity] for pair in pcfg.pairs]
+    if any(not pair or len(pair) == 2 and pair[0] == pair[1] for pair in pairs):
+        raise RepeatedPointsError("order-p map needs two distinct fixed points")
+    return pairs, den
 
 
 def word_matrix(pcfg: PairedConfiguration, word: GroupWord) -> Mobius:

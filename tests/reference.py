@@ -10,6 +10,12 @@ pairs into ``Disc`` values for the comparison.  ``paired_by_hand`` gives a
 pairing made by hand the skeleton ``pair_up`` would hand over, with no
 pairing rule checked.
 
+``repetition_by_value``, ``repeat_classes_by_value`` and
+``repeat_verdict_by_value`` find repeated points by hashing them, the
+value route: the references for ``clusters.repetition_report``, the
+``classes`` of ``RepeatedPointsError`` and ``run_algorithm``'s repeat
+path, which read the positions ``cluster_data`` finds equal.
+
 ``fold_exponent`` is the fold test on field cross ratios, by division and
 ``FieldContext.valuation``: the reference for the integer scan of
 ``folding.find_fold_exponent``.  ``target_by_chain``,
@@ -55,8 +61,9 @@ from functools import lru_cache
 from itertools import combinations, count, permutations, product
 from math import gcd, lcm
 
-from schottkyfold.clusters import PairedConfiguration, cluster_data
-from schottkyfold.folding import FoldWitness
+from schottkyfold.clusters import Configuration, PairedConfiguration, cluster_data
+from schottkyfold.errors import PairingFailure
+from schottkyfold.folding import FoldWitness, NotGood, Redundant
 from schottkyfold.hull import Disc
 from schottkyfold.oracle import GroupWord, word_matrix
 from schottkyfold.projline import (INFINITY, ElementClass, MapKind, Mobius, PPoint, apply,
@@ -124,6 +131,43 @@ def paired_by_hand(ctx, pairs) -> PairedConfiguration:
     k = count()
     positions = tuple(tuple(next(k) for pt in p if not pt.is_infinity) for p in pairs)
     return pcfg._replace(skeleton=cluster_data(pcfg.configuration()).paired(positions))
+
+
+def repetition_by_value(cfg) -> tuple[int, Configuration]:
+    """(the number of values met more than once, the underlying set), from
+    a dict keyed by the points, which keeps each value's first occurrence
+    in order."""
+    counts: dict = {}
+    for pt in cfg.points:
+        counts[pt] = counts.get(pt, 0) + 1
+    return sum(c >= 2 for c in counts.values()), Configuration(cfg.ctx, tuple(counts))
+
+
+def repeat_classes_by_value(cfg) -> tuple[tuple[int, ...], ...]:
+    """For each value met more than once, infinity included, its indices
+    into ``cfg.points``, ascending; the classes in order of first index."""
+    at: dict = {}
+    for k, pt in enumerate(cfg.points):
+        at.setdefault(pt, []).append(k)
+    return tuple(tuple(ks) for ks in at.values() if len(ks) > 1)
+
+
+def repeat_verdict_by_value(cfg, trace):
+    """``run_algorithm``'s verdict on a set with a repeated point, reached
+    after the folds of ``trace`` (a tuple), with every point hashed.  After
+    a fold the set lists inherited pair k at (2k, 2k + 1): two distinct
+    pairs, as sets of points, that share a point give NotGood
+    (SHARED_FIXED_POINT).  Otherwise an even number of repeated values is
+    Redundant, with the underlying set, and an odd one NotGood
+    (NOT_CLUSTERED_IN_PAIRS)."""
+    if trace:
+        pairs = {frozenset(cfg.points[k : k + 2]) for k in range(0, cfg.size, 2)}
+        if sum(map(len, pairs)) > len(frozenset().union(*pairs)):
+            return NotGood(PairingFailure.SHARED_FIXED_POINT, trace)
+    repeated, underlying = repetition_by_value(cfg)
+    if repeated % 2 == 0:
+        return Redundant(underlying, trace)
+    return NotGood(PairingFailure.NOT_CLUSTERED_IN_PAIRS, trace)
 
 
 def skeleton_disc(pcfg, target):

@@ -182,6 +182,20 @@ def test_import_loads_no_dataclasses_inspect_or_argparse():
     assert (code, usage, argparse_loaded) == (0, True, True)
 
 
+def test_the_runtime_imports_only_the_standard_library():
+    # every absolute import of the package names a module of the standard
+    # library; a relative import stays inside the package
+    names = set()
+    for path in sorted((ROOT / "src" / "schottkyfold").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.partition(".")[0])
+    assert {"fractions", "json"} <= names
+    assert names <= sys.stdlib_module_names, sorted(names - sys.stdlib_module_names)
+
+
 def _assert_immutable(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
@@ -281,3 +295,15 @@ def test_a_pairing_error_survives_pickling():
     loaded = pickle.loads(pickle.dumps(info.value))
     assert type(loaded) is sf.PairingError and loaded.failure is sf.PairingFailure.NOT_SEPARATED
     assert str(loaded) == str(info.value) == "separation margin 2 is not > twice the radius"
+
+
+def test_a_repeated_points_error_survives_pickling():
+    # a refusal sent between processes keeps the classes of repeated
+    # points, infinity's among them, and its message
+    ctx = sf.field_context(2, 2)
+    with pytest.raises(sf.RepeatedPointsError) as info:
+        sf.pair_up(sf.configuration(ctx, [0, "inf", 1, 0, 4, "inf", 5, 0]))
+    loaded = pickle.loads(pickle.dumps(info.value))
+    assert type(loaded) is sf.RepeatedPointsError and isinstance(loaded, ValueError)
+    assert loaded.classes == info.value.classes == ((0, 3, 7), (1, 5))
+    assert str(loaded) == str(info.value) == "the points are not distinct"

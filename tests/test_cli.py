@@ -84,6 +84,26 @@ def test_parse_problem_rejects_bad_documents():
         doc = {"p": 2, "ell": 5, "points": ["7", "12", "0", "5", "1", "inf"], field: True}
         with pytest.raises(cli.ProblemError, match="fields 'p' and 'ell' must be integers"):
             cli.parse_problem(json.dumps(doc))
+    # a misspelled field would drop what it holds: "option" is not "options"
+    doc = {"p": 2, "ell": 3, "points": ["0", "3", "1", "inf"],
+           "option": {"trace": True, "verify_depth": 4}}
+    with pytest.raises(cli.ProblemError, match=re.escape(
+        "unknown field 'option'; the fields are 'p', 'ell', 'points', 'options'"
+    )):
+        cli.parse_problem(json.dumps(doc))
+
+
+def test_main_refuses_a_misspelled_field_with_exit_3(tmp_path, capsys):
+    doc = {"p": 2, "ell": 3, "points": ["0", "3", "1", "inf"],
+           "option": {"trace": True, "verify_depth": 4}}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["--input", str(path)]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unknown field 'option'; the fields are 'p', 'ell', 'points', 'options'\n"
+    )
 
 
 def test_run_not_good_exit_code_and_fold():

@@ -35,7 +35,8 @@ from helpers import (
     values_multiset,
 )
 from reference import (axis_gaps_by_valuation, clusters_in_preorder, even_profile, field_sub,
-                       pair_disc, paired_by_hand, pairwise_depth, smallest_superset)
+                       pair_disc, paired_by_hand, pairwise_depth, repeat_classes_by_value,
+                       smallest_superset)
 
 
 def _cluster_value_sets(ctx, sk):
@@ -358,8 +359,8 @@ def test_skeleton_tree_matches_the_pairwise_definitions():
     # The skeleton reads a cluster's depth off one member's row, records
     # parents while it recurses and finds repeats while it fills the step
     # matrix.  Each must agree with its definition: the least valuation
-    # over every two members, the smallest strict superset, and
-    # repetition_report.
+    # over every two members, the smallest strict superset, and the
+    # repeated points found by value, as the classes of the refusal.
     rng = random.Random(41)
     trees = repeats = 0
     for p, ell in TEST_FIELDS:
@@ -368,11 +369,11 @@ def test_skeleton_tree_matches_the_pairwise_definitions():
             cfg, pcfg = sample_paired(rng, ctx, g)
             moved = nielsen_move(pcfg, rng.randrange(g), g)
             for c in [cfg, moved] + _planted_repeats(rng, cfg):
-                repeated, _ = sf.repetition_report(c)
+                repeated = repeat_classes_by_value(c)
                 try:
                     sk = sf.cluster_data(c)
-                except RepeatedPointsError:
-                    assert repeated
+                except RepeatedPointsError as exc:
+                    assert exc.classes == repeated and repeated
                     repeats += 1
                     continue
                 assert not repeated
@@ -546,7 +547,7 @@ def _refusal_by_definition(cfg):
     for x in range(len(values)):
         profile = frozenset(m for m in evens if x in m)
         classes.setdefault(profile, []).append(sf.finite(ctx, values[x]))
-    if cfg.has_infinity():
+    if any(pt.is_infinity for pt in cfg.points):
         classes.setdefault(frozenset(), []).append(sf.INFINITY)
     if any(len(members) != 2 for members in classes.values()):
         return sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import schottkyfold as sf
-from schottkyfold import cli, valfield
+from schottkyfold import cli, folding, valfield
 from schottkyfold.folding import (
     apply_folding,
     compute_I,
@@ -68,6 +68,9 @@ from reference import (
     point_to_axis,
     pole_by_fractions,
     pushed_back_by_chain,
+    repeat_classes_by_value,
+    repeat_verdict_by_value,
+    repetition_by_value,
     same,
     select_by_chain,
     skeleton_disc,
@@ -974,35 +977,39 @@ def _count_hashes(monkeypatch):
 
 def test_a_fold_pass_hashes_no_values(monkeypatch):
     # each pass names points by their skeleton positions: the repeat test
-    # reads the step matrix and the inherited pairing is checked by
-    # position, so a pass on distinct points hashes no field value; only a
-    # pass that finds a repeat hashes, in repetition_report
+    # reads the step matrix, the inherited pairing is checked by position,
+    # and a repeat is read off the positions cluster_data finds equal, so
+    # no pass hashes a field value or a point, repeats included: sets that
+    # repeat a pair from the start, and sets that meet a repeat after a fold
     starts = []
     for ctx, cfg in lowering_sets(41):
         pcfg = sf.pair_up(cfg)
-        starts.append((ctx, cfg))
+        points = pcfg.points()
+        starts += [(ctx, cfg), (ctx, sf.Configuration(ctx, points[:2] * 2 + points[4:]))]
         for j in (1, pcfg.g):
             moved = nielsen_move(pcfg, 0, j)
             if len(set(moved.points)) == moved.size:
                 starts.append((ctx, moved))
     counts = _count_hashes(monkeypatch)
-    runs = []
+    verdicts, hashed = [], []
     for ctx, cfg in starts:
-        before = sum(counts.values())
-        verdict = sf.run_algorithm(ctx, cfg)
-        runs.append((verdict, sum(counts.values()) - before))
+        verdicts.append(sf.run_algorithm(ctx, cfg))
+        hashed.append(dict(counts))
+        counts.clear()
     monkeypatch.undo()
 
-    def ends_on_a_repeat(verdict):
-        last = verdict.trace[-1].after if verdict.trace else None
-        return last is not None and len(set(last.points)) < last.size
-
-    distinct = [(v, hashed) for v, hashed in runs if not ends_on_a_repeat(v)]
-    assert [hashed for _, hashed in distinct] == [0] * len(distinct)
-    assert all(hashed for v, hashed in runs if ends_on_a_repeat(v))
+    assert hashed == [{}] * len(starts)
     assert len({(ctx.p, ctx.ell) for ctx, _ in starts}) == 7
-    assert sum(len(v.trace) for v, _ in distinct) >= 20
-    assert len(distinct) < len(runs)
+    folds = repeats_before = repeats_after = 0
+    for (_, cfg), verdict in zip(starts, verdicts):
+        last = verdict.trace[-1].after if verdict.trace else cfg
+        if len(set(last.points)) == last.size:
+            folds += len(verdict.trace)
+        elif verdict.trace:
+            repeats_after += 1
+        else:
+            repeats_before += 1
+    assert folds >= 20 and repeats_before >= 20 and repeats_after >= 4
 
 
 def _cyclotomic_multiset():
@@ -1072,6 +1079,78 @@ def test_a_repeat_after_a_fold_gives_one_verdict_kind_in_any_order():
         pairs = {frozenset(after[k : k + 2]) for k in range(0, len(after), 2)}
         assert len(pairs) == len(after) // 2
         assert any(len(a & b) == 1 for a, b in itertools.combinations(pairs, 2))
+
+
+def _repeat_shapes(rng, pcfg):
+    """Copies of a paired set of genus >= 3, listed pair by pair with
+    infinity last, each with repeats planted by copying points onto finite
+    positions: a shared point, two pairs equal as sets, a pair of one
+    value, an odd and an even number of repeated values, a value three
+    times, a repeated infinity, and three random plantings."""
+    points = pcfg.points()
+    last = len(points) - 1  # infinity
+
+    def planted(*copies):
+        out = list(points)
+        for src, dst in copies:
+            out[dst] = points[src]
+        return sf.Configuration(pcfg.ctx, tuple(out))
+
+    shapes = [
+        planted((0, 2)),  # pairs {a, b} and {a, d}
+        planted((0, 3), (1, 2)),  # pair 1 is pair 0, swapped
+        planted((0, 1)),  # pair 0 is {a, a}
+        planted((0, 1), (2, 3)),  # two such pairs: an even count
+        planted((0, 3), (1, 2), (4, 6)),  # equal pairs and a shared point: three values
+        planted((0, 3), (1, 2), (4, 5)),  # equal pairs and a pair of one value: three
+        planted((0, 2), (0, 4)),  # one value three times
+        planted((last, 0)),  # infinity shared by pair 0 and the last pair
+        planted((last, 1), (last - 1, 0)),  # pair 0 is the last pair, swapped
+    ]
+    for _ in range(3):
+        sources = rng.sample(range(len(points)), rng.randint(1, 3))
+        shapes.append(planted(*zip(sources, rng.sample(range(last), len(sources)))))
+    return shapes
+
+
+def test_the_repeat_path_names_points_by_position_as_values_would(monkeypatch):
+    # run_algorithm's repeat path names each point by the first index of
+    # its class in RepeatedPointsError.classes; it must give the verdict
+    # that hashing the points gives, on every repeat shape, before any fold
+    # and after one: the planted set stands in for the first fold's result
+    rng = random.Random(17)
+    seen = Counter()
+    for field in ((2, 2), (3, 7), (3, 3)):
+        ctx = sf.field_context(*field)
+        for g in (3, 4):
+            _, pcfg = sample_paired(rng, ctx, g)
+            moves = itertools.product(range(g), range(g + 1), range(1, ctx.p))
+            moved = (nielsen_move(pcfg, i, j, n) for i, j, n in moves if i != j)
+            start = next(c for c in moved if sf.run_algorithm(ctx, c).trace)
+            for shape in _repeat_shapes(rng, pcfg):
+                with pytest.raises(sf.RepeatedPointsError) as info:
+                    sf.cluster_data(shape)
+                assert info.value.classes == repeat_classes_by_value(shape)
+                assert sf.repetition_report(shape) == repetition_by_value(shape)
+                verdict = sf.run_algorithm(ctx, shape)
+                assert verdict == repeat_verdict_by_value(shape, ())
+                seen["before", type(verdict), getattr(verdict, "failure", None)] += 1
+                with monkeypatch.context() as mp:
+                    mp.setattr(folding, "apply_folding", lambda *_, shape=shape: shape)
+                    verdict = sf.run_algorithm(ctx, start)
+                assert len(verdict.trace) == 1 and verdict.trace[0].after is shape
+                assert verdict == repeat_verdict_by_value(shape, verdict.trace)
+                seen["after", type(verdict), getattr(verdict, "failure", None)] += 1
+    # the family that meets a shared point after one fold, folded for
+    # real, in both orders
+    ctx = ctx2()
+    for points in (SHARED_POINT_AFTER_A_FOLD, sorted(SHARED_POINT_AFTER_A_FOLD[:-1]) + ["inf"]):
+        verdict = sf.run_algorithm(ctx, sf.configuration(ctx, points))
+        assert verdict == repeat_verdict_by_value(verdict.trace[-1].after, verdict.trace)
+    shared, unpaired = sf.PairingFailure.SHARED_FIXED_POINT, sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS
+    kinds = [(sf.NotGood, unpaired), (sf.Redundant, None)]
+    assert all(seen[("before", *kind)] >= 10 for kind in kinds)
+    assert all(seen[("after", *kind)] >= 10 for kind in kinds + [(sf.NotGood, shared)])
 
 
 def test_pair_up_rejects_repeats_before_any_pairing_rule():

@@ -92,6 +92,27 @@ def test_audit_reports_relations_for_coincident_generators():
     assert result.relations[0].syllables == ((0, 1), (1, 1))
 
 
+def test_audit_refuses_a_pair_that_repeats_a_point():
+    # a record made by hand may pair a value with itself, written two ways
+    # or not rational, or infinity with itself: the audit and word_matrix
+    # refuse it by the pair's lowered numerators, in every flavour
+    word = sf.GroupWord(((0, 1), (1, 1)))
+    for p, ell in TEST_FIELDS:
+        ctx = sf.field_context(p, ell)
+        a, b = sf.finite(ctx, Fraction(1, 5)), sf.finite(ctx, 3)
+        z = sf.finite(ctx, ctx.zeta)
+        for pairs in (
+            ((a, sf.finite(ctx, Fraction(2, 10))), (b, sf.INFINITY)),
+            ((a, b), (z, sf.finite(ctx, ctx.zeta)), (sf.finite(ctx, 1), sf.INFINITY)),
+            ((a, b), (sf.INFINITY, sf.INFINITY)),
+        ):
+            pcfg = sf.PairedConfiguration(ctx, pairs)
+            for audit in (lambda: sf.schottky_audit(pcfg, 2), lambda: sf.word_matrix(pcfg, word)):
+                with pytest.raises(sf.RepeatedPointsError, match="two distinct fixed points"):
+                    audit()
+        sf.word_matrix(sf.PairedConfiguration(ctx, ((a, b), (z, sf.INFINITY))), word)
+
+
 def test_verify_fold_conjugation_on_showcase_traces():
     for ctx, values in ((ctx5(), SIX_POINT_5ADIC), (ctx7(), EIGHT_POINT_7ADIC)):
         verdict = sf.run_algorithm(ctx, sf.configuration(ctx, values))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import schottkyfold as sf
 from helpers import affine_image, nielsen_move, sample_paired
+from reference import field_sub, field_zero
 
 # one field of each flavour: rational, split and ramified
 FIELDS = ((2, 2), (3, 7), (3, 3))
@@ -68,3 +69,23 @@ def test_a_nielsen_move_keeps_good(field, g, seed, data):
     j = data.draw(st.integers(0, g).filter(lambda j: j != i))
     moved = nielsen_move(verdict.s_min, i, j, data.draw(st.integers(1, ctx.p - 1)))
     assert isinstance(sf.run_algorithm(ctx, moved), sf.Good)
+
+
+@PROPERTY
+@given(st.sampled_from(FIELDS), st.integers(1, 5), st.integers(0, 2**32 - 1), st.data())
+def test_moving_a_finite_point_to_infinity_keeps_the_kind(field, g, seed, data):
+    # z -> 1/(z - c), for a finite point c of the set, carries c to infinity
+    # and infinity to 0; it conjugates the group, so the verdict's kind
+    # stays.  The fold count and the failure may change: the loop never
+    # folds the pair that holds infinity, and the map moves infinity to
+    # another pair
+    ctx = sf.field_context(*field)
+    cfg, pcfg = sample_paired(random.Random(seed), ctx, g)
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, g - 1))
+        j = data.draw(st.integers(0, g).filter(lambda j: j != i))
+        cfg = nielsen_move(pcfg, i, j, data.draw(st.integers(1, ctx.p - 1)))
+    c = data.draw(st.sampled_from([pt.value for pt in cfg.points if not pt.is_infinity]))
+    m = sf.mobius(ctx, 0, 1, 1, field_sub(ctx, field_zero(ctx), c))
+    image = sf.Configuration(ctx, tuple(sf.apply(m, pt) for pt in cfg.points))
+    assert type(sf.run_algorithm(ctx, image)) is type(sf.run_algorithm(ctx, cfg))
