@@ -12,25 +12,27 @@ is the n-th power of the one fixing pair k of a paired configuration.
 from schottkyfold import (
     INFINITY,
     GroupWord,
+    MapKind,
+    Mobius,
     PairedConfiguration,
     apply,
     classify,
     compose,
     field_context,
     finite,
-    mobius,
-    proj_eq,
     word_matrix,
 )
 
 ctx = field_context(2, 5)
 
+# A map holds its integer entries in one canonical scale: coprime, the
+# first nonzero one positive over Q.
 # z -> 5z is loxodromic over the 5-adics: its eigenvalues 5 and 1 have
 # different valuations and it translates its axis by v(5) = 1.
-print("diag(5, 1):", classify(ctx, mobius(ctx, 5, 0, 0, 1)))
+print("diag(5, 1):", classify(ctx, Mobius(ctx, 5, 0, 0, 1)))
 
 # z -> z + 1 has a single eigenvalue: parabolic.
-print("unipotent:", classify(ctx, mobius(ctx, 1, 1, 0, 1)))
+print("unipotent:", classify(ctx, Mobius(ctx, 1, 1, 0, 1)))
 
 # Three pairs, paired by hand: {7, 12}, {0, 5} and {1, infinity}.
 pcfg = PairedConfiguration(ctx, (
@@ -51,7 +53,7 @@ print("involution fixing {0, 5}:", s1)
 print("involution fixing {1, inf}:", s2, "(z -> 2 - z)")
 
 # Squaring any of them gives the identity projectively.
-print("s0^2 is the identity:", proj_eq(compose(s0, s0), mobius(ctx, 1, 0, 0, 1)))
+print("s0^2 is the identity:", classify(ctx, compose(s0, s0)).kind is MapKind.IDENTITY)
 
 # Products of involutions need not be loxodromic: this one has
 # characteristic polynomial proportional to T^2 - 350 T + 625, whose two

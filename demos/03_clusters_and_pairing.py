@@ -12,11 +12,11 @@ from fractions import Fraction
 
 from schottkyfold import (
     PairingError,
+    RepeatedPointsError,
     cluster_data,
     configuration,
     field_context,
     pair_up,
-    repetition_report,
 )
 
 ctx = field_context(2, 7)
@@ -27,7 +27,8 @@ cfg = configuration(ctx, [Fraction(1336, 3), -355, -110, 86, 0, 7, 1, "inf"])
 # a valuation.
 print("clusters of the 7-adic showcase configuration:")
 sk = cluster_data(cfg)
-for c in sorted(sk.clusters, key=lambda c: (-len(c.members), sorted(c.members))):
+clusters = map(sk.cluster, range(len(sk.sizes)))
+for c in sorted(clusters, key=lambda c: (-len(c.members), sorted(c.members))):
     names = "{" + ", ".join(ctx.to_str(sk.values[k]) for k in sorted(c.members)) + "}"
     print(f"  depth {ctx.val_of_steps(c.depth)}: {names}")
 
@@ -51,5 +52,14 @@ except PairingError as exc:
 print("deep enough instead:", pair_up(configuration(ctx2, [0, 8, 1, "inf"])))
 
 # Repetition accounting distinguishes redundant multisets from broken ones.
-print(repetition_report(configuration(ctx5, [0, 0, 5, 5, 1, "inf"])))
-print(repetition_report(configuration(ctx5, [0, 0, 5, 7, 1, "inf"])))
+# cluster_data refuses a repeated point, naming the indices of each repeated
+# value; an even number of them is redundant, and the underlying set keeps
+# each value's first occurrence.
+for values in ([0, 0, 5, 5, 1, "inf"], [0, 0, 5, 7, 1, "inf"]):
+    multiset = configuration(ctx5, values)
+    try:
+        cluster_data(multiset)
+    except RepeatedPointsError as exc:
+        later = {k for _, *rest in exc.classes for k in rest}
+        kept = tuple(pt for k, pt in enumerate(multiset.points) if k not in later)
+        print((len(exc.classes), multiset._replace(points=kept)))

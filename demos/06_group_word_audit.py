@@ -9,10 +9,11 @@ length bound corroborates it.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 from schottkyfold import (
+    GroupWord,
     configuration,
-    enumerate_gamma_words,
     field_context,
     pair_up,
     run_algorithm,
@@ -22,9 +23,11 @@ from schottkyfold import (
 
 ctx = field_context(2, 5)
 
+# A word of one involution is odd, and a reduced word of two changes
+# generator: the six words below, in the audit's length-lexicographic order.
 print("reduced even words on three involutions, up to length 2:")
-for w in enumerate_gamma_words(g=2, p=2, max_len=2):
-    print("  ", w)
+for i, j in permutations(range(3), 2):
+    print("  ", GroupWord(((i, 1), (j, 1))))
 
 # The showcase failure: an elliptic word of length four exists.
 bad = pair_up(configuration(ctx, [7, 12, 0, 5, 1, "inf"]))

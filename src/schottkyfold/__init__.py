@@ -8,23 +8,23 @@ superelliptic curve).  The decision runs the folding algorithm on the
 configuration's skeleton forest and is cross-checked by a brute-force
 group-word audit.
 
-``__all__`` is the public API, and each of its names has a caller in the
-library, a demo or the benchmark.  The driver's internal steps
+``__all__`` is the public API: each of its names, and each public method
+of its records, has a reader in the library or the benchmark, and the
+demos use nothing else.  The driver's internal steps
 (``select_target``, ``compute_I``, ``find_fold_exponent``,
 ``apply_folding``, the target loop ``targets``, the ``Skeleton`` that
 ``cluster_data`` builds) come from their modules.
 """
 
 from .clusters import (Cluster, Configuration, PairedConfiguration, cluster_data,
-                       configuration, pair_up, repetition_report)
+                       configuration, pair_up)
 from .errors import (InvalidInputError, PairingError, PairingFailure, RepeatedPointsError,
                      SchottkyFoldError, UnsupportedFieldError)
 from .folding import FoldingStep, FoldWitness, Good, NotGood, Redundant, Verdict, run_algorithm
 from .hull import Disc, SkeletonTree, SkeletonVertex, reduced_convex_hull, to_dot
-from .oracle import (AuditResult, GroupWord, enumerate_gamma_words, schottky_audit,
-                     word_matrix)
+from .oracle import AuditResult, GroupWord, schottky_audit, word_matrix
 from .projline import (INFINITY, ElementClass, MapKind, Mobius, PPoint, apply,
-                       classify, compose, finite, mobius, proj_eq)
+                       classify, compose, finite)
 from .valfield import FieldContext, FieldKind, Val, field_context, format_fraction
 
 __version__ = "0.1.0"
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     # configurations, clusters and the pairing
     "Cluster", "Configuration", "PairedConfiguration", "cluster_data",
-    "configuration", "pair_up", "repetition_report",
+    "configuration", "pair_up",
     # errors
     "InvalidInputError", "PairingError", "PairingFailure", "RepeatedPointsError",
     "SchottkyFoldError", "UnsupportedFieldError",
@@ -42,11 +42,10 @@ __all__ = [
     # the reduced convex hull
     "Disc", "SkeletonTree", "SkeletonVertex", "reduced_convex_hull", "to_dot",
     # the group-word audit
-    "AuditResult", "GroupWord", "enumerate_gamma_words", "schottky_audit",
-    "word_matrix",
+    "AuditResult", "GroupWord", "schottky_audit", "word_matrix",
     # the projective line and Moebius maps
     "INFINITY", "ElementClass", "MapKind", "Mobius", "PPoint", "apply",
-    "classify", "compose", "finite", "mobius", "proj_eq",
+    "classify", "compose", "finite",
     # valued fields
     "FieldContext", "FieldKind", "Val", "field_context", "format_fraction",
 ]

@@ -9,8 +9,7 @@ inequality leaves open.  It returns the ``Skeleton``, which keeps the tree
 as flat pre-order tuples: each cluster is an index, with its size, depth,
 parent and the start of its members' span in one ordering of the points.
 The fold pass reads only those; a ``Cluster`` record (members and depth)
-is made on demand, by ``Skeleton.cluster`` and the ``Skeleton.clusters``
-view, for the hull and for readers outside the fold loop.
+is made on demand, by ``Skeleton.cluster``, for the hull.
 
 Inside a ``Skeleton`` every valuation is an ``int`` counting steps of the
 value group (1/e) Z, e = ``FieldContext.ramification``: the step matrix,
@@ -27,7 +26,7 @@ finite points, never hashed and never permuted: a repeated value has a
 repeated numerator, found as a zero difference while the tree is built.
 It is the one place that decides that two points are equal: its
 ``RepeatedPointsError`` names the repeats by position, and the fold loop
-and ``repetition_report`` read them.
+reads them.
 
 A configuration is *clustered in rho-separated pairs* when two rules hold.
 ``canonical_pairs``: two points are equivalent when they lie in exactly the
@@ -56,10 +55,6 @@ class Configuration(NamedTuple):
 
     ctx: FieldContext
     points: tuple[PPoint, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
 
     def __repr__(self):
         inner = ", ".join(point_str(self.ctx, pt) for pt in self.points)
@@ -249,8 +244,7 @@ class Skeleton(NamedTuple):
     x lies in cluster k iff first[k] <= first[leaf[x]] < first[k] +
     sizes[k].
     The fold pass reads only these tuples.  :meth:`cluster` makes cluster k
-    a ``Cluster`` record on demand, and :attr:`clusters` makes them all,
-    for readers outside the fold pass.
+    a ``Cluster`` record on demand, for the hull.
 
     ``pair_discs[l]`` is pair l's minimal disc as (center position, radius
     in steps); the disc of the pair at infinity is that of all finite
@@ -291,11 +285,6 @@ class Skeleton(NamedTuple):
         """Cluster k as a record: its members and its depth."""
         start = self.first[k]
         return Cluster(frozenset(self.order[start : start + self.sizes[k]]), self.depths[k])
-
-    @property
-    def clusters(self) -> tuple[Cluster, ...]:
-        """Every cluster as a record, in pre-order, built on each read."""
-        return tuple(map(self.cluster, range(len(self.sizes))))
 
     def paired(self, pairs: tuple[tuple[int, ...], ...]) -> "Skeleton":
         """The skeleton with the pairs ``pairs`` (tuples of positions) and what
@@ -463,16 +452,3 @@ def pair_up(cfg: Configuration) -> PairedConfiguration:
     check_separated(pcfg)
     return pcfg
 
-
-def repetition_report(cfg: Configuration) -> tuple[int, Configuration]:
-    """(number of distinct values repeated with multiplicity >= 2, underlying
-    set), read off the classes of ``cluster_data``'s RepeatedPointsError:
-    the underlying set keeps each value's first occurrence, in order."""
-    try:
-        cluster_data(cfg)
-    except RepeatedPointsError as exc:
-        later = {k for first, *others in exc.classes for k in others}
-        return len(exc.classes), cfg._replace(
-            points=tuple([pt for k, pt in enumerate(cfg.points) if k not in later])
-        )
-    return 0, cfg

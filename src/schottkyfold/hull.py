@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .clusters import PairedConfiguration
+from .errors import InvalidInputError
 from .valfield import FieldContext, format_fraction
 
 
@@ -55,18 +56,6 @@ class SkeletonTree(NamedTuple):
     vertices: tuple[SkeletonVertex, ...]
     edges: tuple[tuple[int, int, Fraction], ...]
 
-    # the three readings below are kept for demo 04, which shows the
-    # forest's shape with them
-
-    def valency(self, vid: int) -> int:
-        return sum(1 for u, v, _ in self.edges if vid in (u, v))
-
-    def distinguished(self) -> tuple[SkeletonVertex, ...]:
-        return tuple(v for v in self.vertices if v.pair_index is not None)
-
-    def component_count(self) -> int:
-        return len({v.component for v in self.vertices})
-
 
 def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     """The reduced convex hull as a finite metric forest.
@@ -78,9 +67,14 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
 
     It takes a ``pair_up`` result and reads the skeleton it holds, whose
     pairs are the canonical pairing of distinct points, and separated; they
-    are not checked again.
+    are not checked again.  A record made by hand holds no skeleton, and is
+    refused (InvalidInputError).
     """
     ctx, sk = pcfg.ctx, pcfg.skeleton
+    if sk is None:
+        raise InvalidInputError(
+            "the hull takes a pair_up result; this paired configuration holds no skeleton"
+        )
     e, sizes, depths, parent = ctx.ramification, sk.sizes, sk.depths, sk.parent
     exact = Fraction if e == 1 else lambda steps: Fraction(steps, e)
     order = [x for pts in sk.pair_points for x in pts]

@@ -34,15 +34,14 @@ the longest words, which close on a cached product of two generators),
 and classifies a word from its integer trace and the cached valuations of
 the determinants, with the Newton polygon rule of
 :func:`~.projline.is_loxodromic`.  Every product, trace and determinant is
-one fused kernel of the integer ring.  :func:`enumerate_gamma_words`,
-:func:`word_matrix` and :func:`~.projline.classify` give the same
-verdicts word by word and serve as its reference.
+one fused kernel of the integer ring.  :func:`word_matrix` and
+:func:`~.projline.classify` give the same verdicts word by word.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .clusters import PairedConfiguration
 from .errors import RepeatedPointsError
@@ -69,32 +68,6 @@ class GroupWord(NamedTuple):
         )
 
 
-# kept for demo 06; the audit walks the same order without listing it
-def enumerate_gamma_words(g: int, p: int, max_len: int) -> Iterator[GroupWord]:
-    """All reduced words of syllable length <= max_len whose exponent sum is
-    divisible by p, in length-lexicographic order, each exactly once.
-
-    Every word is listed, conjugates and cyclic rotations included; this
-    is the order, and the count, that :func:`schottky_audit` reports in.
-    """
-    for length in range(1, max_len + 1):
-        # depth-first in lexicographic syllable order, fixed length
-        def rec(prefix: list[tuple[int, int]], total: int):
-            if len(prefix) == length:
-                if total % p == 0:
-                    yield GroupWord(tuple(prefix))
-                return
-            for idx in range(g + 1):
-                if prefix and prefix[-1][0] == idx:
-                    continue
-                for exp in range(1, p):
-                    prefix.append((idx, exp))
-                    yield from rec(prefix, total + exp)
-                    prefix.pop()
-
-        yield from rec([], 0)
-
-
 def _exponent_tuples(p: int, r: int, s: int) -> int:
     """The number of r-tuples of exponents in 1..p-1 with sum s mod p.
 
@@ -103,8 +76,9 @@ def _exponent_tuples(p: int, r: int, s: int) -> int:
 
 
 def _word_count(g: int, p: int, max_len: int) -> int:
-    """The number of words :func:`enumerate_gamma_words` lists: g + 1 first
-    indices, then g per syllable, times the exponent tuples summing to 0."""
+    """The number of reduced words of syllable length <= max_len whose
+    exponent sum is divisible by p: g + 1 first indices, then g per
+    syllable, times the exponent tuples summing to 0."""
     return sum(
         (g + 1) * g ** (k - 1) * _exponent_tuples(p, k, 0)
         for k in range(1, max_len + 1)
@@ -112,9 +86,10 @@ def _word_count(g: int, p: int, max_len: int) -> int:
 
 
 def _word_position(g: int, p: int, word: GroupWord) -> int:
-    """The position, from 1, of a word in :func:`enumerate_gamma_words`:
-    every shorter word, then each word of its length that leaves the
-    word's prefix at a smaller syllable, counted by its completions."""
+    """The position, from 1, of a word among the words :func:`_word_count`
+    counts, in length-lexicographic order: every shorter word, then each
+    word of its length that leaves the word's prefix at a smaller
+    syllable, counted by its completions."""
     syllables = word.syllables
     position = _word_count(g, p, len(syllables) - 1) + 1
     total, prev = 0, None
@@ -174,10 +149,11 @@ class AuditResult(NamedTuple):
 def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     """First non-loxodromic, non-identity word up to the length bound, if any.
 
-    The result is that of classifying the words of
-    :func:`enumerate_gamma_words` in order: ``words_checked`` counts them
-    up to and including the witness, and identity words go to
-    ``relations``.  Only one word per conjugacy class is classified:
+    The result is that of classifying, in length-lexicographic order, every
+    reduced word of syllable length <= ``max_len`` whose exponent sum is
+    divisible by p: ``words_checked`` counts them up to and including the
+    witness, and identity words go to ``relations``.  Only one word per
+    conjugacy class is classified:
 
     * **skip rule** -- while no relation has been found, a word is
       classified only when it is cyclically reduced (first and last

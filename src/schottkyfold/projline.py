@@ -101,16 +101,6 @@ class Mobius(NamedTuple):
         return "Mobius[[{}, {}], [{}, {}]]".format(*map(self.ctx.to_str, self.entries()))
 
 
-# kept for demo 02; the library builds its maps with integer_map
-def mobius(ctx: FieldContext, a, b, c, d) -> Mobius:
-    """Build a Moebius map, in canonical scale: the entries, lowered over
-    one common denominator, go through :func:`integer_map`."""
-    m, den = ctx.lower([finite(ctx, x).value for x in (a, b, c, d)])
-    if ctx.integers.cross(m[0], m[3], m[1], m[2]) == ctx.integers.zero:
-        raise ValueError("matrix is singular")
-    return integer_map(ctx, m, den)
-
-
 def integer_map(ctx: FieldContext, m: tuple, s: int) -> Mobius:
     """The map of M = m / s (m an integer matrix (a, b, c, d) in
     ``ctx.integers``, s > 0) in M's canonical scale, which is integral.  Over
@@ -134,7 +124,8 @@ def image(ctx: FieldContext, m: tuple, num, den: int) -> PPoint:
     return INFINITY if value is None else PPoint(value)
 
 
-# kept for demo 02 and the benchmark's tracer; the library maps points by image
+# kept for the benchmark's tracer (perfbench/spans.py); the library maps
+# points by image
 def apply(m: Mobius, pt: PPoint) -> PPoint:
     """The fractional-linear action; total on P^1 (poles map to infinity),
     by :func:`image` on the map's entries and the lowered point."""
@@ -150,14 +141,6 @@ def compose(m1: Mobius, m2: Mobius) -> Mobius:
     return integer_map(f, f.integers.matmul(m1.entries(), m2.entries()), 1)
 
 
-# kept for demo 02, which shows with it that a generator has order p
-def proj_eq(m1: Mobius, m2: Mobius) -> bool:
-    """Projective equality, decided by cross-multiplication of the entries."""
-    e1, e2 = m1.entries(), m2.entries()
-    cross, zero = m1.ctx.integers.cross, m1.ctx.integers.zero
-    return all(cross(e1[i], e2[j], e1[j], e2[i]) == zero for i in range(4) for j in range(i + 1, 4))
-
-
 def is_loxodromic(v_tr, v_det) -> bool:
     """The Newton polygon rule for a matrix that is neither scalar nor
     parabolic: its eigenvalues have distinct valuations, so the map is
@@ -171,8 +154,8 @@ def is_loxodromic(v_tr, v_det) -> bool:
     return 2 * v_tr < v_det
 
 
-# kept for demo 02 and the benchmark's tracer (perfbench/spans.py); the
-# audit applies the same rule inline
+# kept for the benchmark's tracer (perfbench/spans.py); the audit applies
+# the same rule inline
 def classify(ctx: FieldContext, m: Mobius) -> ElementClass:
     """Identity / parabolic / elliptic / loxodromic, by eigenvalue valuations.
 

@@ -277,6 +277,20 @@ def affine_image(cfg, u, c):
     )
 
 
+def galois_image(cfg, s):
+    """The configuration over Q(zeta_p) moved by the field automorphism
+    sigma_s: zeta -> zeta^s (infinity stays).  Each finite point is lowered
+    to A / L and becomes sigma_s(A) / L, as L is rational."""
+    ctx = cfg.ctx
+    points = []
+    for pt in cfg.points:
+        if not pt.is_infinity:
+            (a,), den = ctx.lower([pt.value])
+            pt = sf.finite(ctx, [Fraction(c, den) for c in ctx.integers.conjugate(a, s)])
+        points.append(pt)
+    return sf.Configuration(ctx, tuple(points))
+
+
 def lowering_sets(seed, genera=(2, 3, 4)):
     """(ctx, configuration) in each test field: sampled paired sets with
     integer points, and their images under z -> (zeta / ell) z + zeta + 2/3,
@@ -331,6 +345,25 @@ def kadziela_points(rng, ctx, g):
 
 
 # --------------------------------------------------------------------------
+# reading a skeleton forest
+# --------------------------------------------------------------------------
+
+
+def valency(tree, vid):
+    """The number of edges at vertex ``vid``."""
+    return sum(vid in (u, v) for u, v, _ in tree.edges)
+
+
+def distinguished(tree):
+    """The vertices on a pair axis."""
+    return tuple(v for v in tree.vertices if v.pair_index is not None)
+
+
+def component_count(tree):
+    return len({v.component for v in tree.vertices})
+
+
+# --------------------------------------------------------------------------
 # invariants of a performed fold
 # --------------------------------------------------------------------------
 
@@ -353,13 +386,13 @@ def check_fold_step(step):
         sep = ctx.valuation(field_sub(ctx, disc.center, anchor))
         return above(sep, dt.radius)
 
-    distinguished = tree.distinguished()
-    before_discs = [v.disc for v in distinguished]
+    on_axes = distinguished(tree)
+    before_discs = [v.disc for v in on_axes]
     after_discs = [
         transported_vertex_disc(ctx, values, v.cluster, step.map)
         if in_branch(v.disc)
         else v.disc
-        for v in distinguished
+        for v in on_axes
     ]
     strict = 0
     for i in range(len(before_discs)):

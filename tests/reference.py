@@ -12,9 +12,9 @@ pairing rule checked.
 
 ``repetition_by_value``, ``repeat_classes_by_value`` and
 ``repeat_verdict_by_value`` find repeated points by hashing them, the
-value route: the references for ``clusters.repetition_report``, the
-``classes`` of ``RepeatedPointsError`` and ``run_algorithm``'s repeat
-path, which read the positions ``cluster_data`` finds equal.
+value route: the references for the ``classes`` of
+``RepeatedPointsError`` and ``run_algorithm``'s repeat path, which read
+the positions ``cluster_data`` finds equal.
 
 ``fold_exponent`` is the fold test on field cross ratios, by division and
 ``FieldContext.valuation``: the reference for the integer scan of
@@ -29,17 +29,22 @@ off step-matrix rows.  ``pairwise_depth``,
 definitions: the least valuation over every two members, the parent as
 the smallest strict superset, and a point's even clusters by membership;
 ``clusters_in_preorder`` lists every cluster, found as a ball of field
-valuations, in the pre-order the skeleton keeps its flat tree in.
+valuations, in the pre-order the skeleton keeps its flat tree in, and
+``skeleton_clusters`` lists the skeleton's own, as records.
 
 ``order_p_fixing_by_fractions`` and ``apply_by_fractions`` are the order-p
 map and the Moebius action by field arithmetic on ``Fraction``s, with the
-canonical scale of ``mobius_by_fractions``: the reference for the integer
-constructor ``projline.order_p_matrix`` and the integer action
-``projline.image``.  ``classify_by_fractions`` classifies a map from its
-trace and determinant as field elements, with the valuations of the second
-half: the reference for ``projline.classify`` on integers.  A map's
-integer entries become field elements through ``element``, and
-``identity`` and ``inverse`` build maps the same way.
+canonical scale of ``mobius_by_fractions``, which also builds the tests'
+other maps from field entries: the reference for the integer constructor
+``projline.order_p_matrix`` and the integer action ``projline.image``.
+``classify_by_fractions`` classifies a map from its trace and determinant
+as field elements, with the valuations of the second half: the reference
+for ``projline.classify`` on integers.  A map's integer entries become
+field elements through ``element``, and ``identity`` and ``inverse``
+build maps the same way; ``proj_eq`` compares two maps projectively, by
+cross-multiplication.  ``enumerate_gamma_words`` lists every word the
+audit counts, conjugates included, in its length-lexicographic order:
+the reference order for ``oracle.schottky_audit``'s ``words_checked``.
 
 Elements are added, subtracted and compared with zero by ``field_add``,
 ``field_sub`` and ``field_is_zero`` (with ``field_zero`` and
@@ -67,7 +72,7 @@ from schottkyfold.folding import FoldWitness, NotGood, Redundant
 from schottkyfold.hull import Disc
 from schottkyfold.oracle import GroupWord, word_matrix
 from schottkyfold.projline import (INFINITY, ElementClass, MapKind, Mobius, PPoint, apply,
-                                   compose, proj_eq)
+                                   compose)
 from schottkyfold.valfield import INF_STEPS, FieldKind, Val, int_valuation
 
 
@@ -161,7 +166,7 @@ def repeat_verdict_by_value(cfg, trace):
     Redundant, with the underlying set, and an odd one NotGood
     (NOT_CLUSTERED_IN_PAIRS)."""
     if trace:
-        pairs = {frozenset(cfg.points[k : k + 2]) for k in range(0, cfg.size, 2)}
+        pairs = {frozenset(cfg.points[k : k + 2]) for k in range(0, len(cfg.points), 2)}
         if sum(map(len, pairs)) > len(frozenset().union(*pairs)):
             return NotGood(PairingFailure.SHARED_FIXED_POINT, trace)
     repeated, underlying = repetition_by_value(cfg)
@@ -348,6 +353,11 @@ def clusters_in_preorder(ctx, values) -> list:
     return out
 
 
+def skeleton_clusters(sk) -> tuple:
+    """Every cluster of a skeleton as a ``Cluster`` record, in pre-order."""
+    return tuple(map(sk.cluster, range(len(sk.sizes))))
+
+
 def even_profile(clusters, x) -> tuple[int, ...]:
     """The positions of the even-cardinality clusters with x among their
     members, ascending."""
@@ -359,7 +369,7 @@ def even_profile(clusters, x) -> tuple[int, ...]:
 def chain_by_membership(sk, members) -> list:
     """The clusters of a skeleton holding every given position, smallest
     first, found by member-set inclusion."""
-    held = [c for c in sk.clusters if set(members) <= c.members]
+    held = [c for c in skeleton_clusters(sk) if set(members) <= c.members]
     return sorted(held, key=lambda c: len(c.members))
 
 
@@ -522,8 +532,10 @@ def mobius_by_fractions(ctx, a, b, c, d) -> Mobius:
     """The canonical scale of field entries, as integers: over Q
     denominators cleared, the content divided out and the first nonzero
     entry made positive; over Q(zeta_p) only the rational denominators
-    cleared."""
+    cleared.  ValueError for a singular matrix."""
     ent = [ctx.from_fraction(x) if isinstance(x, (int, Fraction)) else x for x in (a, b, c, d)]
+    if field_mul(ctx, ent[0], ent[3]) == field_mul(ctx, ent[1], ent[2]):
+        raise ValueError("matrix is singular")
     if ctx.kind is FieldKind.RATIONAL:
         den = lcm(*[x.denominator for x in ent])
         nums = [x.numerator * (den // x.denominator) for x in ent]
@@ -547,6 +559,38 @@ def inverse(m: Mobius) -> Mobius:
     a, b, c, d = (element(ctx, x) for x in m.entries())
     zero = field_zero(ctx)
     return mobius_by_fractions(ctx, d, field_sub(ctx, zero, b), field_sub(ctx, zero, c), a)
+
+
+def proj_eq(m1: Mobius, m2: Mobius) -> bool:
+    """Projective equality, decided by cross-multiplication of the entries."""
+    e1, e2 = m1.entries(), m2.entries()
+    cross, zero = m1.ctx.integers.cross, m1.ctx.integers.zero
+    return all(cross(e1[i], e2[j], e1[j], e2[i]) == zero for i in range(4) for j in range(i + 1, 4))
+
+
+def enumerate_gamma_words(g: int, p: int, max_len: int):
+    """All reduced words of syllable length <= max_len whose exponent sum is
+    divisible by p, in length-lexicographic order, each exactly once.
+
+    Every word is listed, conjugates and cyclic rotations included; this
+    is the order, and the count, that ``schottky_audit`` reports in.
+    """
+    for length in range(1, max_len + 1):
+        # depth-first in lexicographic syllable order, fixed length
+        def rec(prefix: list[tuple[int, int]], total: int):
+            if len(prefix) == length:
+                if total % p == 0:
+                    yield GroupWord(tuple(prefix))
+                return
+            for idx in range(g + 1):
+                if prefix and prefix[-1][0] == idx:
+                    continue
+                for exp in range(1, p):
+                    prefix.append((idx, exp))
+                    yield from rec(prefix, total + exp)
+                    prefix.pop()
+
+        yield from rec([], 0)
 
 
 def order_p_fixing(ctx, a, b, n: int) -> Mobius:

@@ -29,6 +29,8 @@ from helpers import (
     EIGHT_POINT_7ADIC_MIN,
     SIX_POINT_5ADIC,
     check_fold_step,
+    component_count,
+    distinguished,
     kadziela_points,
     multiset,
     pair_list,
@@ -37,8 +39,8 @@ from helpers import (
     sample_paired,
     values_multiset,
 )
-from reference import (delta, disc, order_p_fixing, pair_disc, point_to_axis, same,
-                       skeleton_disc)
+from reference import (delta, disc, mobius_by_fractions, order_p_fixing, pair_disc,
+                       point_to_axis, proj_eq, same, skeleton_clusters, skeleton_disc)
 
 
 @contextmanager
@@ -181,14 +183,14 @@ def test_criterion_3_generator_matrices():
         ctx = sf.field_context(2, 5)
         fin = lambda x: sf.finite(ctx, x)
         cases = [
-            ((fin(7), fin(12)), sf.mobius(ctx, 19, -168, 2, -19)),
-            ((fin(0), fin(5)), sf.mobius(ctx, 5, 0, 2, -5)),
+            ((fin(7), fin(12)), mobius_by_fractions(ctx, 19, -168, 2, -19)),
+            ((fin(0), fin(5)), mobius_by_fractions(ctx, 5, 0, 2, -5)),
             # the involution fixing {1, inf} is z -> 2 - z; the d-entry is
             # +1, the unique sign fixing both points with order two
-            ((fin(1), sf.INFINITY), sf.mobius(ctx, -1, 2, 0, 1)),
+            ((fin(1), sf.INFINITY), mobius_by_fractions(ctx, -1, 2, 0, 1)),
         ]
         for (a, b), expected in cases:
-            assert sf.proj_eq(order_p_fixing(ctx, a, b, 1), expected)
+            assert proj_eq(order_p_fixing(ctx, a, b, 1), expected)
 
 
 def test_criterion_4_non_loxodromic_witness():
@@ -237,16 +239,16 @@ def test_criterion_6_hull_statistics(corpus):
         for ctx, cfg, pcfg in corpus["hull_corpus"]:
             g = pcfg.g
             tree = sf.reduced_convex_hull(pcfg)
-            clusters = sf.cluster_data(cfg).clusters
+            clusters = skeleton_clusters(sf.cluster_data(cfg))
             odd = sum(
                 1
                 for c in clusters
                 if len(c.members) % 2 == 1 and 3 <= len(c.members) <= 2 * g - 1
             )
-            assert len(tree.distinguished()) == g + odd + 1
-            assert tree.component_count() == odd + 1
-            for va in tree.distinguished():
-                for vb in tree.distinguished():
+            assert len(distinguished(tree)) == g + odd + 1
+            assert component_count(tree) == odd + 1
+            for va in distinguished(tree):
+                for vb in distinguished(tree):
                     if va.id < vb.id and va.component == vb.component:
                         d = delta(va.disc, vb.disc)
                         assert d > 2 * ctx.rho

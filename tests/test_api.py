@@ -19,7 +19,7 @@ import pytest
 import schottkyfold as sf
 from schottkyfold import cli
 from schottkyfold.valfield import INF_STEPS
-from reference import identity
+from reference import identity, mobius_by_fractions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,9 +32,8 @@ PUBLIC = [
     "PairingFailure", "Redundant", "RepeatedPointsError", "SchottkyFoldError", "SkeletonTree",
     "SkeletonVertex", "UnsupportedFieldError", "Val", "Verdict", "apply",
     "classify", "cluster_data", "compose", "configuration",
-    "enumerate_gamma_words", "field_context", "finite", "format_fraction",
-    "mobius", "pair_up", "proj_eq",
-    "reduced_convex_hull", "repetition_report", "run_algorithm",
+    "field_context", "finite", "format_fraction", "pair_up",
+    "reduced_convex_hull", "run_algorithm",
     "schottky_audit", "to_dot", "word_matrix",
 ]
 
@@ -79,27 +78,30 @@ def test_demos_benchmark_and_readme_use_only_public_names():
     readme = (ROOT / "README.md").read_text()
     for line in re.findall(r"^from schottkyfold import (.+)$", readme, re.M):
         names |= set(line.replace(" ", "").split(","))
-    assert {"Good", "configuration", "repetition_report", "schottky_audit"} <= names
+    assert {"Good", "configuration", "RepeatedPointsError", "schottky_audit"} <= names
     # submodules such as ``cli`` are imported as modules, not as API names
     submodules = {n for n in names if importlib.util.find_spec(f"schottkyfold.{n}")}
     assert names - submodules <= set(PUBLIC)
 
 
-def _references_outside_tests():
-    """The names read by the library, the demos and the benchmark, and the
-    subset read as methods of a field context.
+def _reads_in_library_and_benchmark():
+    """The names read by the library and the benchmark, the subset read as
+    attributes, and the subset read as methods of a field context.
 
     A read is a loaded ``name`` or ``x.name``: a definition, an import or a
-    docstring is not one.  Every read in a demo or the benchmark counts.  In
-    the library a read counts at module or class level, and inside a
-    function only once that function is itself read (dunder methods always
-    are), so a name that only dead code reads stays unread.  ``x.name``
-    reads a method of ``FieldContext`` when x is ``FieldContext``, ``self``
-    in its class body, or a variable whose last part starts with ``ctx``,
-    the library's name for a context: ``ring.add`` on the integer ring is
-    no read of ``FieldContext.add``.
+    docstring is not one.  Every read in the benchmark counts, and so does
+    each function named in the tracer's ``LAYER_FUNCTIONS``, which it finds
+    with ``getattr``.  In the library a read counts at module or class
+    level, and inside a function only once that function is itself read
+    (dunder methods always are), so a name that only dead code reads stays
+    unread.  ``x.name`` reads a method of ``FieldContext`` when x is
+    ``FieldContext``, ``self`` in its class body, or a variable whose last
+    part starts with ``ctx``, the library's name for a context:
+    ``ring.add`` on the integer ring is no read of ``FieldContext.add``.
+    The demos and the tests are no readers: what only they call belongs in
+    them or in ``tests/reference.py``.
     """
-    reads = []  # (owning function or None, name, read as a context method)
+    reads = []  # (owning function or None, name, "name", "attribute" or "context")
     defs = {}  # function -> (its name, whether it is a FieldContext method)
 
     def visit(node, owner, in_context, library):
@@ -111,7 +113,7 @@ def _references_outside_tests():
                 inner = child
                 defs[child] = (child.name, in_context and isinstance(node, ast.ClassDef))
             if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                reads.append((owner, child.id, False))
+                reads.append((owner, child.id, "name"))
             elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
                 receiver = ast.unparse(child.value)
                 as_method = (
@@ -119,35 +121,51 @@ def _references_outside_tests():
                     or receiver.rsplit(".", 1)[-1].startswith("ctx")
                     or (in_context and receiver == "self")
                 )
-                reads.append((owner, child.attr, as_method))
+                reads.append((owner, child.attr, "context" if as_method else "attribute"))
             visit(child, inner, inside, library)
 
     for path in ROOT.glob("src/schottkyfold/*.py"):
         visit(ast.parse(path.read_text()), None, False, True)
-    for path in [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]:
-        visit(ast.parse(path.read_text()), None, False, False)
+    for path in ROOT.glob("perfbench/*.py"):
+        tree = ast.parse(path.read_text())
+        visit(tree, None, False, False)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYER_FUNCTIONS":
+                reads += [(None, function, "name") for _, function in ast.literal_eval(node.value)]
     live = {fn for fn, (name, _) in defs.items() if name.startswith("__")}
     while True:
-        names, methods = set(), set()
-        for owner, name, as_method in reads:
+        names, attributes, methods = set(), set(), set()
+        for owner, name, kind in reads:
             if owner is None or owner in live:
                 names.add(name)
-                if as_method:
+                if kind != "name":
+                    attributes.add(name)
+                if kind == "context":
                     methods.add(name)
         grown = live | {fn for fn, (name, method) in defs.items() if name in (methods if method else names)}
         if grown == live:
-            return names, methods
+            return names, attributes, methods
         live = grown
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    # each name in __all__ and each public FieldContext method is read in
-    # the library beyond its own definition, in a demo, or in the benchmark;
-    # what only the tests call belongs in tests/reference.py
-    names, methods = _references_outside_tests()
-    public = {name for name, value in vars(sf.FieldContext).items() if callable(value) and not name.startswith("_")}
-    assert {"lower", "mul", "valuation"} <= public
-    unread = sorted(set(sf.__all__) - names) + [f"FieldContext.{m}" for m in sorted(public - methods)]
+    # each name in __all__ is read in the library beyond its own definition
+    # or in the benchmark, and each public method and property of a public
+    # class, and of the Skeleton that cluster_data returns, is read there as
+    # ``x.name`` (a FieldContext method through a context); what only the
+    # demos or the tests call belongs in them or in tests/reference.py
+    names, attributes, methods = _reads_in_library_and_benchmark()
+    classes = [getattr(sf, name) for name in sf.__all__ if isinstance(getattr(sf, name), type)]
+    unread = sorted(set(sf.__all__) - names)
+    checked = set()
+    for cls in [*classes, sf.clusters.Skeleton]:
+        read = methods if cls is sf.FieldContext else attributes
+        for name, value in vars(cls).items():
+            if not name.startswith("_") and isinstance(value, (types.FunctionType, property)):
+                checked.add(f"{cls.__name__}.{name}")
+                if name not in read:
+                    unread.append(f"{cls.__name__}.{name}")
+    assert {"FieldContext.mul", "FieldContext.valuation", "Skeleton.cluster", "Mobius.trace"} <= checked
     assert unread == []
 
 
@@ -215,7 +233,7 @@ def test_records_compare_and_hash_by_value():
         ("points", lambda c: sf.configuration(c, [Fraction(7, 5), 12, "inf"]),
          sf.configuration(ctx, [12, Fraction(7, 5), "inf"])),
         ("lhs", lambda c: sf.FoldWitness(3, one, sf.Val(None)), sf.FoldWitness(3, one, one)),
-        ("a", lambda c: sf.mobius(c, 2, 1, 0, 4), identity(ctx)),
+        ("a", lambda c: mobius_by_fractions(c, 2, 1, 0, 4), identity(ctx)),
         ("a", lambda c: identity(c), identity(sf.field_context(2, 7))),
         ("points", lambda c: cli.parse_problem(document), cli.parse_problem(traced)),
     ]

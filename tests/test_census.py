@@ -15,6 +15,7 @@ import hashlib
 from itertools import combinations
 
 import schottkyfold as sf
+from reference import mobius_by_fractions
 
 # (p, ell, N): (good, not good, redundant)
 BOXES = {
@@ -75,7 +76,7 @@ def test_census_verdicts_survive_a_change_of_coordinates():
         for k, points in enumerate(census_sets(p, ell, n)):
             cfg = sf.configuration(ctx, points)
             c = [0, 1, *points[3:]][k % 5]
-            m = sf.mobius(ctx, 0, 1, 1, -c)
+            m = mobius_by_fractions(ctx, 0, 1, 1, -c)
             image = sf.Configuration(ctx, tuple(sf.apply(m, pt) for pt in cfg.points))
             assert summary(sf.run_algorithm(ctx, image)) == summary(sf.run_algorithm(ctx, cfg)), (
                 p, ell, points, c,

@@ -20,7 +20,7 @@ import schottkyfold as sf
 from schottkyfold import cli
 from helpers import (EIGHT_POINT_7ADIC_MIN, TEST_FIELDS, ctx7, module_env, random_paired_points,
                      values_multiset)
-from reference import element, field_valuation, identity, order_p_fixing
+from reference import element, field_valuation, identity, mobius_by_fractions, order_p_fixing
 
 PINNED_DIR = Path(__file__).parent / "expected" / "cli"
 
@@ -219,7 +219,7 @@ def test_normalisation_in_the_cyclotomic_flavours():
             doc = {"p": p, "ell": ell, "points": [sf.format_fraction(x) for x in values],
                    "options": {"normalize_infinity": True}}
             report, _ = cli.run(cli.parse_problem(json.dumps(doc)))
-            moved = sf.mobius(ctx, 0, 1, 1, -values[0])
+            moved = mobius_by_fractions(ctx, 0, 1, 1, -values[0])
             cfg = sf.Configuration(ctx, tuple(sf.apply(moved, sf.finite(ctx, x)) for x in values))
             verdict = sf.run_algorithm(ctx, cfg)
             kind = report["verdict"]["kind"]

@@ -1,4 +1,4 @@
-"""Cluster data, the pairing test, and repetition accounting."""
+"""Cluster data, the pairing test, and the classes of repeated points."""
 
 from __future__ import annotations
 
@@ -26,24 +26,22 @@ from helpers import (
     ctx7,
     finite_values,
     lowering_sets,
-    multiset,
     nielsen_move,
     pair_list,
     pairing,
     pairs_as_sets,
     sample_paired,
-    values_multiset,
 )
 from reference import (axis_gaps_by_valuation, clusters_in_preorder, even_profile, field_sub,
                        pair_disc, paired_by_hand, pairwise_depth, repeat_classes_by_value,
-                       smallest_superset)
+                       skeleton_clusters, smallest_superset)
 
 
 def _cluster_value_sets(ctx, sk):
     # each cluster's values, with its depth in steps shown as a valuation
     return {
         frozenset(ctx.to_str(sk.values[k]) for k in c.members): ctx.val_of_steps(c.depth)
-        for c in sk.clusters
+        for c in skeleton_clusters(sk)
     }
 
 
@@ -64,7 +62,7 @@ def test_cluster_data_of_the_7adic_showcase():
 def test_singleton_depth_is_infinite():
     ctx = ctx5()
     cfg = sf.configuration(ctx, [3, 4, 9, "inf"])
-    for c in sf.cluster_data(cfg).clusters:
+    for c in skeleton_clusters(sf.cluster_data(cfg)):
         if len(c.members) == 1:
             assert c.depth is INF_STEPS and ctx.val_of_steps(c.depth).is_infinite
 
@@ -75,7 +73,7 @@ def test_clusters_are_laminar_and_depth_monotone():
         ctx = sf.field_context(2, ell)
         for g in (1, 2, 3, 4):
             cfg, _ = sample_paired(rng, ctx, g)
-            clusters = sf.cluster_data(cfg).clusters
+            clusters = skeleton_clusters(sf.cluster_data(cfg))
             for c1 in clusters:
                 for c2 in clusters:
                     inter = c1.members & c2.members
@@ -193,39 +191,29 @@ def test_pair_up_without_infinity():
     assert info.value.failure is sf.PairingFailure.NOT_CLUSTERED_IN_PAIRS
 
 
-def test_repetition_report():
-    ctx = ctx5()
-    plain = sf.configuration(ctx, [0, 5, 1, "inf"])
-    count, underlying = sf.repetition_report(plain)
-    assert count == 0 and underlying.points == plain.points
-
-    two = sf.configuration(ctx, [0, 0, 5, 5, 1, "inf"])
-    count, underlying = sf.repetition_report(two)
-    assert count == 2
-    assert multiset(underlying) == values_multiset(ctx, [0, 5, 1, "inf"])
-
-    one = sf.configuration(ctx, [0, 0, 5, 7, 1, "inf"])
-    count, underlying = sf.repetition_report(one)
-    assert count == 1
-    assert underlying.size == 5
-
-
-def test_repetition_report_keeps_first_occurrence_order():
-    # (repeated, underlying) with repeats at the start, in the middle, at
-    # the end and at infinity; the underlying points keep the order in
-    # which each value first occurs
+def test_repeat_classes_keep_first_occurrence_order():
+    # cluster_data names each repeated value by its indices into the points,
+    # with repeats at the start, in the middle, at the end and at infinity,
+    # and a value met three times; the classes come in order of first index
     ctx = ctx5()
     cases = [
-        ([0, 0, 5, 1, 7, "inf"], 1, [0, 5, 1, 7, "inf"]),
-        ([0, 5, 1, 5, 7, "inf"], 1, [0, 5, 1, 7, "inf"]),
-        ([0, 5, 1, 7, "inf", 7], 1, [0, 5, 1, 7, "inf"]),
-        (["inf", 0, 5, "inf", 1, 7], 1, ["inf", 0, 5, 1, 7]),
-        ([3, 0, 3, "inf", 3, "inf"], 2, [3, 0, "inf"]),
-        ([Fraction(1, 5), 2, Fraction(2, 10), 2, 2, 9], 2, [Fraction(1, 5), 2, 9]),
+        ([0, 5, 1, "inf"], ()),
+        ([0, 0, 5, 1, 7, "inf"], ((0, 1),)),
+        ([0, 5, 1, 5, 7, "inf"], ((1, 3),)),
+        ([0, 5, 1, 7, "inf", 7], ((3, 5),)),
+        (["inf", 0, 5, "inf", 1, 7], ((0, 3),)),
+        ([0, 0, 5, 5, 1, "inf"], ((0, 1), (2, 3))),
+        ([3, 0, 3, "inf", 3, "inf"], ((0, 2, 4), (3, 5))),
+        ([Fraction(1, 5), 2, Fraction(2, 10), 2, 2, 9], ((0, 2), (1, 3, 4))),
     ]
-    for values, repeated, underlying in cases:
-        count, got = sf.repetition_report(sf.configuration(ctx, values))
-        assert (count, got) == (repeated, sf.configuration(ctx, underlying))
+    for values, classes in cases:
+        cfg = sf.configuration(ctx, values)
+        if not classes:
+            sf.cluster_data(cfg)
+            continue
+        with pytest.raises(RepeatedPointsError) as info:
+            sf.cluster_data(cfg)
+        assert info.value.classes == classes == repeat_classes_by_value(cfg)
 
 
 def test_step_matrix_matches_the_field_valuation():
@@ -253,12 +241,13 @@ def test_step_matrix_matches_the_field_valuation():
             for x in range(n)
             for z in range(n)
         }
-        assert len(sk.clusters) == len(balls)
-        assert {c.members for c in sk.clusters} == balls
-        for k, c in enumerate(sk.clusters):
+        clusters = skeleton_clusters(sk)
+        assert len(clusters) == len(balls)
+        assert {c.members for c in clusters} == balls
+        for k, c in enumerate(clusters):
             depth = min(row[x][y] for x in c.members for y in c.members)
             assert c.depth == depth
-            assert sk.parent[k] == smallest_superset(sk.clusters, k)
+            assert sk.parent[k] == smallest_superset(clusters, k)
         if max(Counter(sk.parent).values()) >= 5:
             branching.add(ctx.kind)
     sizes = [2 * g + 1 for g in (2, 3, 4, 8, 10, 12)]
@@ -274,10 +263,11 @@ def test_a_planted_repeat_is_met_anywhere_in_the_tree():
     planted = 0
     for ctx, cfg in lowering_sets(19, genera=(8, 10, 12)):
         sk = sf.cluster_data(cfg)
+        clusters = skeleton_clusters(sk)
         at = [k for k, pt in enumerate(cfg.points) if not pt.is_infinity]
-        deepest = max((c for c in sk.clusters if len(c.members) > 1), key=lambda c: c.depth)
+        deepest = max((c for c in clusters if len(c.members) > 1), key=lambda c: c.depth)
         k = next(k for k, up in enumerate(sk.parent) if up is not None and k != up + 1)
-        child, siblings = sk.clusters[k].members, sk.clusters[sk.parent[k]].members
+        child, siblings = clusters[k].members, clusters[sk.parent[k]].members
         copies = [
             sorted(deepest.members)[:2],
             (min(child), min(siblings - child)),
@@ -311,7 +301,7 @@ def test_cluster_data_refuses_a_repeated_value_and_a_second_infinity():
                 sf.cluster_data(sf.configuration(ctx, values))
         cfg = sf.configuration(ctx, [ctx.zeta, 0, 5, 1, "inf"])
         sk = sf.cluster_data(cfg)
-        assert sk.values == finite_values(cfg) and sk.clusters[0].members == frozenset(range(4))
+        assert sk.values == finite_values(cfg) and sk.cluster(0).members == frozenset(range(4))
 
 
 def test_nesting_depth_is_not_bounded_by_the_recursion_limit():
@@ -322,7 +312,7 @@ def test_nesting_depth_is_not_bounded_by_the_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(traceback.extract_stack()) + 50)
     try:
-        clusters = sf.cluster_data(cfg).clusters
+        clusters = skeleton_clusters(sf.cluster_data(cfg))
     finally:
         sys.setrecursionlimit(limit)
     assert len(clusters) == 2 * 150 - 1
@@ -378,10 +368,11 @@ def test_skeleton_tree_matches_the_pairwise_definitions():
                     continue
                 assert not repeated
                 assert sk.values == finite_values(c)
-                for k, cluster in enumerate(sk.clusters):
+                clusters = skeleton_clusters(sk)
+                for k, cluster in enumerate(clusters):
                     depth = pairwise_depth(ctx, sk.values, cluster.members)
                     assert cluster.depth == (INF_STEPS if depth is None else depth)
-                    assert sk.parent[k] == smallest_superset(sk.clusters, k)
+                    assert sk.parent[k] == smallest_superset(clusters, k)
                     if depth is None:
                         (x,) = cluster.members
                         assert sk.leaf[x] == k
@@ -408,7 +399,7 @@ def test_flat_tree_matches_the_membership_definition():
         assert sorted(sk.order) == list(range(n))
         assert [sk.first[sk.leaf[x]] for x in sk.order] == list(range(n))
         expected = clusters_in_preorder(ctx, sk.values)
-        records = sk.clusters
+        records = skeleton_clusters(sk)
         assert records == tuple(sf.Cluster(members, depth) for members, depth in expected)
         assert len(sk.sizes) == len(sk.depths) == len(sk.parent) == len(sk.first) == len(expected)
         for k, (members, depth) in enumerate(expected):
@@ -431,7 +422,7 @@ def test_flat_tree_matches_the_membership_definition():
 
 
 def test_cluster_records_of_the_showcases():
-    # the records Skeleton.clusters builds on demand, in pre-order, with the
+    # the records Skeleton.cluster builds on demand, in pre-order, with the
     # parent links and singleton indices of the flat tree
     I = INF_STEPS
     cases = [
@@ -446,7 +437,7 @@ def test_cluster_records_of_the_showcases():
     ]
     for ctx_of, points, records, parent, leaf in cases:
         sk = sf.cluster_data(sf.configuration(ctx_of(), points))
-        assert sk.clusters == tuple(sf.Cluster(frozenset(m), d) for m, d in records)
+        assert skeleton_clusters(sk) == tuple(sf.Cluster(frozenset(m), d) for m, d in records)
         assert (sk.parent, sk.leaf) == (parent, leaf)
         assert sk.sizes == tuple(len(m) for m, _ in records)
 
@@ -468,7 +459,7 @@ def test_even_profiles_match_the_membership_definition():
                 except RepeatedPointsError:
                     continue
                 keys = even_keys(sk)
-                profiles = [even_profile(sk.clusters, x) for x in range(len(sk.values))]
+                profiles = [even_profile(skeleton_clusters(sk), x) for x in range(len(sk.values))]
                 assert keys == [profile[-1] if profile else None for profile in profiles]
                 for x, y in product(range(len(keys)), repeat=2):
                     assert (keys[x] == keys[y]) == (profiles[x] == profiles[y])
@@ -540,7 +531,7 @@ def _refusal_by_definition(cfg):
     axes at most 2 rho apart, by the cross valuations of their points."""
     ctx = cfg.ctx
     values = [pt.value for pt in cfg.points if not pt.is_infinity]
-    if len(set(cfg.points)) < cfg.size:
+    if len(set(cfg.points)) < len(cfg.points):
         return RepeatedPointsError
     evens = [m for m, _ in clusters_in_preorder(ctx, values) if len(m) % 2 == 0]
     classes = {}
@@ -622,7 +613,7 @@ def test_every_fold_pass_skeleton_matches_a_fresh_one_and_the_definitions(monkey
         fresh = paired_by_hand(out.ctx, out.pairs)
         assert _skeleton_by_value(out.skeleton) == _skeleton_by_value(fresh.skeleton)
         sk = out.skeleton
-        assert sk.clusters == tuple(
+        assert skeleton_clusters(sk) == tuple(
             sf.Cluster(m, d) for m, d in clusters_in_preorder(out.ctx, sk.values)
         )
         assert sk.pair_gaps == axis_gaps_by_valuation(out)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import schottkyfold as sf
-from schottkyfold import cli, folding, oracle, valfield
+from schottkyfold import cli, folding, oracle, projline, valfield
 from schottkyfold.projline import PPoint
 from schottkyfold.valfield import FieldContext
 
@@ -54,7 +54,16 @@ def counts():
         records = count_cluster_records(mp)
         points = count_calls(mp, PPoint, "__new__")
         comparisons = count_calls(mp, Fraction, "__eq__")
-        run = recorded_inside(mp, cli, "run", comparisons=comparisons)
+        # what the benchmark's tracer wraps but nothing on a program path
+        # calls: a context's valuation and mul, and the map routes apply and
+        # classify
+        unused = {
+            "valuation": count_calls(mp, FieldContext, "valuation"),
+            "mul": count_calls(mp, FieldContext, "mul"),
+            "apply": count_calls(mp, projline, "apply", everywhere=True),
+            "classify": count_calls(mp, projline, "classify", everywhere=True),
+        }
+        run = recorded_inside(mp, cli, "run", comparisons=comparisons, **unused)
         hull = recorded_inside(mp, cli, "reduced_convex_hull", records=records)
         loop = recorded_inside(
             mp, folding, "run_algorithm",
@@ -76,9 +85,16 @@ def counts():
             spec = cli.parse_problem(doc.read_text(encoding="utf-8"))
             cli.render_report(cli.run(spec._replace(dot="unused"))[0])
             fields.add((spec.p, spec.ell))
-        # one comparison outside cli.run: the counter is live, so a reading
-        # of 0 inside it is not vacuous
+        # one comparison and one call of each unused route outside cli.run:
+        # the counters are live, so a reading of 0 inside it is not vacuous
         assert Fraction(1, 2) == Fraction(2, 4)
+        ctx = sf.field_context(spec.p, spec.ell)
+        one = ctx.from_fraction(1)
+        ctx.valuation(ctx.mul(one, one))
+        pcfg = sf.PairedConfiguration(ctx, ((sf.finite(ctx, 0), sf.INFINITY),))
+        s0 = sf.word_matrix(pcfg, sf.GroupWord(((0, 1),)))
+        sf.classify(ctx, s0)
+        sf.apply(s0, sf.finite(ctx, 1))
     assert DOCS
     return {
         "valuations": len(loop["valuations"]),
@@ -91,6 +107,8 @@ def counts():
         "points": len(loop["points"]),
         "comparisons": len(run["comparisons"]),
         "all comparisons": len(comparisons),
+        **{f"{name} calls": len(run[name]) for name in unused},
+        **{f"all {name} calls": len(calls) for name, calls in unused.items()},
         "runs": len(DOCS),
         "targets": len(loop["targets"]),
         "selects": len(loop["selects"]),
@@ -179,3 +197,17 @@ def test_fraction_comparisons_in_cli_run(counts):
           f"(limit {COMPARISON_LIMIT})")
     assert counts["all comparisons"] > counts["comparisons"]
     assert counts["comparisons"] <= COMPARISON_LIMIT
+
+
+def test_no_unused_route_is_called_in_cli_run(counts):
+    # the FieldContext.valuation, FieldContext.mul, projline.apply and
+    # projline.classify calls made inside cli.run, the fold loop, the hull
+    # and the audit included: the program values on integers
+    # (integral_valuation), multiplies in the integer ring, maps points by
+    # image and classifies words inline, so the tracer's wrappers on these
+    # four count nothing
+    routes = ("valuation", "mul", "apply", "classify")
+    print("\n" + ", ".join(f"{counts[f'{name} calls']} {name}" for name in routes)
+          + f" calls in {counts['runs']} cli.run calls (limit 0 each)")
+    for name in routes:
+        assert counts[f"all {name} calls"] > counts[f"{name} calls"] == 0, name

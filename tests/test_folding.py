@@ -40,6 +40,7 @@ from helpers import (
     ctx2,
     ctx5,
     ctx7,
+    distinguished,
     kadziela_points,
     lowering_sets,
     module_env,
@@ -50,6 +51,7 @@ from helpers import (
     recorded_inside,
     sample_paired,
     target_disc,
+    valency,
     values_multiset,
 )
 from reference import (
@@ -70,9 +72,9 @@ from reference import (
     pushed_back_by_chain,
     repeat_classes_by_value,
     repeat_verdict_by_value,
-    repetition_by_value,
     same,
     select_by_chain,
+    skeleton_clusters,
     skeleton_disc,
     target_by_chain,
 )
@@ -388,7 +390,7 @@ def test_all_tails_does_not_certify_optimality_in_residue_characteristic_p():
     cfg = sf.configuration(ctx, [0, 32, 4, 36, 2, 34, 1, "inf"])
     pcfg = sf.pair_up(cfg)
     tree = sf.reduced_convex_hull(pcfg)
-    assert all(tree.valency(v.id) <= 1 for v in tree.distinguished())
+    assert all(valency(tree, v.id) <= 1 for v in distinguished(tree))
     verdict = sf.run_algorithm(ctx, cfg)
     assert isinstance(verdict, sf.NotGood)
     witness = sf.schottky_audit(pcfg, 4).witness
@@ -433,7 +435,7 @@ def test_select_target_finds_the_odd_cluster_of_pair_i_once(monkeypatch):
     sk = pcfg.skeleton
     # pair_odd holds cluster indices; their records' members are the minimal
     # odd clusters by membership
-    clusters = sk.clusters
+    clusters = skeleton_clusters(sk)
     assert tuple(None if k is None else clusters[k].members for k in sk.pair_odd) == tuple(
         minimal_odd(sk, pts) if len(pts) == 2 else None for pts in sk.pair_points
     )
@@ -579,7 +581,7 @@ def test_fold_pass_rules_match_their_definitions(monkeypatch):
         for i, pts_i in enumerate(sk.pair_points):
             walk = [c for c in chain_by_membership(sk, pts_i) if len(c.members) % 2]
             odd_i = sk.pair_odd[i]
-            assert (None if odd_i is None else sk.clusters[odd_i].members) == (
+            assert (None if odd_i is None else sk.cluster(odd_i).members) == (
                 minimal_odd(sk, pts_i) if len(pts_i) == 2 else None
             )
             assert sk.pair_odd_depths[i] == (tuple(c.depth for c in walk) if len(pts_i) == 2 else ())
@@ -645,7 +647,7 @@ def test_target_rule_skips_an_even_cluster_of_negative_depth():
     assert sk.pair_odd_depths[0] == (0, -2)
     row = sk.smat[sk.pair_discs[0][0]]
     assert sorted(row[y] for y in sk.pair_points[1]) == [-2, -1]
-    assert any(len(c.members) == 4 and c.depth == -1 for c in sk.clusters)
+    assert any(len(c.members) == 4 and c.depth == -1 for c in skeleton_clusters(sk))
     assert target_disc(pcfg, 0, 1) is None
 
 
@@ -988,7 +990,7 @@ def test_a_fold_pass_hashes_no_values(monkeypatch):
         starts += [(ctx, cfg), (ctx, sf.Configuration(ctx, points[:2] * 2 + points[4:]))]
         for j in (1, pcfg.g):
             moved = nielsen_move(pcfg, 0, j)
-            if len(set(moved.points)) == moved.size:
+            if len(set(moved.points)) == len(moved.points):
                 starts.append((ctx, moved))
     counts = _count_hashes(monkeypatch)
     verdicts, hashed = [], []
@@ -1003,7 +1005,7 @@ def test_a_fold_pass_hashes_no_values(monkeypatch):
     folds = repeats_before = repeats_after = 0
     for (_, cfg), verdict in zip(starts, verdicts):
         last = verdict.trace[-1].after if verdict.trace else cfg
-        if len(set(last.points)) == last.size:
+        if len(set(last.points)) == len(last.points):
             folds += len(verdict.trace)
         elif verdict.trace:
             repeats_after += 1
@@ -1131,7 +1133,6 @@ def test_the_repeat_path_names_points_by_position_as_values_would(monkeypatch):
                 with pytest.raises(sf.RepeatedPointsError) as info:
                     sf.cluster_data(shape)
                 assert info.value.classes == repeat_classes_by_value(shape)
-                assert sf.repetition_report(shape) == repetition_by_value(shape)
                 verdict = sf.run_algorithm(ctx, shape)
                 assert verdict == repeat_verdict_by_value(shape, ())
                 seen["before", type(verdict), getattr(verdict, "failure", None)] += 1

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 import schottkyfold as sf
 from schottkyfold.folding import select_target
 from helpers import (
@@ -13,10 +15,13 @@ from helpers import (
     TEST_FIELDS,
     ctx2,
     ctx5,
+    component_count,
     ctx7,
+    distinguished,
     pairs_as_sets,
     pushed_back,
     sample_paired,
+    valency,
 )
 from reference import (
     delta,
@@ -26,6 +31,7 @@ from reference import (
     pair_disc,
     point_to_axis,
     same,
+    skeleton_clusters,
     skeleton_disc,
 )
 
@@ -83,18 +89,33 @@ def test_pair_disc_examples():
 def test_reduced_convex_hull_5adic_showcase():
     pcfg = sf.pair_up(sf.configuration(ctx5(), SIX_POINT_5ADIC))
     tree = sf.reduced_convex_hull(pcfg)
-    assert tree.component_count() == 1
-    assert len(tree.distinguished()) == 3
-    (v2,) = (v for v in tree.distinguished() if v.pair_index == 2)
-    assert tree.valency(v2.id) == 2  # not every distinguished vertex is a tail
+    assert component_count(tree) == 1
+    assert len(distinguished(tree)) == 3
+    (v2,) = (v for v in distinguished(tree) if v.pair_index == 2)
+    assert valency(tree, v2.id) == 2  # not every distinguished vertex is a tail
+
+
+def test_the_hull_refuses_a_record_made_by_hand():
+    # a PairedConfiguration made by hand holds no skeleton: the audit reads
+    # its pairs alone, while the hull takes a pair_up result and refuses the
+    # record by name instead of failing inside
+    ctx = ctx5()
+    points = sf.configuration(ctx, SIX_POINT_5ADIC).points  # {7, 12}, {0, 5}, {1, inf}
+    pcfg = sf.PairedConfiguration(ctx, tuple(zip(points[::2], points[1::2])))
+    assert sf.schottky_audit(pcfg, 4).witness is not None
+    with pytest.raises(sf.InvalidInputError, match="pair_up"):
+        sf.reduced_convex_hull(pcfg)
+    paired = sf.pair_up(pcfg.configuration())
+    assert paired._replace(skeleton=None) == pcfg
+    assert len(sf.reduced_convex_hull(paired).vertices) == 3
 
 
 def test_reduced_convex_hull_7adic_showcase():
     pcfg = sf.pair_up(sf.configuration(ctx7(), EIGHT_POINT_7ADIC))
     tree = sf.reduced_convex_hull(pcfg)
-    assert tree.component_count() == 1
-    assert len(tree.distinguished()) == 4
-    assert max(tree.valency(v.id) for v in tree.distinguished()) == 2
+    assert component_count(tree) == 1
+    assert len(distinguished(tree)) == 4
+    assert max(valency(tree, v.id) for v in distinguished(tree)) == 2
     # edge lengths: chain v0 -(2)- v1 -(2)- v3 and v2 -(1)- v3
     lengths = sorted(length for _, _, length in tree.edges)
     assert lengths == [1, 2, 2]
@@ -104,13 +125,13 @@ def test_reduced_convex_hull_two_components():
     ctx = ctx5()
     pcfg = sf.pair_up(sf.configuration(ctx, [0, 125, 5, 1, 6, "inf"]))
     tree = sf.reduced_convex_hull(pcfg)
-    assert tree.component_count() == 2
-    assert len(tree.distinguished()) == 4
+    assert component_count(tree) == 2
+    assert len(distinguished(tree)) == 4
     # every distinguished vertex is a tail of its component
-    assert all(tree.valency(v.id) <= 1 for v in tree.distinguished())
+    assert all(valency(tree, v.id) <= 1 for v in distinguished(tree))
     # the axis of the pair at infinity meets both components
     met = {}
-    for v in tree.distinguished():
+    for v in distinguished(tree):
         met.setdefault(v.component, set()).add(frozenset(pcfg.pairs[v.pair_index]))
     got = {frozenset(pairs) for pairs in met.values()}
     want = {
@@ -127,7 +148,7 @@ def test_any_paired_four_point_set_is_trivially_optimal():
         for _ in range(10):
             cfg, pcfg = sample_paired(rng, ctx, 1)
             tree = sf.reduced_convex_hull(pcfg)
-            assert all(tree.valency(v.id) <= 1 for v in tree.distinguished())
+            assert all(valency(tree, v.id) <= 1 for v in distinguished(tree))
 
 
 def test_hull_statistics_on_random_configurations():
@@ -138,17 +159,17 @@ def test_hull_statistics_on_random_configurations():
             for _ in range(3):
                 cfg, pcfg = sample_paired(rng, ctx, g)
                 tree = sf.reduced_convex_hull(pcfg)
-                clusters = sf.cluster_data(cfg).clusters
+                clusters = skeleton_clusters(sf.cluster_data(cfg))
                 odd = sum(
                     1
                     for c in clusters
                     if len(c.members) % 2 == 1
                     and 3 <= len(c.members) <= 2 * g - 1
                 )
-                assert len(tree.distinguished()) == g + odd + 1
-                assert tree.component_count() == odd + 1
-                for va in tree.distinguished():
-                    for vb in tree.distinguished():
+                assert len(distinguished(tree)) == g + odd + 1
+                assert component_count(tree) == odd + 1
+                for va in distinguished(tree):
+                    for vb in distinguished(tree):
                         if va.id < vb.id and va.component == vb.component:
                             d = delta(va.disc, vb.disc)
                             assert d > 2 * ctx.rho
@@ -179,7 +200,7 @@ def test_components_are_the_connected_pieces_of_the_edges():
                             label[w] = label[v.id]
                             stack.append(w)
                 assert [v.component for v in tree.vertices] == [label[v.id] for v in tree.vertices]
-                split += tree.component_count() > 1
+                split += component_count(tree) > 1
     assert split >= 20
 
 
@@ -270,7 +291,7 @@ def test_hull_affine_invariance():
     ]
     tree2 = sf.reduced_convex_hull(sf.pair_up(sf.configuration(ctx, mapped)))
     assert len(tree.vertices) == len(tree2.vertices)
-    assert tree.component_count() == tree2.component_count()
+    assert component_count(tree) == component_count(tree2)
     assert sorted(length for *_, length in tree.edges) == sorted(
         length for *_, length in tree2.edges
     )

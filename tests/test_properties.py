@@ -16,8 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import schottkyfold as sf
-from helpers import affine_image, nielsen_move, sample_paired
-from reference import field_sub, field_zero
+from helpers import affine_image, galois_image, nielsen_move, sample_paired
+from reference import field_sub, field_zero, mobius_by_fractions
 
 # one field of each flavour: rational, split and ramified
 FIELDS = ((2, 2), (3, 7), (3, 3))
@@ -86,6 +86,40 @@ def test_moving_a_finite_point_to_infinity_keeps_the_kind(field, g, seed, data):
         j = data.draw(st.integers(0, g).filter(lambda j: j != i))
         cfg = nielsen_move(pcfg, i, j, data.draw(st.integers(1, ctx.p - 1)))
     c = data.draw(st.sampled_from([pt.value for pt in cfg.points if not pt.is_infinity]))
-    m = sf.mobius(ctx, 0, 1, 1, field_sub(ctx, field_zero(ctx), c))
+    m = mobius_by_fractions(ctx, 0, 1, 1, field_sub(ctx, field_zero(ctx), c))
     image = sf.Configuration(ctx, tuple(sf.apply(m, pt) for pt in cfg.points))
     assert type(sf.run_algorithm(ctx, image)) is type(sf.run_algorithm(ctx, cfg))
+
+
+@PROPERTY
+@given(st.sampled_from(((3, 3), (5, 5))), st.integers(1, 5), st.integers(0, 2**32 - 1), st.data())
+def test_a_galois_conjugation_keeps_the_kind_and_a_good_fold_count(field, g, seed, data):
+    # sigma_s: zeta -> zeta^s fixes the one prime above ell of a ramified
+    # field, so it keeps every valuation, and it conjugates the group: the
+    # verdict's kind stays, and so does a Good verdict's fold count.  Sets
+    # that end NotGood are drawn too: after a fold their failure or fold
+    # count may move
+    ctx = sf.field_context(*field)
+    if data.draw(st.booleans()):
+        cfg, pcfg = sample_paired(random.Random(seed), ctx, g)
+        for _ in range(data.draw(st.integers(0, 2))):
+            i = data.draw(st.integers(0, pcfg.g - 1))
+            j = data.draw(st.integers(0, pcfg.g).filter(lambda j: j != i))
+            cfg = nielsen_move(pcfg, i, j, data.draw(st.integers(1, ctx.p - 1)))
+            try:
+                pcfg = sf.pair_up(cfg)
+            except (sf.PairingError, ValueError):
+                break
+    else:
+        # 3, 5 or 7 finite points and infinity, coefficients a / b with
+        # |a| <= 9 and b in {1, ell, ell^2}
+        small = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, ctx.ell, ctx.ell**2)))
+        point = st.lists(small, min_size=ctx.degree, max_size=ctx.degree).map(tuple)
+        n = data.draw(st.sampled_from((3, 5, 7)))
+        finite = data.draw(st.lists(point, min_size=n, max_size=n))
+        cfg = sf.configuration(ctx, [*finite, "inf"])
+    s = data.draw(st.integers(2, ctx.p - 1))
+    before, after = sf.run_algorithm(ctx, cfg), sf.run_algorithm(ctx, galois_image(cfg, s))
+    assert type(after) is type(before)
+    if isinstance(before, sf.Good):
+        assert len(after.trace) == len(before.trace)
