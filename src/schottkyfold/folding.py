@@ -228,15 +228,20 @@ def find_fold_exponent(
     When M_x = L the numerator is L (N_l - zeta^n N_i) and one L cancels.
     The right side, e v(r_l) + e rho, is read off the step matrix:
     e v(r_x) = smat[c][a] - smat[c][b] (just smat[c][a] when b_j is
-    infinity).
+    infinity).  The step matrix is symmetric (smat[x][y] == smat[y][x],
+    held by a test over the pinned documents and the census boxes), so
+    every point's level is read off the two rows smat[a] and smat[b] of
+    pair j, one subtraction per point.
 
     The strong triangle inequality settles most of the scan without a
     valuation.  v(zeta^n r_i) = v(r_i), so where v(r_l) and v(r_i) differ,
     v(r_l - zeta^n r_i) = min(v(r_l), v(r_i)) <= v(r_l) + rho, and the
     test fails for that choice at every n.  So a pair l whose
     representatives do not all share one e v(r_x) with pair i's is dropped
-    before the scan, and when pair i's own two differ no l can pass.  When
-    every l is dropped the scan returns before pair i's ratios are formed or
+    before the scan, and when pair i's own two differ no l can pass.  The
+    pairs l that pass are the candidates, in ascending l; the cross ratios
+    (N_x, M_x) are formed for pair i and the candidates only.  When every l
+    is dropped the scan returns before pair i's ratios are formed or
     turned.
     """
     ctx = pcfg.ctx
@@ -244,36 +249,38 @@ def find_fold_exponent(
     ring, valuation, rho = ctx.integers, ctx.integral_valuation, ctx.rho_steps
     sub, ints, den, points, smat = ring.sub, sk.ints, sk.den_steps, sk.pair_points, sk.smat
     a, b = points[j] if len(points[j]) == 2 else (points[j][0], None)
-
-    def levels(members) -> set[int]:
-        """e v(r_x) of each finite representative of the pair at these
-        positions."""
-        return {smat[x][a] - (0 if b is None else smat[x][b]) for x in members}
-
-    def ratios(members):
-        """(N_x, M_x, e v(M_x)) for each finite representative of the pair
-        at these positions; M_x is None when b_j is infinity."""
-        out = []
-        for x in members:
-            m, vm = (None, den) if b is None else (sub(ints[x], ints[b]), smat[x][b] + den)
-            out.append((sub(ints[x], ints[a]), m, vm))
-        return out
-
-    level = levels(points[i])
-    if len(level) > 1:
+    # e v(r_x) = row_a[x] - row_b[x] (smat is symmetric), with a row of
+    # zeros for the b_j at infinity
+    row_a = smat[a]
+    row_b = [0] * len(row_a) if b is None else smat[b]
+    # a one-point pair (the pair at infinity) has pts[0] == pts[-1]
+    first, last = points[i][0], points[i][-1]
+    level = row_a[first] - row_b[first]
+    if row_a[last] - row_b[last] != level:
         return None
-    reps = {
-        l: ratios(pts)
+    candidates = [
+        l
         for l, pts in enumerate(points)
-        if l != j and l not in I and levels(pts) == level
-    }
-    if not reps:
+        if l != j and l not in I
+        and row_a[pts[0]] - row_b[pts[0]] == level
+        and row_a[pts[-1]] - row_b[pts[-1]] == level
+    ]
+    if not candidates:
         return None
-    rhs = next(iter(level)) + rho
-    reps_i = ratios(points[i])
+    # (N_x, M_x, e v(M_x)) of each finite representative, pair i's first;
+    # M_x is None when b_j is infinity
+    reps_i, *ratios = [
+        [
+            (sub(ints[x], ints[a]), None if b is None else sub(ints[x], ints[b]), row_b[x] + den)
+            for x in points[l]
+        ]
+        for l in (i, *candidates)
+    ]
+    reps = list(zip(candidates, ratios))
+    rhs = level + rho
     for n in range(1, ctx.p):
         turned = [(ring.rotate(n_i, n), m_i, vm_i) for n_i, m_i, vm_i in reps_i]
-        for l, reps_l in reps.items():
+        for l, reps_l in reps:
             sides = []
             for (zn_i, m_i, vm_i), (n_l, m_l, vm_l) in product(turned, reps_l):
                 if b is None:

@@ -14,8 +14,9 @@ Three field flavours cover every supported (p, ell) pair:
 * ``CYCLOTOMIC_RAMIFIED`` -- K = Q(zeta_p) for odd p with ell = p.  The
   prime above p is generated by pi = 1 - zeta with v(pi) = 1/(p - 1), so
   v(p) = 1 and the value group is (1/(p-1)) Z.  pi divides an integral
-  A(zeta) exactly when p divides A(1); the valuation counts these exact
-  divisions after taking out the p-adic valuation of A's content.
+  A(zeta) exactly when p divides A(1), so A is a unit, valuation 0, as
+  soon as p does not divide A(1); otherwise the valuation counts the exact
+  divisions by pi after taking out the p-adic valuation of A's content.
 
 Field elements are ``Fraction`` values in the rational flavour, and tuples
 of ``Fraction`` coefficients (degree < p - 1, reduced modulo the p-th
@@ -52,25 +53,28 @@ difference).  Over Q they are inline ``int`` arithmetic.  Over Q(zeta_p)
 each sum of products is reduced once: folded mod x^p - 1, and the top
 coefficient subtracted, rather than reducing every product and adding
 afterwards.  For p up to 13 these kernels and the plain product ``mul``
-are straight-line functions, generated from p and compiled once per p per
-process at the first lookup of one of them on a ring (building a context
-compiles nothing): one expression per coefficient over the unpacked
-coefficients, with no loop and no buffer.  Their source has 15 (p - 1)^2
-products, so its cost grows as p^2: all four compile in about 11 ms and
-3 MiB of peak RSS at p = 13, 86 ms and 15 MiB at p = 31, 285 ms and
-43 MiB at p = 53, 1.2 s and 159 MiB at p = 101 (medians of three fresh
-processes, Python 3.11.7 on an x86-64 Xeon).  Above 13 the kernels are
-loops over the coefficients that accumulate each sum in one convolution
-buffer of 2p - 3 coefficients (one rule, ``_CyclotomicIntegers._sum``),
-the one path that stays small at large p.
+are straight-line functions, generated from p: one expression per
+coefficient over the unpacked coefficients, with no loop and no buffer.
+Each is compiled once per (p, kernel) per process, at its own first
+lookup on a ring (building a context compiles nothing), so a run that
+folds without an audit compiles only the ``mul`` and ``cross`` it looks
+up.  The four kernels' source has 15 (p - 1)^2 products, so its cost
+grows as p^2: all four compile in about 11 ms and 3 MiB of peak RSS at
+p = 13, 86 ms and 15 MiB at p = 31, 285 ms and 43 MiB at p = 53, 1.2 s
+and 159 MiB at p = 101 (medians of three fresh processes, Python 3.11.7
+on an x86-64 Xeon).  Timed apart, ``mul`` and ``cross`` take about
+0.6 ms at p = 5 and 2.6 ms at p = 13, ``matmul`` and ``trace_mul`` 1.8 ms
+and 9.9 ms (medians of five fresh processes).  Above 13 the kernels are loops over the coefficients that accumulate each
+sum in one convolution buffer of 2p - 3 coefficients (one rule,
+``_CyclotomicIntegers._sum``), the one path that stays small at large p.
 
 Everything here is immutable and every operation is a pure function, so
 contexts and elements can be shared between threads; ``field_context``
 hands every caller the one context of a field.  The internal mutable
 state, the split flavour's table of the root's powers (filled with
-``dict.setdefault``), the compiled kernels of each p and the kernels a
-ring stores at their first lookup, holds values every thread computes
-alike.
+``dict.setdefault``), the compiled kernel of each (p, name) and the
+kernels a ring stores at their first lookup, holds values every thread
+computes alike.
 """
 
 from __future__ import annotations
@@ -89,6 +93,12 @@ class FieldKind(Enum):
     RATIONAL = "rational"
     CYCLOTOMIC_SPLIT = "cyclotomic_split"
     CYCLOTOMIC_RAMIFIED = "cyclotomic_ramified"
+
+
+# two members bound once, for the flavour tests below (the valuation's
+# among them, on the fold loop's hot path): on Python 3.11 a member looked
+# up through its Enum class costs about 0.2 us, a module global 0.03 us
+_RATIONAL, _RAMIFIED = FieldKind.RATIONAL, FieldKind.CYCLOTOMIC_RAMIFIED
 
 
 # --------------------------------------------------------------------------
@@ -295,12 +305,12 @@ _STRAIGHT_LINE_BOUND = 13
 _KERNELS = ("mul", "matmul", "trace_mul", "cross")
 
 
-def _kernel_source(p: int) -> str:
-    """Python source of ``mul``, ``matmul``, ``trace_mul`` and ``cross``
-    over Z[zeta_p], one expression per coefficient of each sum of products
-    over the unpacked coefficients: the products x_i y_j with i + j = k or
-    k + p (the fold mod x^p - 1), less the top coefficient t, the products
-    with i + j = p - 1, as :meth:`_CyclotomicIntegers._sum` does."""
+def _kernel_source(p: int, name: str) -> str:
+    """Python source of the kernel ``name`` (one of ``_KERNELS``) over
+    Z[zeta_p], one expression per coefficient of each sum of products over
+    the unpacked coefficients: the products x_i y_j with i + j = k or k + p
+    (the fold mod x^p - 1), less the top coefficient t, the products with
+    i + j = p - 1, as :meth:`_CyclotomicIntegers._sum` does."""
     n = p - 1
 
     def unpack(names: str, arg: str) -> str:
@@ -321,40 +331,40 @@ def _kernel_source(p: int) -> str:
 
         return [f"t = {coefficient(n)}", f"{target} [" + ", ".join(f"{coefficient(k)} - t" for k in range(n)) + "]"]
 
-    def function(head: str, body: list[str]) -> str:
-        return "\n    ".join([f"def {head}:", *body]) + "\n"
-
     matrices = [unpack("abcd", "m"), unpack("wxyz", "n")]
-    entries = (["+aw", "+by"], ["+ax", "+bz"], ["+cw", "+dy"], ["+cx", "+dz"])
-    return "\n".join([
-        function("mul(x, y)", [unpack("xy", "x, y"), *element(["+xy"], "return")]),
-        function("matmul(m, n)", [
+    if name == "mul":
+        head, body = "mul(x, y)", [unpack("xy", "x, y"), *element(["+xy"], "return")]
+    elif name == "matmul":
+        entries = (["+aw", "+by"], ["+ax", "+bz"], ["+cw", "+dy"], ["+cx", "+dz"])
+        head, body = "matmul(m, n)", [
             *matrices,
             *[line for k, products in enumerate(entries) for line in element(products, f"r{k} =")],
             "return r0, r1, r2, r3",
-        ]),
-        function("trace_mul(m, n)", [*matrices, *element(["+aw", "+by", "+cx", "+dz"], "return")]),
-        function("cross(x, y, u, v)", [unpack("xyuv", "x, y, u, v"), *element(["+xy", "-uv"], "return")]),
-    ])
+        ]
+    elif name == "trace_mul":
+        head, body = "trace_mul(m, n)", [*matrices, *element(["+aw", "+by", "+cx", "+dz"], "return")]
+    else:
+        head, body = "cross(x, y, u, v)", [unpack("xyuv", "x, y, u, v"), *element(["+xy", "-uv"], "return")]
+    return "\n    ".join([f"def {head}:", *body]) + "\n"
 
 
 @lru_cache(maxsize=None)
-def _straight_line_kernels(p: int) -> dict:
-    """The four kernels of :func:`_kernel_source`, compiled once per p
-    (only primes up to ``_STRAIGHT_LINE_BOUND`` reach the cache)."""
+def _straight_line_kernel(p: int, name: str):
+    """The kernel ``name`` of :func:`_kernel_source`, compiled once per
+    (p, name) (only primes up to ``_STRAIGHT_LINE_BOUND`` reach the cache)."""
     namespace: dict = {}
-    exec(compile(_kernel_source(p), f"<Z[zeta_{p}] kernels>", "exec"), namespace)
-    return {name: namespace[name] for name in _KERNELS}
+    exec(compile(_kernel_source(p, name), f"<Z[zeta_{p}] {name}>", "exec"), namespace)
+    return namespace[name]
 
 
 class _CyclotomicIntegers:
     """Integral elements A(zeta) of Q(zeta_p): the p - 1 integer
     coefficients of A in the canonical basis 1, zeta, ..., zeta^(p-2), so
     equal elements are equal lists.  The product kernels ``mul``,
-    ``matmul``, ``trace_mul`` and ``cross`` are fixed on a ring at their
-    first lookup (:meth:`__getattr__`): the straight-line functions of its
-    p up to ``_STRAIGHT_LINE_BOUND``, the loops ``_mul``, ``_matmul``,
-    ``_trace_mul`` and ``_cross`` above it."""
+    ``matmul``, ``trace_mul`` and ``cross`` are fixed on a ring each at its
+    own first lookup (:meth:`__getattr__`): the straight-line function of
+    that name for its p up to ``_STRAIGHT_LINE_BOUND``, the loops ``_mul``,
+    ``_matmul``, ``_trace_mul`` and ``_cross`` above it."""
 
     def __init__(self, p: int):
         self.p = p
@@ -362,14 +372,16 @@ class _CyclotomicIntegers:
         self.one = [1] + [0] * (p - 2)
 
     def __getattr__(self, name: str):
-        """A product kernel missing from the ring, stored on it: a ring
-        compiles nothing until then, and later lookups read the instance.
-        Any other name is missing before ``p`` is read, so that copy and
-        pickle probes of a ring without one do not recurse."""
+        """A product kernel missing from the ring, stored on it: up to
+        ``_STRAIGHT_LINE_BOUND`` the one kernel looked up is compiled, once
+        per (p, name) per process, and the others stay uncompiled until
+        their own lookup; later lookups read the instance.  Any other name
+        is missing before ``p`` is read, so that copy and pickle probes of
+        a ring without one do not recurse."""
         if name not in _KERNELS:
             raise AttributeError(name)
         if self.p <= _STRAIGHT_LINE_BOUND:
-            kernel = _straight_line_kernels(self.p)[name]
+            kernel = _straight_line_kernel(self.p, name)
         else:
             kernel = getattr(self, "_" + name)
         vars(self)[name] = kernel
@@ -433,7 +445,7 @@ class _CyclotomicIntegers:
 
     @staticmethod
     def sub(x: list[int], y: list[int]) -> list[int]:
-        return [a - b for a, b in zip(x, y)]
+        return list(map(operator.sub, x, y))
 
     @staticmethod
     def times(x: list[int], k: int) -> list[int]:
@@ -499,7 +511,7 @@ class FieldContext:
         self.rho_steps = 1 if ell == p else 0
         # the integral elements, in the ring the integer callers work in
         self.integers = (
-            _Integers if self.kind is FieldKind.RATIONAL else _CyclotomicIntegers(p)
+            _Integers if self.kind is _RATIONAL else _CyclotomicIntegers(p)
         )
         # precision k -> (ell^k, the powers 1, r, ..., r^(p-2) mod ell^k of
         # the split flavour's root r)
@@ -513,7 +525,7 @@ class FieldContext:
     def from_fraction(self, q) -> object:
         if type(q) is not Fraction:  # a Fraction is kept: copying one is slow
             q = Fraction(q)
-        if self.kind is FieldKind.RATIONAL:
+        if self.kind is _RATIONAL:
             return q
         return (q,) + self._zero_tail
 
@@ -521,7 +533,7 @@ class FieldContext:
         """zeta_p^n in canonical form (zeta_2 = -1): the integer ring's
         rotation of 1, as an element."""
         power = self.integers.rotate(self.integers.one, n)
-        if self.kind is FieldKind.RATIONAL:
+        if self.kind is _RATIONAL:
             return Fraction(power)
         return tuple(map(Fraction, power))
 
@@ -530,7 +542,7 @@ class FieldContext:
     # no program path multiplies elements; mul stays because the benchmark's
     # tracer wraps it (perfbench/spans.py) to count that no run does
     def mul(self, x, y):
-        if self.kind is FieldKind.RATIONAL:
+        if self.kind is _RATIONAL:
             return x * y
         (a, b), den = self.lower([x, y])
         square = den * den
@@ -543,7 +555,7 @@ class FieldContext:
         conjugates A(zeta^s), s = 2..p-1, over the rational norm of A."""
         if den == self.integers.zero:
             return None
-        if self.kind is FieldKind.RATIONAL:
+        if self.kind is _RATIONAL:
             return Fraction(num, den)
         ring = self.integers
         conjugates = ring.conjugate(den, 2)
@@ -563,7 +575,7 @@ class FieldContext:
         coefficient's denominator taken in one pass: their integral numerators
         in :attr:`integers`, each x being A_x / L, scaled once (as they are
         when L = 1), then L."""
-        if self.kind is FieldKind.RATIONAL:
+        if self.kind is _RATIONAL:
             den = lcm(*[x.denominator for x in values])
             if den == 1:
                 return [x.numerator for x in values], 1
@@ -600,11 +612,11 @@ class FieldContext:
         valuation kernels: :meth:`valuation` clears denominators and calls
         it, and integer callers call it directly.
         """
-        if self.kind is FieldKind.RATIONAL:
+        if self.kind is _RATIONAL:
             return int_valuation(a, self.ell)
         if not any(a):
             raise ValueError("valuation of zero is infinite")
-        if self.kind is FieldKind.CYCLOTOMIC_RAMIFIED:
+        if self.kind is _RAMIFIED:
             return self._ramified_valuation(a)
         return self._split_valuation(a)
 
@@ -613,12 +625,15 @@ class FieldContext:
         v(p) = 1.
 
         pi = 1 - zeta generates the prime above p, and A(zeta) = A(1) mod
-        pi.  So while p divides A(1), A(x) - (A(1)/p) Phi_p(x) vanishes at
-        1 and is divided exactly by 1 - x; each division is one step,
-        v(pi) = 1/(p - 1).  The p-adic valuation of A's content, p - 1
-        steps each, is taken out first.
+        pi.  So when p does not divide A(1), A(zeta) is a unit and the
+        count is 0, with no gcd taken.  Otherwise the p-adic valuation of
+        A's content, p - 1 steps each, is taken out first; then while p
+        divides A(1), A(x) - (A(1)/p) Phi_p(x) vanishes at 1 and is divided
+        exactly by 1 - x, and each division is one step, v(pi) = 1/(p - 1).
         """
         p = self.p
+        if sum(a) % p:
+            return 0
         e = int_valuation(gcd(*a), p)
         if e:
             q = p**e
@@ -639,12 +654,14 @@ class FieldContext:
 
     def _split_valuation(self, a: list[int]) -> int:
         """v_ell(A(zeta)) for nonzero integer coefficients A: A evaluated at
-        the root r mod ell^k (:meth:`_power_table`) is exact once it is
-        nonzero mod ell^k, so k starts at 4 and doubles until then."""
+        the root r mod ell^k (:meth:`_power_table`), the dot product of A
+        with the powers of r taken in one ``sum(map(operator.mul, ...))``,
+        is exact once it is nonzero mod ell^k, so k starts at 4 and doubles
+        until then."""
         k = 4
         while True:
             modulus, powers = self._root_powers.get(k) or self._power_table(k)
-            value = sum(c * r for c, r in zip(a, powers)) % modulus
+            value = sum(map(operator.mul, a, powers)) % modulus
             if value:
                 return int_valuation(value, self.ell)
             k *= 2
@@ -674,7 +691,7 @@ class FieldContext:
 
     def to_str(self, x) -> str:
         """A rational element as its fraction, any other as its coefficients."""
-        if self.kind is FieldKind.RATIONAL:
+        if self.kind is _RATIONAL:
             return format_fraction(x)
         if not any(x[1:]):
             return format_fraction(x[0])

@@ -211,3 +211,29 @@ def test_no_unused_route_is_called_in_cli_run(counts):
           + f" calls in {counts['runs']} cli.run calls (limit 0 each)")
     for name in routes:
         assert counts[f"all {name} calls"] > counts[f"{name} calls"] == 0, name
+
+
+def test_only_mul_and_cross_compile_in_cli_run(monkeypatch):
+    # the straight-line kernels compiled inside cli.run (with a dot prefix,
+    # so the hull runs) over the pinned documents that set no verify_depth,
+    # from cleared caches: the fold path cross-multiplies (cross) and
+    # divides (mul, in the quotient), and a first lookup compiles the one
+    # kernel looked up, so the audit's matmul and trace_mul compile nothing
+    # there.  A matmul lookup after the runs compiles: the counter is live
+    sf.field_context.cache_clear()
+    valfield._straight_line_kernel.cache_clear()
+    compiled = count_calls(monkeypatch, valfield, "_kernel_source")
+    run = recorded_inside(monkeypatch, cli, "run", compiled=compiled)
+    runs = 0
+    for doc in DOCS:
+        spec = cli.parse_problem(doc.read_text(encoding="utf-8"))
+        if spec.verify_depth is None:
+            cli.run(spec._replace(dot="unused"))
+            runs += 1
+    names = sorted({name for _, name in run["compiled"]})
+    print(f"\n{len(run['compiled'])} kernels compiled in {runs} cli.run calls without an audit: "
+          + ", ".join(f"{name} at p = {p}" for p, name in run["compiled"]))
+    assert names == ["cross", "mul"]
+    p = run["compiled"][0][0]
+    sf.field_context(p, p).integers.matmul
+    assert compiled[len(run["compiled"]):] == [(p, "matmul")]

@@ -78,6 +78,7 @@ from reference import (
     skeleton_disc,
     target_by_chain,
 )
+from test_census import BOXES, census_sets
 
 
 def paired(ctx, values):
@@ -915,6 +916,37 @@ def test_a_scan_with_every_pair_dropped_forms_no_ratio(monkeypatch):
                         assert found is None and not +calls, calls
                     seen["open" if open_ else "split" if len(level) > 1 else "dropped"] += 1
     assert seen["dropped"] >= 50 and seen["open"] >= 50, seen
+
+
+def test_the_step_matrix_of_every_skeleton_is_symmetric(monkeypatch):
+    # find_fold_exponent reads e v(r_x) off pair j's rows, smat[a_j][x] and
+    # smat[b_j][x], for smat[x][a_j] and smat[x][b_j]: every skeleton built
+    # (by cluster_data, for pair_up or for a refusal) over the pinned
+    # documents and the census boxes is square with smat[x][y] == smat[y][x]
+    checked = Counter()
+    original = sf.clusters.cluster_data
+
+    def checked_cluster_data(cfg):
+        sk = original(cfg)
+        smat = sk.smat
+        assert all(len(row) == len(smat) for row in smat)
+        assert all(smat[x][y] == smat[y][x] for x in range(len(smat)) for y in range(x))
+        checked[cfg.ctx.kind] += 1
+        return sk
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "schottkyfold" and getattr(module, "cluster_data", None) is original:
+            monkeypatch.setattr(module, "cluster_data", checked_cluster_data)
+    docs = sorted((Path(__file__).parent / "expected" / "cli").glob("*.json"))
+    for doc in docs:
+        cli.run(cli.parse_problem(doc.read_text(encoding="utf-8")))
+    pinned = sum(checked.values())
+    for p, ell, n in BOXES:
+        ctx = sf.field_context(p, ell)
+        for points in census_sets(p, ell, n):
+            sf.run_algorithm(ctx, sf.configuration(ctx, points))
+    assert len(docs) == 30 and pinned >= len(docs)
+    assert set(checked) == set(sf.FieldKind) and sum(checked.values()) >= 7000 + pinned, checked
 
 
 def _valuations(pcfg, j, k):

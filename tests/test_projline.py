@@ -250,6 +250,10 @@ def test_integer_route_matches_the_fraction_route():
 
 
 def test_mobius_compose_and_proj_eq_match_the_fraction_route():
+    # the library's maps against the reference's field products: compose
+    # equal in canonical scale, and projectively equal (proj_eq) once an
+    # entry is scaled; word_matrix of two syllables projectively equal to
+    # the product of the two powers, and not to its first power alone
     rng = random.Random(30)
     for p, ell in TEST_FIELDS:
         ctx = sf.field_context(p, ell)
@@ -267,12 +271,21 @@ def test_mobius_compose_and_proj_eq_match_the_fraction_route():
         for m1, m2 in zip(maps, maps[1:]):
             assert sf.compose(m1, m2) == compose_by_fractions(m1, m2)
             # any nonzero integral scalar, rational or not, keeps the
-            # projective class
+            # projective class of a product
             (u,), _ = ctx.lower([random_value(rng, ctx)])
             if u != ring.zero:
                 scaled = sf.Mobius(ctx, *(ring.mul(u, x) for x in m1.entries()))
-                assert proj_eq(m1, scaled) and proj_eq(scaled, m1)
-            assert proj_eq(m1, m2) == (m1 == m2)
+                assert proj_eq(sf.compose(scaled, m2), compose_by_fractions(m1, m2))
+                assert proj_eq(sf.compose(m2, scaled), compose_by_fractions(m2, m1))
+        a0, b0, a1 = points = [sf.PPoint(random_value(rng, ctx)) for _ in range(3)]
+        assert len(set(points)) == 3
+        pcfg = sf.PairedConfiguration(ctx, ((a0, b0), (a1, sf.INFINITY)))
+        for n, k in itertools.product(range(1, p), repeat=2):
+            word = sf.word_matrix(pcfg, sf.GroupWord(((0, n), (1, k))))
+            first = order_p_fixing_by_fractions(ctx, a0, b0, n)
+            product = compose_by_fractions(first, order_p_fixing_by_fractions(ctx, a1, sf.INFINITY, k))
+            assert proj_eq(word, product) and proj_eq(product, word)
+            assert not proj_eq(word, first)
 
 
 def test_classify_on_integers_matches_the_fraction_route():

@@ -11,7 +11,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -246,6 +246,44 @@ def test_cyclotomic_kernels_match_division_over_q(p, ell):
         ctx.integral_valuation([0] * ctx.degree)
 
 
+@pytest.mark.parametrize("p,ell", [(3, 3), (5, 5), (7, 7), (3, 7), (5, 11), (7, 29)])
+def test_integral_valuation_at_the_unit_boundary(p, ell):
+    # the ramified kernel returns 0 as soon as p does not divide A(1), and
+    # takes the content's p-power out only past that test: elements with
+    # p not dividing A(1), with p dividing A(1) but not the content, and
+    # with p dividing the content, small and above 2^64, in both flavours,
+    # against the reference's norm route
+    ctx = sf.field_context(p, ell)
+    rng = random.Random(41 * p + ell)
+
+    def element(kind, big):
+        while True:
+            a = [rng.choice((1, -1)) * (2**65 + rng.getrandbits(70)) if big else rng.randint(-30, 30)
+                 for _ in range(p - 1)]
+            # one coefficient moved by less than p puts A(1) at residue r
+            r = 0 if kind != "unit" else rng.randrange(1, p)
+            a[rng.randrange(p - 1)] += (r - sum(a)) % p
+            if gcd(*a) % p:
+                break
+        if kind == "content":
+            a = [c * p ** rng.randint(1, 3) for c in a]
+        return a
+
+    for kind in ("unit", "A(1)", "content"):
+        for big in (False, True):
+            for _ in range(12):
+                a = element(kind, big)
+                assert (sum(a) % p != 0) == (kind == "unit")
+                assert (gcd(*a) % p == 0) == (kind == "content")
+                assert not big or min(map(abs, a)) > 2**64
+                steps = ctx.integral_valuation(a)
+                assert steps == ctx.ramification * cyclo_valuation(ctx, tuple(map(Fraction, a))).fraction
+                if ell == p:
+                    # one step per pi; the content's p-power is p - 1 each
+                    assert (steps == 0) == (kind == "unit")
+                    assert kind != "content" or steps >= p - 1
+
+
 @pytest.mark.parametrize("p,ell", [(2, 3), (3, 7), (5, 11), (7, 29), (17, 103)])
 def test_fused_kernels_match_their_compositions(p, ell):
     # matmul, trace_mul and cross of the integer ring against mul, add and
@@ -288,12 +326,14 @@ def test_fused_kernels_match_their_compositions(p, ell):
 )
 def test_straight_line_kernels_match_the_loops_and_the_reference(p):
     # every p that compiles its kernels, on zero, +-1, small negative and
-    # above-2^64 coefficients: the compiled kernels against the loops they
-    # replace, and the product against the reference route
+    # above-2^64 coefficients: each compiled kernel (the one of its name in
+    # the compile cache) against the loop it replaces, and the product
+    # against the reference route
     ctx = sf.field_context(p, p)
     ring = _CyclotomicIntegers(p)
-    loop = {name: getattr(_CyclotomicIntegers, "_" + name) for name in ("mul", "matmul", "trace_mul", "cross")}
-    assert all(getattr(ring, name) is valfield._straight_line_kernels(p)[name] for name in loop)
+    loop = {name: getattr(_CyclotomicIntegers, "_" + name) for name in valfield._KERNELS}
+    assert all(getattr(ring, name) is valfield._straight_line_kernel(p, name) for name in loop)
+    assert len({getattr(ring, name) for name in loop}) == len(loop)
     rng = random.Random(100 + p)
 
     def element():
@@ -315,32 +355,46 @@ def test_straight_line_kernels_match_the_loops_and_the_reference(p):
         assert all(type(x) is list for x in (*product, ring.mul(a, b), ring.cross(a, b, c, d)))
 
 
-def test_a_ring_compiles_its_kernels_at_their_first_lookup(monkeypatch):
-    # building a context multiplies nothing and compiles nothing; the first
-    # kernel looked up compiles all four for that p, once per process, and a
-    # kernel is stored on the ring at its lookup; above the bound the loops
-    # are bound without compiling
+def _count_compiles(monkeypatch) -> list:
+    """The (p, name) of each kernel compiled from now on, from an empty
+    compile cache."""
     compiled = []
     source = valfield._kernel_source
-    monkeypatch.setattr(valfield, "_kernel_source", lambda p: compiled.append(p) or source(p))
-    valfield._straight_line_kernels.cache_clear()
-    kernels = {"mul", "matmul", "trace_mul", "cross"}
+    monkeypatch.setattr(valfield, "_kernel_source", lambda p, name: compiled.append((p, name)) or source(p, name))
+    valfield._straight_line_kernel.cache_clear()
+    return compiled
+
+
+def test_a_ring_compiles_its_kernels_at_their_first_lookup(monkeypatch):
+    # building a context multiplies nothing and compiles nothing; the first
+    # lookup of a kernel compiles that kernel alone for that p, once per
+    # process, and stores it on the ring; above the bound the loops are
+    # bound without compiling
+    compiled = _count_compiles(monkeypatch)
+    kernels = set(valfield._KERNELS)
     ctx = FieldContext(7, 29)
     ring = ctx.integers
     assert ctx.zeta == ctx.zeta_power(1) and ctx.valuation(ctx.zeta) == Val(Fraction(0))
     assert compiled == [] and not kernels & vars(ring).keys()
     matmul = ring.matmul
-    assert compiled == [7] and vars(ring).keys() & kernels == {"matmul"}
-    assert ring.matmul is matmul and ring.mul(ring.one, ring.one) == ring.one
-    assert FieldContext(7, 7).integers.cross is ring.cross and compiled == [7]
+    assert compiled == [(7, "matmul")] and vars(ring).keys() & kernels == {"matmul"}
+    assert ring.matmul is matmul and compiled == [(7, "matmul")]
+    assert ring.mul(ring.one, ring.one) == ring.one
+    assert compiled == [(7, "matmul"), (7, "mul")] and vars(ring).keys() & kernels == {"matmul", "mul"}
+    twin = FieldContext(7, 7).integers
+    assert twin.matmul is matmul and twin.mul is ring.mul and len(compiled) == 2
+    assert twin.cross is ring.cross and compiled[2:] == [(7, "cross")]
+    assert vars(twin).keys() & kernels == {"matmul", "mul", "cross"}
     large = FieldContext(17, 103).integers
-    assert large.mul.__func__ is _CyclotomicIntegers._mul and compiled == [7]
+    assert large.mul.__func__ is _CyclotomicIntegers._mul and len(compiled) == 3
 
 
-def test_a_ring_misses_every_name_but_its_four_kernels():
+def test_a_ring_misses_every_name_but_its_four_kernels(monkeypatch):
     # any other missing name raises AttributeError before p is read and is
     # not stored, so the probes of copy and pickle on a bare ring do not
-    # recurse, and a copy or an unpickled ring looks its kernels up anew
+    # recurse, and a copy or an unpickled ring looks its kernels up anew,
+    # each one alone, from the compile cache
+    compiled = _count_compiles(monkeypatch)
     ring = _CyclotomicIntegers(5)
     with pytest.raises(AttributeError):
         ring.nope
@@ -349,20 +403,20 @@ def test_a_ring_misses_every_name_but_its_four_kernels():
     bare = _CyclotomicIntegers.__new__(_CyclotomicIntegers)
     assert not hasattr(bare, "__setstate__") and vars(bare) == {}
     for twin in (copy.deepcopy(ring), pickle.loads(pickle.dumps(ring))):
-        assert twin.p == 5 and twin.mul(twin.one, twin.one) == twin.one
-        assert twin.mul is valfield._straight_line_kernels(5)["mul"]
+        assert twin.p == 5 and vars(twin).keys() == {"p", "zero", "one"}
+        assert twin.mul(twin.one, twin.one) == twin.one
+        assert twin.mul is valfield._straight_line_kernel(5, "mul")
+        assert vars(twin).keys() == {"p", "zero", "one", "mul"}
+    assert compiled == [(5, "mul")]
 
 
 def test_a_ring_above_the_bound_binds_its_loops_without_compiling(monkeypatch):
     # each kernel of a ring above _STRAIGHT_LINE_BOUND is the loop of its
     # name bound to the ring, stored at its first lookup, and nothing compiles
-    compiled = []
-    source = valfield._kernel_source
-    monkeypatch.setattr(valfield, "_kernel_source", lambda p: compiled.append(p) or source(p))
-    valfield._straight_line_kernels.cache_clear()
+    compiled = _count_compiles(monkeypatch)
     for p in (17, 53):
         ring = FieldContext(p, p).integers
-        for name in ("mul", "matmul", "trace_mul", "cross"):
+        for name in valfield._KERNELS:
             kernel = getattr(ring, name)
             assert kernel.__func__ is getattr(_CyclotomicIntegers, "_" + name) and kernel.__self__ is ring
             assert vars(ring)[name] is kernel is getattr(ring, name)
