@@ -147,14 +147,14 @@ def cluster_data(cfg: Configuration) -> Skeleton:
         stack.append((list(range(n)), None))
     while stack:
         idx, up = stack.pop()
-        k, at, x = len(tree), len(order), idx[0]
-        if len(idx) == 1:
+        k, at, x, size = len(tree), len(order), idx[0], len(idx)
+        if size == 1:
             leaf[x] = k
             tree.append((up, at, 1, INF_STEPS))
             order.append(x)
             continue
         top = rows[x]
-        if len(idx) == 2:
+        if size == 2:
             # two singletons follow at once; y's row is x's, but the depth towards x
             y = idx[1]
             depth = top[y]
@@ -166,7 +166,7 @@ def cluster_data(cfg: Configuration) -> Skeleton:
             continue
         others = idx[1:]
         depth = min(map(top.__getitem__, others))
-        tree.append((up, at, len(idx), depth))
+        tree.append((up, at, size, depth))
         # children: equivalence classes of "valuation strictly above depth".
         # x's child is split off x's row; each later child's first point a
         # is valued against the members not yet placed, which splits it off
@@ -307,9 +307,12 @@ class Skeleton(NamedTuple):
                 b = pts[1]
                 r = row_a[b]
                 discs.append((a, r))
-                walk = [k for k in self.chain(pts) if sizes[k] % 2]
+                walk = []
+                for k in self.chain(pts):
+                    if sizes[k] % 2:
+                        walk.append(k)
                 odd.append(walk[0] if walk else None)
-                odd_depths.append(tuple([depths[k] for k in walk]))
+                odd_depths.append(tuple(map(depths.__getitem__, walk)))
                 ends.append((row_a, smat[b], a, b, r))
             else:
                 discs.append((pairs[0][0], top))
@@ -319,26 +322,34 @@ class Skeleton(NamedTuple):
         gaps = []
         for k, (row_a, row_b, _, _, r_k) in enumerate(ends):
             for _, _, y, z, r_l in ends[k + 1:]:
-                # no row_b[z]: where it alone is largest, r_k = row_a[z] and r_l = row_b[y]
-                u = max(row_a[y], row_a[z], row_b[y])
+                # u is the largest of three entries, by two compares; no
+                # row_b[z]: where it alone is largest, r_k = row_a[z] and
+                # r_l = row_b[y]
+                u = row_a[y]
+                if row_a[z] > u:
+                    u = row_a[z]
+                if row_b[y] > u:
+                    u = row_b[y]
                 gaps.append((r_k - u if r_k > u else 0) + (r_l - u if r_l > u else 0))
         # the eleven fields of the tree, then the five of the pairs
         return Skeleton._make(
             self[:11] + (pairs, tuple(discs), tuple(odd), tuple(odd_depths), tuple(gaps))
         )
 
-    def chain(self, members: tuple[int, ...]):
+    def chain(self, members: tuple[int, ...]) -> list[int]:
         """The indices of the clusters containing the given positions,
-        smallest first."""
+        smallest first, as a list walked in one plain loop."""
         # walking up from the first member's leaf, only the last can be
         # missing, and once a cluster holds it so do all above
         first, sizes, parent, leaf = self.first, self.sizes, self.parent, self.leaf
         k, at = leaf[members[0]], first[leaf[members[-1]]]
         while not first[k] <= at < first[k] + sizes[k]:
             k = parent[k]
+        walk = []
         while k is not None:
-            yield k
+            walk.append(k)
             k = parent[k]
+        return walk
 
 
 class PairedConfiguration(NamedTuple):
@@ -376,9 +387,11 @@ class PairedConfiguration(NamedTuple):
 
 def even_keys(sk: Skeleton) -> list[Optional[int]]:
     """Each position's key for :func:`canonical_pairs`: the smallest even
-    cluster on its leaf's chain, walking up from the leaf, or None."""
+    cluster on its leaf's chain, walking up from the leaf's parent (the
+    leaf, a singleton, is odd), or None."""
     keys, sizes, parent = [], sk.sizes, sk.parent
     for k in sk.leaf:
+        k = parent[k]
         while k is not None and sizes[k] % 2:
             k = parent[k]
         keys.append(k)
@@ -398,26 +411,28 @@ def canonical_pairs(sk: Skeleton, has_infinity: bool) -> tuple[tuple[int, ...], 
     ties broken by position (first occurrence in the input, for a tree
     built in input order); the pair containing infinity comes last and
     lists its finite point only.
+
+    The classes are paired in one loop over the keys: a position waits
+    under its key until the second member comes, and the key then holds -1,
+    so a third member is refused at once.  After the loop, the pairs found
+    (infinity's being the one position left waiting under None) must
+    account for every point.
     """
-    classes: dict[Optional[int], list] = {}
-    for x, key in enumerate(even_keys(sk)):
-        classes.setdefault(key, []).append(x)
-    if has_infinity:
-        classes.setdefault(None, []).append(None)
-    # each class checked and keyed for the order in one loop: infinity is
-    # appended last, so it can only be a class's second member
-    smat, finite, last = sk.smat, [], ()
-    for ab in classes.values():
-        if len(ab) != 2:
-            raise PairingError(PairingFailure.NOT_CLUSTERED_IN_PAIRS,
-                               "even-cluster equivalence classes do not all have size 2")
-        a, b = ab
-        if b is None:
-            last = ((a,),)
-        else:
-            finite.append((-smat[a][b], a, b))
-    finite.sort()
-    return tuple([(a, b) for _, a, b in finite]) + last
+    keys, waiting, smat, finite = even_keys(sk), {}, sk.smat, []
+    for x, key in enumerate(keys):
+        a = waiting.setdefault(key, x)
+        if a < 0:
+            break  # a third member
+        if a != x:
+            waiting[key] = -1
+            finite.append((-smat[a][x], a, x))
+    else:
+        last = ((waiting[None],),) if has_infinity and waiting.get(None, -1) >= 0 else ()
+        if 2 * (len(finite) + len(last)) == len(keys) + has_infinity:
+            finite.sort()
+            return tuple([(a, b) for _, a, b in finite]) + last
+    raise PairingError(PairingFailure.NOT_CLUSTERED_IN_PAIRS,
+                       "even-cluster equivalence classes do not all have size 2")
 
 
 def check_separated(pcfg: PairedConfiguration) -> None:
@@ -446,9 +461,9 @@ def pair_up(cfg: Configuration) -> PairedConfiguration:
     held = [pt for pt in cfg.points if pt.value is not None]
     has_inf = len(held) < len(cfg.points)
     sk = sk.paired(canonical_pairs(sk, has_inf))
-    points = [held[x] for pts in sk.pair_points for x in pts]
-    points += [INFINITY] if has_inf else []
-    pcfg = PairedConfiguration(cfg.ctx, tuple(zip(points[::2], points[1::2])), sk)
+    # the pair at infinity, last, lists its finite point only
+    pairs = [(held[pts[0]], held[pts[1]] if len(pts) == 2 else INFINITY) for pts in sk.pair_points]
+    pcfg = PairedConfiguration(cfg.ctx, tuple(pairs), sk)
     check_separated(pcfg)
     return pcfg
 

@@ -48,7 +48,6 @@ Outcomes:
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple, Optional, Union
 
 from .clusters import Configuration, PairedConfiguration, pair_up
@@ -122,7 +121,13 @@ def targets(pcfg: PairedConfiguration, i: int) -> list:
     the vertex of pair i: either the walk stays below the join, the least
     disc holding both (shrink the radius by rho), or it crosses the join
     and descends toward pair i (radius 2 d(join) - d(target) + rho around
-    pair i).  With rho = 0 it is the target disc itself.
+    pair i).  With rho = 0 it is the target disc itself.  A target of the
+    second rule is centred at c with radius at most r_i, so it holds pair
+    i's disc and is its own join: its push-back is (c, radius + rho), read
+    with no entry of row c, whose own entry is ``INF_STEPS``.  A target of
+    the first rule is centred at c_j, never at c: the pair at infinity,
+    whose disc is centred at the first point of pair 0, has no odd cluster
+    to share.
     """
     sk = pcfg.skeleton
     out: list = [None] * len(sk.pair_points)
@@ -136,34 +141,37 @@ def targets(pcfg: PairedConfiguration, i: int) -> list:
     for j, pts in enumerate(sk.pair_points):
         if j == i:
             continue
-        # pair_odd is None for the pair at infinity
+        # pair_odd is None for the pair at infinity, and odd is not
         if odd == pair_odd[j]:
             center, radius = target = sk.pair_discs[j]
-        else:
-            lo, hi = row[pts[0]], row[pts[-1]]
-            if len(pts) == 1:
-                lo = depths[-1] - 1  # below every depth
-            elif lo > hi:
-                lo, hi = hi, lo
-            # the depths descend, so the first one up to hi decides
-            for d in depths:
-                if d <= hi:
-                    break
-            if not lo < d <= hi:
-                continue
-            center, radius = target = c_i, min(r_i, hi)
-        jn = min(r_i, radius, row[center])
-        if radius - jn > rho:
-            out[j] = target, (center, radius - rho)
-        else:
-            out[j] = target, (c_i, 2 * jn - radius + rho)
+            jn = min(r_i, radius, row[center])
+            if radius - jn > rho:
+                out[j] = target, (center, radius - rho)
+            else:
+                out[j] = target, (c_i, 2 * jn - radius + rho)
+            continue
+        lo, hi = row[pts[0]], row[pts[-1]]
+        if len(pts) == 1:
+            lo = depths[-1] - 1  # below every depth
+        elif lo > hi:
+            lo, hi = hi, lo
+        # the depths descend, so the first one up to hi decides
+        for d in depths:
+            if d <= hi:
+                break
+        if lo < d <= hi:
+            # the join is the target itself, so the push-back widens it by rho
+            radius = hi if hi < r_i else r_i
+            out[j] = (c_i, radius), (c_i, radius + rho)
     return out
 
 
 def select_target(pcfg: PairedConfiguration, i: int) -> tuple[int, tuple]:
     """The index j whose pushed-back target strictly contains the pair-i disc
     and is minimal under inclusion (ties go to the smallest index), with
-    that target, read off one call of :func:`targets`.
+    that target, read off one call of :func:`targets`.  Containment reads
+    the entry of row c_i at the target's centre, except for a target
+    centred at c_i itself, which holds c_i with no entry read.
 
     The pair at infinity always qualifies, so a target exists for every
     i < g.
@@ -175,8 +183,10 @@ def select_target(pcfg: PairedConfiguration, i: int) -> tuple[int, tuple]:
         if found is None:
             continue
         center, radius = found[1]
-        # proper containment of the pair-i disc; largest radius, then least j
-        if r_i > radius and row[center] >= radius and (best is None or radius > best[1][1]):
+        # proper containment of the pair-i disc, where a disc centred at c_i
+        # needs no entry (its own is INF_STEPS); largest radius, then least j
+        if (r_i > radius and (center == c_i or row[center] >= radius)
+                and (best is None or radius > best[1][1])):
             best = j, found[1]
     if best is None:
         raise InvalidInputError(f"no folding target exists for index {i}")
@@ -188,18 +198,17 @@ def compute_I(pcfg: PairedConfiguration, i: int, target: tuple) -> frozenset[int
     (center index, radius in steps) around pair i: both points must be
     finite and strictly inside the residue branch through pair i, that is,
     both their entries in the row of pair i's first point exceed the
-    target's radius.  RuntimeError if pair i is not among them: a target
-    from :func:`select_target` never lies that deep."""
+    target's radius.  Pair i's own first entry is ``INF_STEPS`` and is not
+    compared.  RuntimeError if pair i is not among them: a target from
+    :func:`select_target` never lies that deep."""
     sk = pcfg.skeleton
-    row, level = sk.smat[sk.pair_points[i][0]], target[1]
-    out = frozenset(
-        l
-        for l, pts in enumerate(sk.pair_points)
-        if len(pts) == 2 and row[pts[0]] > level and row[pts[1]] > level
-    )
+    row, level, out = sk.smat[sk.pair_points[i][0]], target[1], []
+    for l, pts in enumerate(sk.pair_points):
+        if len(pts) == 2 and row[pts[1]] > level and (l == i or row[pts[0]] > level):
+            out.append(l)
     if i not in out:
         raise RuntimeError(f"pair {i} does not lie in its own branch")
-    return out
+    return frozenset(out)
 
 
 def find_fold_exponent(
@@ -240,14 +249,14 @@ def find_fold_exponent(
     representatives do not all share one e v(r_x) with pair i's is dropped
     before the scan, and when pair i's own two differ no l can pass.  The
     pairs l that pass are the candidates, in ascending l; the cross ratios
-    (N_x, M_x) are formed for pair i and the candidates only.  When every l
-    is dropped the scan returns before pair i's ratios are formed or
-    turned.
+    (N_x, M_x) are formed for pair i and the candidates only, in one plain
+    loop.  When every l is dropped the scan returns before the field
+    context is read or pair i's ratios are formed or turned.  Each
+    candidate's representatives are tried in two plain loops, pair i's
+    outermost, and the first side that fails ends both.
     """
-    ctx = pcfg.ctx
     sk = pcfg.skeleton
-    ring, valuation, rho = ctx.integers, ctx.integral_valuation, ctx.rho_steps
-    sub, ints, den, points, smat = ring.sub, sk.ints, sk.den_steps, sk.pair_points, sk.smat
+    points, smat = sk.pair_points, sk.smat
     a, b = points[j] if len(points[j]) == 2 else (points[j][0], None)
     # e v(r_x) = row_a[x] - row_b[x] (smat is symmetric), with a row of
     # zeros for the b_j at infinity
@@ -258,42 +267,48 @@ def find_fold_exponent(
     level = row_a[first] - row_b[first]
     if row_a[last] - row_b[last] != level:
         return None
-    candidates = [
-        l
-        for l, pts in enumerate(points)
-        if l != j and l not in I
-        and row_a[pts[0]] - row_b[pts[0]] == level
-        and row_a[pts[-1]] - row_b[pts[-1]] == level
-    ]
+    candidates = []
+    for l, pts in enumerate(points):
+        if (l != j and l not in I and row_a[pts[0]] - row_b[pts[0]] == level
+                and row_a[pts[-1]] - row_b[pts[-1]] == level):
+            candidates.append(l)
     if not candidates:
         return None
+    ctx = pcfg.ctx
+    ring, valuation, rhs = ctx.integers, ctx.integral_valuation, level + ctx.rho_steps
+    sub, cross, zero, ints, den = ring.sub, ring.cross, ring.zero, sk.ints, sk.den_steps
     # (N_x, M_x, e v(M_x)) of each finite representative, pair i's first;
     # M_x is None when b_j is infinity
-    reps_i, *ratios = [
-        [
-            (sub(ints[x], ints[a]), None if b is None else sub(ints[x], ints[b]), row_b[x] + den)
-            for x in points[l]
-        ]
-        for l in (i, *candidates)
-    ]
-    reps = list(zip(candidates, ratios))
-    rhs = level + rho
+    A_a, A_b, reps = ints[a], None if b is None else ints[b], []
+    for l in (i, *candidates):
+        rep = []
+        for x in points[l]:
+            A_x = ints[x]
+            rep.append((sub(A_x, A_a), None if b is None else sub(A_x, A_b), row_b[x] + den))
+        reps.append(rep)
+    reps_i, *reps = reps
     for n in range(1, ctx.p):
         turned = [(ring.rotate(n_i, n), m_i, vm_i) for n_i, m_i, vm_i in reps_i]
-        for l, reps_l in reps:
+        for l, reps_l in zip(candidates, reps):
+            # every pair of representatives, pair i's outermost; the first
+            # failing side ends both loops
             sides = []
-            for (zn_i, m_i, vm_i), (n_l, m_l, vm_l) in product(turned, reps_l):
-                if b is None:
-                    top, below = sub(n_l, zn_i), den
+            for zn_i, m_i, vm_i in turned:
+                for n_l, m_l, vm_l in reps_l:
+                    if b is None:
+                        top, below = sub(n_l, zn_i), den
+                    else:
+                        top = cross(n_l, m_i, zn_i, m_l)
+                        below = vm_l + vm_i
+                    lhs = INF_STEPS if top == zero else valuation(top) - below
+                    if not lhs > rhs:
+                        break
+                    sides.append(lhs)
                 else:
-                    top = ring.cross(n_l, m_i, zn_i, m_l)
-                    below = vm_l + vm_i
-                lhs = INF_STEPS if top == ring.zero else valuation(top) - below
-                if not lhs > rhs:
-                    break
-                sides.append(lhs)
+                    continue
+                break
             else:
-                return n, FoldWitness(l, *map(ctx.val_of_steps, (sides[0], rhs)))
+                return n, FoldWitness(l, ctx.val_of_steps(sides[0]), ctx.val_of_steps(rhs))
     return None
 
 
@@ -312,32 +327,39 @@ def apply_folding(
     """Replace the pairs in the fold set I by their images under the fold
     map m; others unchanged.
 
-    Each point is mapped by :func:`~.projline.image` on m's integer
-    entries, a finite one read off the skeleton as A / L.  The result is
-    flattened in pair-index order and may be a multiset.
+    Each pair's points are mapped by one :func:`~.projline.image` call on
+    m's integer entries, its finite ones read off the skeleton as A / L.
+    The result is flattened in pair-index order and may be a multiset.
     """
     ctx, sk, ent = pcfg.ctx, pcfg.skeleton, m.entries()
-    points = []
+    ints, points = sk.ints, []
     for l, pair in enumerate(pcfg.pairs):
         if l not in I:
-            points.extend(pair)
+            points += pair
             continue
-        moved = [image(ctx, ent, sk.ints[x], sk.den) for x in sk.pair_points[l]]
-        # a pair's infinity is its second point, and is 1 / 0
-        points.extend(moved + [image(ctx, ent, ctx.integers.one, 0)] * (2 - len(moved)))
+        pts = sk.pair_points[l]
+        points += image(ctx, ent, map(ints.__getitem__, pts), sk.den)
+        if len(pts) == 1:
+            # the pair at infinity: its infinity is its second point, and is 1 / 0
+            points += image(ctx, ent, [ctx.integers.one], 0)
     return Configuration(ctx, tuple(points))
 
 
 def validate_input(ctx: FieldContext, cfg: Configuration) -> None:
-    """InvalidInputError unless ``cfg`` lies in ``ctx``, its size is even
-    and >= 4 and infinity is among its points; a repeated infinity, like
-    any repeated value, is left to the repeat count of ``run_algorithm``."""
-    if cfg.ctx != ctx:
+    """InvalidInputError unless ``cfg`` lies in ``ctx`` (the one shared
+    context, found by identity before contexts are compared), its size is
+    even and >= 4 and infinity is among its points, found in one plain
+    loop; a repeated infinity, like any repeated value, is left to the
+    repeat count of ``run_algorithm``."""
+    if cfg.ctx is not ctx and cfg.ctx != ctx:
         raise InvalidInputError(f"the configuration's field is {cfg.ctx!r}, not {ctx!r}")
     size = len(cfg.points)
     if size < 4 or size % 2 != 0:
         raise InvalidInputError("configuration must have even size >= 4")
-    if not any(pt.value is None for pt in cfg.points):
+    for pt in cfg.points:
+        if pt.value is None:
+            break
+    else:
         raise InvalidInputError("configuration must contain the point at infinity")
 
 
@@ -387,14 +409,16 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
         # apply_folding lists inherited pair k at input positions (2k,
         # 2k + 1), infinity last, and each finite pair holds the input
         # positions of its points.
-        finite = pcfg.skeleton.pair_points[: pcfg.g]
-        if trace and any(x // 2 != y // 2 for x, y in finite):
-            return NotGood(PairingFailure.NOT_SEPARATED, tuple(trace))
+        g = pcfg.g
+        if trace:
+            for x, y in pcfg.skeleton.pair_points[:g]:
+                if x // 2 != y // 2:
+                    return NotGood(PairingFailure.NOT_SEPARATED, tuple(trace))
         previous, measure = measure, sum(pcfg.skeleton.pair_gaps)
         if previous is not None and measure >= previous:
             raise RuntimeError(f"termination measure did not drop: {previous} to {measure}")
 
-        for i in range(pcfg.g):
+        for i in range(g):
             j, target = select_target(pcfg, i)
             indices = compute_I(pcfg, i, target)
             found = find_fold_exponent(pcfg, i, j, indices)
@@ -403,18 +427,7 @@ def run_algorithm(ctx: FieldContext, cfg: Configuration) -> Verdict:
             n, witness = found
             m = fold_map(pcfg, j, n)
             after = apply_folding(pcfg, indices, m)
-            trace.append(
-                FoldingStep(
-                    i=i,
-                    j=j,
-                    n=n,
-                    indices=indices,
-                    map=m,
-                    before=pcfg,
-                    after=after,
-                    witness=witness,
-                )
-            )
+            trace.append(FoldingStep(i, j, n, indices, m, pcfg, after, witness))
             current = after
             break
         else:

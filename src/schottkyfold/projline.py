@@ -23,6 +23,11 @@ from typing import NamedTuple
 
 from .valfield import FieldContext, FieldKind
 
+# bound once, as in valfield: integer_map tests the flavour at every fold
+# map and compose, and a member looked up through its Enum class costs
+# several times a module global
+_RATIONAL = FieldKind.RATIONAL
+
 
 class PPoint(NamedTuple):
     """A point of P^1(K): a canonical field element, or infinity (value None)."""
@@ -46,7 +51,7 @@ def finite(ctx: FieldContext, x) -> PPoint:
     becomes a point, so anything else is refused here, a float above all."""
     if type(x) is Fraction:  # the common case: one exact value
         return PPoint(ctx.from_fraction(x))
-    listed = ctx.kind is not FieldKind.RATIONAL and isinstance(x, (tuple, list))
+    listed = ctx.kind is not _RATIONAL and isinstance(x, (tuple, list))
     for q in x if listed else (x,):
         if not isinstance(q, (int, Fraction)):
             what = "a float" if isinstance(q, float) else f"a {type(q).__name__}"
@@ -104,24 +109,30 @@ class Mobius(NamedTuple):
 def integer_map(ctx: FieldContext, m: tuple, s: int) -> Mobius:
     """The map of M = m / s (m an integer matrix (a, b, c, d) in
     ``ctx.integers``, s > 0) in M's canonical scale, which is integral.  Over
-    Q this is m over its content, first nonzero entry positive; over
-    Q(zeta_p) the least integral multiple of M, m / gcd(s, content(m))."""
+    Q this is m over its content, first nonzero entry positive (the first
+    row of an invertible matrix is not zero, so that entry is a, or b when a
+    is 0); over Q(zeta_p) the least integral multiple of M, m / gcd(s,
+    content(m))."""
     ring = ctx.integers
     k = ring.content(m)
-    if ctx.kind is FieldKind.RATIONAL:
-        return Mobius(ctx, *ring.divide(m, k if next(x for x in m if x) > 0 else -k))
+    if ctx.kind is _RATIONAL:
+        return Mobius(ctx, *ring.divide(m, k if (m[0] or m[1]) > 0 else -k))
     return Mobius(ctx, *ring.divide(m, gcd(s, k)))
 
 
-def image(ctx: FieldContext, m: tuple, num, den: int) -> PPoint:
-    """The image of num / den (num in ``ctx.integers``; infinity is 1 / 0)
-    under the integer matrix m: (a num + b den) / (c num + d den), one
-    :meth:`~.valfield.FieldContext.quotient`; a pole maps to infinity."""
-    ring = ctx.integers
-    a, b, c, d = m
+def image(ctx: FieldContext, m: tuple, nums, den: int) -> list[PPoint]:
+    """The images of the points num / den, num in ``nums`` (each in
+    ``ctx.integers``; infinity is 1 / 0), under the integer matrix m: (a num
+    + b den) / (c num + d den), one :meth:`~.valfield.FieldContext.quotient`
+    each, with -den formed once for all; a pole maps to infinity."""
+    ring, quotient = ctx.integers, ctx.quotient
+    cross, (a, b, c, d) = ring.cross, m
     minus_den = ring.times(ring.one, -den)
-    value = ctx.quotient(ring.cross(a, num, b, minus_den), ring.cross(c, num, d, minus_den))
-    return INFINITY if value is None else PPoint(value)
+    out = []
+    for num in nums:
+        value = quotient(cross(a, num, b, minus_den), cross(c, num, d, minus_den))
+        out.append(INFINITY if value is None else PPoint(value))
+    return out
 
 
 # kept for the benchmark's tracer (perfbench/spans.py); the library maps
@@ -130,8 +141,8 @@ def apply(m: Mobius, pt: PPoint) -> PPoint:
     """The fractional-linear action; total on P^1 (poles map to infinity),
     by :func:`image` on the map's entries and the lowered point."""
     f = m.ctx
-    (num,), den = ([f.integers.one], 0) if pt.is_infinity else f.lower([pt.value])
-    return image(f, m.entries(), num, den)
+    nums, den = ([f.integers.one], 0) if pt.is_infinity else f.lower([pt.value])
+    return image(f, m.entries(), nums, den)[0]
 
 
 def compose(m1: Mobius, m2: Mobius) -> Mobius:

@@ -83,6 +83,7 @@ import operator
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -457,7 +458,7 @@ class _CyclotomicIntegers:
 
     @staticmethod
     def divide(entries, k: int) -> tuple:
-        return tuple([c // k for c in x] for x in entries)
+        return tuple([[c // k for c in x] for x in entries])
 
 
 # --------------------------------------------------------------------------
@@ -565,8 +566,8 @@ class FieldContext:
         # the coefficients of x, ..., x^(p-1) of that product agree; the norm,
         # constant less top, is read off A and the padded conjugates
         padded = conjugates + [0]
-        norm = sum(c * (padded[-i] - padded[-1 - i]) for i, c in enumerate(den))
-        return tuple(Fraction(c, norm) for c in ring.mul(num, conjugates))
+        norm = sum([c * (padded[-i] - padded[-1 - i]) for i, c in enumerate(den)])
+        return tuple([Fraction(c, norm) for c in ring.mul(num, conjugates)])
 
     # -- the valuation -----------------------------------------------------
 
@@ -574,23 +575,31 @@ class FieldContext:
         """The elements over one common denominator L > 0, the lcm of every
         coefficient's denominator taken in one pass: their integral numerators
         in :attr:`integers`, each x being A_x / L, scaled once (as they are
-        when L = 1), then L."""
-        if self.kind is _RATIONAL:
-            den = lcm(*[x.denominator for x in values])
-            if den == 1:
-                return [x.numerator for x in values], 1
-            return [x.numerator * (den // x.denominator) for x in values], den
-        den = lcm(*[c.denominator for x in values for c in x])
-        if den == 1:
-            return [[c.numerator for c in x] for x in values], 1
-        return [[c.numerator * (den // c.denominator) for c in x] for x in values], den
+        when L = 1), then L.  One loop reads each coefficient once, as its
+        ``as_integer_ratio()``, not through the ``numerator`` and
+        ``denominator`` properties; over Q(zeta_p) the coefficients are
+        read in a row and regrouped p - 1 at a time."""
+        rational = self.kind is _RATIONAL
+        nums, dens = [], []
+        for x in values if rational else chain.from_iterable(values):
+            a, d = x.as_integer_ratio()
+            nums.append(a)
+            dens.append(d)
+        den = lcm(*dens)
+        if den != 1:
+            nums = [a * (den // d) for a, d in zip(nums, dens)]
+        if rational:
+            return nums, den
+        n = self.degree
+        return [nums[k : k + n] for k in range(0, len(nums), n)], den
 
     def val_of_steps(self, steps) -> Val:
         """A count of steps of (1/e) Z as a ``Val``; ``INF_STEPS`` is
-        +infinity."""
+        +infinity.  With e = 1 the ``Fraction`` is made with no gcd."""
         if steps is INF_STEPS:
             return INF
-        return Val(Fraction(steps, self.ramification))
+        e = self.ramification
+        return Val(Fraction(steps) if e == 1 else Fraction(steps, e))
 
     # demo 01 shows valuations through it, and the benchmark's tracer
     # counts its calls per field flavour (perfbench/spans.py)

@@ -11,6 +11,8 @@ readings.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,8 +34,15 @@ VALUATION_LIMIT = 464
 ROTATION_LIMIT = 114
 # classifying every least rotation, inverses and powers included, took 119
 CLASSIFIED_LIMIT = 77
-# pair_up making each paired point anew, not handing over the input's, took 200
-POINT_LIMIT = 39
+# pair_up making each paired point anew, not handing over the input's, took
+# 200; apply_folding mapping an infinity for every moved pair, finite ones
+# too, and dropping it, took 39
+POINT_LIMIT = 36
+# the frames of schottkyfold functions entered inside run_algorithm, walking
+# each cluster chain as a generator, comparing INF_STEPS on the step
+# matrix's diagonal, reading Fraction properties and mapping an unused
+# infinity per moved pair took 3,684
+FRAME_LIMIT = 2782
 # telling "inf" from a point, and a repeat of the first point, by comparing
 # each with it took 288; refusing a repeated pair in the audit, and naming
 # a repeat after a fold, by comparing and hashing points took 73
@@ -237,3 +246,48 @@ def test_only_mul_and_cross_compile_in_cli_run(monkeypatch):
     p = run["compiled"][0][0]
     sf.field_context(p, p).integers.matmul
     assert compiled[len(run["compiled"]):] == [(p, "matmul")]
+
+
+def test_package_frames_in_the_fold_loop(monkeypatch):
+    # the Python frames of schottkyfold functions entered inside
+    # run_algorithm (sys.setprofile "call" events: run_algorithm's own
+    # frame, every function it reaches, and a generator at each resume),
+    # over the pinned documents through cli.run, from cleared caches.
+    # Comprehension frames are not counted, for Python 3.12 inlines them;
+    # the builtin calls ("c_call" events) are printed beside the reading.
+    # The counter is live: it sees run_algorithm's own frame once per run
+    sf.field_context.cache_clear()
+    valfield._straight_line_kernel.cache_clear()
+    package = str(Path(sf.__file__).parent)
+    comprehensions = {"<listcomp>", "<setcomp>", "<dictcomp>"}
+    frames, builtin_calls = Counter(), []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.startswith(package) and code.co_name not in comprehensions:
+                frames[code.co_name] += 1
+        elif event == "c_call":
+            builtin_calls.append(arg)
+
+    run_algorithm = folding.run_algorithm
+    runs = []
+
+    def profiled(*args):
+        runs.append(args)
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            return run_algorithm(*args)
+        finally:
+            sys.setprofile(outer)
+
+    monkeypatch.setattr(folding, "run_algorithm", profiled)
+    for doc in DOCS:
+        spec = cli.parse_problem(doc.read_text(encoding="utf-8"))
+        cli.run(spec._replace(dot="unused"))
+    total = sum(frames.values())
+    print(f"\n{total} package frames and {len(builtin_calls)} builtin calls in {len(runs)} "
+          f"run_algorithm calls (limit {FRAME_LIMIT})")
+    assert runs and frames["run_algorithm"] == len(runs)
+    assert total <= FRAME_LIMIT

@@ -949,6 +949,74 @@ def test_the_step_matrix_of_every_skeleton_is_symmetric(monkeypatch):
     assert set(checked) == set(sf.FieldKind) and sum(checked.values()) >= 7000 + pinned, checked
 
 
+def test_the_fold_pass_shortcuts_hold_at_every_pass(monkeypatch):
+    # the fold pass leaves uncompared the step-matrix entries it knows to be
+    # INF_STEPS, and the fold map's sign is read off its first row.  Over
+    # every pass run_algorithm makes on the pinned documents and the census
+    # boxes, in all three flavours:
+    # - targets gives a target centred at c_i (its second rule) the
+    #   push-back (c_i, radius + rho), the general rule's only when that
+    #   radius is at most r_i;
+    # - select_target hands compute_I a target that pair i lies inside, so
+    #   compute_I, which compares only pair i's second entry, keeps pair i;
+    # - a canonical pair's smallest common cluster is the even-key cluster
+    #   of both its points;
+    # - a fold map's first row is not zero, so its first nonzero entry,
+    #   which integer_map makes positive over Q, is a or b
+    passes, maps = [], []
+    pair_up = folding.pair_up
+
+    def recorded_pair_up(cfg):
+        pcfg = pair_up(cfg)
+        passes.append(pcfg)
+        return pcfg
+
+    def recorded_fold_map(pcfg, j, n):
+        m = fold_map(pcfg, j, n)
+        maps.append(m)
+        return m
+
+    monkeypatch.setattr(folding, "pair_up", recorded_pair_up)
+    monkeypatch.setattr(folding, "fold_map", recorded_fold_map)
+    docs = sorted((Path(__file__).parent / "expected" / "cli").glob("*.json"))
+    for doc in docs:
+        cli.run(cli.parse_problem(doc.read_text(encoding="utf-8")))
+    for p, ell, n in BOXES:
+        ctx = sf.field_context(p, ell)
+        for points in census_sets(p, ell, n):
+            sf.run_algorithm(ctx, sf.configuration(ctx, points))
+    checked = Counter()
+    for pcfg in passes:
+        sk, rho = pcfg.skeleton, pcfg.ctx.rho_steps
+        keys = sf.clusters.even_keys(sk)
+        for pts in sk.pair_points[: pcfg.g]:
+            assert sk.chain(pts)[0] == keys[pts[0]] == keys[pts[1]]
+        for i in range(pcfg.g):
+            c_i, r_i = sk.pair_discs[i]
+            row = sk.smat[c_i]
+            for j, found in enumerate(targets(pcfg, i)):
+                if found is None:
+                    continue
+                (center, radius), pushed = found
+                # the join's radius, read off the entries that are finite
+                jn = min(r_i, radius) if center == c_i else min(r_i, radius, row[center])
+                general = (center, radius - rho) if radius - jn > rho else (c_i, 2 * jn - radius + rho)
+                assert pushed == general
+                if center == c_i:
+                    assert radius <= r_i
+                    checked["centred at c_i", rho > 0] += 1
+            j, target = select_target(pcfg, i)
+            assert r_i > target[1] and i in compute_I(pcfg, i, target)
+            checked[pcfg.ctx.kind] += 1
+    for m in maps:
+        ring = m.ctx.integers
+        assert m.a != ring.zero or m.b != ring.zero
+        if m.ctx.kind is sf.FieldKind.RATIONAL:
+            assert next(x for x in m.entries() if x) > 0
+    assert checked["centred at c_i", True] and checked["centred at c_i", False], checked
+    assert all(checked[kind] for kind in sf.FieldKind) and len(maps) > 100, (checked, len(maps))
+
+
 def _valuations(pcfg, j, k):
     """v(r_x) for the finite representatives c_x of pair k, by field route."""
     return {pcfg.ctx.valuation(r) for r in cross_ratios(pcfg, j, k)}

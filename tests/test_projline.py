@@ -211,6 +211,44 @@ def test_projective_equality_is_cross_multiplicative():
     )
 
 
+def test_integer_map_gives_one_record_per_scalar_multiple():
+    # the library's canonical scale (integer_map), reached through compose
+    # and word_matrix.  Over Q every nonzero integral multiple of an integer
+    # matrix, negative or with a content, is one record: the matrix over its
+    # content, the first nonzero entry of its first row (a, or b when a is
+    # 0) positive.  Over Q(zeta_3) the scale is the least integral multiple
+    # of the field matrix, so the matrix written over any common denominator
+    # is one record, and an integral multiple keeps its own.  A matrix that
+    # is no multiple is another record
+    ctx = sf.field_context(2, 5)
+    one = identity(ctx)
+    for base, canonical in (((3, -2, 5, 7), (3, -2, 5, 7)), ((0, -4, 6, 10), (0, 2, -3, -5))):
+        for k in (1, -1, 6, -6, -35):
+            scaled = sf.Mobius(ctx, *[k * x for x in base])
+            assert sf.compose(scaled, one) == sf.compose(one, scaled) == sf.Mobius(ctx, *canonical)
+        other = sf.Mobius(ctx, *base[:3], base[3] + 1)
+        assert sf.compose(other, one) != sf.Mobius(ctx, *canonical)
+    for p, ell, first, second in (
+        (2, 5, Fraction(3), Fraction(-7, 2)),
+        (3, 7, (Fraction(1), Fraction(2)), (Fraction(-3, 2), Fraction(1, 7))),
+    ):
+        ctx = sf.field_context(p, ell)
+        a0, b0 = fin(ctx, first), fin(ctx, second)
+        # a third point with denominator 6, 12 or 35 scales pair 0's matrix
+        # and its denominator by the square of the common denominator
+        words = []
+        for q in (Fraction(5), Fraction(1, 6), Fraction(-5, 12), Fraction(2, 35)):
+            pcfg = sf.PairedConfiguration(ctx, ((a0, b0), (fin(ctx, q), sf.INFINITY)))
+            words.append(sf.word_matrix(pcfg, sf.GroupWord(((0, 1),))))
+        assert all(word == words[0] for word in words)
+        moved = sf.PairedConfiguration(ctx, ((a0, fin(ctx, 1)), (fin(ctx, 5), sf.INFINITY)))
+        assert sf.word_matrix(moved, sf.GroupWord(((0, 1),))) != words[0]
+        if p > 2:
+            ring = ctx.integers
+            twice = sf.Mobius(ctx, *[ring.times(x, 2) for x in words[0].entries()])
+            assert sf.compose(twice, identity(ctx)) == twice != words[0]
+
+
 def random_value(rng, ctx):
     """A field element with denominators, not rational when p is odd."""
     coeffs = [
