@@ -31,7 +31,8 @@ denominator (:func:`_lowered_pairs`, which :func:`word_matrix` reads too,
 building only the generator powers its word names).  It composes each
 prefix once from its parent (except the prefixes one syllable short of
 the longest words, which close on a cached product of two generators),
-and classifies a word from its integer trace and the cached valuations of
+divides by its content only a prefix that it extends further, and
+classifies a word from its integer trace and the cached valuations of
 the determinants, with the Newton polygon rule of
 :func:`~.projline.is_loxodromic`.  Every product, trace and determinant is
 one fused kernel of the integer ring.  :func:`word_matrix` and
@@ -199,10 +200,13 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     * **prefixes** -- the walk goes one length at a time over a list of
       prefixes, each with its integer matrix, exponent sum mod p and
       v(det).  A prefix is composed once, from its parent, with the ring's
-      ``matmul``, and divided by the integer content of its entries: a
-      scalar, which would otherwise grow with the length.  Its v(det) is
-      the parent's plus the last generator's, less twice v(content).  Only
-      one level is held at a time;
+      ``matmul``.  A prefix that the walk extends is divided by the
+      integer content of its entries, a scalar that would otherwise grow
+      with the length, and its v(det) is the parent's plus the last
+      generator's, less twice v(content).  The last multiplied level, of
+      length ``last`` - 2, is extended by no product, so its prefixes keep
+      their content and their v(det) is the plain sum.  Only one level is
+      held at a time;
     * **closing** -- a word's last exponent is forced to close the exponent
       sum, so a prefix whose sum is already 0 mod p ends no word of the
       next length, and the walk stops at the longest length that holds a
@@ -259,6 +263,10 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, pairs: dict):
     word returns None.
     Syllables are coded as idx p + exp, which orders them as (idx, exp).
     ``pairs`` memoises the two-generator products of the closing level.
+    A prefix is divided by its content only when a later level multiplies
+    it again: the products of the last multiplied level are read only by
+    tests that a scalar does not change (the trace's and det's valuations,
+    tr^2 = 4 det and the scalar test).
     """
     p = ctx.p
     ring = ctx.integers
@@ -331,8 +339,10 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, pairs: dict):
                 return (word, cls), relations
         if length < last:
             # the next level; on the last one a prefix must be able to close,
-            # and it keeps its parent's matrix rather than a product
+            # and it keeps its parent's matrix rather than a product, so the
+            # level before it, the last multiplied, is not divided
             closing = length + 1 == last
+            final = length + 2 == last
             nxt = []
             for prefix, m, total, v_det, lyndon in level:
                 end = prefix[-1] // p
@@ -360,14 +370,11 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, pairs: dict):
                             nxt.append((extended, m, total_next, v_det, lyndon_next))
                             continue
                         gen, _, v_det_gen = gens[idx][exp - 1]
-                        product = matmul(m, gen)
-                        k = ring.content(product)
-                        nxt.append((
-                            extended,
-                            ring.divide(product, k),
-                            total_next,
-                            v_det + v_det_gen - 2 * step * int_valuation(k, ctx.ell),
-                            lyndon_next,
-                        ))
+                        product, v_next = matmul(m, gen), v_det + v_det_gen
+                        if not final:
+                            k = ring.content(product)
+                            product = ring.divide(product, k)
+                            v_next -= 2 * step * int_valuation(k, ctx.ell)
+                        nxt.append((extended, product, total_next, v_next, lyndon_next))
             level = nxt
     return None, relations

@@ -52,20 +52,24 @@ the product m n; ``trace_mul(m, n)``, tr(m n), four products; and
 difference).  Over Q they are inline ``int`` arithmetic.  Over Q(zeta_p)
 each sum of products is reduced once: folded mod x^p - 1, and the top
 coefficient subtracted, rather than reducing every product and adding
-afterwards.  For p up to 13 these kernels and the plain product ``mul``
-are straight-line functions, generated from p: one expression per
-coefficient over the unpacked coefficients, with no loop and no buffer.
-Each is compiled once per (p, kernel) per process, at its own first
-lookup on a ring (building a context compiles nothing), so a run that
-folds without an audit compiles only the ``mul`` and ``cross`` it looks
-up.  The four kernels' source has 15 (p - 1)^2 products, so its cost
-grows as p^2: all four compile in about 11 ms and 3 MiB of peak RSS at
-p = 13, 86 ms and 15 MiB at p = 31, 285 ms and 43 MiB at p = 53, 1.2 s
-and 159 MiB at p = 101 (medians of three fresh processes, Python 3.11.7
-on an x86-64 Xeon).  Timed apart, ``mul`` and ``cross`` take about
+afterwards.  For p up to 13 these kernels, the plain product ``mul``, the
+difference ``sub`` and the turn by a power of zeta ``rotate`` are
+straight-line functions, generated from p: one expression per
+coefficient over the unpacked coefficients, with no loop and no buffer
+(``rotate`` has one branch per residue of its exponent mod p).  Each is
+compiled once per (p, kernel) per process, at its own first lookup on a
+ring (building a context compiles nothing), so a run that folds without
+an audit compiles only the ``mul``, ``cross``, ``sub`` and ``rotate`` it
+looks up.  The four product kernels' source has 15 (p - 1)^2 products, so
+its cost grows as p^2: all four compile in about 11 ms and 3 MiB of peak
+RSS at p = 13, 86 ms and 15 MiB at p = 31, 285 ms and 43 MiB at p = 53,
+1.2 s and 159 MiB at p = 101 (medians of three fresh processes, Python
+3.11.7 on an x86-64 Xeon).  Timed apart, ``mul`` and ``cross`` take about
 0.6 ms at p = 5 and 2.6 ms at p = 13, ``matmul`` and ``trace_mul`` 1.8 ms
-and 9.9 ms (medians of five fresh processes).  Above 13 the kernels are loops over the coefficients that accumulate each
-sum in one convolution buffer of 2p - 3 coefficients (one rule,
+and 9.9 ms, ``sub`` and ``rotate`` 0.2 and 0.3 ms at p = 5, 0.4 and
+1.3 ms at p = 13 (medians of five fresh processes).  Above 13 the kernels
+are loops over the coefficients; the product loops accumulate each sum
+in one convolution buffer of 2p - 3 coefficients (one rule,
 ``_CyclotomicIntegers._sum``), the one path that stays small at large p.
 
 Everything here is immutable and every operation is a pure function, so
@@ -177,12 +181,16 @@ INF_STEPS = _InfSteps()
 def int_valuation(n: int, ell: int) -> int:
     """ell-adic valuation of a nonzero integer (ell >= 2).
 
-    One division per step while the valuation is small; from 8 on, the
-    rest comes off in blocks (:func:`_block_valuation`), so a valuation v
-    costs O(log v) divisions, not v.
+    For ell = 2 it is read in one step, as the index of n's lowest set bit
+    (``n & -n`` isolates that bit, also for n < 0).  Otherwise one division
+    per step while the valuation is small; from 8 on, the rest comes off in
+    blocks (:func:`_block_valuation`), so a valuation v costs O(log v)
+    divisions, not v.
     """
     if n == 0:
         raise ValueError("valuation of zero is infinite")
+    if ell == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     while n % ell == 0:
         n //= ell
@@ -298,20 +306,24 @@ class _Integers:
         return tuple([x // k for x in entries])
 
 
-# The straight-line product kernels are compiled for p up to this bound and
+# The straight-line kernels are compiled for p up to this bound and
 # the loop kernels run above it: compiling costs time and memory that grow
 # as p^2 (measured in the module docstring).
 _STRAIGHT_LINE_BOUND = 13
-# the product kernels a ring fixes at their first lookup, by name
-_KERNELS = ("mul", "matmul", "trace_mul", "cross")
+# the kernels a ring fixes at their first lookup, by name: four products,
+# the difference and the rotation by a power of zeta
+_KERNELS = ("mul", "matmul", "trace_mul", "cross", "sub", "rotate")
 
 
 def _kernel_source(p: int, name: str) -> str:
     """Python source of the kernel ``name`` (one of ``_KERNELS``) over
-    Z[zeta_p], one expression per coefficient of each sum of products over
-    the unpacked coefficients: the products x_i y_j with i + j = k or k + p
-    (the fold mod x^p - 1), less the top coefficient t, the products with
-    i + j = p - 1, as :meth:`_CyclotomicIntegers._sum` does."""
+    Z[zeta_p], one expression per coefficient over the unpacked
+    coefficients.  In a sum of products, coefficient k takes the products
+    x_i y_j with i + j = k or k + p (the fold mod x^p - 1), less the top
+    coefficient t, the products with i + j = p - 1, as
+    :meth:`_CyclotomicIntegers._sum` does.  ``sub`` is x_k - y_k, and
+    ``rotate`` has one branch per residue of n mod p, the turn and
+    reduction of :meth:`_CyclotomicIntegers._rotate` written out."""
     n = p - 1
 
     def unpack(names: str, arg: str) -> str:
@@ -344,8 +356,27 @@ def _kernel_source(p: int, name: str) -> str:
         ]
     elif name == "trace_mul":
         head, body = "trace_mul(m, n)", [*matrices, *element(["+aw", "+by", "+cx", "+dz"], "return")]
-    else:
+    elif name == "cross":
         head, body = "cross(x, y, u, v)", [unpack("xyuv", "x, y, u, v"), *element(["+xy", "-uv"], "return")]
+    elif name == "sub":
+        head, body = "sub(x, y)", [unpack("xy", "x, y"), "return [" + ", ".join(f"x{k} - y{k}" for k in range(n)) + "]"]
+    else:
+        # zeta^r x, r = n mod p: coefficient k is x_(k-r) less x_t, t = p -
+        # 1 - r, where x_(p-1) = 0 (so coefficient r - 1 is -x_t, and r = 0
+        # copies x)
+        def turned(r: int) -> str:
+            t = n - r
+            return "[" + ", ".join(
+                f"x{k}" if r == 0 else f"-x{t}" if k == r - 1 else f"x{(k - r) % p} - x{t}"
+                for k in range(n)
+            ) + "]"
+
+        head, body = "rotate(x, n)", [
+            unpack("x", "x"),
+            f"n %= {p}",
+            *[f"if n == {r}: return {turned(r)}" for r in range(n)],
+            f"return {turned(n)}",
+        ]
     return "\n    ".join([f"def {head}:", *body]) + "\n"
 
 
@@ -361,11 +392,12 @@ def _straight_line_kernel(p: int, name: str):
 class _CyclotomicIntegers:
     """Integral elements A(zeta) of Q(zeta_p): the p - 1 integer
     coefficients of A in the canonical basis 1, zeta, ..., zeta^(p-2), so
-    equal elements are equal lists.  The product kernels ``mul``,
-    ``matmul``, ``trace_mul`` and ``cross`` are fixed on a ring each at its
-    own first lookup (:meth:`__getattr__`): the straight-line function of
-    that name for its p up to ``_STRAIGHT_LINE_BOUND``, the loops ``_mul``,
-    ``_matmul``, ``_trace_mul`` and ``_cross`` above it."""
+    equal elements are equal lists.  The kernels ``mul``, ``matmul``,
+    ``trace_mul``, ``cross``, ``sub`` and ``rotate`` are fixed on a ring
+    each at its own first lookup (:meth:`__getattr__`): the straight-line
+    function of that name for its p up to ``_STRAIGHT_LINE_BOUND``, the
+    loops ``_mul``, ``_matmul``, ``_trace_mul``, ``_cross``, ``_sub`` and
+    ``_rotate`` above it."""
 
     def __init__(self, p: int):
         self.p = p
@@ -373,7 +405,7 @@ class _CyclotomicIntegers:
         self.one = [1] + [0] * (p - 2)
 
     def __getattr__(self, name: str):
-        """A product kernel missing from the ring, stored on it: up to
+        """A kernel missing from the ring, stored on it: up to
         ``_STRAIGHT_LINE_BOUND`` the one kernel looked up is compiled, once
         per (p, name) per process, and the others stay uncompiled until
         their own lookup; later lookups read the instance.  Any other name
@@ -431,7 +463,7 @@ class _CyclotomicIntegers:
         top = z[-1]
         return [c - top for c in z[:-1]]
 
-    def rotate(self, x: list[int], n: int) -> list[int]:
+    def _rotate(self, x: list[int], n: int) -> list[int]:
         """zeta^n x: in Z[x]/(x^p - 1) the p coefficients turn by n places,
         then the top one is reduced away."""
         n %= self.p
@@ -440,13 +472,12 @@ class _CyclotomicIntegers:
         top = z[-1]
         return [c - top for c in z[:-1]]
 
+    def _sub(self, x: list[int], y: list[int]) -> list[int]:
+        return list(map(operator.sub, x, y))
+
     @staticmethod
     def add(x: list[int], y: list[int]) -> list[int]:
         return [a + b for a, b in zip(x, y)]
-
-    @staticmethod
-    def sub(x: list[int], y: list[int]) -> list[int]:
-        return list(map(operator.sub, x, y))
 
     @staticmethod
     def times(x: list[int], k: int) -> list[int]:
@@ -500,8 +531,8 @@ class FieldContext:
             self.degree = p - 1
         else:
             raise UnsupportedFieldError(
-                f"no supported valued field contains a primitive {p}-th root "
-                f"of unity for residue characteristic {ell}"
+                f"no supported valued field contains a primitive root of unity "
+                f"of order {p} for residue characteristic {ell}"
             )
         # The separation radius v(p)/(p-1), the radius of the fixed tube of
         # an order-p map: zero unless the residue characteristic is p.
@@ -531,12 +562,16 @@ class FieldContext:
         return (q,) + self._zero_tail
 
     def zeta_power(self, n: int):
-        """zeta_p^n in canonical form (zeta_2 = -1): the integer ring's
-        rotation of 1, as an element."""
-        power = self.integers.rotate(self.integers.one, n)
+        """zeta_p^n in canonical form (zeta_2 = -1), in closed form, so that
+        building a context looks up no kernel of its ring: for n mod p below
+        p - 1 the basis vector zeta^n, and zeta^(p-1) = -(1 + zeta + ... +
+        zeta^(p-2)), every coefficient -1."""
+        n %= self.p
         if self.kind is _RATIONAL:
-            return Fraction(power)
-        return tuple(map(Fraction, power))
+            return Fraction(-1 if n else 1)
+        if n == self.degree:
+            return (Fraction(-1),) * self.degree
+        return tuple([Fraction(int(k == n)) for k in range(self.degree)])
 
     # -- product and quotient ----------------------------------------------
 

@@ -9,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 
 import schottkyfold as sf
+from schottkyfold import valfield
 from schottkyfold.folding import targets
 
 from reference import (above, delta, field_add, field_mul, field_sub, order_p_fixing,
@@ -122,6 +123,33 @@ def count_calls(monkeypatch, owner, name, everywhere=False):
                 monkeypatch.setattr(m, key, counted)
             elif isinstance(value, staticmethod) and value.__func__ is original:
                 monkeypatch.setattr(m, key, staticmethod(counted))
+    return calls
+
+
+def count_kernel_calls(monkeypatch, name):
+    """Record the arguments of each call of the integer rings' kernel
+    ``name`` (one of ``valfield._KERNELS``): ``_Integers.name`` over Q, and
+    over Q(zeta_p) the kernel each ring stores at its first lookup, the
+    compiled function or the loop ``_name``.  The ``field_context`` cache is
+    cleared first, so that every ring is built, and looks the kernel up,
+    under the count; the caller clears it again after, for those rings keep
+    the counted kernel."""
+    calls = []
+
+    def counted(kernel):
+        def call(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        return call
+
+    compiled, loop = valfield._straight_line_kernel, getattr(valfield._CyclotomicIntegers, "_" + name)
+    monkeypatch.setattr(valfield, "_straight_line_kernel",
+                        lambda p, kernel: counted(compiled(p, kernel)) if kernel == name else compiled(p, kernel))
+    monkeypatch.setattr(valfield._CyclotomicIntegers, "_" + name,
+                        lambda ring, *args: calls.append(args) or loop(ring, *args))
+    monkeypatch.setattr(valfield._Integers, name, staticmethod(counted(getattr(valfield._Integers, name))))
+    sf.field_context.cache_clear()
     return calls
 
 

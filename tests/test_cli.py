@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import json
@@ -11,10 +12,13 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schottkyfold as sf
 from schottkyfold import cli
@@ -103,6 +107,20 @@ def test_main_refuses_a_misspelled_field_with_exit_3(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: unknown field 'option'; the fields are 'p', 'ell', 'points', 'options'\n"
+    )
+
+
+def test_main_refuses_a_field_with_no_root_of_unity_with_exit_3(capsys, monkeypatch):
+    # ell = 5 is neither p = 3 nor 1 mod 3: no supported field holds a
+    # primitive cube root of unity, and the refusal names its order
+    doc = {"p": 3, "ell": 5, "points": ["0", "5", "1", "inf"]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert cli.main(["--stdin"]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no supported valued field contains a primitive root of unity "
+        "of order 3 for residue characteristic 5\n"
     )
 
 
@@ -743,3 +761,87 @@ def test_main_refuses_an_ell_past_the_primality_bound_at_once(tmp_path):
     assert proc.returncode == cli.EXIT_INVALID
     assert proc.stdout == ""
     assert "3317044064679887385961981" in proc.stderr
+
+
+# the literals a mutated document puts among its points: fractions with a
+# zero or signed denominator, signs, exponents, hex, blanks, other digits,
+# other spellings of infinity, and JSON values that are not strings
+ODD_LITERALS = ("1/0", "0/7", "-0", "+3", "1e3", "0x1f", "", " 1", "1/-2", "--1", "INF",
+                "Infinity", "٧", "1/2/3", "007", "3.", 7, -1.5, None, True, [], {})
+# past the interpreter's 4,300-digit limit on int-to-string conversion, and
+# at it
+HUGE_LITERALS = ("9" * 4400, "-1/" + "7" * 4400, "1" + "0" * 4299)
+# p and ell: primes with and without a supported field, non-primes, and
+# values that are not integers.  A large p is left out: with ell = p its
+# field would have p - 1 coefficients
+FIELD_VALUES = (2, 3, 5, 7, 13, 29, 1, 0, -2, 4, "3", 2.0, True, None)
+# each option's values, valid or not, and an unknown option ("depth"): no
+# dot prefix but invalid ones, so no file is written, and verify_depth at
+# most 3, so every audit stays short
+OPTION_VALUES = {
+    "trace": (True, False, 1, "yes", None),
+    "verify_depth": (0, 1, 2, 3, -1, "2", 2.5, True, None),
+    "normalize_infinity": (True, False, 0, "true"),
+    "dot": ("", 5, False),
+    "depth": (2,),
+}
+
+
+@st.composite
+def mutated_documents(draw):
+    """A pinned document with up to four mutations: p, ell or an option
+    changed, a point replaced by an odd or a huge literal, and the points
+    shuffled, one repeated or one dropped."""
+    doc = json.loads(draw(st.sampled_from(PINNED)).read_text(encoding="utf-8"))
+    options = doc.setdefault("options", {})
+    options.pop("dot", None)
+    if "verify_depth" in options:
+        options["verify_depth"] = min(options["verify_depth"], 3)
+    points = doc["points"]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("p", "ell", "option", "options", "odd", "huge",
+                                     "shuffle", "repeat", "drop")))
+        if kind in ("p", "ell"):
+            doc[kind] = draw(st.sampled_from(FIELD_VALUES))
+        elif kind == "option" and isinstance(doc["options"], dict):
+            name = draw(st.sampled_from(sorted(OPTION_VALUES)))
+            doc["options"][name] = draw(st.sampled_from(OPTION_VALUES[name]))
+        elif kind == "options":
+            doc["options"] = draw(st.sampled_from(([], "trace", None)))
+        elif kind == "shuffle":
+            points[:] = draw(st.permutations(points))
+        elif points:
+            k = draw(st.integers(0, len(points) - 1))
+            if kind == "odd" or kind == "huge":
+                points[k] = draw(st.sampled_from(ODD_LITERALS if kind == "odd" else HUGE_LITERALS))
+            elif kind == "repeat":
+                points.insert(draw(st.integers(0, len(points))), points[k])
+            else:
+                del points[k]
+    return json.dumps(doc)
+
+
+def test_mutated_pinned_documents_exit_with_a_verdict_or_a_refusal():
+    # a derandomized fuzz of the pinned documents through the command line:
+    # every mutated document ends in a verdict (0, 1 or 2) or a refusal (3),
+    # never in an internal error (4), and --quiet keeps stderr empty.  Every
+    # one of the four exit codes is met, so the mutations reach each outcome
+    codes = Counter()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(mutated_documents())
+    def check(doc):
+        out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+        sys.stdin = io.StringIO(doc)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["--stdin", "--quiet"])
+        finally:
+            sys.stdin = stdin
+        assert code in (0, 1, 2, 3), (code, doc[:500])
+        assert err.getvalue() == "", doc[:500]
+        codes[code] += 1
+
+    check()
+    print(f"\nexit codes of the mutated documents: {dict(sorted(codes.items()))}")
+    assert set(codes) == {0, 1, 2, 3}

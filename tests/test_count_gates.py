@@ -24,7 +24,7 @@ from schottkyfold.projline import PPoint
 from schottkyfold.valfield import FieldContext
 
 from helpers import (count_calls, count_chain_walks, count_cluster_records,
-                     count_finite_pairs_built, recorded_inside)
+                     count_finite_pairs_built, count_kernel_calls, recorded_inside)
 
 DOCS = sorted((Path(__file__).parent / "expected" / "cli").glob("*.json"))
 
@@ -41,8 +41,10 @@ POINT_LIMIT = 36
 # the frames of schottkyfold functions entered inside run_algorithm, walking
 # each cluster chain as a generator, comparing INF_STEPS on the step
 # matrix's diagonal, reading Fraction properties and mapping an unused
-# infinity per moved pair took 3,684
-FRAME_LIMIT = 2782
+# infinity per moved pair took 3,684, and running sub and rotate as ring
+# methods, not compiled kernels (whose frames come from no package file),
+# took 2,782
+FRAME_LIMIT = 2570
 # telling "inf" from a point, and a repeat of the first point, by comparing
 # each with it took 288; refusing a repeated pair in the audit, and naming
 # a repeat after a fold, by comparing and hashing points took 73
@@ -54,11 +56,7 @@ def counts():
     with pytest.MonkeyPatch.context() as mp:
         sf.field_context.cache_clear()
         contexts = count_calls(mp, FieldContext, "__init__")
-        scan = recorded_inside(
-            mp, folding, "find_fold_exponent",
-            rational=count_calls(mp, valfield._Integers, "rotate"),
-            cyclotomic=count_calls(mp, valfield._CyclotomicIntegers, "rotate"),
-        )
+        scan = recorded_inside(mp, folding, "find_fold_exponent", rotations=count_kernel_calls(mp, "rotate"))
         scans = count_calls(mp, folding, "find_fold_exponent")
         records = count_cluster_records(mp)
         points = count_calls(mp, PPoint, "__new__")
@@ -104,10 +102,12 @@ def counts():
         s0 = sf.word_matrix(pcfg, sf.GroupWord(((0, 1),)))
         sf.classify(ctx, s0)
         sf.apply(s0, sf.finite(ctx, 1))
+    # the rings built under the count keep its kernels
+    sf.field_context.cache_clear()
     assert DOCS
     return {
         "valuations": len(loop["valuations"]),
-        "rotations": len(scan["rational"]) + len(scan["cyclotomic"]),
+        "rotations": len(scan["rotations"]),
         "scans": len(scans),
         "walks": len(loop["walks"]),
         "pairs": sum(loop["pairs"]),
@@ -222,13 +222,14 @@ def test_no_unused_route_is_called_in_cli_run(counts):
         assert counts[f"all {name} calls"] > counts[f"{name} calls"] == 0, name
 
 
-def test_only_mul_and_cross_compile_in_cli_run(monkeypatch):
+def test_only_the_fold_kernels_compile_in_cli_run(monkeypatch):
     # the straight-line kernels compiled inside cli.run (with a dot prefix,
     # so the hull runs) over the pinned documents that set no verify_depth,
-    # from cleared caches: the fold path cross-multiplies (cross) and
-    # divides (mul, in the quotient), and a first lookup compiles the one
-    # kernel looked up, so the audit's matmul and trace_mul compile nothing
-    # there.  A matmul lookup after the runs compiles: the counter is live
+    # from cleared caches: the fold path cross-multiplies (cross), divides
+    # (mul, in the quotient), subtracts (sub) and turns by powers of zeta
+    # (rotate), and a first lookup compiles the one kernel looked up, so the
+    # audit's matmul and trace_mul compile nothing there.  A matmul lookup
+    # after the runs compiles: the counter is live
     sf.field_context.cache_clear()
     valfield._straight_line_kernel.cache_clear()
     compiled = count_calls(monkeypatch, valfield, "_kernel_source")
@@ -242,7 +243,7 @@ def test_only_mul_and_cross_compile_in_cli_run(monkeypatch):
     names = sorted({name for _, name in run["compiled"]})
     print(f"\n{len(run['compiled'])} kernels compiled in {runs} cli.run calls without an audit: "
           + ", ".join(f"{name} at p = {p}" for p, name in run["compiled"]))
-    assert names == ["cross", "mul"]
+    assert names == ["cross", "mul", "rotate", "sub"]
     p = run["compiled"][0][0]
     sf.field_context(p, p).integers.matmul
     assert compiled[len(run["compiled"]):] == [(p, "matmul")]

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import schottkyfold as sf
-from schottkyfold import cli, folding, valfield
+from schottkyfold import cli, folding
 from schottkyfold.folding import (
     apply_folding,
     compute_I,
@@ -37,6 +37,7 @@ from helpers import (
     count_chain_walks,
     count_cluster_records,
     count_finite_pairs_built,
+    count_kernel_calls,
     ctx2,
     ctx5,
     ctx7,
@@ -865,27 +866,14 @@ def test_integer_scan_matches_the_field_route_at_wider_genus():
     assert seen["pruned"] >= 100, seen
 
 
-def test_a_scan_with_every_pair_dropped_forms_no_ratio(monkeypatch):
+def test_a_scan_with_every_pair_dropped_forms_no_ratio(monkeypatch, request):
     # at every (pass, i, j) where no pair l outside j and the fold set shares
     # pair i's one cross-ratio valuation (by field division here), the scan
     # returns before it forms pair i's ratios or turns them: the integer
-    # ring's sub and rotate never run inside it; where some l does, both run
-    calls, inside = Counter(), [False]
-
-    def watch(ring, name):
-        raw = ring.__dict__[name]
-        bare = isinstance(raw, staticmethod)
-        original = raw.__func__ if bare else raw
-
-        def counted(*args):
-            calls[name] += inside[0]
-            return original(*args)
-
-        monkeypatch.setattr(ring, name, staticmethod(counted) if bare else counted)
-
-    for ring in (valfield._Integers, valfield._CyclotomicIntegers):
-        for name in ("sub", "rotate"):
-            watch(ring, name)
+    # ring's sub and rotate kernels never run inside it; where some l does,
+    # both run
+    kernels = {name: count_kernel_calls(monkeypatch, name) for name in ("sub", "rotate")}
+    request.addfinalizer(sf.field_context.cache_clear)
     seen = Counter()
     for ctx, cfg in lowering_sets(37, genera=(2, 3)):
         verdict = sf.run_algorithm(ctx, nielsen_move(sf.pair_up(cfg), 0, 1))
@@ -904,16 +892,13 @@ def test_a_scan_with_every_pair_dropped_forms_no_ratio(monkeypatch):
                     open_ = len(level) == 1 and any(
                         levels[j, l] == level for l in pairs if l != j and l not in indices
                     )
-                    calls.clear()
-                    inside[0] = True
-                    try:
-                        found = find_fold_exponent(pcfg, i, j, indices)
-                    finally:
-                        inside[0] = False
+                    marks = {name: len(calls) for name, calls in kernels.items()}
+                    found = find_fold_exponent(pcfg, i, j, indices)
+                    made = {name: len(calls) - marks[name] for name, calls in kernels.items()}
                     if open_:
-                        assert calls["sub"] and calls["rotate"]
+                        assert made["sub"] and made["rotate"]
                     else:
-                        assert found is None and not +calls, calls
+                        assert found is None and not any(made.values()), made
                     seen["open" if open_ else "split" if len(level) > 1 else "dropped"] += 1
     assert seen["dropped"] >= 50 and seen["open"] >= 50, seen
 

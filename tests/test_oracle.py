@@ -438,6 +438,37 @@ def test_audit_composes_each_prefix_once(monkeypatch):
         assert len(calls) <= bound
 
 
+# the content divisions inside schottky_audit on the 7-adic S^min, by depth;
+# dividing the last multiplied level's products too took 48 and 1,832
+CONTENT_LIMITS = {7: 20, 10: 724}
+
+
+def test_audit_divides_only_the_prefixes_it_extends(monkeypatch):
+    # 7-adic S^min: every prefix that the walk extends is divided by its
+    # content, so entries stay bounded, while the products of the last
+    # multiplied level, read only by the scale-invariant trace, v(det),
+    # tr^2 = 4 det and scalar tests, are not.  The verdicts at depths 10 and
+    # 12 are those of every word: no witness, no relation, every word
+    # counted.  A content call outside the audit counts: the counter is live
+    pmin = sf.pair_up(sf.configuration(ctx7(), EIGHT_POINT_7ADIC_MIN))
+    contents = count_calls(monkeypatch, sf.valfield._Integers, "content")
+    readings = {}
+    for depth in (7, 10, 12):
+        mark = len(contents)
+        result = sf.schottky_audit(pmin, depth)
+        readings[depth] = len(contents) - mark
+        assert result.witness is None and result.relations == ()
+        assert result.words_checked == _gamma_word_count(3, 2, depth)
+    print("\n" + ", ".join(f"{readings[depth]} content divisions at depth {depth}" for depth in readings)
+          + f" (limits {CONTENT_LIMITS})")
+    assert (_gamma_word_count(3, 2, 10), _gamma_word_count(3, 2, 12)) == (88572, 797160)
+    for depth, limit in CONTENT_LIMITS.items():
+        assert 0 < readings[depth] <= limit, depth
+    mark = len(contents)
+    pmin.ctx.integers.content((7, 14))
+    assert len(contents) == mark + 1
+
+
 def test_audit_multiplies_and_values_only_while_lowering(monkeypatch):
     # the generators are built from the lowered points in the integer ring
     # and the walk runs on integers: FieldContext.mul and valuation are

@@ -322,37 +322,49 @@ def test_fused_kernels_match_their_compositions(p, ell):
 
 
 @pytest.mark.parametrize(
-    "p", [p for p in range(3, valfield._STRAIGHT_LINE_BOUND + 1) if _is_prime(p)]
+    "p", [p for p in range(3, valfield._STRAIGHT_LINE_BOUND + 1) if _is_prime(p)] + [17]
 )
 def test_straight_line_kernels_match_the_loops_and_the_reference(p):
-    # every p that compiles its kernels, on zero, +-1, small negative and
-    # above-2^64 coefficients: each compiled kernel (the one of its name in
-    # the compile cache) against the loop it replaces, and the product
-    # against the reference route
+    # every p that compiles its kernels, and p = 17 above the bound, on
+    # zero, +-1, small negative and above-2^64 coefficients: each compiled
+    # kernel (the one of its name in the compile cache) against the loop it
+    # replaces, and the product, the difference and the rotation by every
+    # n in -p..2p against the reference routes; at p = 17 the ring's
+    # kernels are its bound loops
     ctx = sf.field_context(p, p)
     ring = _CyclotomicIntegers(p)
     loop = {name: getattr(_CyclotomicIntegers, "_" + name) for name in valfield._KERNELS}
-    assert all(getattr(ring, name) is valfield._straight_line_kernel(p, name) for name in loop)
-    assert len({getattr(ring, name) for name in loop}) == len(loop)
+    if p <= valfield._STRAIGHT_LINE_BOUND:
+        assert all(getattr(ring, name) is valfield._straight_line_kernel(p, name) for name in loop)
+    else:
+        assert all(getattr(ring, name).__func__ is loop[name] for name in loop)
+    assert len({getattr(ring, name) for name in loop}) == len(loop) == 6
     rng = random.Random(100 + p)
+    as_field = lambda v: tuple(map(Fraction, v))
 
     def element():
         if rng.random() < 0.1:
             return list(rng.choice([ring.zero, ring.one, ring.times(ring.one, -1)]))
         return [rng.choice([0, 1, -1, rng.randint(-9, 9), rng.getrandbits(80) - 2**79]) for _ in range(p - 1)]
 
-    for _ in range(40):
+    for trial in range(40):
         m = a, b, c, d = tuple(element() for _ in range(4))
         n = tuple(element() for _ in range(4))
         assert ring.mul(a, b) == loop["mul"](ring, a, b)
-        assert tuple(map(Fraction, ring.mul(a, b))) == cyclo_mul(
-            ctx, tuple(map(Fraction, a)), tuple(map(Fraction, b))
-        )
+        assert as_field(ring.mul(a, b)) == cyclo_mul(ctx, as_field(a), as_field(b))
         product = ring.matmul(m, n)
         assert type(product) is tuple and product == loop["matmul"](ring, m, n)
         assert ring.trace_mul(m, n) == loop["trace_mul"](ring, m, n)
         assert ring.cross(a, b, c, d) == loop["cross"](ring, a, b, c, d)
-        assert all(type(x) is list for x in (*product, ring.mul(a, b), ring.cross(a, b, c, d)))
+        assert ring.sub(a, b) == loop["sub"](ring, a, b)
+        assert as_field(ring.sub(a, b)) == field_sub(ctx, as_field(a), as_field(b))
+        for k in range(-p, 2 * p + 1):
+            turned = ring.rotate(a, k)
+            assert turned == loop["rotate"](ring, a, k) and turned is not a
+            if trial < 4:
+                assert as_field(turned) == cyclo_mul(ctx, as_field(a), zeta_power_by_definition(ctx, k))
+        results = (*product, ring.mul(a, b), ring.cross(a, b, c, d), ring.sub(a, b), ring.rotate(a, 0))
+        assert all(type(x) is list for x in results)
 
 
 def _count_compiles(monkeypatch) -> list:
@@ -366,15 +378,18 @@ def _count_compiles(monkeypatch) -> list:
 
 
 def test_a_ring_compiles_its_kernels_at_their_first_lookup(monkeypatch):
-    # building a context multiplies nothing and compiles nothing; the first
-    # lookup of a kernel compiles that kernel alone for that p, once per
-    # process, and stores it on the ring; above the bound the loops are
-    # bound without compiling
+    # building a context, or reading its powers of zeta, multiplies,
+    # subtracts, turns and compiles nothing; the first lookup of one of the
+    # six kernels compiles that kernel alone for that p, once per process,
+    # and stores it on the ring; above the bound the loops are bound
+    # without compiling
     compiled = _count_compiles(monkeypatch)
     kernels = set(valfield._KERNELS)
+    assert kernels == {"mul", "matmul", "trace_mul", "cross", "sub", "rotate"}
     ctx = FieldContext(7, 29)
     ring = ctx.integers
     assert ctx.zeta == ctx.zeta_power(1) and ctx.valuation(ctx.zeta) == Val(Fraction(0))
+    assert [ctx.zeta_power(n) for n in range(-7, 15)] == [zeta_power_by_definition(ctx, n) for n in range(-7, 15)]
     assert compiled == [] and not kernels & vars(ring).keys()
     matmul = ring.matmul
     assert compiled == [(7, "matmul")] and vars(ring).keys() & kernels == {"matmul"}
@@ -389,12 +404,14 @@ def test_a_ring_compiles_its_kernels_at_their_first_lookup(monkeypatch):
     assert large.mul.__func__ is _CyclotomicIntegers._mul and len(compiled) == 3
 
 
-def test_a_ring_misses_every_name_but_its_four_kernels(monkeypatch):
+def test_a_ring_misses_every_name_but_its_kernels(monkeypatch):
     # any other missing name raises AttributeError before p is read and is
     # not stored, so the probes of copy and pickle on a bare ring do not
     # recurse, and a copy or an unpickled ring looks its kernels up anew,
-    # each one alone, from the compile cache
+    # each one alone, from the compile cache.  The class holds none of the
+    # six kernel names, so each lookup of one reaches __getattr__
     compiled = _count_compiles(monkeypatch)
+    assert len(valfield._KERNELS) == 6 and not set(valfield._KERNELS) & vars(_CyclotomicIntegers).keys()
     ring = _CyclotomicIntegers(5)
     with pytest.raises(AttributeError):
         ring.nope
