@@ -22,10 +22,11 @@ for x in (350, 625, Fraction(224, 935), Fraction(1, 125)):
 print("  v(0) =", ctx.valuation(ctx.from_fraction(0)))
 
 # The separation radius v(p)/(p-1) measures how thick the fixed locus of
-# an order-p map is.  It vanishes unless ell = p.
+# an order-p map is.  It vanishes unless ell = p.  A context counts it in
+# steps of the value group (1/e) Z, e the ramification index.
 for p, ell in ((2, 5), (2, 2), (3, 3), (3, 7)):
     c = field_context(p, ell)
-    print(f"separation radius for (p={p}, ell={ell}):", c.rho)
+    print(f"separation radius for (p={p}, ell={ell}):", Fraction(c.rho_steps, c.ramification))
 
 # Odd p needs the cyclotomic field Q(zeta_p).  When ell = 1 (mod p) the
 # cyclotomic polynomial splits ell-adically and a valuation is read off by
@@ -36,7 +37,7 @@ for p, ell in ((2, 5), (2, 2), (3, 3), (3, 7)):
 # by pi, each worth 1/(p - 1).  An element is its tuple of coefficients in
 # the basis 1, zeta, so zeta - 1 takes 1 off the first one.
 split = field_context(p=3, ell=7)
-zeta = split.zeta
+zeta = (Fraction(0), Fraction(1))
 print("zeta_3 lives as the coefficient tuple", zeta)
 zeta_minus_one = (zeta[0] - 1, *zeta[1:])
 print("v(zeta_3 - 1) over the 7-adics:", split.valuation(zeta_minus_one))

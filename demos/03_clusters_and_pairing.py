@@ -23,14 +23,16 @@ ctx = field_context(2, 7)
 cfg = configuration(ctx, [Fraction(1336, 3), -355, -110, 86, 0, 7, 1, "inf"])
 
 # The skeleton names points by their place among the finite points and
-# counts depths in steps of the value group; val_of_steps shows a count as
-# a valuation.
+# keeps its cluster tree flat: cluster k's members are the slice
+# order[first[k] : first[k] + sizes[k]], and its depth counts steps of the
+# value group; val_of_steps shows a count as a valuation.
 print("clusters of the 7-adic showcase configuration:")
 sk = cluster_data(cfg)
-clusters = map(sk.cluster, range(len(sk.sizes)))
-for c in sorted(clusters, key=lambda c: (-len(c.members), sorted(c.members))):
-    names = "{" + ", ".join(ctx.to_str(sk.values[k]) for k in sorted(c.members)) + "}"
-    print(f"  depth {ctx.val_of_steps(c.depth)}: {names}")
+clusters = [(sorted(sk.order[start : start + size]), depth)
+            for start, size, depth in zip(sk.first, sk.sizes, sk.depths)]
+for members, depth in sorted(clusters, key=lambda c: (-len(c[0]), c[0])):
+    names = "{" + ", ".join(ctx.to_str(sk.values[k]) for k in members) + "}"
+    print(f"  depth {ctx.val_of_steps(depth)}: {names}")
 
 print("pairing:", pair_up(cfg))
 

@@ -16,8 +16,7 @@ demos use nothing else.  The driver's internal steps
 ``cluster_data`` builds) come from their modules.
 """
 
-from .clusters import (Cluster, Configuration, PairedConfiguration, cluster_data,
-                       configuration, pair_up)
+from .clusters import Configuration, PairedConfiguration, cluster_data, configuration, pair_up
 from .errors import (InvalidInputError, PairingError, PairingFailure, RepeatedPointsError,
                      SchottkyFoldError, UnsupportedFieldError)
 from .folding import FoldingStep, FoldWitness, Good, NotGood, Redundant, Verdict, run_algorithm
@@ -31,8 +30,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     # configurations, clusters and the pairing
-    "Cluster", "Configuration", "PairedConfiguration", "cluster_data",
-    "configuration", "pair_up",
+    "Configuration", "PairedConfiguration", "cluster_data", "configuration",
+    "pair_up",
     # errors
     "InvalidInputError", "PairingError", "PairingFailure", "RepeatedPointsError",
     "SchottkyFoldError", "UnsupportedFieldError",

@@ -8,8 +8,7 @@ partition that values only the differences the strong triangle
 inequality leaves open.  It returns the ``Skeleton``, which keeps the tree
 as flat pre-order tuples: each cluster is an index, with its size, depth,
 parent and the start of its members' span in one ordering of the points.
-The fold pass reads only those; a ``Cluster`` record (members and depth)
-is made on demand, by ``Skeleton.cluster``, for the hull.
+The fold pass and the hull read only those; no cluster is made a record.
 
 Inside a ``Skeleton`` every valuation is an ``int`` counting steps of the
 value group (1/e) Z, e = ``FieldContext.ramification``: the step matrix,
@@ -72,15 +71,6 @@ def configuration(ctx: FieldContext, values) -> Configuration:
         else:
             pts.append(finite(ctx, v))
     return Configuration(ctx, tuple(pts))
-
-
-class Cluster(NamedTuple):
-    """A cluster of a ``Skeleton``: the positions of its members among the
-    configuration's finite points, and its depth in steps of the value
-    group (``INF_STEPS`` for a singleton)."""
-
-    members: frozenset[int]
-    depth: int
 
 
 def cluster_data(cfg: Configuration) -> Skeleton:
@@ -242,9 +232,7 @@ class Skeleton(NamedTuple):
     ``order[first[k] : first[k] + sizes[k]]``.  ``leaf[x]`` is the index of
     the singleton {x}, so x's index in ``order`` is ``first[leaf[x]]``, and
     x lies in cluster k iff first[k] <= first[leaf[x]] < first[k] +
-    sizes[k].
-    The fold pass reads only these tuples.  :meth:`cluster` makes cluster k
-    a ``Cluster`` record on demand, for the hull.
+    sizes[k].  The fold pass and the hull read only these tuples.
 
     ``pair_discs[l]`` is pair l's minimal disc as (center position, radius
     in steps); the disc of the pair at infinity is that of all finite
@@ -280,11 +268,6 @@ class Skeleton(NamedTuple):
     pair_odd: tuple[Optional[int], ...] = ()
     pair_odd_depths: tuple[tuple[int, ...], ...] = ()
     pair_gaps: tuple[int, ...] = ()
-
-    def cluster(self, k: int) -> Cluster:
-        """Cluster k as a record: its members and its depth."""
-        start = self.first[k]
-        return Cluster(frozenset(self.order[start : start + self.sizes[k]]), self.depths[k])
 
     def paired(self, pairs: tuple[tuple[int, ...], ...]) -> "Skeleton":
         """The skeleton with the pairs ``pairs`` (tuples of positions) and what

@@ -23,7 +23,8 @@ matrix, with no walk through the cluster tree: one loop over j
 (:func:`targets`) reads pair i's row once, comparing two entries with the
 depths of the odd clusters through pair i (listed once per pair), for
 every target and its push-back, and the branch (:func:`compute_I`)
-compares entries of one row with the target's radius.
+compares entries of one row with the target's radius.  The branch holds
+finite pairs only, so a fold maps no infinity (:func:`apply_folding`).
 
 The pass's functions (:func:`targets`, :func:`select_target`,
 :func:`compute_I`, :func:`find_fold_exponent`, :func:`fold_map` and
@@ -327,21 +328,19 @@ def apply_folding(
     """Replace the pairs in the fold set I by their images under the fold
     map m; others unchanged.
 
-    Each pair's points are mapped by one :func:`~.projline.image` call on
-    m's integer entries, its finite ones read off the skeleton as A / L.
-    The result is flattened in pair-index order and may be a multiset.
+    I holds finite pairs only (:func:`compute_I` admits no pair with
+    infinity), so each moved pair's two points are read off the skeleton
+    as A / L and mapped by one :func:`~.projline.image` call on m's
+    integer entries.  The result is flattened in pair-index order and may
+    be a multiset.
     """
     ctx, sk, ent = pcfg.ctx, pcfg.skeleton, m.entries()
     ints, points = sk.ints, []
     for l, pair in enumerate(pcfg.pairs):
-        if l not in I:
+        if l in I:
+            points += image(ctx, ent, map(ints.__getitem__, sk.pair_points[l]), sk.den)
+        else:
             points += pair
-            continue
-        pts = sk.pair_points[l]
-        points += image(ctx, ent, map(ints.__getitem__, pts), sk.den)
-        if len(pts) == 1:
-            # the pair at infinity: its infinity is its second point, and is 1 / 0
-            points += image(ctx, ent, [ctx.integers.one], 0)
     return Configuration(ctx, tuple(points))
 
 

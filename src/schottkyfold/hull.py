@@ -2,22 +2,20 @@
 
 The hull reads the skeleton the configuration already holds
 (``clusters.Skeleton``): cluster depths from the step matrix, the flat
-cluster tree and the pair discs, all in steps of the value group (1/e) Z;
-it makes a ``Cluster`` record only for each vertex it keeps.  It owns
-no disc metric of its own; an edge's length is the difference of the
-logarithmic radii of its two cluster discs.  Radii and lengths become
+cluster tree and the pair discs, all in steps of the value group (1/e) Z.
+It owns no disc metric of its own; an edge's length is the difference of
+the logarithmic radii of its two cluster discs.  Radii and lengths become
 ``Fraction``s (steps / e) only in the ``Disc`` labels and the edges; over
 an unramified field (e = 1) a step count is the ``Fraction``'s integer,
 with no gcd taken.
-Positions are those of the skeleton, so ``SkeletonVertex.cluster`` indexes
-``pcfg.skeleton.values``.  Vertices are listed, and each disc centred, in
-pair order: a position's rank among the points listed pair by pair.  The
-forest is what is left after removing the segment interiors that split the
-points into two odd halves; its vertices are the minimal discs of clusters
-of size >= 2, its edges connect even clusters to their parents, and the
-*distinguished* vertices are those lying on a pair axis: their
-``pair_index``, the least such pair, is not None.  ``to_dot``
-renders it as Graphviz text.
+Vertices are listed, and each disc centred, in pair order: a position's
+rank among the skeleton's finite points listed pair by pair, read off
+each cluster's slice of the flat tree's ``order``.  The forest is what is
+left after removing the segment interiors that split the points into two
+odd halves; its vertices are the minimal discs of clusters of size >= 2,
+its edges connect even clusters to their parents, and the *distinguished*
+vertices are those lying on a pair axis: their ``pair_index``, the least
+such pair, is not None.  ``to_dot`` renders it as Graphviz text.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ class SkeletonVertex(NamedTuple):
     disc: Disc
     pair_index: int | None
     component: int
-    cluster: frozenset[int]  # member positions into the skeleton's values
 
 
 class SkeletonTree(NamedTuple):
@@ -75,21 +72,22 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
         raise InvalidInputError(
             "the hull takes a pair_up result; this paired configuration holds no skeleton"
         )
-    e, sizes, depths, parent = ctx.ramification, sk.sizes, sk.depths, sk.parent
+    e, sizes, depths, parent, first = ctx.ramification, sk.sizes, sk.depths, sk.parent, sk.first
     exact = Fraction if e == 1 else lambda steps: Fraction(steps, e)
     order = [x for pts in sk.pair_points for x in pts]
     rank = [0] * len(order)
     for r, x in enumerate(order):
         rank[x] = r
-    # the vertex clusters, each with its members' least pair-order rank.
-    # Without infinity, that is with an even number of finite points, the
-    # root (cluster 0) goes.  Two clusters of one size are disjoint, so
-    # (-size, least rank) orders them, each after its parent
+    # the vertex clusters, each with its members' least pair-order rank,
+    # read off the tree's slice of them.  Without infinity, that is with an
+    # even number of finite points, the root (cluster 0) goes.  Two clusters
+    # of one size are disjoint, so (-size, least rank) orders them, each
+    # after its parent
     kept = []
     for k in range(0 if len(order) % 2 else 1, len(sizes)):
         if sizes[k] >= 2:
-            members = sk.cluster(k).members
-            kept.append((-sizes[k], min(map(rank.__getitem__, members)), k, members))
+            members = sk.order[first[k] : first[k] + sizes[k]]
+            kept.append((-sizes[k], min(map(rank.__getitem__, members)), k))
     kept.sort()
 
     # the least pair whose axis holds each cluster's disc: a finite pair's
@@ -111,7 +109,7 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
     # parent's component, listed before it, and any other vertex starts the
     # next one
     vertices, edges, ids, count = [], [], {}, 0
-    for vid, (_, least, k, members) in enumerate(kept):
+    for vid, (_, least, k) in enumerate(kept):
         ids[k] = vid
         up = parent[k]
         par = ids.get(up)
@@ -121,7 +119,7 @@ def reduced_convex_hull(pcfg: PairedConfiguration) -> SkeletonTree:
         else:
             component, count = count, count + 1
         disc = Disc(ctx, sk.values[order[least]], exact(depths[k]))
-        vertices.append(SkeletonVertex(vid, disc, axis[k], component, members))
+        vertices.append(SkeletonVertex(vid, disc, axis[k], component))
     return SkeletonTree(tuple(vertices), tuple(edges))
 
 

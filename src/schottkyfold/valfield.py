@@ -534,12 +534,11 @@ class FieldContext:
                 f"no supported valued field contains a primitive root of unity "
                 f"of order {p} for residue characteristic {ell}"
             )
-        # The separation radius v(p)/(p-1), the radius of the fixed tube of
-        # an order-p map: zero unless the residue characteristic is p.
-        self.rho: Fraction = Fraction(1, p - 1) if ell == p else Fraction(0)
         # The ramification index e: the value group is (1/e) Z, v(ell) = 1.
         self.ramification = p - 1 if ell == p else 1
-        # e rho, the separation radius counted in steps of (1/e) Z
+        # The separation radius rho = v(p)/(p-1), the radius of the fixed
+        # tube of an order-p map, counted in steps of (1/e) Z: one step
+        # when the residue characteristic is p, and zero otherwise
         self.rho_steps = 1 if ell == p else 0
         # the integral elements, in the ring the integer callers work in
         self.integers = (
@@ -550,7 +549,6 @@ class FieldContext:
         self._root_powers: dict[int, tuple[int, tuple[int, ...]]] = {}
         # the degree - 1 zero coefficients above a rational element
         self._zero_tail = (_ZERO,) * (self.degree - 1)
-        self.zeta = self.zeta_power(1)
 
     # -- constructors ------------------------------------------------------
 
@@ -560,18 +558,6 @@ class FieldContext:
         if self.kind is _RATIONAL:
             return q
         return (q,) + self._zero_tail
-
-    def zeta_power(self, n: int):
-        """zeta_p^n in canonical form (zeta_2 = -1), in closed form, so that
-        building a context looks up no kernel of its ring: for n mod p below
-        p - 1 the basis vector zeta^n, and zeta^(p-1) = -(1 + zeta + ... +
-        zeta^(p-2)), every coefficient -1."""
-        n %= self.p
-        if self.kind is _RATIONAL:
-            return Fraction(-1 if n else 1)
-        if n == self.degree:
-            return (Fraction(-1),) * self.degree
-        return tuple([Fraction(int(k == n)) for k in range(self.degree)])
 
     # -- product and quotient ----------------------------------------------
 
@@ -763,10 +749,10 @@ def field_context(p: int, ell: int) -> FieldContext:
     """The valued field for superelliptic degree p and residue characteristic ell.
 
     One context per field is shared by every caller, from a cache of the 64
-    fields used last: building one tests p and ell for primality, computes
-    zeta and, for a split field, starts the table of the root's powers,
-    which the shared context then keeps.  A context is immutable but for
-    that table, which is deterministic and filled with ``dict.setdefault``.
+    fields used last: building one tests p and ell for primality and, for a
+    split field, starts the table of the root's powers, which the shared
+    context then keeps.  A context is immutable but for that table, which
+    is deterministic and filled with ``dict.setdefault``.
     A field that is refused raises each time and is not kept.
     """
     return FieldContext(p, ell)

@@ -12,8 +12,9 @@ import schottkyfold as sf
 from schottkyfold import valfield
 from schottkyfold.folding import targets
 
-from reference import (above, delta, field_add, field_mul, field_sub, order_p_fixing,
-                       skeleton_disc, transported_vertex_disc, verify_fold_conjugation)
+from reference import (above, delta, disc_members, field_add, field_mul, field_sub,
+                       order_p_fixing, separation_radius, skeleton_disc, transported_vertex_disc,
+                       verify_fold_conjugation, zeta_power_by_definition)
 
 # Showcase configurations used across the suite (5-adic and 7-adic, p = 2).
 SIX_POINT_5ADIC = [7, 12, 0, 5, 1, "inf"]
@@ -172,11 +173,6 @@ def count_finite_pairs_built(monkeypatch):
     return built
 
 
-def count_cluster_records(monkeypatch):
-    """The arguments of each ``clusters.Cluster`` record made."""
-    return count_calls(monkeypatch, sf.clusters.Cluster, "__new__")
-
-
 def recorded_inside(monkeypatch, owner, name, **counters):
     """Wrap ``owner.name`` so that what each counter (a list the helpers
     above fill) records during its calls is kept apart: returns, per
@@ -212,7 +208,7 @@ def random_paired_points(rng, ctx, g):
     Returns (points, expected pairing as a set of frozensets of points).
     """
     ell = ctx.ell
-    gap = int(2 * ctx.rho) + 1
+    gap = int(2 * separation_radius(ctx)) + 1
     out_pairs: dict[int, list] = {}
     anchor_holder: list = []
 
@@ -326,8 +322,9 @@ def lowering_sets(seed, genera=(2, 3, 4)):
     rng = random.Random(seed)
     for p, ell in TEST_FIELDS:
         ctx = sf.field_context(p, ell)
-        u = field_mul(ctx, ctx.zeta, ctx.from_fraction(Fraction(1, ell)))
-        c = field_add(ctx, ctx.zeta, ctx.from_fraction(Fraction(2, 3)))
+        zeta = zeta_power_by_definition(ctx, 1)
+        u = field_mul(ctx, zeta, ctx.from_fraction(Fraction(1, ell)))
+        c = field_add(ctx, zeta, ctx.from_fraction(Fraction(2, 3)))
         for g in genera:
             cfg, _ = sample_paired(rng, ctx, g)
             yield ctx, cfg
@@ -351,7 +348,7 @@ def kadziela_points(rng, ctx, g):
     """Points satisfying the descending-valuation chain with disjoint pair
     discs: a_0 = 0, a_g = 1, b_g = infinity, strictly dropping pair levels."""
     ell = ctx.ell
-    t = int(2 * ctx.rho) + 1
+    t = int(2 * separation_radius(ctx)) + 1
     levels = []
     lvl = rng.randint(1, 2)
     for _ in range(g - 1):
@@ -406,7 +403,7 @@ def check_fold_step(step):
     anchor = next(
         pt.value for pt in step.before.pairs[step.i] if not pt.is_infinity
     )
-    values = step.before.skeleton.values  # what v.cluster indexes
+    values = step.before.skeleton.values
 
     def in_branch(disc):
         if disc.radius <= dt.radius:
@@ -417,7 +414,7 @@ def check_fold_step(step):
     on_axes = distinguished(tree)
     before_discs = [v.disc for v in on_axes]
     after_discs = [
-        transported_vertex_disc(ctx, values, v.cluster, step.map)
+        transported_vertex_disc(ctx, values, disc_members(values, v.disc), step.map)
         if in_branch(v.disc)
         else v.disc
         for v in on_axes

@@ -30,7 +30,11 @@ definitions: the least valuation over every two members, the parent as
 the smallest strict superset, and a point's even clusters by membership;
 ``clusters_in_preorder`` lists every cluster, found as a ball of field
 valuations, in the pre-order the skeleton keeps its flat tree in, and
-``skeleton_clusters`` lists the skeleton's own, as records.
+``skeleton_clusters`` lists the skeleton's own, as records made from the
+slices ``cluster_members`` reads off its flat tree.  ``disc_members``
+finds the points in a disc by field valuations: a hull vertex's cluster.
+``separation_radius`` is rho as a ``Fraction``, read off the context's
+step count.
 
 ``order_p_fixing_by_fractions`` and ``apply_by_fractions`` are the order-p
 map and the Moebius action by field arithmetic on ``Fraction``s, with the
@@ -65,6 +69,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, permutations, product
 from math import gcd, lcm
+from typing import NamedTuple
 
 from schottkyfold.clusters import Configuration, PairedConfiguration, cluster_data
 from schottkyfold.errors import PairingFailure
@@ -84,6 +89,12 @@ def at_least(v: Val, r) -> bool:
 def above(v: Val, r) -> bool:
     """v > r for a valuation v, which may be infinite, and a rational r."""
     return v.is_infinite or v.fraction > r
+
+
+def separation_radius(ctx) -> Fraction:
+    """rho = v(p)/(p - 1), as a ``Fraction``: the context's step count
+    ``rho_steps`` over its ramification index e."""
+    return Fraction(ctx.rho_steps, ctx.ramification)
 
 
 def disc(ctx, center, radius) -> Disc:
@@ -125,6 +136,15 @@ def min_disc(ctx, values) -> Disc:
         # singleton (possibly repeated); radius is unconstrained upward, use 0
         radius = Fraction(0)
     return Disc(ctx, center, radius)
+
+
+def disc_members(values, d: Disc) -> frozenset[int]:
+    """The positions of the given finite values that lie in the disc d, by
+    field valuations: a hull vertex's cluster."""
+    ctx = d.ctx
+    return frozenset(
+        k for k, x in enumerate(values) if at_least(ctx.valuation(field_sub(ctx, x, d.center)), d.radius)
+    )
 
 
 def paired_by_hand(ctx, pairs) -> PairedConfiguration:
@@ -242,7 +262,7 @@ def translation_length_by_axes(pcfg, word) -> Fraction:
     differ, in_m is the run between them plus 2 rho; where they coincide,
     it is 2 rho - 2 min(rho, s), s = (D_prev,cur + D_cur,next -
     D_prev,next) / 2 the length the two paths share before A_cur."""
-    rho = pcfg.ctx.rho
+    rho = separation_radius(pcfg.ctx)
     gap, run = axis_geometry(pcfg.ctx, pcfg.pairs)
     index = [i for i, _ in word.syllables]
     total = Fraction(0)
@@ -284,16 +304,16 @@ def fold_exponent(pcfg, i: int, j: int, I):
     ascending n, then l.  Every candidate is valued: none is dropped by
     the strong triangle inequality.
     """
-    ctx = pcfg.ctx
+    ctx, rho = pcfg.ctx, separation_radius(pcfg.ctx)
     reps_i = cross_ratios(pcfg, j, i)
     reps = {l: cross_ratios(pcfg, j, l) for l in range(pcfg.g + 1) if l != j and l not in I}
     for n in range(1, ctx.p):
-        zeta_n = ctx.zeta_power(n)
+        zeta_n = zeta_power_by_definition(ctx, n)
         for l, reps_l in reps.items():
             sides = [
                 (
                     ctx.valuation(field_sub(ctx, r_l, field_mul(ctx, zeta_n, r_i))),
-                    ctx.valuation(r_l).fraction + ctx.rho,
+                    ctx.valuation(r_l).fraction + rho,
                 )
                 for r_i in reps_i
                 for r_l in reps_l
@@ -353,9 +373,25 @@ def clusters_in_preorder(ctx, values) -> list:
     return out
 
 
+class TreeCluster(NamedTuple):
+    """A cluster of a skeleton's flat tree: its members' positions and its
+    depth in steps (``INF_STEPS`` for a singleton)."""
+
+    members: frozenset[int]
+    depth: int
+
+
+def cluster_members(sk, k: int) -> frozenset[int]:
+    """The positions of cluster k's members: the slice of the skeleton's
+    ``order`` that starts at ``first[k]`` and holds ``sizes[k]``."""
+    return frozenset(sk.order[sk.first[k] : sk.first[k] + sk.sizes[k]])
+
+
 def skeleton_clusters(sk) -> tuple:
-    """Every cluster of a skeleton as a ``Cluster`` record, in pre-order."""
-    return tuple(map(sk.cluster, range(len(sk.sizes))))
+    """Every cluster of a skeleton as a ``TreeCluster``, in pre-order; it
+    compares equal to the (members, depth) tuples of
+    :func:`clusters_in_preorder`."""
+    return tuple(TreeCluster(cluster_members(sk, k), depth) for k, depth in enumerate(sk.depths))
 
 
 def even_profile(clusters, x) -> tuple[int, ...]:

@@ -40,7 +40,8 @@ from helpers import (
     values_multiset,
 )
 from reference import (delta, disc, mobius_by_fractions, order_p_fixing, pair_disc,
-                       point_to_axis, proj_eq, same, skeleton_clusters, skeleton_disc)
+                       point_to_axis, proj_eq, same, separation_radius, skeleton_clusters,
+                       skeleton_disc)
 
 
 @contextmanager
@@ -251,7 +252,7 @@ def test_criterion_6_hull_statistics(corpus):
                 for vb in distinguished(tree):
                     if va.id < vb.id and va.component == vb.component:
                         d = delta(va.disc, vb.disc)
-                        assert d > 2 * ctx.rho
+                        assert d > 2 * separation_radius(ctx)
                         assert d.denominator == 1  # lies in the value group
             seen += 1
             nontrivial += odd > 0

@@ -24,7 +24,7 @@ from reference import identity, mobius_by_fractions
 ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = [
-    "AuditResult", "Cluster", "Configuration",
+    "AuditResult", "Configuration",
     "Disc", "ElementClass", "FieldContext",
     "FieldKind", "FoldWitness", "FoldingStep", "Good",
     "GroupWord", "INFINITY", "InvalidInputError", "MapKind",
@@ -165,7 +165,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 checked.add(f"{cls.__name__}.{name}")
                 if name not in read:
                     unread.append(f"{cls.__name__}.{name}")
-    assert {"FieldContext.mul", "FieldContext.valuation", "Skeleton.cluster", "Mobius.trace"} <= checked
+    assert {"FieldContext.mul", "FieldContext.valuation", "Skeleton.paired", "Mobius.trace"} <= checked
     assert unread == []
 
 

@@ -48,7 +48,9 @@ def census_sets(p, ell, n):
 
 
 def test_census_of_six_boxes_keeps_every_verdict():
-    digest = hashlib.sha256()
+    # every fold set holds finite pairs only: indices below g, the index of
+    # the pair at infinity, so a fold never maps infinity
+    digest, folds = hashlib.sha256(), 0
     for (p, ell, n), want in BOXES.items():
         ctx = sf.field_context(p, ell)
         tally = {sf.Good: 0, sf.NotGood: 0, sf.Redundant: 0}
@@ -56,11 +58,15 @@ def test_census_of_six_boxes_keeps_every_verdict():
             verdict = sf.run_algorithm(ctx, sf.configuration(ctx, points))
             tally[type(verdict)] += 1
             digest.update(f"{p},{ell}|{census_line(points, verdict)}".encode())
+            for step in verdict.trace:
+                assert step.indices <= frozenset(range(step.before.g)), (p, ell, points)
+                folds += 1
         got = (tally[sf.Good], tally[sf.NotGood], tally[sf.Redundant])
         print(f"\n({p}, {ell}) at N = {n}: {got[0]} good, {got[1]} not good, {got[2]} redundant")
         assert got == want, (p, ell, n)
-    print(f"census digest: {digest.hexdigest()}")
+    print(f"census digest: {digest.hexdigest()}, {folds} folds")
     assert digest.hexdigest() == DIGEST
+    assert folds > 0
 
 
 def test_census_verdicts_survive_a_change_of_coordinates():

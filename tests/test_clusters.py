@@ -32,9 +32,9 @@ from helpers import (
     pairs_as_sets,
     sample_paired,
 )
-from reference import (axis_gaps_by_valuation, clusters_in_preorder, even_profile, field_sub,
-                       pair_disc, paired_by_hand, pairwise_depth, repeat_classes_by_value,
-                       skeleton_clusters, smallest_superset)
+from reference import (axis_gaps_by_valuation, cluster_members, clusters_in_preorder, even_profile,
+                       field_sub, pair_disc, paired_by_hand, pairwise_depth, repeat_classes_by_value,
+                       skeleton_clusters, smallest_superset, zeta_power_by_definition)
 
 
 def _cluster_value_sets(ctx, sk):
@@ -294,14 +294,14 @@ def test_cluster_data_refuses_a_repeated_value_and_a_second_infinity():
             [Fraction(1, 5), 2, Fraction(2, 10), "inf"],
             [0, 5, 1, "inf", "inf"],
             ["inf", 0, "inf", 1],
-            [ctx.zeta, 0, ctx.zeta, 1],
+            [zeta_power_by_definition(ctx, 1), 0, zeta_power_by_definition(ctx, 1), 1],
         ]
         for values in repeats:
             with pytest.raises(RepeatedPointsError):
                 sf.cluster_data(sf.configuration(ctx, values))
-        cfg = sf.configuration(ctx, [ctx.zeta, 0, 5, 1, "inf"])
+        cfg = sf.configuration(ctx, [zeta_power_by_definition(ctx, 1), 0, 5, 1, "inf"])
         sk = sf.cluster_data(cfg)
-        assert sk.values == finite_values(cfg) and sk.cluster(0).members == frozenset(range(4))
+        assert sk.values == finite_values(cfg) and cluster_members(sk, 0) == frozenset(range(4))
 
 
 def test_nesting_depth_is_not_bounded_by_the_recursion_limit():
@@ -400,7 +400,7 @@ def test_flat_tree_matches_the_membership_definition():
         assert [sk.first[sk.leaf[x]] for x in sk.order] == list(range(n))
         expected = clusters_in_preorder(ctx, sk.values)
         records = skeleton_clusters(sk)
-        assert records == tuple(sf.Cluster(members, depth) for members, depth in expected)
+        assert records == tuple(expected)
         assert len(sk.sizes) == len(sk.depths) == len(sk.parent) == len(sk.first) == len(expected)
         for k, (members, depth) in enumerate(expected):
             start, end = sk.first[k], sk.first[k] + sk.sizes[k]
@@ -422,7 +422,7 @@ def test_flat_tree_matches_the_membership_definition():
 
 
 def test_cluster_records_of_the_showcases():
-    # the records Skeleton.cluster builds on demand, in pre-order, with the
+    # the clusters the flat tree's slices hold, in pre-order, with the
     # parent links and singleton indices of the flat tree
     I = INF_STEPS
     cases = [
@@ -437,7 +437,7 @@ def test_cluster_records_of_the_showcases():
     ]
     for ctx_of, points, records, parent, leaf in cases:
         sk = sf.cluster_data(sf.configuration(ctx_of(), points))
-        assert skeleton_clusters(sk) == tuple(sf.Cluster(frozenset(m), d) for m, d in records)
+        assert skeleton_clusters(sk) == tuple((frozenset(m), d) for m, d in records)
         assert (sk.parent, sk.leaf) == (parent, leaf)
         assert sk.sizes == tuple(len(m) for m, _ in records)
 
@@ -553,7 +553,7 @@ def _skeleton_by_value(sk):
     # what pair_up's skeleton and a fresh one must share: every reading,
     # with each position replaced by its value
     n, vals = len(sk.values), sk.values
-    members = lambda k: frozenset(vals[x] for x in sk.cluster(k).members)
+    members = lambda k: frozenset(vals[x] for x in cluster_members(sk, k))
     return (
         {members(k): sk.depths[k] for k in range(len(sk.sizes))},
         {(vals[a], vals[b]): sk.smat[a][b] for a, b in product(range(n), repeat=2)},
@@ -613,9 +613,7 @@ def test_every_fold_pass_skeleton_matches_a_fresh_one_and_the_definitions(monkey
         fresh = paired_by_hand(out.ctx, out.pairs)
         assert _skeleton_by_value(out.skeleton) == _skeleton_by_value(fresh.skeleton)
         sk = out.skeleton
-        assert skeleton_clusters(sk) == tuple(
-            sf.Cluster(m, d) for m, d in clusters_in_preorder(out.ctx, sk.values)
-        )
+        assert skeleton_clusters(sk) == tuple(clusters_in_preorder(out.ctx, sk.values))
         assert sk.pair_gaps == axis_gaps_by_valuation(out)
         outcomes[None] += 1
     # every run makes one pass more than it folds

@@ -23,8 +23,8 @@ from schottkyfold import cli, folding, oracle, projline, valfield
 from schottkyfold.projline import PPoint
 from schottkyfold.valfield import FieldContext
 
-from helpers import (count_calls, count_chain_walks, count_cluster_records,
-                     count_finite_pairs_built, count_kernel_calls, recorded_inside)
+from helpers import (count_calls, count_chain_walks, count_finite_pairs_built, count_kernel_calls,
+                     recorded_inside)
 
 DOCS = sorted((Path(__file__).parent / "expected" / "cli").glob("*.json"))
 
@@ -45,6 +45,9 @@ POINT_LIMIT = 36
 # methods, not compiled kernels (whose frames come from no package file),
 # took 2,782
 FRAME_LIMIT = 2570
+# the frames of the compiled ring kernels (sub, rotate, cross and mul, their
+# code from "<Z[zeta_p] name>") entered inside run_algorithm
+KERNEL_FRAME_LIMIT = 500
 # telling "inf" from a point, and a repeat of the first point, by comparing
 # each with it took 288; refusing a repeated pair in the audit, and naming
 # a repeat after a fold, by comparing and hashing points took 73
@@ -58,7 +61,6 @@ def counts():
         contexts = count_calls(mp, FieldContext, "__init__")
         scan = recorded_inside(mp, folding, "find_fold_exponent", rotations=count_kernel_calls(mp, "rotate"))
         scans = count_calls(mp, folding, "find_fold_exponent")
-        records = count_cluster_records(mp)
         points = count_calls(mp, PPoint, "__new__")
         comparisons = count_calls(mp, Fraction, "__eq__")
         # what the benchmark's tracer wraps but nothing on a program path
@@ -71,13 +73,11 @@ def counts():
             "classify": count_calls(mp, projline, "classify", everywhere=True),
         }
         run = recorded_inside(mp, cli, "run", comparisons=comparisons, **unused)
-        hull = recorded_inside(mp, cli, "reduced_convex_hull", records=records)
         loop = recorded_inside(
             mp, folding, "run_algorithm",
             valuations=count_calls(mp, FieldContext, "integral_valuation"),
             walks=count_chain_walks(mp),
             pairs=count_finite_pairs_built(mp),
-            records=records,
             points=points,
             targets=count_calls(mp, folding, "targets"),
             selects=count_calls(mp, folding, "select_target"),
@@ -111,8 +111,6 @@ def counts():
         "scans": len(scans),
         "walks": len(loop["walks"]),
         "pairs": sum(loop["pairs"]),
-        "loop records": len(loop["records"]),
-        "hull records": len(hull["records"]),
         "points": len(loop["points"]),
         "comparisons": len(run["comparisons"]),
         "all comparisons": len(comparisons),
@@ -153,15 +151,6 @@ def test_chain_walks_in_the_fold_loop(counts):
     print(f"\n{counts['walks']} chain walks for {counts['pairs']} finite pairs built")
     assert counts["pairs"] > 0
     assert counts["walks"] <= counts["pairs"]
-
-
-def test_no_cluster_records_in_the_fold_loop(counts):
-    # the fold pass reads the skeleton's flat tree and makes no Cluster
-    # record, while the hull makes one for each vertex it keeps
-    print(f"\n{counts['loop records']} Cluster records in run_algorithm, "
-          f"{counts['hull records']} in reduced_convex_hull")
-    assert counts["loop records"] == 0
-    assert counts["hull records"] > 0
 
 
 def test_one_targets_loop_per_select_target(counts):
@@ -254,20 +243,26 @@ def test_package_frames_in_the_fold_loop(monkeypatch):
     # run_algorithm (sys.setprofile "call" events: run_algorithm's own
     # frame, every function it reaches, and a generator at each resume),
     # over the pinned documents through cli.run, from cleared caches.
-    # Comprehension frames are not counted, for Python 3.12 inlines them;
-    # the builtin calls ("c_call" events) are printed beside the reading.
-    # The counter is live: it sees run_algorithm's own frame once per run
+    # Comprehension frames are not counted, for Python 3.12 inlines them.
+    # The compiled ring kernels' frames, whose code comes from no package
+    # file, are counted beside them under their own limit (the module frame
+    # that defines a kernel at its compile is not a call of it); the builtin
+    # calls ("c_call" events) are printed beside both readings.  Each
+    # counter is live: the package counter sees run_algorithm's own frame
+    # once per run, and the kernel counter the cyclotomic documents' scans
     sf.field_context.cache_clear()
     valfield._straight_line_kernel.cache_clear()
     package = str(Path(sf.__file__).parent)
     comprehensions = {"<listcomp>", "<setcomp>", "<dictcomp>"}
-    frames, builtin_calls = Counter(), []
+    frames, kernel_frames, builtin_calls = Counter(), Counter(), []
 
     def profile(frame, event, arg):
         if event == "call":
             code = frame.f_code
             if code.co_filename.startswith(package) and code.co_name not in comprehensions:
                 frames[code.co_name] += 1
+            elif code.co_filename.startswith("<Z[zeta_") and code.co_name != "<module>":
+                kernel_frames[code.co_name] += 1
         elif event == "c_call":
             builtin_calls.append(arg)
 
@@ -287,8 +282,12 @@ def test_package_frames_in_the_fold_loop(monkeypatch):
     for doc in DOCS:
         spec = cli.parse_problem(doc.read_text(encoding="utf-8"))
         cli.run(spec._replace(dot="unused"))
-    total = sum(frames.values())
-    print(f"\n{total} package frames and {len(builtin_calls)} builtin calls in {len(runs)} "
-          f"run_algorithm calls (limit {FRAME_LIMIT})")
+    total, kernels = sum(frames.values()), sum(kernel_frames.values())
+    print(f"\n{total} package frames (limit {FRAME_LIMIT}), {kernels} kernel frames "
+          f"(limit {KERNEL_FRAME_LIMIT}: "
+          + ", ".join(f"{name} {count}" for name, count in kernel_frames.most_common())
+          + f") and {len(builtin_calls)} builtin calls in {len(runs)} run_algorithm calls")
     assert runs and frames["run_algorithm"] == len(runs)
+    assert kernels > 0
     assert total <= FRAME_LIMIT
+    assert kernels <= KERNEL_FRAME_LIMIT

@@ -35,7 +35,6 @@ from helpers import (
     check_verdict_folds,
     count_calls,
     count_chain_walks,
-    count_cluster_records,
     count_finite_pairs_built,
     count_kernel_calls,
     ctx2,
@@ -60,6 +59,7 @@ from reference import (
     axis_gaps_by_valuation,
     branch_by_valuation,
     chain_by_membership,
+    cluster_members,
     cross_ratios,
     disc,
     field_add,
@@ -78,6 +78,7 @@ from reference import (
     skeleton_clusters,
     skeleton_disc,
     target_by_chain,
+    zeta_power_by_definition,
 )
 from test_census import BOXES, census_sets
 
@@ -178,8 +179,10 @@ def test_fold_map_and_apply_folding_match_the_fraction_route():
             ref = order_p_fixing_by_fractions(ctx, *pcfg.pairs[j], n)
             assert m == order_p_fixing(ctx, *pcfg.pairs[j], n) == ref
             assert repr(m) == repr(ref)
-            # every pair but j moves, the pair at infinity included
-            others = frozenset(range(pcfg.g + 1)) - {j}
+            # every finite pair but j moves; the pair at infinity, the last,
+            # never lies in a fold set (compute_I admits finite pairs only)
+            assert pcfg.pairs[pcfg.g][1].is_infinity
+            others = frozenset(range(pcfg.g)) - {j}
             expected = [
                 apply_by_fractions(m, pt) if l in others else pt
                 for l, pair in enumerate(pcfg.pairs)
@@ -466,23 +469,6 @@ def test_one_minimal_odd_cluster_per_pair_per_pass(monkeypatch, ctx_of, points):
     assert len(calls) <= sum(built)
 
 
-@pytest.mark.parametrize(
-    "ctx_of, points", [(ctx7, EIGHT_POINT_7ADIC), (ctx5, SIX_POINT_5ADIC)]
-)
-def test_the_fold_loop_makes_no_cluster_records(monkeypatch, ctx_of, points):
-    # the fold pass reads the skeleton's flat tree; a Cluster record is made
-    # only for a reader outside the loop, such as the hull of each stage
-    ctx = ctx_of()
-    made = count_cluster_records(monkeypatch)
-    verdict = sf.run_algorithm(ctx, sf.configuration(ctx, points))
-    assert verdict.trace and made == []
-    stages = [step.before for step in verdict.trace]
-    stages += [verdict.s_min] if isinstance(verdict, sf.Good) else []
-    for pcfg in stages:
-        sf.reduced_convex_hull(pcfg)
-    assert made
-
-
 # Two paired configurations made by hand, which no run_algorithm input reaches:
 # pairs in no odd cluster (there is no infinity, so the root is even), and
 # a pair inside an even cluster of negative depth that splits another pair.
@@ -583,7 +569,7 @@ def test_fold_pass_rules_match_their_definitions(monkeypatch):
         for i, pts_i in enumerate(sk.pair_points):
             walk = [c for c in chain_by_membership(sk, pts_i) if len(c.members) % 2]
             odd_i = sk.pair_odd[i]
-            assert (None if odd_i is None else sk.cluster(odd_i).members) == (
+            assert (None if odd_i is None else cluster_members(sk, odd_i)) == (
                 minimal_odd(sk, pts_i) if len(pts_i) == 2 else None
             )
             assert sk.pair_odd_depths[i] == (tuple(c.depth for c in walk) if len(pts_i) == 2 else ())
@@ -1101,7 +1087,7 @@ def test_a_fold_pass_hashes_no_values(monkeypatch):
 
 def _cyclotomic_multiset():
     ctx = sf.field_context(3, 7)
-    w = field_add(ctx, ctx.zeta, ctx.from_fraction(Fraction(2, 3)))
+    w = field_add(ctx, zeta_power_by_definition(ctx, 1), ctx.from_fraction(Fraction(2, 3)))
     return ctx, [w, 1, w, 1, 0, "inf"], [w, 1, 0, "inf"]
 
 

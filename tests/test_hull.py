@@ -24,13 +24,16 @@ from helpers import (
     valency,
 )
 from reference import (
+    cluster_members,
     delta,
     disc,
+    disc_members,
     join,
     min_disc,
     pair_disc,
     point_to_axis,
     same,
+    separation_radius,
     skeleton_clusters,
     skeleton_disc,
 )
@@ -172,7 +175,7 @@ def test_hull_statistics_on_random_configurations():
                     for vb in distinguished(tree):
                         if va.id < vb.id and va.component == vb.component:
                             d = delta(va.disc, vb.disc)
-                            assert d > 2 * ctx.rho
+                            assert d > 2 * separation_radius(ctx)
 
 
 def test_components_are_the_connected_pieces_of_the_edges():
@@ -221,13 +224,19 @@ def test_skeleton_discs_match_the_reference_route():
                 else:
                     members = [pt.value for pt in pair]
                 assert same(pair_disc(pcfg, i), min_disc(ctx, members))
-            for v in sf.reduced_convex_hull(pcfg).vertices:
-                cluster = [values[k] for k in sorted(v.cluster)]
-                assert same(v.disc, min_disc(ctx, cluster))
+            # the vertices' discs hold exactly the kept clusters (size >= 2,
+            # the root only with infinity among the points), one each
+            sk, vertices = pcfg.skeleton, sf.reduced_convex_hull(pcfg).vertices
+            kept = [cluster_members(sk, k) for k, size in enumerate(sk.sizes)
+                    if size >= 2 and (k or len(values) % 2)]
+            clusters = [disc_members(values, v.disc) for v in vertices]
+            assert sorted(clusters, key=sorted) == sorted(kept, key=sorted)
+            for v, members in zip(vertices, clusters):
+                assert same(v.disc, min_disc(ctx, [values[k] for k in sorted(members)]))
             for i in range(g):
                 j, _ = select_target(pcfg, i)
                 dt = skeleton_disc(pcfg, pushed_back(pcfg, i, j))
-                assert point_to_axis(dt, pcfg.pairs[j], ctx) == ctx.rho
+                assert point_to_axis(dt, pcfg.pairs[j], ctx) == separation_radius(ctx)
                 cases += 1
     assert cases == 588  # 7 fields, 6 sets for each g, g (i, j) cases per set
 
@@ -262,14 +271,15 @@ def test_every_hull_vertex_is_centred_at_its_lowest_ranked_member():
         values = pcfg.skeleton.values
         tree = sf.reduced_convex_hull(pcfg)
         for v in tree.vertices:
-            members = [values[k] for k in v.cluster]
+            members = [values[k] for k in disc_members(values, v.disc)]
             assert v.disc.center == min(members, key=ranked.index)
         return tree
 
     ctx = sf.field_context(2, 3)
     points = [2, 27, 6, 37, -11, 43, 10, -13, 36, "inf"]
     pcfg = sf.pair_up(sf.configuration(ctx, points))
-    centres = {frozenset(pcfg.skeleton.values[k] for k in v.cluster): v.disc.center
+    values = pcfg.skeleton.values
+    centres = {frozenset(values[k] for k in disc_members(values, v.disc)): v.disc.center
                for v in check(pcfg).vertices}
     assert centres[frozenset(sf.finite(ctx, x).value for x in (27, 36, 6))] == 27
     rng = random.Random(45)

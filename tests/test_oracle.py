@@ -21,8 +21,9 @@ from helpers import (
     sample_paired,
 )
 from reference import (axis_geometry, enumerate_gamma_words, field_add, field_mul, order_p_fixing,
-                       order_p_fixing_by_fractions, paired_by_hand,
-                       translation_length_by_axes, verify_fold_conjugation)
+                       order_p_fixing_by_fractions, paired_by_hand, separation_radius,
+                       translation_length_by_axes, verify_fold_conjugation,
+                       zeta_power_by_definition)
 
 
 def test_enumeration_counts():
@@ -100,10 +101,10 @@ def test_audit_refuses_a_pair_that_repeats_a_point():
     for p, ell in TEST_FIELDS:
         ctx = sf.field_context(p, ell)
         a, b = sf.finite(ctx, Fraction(1, 5)), sf.finite(ctx, 3)
-        z = sf.finite(ctx, ctx.zeta)
+        z = sf.finite(ctx, zeta_power_by_definition(ctx, 1))
         for pairs in (
             ((a, sf.finite(ctx, Fraction(2, 10))), (b, sf.INFINITY)),
-            ((a, b), (z, sf.finite(ctx, ctx.zeta)), (sf.finite(ctx, 1), sf.INFINITY)),
+            ((a, b), (z, sf.finite(ctx, zeta_power_by_definition(ctx, 1))), (sf.finite(ctx, 1), sf.INFINITY)),
             ((a, b), (sf.INFINITY, sf.INFINITY)),
         ):
             pcfg = sf.PairedConfiguration(ctx, pairs)
@@ -227,7 +228,7 @@ def _rotated_cherries(ctx):
     four."""
     p = ctx.p
     a = [ctx.from_fraction(Fraction(x)) for x in (1, 1 + p**2)]
-    b = [field_add(ctx, field_mul(ctx, ctx.zeta, x), ctx.from_fraction(Fraction(p**4))) for x in a]
+    b = [field_add(ctx, field_mul(ctx, zeta_power_by_definition(ctx, 1), x), ctx.from_fraction(Fraction(p**4))) for x in a]
     pairs = (tuple(sf.finite(ctx, x) for x in a), tuple(sf.finite(ctx, x) for x in b),
              (sf.finite(ctx, 0), sf.INFINITY))
     return sf.PairedConfiguration(ctx, pairs)
@@ -503,7 +504,7 @@ def _hand_built(ctx):
     duplicated pair, and over Q(zeta_p) a point that is not rational."""
     third = sf.finite(ctx, Fraction(1, 3))
     a = sf.finite(ctx, Fraction(2, ctx.ell))
-    b = sf.finite(ctx, field_add(ctx, ctx.zeta, ctx.from_fraction(Fraction(5, 4))))
+    b = sf.finite(ctx, field_add(ctx, zeta_power_by_definition(ctx, 1), ctx.from_fraction(Fraction(5, 4))))
     pairs = ((a, third), (a, third), (sf.INFINITY, sf.finite(ctx, 7)), (b, sf.finite(ctx, ctx.ell)))
     return sf.PairedConfiguration(ctx, pairs)
 
@@ -583,10 +584,10 @@ def test_two_pair_law():
             word = sf.compose(order_p_fixing(ctx, *pair_0, n),
                               order_p_fixing(ctx, *pair_1, p - n))
             cls = sf.classify(ctx, word)
-            loxodromic = gap > 2 * ctx.rho
+            loxodromic = gap > 2 * separation_radius(ctx)
             assert (cls.kind is sf.MapKind.LOXODROMIC) == loxodromic, (ctx, pair_0, pair_1, n)
             if loxodromic:
-                assert cls.translation_length == 2 * (gap - 2 * ctx.rho), (ctx, pair_0, pair_1, n)
+                assert cls.translation_length == 2 * (gap - 2 * separation_radius(ctx)), (ctx, pair_0, pair_1, n)
             seen[loxodromic] += 1
         print(f"\n{(p, ell)}: {seen[True]} loxodromic, {seen[False]} not")
         assert min(seen.values()) > 0
@@ -616,7 +617,7 @@ def test_systole_law():
                     if cls.kind is sf.MapKind.LOXODROMIC:
                         lengths.append(cls.translation_length)
             gap = Fraction(min(smin.skeleton.pair_gaps), ctx.ramification)
-            assert min(lengths) == 2 * (gap - 2 * ctx.rho), (ctx, smin.pairs)
+            assert min(lengths) == 2 * (gap - 2 * separation_radius(ctx)), (ctx, smin.pairs)
             checked += 1
 
 
@@ -640,7 +641,7 @@ def test_translation_length_by_axes():
             gap, run = axis_geometry(ctx, smin.pairs)
             pair_gaps = [Fraction(d, ctx.ramification) for d in smin.skeleton.pair_gaps]
             assert [gap[kl] for kl in combinations(range(g + 1), 2)] == pair_gaps
-            least = min(pair_gaps) - 2 * ctx.rho
+            least = min(pair_gaps) - 2 * separation_radius(ctx)
             for word in enumerate_gamma_words(g, p, depth):
                 index = [i for i, _ in word.syllables]
                 k = len(index)

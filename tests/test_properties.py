@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +70,31 @@ def test_a_nielsen_move_keeps_good(field, g, seed, data):
     j = data.draw(st.integers(0, g).filter(lambda j: j != i))
     moved = nielsen_move(verdict.s_min, i, j, data.draw(st.integers(1, ctx.p - 1)))
     assert isinstance(sf.run_algorithm(ctx, moved), sf.Good)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("rational", "split", "ramified"))
+@settings(PROPERTY, max_examples=100)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.data())
+def test_s_min_run_again_is_good_with_no_fold_and_the_same_pairs(field, g, seed, data):
+    # S^min admits no fold, so running the loop on its points, pair by
+    # pair, finds the same canonical pairs and folds nothing.  The input
+    # is a sampled set after up to two Nielsen moves, so S^min often comes
+    # after a fold
+    ctx = sf.field_context(*field)
+    cfg, pcfg = sample_paired(random.Random(seed), ctx, g)
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, pcfg.g - 1))
+        j = data.draw(st.integers(0, pcfg.g).filter(lambda j: j != i))
+        cfg = nielsen_move(pcfg, i, j, data.draw(st.integers(1, ctx.p - 1)))
+        try:
+            pcfg = sf.pair_up(cfg)
+        except (sf.PairingError, ValueError):
+            break
+    verdict = sf.run_algorithm(ctx, cfg)
+    assume(isinstance(verdict, sf.Good))
+    again = sf.run_algorithm(ctx, verdict.s_min.configuration())
+    assert isinstance(again, sf.Good) and again.trace == ()
+    assert again.s_min.pairs == verdict.s_min.pairs
 
 
 @PROPERTY

@@ -32,6 +32,7 @@ from reference import (
     field_one,
     field_sub,
     field_zero,
+    separation_radius,
     split_root,
     times_one_minus_zeta,
     zeta_power_by_definition,
@@ -87,20 +88,22 @@ def test_int_valuation_matches_the_plain_loop(ell):
 
 def test_zeta_powers():
     ctx = sf.field_context(2, 5)
-    assert ctx.zeta_power(1) == Fraction(-1)
-    assert ctx.zeta_power(2) == Fraction(1)
+    assert zeta_power_by_definition(ctx, 1) == Fraction(-1)
+    assert zeta_power_by_definition(ctx, 2) == Fraction(1)
 
     ctx3 = sf.field_context(3, 3)
-    assert ctx3.zeta_power(3) == field_one(ctx3)
-    z = ctx3.zeta
+    assert zeta_power_by_definition(ctx3, 3) == field_one(ctx3)
+    z = zeta_power_by_definition(ctx3, 1)
+    assert z == (Fraction(0), Fraction(1))
     assert ctx3.valuation(field_sub(ctx3, z, field_one(ctx3))) == Val(Fraction(1, 2))
 
 
 def test_separation_radius():
-    assert sf.field_context(2, 5).rho == 0
-    assert sf.field_context(2, 2).rho == 1
-    assert sf.field_context(3, 3).rho == Fraction(1, 2)
-    assert sf.field_context(3, 7).rho == 0
+    # rho_steps steps of (1/e) Z is v(p)/(p - 1)
+    for (p, ell), rho in {(2, 5): 0, (2, 2): 1, (3, 3): Fraction(1, 2), (3, 7): 0}.items():
+        ctx = sf.field_context(p, ell)
+        assert separation_radius(ctx) == rho
+        assert separation_radius(ctx) == ctx.valuation(ctx.from_fraction(p)).fraction / (p - 1)
 
 
 def test_unsupported_field():
@@ -171,8 +174,8 @@ def test_valuation_is_multiplicative_and_ultrametric(p, ell):
 def test_zeta_minus_one_has_valuation_rho(p, ell):
     ctx = sf.field_context(p, ell)
     for n in range(1, p):
-        zn = ctx.zeta_power(n)
-        assert ctx.valuation(field_sub(ctx, zn, field_one(ctx))) == Val(ctx.rho)
+        zn = zeta_power_by_definition(ctx, n)
+        assert ctx.valuation(field_sub(ctx, zn, field_one(ctx))) == Val(separation_radius(ctx))
 
 
 def test_split_valuation_agrees_with_rational_on_rationals():
@@ -224,13 +227,14 @@ def test_cyclotomic_kernels_match_division_over_q(p, ell):
     ctx = sf.field_context(p, ell)
     rng = random.Random(31 * p + ell)
     xs = _scaled_elements(rng, ctx, 60)
-    pi = field_sub(ctx, field_one(ctx), ctx.zeta)
+    zeta = zeta_power_by_definition(ctx, 1)
+    pi = field_sub(ctx, field_one(ctx), zeta)
     for x in xs[:4]:
         assert times_one_minus_zeta(ctx, x) == cyclo_mul(ctx, x, pi)
     if ctx.kind is sf.FieldKind.CYCLOTOMIC_SPLIT:
         # zeta - r for the root r lifted to ell^12 has valuation >= 12, past
         # the first precisions ell^4 and ell^8 of the evaluation
-        near = field_sub(ctx, ctx.zeta, ctx.from_fraction(split_root(ctx, 12)))
+        near = field_sub(ctx, zeta, ctx.from_fraction(split_root(ctx, 12)))
         assert at_least(ctx.valuation(near), 12)
         xs += [near, cyclo_mul(ctx, near, xs[0]), cyclo_mul(ctx, near, near)]
     for x, y in zip(xs, xs[1:] + xs[:1]):
@@ -378,8 +382,8 @@ def _count_compiles(monkeypatch) -> list:
 
 
 def test_a_ring_compiles_its_kernels_at_their_first_lookup(monkeypatch):
-    # building a context, or reading its powers of zeta, multiplies,
-    # subtracts, turns and compiles nothing; the first lookup of one of the
+    # building a context multiplies, subtracts, turns and compiles
+    # nothing; the first lookup of one of the
     # six kernels compiles that kernel alone for that p, once per process,
     # and stores it on the ring; above the bound the loops are bound
     # without compiling
@@ -388,8 +392,6 @@ def test_a_ring_compiles_its_kernels_at_their_first_lookup(monkeypatch):
     assert kernels == {"mul", "matmul", "trace_mul", "cross", "sub", "rotate"}
     ctx = FieldContext(7, 29)
     ring = ctx.integers
-    assert ctx.zeta == ctx.zeta_power(1) and ctx.valuation(ctx.zeta) == Val(Fraction(0))
-    assert [ctx.zeta_power(n) for n in range(-7, 15)] == [zeta_power_by_definition(ctx, n) for n in range(-7, 15)]
     assert compiled == [] and not kernels & vars(ring).keys()
     matmul = ring.matmul
     assert compiled == [(7, "matmul")] and vars(ring).keys() & kernels == {"matmul"}
@@ -443,11 +445,12 @@ def test_a_ring_above_the_bound_binds_its_loops_without_compiling(monkeypatch):
 
 @pytest.mark.parametrize("p,ell", CYCLOTOMIC_FIELDS)
 def test_zeta_power_is_the_rotation_of_one(p, ell):
-    # the rotation read as Fractions equals the old quotient of it by one
+    # the rotation of one, read as Fractions by its quotient by one, is
+    # zeta^n by definition
     ctx = sf.field_context(p, ell)
     ring = ctx.integers
     for n in range(2 * p + 1):
-        assert ctx.zeta_power(n) == ctx.quotient(ring.rotate(ring.one, n), ring.one)
+        assert zeta_power_by_definition(ctx, n) == ctx.quotient(ring.rotate(ring.one, n), ring.one)
 
 
 def test_val_is_a_record_without_arithmetic_or_order():
@@ -524,8 +527,6 @@ def test_quotient_is_division_on_lowered_elements():
                 continue
             assert ctx.quotient(num, den) == ctx.mul(x, _inverse(ctx, y)) == field_div(ctx, x, y)
         assert ctx.quotient(num, ctx.integers.zero) is None
-        for n in range(-1, p + 2):
-            assert ctx.zeta_power(n) == zeta_power_by_definition(ctx, n)
 
 
 def test_lower_puts_every_element_over_the_lcm_of_its_denominators():
@@ -551,7 +552,8 @@ def test_lower_puts_every_element_over_the_lcm_of_its_denominators():
         ctx = sf.field_context(p, ell)
         rng = random.Random(7 * p + ell)
         assert ctx.lower([]) == ([], 1)
-        assert check(ctx, [field_zero(ctx), field_one(ctx), ctx.zeta, ctx.from_fraction(-(3**80))]) == 1
+        zeta = zeta_power_by_definition(ctx, 1)
+        assert check(ctx, [field_zero(ctx), field_one(ctx), zeta, ctx.from_fraction(-(3**80))]) == 1
         assert check(ctx, [ctx.from_fraction(Fraction(5, 6)), ctx.from_fraction(Fraction(-7, 4))]) == 12
         dens = set()
         for _ in range(20):
