@@ -35,17 +35,24 @@ divides by its content only a prefix that it extends further, and
 classifies a word from its integer trace and the cached valuations of
 the determinants, with the Newton polygon rule of
 :func:`~.projline.is_loxodromic`.  Every product, trace and determinant is
-one fused kernel of the integer ring.  :func:`word_matrix` and
-:func:`~.projline.classify` give the same verdicts word by word.
+one fused kernel of the integer ring.  Which words are classified and
+which prefixes are composed depends only on the number of generators, p
+and the length bound, never on the matrices: that schedule, a plan, is
+worked out from syllable codes once per shape, level by level and only as
+deep as some walk has gone, kept in a cache of a fixed number of plans for
+the life of the process, and replayed on each call's integer generators.
+:func:`word_matrix` and :func:`~.projline.classify` give the same verdicts
+word by word.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
+from threading import Lock
 from typing import NamedTuple, Optional
 
 from .clusters import PairedConfiguration
-from .errors import RepeatedPointsError
+from .errors import InvalidInputError, RepeatedPointsError
 from .projline import (
     ElementClass,
     MapKind,
@@ -79,28 +86,39 @@ def _exponent_tuples(p: int, r: int, s: int) -> int:
 def _word_count(g: int, p: int, max_len: int) -> int:
     """The number of reduced words of syllable length <= max_len whose
     exponent sum is divisible by p: g + 1 first indices, then g per
-    syllable, times the exponent tuples summing to 0."""
-    return sum(
-        (g + 1) * g ** (k - 1) * _exponent_tuples(p, k, 0)
-        for k in range(1, max_len + 1)
-    )
+    syllable, times the exponent tuples summing to 0.
+
+    With q = p - 1 the words of length k number (g + 1) g^(k-1) (q^k +
+    (-1)^k q) / p = (g + 1) ((g q)^k + q (-g)^k) / (g p), so the count is
+    two geometric sums; for g = 0 every word has one syllable, whose
+    exponent is not 0 mod p."""
+    if g == 0 or max_len <= 0:
+        return 0
+    q = p - 1
+    x, y = g * q, -g
+    powers = max_len if x == 1 else x * (x**max_len - 1) // (x - 1)
+    signed = y * (y**max_len - 1) // (y - 1)
+    return (g + 1) * (powers + q * signed) // (g * p)
 
 
 def _word_position(g: int, p: int, word: GroupWord) -> int:
     """The position, from 1, of a word among the words :func:`_word_count`
     counts, in length-lexicographic order: every shorter word, then each
     word of its length that leaves the word's prefix at a smaller
-    syllable, counted by its completions."""
+    syllable, counted by its completions.  A smaller syllable of a smaller
+    index i (not the previous one) takes any exponent, so its completions
+    are all the exponent tuples but those that sum to minus the prefix's
+    sum."""
     syllables = word.syllables
-    position = _word_count(g, p, len(syllables) - 1) + 1
-    total, prev = 0, None
-    for k, (idx, exp) in enumerate(syllables):
-        left = len(syllables) - k - 1
-        for i in range(idx + 1):
-            if i == prev:
-                continue
-            for e in range(1, p if i < idx else exp):
-                position += g**left * _exponent_tuples(p, left, -(total + e))
+    n = len(syllables)
+    position = _word_count(g, p, n - 1) + 1
+    total, prev = 0, -1
+    for k, (idx, exp) in enumerate(syllables, 1):
+        left = n - k
+        tuples = (idx - (0 <= prev < idx)) * ((p - 1) ** left - _exponent_tuples(p, left, -total))
+        for e in range(1, exp):
+            tuples += _exponent_tuples(p, left, -(total + e))
+        position += g**left * tuples
         total, prev = total + exp, idx
     return position
 
@@ -151,10 +169,11 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     """First non-loxodromic, non-identity word up to the length bound, if any.
 
     The result is that of classifying, in length-lexicographic order, every
-    reduced word of syllable length <= ``max_len`` whose exponent sum is
-    divisible by p: ``words_checked`` counts them up to and including the
-    witness, and identity words go to ``relations``.  Only one word per
-    conjugacy class is classified:
+    reduced word of syllable length <= ``max_len`` (an ``int`` >= 0, or
+    InvalidInputError) whose exponent sum is divisible by p:
+    ``words_checked`` counts them up to and including the witness, and
+    identity words go to ``relations``.  Only one word per conjugacy class
+    is classified:
 
     * **skip rule** -- while no relation has been found, a word is
       classified only when it is cyclically reduced (first and last
@@ -192,30 +211,37 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
       lists every identity word in order.  This takes degenerate input,
       such as a duplicated pair.
 
-    The walk runs on integers from start to end:
+    These rules read syllable codes, never matrices, so which words are
+    classified and which prefixes are multiplied depends only on the
+    shape (g + 1, p, ``last``) and on whether skipping is on.  That
+    schedule is a :class:`_Plan`, worked out once per shape, one length at
+    a time and only as deep as some walk has gone, and kept in a cache of
+    the ``_PLAN_CACHE_SIZE`` plans used last; each call replays it on its
+    own integer generators:
 
     * **generators** -- each generator matrix is built once in
       ``ctx.integers`` from the points, all lowered by one call over one
       common denominator (:func:`_lowered_pairs`), with its det and v(det);
-    * **prefixes** -- the walk goes one length at a time over a list of
-      prefixes, each with its integer matrix, exponent sum mod p and
-      v(det).  A prefix is composed once, from its parent, with the ring's
+    * **prefixes** -- the walk goes one length at a time over the plan's
+      prefixes, each with its integer matrix and v(det).  The plan keeps
+      every level it has built, each prefix as its parent's slot and its
+      last syllable; the replay holds the matrices of one level at a time.
+      A prefix is composed once, from its parent, with the ring's
       ``matmul``.  A prefix that the walk extends is divided by the
       integer content of its entries, a scalar that would otherwise grow
       with the length, and its v(det) is the parent's plus the last
       generator's, less twice v(content).  The last multiplied level, of
       length ``last`` - 2, is extended by no product, so its prefixes keep
-      their content and their v(det) is the plain sum.  Only one level is
-      held at a time;
+      their content and their v(det) is the plain sum;
     * **closing** -- a word's last exponent is forced to close the exponent
       sum, so a prefix whose sum is already 0 mod p ends no word of the
       next length, and the walk stops at the longest length that holds a
       word, ``last`` (for p = 2, the largest even length <= ``max_len``).
       The level of length ``last`` - 1 keeps only prefixes that can close,
-      and multiplies nothing: each entry keeps its parent's matrix P and
-      v(det P), and its own last syllable s.  Its words close on the
-      products G_s G_t of two generators, each built once per audit call
-      with its det and v(det), so there are at most ((g+1)(p-1))^2 of them;
+      and multiplies nothing: its words read the matrix P and v(det P) of
+      their prefix's parent and close on the products G_s G_t of two generators,
+      each built once per audit call with its det and v(det), so there are
+      at most ((g+1)(p-1))^2 of them;
     * **classifying** -- a word M C (M the prefix's matrix, or P on the
       closing level; C the last generator G, or G_s G_t) has trace
       tr(M C), one ``trace_mul``, and v(det) = v(det M) + v(det C) from
@@ -224,29 +250,33 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
       applies the Newton polygon rule to them.  Only a word it does not
       call loxodromic is tested for tr^2 = 4 det(M) det(C) exactly on
       integers, and a parabolic one is a relation when the product M C,
-      built for it alone, is scalar (b = c = 0, a = d).
+      built for it alone, is scalar (b = c = 0, a = d).  Its
+      :class:`GroupWord` is read off the plan's parent links.
 
     Every test is unchanged when a matrix is scaled, so the verdicts are
     those of :func:`~.projline.classify` on the normalised products.
     """
+    if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 0:
+        raise InvalidInputError("the length bound must be an integer >= 0")
     ctx = pcfg.ctx
     g, p = pcfg.g, ctx.p
     last = max_len - max_len % 2 if p == 2 else max_len
     ring, valuation = ctx.integers, ctx.integral_valuation
     pair_ints, den = _lowered_pairs(pcfg)
-    # gens[idx][n - 1] = (M, det M, e v(det M)) for the n-th power of
-    # generator idx; M is a scalar multiple of its matrix
-    gens = []
-    for ints in pair_ints:
-        row = []
+    # gens[idx p + n] = (M, det M, e v(det M)) for the n-th power of
+    # generator idx, M a scalar multiple of its matrix: indexed by syllable
+    # code, so gens[idx p] is unused
+    gens = [None] * (len(pair_ints) * p)
+    for idx, ints in enumerate(pair_ints):
         for n in range(1, p):
             m, _ = order_p_matrix(ctx, ints, den, n)
             det = _det(ring, m)
-            row.append((m, det, valuation(det)))
-        gens.append(row)
-    pairs: dict = {}
+            gens[idx * p + n] = (m, det, valuation(det))
+    products = _Products()
+    products.ring, products.gens = ring, gens
     witness, relations = (
-        _walk(ctx, gens, last, True, pairs) or _walk(ctx, gens, last, False, pairs)
+        _walk(ctx, gens, _plan(g + 1, p, last, True), products)
+        or _walk(ctx, gens, _plan(g + 1, p, last, False), products)
     )
     if witness is None:
         checked = _word_count(g, p, last)
@@ -255,126 +285,235 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     return AuditResult(witness, tuple(relations), checked)
 
 
-def _walk(ctx, gens: list, last: int, necklaces: bool, pairs: dict):
-    """(witness, relations) over the words of length 2..last, in order.
+class _Products(dict):
+    """(G_s G_t, det, e v(det)) for syllable codes s and t, by the key
+    s len(gens) + t, each product built at its first lookup from ``ring``
+    and the generator table ``gens``."""
 
-    With ``necklaces`` only the words the skip, inverse and powers rules
-    of :func:`schottky_audit` keep are classified, and meeting an identity
-    word returns None.
+    __slots__ = ("ring", "gens")
+
+    def __missing__(self, key: int) -> tuple:
+        s, t = divmod(key, len(self.gens))
+        (g_s, det_s, v_s), (g_t, det_t, v_t) = self.gens[s], self.gens[t]
+        hit = self[key] = (self.ring.matmul(g_s, g_t), self.ring.mul(det_s, det_t), v_s + v_t)
+        return hit
+
+
+# the number of plans kept, one per (generators, p, last, necklaces); the
+# least recently used goes first
+_PLAN_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(ngens: int, p: int, last: int, necklaces: bool) -> _Plan:
+    """The shared, lazily extended plan of one shape."""
+    return _Plan(ngens, p, last, necklaces)
+
+
+class _Plan:
+    """The walk's word schedule for ``ngens`` generators, p and ``last``:
+    which words :func:`_walk` classifies and which prefixes it multiplies,
+    worked out from syllable codes alone.
+
     Syllables are coded as idx p + exp, which orders them as (idx, exp).
-    ``pairs`` memoises the two-generator products of the closing level.
-    A prefix is divided by its content only when a later level multiplies
-    it again: the products of the last multiplied level are read only by
-    tests that a scalar does not change (the trace's and det's valuations,
-    tr^2 = 4 det and the scalar test).
+    With ``necklaces`` only the words the skip, inverse and powers rules of
+    :func:`schottky_audit` keep are scheduled, otherwise every word is.
+    ``first`` lists the codes of the prefixes of length 1, in slot order.
+    :meth:`level` of a length 2..``last`` is four lists:
+
+    * ``slots`` and ``keys``, its words: each as the slot of its prefix's
+      matrix in the level before (on the closing level, the level before
+      that) and its closer's code (there, the key s ngens p + t of the
+      product G_s G_t);
+    * ``parents`` and ``codes``, its prefixes, on a level the walk
+      multiplies (length <= ``last`` - 2; else None): each as its parent's
+      slot and its last syllable's code.
+
+    The levels come from :func:`_schedule` in order, each at its first
+    request, so a plan is only as deep as some walk has gone.  One thread
+    at a time advances the schedule, and each level is published whole,
+    as one assignment of a longer tuple, so every thread reads whole
+    levels without the lock.
     """
-    p = ctx.p
+
+    __slots__ = ("ngens", "p", "last", "necklaces", "first", "_levels", "_schedule", "_lock")
+
+    def __init__(self, ngens: int, p: int, last: int, necklaces: bool):
+        self.ngens, self.p, self.last, self.necklaces = ngens, p, last, necklaces
+        # a first syllable with 2 exp > p starts no necklace
+        top = p // 2 + 1 if necklaces else p
+        self.first = [idx * p + exp for idx in range(ngens) for exp in range(1, top)]
+        self._levels: tuple = ()
+        self._schedule = _schedule(ngens, p, last, necklaces, self.first)
+        self._lock = Lock()
+
+    def level(self, length: int) -> tuple:
+        """(slots, keys, parents, codes) of ``length``."""
+        levels = self._levels
+        if length - 2 < len(levels):
+            return levels[length - 2]
+        with self._lock:
+            levels = self._levels
+            while len(levels) <= length - 2:
+                levels += (next(self._schedule),)
+                self._levels = levels
+            return levels[length - 2]
+
+    def word(self, length: int, slot: int, key: int) -> GroupWord:
+        """The word of length ``length`` with prefix slot ``slot`` and
+        closer key ``key``, read off the parent links."""
+        p, levels = self.p, self._levels
+        if length == self.last > 2:
+            s, t = divmod(key, self.ngens * p)
+            codes, depth = [t, s], length - 2
+        else:
+            codes, depth = [key], length - 1
+        for k in range(depth - 2, -1, -1):
+            _, _, parents, level_codes = levels[k]
+            codes.append(level_codes[slot])
+            slot = parents[slot]
+        codes.append(self.first[slot])
+        codes.reverse()
+        return GroupWord(tuple(map(divmod, codes, [p] * length)))
+
+
+def _schedule(ngens: int, p: int, last: int, necklaces: bool, first: list):
+    """The levels of a :class:`_Plan`, in order: for each length
+    2..``last``, the words of that length and the prefixes that extend the
+    level before, both read off that level's prefixes in one pass.
+
+    Each prefix of the deepest level is held as (syllable codes, exponent
+    sum mod p, length q of its longest Lyndon prefix, that prefix's
+    exponent sum mod p, slot of the matrix its words read); on the closing
+    level, of length ``last`` - 1, which the walk does not multiply, that
+    slot is the parent's.  They go once the words of length ``last`` are
+    built.
+    """
+    size = ngens * p
+    prefixes = [((code,), code % p, 1, code % p, slot) for slot, code in enumerate(first)]
+    for length in range(2, last + 1):
+        n = length - 1
+        stride = size if length == last > 2 else 0
+        closing = length + 1 == last
+        slots, keys, parents, codes, nxt = [], [], [], [], []
+        for parent, (prefix, total, lyndon, lyndon_total, slot) in enumerate(prefixes):
+            tail = prefix[-1]
+            end = tail // p
+            # a syllable code is >= 1: with ref 0 and lead -1 nothing is skipped
+            ref, lead = (prefix[n - lyndon], prefix[0] // p) if necklaces else (0, -1)
+            # the words closing the prefix: the last exponent closes the sum
+            exp = -total % p
+            if exp:
+                # for p = 2 a syllable is its own inverse: the rotation of
+                # the inverse from w_0 reads w_0, then the closer
+                low = max(ref, prefix[1]) if necklaces and p == 2 and n > 1 else ref
+                # a power u^k of its Lyndon prefix u: skipped when u's
+                # exponent sum, so u is a word of the subgroup, is 0 mod p
+                power = ref if necklaces and (length % lyndon or lyndon_total == 0) else -1
+                # the closer's index is neither the last nor, for a
+                # cyclically reduced word, the first
+                skip = (end * p + exp, lead * p + exp, power)
+                base = tail * stride
+                for code in range(exp if low <= exp else low + (exp - low) % p, size, p):
+                    if code not in skip:
+                        slots.append(slot)
+                        keys.append(base + code)
+            if length == last:
+                continue
+            # the prefixes extending it; on the closing level a prefix must
+            # be able to close, and its words read its parent's matrix
+            # rather than a product
+            for idx in range(ref // p, ngens):
+                if idx == end:
+                    continue
+                base = idx * p
+                # a syllable w_k of w_0's index keeps inv(w_k) >= w_0 while
+                # exp <= p - e_0, and at equality needs inv(w_(k-1)) >= w_1;
+                # the inverse of code c is c + p - 2 (c mod p)
+                top = base + p
+                if idx == lead:
+                    top -= prefix[0] % p - 1
+                    if tail + p - 2 * (tail % p) < prefix[1]:
+                        top -= 1
+                for code in range(max(base + 1, ref), top):
+                    total_next = (total + code - base) % p
+                    if closing and total_next == 0:
+                        continue
+                    same = code == ref
+                    nxt.append((
+                        prefix + (code,),
+                        total_next,
+                        lyndon if same else length,
+                        lyndon_total if same else total_next,
+                        parent if closing else len(codes),
+                    ))
+                    if not closing:
+                        parents.append(parent)
+                        codes.append(code)
+        if closing or length == last:
+            parents = codes = None
+        # the generator waits at the yield: after the last level it holds
+        # no prefix
+        prefixes = nxt
+        yield slots, keys, parents, codes
+
+
+def _walk(ctx, gens: list, plan: _Plan, products: _Products):
+    """(witness, relations): ``plan``'s words classified in order, on the
+    generator table ``gens`` of :func:`schottky_audit`.
+
+    With a necklace plan, meeting an identity word returns None.  The
+    plan, kept across calls, holds every level's parent links; the replay
+    holds the matrices of one level of prefixes at a time, each as
+    (integer matrix, e v(det)), and ``products`` memoises the
+    two-generator products of the closing level.  A prefix is divided by
+    its content only when a later level multiplies it again: the products
+    of the last multiplied level are read only by tests that a scalar does
+    not change (the trace's and det's valuations, tr^2 = 4 det and the
+    scalar test).
+    """
     ring = ctx.integers
     matmul, trace_mul, mul, zero = ring.matmul, ring.trace_mul, ring.mul, ring.zero
     # valuations are counted in steps of the value group (1/e) Z; a content
     # k is an integer and v(ell) = 1, so k is worth e v_ell(k) steps
     valuation, step = ctx.integral_valuation, ctx.ramification
+    last = plan.last
     relations: list[GroupWord] = []
-
-    def pair(s: int, t: int) -> tuple:
-        """(G_s G_t, det, e v(det)) for syllable codes s and t."""
-        hit = pairs.get((s, t))
-        if hit is None:
-            g_s, det_s, v_s = gens[s // p][s % p - 1]
-            g_t, det_t, v_t = gens[t // p][t % p - 1]
-            hit = pairs[s, t] = (matmul(g_s, g_t), mul(det_s, det_t), v_s + v_t)
-        return hit
-
-    # prefixes of the current length: (syllable codes, integer matrix,
-    # exponent sum mod p, e v(det), length of the longest Lyndon prefix);
-    # on the closing level the matrix and e v(det) are the parent's
-    level = [
-        ((idx * p + exp,), gen, exp, v_det, 1)
-        for idx, row in enumerate(gens)
-        for exp, (gen, _, v_det) in enumerate(row, 1)
-        if not necklaces or 2 * exp <= p
-    ]
-    closing = False
+    level = [(gens[code][0], gens[code][2]) for code in plan.first]
     for length in range(2, last + 1):
-        n = length - 1
-        for prefix, m, total, v_det, lyndon in level:
-            exp = -total % p
-            if exp == 0:
+        slots, keys, parents, codes = plan.level(length)
+        # the word is m times its closer: the last generator, or on the
+        # closing level the last two
+        closers = products if length == last > 2 else gens
+        for slot, key in zip(slots, keys):
+            m, v_det = level[slot]
+            closer, det_closer, v_det_closer = closers[key]
+            tr = trace_mul(m, closer)
+            if tr != zero and is_loxodromic(valuation(tr), v_det + v_det_closer):
                 continue
-            end = prefix[-1] // p
-            # a syllable code is >= 1: with ref 0 and first -1 nothing is skipped
-            ref, first = (prefix[n - lyndon], prefix[0] // p) if necklaces else (0, -1)
-            # for p = 2 a syllable is its own inverse: the rotation of the
-            # inverse from w_0 reads w_0, then the closer
-            low = max(ref, prefix[1]) if necklaces and p == 2 and n > 1 else ref
-            for idx, row in enumerate(gens):
-                code = idx * p + exp
-                if idx == end or idx == first or code < low:
+            word = plan.word(length, slot, key)
+            if mul(tr, tr) != ring.times(mul(_det(ring, m), det_closer), 4):
+                cls = ElementClass(MapKind.ELLIPTIC)
+            else:
+                cls = ElementClass(MapKind.PARABOLIC)
+                a, b, c, d = matmul(m, closer)
+                if b == zero and c == zero and a == d:
+                    if plan.necklaces:
+                        return None
+                    relations.append(word)
                     continue
-                # a power u^k of its Lyndon prefix u: skipped when u's
-                # exponent sum, so u is a word of the subgroup, is 0 mod p
-                if code == ref and (
-                    length % lyndon or sum(s % p for s in prefix[:lyndon]) % p == 0
-                ):
-                    continue
-                # the word is m times its closer: the last generator, or on
-                # the closing level the last two
-                closer, det_closer, v_det_closer = (
-                    pair(prefix[-1], code) if closing else row[exp - 1]
-                )
-                tr = trace_mul(m, closer)
-                if tr != zero and is_loxodromic(valuation(tr), v_det + v_det_closer):
-                    continue
-                word = GroupWord(tuple(divmod(s, p) for s in prefix + (code,)))
-                if mul(tr, tr) != ring.times(mul(_det(ring, m), det_closer), 4):
-                    cls = ElementClass(MapKind.ELLIPTIC)
-                else:
-                    cls = ElementClass(MapKind.PARABOLIC)
-                    a, b, c, d = matmul(m, closer)
-                    if b == zero and c == zero and a == d:
-                        if necklaces:
-                            return None
-                        relations.append(word)
-                        continue
-                return (word, cls), relations
-        if length < last:
-            # the next level; on the last one a prefix must be able to close,
-            # and it keeps its parent's matrix rather than a product, so the
-            # level before it, the last multiplied, is not divided
-            closing = length + 1 == last
+            return (word, cls), relations
+        if parents is not None:
             final = length + 2 == last
             nxt = []
-            for prefix, m, total, v_det, lyndon in level:
-                end = prefix[-1] // p
-                ref = prefix[n - lyndon] if necklaces else 0
-                lead = prefix[0] // p if necklaces else -1
-                for idx in range(ref // p, len(gens)):
-                    if idx == end:
-                        continue
-                    # a syllable w_k of w_0's index keeps inv(w_k) >= w_0
-                    # while exp <= p - e_0, and at equality needs
-                    # inv(w_(k-1)) >= w_1; the inverse of code c is
-                    # c + p - 2 (c mod p)
-                    top = p
-                    if idx == lead:
-                        top = p + 1 - prefix[0] % p
-                        if prefix[-1] + p - 2 * (prefix[-1] % p) < prefix[1]:
-                            top -= 1
-                    for exp in range(1, top):
-                        code = idx * p + exp
-                        if code < ref or closing and (total + exp) % p == 0:
-                            continue
-                        extended, total_next = prefix + (code,), (total + exp) % p
-                        lyndon_next = lyndon if code == ref else length
-                        if closing:
-                            nxt.append((extended, m, total_next, v_det, lyndon_next))
-                            continue
-                        gen, _, v_det_gen = gens[idx][exp - 1]
-                        product, v_next = matmul(m, gen), v_det + v_det_gen
-                        if not final:
-                            k = ring.content(product)
-                            product = ring.divide(product, k)
-                            v_next -= 2 * step * int_valuation(k, ctx.ell)
-                        nxt.append((extended, product, total_next, v_next, lyndon_next))
+            for parent, code in zip(parents, codes):
+                m, v_det = level[parent]
+                gen, _, v_det_gen = gens[code]
+                product, v_next = matmul(m, gen), v_det + v_det_gen
+                if not final:
+                    k = ring.content(product)
+                    product = ring.divide(product, k)
+                    v_next -= 2 * step * int_valuation(k, ctx.ell)
+                nxt.append((product, v_next))
             level = nxt
     return None, relations

@@ -1,8 +1,8 @@
 """The count gates of the fold loop, the report path and the audit:
 operation counts that do not depend on the machine, read in one pass of
 every pinned CLI document through ``parse_problem``, ``run`` (with a dot
-prefix, so the hull runs; no file is written) and ``render_report``, from a
-cleared ``field_context`` cache.
+prefix, so the hull runs; no file is written) and ``render_report``, from
+cleared ``field_context`` and audit plan caches.
 
 Each gate holds a limit or a ratio, and each has a count above 0 so that it
 cannot pass vacuously.  ``pytest tests/test_count_gates.py -s`` prints the
@@ -54,11 +54,18 @@ KERNEL_FRAME_LIMIT = 500
 COMPARISON_LIMIT = 0
 
 
+def _last(p, depth):
+    """The longest length that holds a word of the audit at ``depth``."""
+    return depth - depth % 2 if p == 2 else depth
+
+
 @pytest.fixture(scope="module")
 def counts():
     with pytest.MonkeyPatch.context() as mp:
         sf.field_context.cache_clear()
+        oracle._plan.cache_clear()
         contexts = count_calls(mp, FieldContext, "__init__")
+        plans = count_calls(mp, oracle._Plan, "__init__")
         scan = recorded_inside(mp, folding, "find_fold_exponent", rotations=count_kernel_calls(mp, "rotate"))
         scans = count_calls(mp, folding, "find_fold_exponent")
         points = count_calls(mp, PPoint, "__new__")
@@ -72,7 +79,7 @@ def counts():
             "apply": count_calls(mp, projline, "apply", everywhere=True),
             "classify": count_calls(mp, projline, "classify", everywhere=True),
         }
-        run = recorded_inside(mp, cli, "run", comparisons=comparisons, **unused)
+        run = recorded_inside(mp, cli, "run", comparisons=comparisons, plans=plans, **unused)
         loop = recorded_inside(
             mp, folding, "run_algorithm",
             valuations=count_calls(mp, FieldContext, "integral_valuation"),
@@ -102,8 +109,12 @@ def counts():
         s0 = sf.word_matrix(pcfg, sf.GroupWord(((0, 1),)))
         sf.classify(ctx, s0)
         sf.apply(s0, sf.finite(ctx, 1))
-    # the rings built under the count keep its kernels
+        # one pair is a shape no document audits
+        sf.schottky_audit(pcfg, 2)
+    # the rings built under the count keep its kernels, and the plans its
+    # counter
     sf.field_context.cache_clear()
+    oracle._plan.cache_clear()
     assert DOCS
     return {
         "valuations": len(loop["valuations"]),
@@ -122,6 +133,10 @@ def counts():
         "contexts": len(contexts),
         "classified": len(audit["classified"]),
         "audits": len(audits),
+        "plans": len(run["plans"]),
+        "all plans": len(plans),
+        "shapes": len({(pcfg.g + 1, pcfg.ctx.p, _last(pcfg.ctx.p, depth))
+                       for pcfg, depth in audits}),
         "fields": len(fields),
     }
 
@@ -177,6 +192,18 @@ def test_words_classified_in_the_audit(counts):
           f"(limit {CLASSIFIED_LIMIT})")
     assert counts["classified"] > 0
     assert counts["classified"] <= CLASSIFIED_LIMIT
+
+
+def test_one_plan_per_audited_shape(counts):
+    # the audit plans made inside cli.run: the walk's schedule of words and
+    # products is worked out once per (generators, p, last) and replayed
+    # for every later set of that shape, where each audit worked it out
+    # anew.  No document takes the relation walk, whose plan would be a
+    # second one of its shape
+    print(f"\n{counts['plans']} audit plans built for {counts['shapes']} shapes in "
+          f"{counts['audits']} audits")
+    assert counts["all plans"] > counts["plans"] > 0
+    assert counts["plans"] <= counts["shapes"]
 
 
 def test_points_made_in_the_fold_loop(counts):

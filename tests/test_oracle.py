@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 
@@ -112,6 +114,20 @@ def test_audit_refuses_a_pair_that_repeats_a_point():
                 with pytest.raises(sf.RepeatedPointsError, match="two distinct fixed points"):
                     audit()
         sf.word_matrix(sf.PairedConfiguration(ctx, ((a, b), (z, sf.INFINITY))), word)
+
+
+def test_audit_refuses_an_invalid_length_bound():
+    # the bound is an int >= 0, as the CLI's verify_depth is: a negative or
+    # boolean bound checked no word and a float failed inside the walk.
+    # None of them keys a plan
+    pcfg = sf.pair_up(sf.configuration(ctx5(), SIX_POINT_5ADIC))
+    sf.oracle._plan.cache_clear()
+    for bound in (-3, -1, True, False, 2.5, 4.0, Fraction(4), "4", None):
+        with pytest.raises(sf.InvalidInputError, match="length bound"):
+            sf.schottky_audit(pcfg, bound)
+    info = sf.oracle._plan.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    assert sf.schottky_audit(pcfg, 0) == sf.AuditResult(None, (), 0)
 
 
 def test_verify_fold_conjugation_on_showcase_traces():
@@ -307,6 +323,78 @@ def test_audit_matches_the_word_by_word_reference():
     assert relation_kinds == {sf.FieldKind.RATIONAL, sf.FieldKind.CYCLOTOMIC_SPLIT}
     assert closing_relations == relation_kinds
     assert closing_witnesses == set(sf.FieldKind)
+
+
+def _plan_reach(pcfg, depth, necklaces):
+    """The longest length whose level the cached plan of the audit's shape
+    has built (1 when it has built none)."""
+    p = pcfg.ctx.p
+    last = depth - depth % 2 if p == 2 else depth
+    return len(sf.oracle._plan(pcfg.g + 1, p, last, necklaces)._levels) + 1
+
+
+def test_the_plan_cache_changes_no_result():
+    # the words the audit classifies and the prefixes it multiplies are
+    # planned once per (generators, p, last, necklaces) and kept, so a
+    # result must not depend on what earlier calls left in the cache.  The
+    # cases hold seeded sets of every flavour and the duplicated pairs that
+    # take the relation walk; the 5-adic showcase (a witness of length 4)
+    # and a sampled rational set share the shape (3, 2, 6), so one leaves
+    # the other's plan partly built, or built past its witness
+    cases = _audit_cases()
+    runs = [(k, depth) for k, (_, depths) in enumerate(cases) for depth in depths]
+    runs.append((0, 12))
+    expected = {(k, depth): _reference_audit(cases[k][0], depth) for k, depth in runs}
+    assert len(expected[0, 12].witness[0].syllables) == 4
+    kinds, walks = set(), 0
+    # a cold call builds its plans only as deep as its walk goes: to the
+    # witness, the first relation, or the last length
+    for k, depth in runs:
+        pcfg = cases[k][0]
+        sf.oracle._plan.cache_clear()
+        result = sf.schottky_audit(pcfg, depth)
+        assert result == expected[k, depth], (pcfg.ctx, depth)
+        p = pcfg.ctx.p
+        last = depth - depth % 2 if p == 2 else depth
+        reach = len(result.witness[0].syllables) if result.witness else last
+        if result.relations:
+            walks += 1
+            assert _plan_reach(pcfg, depth, True) == len(result.relations[0].syllables)
+            assert _plan_reach(pcfg, depth, False) == max(1, reach)
+        else:
+            assert _plan_reach(pcfg, depth, True) == max(1, reach)
+        assert sf.oracle._plan.cache_info().currsize == 1 + bool(result.relations)
+        kinds.add(pcfg.ctx.kind)
+    assert kinds == set(sf.FieldKind) and walks > 0
+    # warm, in the order of the cases, reversed (depth 4 after depth 7 of
+    # one shape, and 7 after 4) and shuffled, each twice over one cache
+    shuffled = runs[:]
+    random.Random(48).shuffle(shuffled)
+    for order in (runs, runs[::-1], shuffled):
+        sf.oracle._plan.cache_clear()
+        for k, depth in order + order:
+            assert sf.schottky_audit(cases[k][0], depth) == expected[k, depth], (k, depth)
+            assert sf.oracle._plan.cache_info().currsize <= sf.oracle._PLAN_CACHE_SIZE
+    assert sf.oracle._plan.cache_info().maxsize == sf.oracle._PLAN_CACHE_SIZE
+
+
+def test_threads_that_extend_one_plan_agree():
+    # threads that extend one plan at once, more of them than cores, each
+    # read every level of it whole: a level read while another thread
+    # builds it would change a result
+    pmin = sf.pair_up(sf.configuration(ctx7(), EIGHT_POINT_7ADIC_MIN))
+    depths = (10, 8, 10, 6)
+    expected = [sf.schottky_audit(pmin, depth) for depth in depths]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            sf.oracle._plan.cache_clear()
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(lambda depth: sf.schottky_audit(pmin, depth), depths, timeout=60))
+            assert results == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_closed_form_word_positions_match_the_enumeration():
