@@ -39,8 +39,10 @@ one fused kernel of the integer ring.  Which words are classified and
 which prefixes are composed depends only on the number of generators, p
 and the length bound, never on the matrices: that schedule, a plan, is
 worked out from syllable codes once per shape, level by level and only as
-deep as some walk has gone, kept in a cache of a fixed number of plans for
-the life of the process, and replayed on each call's integer generators.
+deep as some walk has gone, and replayed on each call's integer
+generators.  A plan is plain data, its levels as lists of slots and codes,
+kept in a cache of a fixed number of plans for the life of the process;
+a walk that needs a level the cache lacks plans it and publishes it whole.
 :func:`word_matrix` and :func:`~.projline.classify` give the same verdicts
 word by word.
 """
@@ -48,7 +50,7 @@ word by word.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from threading import Lock
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from .clusters import PairedConfiguration
@@ -147,10 +149,13 @@ def word_matrix(pcfg: PairedConfiguration, word: GroupWord) -> Mobius:
     :func:`_lowered_pairs` and composed.  A syllable (k, n) is the n-th
     power of the order-p map fixing pair k, whose multiplier at the pair's
     finite first point is zeta_p^n (a pair (infinity, x) is read as (x,
-    infinity)): the orientation the folding test certifies."""
-    if not word.syllables:
-        raise ValueError("empty word")
+    infinity)): the orientation the folding test certifies.  An empty
+    word, or a syllable whose index is not a pair's or whose exponent is
+    not in 1..p-1, is refused (InvalidInputError)."""
     ctx = pcfg.ctx
+    indices, exps = range(len(pcfg.pairs)), range(1, ctx.p)
+    if not word.syllables or any(idx not in indices or exp not in exps for idx, exp in word.syllables):
+        raise InvalidInputError(f"not a word of the pairs' generators: {word.syllables!r}")
     pairs, den = _lowered_pairs(pcfg)
     factors = {
         (idx, exp): integer_map(ctx, *order_p_matrix(ctx, pairs[idx], den, exp))
@@ -214,10 +219,12 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     These rules read syllable codes, never matrices, so which words are
     classified and which prefixes are multiplied depends only on the
     shape (g + 1, p, ``last``) and on whether skipping is on.  That
-    schedule is a :class:`_Plan`, worked out once per shape, one length at
-    a time and only as deep as some walk has gone, and kept in a cache of
-    the ``_PLAN_CACHE_SIZE`` plans used last; each call replays it on its
-    own integer generators:
+    schedule is a plan (:func:`_plan`), worked out once per shape, one
+    length at a time and only as deep as some walk has gone, and kept as
+    plain data, the levels planned so far, in a cache of the
+    ``_PLAN_CACHE_SIZE`` plans used last; each call replays it on its own
+    integer generators, and plans a level the cache lacks with a schedule
+    of its own that ends with the call:
 
     * **generators** -- each generator matrix is built once in
       ``ctx.integers`` from the points, all lowered by one call over one
@@ -254,12 +261,15 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
       :class:`GroupWord` is read off the plan's parent links.
 
     Every test is unchanged when a matrix is scaled, so the verdicts are
-    those of :func:`~.projline.classify` on the normalised products.
+    those of :func:`~.projline.classify` on the normalised products.  A
+    pairing with no pair has no generator and so no word.
     """
     if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 0:
         raise InvalidInputError("the length bound must be an integer >= 0")
     ctx = pcfg.ctx
     g, p = pcfg.g, ctx.p
+    if g < 0:
+        return AuditResult(None, (), 0)
     last = max_len - max_len % 2 if p == 2 else max_len
     ring, valuation = ctx.integers, ctx.integral_valuation
     pair_ints, den = _lowered_pairs(pcfg)
@@ -275,8 +285,8 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     products = _Products()
     products.ring, products.gens = ring, gens
     witness, relations = (
-        _walk(ctx, gens, _plan(g + 1, p, last, True), products)
-        or _walk(ctx, gens, _plan(g + 1, p, last, False), products)
+        _walk(ctx, gens, last, True, products)
+        or _walk(ctx, gens, last, False, products)
     )
     if witness is None:
         checked = _word_count(g, p, last)
@@ -305,21 +315,18 @@ _PLAN_CACHE_SIZE = 16
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(ngens: int, p: int, last: int, necklaces: bool) -> _Plan:
-    """The shared, lazily extended plan of one shape."""
-    return _Plan(ngens, p, last, necklaces)
-
-
-class _Plan:
-    """The walk's word schedule for ``ngens`` generators, p and ``last``:
-    which words :func:`_walk` classifies and which prefixes it multiplies,
-    worked out from syllable codes alone.
+def _plan(ngens: int, p: int, last: int, necklaces: bool) -> list:
+    """The walk's word schedule for ``ngens`` generators, p and ``last``,
+    as plain data: which words :func:`_walk` classifies and which prefixes
+    it multiplies, worked out from syllable codes alone.
 
     Syllables are coded as idx p + exp, which orders them as (idx, exp).
     With ``necklaces`` only the words the skip, inverse and powers rules of
     :func:`schottky_audit` keep are scheduled, otherwise every word is.
-    ``first`` lists the codes of the prefixes of length 1, in slot order.
-    :meth:`level` of a length 2..``last`` is four lists:
+    The plan is the list [levels, first]: ``first`` lists the codes of the
+    prefixes of length 1, in slot order, and ``levels`` is the tuple of the
+    levels planned so far.  The level of a length 2..``last`` is four
+    lists:
 
     * ``slots`` and ``keys``, its words: each as the slot of its prefix's
       matrix in the level before (on the closing level, the level before
@@ -329,58 +336,21 @@ class _Plan:
       multiplies (length <= ``last`` - 2; else None): each as its parent's
       slot and its last syllable's code.
 
-    The levels come from :func:`_schedule` in order, each at its first
-    request, so a plan is only as deep as some walk has gone.  One thread
-    at a time advances the schedule, and each level is published whole,
-    as one assignment of a longer tuple, so every thread reads whole
-    levels without the lock.
+    The walk that needs a level past the tuple plans it and puts a longer
+    tuple in the list, so the plan is only as deep as some walk has gone.
+    Two walks that plan at once put equal levels, and a walk that reads
+    the tuple once reads whole levels.
     """
-
-    __slots__ = ("ngens", "p", "last", "necklaces", "first", "_levels", "_schedule", "_lock")
-
-    def __init__(self, ngens: int, p: int, last: int, necklaces: bool):
-        self.ngens, self.p, self.last, self.necklaces = ngens, p, last, necklaces
-        # a first syllable with 2 exp > p starts no necklace
-        top = p // 2 + 1 if necklaces else p
-        self.first = [idx * p + exp for idx in range(ngens) for exp in range(1, top)]
-        self._levels: tuple = ()
-        self._schedule = _schedule(ngens, p, last, necklaces, self.first)
-        self._lock = Lock()
-
-    def level(self, length: int) -> tuple:
-        """(slots, keys, parents, codes) of ``length``."""
-        levels = self._levels
-        if length - 2 < len(levels):
-            return levels[length - 2]
-        with self._lock:
-            levels = self._levels
-            while len(levels) <= length - 2:
-                levels += (next(self._schedule),)
-                self._levels = levels
-            return levels[length - 2]
-
-    def word(self, length: int, slot: int, key: int) -> GroupWord:
-        """The word of length ``length`` with prefix slot ``slot`` and
-        closer key ``key``, read off the parent links."""
-        p, levels = self.p, self._levels
-        if length == self.last > 2:
-            s, t = divmod(key, self.ngens * p)
-            codes, depth = [t, s], length - 2
-        else:
-            codes, depth = [key], length - 1
-        for k in range(depth - 2, -1, -1):
-            _, _, parents, level_codes = levels[k]
-            codes.append(level_codes[slot])
-            slot = parents[slot]
-        codes.append(self.first[slot])
-        codes.reverse()
-        return GroupWord(tuple(map(divmod, codes, [p] * length)))
+    # a first syllable with 2 exp > p starts no necklace
+    top = p // 2 + 1 if necklaces else p
+    return [(), [idx * p + exp for idx in range(ngens) for exp in range(1, top)]]
 
 
 def _schedule(ngens: int, p: int, last: int, necklaces: bool, first: list):
-    """The levels of a :class:`_Plan`, in order: for each length
-    2..``last``, the words of that length and the prefixes that extend the
-    level before, both read off that level's prefixes in one pass.
+    """The levels of a :func:`_plan`, in order, from the prefixes of length 1
+    whose codes ``first`` lists: for each length 2..``last``, the words of
+    that length and the prefixes that extend the level before, both read
+    off that level's prefixes in one pass.
 
     Each prefix of the deepest level is held as (syllable codes, exponent
     sum mod p, length q of its longest Lyndon prefix, that prefix's
@@ -452,53 +422,78 @@ def _schedule(ngens: int, p: int, last: int, necklaces: bool, first: list):
                         codes.append(code)
         if closing or length == last:
             parents = codes = None
-        # the generator waits at the yield: after the last level it holds
-        # no prefix
         prefixes = nxt
         yield slots, keys, parents, codes
 
 
-def _walk(ctx, gens: list, plan: _Plan, products: _Products):
-    """(witness, relations): ``plan``'s words classified in order, on the
-    generator table ``gens`` of :func:`schottky_audit`.
+def _word(p: int, first: list, levels: tuple, slot: int, tail: tuple) -> GroupWord:
+    """The word of the prefix in ``slot`` of the last of the multiplied
+    ``levels`` (of the prefixes of length 1, ``first``, when there is
+    none), followed by the syllable codes ``tail``: read off the parent
+    links."""
+    codes = []
+    for _, _, parents, level_codes in reversed(levels):
+        codes.append(level_codes[slot])
+        slot = parents[slot]
+    codes.append(first[slot])
+    codes.reverse()
+    codes += tail
+    return GroupWord(tuple(map(divmod, codes, [p] * len(codes))))
 
-    With a necklace plan, meeting an identity word returns None.  The
-    plan, kept across calls, holds every level's parent links; the replay
-    holds the matrices of one level of prefixes at a time, each as
-    (integer matrix, e v(det)), and ``products`` memoises the
-    two-generator products of the closing level.  A prefix is divided by
-    its content only when a later level multiplies it again: the products
-    of the last multiplied level are read only by tests that a scalar does
-    not change (the trace's and det's valuations, tr^2 = 4 det and the
-    scalar test).
+
+def _walk(ctx, gens: list, last: int, necklaces: bool, products: _Products):
+    """(witness, relations): the words of the plan of ``gens``'s shape,
+    ``last`` and ``necklaces`` classified in order, on the generator table
+    ``gens`` of :func:`schottky_audit`.
+
+    With ``necklaces``, meeting an identity word returns None.  The walk
+    reads the levels its cached plan holds, and plans each further level it
+    needs with its own :func:`_schedule`, advanced past them, publishing it
+    at once; the schedule ends with the call.  The replay holds the
+    matrices of one level of prefixes at a time, each as (integer matrix,
+    e v(det)), and ``products`` memoises the two-generator products of the
+    closing level.  A prefix is divided by its content only when a later
+    level multiplies it again: the products of the last multiplied level
+    are read only by tests that a scalar does not change (the trace's and
+    det's valuations, tr^2 = 4 det and the scalar test).
     """
     ring = ctx.integers
     matmul, trace_mul, mul, zero = ring.matmul, ring.trace_mul, ring.mul, ring.zero
     # valuations are counted in steps of the value group (1/e) Z; a content
     # k is an integer and v(ell) = 1, so k is worth e v_ell(k) steps
     valuation, step = ctx.integral_valuation, ctx.ramification
-    last = plan.last
+    p, size = ctx.p, len(gens)
+    shape = (size // p, p, last, necklaces)
+    plan = _plan(*shape)
+    (levels, first), schedule = plan, None
     relations: list[GroupWord] = []
-    level = [(gens[code][0], gens[code][2]) for code in plan.first]
+    level = [(gens[code][0], gens[code][2]) for code in first]
     for length in range(2, last + 1):
-        slots, keys, parents, codes = plan.level(length)
+        if len(levels) == length - 2:
+            if schedule is None:
+                schedule = islice(_schedule(*shape, first), len(levels), None)
+            levels += (next(schedule),)
+            plan[0] = levels
+        slots, keys, parents, codes = levels[length - 2]
         # the word is m times its closer: the last generator, or on the
         # closing level the last two
-        closers = products if length == last > 2 else gens
+        closing = length == last > 2
+        closers = products if closing else gens
         for slot, key in zip(slots, keys):
             m, v_det = level[slot]
             closer, det_closer, v_det_closer = closers[key]
             tr = trace_mul(m, closer)
             if tr != zero and is_loxodromic(valuation(tr), v_det + v_det_closer):
                 continue
-            word = plan.word(length, slot, key)
+            word = _word(p, first, levels[:length - 2 - closing], slot,
+                         divmod(key, size) if closing else (key,))
             if mul(tr, tr) != ring.times(mul(_det(ring, m), det_closer), 4):
                 cls = ElementClass(MapKind.ELLIPTIC)
             else:
                 cls = ElementClass(MapKind.PARABOLIC)
                 a, b, c, d = matmul(m, closer)
                 if b == zero and c == zero and a == d:
-                    if plan.necklaces:
+                    if necklaces:
                         return None
                     relations.append(word)
                     continue

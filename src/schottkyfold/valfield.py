@@ -511,6 +511,8 @@ class FieldContext:
     """
 
     def __init__(self, p: int, ell: int):
+        if type(p) is not int or type(ell) is not int:
+            raise UnsupportedFieldError(f"p={p!r} and ell={ell!r} must both be of type int")
         if max(p, ell) >= _MR_BOUND:
             raise UnsupportedFieldError(
                 f"p={p} and ell={ell} must be below {_MR_BOUND}, the bound "
@@ -744,18 +746,31 @@ class FieldContext:
         return f"FieldContext(p={self.p}, ell={self.ell}, {self.kind.value})"
 
 
-@lru_cache(maxsize=64)
 def field_context(p: int, ell: int) -> FieldContext:
     """The valued field for superelliptic degree p and residue characteristic ell.
 
-    One context per field is shared by every caller, from a cache of the 64
-    fields used last: building one tests p and ell for primality and, for a
-    split field, starts the table of the root's powers, which the shared
-    context then keeps.  A context is immutable but for that table, which
-    is deterministic and filled with ``dict.setdefault``.
-    A field that is refused raises each time and is not kept.
+    One context per field is shared by every caller, whether it passes p
+    and ell by position or by keyword, from a cache of the 64 fields used
+    last (``field_context.cache_info`` and ``.cache_clear`` are its):
+    building one tests p and ell for primality and, for a split field,
+    starts the table of the root's powers, which the shared context then
+    keeps.  A context is immutable but for that table, which is
+    deterministic and filled with ``dict.setdefault``.  The cache is keyed
+    by the two arguments and their types, so a p or ell that is not an
+    ``int`` (2.0, ``Fraction(2)``, ``True``) never meets an int's context:
+    like a field that is refused, it raises UnsupportedFieldError each time
+    and is not kept.
     """
+    return _shared_context(p, ell)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _shared_context(p: int, ell: int) -> FieldContext:
     return FieldContext(p, ell)
+
+
+field_context.cache_info = _shared_context.cache_info
+field_context.cache_clear = _shared_context.cache_clear
 
 
 def format_fraction(q: Fraction) -> str:

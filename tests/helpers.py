@@ -7,6 +7,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import schottkyfold as sf
 from schottkyfold import valfield
@@ -124,6 +125,22 @@ def count_calls(monkeypatch, owner, name, everywhere=False):
                 monkeypatch.setattr(m, key, counted)
             elif isinstance(value, staticmethod) and value.__func__ is original:
                 monkeypatch.setattr(m, key, staticmethod(counted))
+    return calls
+
+
+def count_cache_misses(monkeypatch, owner, name):
+    """Record the arguments of each miss of the ``functools.lru_cache``
+    function ``owner.name``: for the monkeypatch's life it is replaced by an
+    empty cache of the same size around a counted copy of the function, and
+    the cache it replaces is left as it was."""
+    cached = getattr(owner, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cached.__wrapped__(*args)
+
+    monkeypatch.setattr(owner, name, lru_cache(maxsize=cached.cache_info().maxsize)(counted))
     return calls
 
 

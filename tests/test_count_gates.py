@@ -2,7 +2,7 @@
 operation counts that do not depend on the machine, read in one pass of
 every pinned CLI document through ``parse_problem``, ``run`` (with a dot
 prefix, so the hull runs; no file is written) and ``render_report``, from
-cleared ``field_context`` and audit plan caches.
+a cleared ``field_context`` cache and an empty audit plan cache.
 
 Each gate holds a limit or a ratio, and each has a count above 0 so that it
 cannot pass vacuously.  ``pytest tests/test_count_gates.py -s`` prints the
@@ -23,8 +23,8 @@ from schottkyfold import cli, folding, oracle, projline, valfield
 from schottkyfold.projline import PPoint
 from schottkyfold.valfield import FieldContext
 
-from helpers import (count_calls, count_chain_walks, count_finite_pairs_built, count_kernel_calls,
-                     recorded_inside)
+from helpers import (count_cache_misses, count_calls, count_chain_walks, count_finite_pairs_built,
+                     count_kernel_calls, recorded_inside)
 
 DOCS = sorted((Path(__file__).parent / "expected" / "cli").glob("*.json"))
 
@@ -63,9 +63,9 @@ def _last(p, depth):
 def counts():
     with pytest.MonkeyPatch.context() as mp:
         sf.field_context.cache_clear()
-        oracle._plan.cache_clear()
         contexts = count_calls(mp, FieldContext, "__init__")
-        plans = count_calls(mp, oracle._Plan, "__init__")
+        plans = count_cache_misses(mp, oracle, "_plan")
+        schedules = count_calls(mp, oracle, "_schedule")
         scan = recorded_inside(mp, folding, "find_fold_exponent", rotations=count_kernel_calls(mp, "rotate"))
         scans = count_calls(mp, folding, "find_fold_exponent")
         points = count_calls(mp, PPoint, "__new__")
@@ -79,7 +79,8 @@ def counts():
             "apply": count_calls(mp, projline, "apply", everywhere=True),
             "classify": count_calls(mp, projline, "classify", everywhere=True),
         }
-        run = recorded_inside(mp, cli, "run", comparisons=comparisons, plans=plans, **unused)
+        run = recorded_inside(mp, cli, "run", comparisons=comparisons, plans=plans, schedules=schedules,
+                              **unused)
         loop = recorded_inside(
             mp, folding, "run_algorithm",
             valuations=count_calls(mp, FieldContext, "integral_valuation"),
@@ -111,10 +112,8 @@ def counts():
         sf.apply(s0, sf.finite(ctx, 1))
         # one pair is a shape no document audits
         sf.schottky_audit(pcfg, 2)
-    # the rings built under the count keep its kernels, and the plans its
-    # counter
+    # the rings built under the count keep its kernels
     sf.field_context.cache_clear()
-    oracle._plan.cache_clear()
     assert DOCS
     return {
         "valuations": len(loop["valuations"]),
@@ -135,6 +134,7 @@ def counts():
         "audits": len(audits),
         "plans": len(run["plans"]),
         "all plans": len(plans),
+        "schedules": len(run["schedules"]),
         "shapes": len({(pcfg.g + 1, pcfg.ctx.p, _last(pcfg.ctx.p, depth))
                        for pcfg, depth in audits}),
         "fields": len(fields),
@@ -195,13 +195,16 @@ def test_words_classified_in_the_audit(counts):
 
 
 def test_one_plan_per_audited_shape(counts):
-    # the audit plans made inside cli.run: the walk's schedule of words and
-    # products is worked out once per (generators, p, last) and replayed
-    # for every later set of that shape, where each audit worked it out
-    # anew.  No document takes the relation walk, whose plan would be a
-    # second one of its shape
+    # the audit plans made inside cli.run, the plan cache's misses: the
+    # walk's schedule of words and products is worked out once per
+    # (generators, p, last) and replayed for every later set of that shape,
+    # where each audit worked it out anew.  No document takes the relation
+    # walk, whose plan would be a second one of its shape.  A schedule is
+    # started by a walk that needs a level its plan lacks, so a shape whose
+    # longest length is below 2 (the document audited at depth 1) starts
+    # none
     print(f"\n{counts['plans']} audit plans built for {counts['shapes']} shapes in "
-          f"{counts['audits']} audits")
+          f"{counts['audits']} audits, {counts['schedules']} schedules started")
     assert counts["all plans"] > counts["plans"] > 0
     assert counts["plans"] <= counts["shapes"]
 

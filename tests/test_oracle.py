@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -327,10 +328,11 @@ def test_audit_matches_the_word_by_word_reference():
 
 def _plan_reach(pcfg, depth, necklaces):
     """The longest length whose level the cached plan of the audit's shape
-    has built (1 when it has built none)."""
+    holds (1 when it holds none)."""
     p = pcfg.ctx.p
     last = depth - depth % 2 if p == 2 else depth
-    return len(sf.oracle._plan(pcfg.g + 1, p, last, necklaces)._levels) + 1
+    levels, _ = sf.oracle._plan(pcfg.g + 1, p, last, necklaces)
+    return len(levels) + 1
 
 
 def test_the_plan_cache_changes_no_result():
@@ -376,6 +378,31 @@ def test_the_plan_cache_changes_no_result():
             assert sf.schottky_audit(cases[k][0], depth) == expected[k, depth], (k, depth)
             assert sf.oracle._plan.cache_info().currsize <= sf.oracle._PLAN_CACHE_SIZE
     assert sf.oracle._plan.cache_info().maxsize == sf.oracle._PLAN_CACHE_SIZE
+
+
+def test_a_cached_plan_is_whole_levels_and_no_schedule():
+    # the cache keeps a plan as data: a list of the tuple of its levels,
+    # each four lists of ints or None, and the codes of its first
+    # syllables, and nothing else.  The showcase's cold call stops at its
+    # length-4 witness, before the last level, and its schedule, with the
+    # prefix states it holds, ends with the call
+    pcfg = sf.pair_up(sf.configuration(ctx5(), SIX_POINT_5ADIC))
+    sf.oracle._plan.cache_clear()
+    result = sf.schottky_audit(pcfg, 12)
+    assert len(result.witness[0].syllables) == 4
+    plan = sf.oracle._plan(pcfg.g + 1, 2, 12, True)
+    assert type(plan) is list and len(plan) == 2
+    levels, first = plan
+    assert type(levels) is tuple and len(levels) == 3
+    assert first == [1, 3, 5]
+    for level in levels:
+        assert type(level) is tuple and len(level) == 4
+    kinds, stack = set(), [plan]
+    while stack:
+        obj = stack.pop()
+        kinds.add(type(obj))
+        stack += gc.get_referents(obj)
+    assert kinds <= {list, tuple, int, type(None)}, kinds
 
 
 def test_threads_that_extend_one_plan_agree():
@@ -624,6 +651,35 @@ def test_audit_and_word_matrix_lower_the_points_once(monkeypatch):
         calls.clear()
         sf.word_matrix(pcfg, sf.GroupWord(((0, 1), (1, p - 1), (2, 1), (3, p - 1))))
         assert len(calls) == 1
+
+
+def test_word_matrix_refuses_a_syllable_it_cannot_read():
+    # at p = 2 on the showcase's three pairs a syllable is (0..2, 1): an
+    # exponent 3 read as 1, a negative index wrapped to the last pair, an
+    # index past it raised IndexError, and an exponent 0 or the empty word
+    # a bare ValueError
+    pcfg = sf.pair_up(sf.configuration(ctx5(), SIX_POINT_5ADIC))
+    for syllables in (((0, 3), (1, 1)), ((-1, 1),), ((5, 1),), ((3, 1),), ((0, 0),), ((1, 1), (0, 2)), ()):
+        with pytest.raises(sf.InvalidInputError, match="not a word"):
+            sf.word_matrix(pcfg, sf.GroupWord(syllables))
+    # the last index and, at p = 3, the exponent p - 1 are read
+    assert isinstance(sf.word_matrix(pcfg, sf.GroupWord(((2, 1), (0, 1)))), sf.Mobius)
+    pcfg3 = sf.pair_up(sf.configuration(sf.field_context(3, 7), [0, 1, 7, 8, 49, "inf"]))
+    with pytest.raises(sf.InvalidInputError, match="not a word"):
+        sf.word_matrix(pcfg3, sf.GroupWord(((0, 3),)))
+    assert isinstance(sf.word_matrix(pcfg3, sf.GroupWord(((0, 2), (2, 1)))), sf.Mobius)
+
+
+def test_audit_of_a_pairing_with_no_pair_checks_no_word():
+    # with no pair there is no generator and no word, as with one pair;
+    # _word_count divided by zero at g = -1
+    for ctx in (ctx5(), sf.field_context(3, 7)):
+        for pcfg in (sf.pair_up(sf.configuration(ctx, [])), sf.PairedConfiguration(ctx, ())):
+            assert pcfg.g == -1
+            for depth in (0, 1, 4):
+                assert sf.schottky_audit(pcfg, depth) == sf.AuditResult(None, (), 0)
+    one = sf.pair_up(sf.configuration(ctx5(), [0, "inf"]))
+    assert sf.schottky_audit(one, 4) == sf.AuditResult(None, (), 0)
 
 
 def test_word_matrix_builds_only_the_factors_its_word_names(monkeypatch):

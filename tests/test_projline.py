@@ -152,7 +152,8 @@ def test_order_p_fixing_errors():
     ctx = ctx5()
     with pytest.raises(sf.RepeatedPointsError, match="two distinct fixed points"):
         order_p_fixing(ctx, fin(ctx, 3), fin(ctx, 3), 1)
-    with pytest.raises(ValueError):
+    # word_matrix refuses a syllable whose exponent is not in 1..p-1
+    with pytest.raises(sf.InvalidInputError, match="not a word"):
         order_p_fixing(ctx, fin(ctx, 1), fin(ctx, 3), 2)  # 2 = p
 
 

@@ -586,6 +586,43 @@ def test_primality_is_exact_for_large_primes_and_strong_pseudoprimes():
     assert sf.field_context(2, 10**18 + 3).ell == 10**18 + 3
 
 
+def test_field_context_is_one_context_per_field_whatever_the_call_form():
+    # the cache was keyed by the call's form, so a keyword call built a
+    # second context of the field, and a third with one keyword
+    sf.field_context.cache_clear()
+    ctx = sf.field_context(p=2, ell=5)
+    assert sf.field_context(2, 5) is ctx and sf.field_context(2, ell=5) is ctx
+    assert sf.field_context(ell=5, p=2) is ctx
+    assert sf.field_context.cache_info().currsize == 1
+
+
+def test_field_context_refuses_a_p_or_ell_that_is_not_an_int():
+    # 2.0, Fraction(2) and 5.0 built a context whose p or ell was not an
+    # int, which the audit and the fold loop then failed on with a bare
+    # TypeError, and which field_context(2, 5) handed out after it; "2"
+    # failed in max.  Each is refused on every call, cold or warm, and kept
+    # by no cache
+    for p, ell in ((2.0, 5), (Fraction(2), 5), (2, 5.0), (2, Fraction(5)), ("2", 5), (2, "5"),
+                   (True, 5), (3, None), (2.0, 5.0)):
+        with pytest.raises(sf.UnsupportedFieldError, match="type int"):
+            FieldContext(p, ell)
+        sf.field_context.cache_clear()
+        for _ in range(2):
+            with pytest.raises(sf.UnsupportedFieldError, match="type int"):
+                sf.field_context(p, ell)
+            with pytest.raises(sf.UnsupportedFieldError, match="type int"):
+                sf.field_context(p=p, ell=ell)
+            assert sf.field_context.cache_info().currsize == 0
+        ctx = sf.field_context(2, 5)
+        for _ in range(2):
+            with pytest.raises(sf.UnsupportedFieldError, match="type int"):
+                sf.field_context(p, ell)
+        assert type(ctx.p) is int and type(ctx.ell) is int
+        assert sf.field_context.cache_info().currsize == 1
+    pcfg = sf.pair_up(sf.configuration(sf.field_context(2, 5), [7, 12, 0, 5, 1, "inf"]))
+    assert sf.schottky_audit(pcfg, 4).witness is not None
+
+
 def test_field_context_refuses_p_or_ell_at_or_above_the_primality_bound():
     # primality is exact only below _MR_BOUND, so a larger p or ell is
     # refused at once, naming the bound, rather than tested
