@@ -43,8 +43,10 @@ deep as some walk has gone, and replayed on each call's integer
 generators.  A plan is plain data, its levels as lists of slots and codes,
 kept in a cache of a fixed number of plans for the life of the process;
 a walk that needs a level the cache lacks plans it and publishes it whole.
-:func:`word_matrix` and :func:`~.projline.classify` give the same verdicts
-word by word.
+A word the Newton polygon rule does not call loxodromic goes to
+:func:`~.projline.classify`, the one classification rule, on its product
+built for it alone, so the audit's verdicts are those of
+:func:`~.projline.classify` on :func:`word_matrix`, word by word.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .projline import (
     ElementClass,
     MapKind,
     Mobius,
+    classify,
     compose,
     integer_map,
     is_loxodromic,
@@ -123,11 +126,6 @@ def _word_position(g: int, p: int, word: GroupWord) -> int:
         position += g**left * tuples
         total, prev = total + exp, idx
     return position
-
-
-def _det(ring, m: tuple):
-    a, b, c, d = m
-    return ring.cross(a, d, b, c)
 
 
 def _lowered_pairs(pcfg: PairedConfiguration) -> tuple[list[list], int]:
@@ -228,7 +226,8 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
 
     * **generators** -- each generator matrix is built once in
       ``ctx.integers`` from the points, all lowered by one call over one
-      common denominator (:func:`_lowered_pairs`), with its det and v(det);
+      common denominator (:func:`_lowered_pairs`), with its v(det); no
+      det is kept;
     * **prefixes** -- the walk goes one length at a time over the plan's
       prefixes, each with its integer matrix and v(det).  The plan keeps
       every level it has built, each prefix as its parent's slot and its
@@ -247,21 +246,22 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
       The level of length ``last`` - 1 keeps only prefixes that can close,
       and multiplies nothing: its words read the matrix P and v(det P) of
       their prefix's parent and close on the products G_s G_t of two generators,
-      each built once per audit call with its det and v(det), so there are
-      at most ((g+1)(p-1))^2 of them;
+      each built once per audit call with its v(det), the generators' sum,
+      so there are at most ((g+1)(p-1))^2 of them;
     * **classifying** -- a word M C (M the prefix's matrix, or P on the
       closing level; C the last generator G, or G_s G_t) has trace
       tr(M C), one ``trace_mul``, and v(det) = v(det M) + v(det C) from
       the cached values.  M and C are not normalised together, so the
       trace and the det share one scale; :func:`~.projline.is_loxodromic`
-      applies the Newton polygon rule to them.  Only a word it does not
-      call loxodromic is tested for tr^2 = 4 det(M) det(C) exactly on
-      integers, and a parabolic one is a relation when the product M C,
-      built for it alone, is scalar (b = c = 0, a = d).  Its
-      :class:`GroupWord` is read off the plan's parent links.
+      applies the Newton polygon rule to them.  A word that has tr = 0 or
+      that the rule does not call loxodromic is flagged: the product M C
+      is built for it alone and :func:`~.projline.classify` gives its
+      class, a relation when it is the identity and the witness
+      otherwise.  Its :class:`GroupWord` is read off the plan's parent
+      links.
 
-    Every test is unchanged when a matrix is scaled, so the verdicts are
-    those of :func:`~.projline.classify` on the normalised products.  A
+    The filter's tests are unchanged when a matrix is scaled, so every
+    verdict is that of :func:`~.projline.classify` on the word's map.  A
     pairing with no pair has no generator and so no word.
     """
     if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 0:
@@ -273,15 +273,14 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     last = max_len - max_len % 2 if p == 2 else max_len
     ring, valuation = ctx.integers, ctx.integral_valuation
     pair_ints, den = _lowered_pairs(pcfg)
-    # gens[idx p + n] = (M, det M, e v(det M)) for the n-th power of
-    # generator idx, M a scalar multiple of its matrix: indexed by syllable
-    # code, so gens[idx p] is unused
+    # gens[idx p + n] = (M, e v(det M)) for the n-th power of generator
+    # idx, M a scalar multiple of its matrix: indexed by syllable code, so
+    # gens[idx p] is unused
     gens = [None] * (len(pair_ints) * p)
     for idx, ints in enumerate(pair_ints):
         for n in range(1, p):
             m, _ = order_p_matrix(ctx, ints, den, n)
-            det = _det(ring, m)
-            gens[idx * p + n] = (m, det, valuation(det))
+            gens[idx * p + n] = (m, valuation(ring.cross(m[0], m[3], m[1], m[2])))
     products = _Products()
     products.ring, products.gens = ring, gens
     witness, relations = (
@@ -296,16 +295,17 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
 
 
 class _Products(dict):
-    """(G_s G_t, det, e v(det)) for syllable codes s and t, by the key
+    """(G_s G_t, e v(det)) for syllable codes s and t, by the key
     s len(gens) + t, each product built at its first lookup from ``ring``
-    and the generator table ``gens``."""
+    and the generator table ``gens``: one ``matmul``, and the sum of the
+    generators' v(det)."""
 
     __slots__ = ("ring", "gens")
 
     def __missing__(self, key: int) -> tuple:
         s, t = divmod(key, len(self.gens))
-        (g_s, det_s, v_s), (g_t, det_t, v_t) = self.gens[s], self.gens[t]
-        hit = self[key] = (self.ring.matmul(g_s, g_t), self.ring.mul(det_s, det_t), v_s + v_t)
+        (g_s, v_s), (g_t, v_t) = self.gens[s], self.gens[t]
+        hit = self[key] = (self.ring.matmul(g_s, g_t), v_s + v_t)
         return hit
 
 
@@ -451,14 +451,17 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, products: _Products):
     needs with its own :func:`_schedule`, advanced past them, publishing it
     at once; the schedule ends with the call.  The replay holds the
     matrices of one level of prefixes at a time, each as (integer matrix,
-    e v(det)), and ``products`` memoises the two-generator products of the
-    closing level.  A prefix is divided by its content only when a later
+    e v(det)), the level of length 1 being the generator entries
+    themselves, and ``products`` memoises the two-generator products of
+    the closing level.  A word the Newton polygon filter flags is
+    classified by :func:`~.projline.classify` on its product, put in
+    canonical scale.  A prefix is divided by its content only when a later
     level multiplies it again: the products of the last multiplied level
-    are read only by tests that a scalar does not change (the trace's and
-    det's valuations, tr^2 = 4 det and the scalar test).
+    are read only by the filter, whose valuations of the trace and the det
+    a scalar does not change, and by :func:`~.projline.integer_map`.
     """
     ring = ctx.integers
-    matmul, trace_mul, mul, zero = ring.matmul, ring.trace_mul, ring.mul, ring.zero
+    matmul, trace_mul, zero = ring.matmul, ring.trace_mul, ring.zero
     # valuations are counted in steps of the value group (1/e) Z; a content
     # k is an integer and v(ell) = 1, so k is worth e v_ell(k) steps
     valuation, step = ctx.integral_valuation, ctx.ramification
@@ -467,7 +470,7 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, products: _Products):
     plan = _plan(*shape)
     (levels, first), schedule = plan, None
     relations: list[GroupWord] = []
-    level = [(gens[code][0], gens[code][2]) for code in first]
+    level = [gens[code] for code in first]
     for length in range(2, last + 1):
         if len(levels) == length - 2:
             if schedule is None:
@@ -481,29 +484,24 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, products: _Products):
         closers = products if closing else gens
         for slot, key in zip(slots, keys):
             m, v_det = level[slot]
-            closer, det_closer, v_det_closer = closers[key]
+            closer, v_det_closer = closers[key]
             tr = trace_mul(m, closer)
             if tr != zero and is_loxodromic(valuation(tr), v_det + v_det_closer):
                 continue
             word = _word(p, first, levels[:length - 2 - closing], slot,
                          divmod(key, size) if closing else (key,))
-            if mul(tr, tr) != ring.times(mul(_det(ring, m), det_closer), 4):
-                cls = ElementClass(MapKind.ELLIPTIC)
-            else:
-                cls = ElementClass(MapKind.PARABOLIC)
-                a, b, c, d = matmul(m, closer)
-                if b == zero and c == zero and a == d:
-                    if necklaces:
-                        return None
-                    relations.append(word)
-                    continue
-            return (word, cls), relations
+            cls = classify(integer_map(ctx, matmul(m, closer), 1))
+            if cls.kind is not MapKind.IDENTITY:
+                return (word, cls), relations
+            if necklaces:
+                return None
+            relations.append(word)
         if parents is not None:
             final = length + 2 == last
             nxt = []
             for parent, code in zip(parents, codes):
                 m, v_det = level[parent]
-                gen, _, v_det_gen = gens[code]
+                gen, v_det_gen = gens[code]
                 product, v_next = matmul(m, gen), v_det + v_det_gen
                 if not final:
                     k = ring.content(product)

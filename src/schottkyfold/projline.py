@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
+from .errors import InvalidInputError
 from .valfield import FieldContext, FieldKind
 
 # bound once, as in valfield: integer_map tests the flavour at every fold
@@ -53,7 +54,7 @@ def finite(ctx: FieldContext, x) -> PPoint:
         return PPoint(ctx.from_fraction(x))
     listed = ctx.kind is not _RATIONAL and isinstance(x, (tuple, list))
     for q in x if listed else (x,):
-        if not isinstance(q, (int, Fraction)):
+        if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
             what = "a float" if isinstance(q, float) else f"a {type(q).__name__}"
             raise TypeError(f"point {x!r} holds {what}; give exact ints or Fractions")
     if not listed:
@@ -147,8 +148,11 @@ def apply(m: Mobius, pt: PPoint) -> PPoint:
 
 def compose(m1: Mobius, m2: Mobius) -> Mobius:
     """Matrix product m1 * m2 (apply m2 first), renormalised: one ``matmul``,
-    then :func:`integer_map`."""
+    then :func:`integer_map`.  Maps over two fields are refused
+    (InvalidInputError)."""
     f = m1.ctx
+    if m2.ctx is not f and m2.ctx != f:
+        raise InvalidInputError(f"cannot compose a map over {m2.ctx!r} with one over {f!r}")
     return integer_map(f, f.integers.matmul(m1.entries(), m2.entries()), 1)
 
 
@@ -165,19 +169,21 @@ def is_loxodromic(v_tr, v_det) -> bool:
     return 2 * v_tr < v_det
 
 
-# kept for the benchmark's tracer (perfbench/spans.py); the audit applies
-# the same rule inline
-def classify(ctx: FieldContext, m: Mobius) -> ElementClass:
-    """Identity / parabolic / elliptic / loxodromic, by eigenvalue valuations.
+def classify(m: Mobius) -> ElementClass:
+    """Identity / parabolic / elliptic / loxodromic, by eigenvalue valuations:
+    the one classification rule, which the audit applies to every word its
+    Newton polygon filter does not pass.
 
-    Everything is read off the integer entries.  A scalar matrix (b = c =
-    0, a = d) is the identity.  Otherwise the characteristic polynomial
-    has a double root exactly when tr^2 = 4 det (parabolic); tr = 0 is
-    elliptic; and :func:`is_loxodromic` tells loxodromic from elliptic on
-    the valuations of tr and det counted in steps of the value group, the
-    translation length then being (e v(det) - 2 e v(tr)) / e.  Each test
-    is unchanged when the matrix is scaled, so any representative serves.
+    Everything is read off the integer entries, valued in the map's own
+    field ``m.ctx``.  A scalar matrix (b = c = 0, a = d) is the identity.
+    Otherwise the characteristic polynomial has a double root exactly when
+    tr^2 = 4 det (parabolic); tr = 0 is elliptic; and :func:`is_loxodromic`
+    tells loxodromic from elliptic on the valuations of tr and det counted
+    in steps of the value group, the translation length then being (e
+    v(det) - 2 e v(tr)) / e.  Each test is unchanged when the matrix is
+    scaled, so any representative serves.
     """
+    ctx = m.ctx
     ring = ctx.integers
     if m.b == ring.zero and m.c == ring.zero and m.a == m.d:
         return ElementClass(MapKind.IDENTITY)

@@ -205,7 +205,7 @@ def test_criterion_4_non_loxodromic_witness():
         tr, det = product.trace(), product.det()
         assert tr * tr * 625 == 350 * 350 * det
         assert 2 * ctx.valuation(tr).fraction == ctx.valuation(det).fraction  # both roots share v
-        assert sf.classify(ctx, product).kind is sf.MapKind.ELLIPTIC
+        assert sf.classify(product).kind is sf.MapKind.ELLIPTIC
 
         pcfg = sf.pair_up(sf.configuration(ctx, SIX_POINT_5ADIC))
         result = sf.schottky_audit(pcfg, 4)

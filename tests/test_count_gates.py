@@ -4,8 +4,8 @@ every pinned CLI document through ``parse_problem``, ``run`` (with a dot
 prefix, so the hull runs; no file is written) and ``render_report``, from
 a cleared ``field_context`` cache and an empty audit plan cache.
 
-Each gate holds a limit or a ratio, and each has a count above 0 so that it
-cannot pass vacuously.  ``pytest tests/test_count_gates.py -s`` prints the
+Each gate holds a limit, a ratio or an exact count, and each has a count
+above 0 so that it cannot pass vacuously.  ``pytest tests/test_count_gates.py -s`` prints the
 readings.
 """
 
@@ -71,16 +71,15 @@ def counts():
         points = count_calls(mp, PPoint, "__new__")
         comparisons = count_calls(mp, Fraction, "__eq__")
         # what the benchmark's tracer wraps but nothing on a program path
-        # calls: a context's valuation and mul, and the map routes apply and
-        # classify
+        # calls: a context's valuation and mul, and the map route apply
         unused = {
             "valuation": count_calls(mp, FieldContext, "valuation"),
             "mul": count_calls(mp, FieldContext, "mul"),
             "apply": count_calls(mp, projline, "apply", everywhere=True),
-            "classify": count_calls(mp, projline, "classify", everywhere=True),
         }
+        classify_calls = count_calls(mp, projline, "classify", everywhere=True)
         run = recorded_inside(mp, cli, "run", comparisons=comparisons, plans=plans, schedules=schedules,
-                              **unused)
+                              classify=classify_calls, **unused)
         loop = recorded_inside(
             mp, folding, "run_algorithm",
             valuations=count_calls(mp, FieldContext, "integral_valuation"),
@@ -95,20 +94,24 @@ def counts():
             classified=count_calls(mp, oracle, "is_loxodromic"),
         )
         audits = count_calls(mp, oracle, "schottky_audit")
-        fields = set()
+        fields, audited = set(), []
         for doc in DOCS:
             spec = cli.parse_problem(doc.read_text(encoding="utf-8"))
-            cli.render_report(cli.run(spec._replace(dot="unused"))[0])
+            report = cli.run(spec._replace(dot="unused"))[0]
+            cli.render_report(report)
             fields.add((spec.p, spec.ell))
-        # one comparison and one call of each unused route outside cli.run:
-        # the counters are live, so a reading of 0 inside it is not vacuous
+            if "audit" in report:
+                audited.append(report["audit"])
+        # one comparison, and one call of each unused route and of classify,
+        # outside cli.run: the counters are live, so a reading inside it is
+        # not vacuous
         assert Fraction(1, 2) == Fraction(2, 4)
         ctx = sf.field_context(spec.p, spec.ell)
         one = ctx.from_fraction(1)
         ctx.valuation(ctx.mul(one, one))
         pcfg = sf.PairedConfiguration(ctx, ((sf.finite(ctx, 0), sf.INFINITY),))
         s0 = sf.word_matrix(pcfg, sf.GroupWord(((0, 1),)))
-        sf.classify(ctx, s0)
+        sf.classify(s0)
         sf.apply(s0, sf.finite(ctx, 1))
         # one pair is a shape no document audits
         sf.schottky_audit(pcfg, 2)
@@ -126,6 +129,11 @@ def counts():
         "all comparisons": len(comparisons),
         **{f"{name} calls": len(run[name]) for name in unused},
         **{f"all {name} calls": len(calls) for name, calls in unused.items()},
+        "classify calls": len(run["classify"]),
+        "all classify calls": len(classify_calls),
+        "witnesses": sum(record["witness"] is not None for record in audited),
+        "relations": sum(len(record["relations"]) for record in audited),
+        "audits with relations": sum(bool(record["relations"]) for record in audited),
         "runs": len(DOCS),
         "targets": len(loop["targets"]),
         "selects": len(loop["selects"]),
@@ -228,17 +236,29 @@ def test_fraction_comparisons_in_cli_run(counts):
 
 
 def test_no_unused_route_is_called_in_cli_run(counts):
-    # the FieldContext.valuation, FieldContext.mul, projline.apply and
-    # projline.classify calls made inside cli.run, the fold loop, the hull
-    # and the audit included: the program values on integers
-    # (integral_valuation), multiplies in the integer ring, maps points by
-    # image and classifies words inline, so the tracer's wrappers on these
-    # four count nothing
-    routes = ("valuation", "mul", "apply", "classify")
+    # the FieldContext.valuation, FieldContext.mul and projline.apply calls
+    # made inside cli.run, the fold loop, the hull and the audit included:
+    # the program values on integers (integral_valuation), multiplies in
+    # the integer ring and maps points by image, so the tracer's wrappers
+    # on these three count nothing
+    routes = ("valuation", "mul", "apply")
     print("\n" + ", ".join(f"{counts[f'{name} calls']} {name}" for name in routes)
           + f" calls in {counts['runs']} cli.run calls (limit 0 each)")
     for name in routes:
         assert counts[f"all {name} calls"] > counts[f"{name} calls"] == 0, name
+
+
+def test_classify_is_called_once_per_flagged_word_in_cli_run(counts):
+    # the projline.classify calls made inside cli.run: the audit classifies
+    # with it exactly the words its Newton polygon filter does not pass,
+    # read off the reports: each witness, each relation, and for an audit
+    # with relations the identity word that ended its skipping walk.  The
+    # fold loop, the hull and the report classify nothing
+    flagged = counts["witnesses"] + counts["relations"] + counts["audits with relations"]
+    print(f"\n{counts['classify calls']} classify calls in {counts['runs']} cli.run calls for "
+          f"{counts['witnesses']} witnesses and {counts['relations']} relations")
+    assert flagged > 0
+    assert counts["all classify calls"] > counts["classify calls"] == flagged
 
 
 def test_only_the_fold_kernels_compile_in_cli_run(monkeypatch):

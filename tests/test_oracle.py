@@ -209,7 +209,7 @@ def _reference_audit(pcfg, max_len):
     checked = 0
     for word in enumerate_gamma_words(pcfg.g, pcfg.ctx.p, max_len):
         checked += 1
-        cls = sf.classify(pcfg.ctx, sf.word_matrix(pcfg, word))
+        cls = sf.classify(sf.word_matrix(pcfg, word))
         if cls.kind is sf.MapKind.IDENTITY:
             relations.append(word)
         elif cls.kind is not sf.MapKind.LOXODROMIC:
@@ -727,7 +727,7 @@ def test_two_pair_law():
             n = rng.randrange(1, p)
             word = sf.compose(order_p_fixing(ctx, *pair_0, n),
                               order_p_fixing(ctx, *pair_1, p - n))
-            cls = sf.classify(ctx, word)
+            cls = sf.classify(word)
             loxodromic = gap > 2 * separation_radius(ctx)
             assert (cls.kind is sf.MapKind.LOXODROMIC) == loxodromic, (ctx, pair_0, pair_1, n)
             if loxodromic:
@@ -757,7 +757,7 @@ def test_systole_law():
             lengths = []
             for word in enumerate_gamma_words(smin.g, p, depth):
                 if word.syllables[0][0] != word.syllables[-1][0]:
-                    cls = sf.classify(ctx, sf.word_matrix(smin, word))
+                    cls = sf.classify(sf.word_matrix(smin, word))
                     if cls.kind is sf.MapKind.LOXODROMIC:
                         lengths.append(cls.translation_length)
             gap = Fraction(min(smin.skeleton.pair_gaps), ctx.ramification)
@@ -791,7 +791,7 @@ def test_translation_length_by_axes():
                 k = len(index)
                 if k < 2 or any(index[m] == index[(m + 1) % k] for m in range(k)):
                     continue
-                length = sf.classify(ctx, sf.word_matrix(smin, word)).translation_length
+                length = sf.classify(sf.word_matrix(smin, word)).translation_length
                 assert translation_length_by_axes(smin, word) == length, (ctx, smin.pairs, word)
                 assert length >= k * least, (ctx, smin.pairs, word)
                 for m in range(k):

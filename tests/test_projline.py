@@ -80,6 +80,23 @@ def test_points_refuse_floats():
     assert fin(c3, 3) == fin(c3, (3, 0))
 
 
+def test_points_refuse_bools():
+    # a bool is an int to isinstance, but no exact value: True was the
+    # point 1, as a scalar and as a coefficient
+    ctx, c3 = ctx5(), sf.field_context(3, 7)
+    for build in (
+        lambda: fin(ctx, True),
+        lambda: fin(ctx, False),
+        lambda: sf.configuration(ctx, [True, False, 2, "inf"]),
+        lambda: fin(c3, True),
+        lambda: fin(c3, (1, False)),
+        lambda: fin(c3, [True, Fraction(1, 2)]),
+    ):
+        with pytest.raises(TypeError, match="a bool"):
+            build()
+    assert fin(ctx, 1) == fin(ctx, Fraction(1)) and fin(c3, (1, 0)) == fin(c3, 1)
+
+
 def test_apply_is_total():
     ctx = ctx5()
     m = mobius_by_fractions(ctx, 1, 0, 1, -3)  # pole at 3
@@ -159,16 +176,16 @@ def test_order_p_fixing_errors():
 
 def test_classify_examples():
     ctx = ctx5()
-    assert sf.classify(ctx, mobius_by_fractions(ctx, 5, 0, 0, 1)).kind is sf.MapKind.LOXODROMIC
-    assert sf.classify(ctx, mobius_by_fractions(ctx, 5, 0, 0, 1)).translation_length == 1
-    assert sf.classify(ctx, mobius_by_fractions(ctx, 1, 1, 0, 1)).kind is sf.MapKind.PARABOLIC
-    assert sf.classify(ctx, identity(ctx)).kind is sf.MapKind.IDENTITY
+    assert sf.classify(mobius_by_fractions(ctx, 5, 0, 0, 1)).kind is sf.MapKind.LOXODROMIC
+    assert sf.classify(mobius_by_fractions(ctx, 5, 0, 0, 1)).translation_length == 1
+    assert sf.classify(mobius_by_fractions(ctx, 1, 1, 0, 1)).kind is sf.MapKind.PARABOLIC
+    assert sf.classify(identity(ctx)).kind is sf.MapKind.IDENTITY
     # the showcase product with characteristic data (350, 625) is elliptic
     s0 = order_p_fixing(ctx, fin(ctx, 7), fin(ctx, 12), 1)
     s1 = order_p_fixing(ctx, fin(ctx, 0), fin(ctx, 5), 1)
     s2 = order_p_fixing(ctx, fin(ctx, 1), sf.INFINITY, 1)
     w = sf.compose(sf.compose(sf.compose(s1, s2), s0), s2)
-    assert sf.classify(ctx, w).kind is sf.MapKind.ELLIPTIC
+    assert sf.classify(w).kind is sf.MapKind.ELLIPTIC
     tr, det = w.trace(), w.det()
     assert tr * tr * 625 == 350 * 350 * det  # proportional to (350, 625)
 
@@ -184,6 +201,27 @@ def test_compose_inverse_identity():
         assert proj_eq(sf.compose(m, inverse(m)), identity(ctx))
 
 
+def test_compose_refuses_maps_over_two_fields():
+    # compose read the first map's field alone: over (2, 5) and (2, 3) it
+    # labelled the product with the field (2, 5), and over Q and Q(zeta_3)
+    # it failed with a bare TypeError
+    def generator(p, ell):
+        ctx = sf.field_context(p, ell)
+        pcfg = sf.pair_up(sf.configuration(ctx, [0, ell, 1, "inf"]))
+        return sf.word_matrix(pcfg, sf.GroupWord(((0, 1),)))
+
+    maps = [generator(2, 5), generator(2, 3), generator(3, 7), generator(5, 11)]
+    for m1, m2 in itertools.permutations(maps, 2):
+        with pytest.raises(sf.InvalidInputError, match="cannot compose"):
+            sf.compose(m1, m2)
+    # a context equal to the shared one, built apart, is the same field
+    m5 = maps[0]
+    twin = m5._replace(ctx=sf.FieldContext(2, 5))
+    assert twin.ctx is not m5.ctx
+    assert sf.compose(m5, twin) == sf.compose(m5, m5)
+    assert sf.compose(twin, m5).ctx is twin.ctx
+
+
 def test_classify_is_projective_and_conjugation_invariant():
     ctx = ctx5()
     rng = random.Random(17)
@@ -193,13 +231,13 @@ def test_classify_is_projective_and_conjugation_invariant():
             continue
         m = mobius_by_fractions(ctx, *entries)
         scaled = mobius_by_fractions(ctx, *(x * Fraction(15, 4) for x in entries))
-        assert sf.classify(ctx, m) == sf.classify(ctx, scaled)
+        assert sf.classify(m) == sf.classify(scaled)
         ge = [rng.randint(-9, 9) for _ in range(4)]
         if ge[0] * ge[3] == ge[1] * ge[2]:
             continue
         gmat = mobius_by_fractions(ctx, *ge)
         conj = sf.compose(sf.compose(gmat, m), inverse(gmat))
-        assert sf.classify(ctx, m) == sf.classify(ctx, conj)
+        assert sf.classify(m) == sf.classify(conj)
 
 
 def test_projective_equality_is_cross_multiplicative():
@@ -349,7 +387,7 @@ def test_classify_on_integers_matches_the_fraction_route():
                 gens += [order_p_fixing(ctx, a, b, n) for n in range(1, p)]
         maps += gens + [sf.compose(g, h) for g, h in itertools.product(gens, gens)]
         for m in maps:
-            cls = sf.classify(ctx, m)
+            cls = sf.classify(m)
             assert cls == classify_by_fractions(ctx, m)
             kinds.add(cls.kind)
     assert kinds == set(sf.MapKind)
