@@ -28,7 +28,9 @@ still counts every word up to the witness, in closed form.  The walk runs
 on integer matrices that :func:`~.projline.order_p_matrix` builds, as for
 the fold step, from all the points lowered once over one common
 denominator (:func:`_lowered_pairs`, which :func:`word_matrix` reads too,
-building only the generator powers its word names).  It composes each
+building only the generator powers its word names); each generator
+power's determinant is never formed, for its valuation has a closed form
+in the pair's points and the denominator.  It composes each
 prefix once from its parent (except the prefixes one syllable short of
 the longest words, which close on a cached product of two generators),
 divides by its content only a prefix that it extends further, and
@@ -42,7 +44,9 @@ worked out from syllable codes once per shape, level by level and only as
 deep as some walk has gone, and replayed on each call's integer
 generators.  A plan is plain data, its levels as lists of slots and codes,
 kept in a cache of a fixed number of plans for the life of the process;
-a walk that needs a level the cache lacks plans it and publishes it whole.
+a walk that needs a level the cache lacks plans it and publishes it whole
+while the plan's list entries stay within a fixed count, and past that
+count replays it and drops it, so a plan's memory is bounded.
 A word the Newton polygon rule does not call loxodromic goes to
 :func:`~.projline.classify`, the one classification rule, on its product
 built for it alone, so the audit's verdicts are those of
@@ -131,15 +135,26 @@ def _word_position(g: int, p: int, word: GroupWord) -> int:
 def _lowered_pairs(pcfg: PairedConfiguration) -> tuple[list[list], int]:
     """Each pair's finite points as integral numerators over one common
     denominator L, and L: every finite point of the configuration is
-    lowered by one call, and an infinite point is dropped.  A pair of two
-    infinities, or of two equal numerators, is refused
+    lowered by one call, and an infinite point (value None) is dropped.
+    One loop over the pairs then hands each pair its numerators in order,
+    refusing a pair of two infinities, or of two equal numerators
     (RepeatedPointsError)."""
-    ints, den = pcfg.ctx.lower([pt.value for pt in pcfg.points() if not pt.is_infinity])
-    lowered = iter(ints)
-    pairs = [[next(lowered) for pt in pair if not pt.is_infinity] for pair in pcfg.pairs]
-    if any(not pair or len(pair) == 2 and pair[0] == pair[1] for pair in pairs):
-        raise RepeatedPointsError("order-p map needs two distinct fixed points")
-    return pairs, den
+    pairs = pcfg.pairs
+    ints, den = pcfg.ctx.lower([pt.value for pair in pairs for pt in pair if pt.value is not None])
+    lowered, k = [], 0
+    for a, b in pairs:
+        if a.value is None or b.value is None:
+            if a.value is b.value:
+                raise RepeatedPointsError("order-p map needs two distinct fixed points")
+            lowered.append([ints[k]])
+            k += 1
+        else:
+            x, y = ints[k], ints[k + 1]
+            if x == y:
+                raise RepeatedPointsError("order-p map needs two distinct fixed points")
+            lowered.append([x, y])
+            k += 2
+    return lowered, den
 
 
 def word_matrix(pcfg: PairedConfiguration, word: GroupWord) -> Mobius:
@@ -222,16 +237,25 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     plain data, the levels planned so far, in a cache of the
     ``_PLAN_CACHE_SIZE`` plans used last; each call replays it on its own
     integer generators, and plans a level the cache lacks with a schedule
-    of its own that ends with the call:
+    of its own that ends with the call.  A plan keeps a level only while
+    its list entries stay within ``_PLAN_ENTRY_LIMIT``; a deeper level is
+    planned by each call that needs it, replayed and dropped, which bounds
+    what is cached and never what is audited:
 
     * **generators** -- each generator matrix is built once in
       ``ctx.integers`` from the points, all lowered by one call over one
-      common denominator (:func:`_lowered_pairs`), with its v(det); no
-      det is kept;
+      common denominator L (:func:`_lowered_pairs`), with its e v(det) in
+      closed form.  The n-th power's matrix from
+      :func:`~.projline.order_p_matrix` has det zeta^n L^2 (A - B)^2 for
+      the numerators A and B of a pair's two points, or zeta^n L^2 for a
+      pair with infinity, and zeta is a unit, so all p - 1 powers of a pair
+      share e v(det) = 2 e v_ell(L) + 2 e v(A - B): one valuation per
+      two-point pair, and no det is formed;
     * **prefixes** -- the walk goes one length at a time over the plan's
       prefixes, each with its integer matrix and v(det).  The plan keeps
-      every level it has built, each prefix as its parent's slot and its
-      last syllable; the replay holds the matrices of one level at a time.
+      the levels it has built within its bound, each prefix as its
+      parent's slot and its last syllable; the replay holds the matrices
+      of one level at a time.
       A prefix is composed once, from its parent, with the ring's
       ``matmul``.  A prefix that the walk extends is divided by the
       integer content of its entries, a scalar that would otherwise grow
@@ -275,12 +299,14 @@ def schottky_audit(pcfg: PairedConfiguration, max_len: int) -> AuditResult:
     pair_ints, den = _lowered_pairs(pcfg)
     # gens[idx p + n] = (M, e v(det M)) for the n-th power of generator
     # idx, M a scalar multiple of its matrix: indexed by syllable code, so
-    # gens[idx p] is unused
+    # gens[idx p] is unused.  Every power of a pair shares e v(det) = 2 e
+    # v_ell(L) + 2 e v(A - B), or 2 e v_ell(L) for a pair with infinity
+    den_steps = 2 * ctx.ramification * int_valuation(den, ctx.ell)
     gens = [None] * (len(pair_ints) * p)
     for idx, ints in enumerate(pair_ints):
+        v_det = den_steps + 2 * valuation(ring.sub(*ints)) if len(ints) == 2 else den_steps
         for n in range(1, p):
-            m, _ = order_p_matrix(ctx, ints, den, n)
-            gens[idx * p + n] = (m, valuation(ring.cross(m[0], m[3], m[1], m[2])))
+            gens[idx * p + n] = (order_p_matrix(ctx, ints, den, n)[0], v_det)
     products = _Products()
     products.ring, products.gens = ring, gens
     witness, relations = (
@@ -312,6 +338,11 @@ class _Products(dict):
 # the number of plans kept, one per (generators, p, last, necklaces); the
 # least recently used goes first
 _PLAN_CACHE_SIZE = 16
+# the list entries a plan keeps at most, over all its levels: a level that
+# would take a plan past it is planned by the walk that needs it, replayed
+# and dropped.  The 7-adic S^min's plan holds 14,416 entries at depth 10
+# and 107,144 at depth 12, each entry one int in a list
+_PLAN_ENTRY_LIMIT = 1 << 17
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -337,9 +368,11 @@ def _plan(ngens: int, p: int, last: int, necklaces: bool) -> list:
       slot and its last syllable's code.
 
     The walk that needs a level past the tuple plans it and puts a longer
-    tuple in the list, so the plan is only as deep as some walk has gone.
-    Two walks that plan at once put equal levels, and a walk that reads
-    the tuple once reads whole levels.
+    tuple in the list while the plan's list entries stay within
+    ``_PLAN_ENTRY_LIMIT``, so the plan is only as deep as some walk has
+    gone, and no deeper than the bound lets it.  Two walks that plan at
+    once put equal levels, and a walk that reads the tuple once reads
+    whole levels.
     """
     # a first syllable with 2 exp > p starts no necklace
     top = p // 2 + 1 if necklaces else p
@@ -426,6 +459,11 @@ def _schedule(ngens: int, p: int, last: int, necklaces: bool, first: list):
         yield slots, keys, parents, codes
 
 
+def _entries(levels: tuple) -> int:
+    """The number of list entries of plan ``levels``."""
+    return sum(len(entries) for level in levels for entries in level if entries is not None)
+
+
 def _word(p: int, first: list, levels: tuple, slot: int, tail: tuple) -> GroupWord:
     """The word of the prefix in ``slot`` of the last of the multiplied
     ``levels`` (of the prefixes of length 1, ``first``, when there is
@@ -449,7 +487,9 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, products: _Products):
     With ``necklaces``, meeting an identity word returns None.  The walk
     reads the levels its cached plan holds, and plans each further level it
     needs with its own :func:`_schedule`, advanced past them, publishing it
-    at once; the schedule ends with the call.  The replay holds the
+    at once while the plan's list entries stay within
+    ``_PLAN_ENTRY_LIMIT`` and otherwise keeping it for the call alone; the
+    schedule ends with the call.  The replay holds the
     matrices of one level of prefixes at a time, each as (integer matrix,
     e v(det)), the level of length 1 being the generator entries
     themselves, and ``products`` memoises the two-generator products of
@@ -475,8 +515,13 @@ def _walk(ctx, gens: list, last: int, necklaces: bool, products: _Products):
         if len(levels) == length - 2:
             if schedule is None:
                 schedule = islice(_schedule(*shape, first), len(levels), None)
+                kept = _entries(levels)
             levels += (next(schedule),)
-            plan[0] = levels
+            # the count only grows, so once a level is dropped every later
+            # one is too, and the plan keeps a run of levels from length 2
+            kept += _entries(levels[-1:])
+            if kept <= _PLAN_ENTRY_LIMIT:
+                plan[0] = levels
         slots, keys, parents, codes = levels[length - 2]
         # the word is m times its closer: the last generator, or on the
         # closing level the last two

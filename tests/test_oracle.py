@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
@@ -19,6 +20,7 @@ from helpers import (
     SIX_POINT_5ADIC,
     TEST_FIELDS,
     count_calls,
+    count_kernel_calls,
     ctx5,
     ctx7,
     sample_paired,
@@ -27,6 +29,7 @@ from reference import (axis_geometry, enumerate_gamma_words, field_add, field_mu
                        order_p_fixing_by_fractions, paired_by_hand, separation_radius,
                        translation_length_by_axes, verify_fold_conjugation,
                        zeta_power_by_definition)
+from test_census import BOXES, census_sets
 
 
 def test_enumeration_counts():
@@ -405,23 +408,88 @@ def test_a_cached_plan_is_whole_levels_and_no_schedule():
     assert kinds <= {list, tuple, int, type(None)}, kinds
 
 
-def test_threads_that_extend_one_plan_agree():
+def test_threads_that_extend_one_plan_agree(monkeypatch):
     # threads that extend one plan at once, more of them than cores, each
     # read every level of it whole: a level read while another thread
-    # builds it would change a result
+    # builds it would change a result.  The last round lowers the plan's
+    # entry bound, so that the two depth-10 walks share the levels below it
+    # and each plan, replay and drop the levels past it
     pmin = sf.pair_up(sf.configuration(ctx7(), EIGHT_POINT_7ADIC_MIN))
     depths = (10, 8, 10, 6)
     expected = [sf.schottky_audit(pmin, depth) for depth in depths]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(3):
+        for k in range(4):
+            if k == 3:
+                monkeypatch.setattr(sf.oracle, "_PLAN_ENTRY_LIMIT", 5000)
             sf.oracle._plan.cache_clear()
             with ThreadPoolExecutor(4) as pool:
                 results = list(pool.map(lambda depth: sf.schottky_audit(pmin, depth), depths, timeout=60))
             assert results == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+# the bytes one cached plan keeps after a cold audit of the 7-adic S^min
+# at depths 8, 10 and 12, traced with tracemalloc: 20,224, 154,284 and
+# 1,317,848 (2,052, 14,416 and 107,144 list entries); at depth 14, with no
+# bound on the entries, it kept 10.05 MB
+PLAN_BYTES_LIMIT = 2_000_000
+
+
+def _kept_bytes(pcfg, depth):
+    """(result, bytes still allocated after it) for a cold audit: the
+    memory its plan keeps, traced with tracemalloc."""
+    sf.oracle._plan.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mark = tracemalloc.get_traced_memory()[0]
+        result = sf.schottky_audit(pcfg, depth)
+        gc.collect()
+        return result, tracemalloc.get_traced_memory()[0] - mark
+    finally:
+        tracemalloc.stop()
+
+
+def _plan_entries(levels):
+    return [sum(len(entries) for entries in level if entries is not None) for level in levels]
+
+
+def test_a_cached_plan_keeps_bounded_memory(monkeypatch):
+    # a plan keeps a level only while its list entries stay within
+    # _PLAN_ENTRY_LIMIT, so the bytes it keeps are bounded whatever the
+    # depth.  The 7-adic S^min's plans stay within the bound to depth 12.
+    # With the bound lowered, a cold and a warm call at depth 10 give the
+    # same result, and the plan keeps the longest run of levels from
+    # length 2 within the bound: the rest are planned by each call,
+    # replayed and dropped
+    pmin = sf.pair_up(sf.configuration(ctx7(), EIGHT_POINT_7ADIC_MIN))
+    shape = (pmin.g + 1, 2)
+    sf.schottky_audit(pmin, 2)
+    readings, results = {}, {}
+    for depth in (8, 10, 12):
+        results[depth], readings[depth] = _kept_bytes(pmin, depth)
+        levels, _ = sf.oracle._plan(*shape, depth, True)
+        assert len(levels) == depth - 1
+        assert sum(_plan_entries(levels)) <= sf.oracle._PLAN_ENTRY_LIMIT
+    print("\n" + ", ".join(f"{readings[depth]:,} bytes kept at depth {depth}" for depth in readings)
+          + f" (limit {PLAN_BYTES_LIMIT:,})")
+    for depth, kept in readings.items():
+        assert 0 < kept <= PLAN_BYTES_LIMIT, depth
+        assert results[depth].witness is None and results[depth].relations == ()
+    limit = 5000
+    monkeypatch.setattr(sf.oracle, "_PLAN_ENTRY_LIMIT", limit)
+    result, kept = _kept_bytes(pmin, 10)
+    levels, first = sf.oracle._plan(*shape, 10, True)
+    sizes = _plan_entries(levels)
+    assert result == results[10] == sf.schottky_audit(pmin, 10)
+    assert sf.oracle._plan(*shape, 10, True)[0] is levels
+    full = _plan_entries(tuple(sf.oracle._schedule(*shape, 10, True, first)))
+    assert sizes == full[:len(sizes)] and len(sizes) < len(full)
+    assert sum(sizes) <= limit < sum(full[:len(sizes) + 1])
+    assert kept < readings[10] / 2
 
 
 def test_closed_form_word_positions_match_the_enumeration():
@@ -684,23 +752,90 @@ def test_audit_of_a_pairing_with_no_pair_checks_no_word():
 
 def test_word_matrix_builds_only_the_factors_its_word_names(monkeypatch):
     # a word naming two generator powers, one of them twice, builds two
-    # order-p matrices and values no determinant; the audit alone keeps
-    # det and v(det) for every generator power
+    # order-p matrices and values no determinant.  The audit's set-up, all
+    # of an audit at depth 1, values one difference A - B per two-point pair
+    # (its p - 1 powers share it) and no determinant: no cross kernel runs.
+    # A cross call after the audits counts: the counter is live
     built = count_calls(monkeypatch, sf.oracle, "order_p_matrix")
     valued = count_calls(monkeypatch, sf.FieldContext, "integral_valuation")
-    for p, ell in TEST_FIELDS:
-        pcfg = _hand_built(sf.field_context(p, ell))
-        valued.clear()
-        word = sf.GroupWord(((2, 1), (3, p - 1), (2, 1)))
-        expected = sf.compose(sf.compose(
-            sf.word_matrix(pcfg, sf.GroupWord(((2, 1),))),
-            sf.word_matrix(pcfg, sf.GroupWord(((3, p - 1),))),
-        ), sf.word_matrix(pcfg, sf.GroupWord(((2, 1),))))
-        built.clear()
-        assert sf.word_matrix(pcfg, word) == expected
-        assert sorted(args[-1] for args in built) == sorted([1, p - 1]) and valued == []
-        sf.schottky_audit(pcfg, 2)
-        assert len(valued) >= 4 * (p - 1)
+    crossed = count_kernel_calls(monkeypatch, "cross")
+    try:
+        for p, ell in TEST_FIELDS:
+            pcfg = _hand_built(sf.field_context(p, ell))
+            valued.clear()
+            word = sf.GroupWord(((2, 1), (3, p - 1), (2, 1)))
+            expected = sf.compose(sf.compose(
+                sf.word_matrix(pcfg, sf.GroupWord(((2, 1),))),
+                sf.word_matrix(pcfg, sf.GroupWord(((3, p - 1),))),
+            ), sf.word_matrix(pcfg, sf.GroupWord(((2, 1),))))
+            built.clear()
+            assert sf.word_matrix(pcfg, word) == expected
+            assert sorted(args[-1] for args in built) == sorted([1, p - 1]) and valued == []
+            mark = len(crossed)
+            sf.schottky_audit(pcfg, 1)
+            ring, (pair_ints, _) = pcfg.ctx.integers, sf.oracle._lowered_pairs(pcfg)
+            differences = [ring.sub(*ints) for ints in pair_ints if len(ints) == 2]
+            assert [args[-1] for args in valued] == differences and len(differences) == 3
+            assert len(crossed) == mark
+        ring.cross(ring.one, ring.one, ring.zero, ring.zero)
+        assert len(crossed) == mark + 1
+    finally:
+        # the rings built under the count keep its kernel
+        sf.field_context.cache_clear()
+
+
+def _census_pairings():
+    """Every set of the census boxes that pairs, and each good set's S^min,
+    whose folded points carry denominators."""
+    for p, ell, n in BOXES:
+        ctx = sf.field_context(p, ell)
+        for points in census_sets(p, ell, n):
+            cfg = sf.configuration(ctx, points)
+            try:
+                yield sf.pair_up(cfg)
+            except sf.PairingError:
+                pass
+            verdict = sf.run_algorithm(ctx, cfg)
+            if isinstance(verdict, sf.Good):
+                yield verdict.s_min
+
+
+def test_every_generator_power_carries_the_valuation_of_its_determinant(monkeypatch):
+    # the audit takes each generator power's e v(det) in closed form, 2 e
+    # v_ell(L) + 2 e v(A - B), from the lowered points: every entry (M, v)
+    # of its generator table has v = e v(M0 M3 - M1 M2).  On the hand-built
+    # pairs of every test field (a denominator divisible by ell, a pair
+    # written (inf, x), a point that is not rational) and on the census
+    # boxes' pairings
+    tables = []
+    walk = sf.oracle._walk
+
+    def recorded(ctx, gens, *args):
+        tables.append((ctx, gens))
+        return walk(ctx, gens, *args)
+
+    monkeypatch.setattr(sf.oracle, "_walk", recorded)
+    sets = [_hand_built(sf.field_context(p, ell)) for p, ell in TEST_FIELDS]
+    hand_built = len(sets)
+    sets += _census_pairings()
+    for pcfg in sets:
+        sf.schottky_audit(pcfg, 1)
+    assert len(tables) == len(sets) > hand_built
+    entries, fields, nonzero = 0, set(), 0
+    for k, (ctx, gens) in enumerate(tables):
+        p, ring = ctx.p, ctx.integers
+        assert len(gens) == len(sets[k].pairs) * p
+        for code, entry in enumerate(gens):
+            if code % p == 0:
+                assert entry is None
+                continue
+            m, v_det = entry
+            assert v_det == ctx.integral_valuation(ring.cross(m[0], m[3], m[1], m[2])), (sets[k], code)
+            entries += 1
+            nonzero += v_det != 0
+        fields.add((p, ctx.ell))
+    print(f"\n{entries} generator powers checked in {len(tables)} sets, {nonzero} of nonzero v(det)")
+    assert fields >= set(TEST_FIELDS) and nonzero > 0
 
 
 def test_two_pair_law():
