@@ -184,8 +184,7 @@ def int_valuation(n: int, ell: int) -> int:
     For ell = 2 it is read in one step, as the index of n's lowest set bit
     (``n & -n`` isolates that bit, also for n < 0).  Otherwise one division
     per step while the valuation is small; from 8 on, the rest comes off in
-    blocks (:func:`_block_valuation`), so a valuation v costs O(log v)
-    divisions, not v.
+    blocks, so a valuation v costs O(log v) divisions, not v.
     """
     if n == 0:
         raise ValueError("valuation of zero is infinite")
@@ -196,15 +195,12 @@ def int_valuation(n: int, ell: int) -> int:
         n //= ell
         v += 1
         if v == 8:
-            return v + _block_valuation(n, ell)
-    return v
-
-
-def _block_valuation(n: int, ell: int) -> int:
-    """ell-adic valuation of a nonzero integer by blocks: strip ell, ell^2,
-    ell^4, ... while the number stays divisible, then try each smaller
-    block once on the way back down (a binary search on the rest)."""
-    v, blocks = 0, [ell]
+            break
+    else:
+        return v
+    # strip ell, ell^2, ell^4, ... while n stays divisible, then try each
+    # smaller block once on the way back down (a binary search on the rest)
+    blocks = [ell]
     while n % blocks[-1] == 0:
         n //= blocks[-1]
         v += 1 << (len(blocks) - 1)
@@ -253,15 +249,6 @@ def _is_prime(n: int) -> bool:
 # Integer kernels for the cyclotomic flavours.  An element x is A(zeta) / L
 # with A a list of integer coefficients (low degree first) and L > 0.
 # --------------------------------------------------------------------------
-
-
-def _add_product(buf: list[int], x: list[int], y: list[int], sign: int = 1) -> None:
-    """buf += sign x y, the plain convolution of two coefficient lists."""
-    for i, xi in enumerate(x):
-        if xi:
-            xi *= sign
-            for k, yk in enumerate(y, i):
-                buf[k] += xi * yk
 
 
 class _Integers:
@@ -428,7 +415,11 @@ class _CyclotomicIntegers:
         p = self.p
         buf = [0] * (2 * p - 3)
         for sign, x, y in products:
-            _add_product(buf, x, y, sign)
+            for i, xi in enumerate(x):
+                if xi:
+                    xi *= sign
+                    for k, yk in enumerate(y, i):
+                        buf[k] += xi * yk
         top = buf[p - 1]
         out = [c - top for c in buf[: p - 1]]
         for k, c in enumerate(buf[p:]):

@@ -49,10 +49,6 @@ def ctx2():
     return sf.field_context(2, 2)
 
 
-def config(ctx, values):
-    return sf.configuration(ctx, values)
-
-
 def pair_list(pcfg):
     """The pairs in index order, each as an unordered set of exact points."""
     return [frozenset(pair) for pair in pcfg.pairs]

@@ -36,17 +36,22 @@ finds the points in a disc by field valuations: a hull vertex's cluster.
 ``separation_radius`` is rho as a ``Fraction``, read off the context's
 step count.
 
-``order_p_fixing_by_fractions`` and ``apply_by_fractions`` are the order-p
-map and the Moebius action by field arithmetic on ``Fraction``s, with the
-canonical scale of ``mobius_by_fractions``, which also builds the tests'
-other maps from field entries: the reference for the integer constructor
-``projline.order_p_matrix`` and the integer action ``projline.image``.
+The formulas the tests share with the benchmark come from
+``perfbench/arith.py``, loaded by path as ``arith``: it imports nothing
+from the program.  ``order_p_fixing_by_fractions``,
+``compose_by_fractions`` and ``apply_by_fractions`` are its order-p map,
+matrix product and Moebius action on ``Fraction``s, with the canonical
+scale of ``mobius_by_fractions``, which also builds the tests' other maps
+from field entries: the reference for the integer constructor
+``projline.order_p_matrix``, ``projline.compose`` and the integer action
+``projline.image``.  ``zeta_power_by_definition`` and ``split_root`` are
+its powers of zeta and its lifted root of the cyclotomic polynomial.
 ``classify_by_fractions`` classifies a map from its trace and determinant
 as field elements, with the valuations of the second half: the reference
 for ``projline.classify`` on integers.  A map's integer entries become
-field elements through ``element``, and ``identity`` and ``inverse``
-build maps the same way; ``proj_eq`` compares two maps projectively, by
-cross-multiplication.  ``enumerate_gamma_words`` lists every word the
+field elements through ``element`` (``elements`` takes all four), and
+``identity`` and ``inverse`` build maps the same way; ``proj_eq``
+compares two maps projectively, by cross-multiplication.  ``enumerate_gamma_words`` lists every word the
 audit counts, conjugates included, in its length-lexicographic order:
 the reference order for ``oracle.schottky_audit``'s ``words_checked``.
 
@@ -60,15 +65,19 @@ only builds and values them.
 The second half is cyclotomic field arithmetic by polynomial division over
 Q, an independent check of the field layer's integer kernels: products and
 inverses reduce modulo the cyclotomic polynomial by long division and
-extended Euclid, and valuations come from the norm, a resultant.
+extended Euclid, and valuations come from the norm, a resultant.  It is a
+second algorithm beside the conjugate products of ``arith`` (and of the
+program), so it stays the tests' own; it values integers by ``arith.vq``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, permutations, product
 from math import gcd, lcm
+from pathlib import Path
 from typing import NamedTuple
 
 from schottkyfold.clusters import Configuration, PairedConfiguration, cluster_data
@@ -76,9 +85,15 @@ from schottkyfold.errors import PairingFailure
 from schottkyfold.folding import FoldWitness, NotGood, Redundant
 from schottkyfold.hull import Disc
 from schottkyfold.oracle import GroupWord, word_matrix
-from schottkyfold.projline import (INFINITY, ElementClass, MapKind, Mobius, PPoint, apply,
-                                   compose)
-from schottkyfold.valfield import INF_STEPS, FieldKind, Val, int_valuation
+from schottkyfold.projline import INFINITY, ElementClass, MapKind, Mobius, PPoint
+from schottkyfold.valfield import INF_STEPS, FieldKind, Val
+
+# the benchmark's standard-library arithmetic, by path, as perfbench is no package
+_spec = importlib.util.spec_from_file_location(
+    "arith", Path(__file__).resolve().parents[1] / "perfbench" / "arith.py"
+)
+arith = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(arith)
 
 
 def at_least(v: Val, r) -> bool:
@@ -548,20 +563,20 @@ def field_div(ctx, x, y):
 
 
 def zeta_power_by_definition(ctx, n: int):
-    """zeta_p^n: -1 to the n over Q; otherwise the n-th basis vector, with
-    x^(p-1) = -(1 + x + ... + x^(p-2)) and x^0 = 1."""
-    n %= ctx.p
-    if ctx.kind is FieldKind.RATIONAL:
-        return Fraction(-1) ** n
-    if n == ctx.p - 1:
-        return (Fraction(-1),) * ctx.degree
-    return tuple(Fraction(int(k == n)) for k in range(ctx.degree))
+    """zeta_p^n by ``arith``: -1 to the n over Q; otherwise the n-th basis
+    vector, with x^(p-1) = -(1 + x + ... + x^(p-2)) and x^0 = 1."""
+    return arith.field(ctx.p).zeta(n)
 
 
 def element(ctx, x):
     """An integral entry of a map (an ``int``, or a list of p - 1 integer
     coefficients) as a field element."""
     return Fraction(x) if ctx.kind is FieldKind.RATIONAL else tuple(map(Fraction, x))
+
+
+def elements(m: Mobius) -> tuple:
+    """A map's four integral entries as field elements."""
+    return tuple(element(m.ctx, x) for x in m.entries())
 
 
 def mobius_by_fractions(ctx, a, b, c, d) -> Mobius:
@@ -592,7 +607,7 @@ def identity(ctx) -> Mobius:
 def inverse(m: Mobius) -> Mobius:
     """The inverse map: the adjugate (d, -b, -c, a), in canonical scale."""
     ctx = m.ctx
-    a, b, c, d = (element(ctx, x) for x in m.entries())
+    a, b, c, d = elements(m)
     zero = field_zero(ctx)
     return mobius_by_fractions(ctx, d, field_sub(ctx, zero, b), field_sub(ctx, zero, c), a)
 
@@ -637,50 +652,22 @@ def order_p_fixing(ctx, a, b, n: int) -> Mobius:
 
 def order_p_fixing_by_fractions(ctx, a, b, n: int) -> Mobius:
     """The n-th power of the order-p map fixing a and b (b may be
-    infinity), by field arithmetic: [[a - z^n b, (z^n - 1) a b], [1 - z^n,
-    z^n a - b]] with z = zeta_p, or z -> (1 - z^n) a + z^n z."""
-    zn, one, av = zeta_power_by_definition(ctx, n), field_one(ctx), a.value
-    if b.is_infinity:
-        return mobius_by_fractions(ctx, zn, field_mul(ctx, field_sub(ctx, one, zn), av), 0, one)
-    bv = b.value
-    return mobius_by_fractions(
-        ctx,
-        field_sub(ctx, av, field_mul(ctx, zn, bv)),
-        field_mul(ctx, field_sub(ctx, zn, one), field_mul(ctx, av, bv)),
-        field_sub(ctx, one, zn),
-        field_sub(ctx, field_mul(ctx, zn, av), bv),
-    )
+    infinity), ``arith.order_p_map``: [[a - z^n b, (z^n - 1) a b], [1 -
+    z^n, z^n a - b]] with z = zeta_p, or z -> (1 - z^n) a + z^n z."""
+    end = arith.INF if b.is_infinity else b.value
+    return mobius_by_fractions(ctx, *arith.order_p_map(arith.field(ctx.p), a.value, end, n))
 
 
 def compose_by_fractions(m1: Mobius, m2: Mobius) -> Mobius:
-    """The matrix product m1 m2 by field arithmetic, in canonical scale."""
-    ctx = m1.ctx
-    a1, b1, c1, d1 = (element(ctx, x) for x in m1.entries())
-    a2, b2, c2, d2 = (element(ctx, x) for x in m2.entries())
-
-    def dot(x, y, u, v):
-        return field_add(ctx, field_mul(ctx, x, y), field_mul(ctx, u, v))
-
-    return mobius_by_fractions(
-        ctx,
-        dot(a1, a2, b1, c2),
-        dot(a1, b2, b1, d2),
-        dot(c1, a2, d1, c2),
-        dot(c1, b2, d1, d2),
-    )
+    """The matrix product m1 m2, ``arith.mat_mul``, in canonical scale."""
+    return mobius_by_fractions(m1.ctx, *arith.mat_mul(arith.field(m1.ctx.p), elements(m1), elements(m2)))
 
 
 def apply_by_fractions(m: Mobius, pt: PPoint) -> PPoint:
-    """The fractional-linear action by field arithmetic; poles map to
+    """The fractional-linear action, ``arith.apply_map``; poles map to
     infinity."""
-    ctx = m.ctx
-    a, b, c, d = (element(ctx, x) for x in m.entries())
-    if pt.is_infinity:
-        return INFINITY if field_is_zero(ctx, c) else PPoint(field_div(ctx, a, c))
-    den = field_add(ctx, field_mul(ctx, c, pt.value), d)
-    if field_is_zero(ctx, den):
-        return INFINITY
-    return PPoint(field_div(ctx, field_add(ctx, field_mul(ctx, a, pt.value), b), den))
+    z = arith.apply_map(arith.field(m.ctx.p), elements(m), arith.INF if pt.is_infinity else pt.value)
+    return INFINITY if z == arith.INF else PPoint(z)
 
 
 def pole_by_fractions(m: Mobius) -> PPoint:
@@ -695,9 +682,7 @@ def field_valuation(ctx, x) -> Val:
     otherwise."""
     if ctx.kind is not FieldKind.RATIONAL:
         return cyclo_valuation(ctx, x)
-    if x == 0:
-        return Val(None)
-    return Val(Fraction(int_valuation(x.numerator, ctx.ell) - int_valuation(x.denominator, ctx.ell)))
+    return Val(None) if x == 0 else Val(Fraction(arith.vq(x, ctx.ell)))
 
 
 def classify_by_fractions(ctx, m: Mobius) -> ElementClass:
@@ -705,7 +690,7 @@ def classify_by_fractions(ctx, m: Mobius) -> ElementClass:
     determinant as field elements: a scalar matrix is the identity, tr^2 =
     4 det is parabolic, and otherwise the map is loxodromic, with
     translation length v(det) - 2 v(tr), exactly when 2 v(tr) < v(det)."""
-    a, b, c, d = (element(ctx, x) for x in m.entries())
+    a, b, c, d = elements(m)
     if field_is_zero(ctx, b) and field_is_zero(ctx, c) and a == d:
         return ElementClass(MapKind.IDENTITY)
     tr = field_add(ctx, a, d)
@@ -721,7 +706,7 @@ def classify_by_fractions(ctx, m: Mobius) -> ElementClass:
 
 def transported_vertex_disc(ctx, values, members, m) -> Disc:
     """Image of a cluster vertex, recomputed from transported member points."""
-    imgs = [apply(m, PPoint(values[k])) for k in sorted(members)]
+    imgs = [apply_by_fractions(m, PPoint(values[k])) for k in sorted(members)]
     if any(pt.is_infinity for pt in imgs):
         raise ValueError("a transported point landed at infinity")
     return min_disc(ctx, [pt.value for pt in imgs])
@@ -745,8 +730,8 @@ def verify_fold_conjugation(step) -> bool:
         if a.is_infinity:
             a, b = b, a
         s_l = order_p_fixing(ctx, a, b, 1)
-        conjugate = compose(compose(m, s_l), m_inv)
-        a2, b2 = apply(m, a), apply(m, b)
+        conjugate = compose_by_fractions(compose_by_fractions(m, s_l), m_inv)
+        a2, b2 = apply_by_fractions(m, a), apply_by_fractions(m, b)
         swapped = a2.is_infinity
         if swapped:
             a2, b2 = b2, a2
@@ -886,16 +871,9 @@ def cyclo_inv(ctx, x) -> tuple:
 
 
 def split_root(ctx, prec: int) -> int:
-    """The least root of the cyclotomic polynomial modulo ell, lifted to
-    ell^prec one power of ell at a time."""
-    p, ell = ctx.p, ctx.ell
-    r = next(r for r in range(2, ell) if sum(r**k for k in range(p)) % ell == 0)
-    for k in range(2, prec + 1):
-        mod = ell**k
-        phi = sum(pow(r, i, mod) for i in range(p))
-        dphi = sum(i * pow(r, i - 1, mod) for i in range(1, p))
-        r = (r - phi * pow(dphi, -1, mod)) % mod
-    return r
+    """``arith.split_root``: the least root of the cyclotomic polynomial
+    modulo ell, lifted to ell^prec one power of ell at a time."""
+    return arith.split_root(ctx.p, ctx.ell, prec)
 
 
 def cyclo_valuation(ctx, x) -> Val:
@@ -912,10 +890,10 @@ def cyclo_valuation(ctx, x) -> Val:
         den = den * c.denominator // gcd(den, c.denominator)
     coeffs = [int(c * den) for c in x]
     norm = resultant(_phi(ctx.p), coeffs)
-    shift = int_valuation(den, ctx.ell)
+    shift = arith.vq(den, ctx.ell)
     if ctx.ell == ctx.p:
-        return Val(Fraction(int_valuation(norm.numerator, ctx.p), ctx.p - 1) - shift)
-    prec = int_valuation(norm.numerator, ctx.ell) + 1
+        return Val(Fraction(arith.vq(norm, ctx.p), ctx.p - 1) - shift)
+    prec = arith.vq(norm, ctx.ell) + 1
     root, mod = split_root(ctx, prec), ctx.ell**prec
     value = sum(c * pow(root, k, mod) for k, c in enumerate(coeffs)) % mod
-    return Val(Fraction(int_valuation(value, ctx.ell) - shift))
+    return Val(Fraction(arith.vq(value, ctx.ell) - shift))

@@ -25,9 +25,9 @@ from helpers import (
     ctx7,
     sample_paired,
 )
-from reference import (axis_geometry, enumerate_gamma_words, field_add, field_mul, order_p_fixing,
-                       order_p_fixing_by_fractions, paired_by_hand, separation_radius,
-                       translation_length_by_axes, verify_fold_conjugation,
+from reference import (arith, axis_geometry, enumerate_gamma_words, field_add, field_mul,
+                       order_p_fixing, order_p_fixing_by_fractions, paired_by_hand,
+                       separation_radius, translation_length_by_axes, verify_fold_conjugation,
                        zeta_power_by_definition)
 from test_census import BOXES, census_sets
 
@@ -220,15 +220,6 @@ def _reference_audit(pcfg, max_len):
     return sf.AuditResult(None, tuple(relations), checked)
 
 
-def _gamma_word_count(g, p, max_len):
-    """(g+1) g^(k-1) E_k words of length k, where E_k = ((p-1)^k +
-    (-1)^k (p-1)) / p exponent tuples in 1..p-1 sum to 0 mod p."""
-    return sum(
-        (g + 1) * g ** (k - 1) * ((p - 1) ** k + (-1) ** k * (p - 1)) // p
-        for k in range(1, max_len + 1)
-    )
-
-
 def _shrunk(pcfg):
     """The paired set moved by z -> z / ell."""
     ctx = pcfg.ctx
@@ -312,7 +303,7 @@ def test_audit_matches_the_word_by_word_reference():
             if depth <= 1:
                 assert result.words_checked == 0
             if result.witness is None:
-                assert result.words_checked == _gamma_word_count(pcfg.g, p, depth)
+                assert result.words_checked == arith.gamma_word_count(pcfg.g, p, depth)
             witnesses += result.witness is not None
             if result.relations:
                 relation_kinds.add(pcfg.ctx.kind)
@@ -504,7 +495,7 @@ def test_closed_form_word_positions_match_the_enumeration():
             for length in range(max_len + 1):
                 count = sum(len(w.syllables) <= length for w in words)
                 assert sf.oracle._word_count(g, p, length) == count
-                assert count == _gamma_word_count(g, p, length)
+                assert count == arith.gamma_word_count(g, p, length)
 
 
 def _classified(word, p):
@@ -552,7 +543,7 @@ def test_audit_classifies_one_word_per_conjugacy_class(monkeypatch):
         calls.clear()
         result = sf.schottky_audit(pcfg, depth)
         assert result.witness is None and result.relations == ()
-        assert result.words_checked == _gamma_word_count(g, p, depth)
+        assert result.words_checked == arith.gamma_word_count(g, p, depth)
         words = enumerate_gamma_words(g, p, depth)
         assert len(calls) == sum(_classified(w, p) for w in words)
         readings.append((p, len(calls), result.words_checked))
@@ -618,7 +609,7 @@ def test_audit_composes_each_prefix_once(monkeypatch):
         calls.clear()
         result = sf.schottky_audit(pmin, depth)
         assert result.witness is None and result.relations == ()
-        assert result.words_checked == _gamma_word_count(3, 2, depth) == words
+        assert result.words_checked == arith.gamma_word_count(3, 2, depth) == words
         assert len(calls) <= bound
 
 
@@ -642,10 +633,10 @@ def test_audit_divides_only_the_prefixes_it_extends(monkeypatch):
         result = sf.schottky_audit(pmin, depth)
         readings[depth] = len(contents) - mark
         assert result.witness is None and result.relations == ()
-        assert result.words_checked == _gamma_word_count(3, 2, depth)
+        assert result.words_checked == arith.gamma_word_count(3, 2, depth)
     print("\n" + ", ".join(f"{readings[depth]} content divisions at depth {depth}" for depth in readings)
           + f" (limits {CONTENT_LIMITS})")
-    assert (_gamma_word_count(3, 2, 10), _gamma_word_count(3, 2, 12)) == (88572, 797160)
+    assert (arith.gamma_word_count(3, 2, 10), arith.gamma_word_count(3, 2, 12)) == (88572, 797160)
     for depth, limit in CONTENT_LIMITS.items():
         assert 0 < readings[depth] <= limit, depth
     mark = len(contents)
